@@ -8,13 +8,22 @@ overlap; the unanchored one searches for the bijection that maximizes
 matched tuples.  Counts pool across sentences within a framework
 (micro) and frameworks average unweighted (macro).
 
+The searches never recount a candidate mapping.  ``_PairMatcher``
+tabulates, once per pair, the hits of every gold/pred node pair and of
+every pair of edge-linked nodes; since mappings are injective, a
+mapping's matched total is a sum over those tables, and a swap is
+scored by re-summing only the rows it moves.  Small unanchored graphs
+are solved by a depth-first search in ``itertools.permutations`` order
+that cuts subtrees which cannot beat the best so far.  Each search
+accepts only strict improvements, so it keeps the first strict maximum
+and returns the mapping that recounting every candidate would.
+
 Scores are labeled "MRP-F1 (toolkit)": the official scorer's
 correspondence tie-breaking is not public, so bit-equality with it is
 not claimed.
 """
 
 import itertools
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -103,8 +112,23 @@ def _anchor_set(node):
 
 
 class _PairMatcher:
-    """Precomputed tuple structures for one gold/pred pair; ``counts``
-    and ``matched`` evaluate a candidate correspondence."""
+    """Precomputed tuple structures for one gold/pred pair.
+
+    ``counts`` reports the per-component tuples of a correspondence.
+    The search never calls it: it scores candidates from ``unary`` and
+    ``links``, built once over the sorted node ids ``gold_ids`` and
+    ``pred_ids``.  ``unary[i][j]`` holds the top, label, property,
+    anchor and self-loop hits of gold node ``i`` on predicted node
+    ``j``; each row ends in a zero column that stands for "unmapped".
+    ``links[i]`` lists ``(k, table)`` for every gold node ``k != i``
+    joined to ``i`` by an edge in either direction, and ``table`` maps
+    a predicted pair ``(j, l)`` for ``(i, k)`` to its edge and
+    attribute hits.  Because a correspondence is injective, a mapped
+    gold tuple can meet only the predicted tuple between the images of
+    its own endpoints, so the matched total of a correspondence is the
+    sum of its unary entries plus, once per linked gold pair, the
+    table entry of their images.  This holds with duplicate edges too.
+    """
 
     def __init__(self, gold, pred, lenient=False):
         self.gold, self.pred = gold, pred
@@ -135,6 +159,73 @@ class _PairMatcher:
         self.n_pred_anchors = sum(1 for s in self.pred_anchor.values() if s)
         self.n_gold_attrs = sum(len(e.attributes) for e in gold.edges)
         self.n_pred_attrs = sum(len(e.attributes) for e in pred.edges)
+        self.gold_ids = sorted(n.id for n in gold.nodes)
+        self.pred_ids = sorted(n.id for n in pred.nodes)
+        self._build_tables()
+
+    def _build_tables(self):
+        gi = {g: i for i, g in enumerate(self.gold_ids)}
+        pj = {p: j for j, p in enumerate(self.pred_ids)}
+        top_count = Counter(self.gold.tops)
+        self.unary = []
+        for g in self.gold_ids:
+            lab, props, anch = (self.gold_label[g], self.gold_props[g],
+                                self.gold_anchor[g])
+            row = []
+            for p in self.pred_ids:
+                hits = top_count[g] if p in self.pred_tops else 0
+                if lab is not None and self.pred_label[p] == lab:
+                    hits += 1
+                other = self.pred_props[p]
+                hits += sum(min(c, other[kv]) for kv, c in props.items())
+                if anch and self.pred_anchor[p] == anch:
+                    hits += 1
+                row.append(hits)
+            row.append(0)  # the unmapped column
+            self.unary.append(row)
+
+        # predicted tuples grouped by everything but their endpoints
+        pred_by_key = {}
+        for counter in (self.pred_edges, self.pred_attrs):
+            for (s, t, *key), c in counter.items():
+                if s in pj and t in pj:
+                    pred_by_key.setdefault(tuple(key), []).append(
+                        (pj[s], pj[t], c))
+        gold_tuples = Counter()
+        for e in self.gold.edges:
+            if e.source in gi and e.target in gi:
+                s, t = gi[e.source], gi[e.target]
+                gold_tuples[(s, t, e.label)] += 1
+                for k, v in e.attributes:
+                    gold_tuples[(s, t, e.label, k, v)] += 1
+        tables = {}
+        for (s, t, *key), c in gold_tuples.items():
+            for j, l, cp in pred_by_key.get(tuple(key), ()):
+                if s == t:
+                    if j == l:
+                        self.unary[s][j] += min(c, cp)
+                elif j != l:
+                    fwd = tables.setdefault((s, t), Counter())
+                    fwd[(j, l)] += min(c, cp)
+                    bwd = tables.setdefault((t, s), Counter())
+                    bwd[(l, j)] += min(c, cp)
+        self.links = [[] for _ in self.gold_ids]
+        for (s, t), table in sorted(tables.items()):
+            self.links[s].append((t, dict(table)))
+
+    def transposed_tables(self):
+        """``unary`` and ``links`` with predicted nodes as the rows."""
+        n_pred = len(self.pred_ids)
+        unary = [[row[j] for row in self.unary] + [0] for j in range(n_pred)]
+        tables = {}
+        for i, linked in enumerate(self.links):
+            for k, table in linked:
+                for (j, l), hits in table.items():
+                    tables.setdefault((j, l), {})[(i, k)] = hits
+        links = [[] for _ in range(n_pred)]
+        for (j, l), table in sorted(tables.items()):
+            links[j].append((l, table))
+        return unary, links
 
     def counts(self, m):
         g, p = self.gold, self.pred
@@ -181,23 +272,39 @@ class _PairMatcher:
         out["all"] = sum(out.values(), Counts())
         return out
 
-    def matched(self, m):
-        return self.counts(m)["all"].matched
+
+def _sum_rows(unary, links, values, rows):
+    """Matched tuples that depend on a row in ``rows`` when row ``r``
+    takes column ``values[r]``: their unary entries and, once per linked
+    pair, the link table entry.  Over all rows, the matched total."""
+    total = 0
+    for r in rows:
+        v = values[r]
+        total += unary[r][v]
+        for k, table in links[r]:
+            if k not in rows or k > r:
+                total += table.get((v, values[k]), 0)
+    return total
 
 
-def _improve_by_swaps(values, gold_ids, objective):
+def _improve_by_swaps(values, unary, links):
     """Hill climbing over pair swaps (and, for small problems, 3-cycles,
     which plain swaps cannot escape) in deterministic order.
 
-    ``gold_ids`` rows holding None are a spare pool: their values are
-    unmapped predicted nodes available to swap in.
+    ``values[r]`` is the column that row ``r`` takes, the zero column
+    ``len(unary[0]) - 1`` meaning unmapped.  Rows past ``len(unary)``
+    are a spare pool: their values are unmapped predicted nodes
+    available to swap in.  The objective is kept incrementally: a
+    candidate is scored by re-summing only the rows it moves and their
+    links, so it is accepted exactly when the full recount would
+    exceed the best so far.  Returns that best total.
     """
-    def as_mapping():
-        return {g: v for g, v in zip(gold_ids, values)
-                if g is not None and v is not None}
-
     n = len(values)
-    best = objective(as_mapping())
+    spare = n - len(unary)
+    if spare:  # pool rows match nothing
+        unary = unary + [[0] * (max(values) + 1)] * spare
+        links = links + [()] * spare
+    best = _sum_rows(unary, links, values, range(n))
     improved = True
     while improved:
         improved = False
@@ -205,22 +312,26 @@ def _improve_by_swaps(values, gold_ids, objective):
             for j in range(i + 1, n):
                 if values[i] == values[j]:
                     continue
+                rows = (i, j)
+                before = _sum_rows(unary, links, values, rows)
                 values[i], values[j] = values[j], values[i]
-                score = objective(as_mapping())
-                if score > best:
-                    best = score
+                gain = _sum_rows(unary, links, values, rows) - before
+                if gain > 0:
+                    best += gain
                     improved = True
                 else:
                     values[i], values[j] = values[j], values[i]
         if improved or n > 12:
             continue
         for i, j, k in itertools.combinations(range(n), 3):
+            rows = (i, j, k)
+            before = _sum_rows(unary, links, values, rows)
             for _ in range(2):
                 values[i], values[j], values[k] = (values[j], values[k],
                                                    values[i])
-                score = objective(as_mapping())
-                if score > best:
-                    best = score
+                gain = _sum_rows(unary, links, values, rows) - before
+                if gain > 0:
+                    best += gain
                     improved = True
                     break
             else:
@@ -286,71 +397,117 @@ def _anchored_correspondence(gold, pred, matcher):
         m[gid] = pid
         used.add(pid)
 
-    gold_ids = sorted(n.id for n in gold.nodes)
-    free = [p for p in sorted(n.id for n in pred.nodes) if p not in used]
-    values = [m.get(g) for g in gold_ids] + free
-    ids = gold_ids + [None] * len(free)  # rows with no gold node are a pool
-    _improve_by_swaps(values, ids, matcher.matched)
-    return {g: v for g, v in zip(ids, values) if g is not None and v is not None}
+    gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
+    column = {p: j for j, p in enumerate(pred_ids)}
+    unmapped = len(pred_ids)
+    values = ([column[m[g]] if g in m else unmapped for g in gold_ids]
+              + [column[p] for p in pred_ids if p not in used])
+    _improve_by_swaps(values, matcher.unary, matcher.links)
+    return {g: pred_ids[v] for g, v in zip(gold_ids, values) if v != unmapped}
 
 
-def _search_correspondence(gold, pred, matcher, seed, restarts, exhaustive_ok):
-    gold_ids = sorted(n.id for n in gold.nodes)
-    pred_ids = sorted(n.id for n in pred.nodes)
+def _search_correspondence(matcher, seed, method):
+    gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
     if not gold_ids or not pred_ids:
         return {}
-    if (exhaustive_ok and len(gold_ids) <= EXHAUSTIVE_LIMIT
-            and len(pred_ids) <= EXHAUSTIVE_LIMIT):
-        return _exhaustive_correspondence(gold_ids, pred_ids, matcher)
+    small = (len(gold_ids) <= EXHAUSTIVE_LIMIT
+             and len(pred_ids) <= EXHAUSTIVE_LIMIT)
+    if method == "exhaustive" or (method == "auto" and small):
+        return _exhaustive_correspondence(matcher)
     rng = np.random.default_rng(seed)
-    slots = pred_ids + [None] * max(0, len(gold_ids) - len(pred_ids))
+    unmapped = len(pred_ids)
+    slots = (list(range(len(pred_ids)))
+             + [unmapped] * max(0, len(gold_ids) - len(pred_ids)))
     best_m, best_score = {}, -1
-    for _ in range(restarts):
+    for _ in range(HILL_CLIMB_RESTARTS):
         work = [slots[i] for i in rng.permutation(len(slots))]
-        score = _improve_by_swaps(
-            work, gold_ids + [None] * (len(work) - len(gold_ids)),
-            matcher.matched)
+        score = _improve_by_swaps(work, matcher.unary, matcher.links)
         if score > best_score:
             best_score = score
-            best_m = {g: v for g, v in zip(gold_ids, work) if v is not None}
+            best_m = {g: pred_ids[v] for g, v in zip(gold_ids, work)
+                      if v != unmapped}
     return best_m
 
 
-def _exhaustive_correspondence(gold_ids, pred_ids, matcher):
-    best_m, best_score = {}, -1
+def _first_best_assignment(unary, links, n_cols):
+    """Columns for rows 0..R-1, distinct, maximizing the total; among
+    equal totals the first in ``itertools.permutations`` order.
+
+    Depth-first search in that order, adding each row's unary entry and
+    its links to earlier rows as it goes.  A subtree is cut when the
+    partial total plus an upper bound on the rows below it cannot
+    exceed the best so far, so no strictly better assignment is ever
+    skipped and the first strict maximum is the one kept.
+    """
+    n_rows = len(unary)
+    earlier = [[(k, table) for k, table in links[r] if k < r]
+               for r in range(n_rows)]
+    bound = [0] * (n_rows + 1)
+    for r in reversed(range(n_rows)):
+        bound[r] = (bound[r + 1] + max(unary[r])
+                    + sum(max(table.values()) for _, table in earlier[r]))
+    cols = [0] * n_rows
+    used = [False] * n_cols
+    best_total, best_cols = -1, None
+
+    def visit(r, partial):
+        nonlocal best_total, best_cols
+        if partial + bound[r] <= best_total:
+            return
+        if r == n_rows:
+            best_total, best_cols = partial, list(cols)
+            return
+        row, prev = unary[r], earlier[r]
+        for c in range(n_cols):
+            if used[c]:
+                continue
+            gain = row[c]
+            for k, table in prev:
+                gain += table.get((c, cols[k]), 0)
+            cols[r] = c
+            used[c] = True
+            visit(r + 1, partial + gain)
+            used[c] = False
+
+    visit(0, 0)
+    return best_cols
+
+
+def _exhaustive_correspondence(matcher):
+    """The first best injective mapping in ``itertools.permutations``
+    order over the smaller side."""
+    gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
     if len(gold_ids) <= len(pred_ids):
-        for combo in itertools.permutations(pred_ids, len(gold_ids)):
-            m = dict(zip(gold_ids, combo))
-            score = matcher.matched(m)
-            if score > best_score:
-                best_score, best_m = score, m
-    else:
-        for combo in itertools.permutations(gold_ids, len(pred_ids)):
-            m = {g: p for g, p in zip(combo, pred_ids)}
-            score = matcher.matched(m)
-            if score > best_score:
-                best_score, best_m = score, m
-    return best_m
+        cols = _first_best_assignment(matcher.unary, matcher.links,
+                                      len(pred_ids))
+        return {g: pred_ids[c] for g, c in zip(gold_ids, cols)}
+    unary, links = matcher.transposed_tables()
+    cols = _first_best_assignment(unary, links, len(gold_ids))
+    return {gold_ids[c]: p for p, c in zip(pred_ids, cols)}
 
 
-def correspondence(gold, pred, lenient=False, seed=0, method="auto"):
+def correspondence(gold, pred, lenient=False, seed=0, method="auto", *,
+                   _matcher=None):
     """Node mapping gold id -> pred id used for tuple matching.
+
+    Anchored graphs pair nodes greedily by character overlap and then
+    hill-climb.  Unanchored graphs of up to ``EXHAUSTIVE_LIMIT`` nodes
+    a side get the first best mapping in ``itertools.permutations``
+    order, found by a bounded depth-first search; larger ones take the
+    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs.  Every search
+    scores candidates with the incremental objective of
+    ``_PairMatcher`` and accepts only strict improvements, so it
+    returns the mapping a full recount of every candidate would.
 
     ``method`` is for oracle tests: "exhaustive" and "hillclimb" force
     the unanchored search strategy regardless of graph size.
+    ``_matcher`` lets ``mrp_f1`` share the tables it reports from.
     """
-    matcher = _PairMatcher(gold, pred, lenient=lenient)
+    matcher = (_matcher if _matcher is not None
+               else _PairMatcher(gold, pred, lenient=lenient))
     if gold.flavor in (0, 1):
         return _anchored_correspondence(gold, pred, matcher)
-    if method == "exhaustive":
-        g = sorted(n.id for n in gold.nodes)
-        p = sorted(n.id for n in pred.nodes)
-        if not g or not p:
-            return {}
-        return _exhaustive_correspondence(g, p, matcher)
-    return _search_correspondence(gold, pred, matcher, seed,
-                                  HILL_CLIMB_RESTARTS,
-                                  exhaustive_ok=(method == "auto"))
+    return _search_correspondence(matcher, seed, method)
 
 
 def mrp_f1(gold, pred, lenient=False, seed=0, method="auto"):
@@ -361,7 +518,8 @@ def mrp_f1(gold, pred, lenient=False, seed=0, method="auto"):
     if gold.id != pred.id:
         raise ValueError(f"sentence id mismatch: {gold.id} vs {pred.id}")
     matcher = _PairMatcher(gold, pred, lenient=lenient)
-    m = correspondence(gold, pred, lenient=lenient, seed=seed, method=method)
+    m = correspondence(gold, pred, lenient=lenient, seed=seed, method=method,
+                       _matcher=matcher)
     return matcher.counts(m)
 
 
@@ -420,10 +578,6 @@ class ScoreReport:
         return "\n".join(lines)
 
 
-def macro_average(report, frameworks=G.FRAMEWORKS):
-    return report.macro_f1(frameworks)
-
-
 def sdp_labeled_f1(gold, pred):
     """F1 over labeled directed dependencies with the top attachment
     counted as a virtual root dependency.
@@ -449,9 +603,3 @@ def sdp_labeled_f1(gold, pred):
     p = matched / total_b if total_b else 0.0
     r = matched / total_a if total_a else 0.0
     return 2 * p * r / (p + r) if p + r else 0.0
-
-
-def write_report(report, path):
-    with open(path, "w") as f:
-        json.dump(report.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")

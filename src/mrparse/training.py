@@ -235,7 +235,7 @@ def build_inventories(train_by_fw):
         inv.psd_lexicon_rows = _psd_lexicon_rows(graphs)
     for s in train_by_fw.get("ucca", ()):
         try:
-            ser = U.serialize_ucca(s.graphs["ucca"], s.tokens)
+            ser = _serialize_ucca(s)
         except ValueError as err:
             warnings.warn(f"{s.id}: ucca gold skipped for inventories ({err})")
             continue
@@ -448,8 +448,16 @@ def _prep_sdp(model, fw, sent):
     return SdpTargets(edges=edges, tops=tops, frames=frames)
 
 
-def _prep_ucca(model, sent):
+def _serialize_ucca(sent):
     ser = U.serialize_ucca(sent.graphs["ucca"], sent.tokens)
+    if ser is None:
+        raise ValueError("no pointer problem: misaligned anchors, "
+                         "reentrant primary edges or an empty yield")
+    return ser
+
+
+def _prep_ucca(model, sent):
+    ser = _serialize_ucca(sent)
     labels = model.heads["ucca"].labels
     cells = [(i, j, labels.index(lab)) for i, j, lab in ser.edges]
     remote = [(i, j, 0) for i, j in ser.remotes]

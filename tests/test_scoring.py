@@ -1,6 +1,8 @@
 """Correspondence search, per-component tuple F1, macro averaging and
 the labeled dependency metric."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -198,14 +200,14 @@ class TestReport:
         rep = S.ScoreReport()
         for fw in G.FRAMEWORKS:
             rep.add(fw, {"all": S.Counts(1, 1, 1)})
-        assert S.macro_average(rep) == 1.0
+        assert rep.macro_f1() == 1.0
 
     def test_macro_missing_framework_warns_and_counts_zero(self):
         rep = S.ScoreReport()
         for fw in ("dm", "psd", "eds", "ucca"):
             rep.add(fw, {"all": S.Counts(1, 1, 1)})
         with pytest.warns(UserWarning, match="amr"):
-            assert S.macro_average(rep) == pytest.approx(0.8)
+            assert rep.macro_f1() == pytest.approx(0.8)
 
     def test_table_lists_components(self):
         table = self.make_report().format_table()
@@ -244,3 +246,408 @@ class TestSdpLabeledF1:
         g = G.MrpGraph(id="e", flavor=0, framework="dm", input="",
                        tops=(), nodes=(), edges=())
         assert S.sdp_labeled_f1(g, g) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# seeded pair generators for the frozen and property tests
+
+AMR_LABELS = ("want-01", "boy", "girl", "go-02", "see-01", "dog", "city")
+AMR_ROLES = ("ARG0", "ARG1", "ARG2", "mod", "op1")
+UCCA_LABELS = ("A", "P", "C", "D", "E", "H")
+
+
+def random_amr(rng, n, gid="f"):
+    """A single-top DAG over a small label pool (so ties are common),
+    with a few node properties and reentrant edges."""
+    nodes = []
+    for k in range(n):
+        props = ()
+        if rng.random() < 0.25:
+            props = (("op1", str(rng.choice(("x", "y")))),)
+        nodes.append(G.MrpNode(k, label=str(rng.choice(AMR_LABELS)),
+                               properties=props))
+    edges = [G.MrpEdge(int(rng.integers(0, j)), j, str(rng.choice(AMR_ROLES)))
+             for j in range(1, n)]
+    for _ in range(n // 3):
+        j = int(rng.integers(1, n))
+        i = int(rng.integers(0, j))
+        edges.append(G.MrpEdge(i, j, str(rng.choice(AMR_ROLES))))
+    return G.MrpGraph(id=gid, flavor=2, framework="amr", input="x",
+                      tops=(0,), nodes=tuple(nodes), edges=tuple(edges))
+
+
+def perturb(rng, g, drop_nodes=0, drop_edges=0, relabel=0, dup_edges=0,
+            add_nodes=0):
+    """Renumber the nodes at random and damage the graph."""
+    nodes = list(g.nodes)
+    edges = list(g.edges)
+    for _ in range(drop_nodes):
+        gone = nodes.pop(int(rng.integers(0, len(nodes)))).id
+        edges = [e for e in edges if gone not in (e.source, e.target)]
+    for _ in range(drop_edges):
+        if edges:
+            edges.pop(int(rng.integers(0, len(edges))))
+    for _ in range(relabel):
+        k = int(rng.integers(0, len(nodes)))
+        nodes[k] = G.replace(nodes[k], label=str(rng.choice(AMR_LABELS)))
+    for _ in range(dup_edges):
+        if edges:
+            edges.append(edges[int(rng.integers(0, len(edges)))])
+    top = max(n.id for n in g.nodes) + 1
+    for k in range(add_nodes):
+        nodes.append(G.MrpNode(top + k, label=str(rng.choice(AMR_LABELS))))
+        parent = nodes[int(rng.integers(0, len(nodes) - 1))].id
+        edges.append(G.MrpEdge(parent, top + k, str(rng.choice(AMR_ROLES))))
+    ids = [n.id for n in nodes]
+    new = {old: 10 * int(p) + 3 for old, p in
+           zip(ids, rng.permutation(len(ids)))}
+    nodes = tuple(G.replace(n, id=new[n.id]) for n in nodes)
+    edges = tuple(G.replace(e, source=new[e.source], target=new[e.target])
+                  for e in edges)
+    tops = tuple(new[t] for t in g.tops if t in new)
+    return G.replace(g, nodes=nodes, edges=edges, tops=tops)
+
+
+def random_ucca(rng, n_tokens, gid="u"):
+    """Unanchored internal nodes over anchored terminals, plus remote
+    edges carrying the ("remote", True) attribute."""
+    words = [f"w{k}" for k in range(n_tokens)]
+    text = " ".join(words)
+    nodes, edges = [], []
+    pos = 0
+    for k, w in enumerate(words):
+        nodes.append(G.MrpNode(k, anchors=(G.Anchor(pos, pos + len(w)),)))
+        pos += len(w) + 1
+    frontier = list(range(n_tokens))
+    nid = n_tokens
+    while len(frontier) > 1:
+        take = min(len(frontier), int(rng.integers(2, 4)))
+        at = int(rng.integers(0, len(frontier) - take + 1))
+        kids = frontier[at:at + take]
+        nodes.append(G.MrpNode(nid))
+        for c in kids:
+            edges.append(G.MrpEdge(nid, c, str(rng.choice(UCCA_LABELS))))
+        frontier[at:at + take] = [nid]
+        nid += 1
+    root = frontier[0]
+    for _ in range(max(1, n_tokens // 3)):
+        src = int(rng.integers(n_tokens, nid)) if nid > n_tokens else root
+        tgt = int(rng.integers(0, n_tokens))
+        edges.append(G.MrpEdge(src, tgt, "A", attributes=(("remote", True),)))
+    return G.MrpGraph(id=gid, flavor=1, framework="ucca", input=text,
+                      tops=(root,), nodes=tuple(nodes), edges=tuple(edges))
+
+
+def damage_ucca(rng, g):
+    """Drop one tree edge, relabel one, strip one remote attribute and
+    add a stray unanchored node."""
+    edges = list(g.edges)
+    edges.pop(int(rng.integers(0, len(edges))))
+    k = int(rng.integers(0, len(edges)))
+    edges[k] = G.replace(edges[k], label=str(rng.choice(UCCA_LABELS)))
+    for k, e in enumerate(edges):
+        if e.attributes:
+            edges[k] = G.replace(e, attributes=())
+            break
+    extra = G.MrpNode(max(n.id for n in g.nodes) + 1)
+    edges.append(G.MrpEdge(g.tops[0], extra.id, "D"))
+    return G.replace(g, nodes=g.nodes + (extra,), edges=tuple(edges))
+
+
+def padded_dm(rng, n_tokens, pad, gid="d"):
+    """Flavor-0 graph over double-spaced tokens; ``pad`` widens some
+    anchors over the neighbouring whitespace."""
+    words = [f"t{k}" for k in range(n_tokens)]
+    text = "  ".join(words)
+    nodes, pos = [], 0
+    for k, w in enumerate(words):
+        s, e = pos, pos + len(w)
+        if pad and rng.random() < 0.5:
+            s, e = max(0, s - 1), min(len(text), e + 1)
+        nodes.append(G.MrpNode(k, label=w, anchors=(G.Anchor(s, e),)))
+        pos += len(w) + 2
+    edges = tuple(G.MrpEdge(int(rng.integers(0, n_tokens)), k, "ARG1")
+                  for k in range(n_tokens) if rng.random() < 0.7)
+    return G.MrpGraph(id=gid, flavor=0, framework="dm", input=text,
+                      tops=(0,), nodes=tuple(nodes), edges=edges)
+
+
+def frozen_pairs():
+    """(name, gold, pred, keyword arguments) for the pinned cases."""
+    out = []
+    rng = np.random.default_rng(20191003)
+    for n in range(2, 9):                       # exhaustive path
+        g = random_amr(rng, n)
+        p = perturb(rng, g, drop_edges=1, relabel=n // 4)
+        out.append((f"amr-exh-{n}", g, p, {}))
+    for n in (6, 8):                            # exhaustive, label ties only
+        g = random_amr(rng, n)
+        out.append((f"amr-exh-renumbered-{n}", g, perturb(rng, g), {}))
+    for n in (9, 10, 11, 12):                   # hill-climbing path
+        g = random_amr(rng, n)
+        p = perturb(rng, g, drop_edges=2, relabel=2)
+        out.append((f"amr-hill-{n}", g, p, {}))
+    for n in (5, 7):                            # forced hill climbing
+        g = random_amr(rng, n)
+        p = perturb(rng, g, drop_edges=1, relabel=1)
+        out.append((f"amr-forced-hill-{n}", g, p, {"method": "hillclimb"}))
+    g = random_amr(rng, 6)
+    out.append(("amr-forced-exh-6", g, perturb(rng, g, relabel=2),
+                {"method": "exhaustive"}))
+    g = random_amr(rng, 7)                      # G > P, exhaustive
+    out.append(("amr-g7-p5", g, perturb(rng, g, drop_nodes=2, relabel=1), {}))
+    g = random_amr(rng, 5)                      # G < P, exhaustive
+    out.append(("amr-g5-p8", g, perturb(rng, g, add_nodes=3), {}))
+    g = random_amr(rng, 11)                     # G > P, hill climbing
+    out.append(("amr-g11-p9", g, perturb(rng, g, drop_nodes=2), {}))
+    g = random_amr(rng, 9)                      # G < P, hill climbing
+    out.append(("amr-g9-p12", g, perturb(rng, g, add_nodes=3, relabel=1), {}))
+    g = random_amr(rng, 7)                      # duplicate edges
+    dup = G.replace(g, edges=g.edges + g.edges[:2])
+    out.append(("amr-dup-exh", dup, perturb(rng, g, dup_edges=3), {}))
+    g = random_amr(rng, 10)
+    dup = G.replace(g, edges=g.edges + g.edges[1:3])
+    out.append(("amr-dup-hill", dup, perturb(rng, g, dup_edges=2, relabel=1),
+                {}))
+    g = random_amr(rng, 5)                      # self-loop and two tops
+    loop = G.replace(g, tops=(0, 2),
+                     edges=g.edges + (G.MrpEdge(3, 3, "mod"),))
+    out.append(("amr-loop-tops", loop, perturb(rng, loop, relabel=1), {}))
+    for k, n in enumerate((4, 6, 9)):           # UCCA remote attributes
+        g = random_ucca(rng, n, gid=f"u{k}")
+        out.append((f"ucca-remote-{n}", g, damage_ucca(rng, g), {}))
+    for lenient in (False, True):               # padded anchors
+        g = padded_dm(rng, 6, pad=False)
+        p = padded_dm(np.random.default_rng(5), 6, pad=True)
+        p = G.replace(p, edges=g.edges[:-1])
+        out.append((f"dm-padded-lenient-{lenient}", g, p, {"lenient": lenient}))
+    return out
+
+
+# Correspondence and (gold, pred, matched) per component in COMPONENTS
+# order plus "all", recorded from the scorer that recounted every
+# candidate mapping in full.  The incremental search must reproduce them.
+FROZEN = {
+    'amr-exh-2': (
+        {0: 3, 1: 13},
+        ((1, 1, 1), (2, 2, 2), (1, 1, 1), (0, 0, 0),
+         (1, 0, 0), (0, 0, 0), (5, 4, 4))),
+    'amr-exh-3': (
+        {0: 3, 1: 23, 2: 13},
+        ((1, 1, 1), (3, 3, 3), (1, 1, 1), (0, 0, 0),
+         (3, 2, 2), (0, 0, 0), (8, 7, 7))),
+    'amr-exh-4': (
+        {0: 3, 1: 23, 2: 33, 3: 13},
+        ((1, 1, 1), (4, 4, 4), (0, 0, 0), (0, 0, 0),
+         (4, 3, 3), (0, 0, 0), (9, 8, 8))),
+    'amr-exh-5': (
+        {0: 33, 1: 3, 2: 13, 3: 23, 4: 43},
+        ((1, 1, 1), (5, 5, 4), (2, 2, 2), (0, 0, 0),
+         (5, 4, 4), (0, 0, 0), (13, 12, 11))),
+    'amr-exh-6': (
+        {0: 33, 1: 3, 2: 43, 3: 53, 4: 23, 5: 13},
+        ((1, 1, 1), (6, 6, 5), (3, 3, 3), (0, 0, 0),
+         (7, 6, 6), (0, 0, 0), (17, 16, 15))),
+    'amr-exh-7': (
+        {0: 43, 1: 63, 2: 53, 3: 13, 4: 3, 5: 33, 6: 23},
+        ((1, 1, 1), (7, 7, 6), (1, 1, 1), (0, 0, 0),
+         (8, 7, 7), (0, 0, 0), (17, 16, 15))),
+    'amr-exh-8': (
+        {0: 43, 1: 23, 2: 53, 3: 3, 4: 73, 5: 13, 6: 63, 7: 33},
+        ((1, 1, 1), (8, 8, 6), (1, 1, 1), (0, 0, 0),
+         (9, 8, 8), (0, 0, 0), (19, 18, 16))),
+    'amr-exh-renumbered-6': (
+        {0: 13, 1: 33, 2: 3, 3: 53, 4: 23, 5: 43},
+        ((1, 1, 1), (6, 6, 6), (0, 0, 0), (0, 0, 0),
+         (7, 7, 7), (0, 0, 0), (14, 14, 14))),
+    'amr-exh-renumbered-8': (
+        {0: 13, 1: 23, 2: 33, 3: 73, 4: 63, 5: 3, 6: 53, 7: 43},
+        ((1, 1, 1), (8, 8, 8), (1, 1, 1), (0, 0, 0),
+         (9, 9, 9), (0, 0, 0), (19, 19, 19))),
+    'amr-hill-9': (
+        {0: 73, 1: 43, 2: 3, 3: 23, 4: 83, 5: 53, 6: 63, 7: 33, 8: 13},
+        ((1, 1, 1), (9, 9, 7), (3, 3, 3), (0, 0, 0),
+         (11, 9, 9), (0, 0, 0), (24, 22, 20))),
+    'amr-hill-10': (
+        {0: 3, 1: 93, 2: 43, 3: 33, 4: 83, 5: 63, 6: 23, 7: 53, 8: 13, 9: 73},
+        ((1, 1, 1), (10, 10, 8), (6, 6, 6), (0, 0, 0),
+         (12, 10, 10), (0, 0, 0), (29, 27, 25))),
+    'amr-hill-11': (
+        {0: 83, 1: 13, 2: 73, 3: 103, 4: 33, 5: 23, 6: 3, 7: 63, 8: 43, 9: 93,
+         10: 53},
+        ((1, 1, 1), (11, 11, 9), (2, 2, 2), (0, 0, 0),
+         (13, 11, 11), (0, 0, 0), (27, 25, 23))),
+    'amr-hill-12': (
+        {0: 63, 1: 113, 2: 13, 3: 93, 4: 33, 5: 83, 6: 53, 7: 73, 8: 23, 9: 3,
+         10: 43, 11: 103},
+        ((1, 1, 1), (12, 12, 11), (5, 5, 5), (0, 0, 0),
+         (15, 13, 13), (0, 0, 0), (33, 31, 30))),
+    'amr-forced-hill-5': (
+        {0: 23, 1: 43, 2: 3, 3: 33, 4: 13},
+        ((1, 1, 1), (5, 5, 4), (1, 1, 1), (0, 0, 0),
+         (5, 4, 4), (0, 0, 0), (12, 11, 10))),
+    'amr-forced-hill-7': (
+        {0: 3, 1: 23, 2: 53, 3: 33, 4: 13, 5: 43, 6: 63},
+        ((1, 1, 1), (7, 7, 6), (2, 2, 2), (0, 0, 0),
+         (8, 7, 7), (0, 0, 0), (18, 17, 16))),
+    'amr-forced-exh-6': (
+        {0: 3, 1: 33, 2: 13, 3: 53, 4: 23, 5: 43},
+        ((1, 1, 1), (6, 6, 5), (0, 0, 0), (0, 0, 0),
+         (7, 7, 7), (0, 0, 0), (14, 14, 13))),
+    'amr-g7-p5': (
+        {0: 43, 1: 3, 2: 13, 3: 23, 6: 33},
+        ((1, 1, 1), (7, 5, 4), (4, 3, 3), (0, 0, 0),
+         (8, 4, 4), (0, 0, 0), (20, 13, 12))),
+    'amr-g5-p8': (
+        {0: 73, 1: 13, 2: 23, 3: 53, 4: 43},
+        ((1, 1, 1), (5, 8, 5), (0, 0, 0), (0, 0, 0),
+         (5, 8, 5), (0, 0, 0), (11, 17, 11))),
+    'amr-g11-p9': (
+        {0: 23, 1: 33, 2: 43, 3: 73, 4: 3, 7: 13, 8: 53, 9: 63, 10: 83},
+        ((1, 1, 1), (11, 9, 9), (1, 1, 1), (0, 0, 0),
+         (13, 9, 9), (0, 0, 0), (26, 20, 20))),
+    'amr-g9-p12': (
+        {0: 113, 1: 83, 2: 3, 3: 13, 4: 73, 5: 33, 6: 93, 7: 103, 8: 43},
+        ((1, 1, 1), (9, 12, 8), (4, 4, 4), (0, 0, 0),
+         (11, 14, 11), (0, 0, 0), (25, 31, 24))),
+    'amr-dup-exh': (
+        {0: 13, 1: 33, 2: 3, 3: 23, 4: 53, 5: 43, 6: 63},
+        ((1, 1, 1), (7, 7, 7), (1, 1, 1), (0, 0, 0),
+         (10, 11, 8), (0, 0, 0), (19, 20, 17))),
+    'amr-dup-hill': (
+        {0: 93, 1: 13, 2: 3, 3: 23, 4: 33, 5: 53, 6: 73, 7: 43, 8: 63, 9: 83},
+        ((1, 1, 1), (10, 10, 9), (3, 3, 3), (0, 0, 0),
+         (14, 14, 12), (0, 0, 0), (28, 28, 25))),
+    'amr-loop-tops': (
+        {0: 33, 1: 23, 2: 13, 3: 3, 4: 43},
+        ((2, 2, 2), (5, 5, 5), (2, 2, 2), (0, 0, 0),
+         (6, 6, 6), (0, 0, 0), (15, 15, 15))),
+    'ucca-remote-4': (
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
+        ((1, 1, 1), (0, 0, 0), (0, 0, 0), (4, 4, 4),
+         (7, 7, 5), (1, 0, 0), (13, 12, 10))),
+    'ucca-remote-6': (
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9},
+        ((1, 1, 1), (0, 0, 0), (0, 0, 0), (6, 6, 6),
+         (11, 11, 10), (2, 1, 1), (20, 19, 18))),
+    'ucca-remote-9': (
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10,
+         11: 11, 12: 12},
+        ((1, 1, 1), (0, 0, 0), (0, 0, 0), (9, 9, 9),
+         (15, 15, 13), (3, 2, 2), (28, 27, 25))),
+    'dm-padded-lenient-False': (
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
+        ((1, 1, 1), (6, 6, 6), (0, 0, 0), (6, 6, 3),
+         (4, 3, 3), (0, 0, 0), (17, 16, 13))),
+    'dm-padded-lenient-True': (
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
+        ((1, 1, 1), (6, 6, 6), (0, 0, 0), (6, 6, 6),
+         (3, 2, 2), (0, 0, 0), (16, 15, 15))),
+}
+
+
+class TestFrozenPairs:
+    @pytest.mark.parametrize("case", frozen_pairs(), ids=lambda c: c[0])
+    def test_correspondence_and_counts_unchanged(self, case):
+        name, gold, pred, kw = case
+        mapping, counts = FROZEN[name]
+        assert S.correspondence(gold, pred, **kw) == mapping
+        r = S.mrp_f1(gold, pred, **kw)
+        got = tuple((r[c].gold, r[c].pred, r[c].matched)
+                    for c in S.COMPONENTS + ("all",))
+        assert got == counts
+
+    def test_every_case_is_pinned(self):
+        assert sorted(c[0] for c in frozen_pairs()) == sorted(FROZEN)
+
+
+def recounted_first_best(gold, pred):
+    """The exhaustive search as a full recount of every permutation."""
+    matcher = S._PairMatcher(gold, pred)
+    g, p = matcher.gold_ids, matcher.pred_ids
+    best_m, best = {}, -1
+    if len(g) <= len(p):
+        maps = (dict(zip(g, c)) for c in itertools.permutations(p, len(g)))
+    else:
+        maps = (dict(zip(c, p)) for c in itertools.permutations(g, len(p)))
+    for m in maps:
+        score = matcher.counts(m)["all"].matched
+        if score > best:
+            best_m, best = m, score
+    return best_m
+
+
+class TestScorerProperties:
+    def test_self_f1_under_renumbering(self):
+        rng = np.random.default_rng(3)
+        cases = [(random_amr(rng, n), {}) for n in (1, 3, 5, 8, 9, 12)]
+        cases += [(random_amr(rng, n), {"method": "hillclimb"})
+                  for n in (4, 7)]
+        cases += [(random_ucca(rng, n), {}) for n in (3, 6, 10)]
+        cases += [(padded_dm(rng, n, pad=True), {}) for n in (4, 9)]
+        for k, (g, kw) in enumerate(cases):
+            r = S.mrp_f1(g, perturb(rng, g), **kw)
+            assert r["all"].f1 == 1.0, f"case {k}"
+
+    def test_hillclimb_never_beats_exhaustive(self):
+        rng = np.random.default_rng(5)
+        for k in range(12):
+            g = random_amr(rng, int(rng.integers(2, 9)))
+            p = perturb(rng, g, drop_nodes=int(rng.integers(0, 2)),
+                        drop_edges=1, relabel=2,
+                        add_nodes=int(rng.integers(0, 2)))
+            p = G.replace(p, nodes=p.nodes[:8])
+            hill = S.mrp_f1(g, p, method="hillclimb")["all"].matched
+            exh = S.mrp_f1(g, p, method="exhaustive")["all"].matched
+            assert hill <= exh, f"case {k}"
+
+    def test_exhaustive_is_first_best_of_a_full_recount(self):
+        rng = np.random.default_rng(9)
+        for k in range(10):
+            g = random_amr(rng, int(rng.integers(2, 7)))
+            if k % 3 == 0:
+                g = G.replace(g, edges=g.edges + g.edges[:1])
+            p = perturb(rng, g, drop_nodes=k % 2, relabel=1,
+                        dup_edges=1, add_nodes=(k // 2) % 2)
+            assert (S.correspondence(g, p, method="exhaustive")
+                    == recounted_first_best(g, p)), f"case {k}"
+
+    def test_tables_total_equals_counts(self):
+        rng = np.random.default_rng(11)
+        for k in range(30):
+            if k % 3 == 2:
+                g = random_ucca(rng, int(rng.integers(2, 7)))
+                p = damage_ucca(rng, g)
+            else:
+                g = random_amr(rng, int(rng.integers(2, 9)))
+                g = G.replace(g, tops=(0, len(g.nodes) - 1), edges=g.edges
+                              + g.edges[:1] + (G.MrpEdge(0, 0, "mod"),))
+                p = perturb(rng, g, drop_nodes=k % 2, drop_edges=1,
+                            relabel=1, dup_edges=1, add_nodes=k % 3)
+            matcher = S._PairMatcher(g, p)
+            n_gold, n_pred = len(matcher.gold_ids), len(matcher.pred_ids)
+            column = {q: j for j, q in enumerate(matcher.pred_ids)}
+            cols = [int(c) for c in rng.permutation(n_pred)][:n_gold]
+            values = cols + [n_pred] * (n_gold - len(cols))  # n_pred: unmapped
+            rng.shuffle(values)
+            found = S.correspondence(g, p)
+            for values in (values, [column[found[q]] if q in found else n_pred
+                                    for q in matcher.gold_ids]):
+                m = {matcher.gold_ids[i]: matcher.pred_ids[v]
+                     for i, v in enumerate(values) if v != n_pred}
+                total = S._sum_rows(matcher.unary, matcher.links, values,
+                                    range(n_gold))
+                assert total == matcher.counts(m)["all"].matched, f"case {k}"
+
+    def test_mrp_f1_builds_one_matcher(self, monkeypatch):
+        built = []
+
+        class Counting(S._PairMatcher):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(S, "_PairMatcher", Counting)
+        S.mrp_f1(amr_like(), amr_like(ids=(7, 5, 3)))
+        S.mrp_f1(dm_like(), dm_like(ids=(2, 1, 0)))
+        assert len(built) == 2

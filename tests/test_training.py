@@ -236,6 +236,33 @@ def test_prepare_drops_gold_with_unseen_labels(mtl, corpus):
     assert "dm" not in prep.targets
 
 
+def misaligned_ucca(sent):
+    """``sent`` with one UCCA terminal anchored to part of its token."""
+    ucca = sent.graphs["ucca"]
+    nodes = list(ucca.nodes)
+    k = next(i for i, n in enumerate(nodes)
+             if n.anchors and n.anchors[0].end - n.anchors[0].start > 1)
+    a = nodes[k].anchors[0]
+    nodes[k] = G.replace(nodes[k], anchors=(G.Anchor(a.start + 1, a.end),))
+    bad = G.replace(ucca, nodes=tuple(nodes))
+    return G.replace(sent, graphs={**sent.graphs, "ucca": bad})
+
+
+def test_train_single_drops_misaligned_ucca_gold(split, corpus):
+    train = dict(split.train)
+    train["ucca"] = [misaligned_ucca(train["ucca"][0])] + train["ucca"][1:]
+    cfg = tiny(single_config("ucca"), epochs=1, seed=4)
+    with pytest.warns(UserWarning) as record:
+        res = T.train_single(replace(split, train=train), cfg, corpus.static,
+                             corpus.contextual)
+    bad_id = train["ucca"][0].id
+    messages = [str(w.message) for w in record]
+    assert any(m.startswith(f"{bad_id}: ucca gold skipped for inventories")
+               for m in messages)
+    assert any(m.startswith(f"{bad_id}: ucca gold dropped") for m in messages)
+    assert len(res.history) == 1
+
+
 def test_prepare_respects_allowed_ids(mtl, corpus):
     s = corpus.sentences[0]
     allowed = {"dm": set(), "psd": {s.id}}
