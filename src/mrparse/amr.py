@@ -18,8 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import Linear, Mlp, _LstmDirection
-from .ucca import _lstm_step
+from .encoder import Linear, LstmCell, Mlp
 
 END_LABEL = "<END>"
 UNK_LABEL = "<UNK>"
@@ -451,7 +450,7 @@ class AmrDecoder:
         self.cells = []
         width = feat_width
         for l in range(layers):
-            self.cells.append(_LstmDirection(params, f"{name}.cell{l}", width, hidden, rng))
+            self.cells.append(LstmCell(params, f"{name}.cell{l}", width, hidden, rng))
             width = hidden
         self.src_dec = params.new(f"{name}.src.dec", (hidden, att_dim), rng)
         self.src_enc = params.new(f"{name}.src.enc", (2 * enc_hidden, att_dim), rng)
@@ -498,7 +497,7 @@ class AmrDecoder:
         for l, cell in enumerate(self.cells):
             if l > 0 and train and self.dropout > 0.0:
                 cur = ad.dropout(cur, self.dropout, rng)
-            hl, cl = _lstm_step(cell, cur, hs[l], cs[l])
+            hl, cl = cell.step(cur, hs[l], cs[l])
             new_h.append(hl)
             new_c.append(cl)
             cur = hl

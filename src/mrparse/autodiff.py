@@ -7,6 +7,15 @@ once in reverse topological order, and leaves created with
 default so finite-difference checks are meaningful; call
 ``set_default_dtype(np.float32)`` if you want speed over checkability.
 
+Two fused ops carry every LSTM recurrence: :func:`lstm_sequence` runs a
+whole sequence from a zero state and returns one (T, 2H) tensor of
+``[h_t | c_t]`` rows, and :func:`lstm_step` advances one (1, 2H) step.
+Both share one cell implementation; their forward is bit-identical to
+composing the elementary ops per step, their hand-written backward
+(backpropagation through time for the sequence) agrees with the
+composition's gradients to rounding, and their buffers take the input
+dtype.  Each creates one graph node however long the sequence.
+
 Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and the named parameter container used for checkpoints.
 """
@@ -25,10 +34,6 @@ def set_default_dtype(dtype):
     if dtype not in (np.float32, np.float64):
         raise ValueError("supported dtypes: float32, float64")
     _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class Tensor:
@@ -60,9 +65,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def detach(self):
-        return Tensor(self.data)
 
     def accumulate(self, g):
         if self.grad is None:
@@ -361,11 +363,15 @@ def tanh(a):
     return _make(out_data, (a,), rule)
 
 
+def _sigmoid(x):
+    """Logistic function on an array, stable in both tails."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    # stable in both tails
-    out_data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    out_data = _sigmoid(a.data)
 
     def rule(g):
         a.accumulate(g * out_data * (1.0 - out_data))
@@ -462,6 +468,117 @@ def dropout(a, p, rng, train=True):
         a.accumulate(g * mask)
 
     return _make(a.data * mask, (a,), rule)
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM recurrence
+#
+# Gate columns are ordered input, forget, cell candidate, output.  The
+# forward arithmetic is exactly that of composing ``matmul``, ``add``,
+# ``split``, ``sigmoid``, ``tanh`` and ``mul`` per step, so outputs are
+# bit-identical to the composition; the backward is written by hand and
+# builds no graph nodes.
+
+def _lstm_cell(xw, h, c, wh, b):
+    """One step on row arrays, ``xw`` being the input row times ``wx``.
+
+    Returns ``(h', c', saved)``; ``saved`` is what :func:`_lstm_cell_grad`
+    needs.
+    """
+    hsz = h.shape[1]
+    z = xw + h @ wh + b
+    i = _sigmoid(z[:, :hsz])
+    f = _sigmoid(z[:, hsz:2 * hsz])
+    g = np.tanh(z[:, 2 * hsz:3 * hsz])
+    o = _sigmoid(z[:, 3 * hsz:])
+    c2 = f * c + i * g
+    tc = np.tanh(c2)
+    return o * tc, c2, (i, f, g, o, tc)
+
+
+def _lstm_cell_grad(dh, dc, c, saved):
+    """Backward of :func:`_lstm_cell` given the gradients reaching h'
+    and c' and the previous cell state ``c``: ``(dz, dc_prev)``, with
+    ``dz`` the gradient of the pre-activation gate row."""
+    i, f, g, o, tc = saved
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dz = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                         dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+    return dz, dc * f
+
+
+def lstm_step(x, h, c, wx, wh, b):
+    """One LSTM step from state ``(h, c)``, each (1, H), on input row
+    ``x`` (1, D); returns the (1, 2H) row ``[h' | c']``."""
+    x, h, c, wx, wh, b = (as_tensor(t) for t in (x, h, c, wx, wh, b))
+    hsz = wh.data.shape[0]
+    h2, c2, saved = _lstm_cell(x.data @ wx.data, h.data, c.data, wh.data, b.data)
+
+    def rule(g):
+        dz, dc = _lstm_cell_grad(g[:, :hsz], g[:, hsz:], c.data, saved)
+        if x.requires_grad:
+            x.accumulate(dz @ wx.data.T)
+        if h.requires_grad:
+            h.accumulate(dz @ wh.data.T)
+        if c.requires_grad:
+            c.accumulate(dc)
+        if wx.requires_grad:
+            wx.accumulate(x.data.T @ dz)
+        if wh.requires_grad:
+            wh.accumulate(h.data.T @ dz)
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(dz, b.data.shape))
+
+    return _make(np.concatenate([h2, c2], axis=1), (x, h, c, wx, wh, b), rule)
+
+
+def lstm_sequence(x, wx, wh, b, reverse=False):
+    """Run an LSTM over the rows of ``x`` (T, D) from a zero state,
+    last row first when ``reverse``; returns (T, 2H) whose row ``t`` is
+    ``[h_t | c_t]``.  Backward is backpropagation through time.
+
+    Each row is projected as ``x[t:t+1] @ wx`` inside the loop: one
+    batched ``x @ wx`` rounds differently and would break bit equality
+    with the per-step composition.
+    """
+    x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
+    n, hsz = x.data.shape[0], wh.data.shape[0]
+    dtype = x.data.dtype
+    out = np.empty((n, 2 * hsz), dtype=dtype)
+    zero = np.zeros((1, hsz), dtype=dtype)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    saved = [None] * n
+    h, c = zero, zero
+    for t in order:
+        h, c, saved[t] = _lstm_cell(x.data[t:t + 1] @ wx.data, h, c, wh.data, b.data)
+        out[t, :hsz] = h[0]
+        out[t, hsz:] = c[0]
+
+    def rule(g):
+        # the state each step started from: the previous row, zero first
+        h_prev = np.zeros((n, hsz), dtype=dtype)
+        c_prev = np.zeros((n, hsz), dtype=dtype)
+        if reverse:
+            h_prev[:-1], c_prev[:-1] = out[1:, :hsz], out[1:, hsz:]
+        else:
+            h_prev[1:], c_prev[1:] = out[:-1, :hsz], out[:-1, hsz:]
+        dz = np.empty((n, 4 * hsz), dtype=dtype)
+        dh, dc = zero, zero
+        for t in reversed(order):
+            row = slice(t, t + 1)
+            dz[row], dc = _lstm_cell_grad(dh + g[row, :hsz], dc + g[row, hsz:],
+                                          c_prev[row], saved[t])
+            dh = dz[row] @ wh.data.T
+        if x.requires_grad:
+            x.accumulate(dz @ wx.data.T)
+        if wx.requires_grad:
+            wx.accumulate(x.data.T @ dz)
+        if wh.requires_grad:
+            wh.accumulate(h_prev.T @ dz)
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(dz, b.data.shape))
+
+    return _make(out, (x, wx, wh, b), rule)
 
 
 # ---------------------------------------------------------------------------

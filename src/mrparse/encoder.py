@@ -271,7 +271,11 @@ class Classifier:
 GATE_ORDER = "ifgo"  # input, forget, cell candidate, output
 
 
-class _LstmDirection:
+class LstmCell:
+    """Weights of one LSTM direction, run over a whole sequence
+    (:func:`autodiff.lstm_sequence`) or one step at a time
+    (:func:`autodiff.lstm_step`); the encoder and every decoder use it."""
+
     def __init__(self, params, name, in_dim, hidden, rng):
         self.hidden = hidden
         scale = 1.0 / np.sqrt(hidden)
@@ -281,19 +285,15 @@ class _LstmDirection:
         bias[hidden:2 * hidden] = 1.0  # forget gate open at init
         self.b = params.new_from(f"{name}.b", bias)
 
-    def run(self, xs, reverse):
-        hsz = self.hidden
-        h = ad.Tensor(np.zeros((1, hsz)))
-        c = ad.Tensor(np.zeros((1, hsz)))
-        outs = [None] * len(xs)
-        order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-        for i in order:
-            z = ad.add(ad.add(ad.matmul(xs[i], self.wx), ad.matmul(h, self.wh)), self.b)
-            gi, gf, gg, go = ad.split(z, [hsz] * 4, axis=1)
-            c = ad.add(ad.mul(ad.sigmoid(gf), c), ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
-            h = ad.mul(ad.sigmoid(go), ad.tanh(c))
-            outs[i] = h
-        return outs, h, c
+    def sequence(self, xs, reverse=False):
+        """(h, c) as (T, H) tensors over the rows of ``xs`` from a zero state."""
+        out = ad.lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse)
+        return ad.split(out, [self.hidden] * 2, axis=1)
+
+    def step(self, x, h, c):
+        """Advance one step from ``(h, c)`` on input row ``x``; returns (h', c')."""
+        out = ad.lstm_step(x, h, c, self.wx, self.wh, self.b)
+        return ad.split(out, [self.hidden] * 2, axis=1)
 
 
 @dataclass
@@ -326,8 +326,8 @@ class BiLstm:
         self.dirs = []
         width = in_dim
         for l in range(n_layers):
-            fwd = _LstmDirection(params, f"{name}.l{l}.fwd", width, hidden, rng)
-            bwd = _LstmDirection(params, f"{name}.l{l}.bwd", width, hidden, rng)
+            fwd = LstmCell(params, f"{name}.l{l}.fwd", width, hidden, rng)
+            bwd = LstmCell(params, f"{name}.l{l}.bwd", width, hidden, rng)
             self.dirs.append((fwd, bwd))
             width = 2 * hidden
 
@@ -338,13 +338,13 @@ class BiLstm:
         for fwd, bwd in self.dirs:
             if train and self.input_dropout > 0.0:
                 current = ad.dropout(current, self.input_dropout, rng)
-            xs = ad.split(current, [1] * current.shape[0], axis=0)
-            f_outs, f_h, f_c = fwd.run(xs, reverse=False)
-            b_outs, b_h, b_c = bwd.run(xs, reverse=True)
-            rows = [ad.concat([f, b], axis=1) for f, b in zip(f_outs, b_outs)]
-            current = ad.concat(rows, axis=0)
+            f_h, f_c = fwd.sequence(current)
+            b_h, b_c = bwd.sequence(current, reverse=True)
+            last = [current.shape[0] - 1]
+            current = ad.concat([f_h, b_h], axis=1)
             layers.append(current)
-            finals.append(LayerFinalState(f_h, f_c, b_h, b_c))
+            finals.append(LayerFinalState(ad.rows(f_h, last), ad.rows(f_c, last),
+                                          ad.rows(b_h, [0]), ad.rows(b_c, [0])))
         return EncoderOutput(layers=layers, finals=finals)
 
 

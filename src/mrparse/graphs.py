@@ -326,10 +326,6 @@ def validate_graph(g):
     return problems
 
 
-def format_violations(g, problems):
-    return [f"{g.id}: {msg}" for msg in problems]
-
-
 # ---------------------------------------------------------------------------
 # token alignment for anchored frameworks
 

@@ -418,6 +418,7 @@ def _search_correspondence(matcher, seed, method):
     unmapped = len(pred_ids)
     slots = (list(range(len(pred_ids)))
              + [unmapped] * max(0, len(gold_ids) - len(pred_ids)))
+    ceiling = _suffix_bounds(matcher.unary, _earlier_links(matcher.links))[0]
     best_m, best_score = {}, -1
     for _ in range(HILL_CLIMB_RESTARTS):
         work = [slots[i] for i in rng.permutation(len(slots))]
@@ -426,7 +427,27 @@ def _search_correspondence(matcher, seed, method):
             best_score = score
             best_m = {g: pred_ids[v] for g, v in zip(gold_ids, work)
                       if v != unmapped}
+            if best_score == ceiling:
+                break  # no later restart can score strictly higher
     return best_m
+
+
+def _earlier_links(links):
+    """``links`` restricted, per row, to the rows before it."""
+    return [[(k, table) for k, table in links[r] if k < r]
+            for r in range(len(links))]
+
+
+def _suffix_bounds(unary, earlier):
+    """``bound[r]``: an upper bound on what rows ``r`` onwards can add to
+    a total, each row taking its best unary entry and, per link to an
+    earlier row, that link table's best entry.  ``bound[0]`` bounds
+    every total."""
+    bound = [0] * (len(unary) + 1)
+    for r in reversed(range(len(unary))):
+        bound[r] = (bound[r + 1] + max(unary[r])
+                    + sum(max(table.values()) for _, table in earlier[r]))
+    return bound
 
 
 def _first_best_assignment(unary, links, n_cols):
@@ -440,12 +461,8 @@ def _first_best_assignment(unary, links, n_cols):
     skipped and the first strict maximum is the one kept.
     """
     n_rows = len(unary)
-    earlier = [[(k, table) for k, table in links[r] if k < r]
-               for r in range(n_rows)]
-    bound = [0] * (n_rows + 1)
-    for r in reversed(range(n_rows)):
-        bound[r] = (bound[r + 1] + max(unary[r])
-                    + sum(max(table.values()) for _, table in earlier[r]))
+    earlier = _earlier_links(links)
+    bound = _suffix_bounds(unary, earlier)
     cols = [0] * n_rows
     used = [False] * n_cols
     best_total, best_cols = -1, None
@@ -494,10 +511,12 @@ def correspondence(gold, pred, lenient=False, seed=0, method="auto", *,
     hill-climb.  Unanchored graphs of up to ``EXHAUSTIVE_LIMIT`` nodes
     a side get the first best mapping in ``itertools.permutations``
     order, found by a bounded depth-first search; larger ones take the
-    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs.  Every search
-    scores candidates with the incremental objective of
-    ``_PairMatcher`` and accepts only strict improvements, so it
-    returns the mapping a full recount of every candidate would.
+    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs, stopping early
+    once one reaches the tables' upper bound, which no later climb
+    could strictly beat.  Every search scores candidates with the
+    incremental objective of ``_PairMatcher`` and accepts only strict
+    improvements, so it returns the mapping a full recount of every
+    candidate would.
 
     ``method`` is for oracle tests: "exhaustive" and "hillclimb" force
     the unanchored search strategy regardless of graph size.

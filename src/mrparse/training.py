@@ -733,6 +733,18 @@ def _checkpoint_path(run_dir, epoch):
     return os.path.join(run_dir, f"epoch-{epoch:04d}.ckpt")
 
 
+# per-epoch clipping record: steps clipped, smallest factor applied
+_NO_CLIPPING = {"clipped_steps": 0, "min_clip_factor": 1.0}
+
+
+def _clip(params, max_norm, stats):
+    """Clip gradients and fold the factor into one epoch's ``stats``."""
+    factor = ad.clip_gradients(params, max_norm)
+    if factor < 1.0:
+        stats["clipped_steps"] += 1
+        stats["min_clip_factor"] = min(stats["min_clip_factor"], factor)
+
+
 def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train"):
     """Shared epoch loop: shuffled minibatches, clipped Adam steps,
     per-metric early stopping, snapshots pruned to best-or-last."""
@@ -753,6 +765,7 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
         t0 = time.perf_counter()
         order = rng.permutation(len(usable))
         total = 0.0
+        clip = dict(_NO_CLIPPING)
         for lo in range(0, len(order), cfg.batch_size):
             chunk = order[lo:lo + cfg.batch_size]
             opt.zero_grad()
@@ -768,7 +781,7 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
                 continue
             _guard_finite(batch_loss.data, "training loss", epoch, ids)
             batch_loss.backward()
-            ad.clip_gradients(model.params.tensors(), cfg.clip)
+            _clip(model.params.tensors(), cfg.clip, clip)
             opt.step()
             total += float(batch_loss.data)
         vals = {}
@@ -783,7 +796,8 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
         record = {"epoch": epoch,
                   "train_loss": total / max(1, len(usable)),
                   "val": vals,
-                  "best": {key: st.best_epoch for key, st in stoppers.items()}}
+                  "best": {key: st.best_epoch for key, st in stoppers.items()},
+                  **clip}
         history.append(dict(record, seconds=time.perf_counter() - t0))
         if run_dir:
             model.params.save(_checkpoint_path(run_dir, epoch),
@@ -1107,6 +1121,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(cached))
         total = 0.0
+        clip = dict(_NO_CLIPPING)
         for lo in range(0, len(order), cfg.batch_size):
             opt.zero_grad()
             batch = None
@@ -1121,7 +1136,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
                 continue
             _guard_finite(batch.data, "eds training loss", epoch)
             batch.backward()
-            ad.clip_gradients(anchor_tensors, cfg.clip)
+            _clip(anchor_tensors, cfg.clip, clip)
             opt.step()
             total += float(batch.data)
         v = val_loss()
@@ -1131,7 +1146,8 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
         for e in [e for e in snapshots if e not in keep]:
             del snapshots[e]
         record = {"epoch": epoch, "train_loss": total / max(1, len(cached)),
-                  "val": {"eds": v}, "best": {"eds": stopper.best_epoch}}
+                  "val": {"eds": v}, "best": {"eds": stopper.best_epoch},
+                  **clip}
         history.append(record)
         if run_dir:
             with open(os.path.join(run_dir, "metrics.jsonl"), "a",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import Mlp, _LstmDirection
+from .encoder import LstmCell, Mlp
 
 CT_LABEL = "CT"
 REMOTE_ATTR = "remote"
@@ -210,22 +210,6 @@ def deserialize_ucca(pointers, edges, tops, remotes, tokens, text, gid):
                       nodes=tuple(nodes), edges=tuple(out_edges))
 
 
-def gold_matrices(ser, n_slots):
-    """Targets for the biaffine scorers: edge matrix (row 0 = tops),
-    labeled cells, and the remote matrix."""
-    edge_t = np.zeros((n_slots, n_slots))
-    labeled = []
-    for i, j, label in ser.edges:
-        edge_t[i, j] = 1.0
-        labeled.append((i, j, label))
-    for t in ser.tops:
-        edge_t[0, t] = 1.0
-    remote_t = np.zeros((n_slots, n_slots))
-    for i, j in ser.remotes:
-        remote_t[i, j] = 1.0
-    return edge_t, labeled, remote_t
-
-
 # ---------------------------------------------------------------------------
 # pointer network
 
@@ -237,15 +221,6 @@ def sinusoidal_positions(n, dim):
     angles = pos / np.power(10000.0, 2 * (idx // 2) / dim)
     enc = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
     return enc
-
-
-def _lstm_step(cell, x, h, c):
-    hsz = cell.hidden
-    z = ad.add(ad.add(ad.matmul(x, cell.wx), ad.matmul(h, cell.wh)), cell.b)
-    gi, gf, gg, go = ad.split(z, [hsz] * 4, axis=1)
-    c2 = ad.add(ad.mul(ad.sigmoid(gf), c), ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
-    h2 = ad.mul(ad.sigmoid(go), ad.tanh(c2))
-    return h2, c2
 
 
 class UccaDecoder:
@@ -260,7 +235,7 @@ class UccaDecoder:
                  att_dim=64, bullet_dim=32):
         self.use_layers = use_layers
         self.hidden = 2 * enc_hidden * use_layers
-        self.cell = _LstmDirection(params, f"{name}.cell", 2 * enc_hidden,
+        self.cell = LstmCell(params, f"{name}.cell", 2 * enc_hidden,
                                    self.hidden, rng)
         self.w_dec = params.new(f"{name}.att.dec", (self.hidden, att_dim), rng)
         self.w_enc = params.new(f"{name}.att.enc", (2 * enc_hidden, att_dim), rng)
@@ -307,7 +282,7 @@ def pointer_decode(enc_out, decoder, gold_pointers=None, cap=None):
     step = 0
     while True:
         fed.append(x_pos)
-        h, c = _lstm_step(decoder.cell, ad.rows(states, [x_pos]), h, c)
+        h, c = decoder.cell.step(ad.rows(states, [x_pos]), h, c)
         a = decoder.attend(h, states)
         logits.append(a)
         if gold_pointers is not None:

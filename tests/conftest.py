@@ -57,3 +57,30 @@ def scalarize(t, proj):
 @pytest.fixture
 def gradcheck():
     return check_gradients
+
+
+def reference_lstm_step(x, h, c, wx, wh, b):
+    """One LSTM step composed from elementary ops; returns (h', c').
+
+    This per-step composition is the oracle for ``ad.lstm_step`` and
+    ``ad.lstm_sequence``: their forward must equal it bit for bit.
+    """
+    hsz = wh.shape[0]
+    z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
+    gi, gf, gg, go = ad.split(z, [hsz] * 4, axis=1)
+    c2 = ad.add(ad.mul(ad.sigmoid(gf), c), ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
+    h2 = ad.mul(ad.sigmoid(go), ad.tanh(c2))
+    return h2, c2
+
+
+def reference_lstm_sequence(x, wx, wh, b, reverse=False):
+    """Composed counterpart of ``ad.lstm_sequence``: (h, c), each (T, H)."""
+    x = ad.as_tensor(x)
+    n, hsz = x.shape[0], wh.shape[0]
+    xs = ad.split(x, [1] * n, axis=0)
+    h = c = ad.Tensor(np.zeros((1, hsz)))
+    hs, cs = [None] * n, [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h, c = reference_lstm_step(xs[t], h, c, wx, wh, b)
+        hs[t], cs[t] = h, c
+    return ad.concat(hs, axis=0), ad.concat(cs, axis=0)

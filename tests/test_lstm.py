@@ -1,0 +1,201 @@
+"""Fused LSTM ops against the per-step composition they replace.
+
+``ad.lstm_sequence`` and ``ad.lstm_step`` must reproduce the composed
+forward (``conftest.reference_lstm_*``) bit for bit, pass the
+finite-difference gradcheck, and give gradients within 1e-10 of the
+composition, both op by op and through a whole multitask model.
+"""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import mrparse.autodiff as ad
+import mrparse.training as T
+from mrparse import datagen
+from mrparse.config import multitask_config
+from mrparse.encoder import LstmCell
+
+from conftest import (check_gradients, reference_lstm_sequence,
+                      reference_lstm_step, scalarize)
+
+D, H = 3, 4
+GRAD_RTOL = 1e-10
+
+
+def weights(rng, d=D, h=H):
+    return [ad.Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
+            for shape in ((d, 4 * h), (h, 4 * h), (4 * h,))]
+
+
+def assert_grads_close(got, want):
+    for g, w in zip(got, want):
+        scale = max(1.0, float(np.abs(w).max()))
+        assert float(np.abs(g - w).max()) <= GRAD_RTOL * scale
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_gradcheck(self, n, reverse):
+        rng = np.random.default_rng(n + 10 * reverse)
+        x = ad.Tensor(rng.normal(size=(n, D)), requires_grad=True)
+        wx, wh, b = weights(rng)
+        proj = rng.normal(size=(n, 2 * H))
+        check_gradients(
+            lambda: scalarize(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), proj),
+            [x, wx, wh, b])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_forward_bitwise_equals_composition(self, n, reverse):
+        rng = np.random.default_rng(100 + n)
+        x = rng.normal(size=(n, D))
+        wx, wh, b = weights(rng)
+        out = ad.lstm_sequence(x, wx, wh, b, reverse=reverse).data
+        ref_h, ref_c = reference_lstm_sequence(x, wx, wh, b, reverse=reverse)
+        np.testing.assert_array_equal(out[:, :H], ref_h.data)
+        np.testing.assert_array_equal(out[:, H:], ref_c.data)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_composition(self, reverse):
+        rng = np.random.default_rng(7)
+        x = ad.Tensor(rng.normal(size=(9, D)), requires_grad=True)
+        leaves = [x] + weights(rng)
+        proj = rng.normal(size=(9, 2 * H))
+        ad.reduce_sum(ad.mul(ad.lstm_sequence(*leaves, reverse=reverse), proj)).backward()
+        fused = [p.grad.copy() for p in leaves]
+        for p in leaves:
+            p.zero_grad()
+        ref = ad.concat(reference_lstm_sequence(*leaves, reverse=reverse), axis=1)
+        ad.reduce_sum(ad.mul(ref, proj)).backward()
+        assert_grads_close(fused, [p.grad for p in leaves])
+
+    def test_reverse_runs_last_row_first(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, D))
+        wx, wh, b = weights(rng)
+        back = ad.lstm_sequence(x, wx, wh, b, reverse=True).data
+        flipped = ad.lstm_sequence(x[::-1].copy(), wx, wh, b).data
+        np.testing.assert_array_equal(back, flipped[::-1])
+
+    def test_buffers_take_input_dtype(self):
+        rng = np.random.default_rng(4)
+        try:
+            ad.set_default_dtype(np.float32)
+            x = ad.Tensor(rng.normal(size=(3, D)), requires_grad=True)
+            wx, wh, b = weights(rng)
+            out = ad.lstm_sequence(x, wx, wh, b)
+            ad.reduce_sum(out).backward()
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert out.data.dtype == np.float32
+        assert x.grad.dtype == np.float32 and wh.grad.dtype == np.float32
+
+    def test_constant_inputs_build_no_graph(self):
+        rng = np.random.default_rng(5)
+        out = ad.lstm_sequence(rng.normal(size=(3, D)), rng.normal(size=(D, 4 * H)),
+                               rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H))
+        assert not out.requires_grad and out.parents == ()
+
+
+STEP_INPUTS = ("x", "h", "c", "wx", "wh", "b")
+
+
+class TestLstmStep:
+    def inputs(self, seed, frozen=()):
+        rng = np.random.default_rng(seed)
+        shapes = {"x": (1, D), "h": (1, H), "c": (1, H),
+                  "wx": (D, 4 * H), "wh": (H, 4 * H), "b": (4 * H,)}
+        return {k: ad.Tensor(rng.uniform(-1.0, 1.0, size=shapes[k]),
+                             requires_grad=k not in frozen)
+                for k in STEP_INPUTS}
+
+    @pytest.mark.parametrize("frozen", [None] + list(STEP_INPUTS))
+    def test_gradcheck_with_each_input_frozen(self, frozen):
+        t = self.inputs(20, frozen=(frozen,))
+        proj = np.random.default_rng(21).normal(size=(1, 2 * H))
+        args = [t[k] for k in STEP_INPUTS]
+        check_gradients(lambda: scalarize(ad.lstm_step(*args), proj),
+                        [t[k] for k in STEP_INPUTS if k != frozen])
+        if frozen is not None:
+            assert t[frozen].grad is None
+
+    def test_all_constant_builds_no_graph(self):
+        t = self.inputs(22, frozen=STEP_INPUTS)
+        out = ad.lstm_step(*(t[k] for k in STEP_INPUTS))
+        assert not out.requires_grad and out.parents == ()
+
+    def test_forward_bitwise_and_gradients_match_composition(self):
+        t = self.inputs(23)
+        args = [t[k] for k in STEP_INPUTS]
+        proj = np.random.default_rng(24).normal(size=(1, 2 * H))
+        out = ad.lstm_step(*args)
+        ref_h, ref_c = reference_lstm_step(*args)
+        np.testing.assert_array_equal(out.data, np.concatenate([ref_h.data, ref_c.data], 1))
+        ad.reduce_sum(ad.mul(out, proj)).backward()
+        fused = [a.grad.copy() for a in args]
+        for a in args:
+            a.zero_grad()
+        ad.reduce_sum(ad.mul(ad.concat([ref_h, ref_c], axis=1), proj)).backward()
+        assert_grads_close(fused, [a.grad for a in args])
+
+
+# ---------------------------------------------------------------------------
+# a whole multitask model: fused cells against the composed oracle
+
+def _reference_sequence(self, xs, reverse=False):
+    return reference_lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse)
+
+
+def _reference_step(self, x, h, c):
+    return reference_lstm_step(x, h, c, self.wx, self.wh, self.b)
+
+
+@pytest.fixture(scope="module")
+def tiny_model():
+    corpus = datagen.build_corpus(n=6, seed=7)
+    fws = ("dm", "psd", "ucca", "amr")
+    split = T.DataSplit(train={fw: corpus.sentences for fw in fws},
+                        val_i={}, val_ii={})
+    cfg = replace(multitask_config().scaled(0.02), seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = T.MultiModel.derive(cfg, split, corpus.static, corpus.contextual)
+        prep = T.prepare_sentences(model, corpus.sentences[:1], fws)[0]
+    assert set(prep.targets) == set(fws)
+    return model, prep
+
+
+def _terms_and_grads(model, prep):
+    params = model.params.tensors()
+    for p in params:
+        p.zero_grad()
+    terms = T.framework_terms(model, prep, ("dm", "psd", "ucca", "amr"),
+                              train=True, rng=np.random.default_rng(9))
+    total = None
+    for t in terms.values():
+        total = t if total is None else ad.add(total, t)
+    total.backward()
+    losses = {k: v.data.copy() for k, v in terms.items()}
+    return losses, [None if p.grad is None else p.grad.copy() for p in params]
+
+
+def test_framework_terms_match_composed_cells(tiny_model, monkeypatch):
+    model, prep = tiny_model
+    fused_losses, fused_grads = _terms_and_grads(model, prep)
+    monkeypatch.setattr(LstmCell, "sequence", _reference_sequence)
+    monkeypatch.setattr(LstmCell, "step", _reference_step)
+    ref_losses, ref_grads = _terms_and_grads(model, prep)
+    assert {k for k in fused_losses if k.startswith(("ucca.", "amr."))}
+    assert fused_losses.keys() == ref_losses.keys()
+    for k in fused_losses:
+        np.testing.assert_array_equal(fused_losses[k], ref_losses[k], err_msg=k)
+    names = model.params.names()
+    for name, got, want in zip(names, fused_grads, ref_grads):
+        assert (got is None) == (want is None), name
+        if got is not None:
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(got - want).max()) <= GRAD_RTOL * scale, name

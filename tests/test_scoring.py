@@ -639,6 +639,24 @@ class TestScorerProperties:
                                     range(n_gold))
                 assert total == matcher.counts(m)["all"].matched, f"case {k}"
 
+    def test_hillclimb_stops_once_a_restart_is_perfect(self, monkeypatch):
+        calls = []
+        climb = S._improve_by_swaps
+
+        def counting(*args):
+            calls.append(1)
+            return climb(*args)
+
+        monkeypatch.setattr(S, "_improve_by_swaps", counting)
+        rng = np.random.default_rng(0)
+        g = random_amr(rng, 12)
+        assert S.mrp_f1(g, perturb(rng, g))["all"].f1 == 1.0
+        assert len(calls) == 1
+        calls.clear()
+        damaged = perturb(rng, g, relabel=2, drop_edges=1)
+        assert S.mrp_f1(g, damaged)["all"].f1 < 1.0
+        assert len(calls) == S.HILL_CLIMB_RESTARTS
+
     def test_mrp_f1_builds_one_matcher(self, monkeypatch):
         built = []
 

@@ -300,6 +300,19 @@ class TestEarlyStopper:
 # ---------------------------------------------------------------------------
 # training loops
 
+def count_clip_calls(monkeypatch):
+    """Record every ``clip_gradients`` call (one per optimizer step)."""
+    calls = []
+    clip = ad.clip_gradients
+
+    def counting(params, max_norm):
+        calls.append(max_norm)
+        return clip(params, max_norm)
+
+    monkeypatch.setattr(ad, "clip_gradients", counting)
+    return calls
+
+
 class TestTrainLoop:
     def test_history_and_best_keys(self, mtl):
         assert len(mtl.history) == mtl.config.epochs
@@ -368,6 +381,24 @@ class TestTrainLoop:
             T._train_loop(model, cfg, preps, loss_fn, [])
         assert err.value.epoch == 0
         assert err.value.sentence_ids
+
+    @pytest.mark.parametrize("clip, clipped", [(1e-12, True), (1e12, False)])
+    def test_epoch_records_clipping(self, split, corpus, tmp_path, monkeypatch,
+                                    clip, clipped):
+        steps = count_clip_calls(monkeypatch)
+        cfg = tiny(single_config("dm"), epochs=2, seed=9, clip=clip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = T.train_single(split, cfg, corpus.static, corpus.contextual,
+                                 run_dir=str(tmp_path))
+        rows = [json.loads(line) for line in
+                (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert len(steps) == 4  # two epochs of two minibatches
+        for row, hist in zip(rows, res.history):
+            assert row["clipped_steps"] == hist["clipped_steps"]
+            assert row["clipped_steps"] == (2 if clipped else 0)
+            assert (row["min_clip_factor"] < 1e-6) if clipped else (
+                row["min_clip_factor"] == 1.0)
 
     def test_no_usable_supervision_raises(self, mtl, corpus):
         bare = [G.replace(s, graphs={}) for s in corpus.sentences[:2]]
@@ -462,6 +493,20 @@ def eds(mtl, split, corpus):
         warnings.simplefilter("ignore")
         return T.train_eds(split, cfg, corpus.static, corpus.contextual,
                            corpus.rules, encoder_from=mtl.model)
+
+
+@pytest.mark.parametrize("clip, clipped", [(1e-12, True), (1e12, False)])
+def test_eds_epoch_records_clipping(mtl, split, corpus, monkeypatch, clip, clipped):
+    steps = count_clip_calls(monkeypatch)
+    cfg = tiny(multitask_config(), epochs=1, seed=3, clip=clip)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, history = T.train_eds(split, cfg, corpus.static, corpus.contextual,
+                                 corpus.rules, encoder_from=mtl.model)
+    assert steps
+    assert history[0]["clipped_steps"] == (len(steps) if clipped else 0)
+    assert (history[0]["min_clip_factor"] < 1e-6) if clipped else (
+        history[0]["min_clip_factor"] == 1.0)
 
 
 class TestEds:
