@@ -21,6 +21,7 @@ clipping and the named parameter container used for checkpoints.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -645,33 +646,6 @@ def _clip_low(a, lo=_CLIP):
 
 
 # ---------------------------------------------------------------------------
-# biaffine forms
-
-def bilinear(x, y, u, w, b):
-    """x'Uy + W[x;y] + b  ->  scalar."""
-    x, y = as_tensor(x), as_tensor(y)
-    d1 = x.data.shape[0]
-    d2 = y.data.shape[0]
-    xr = reshape(x, (1, d1))
-    yc = reshape(y, (d2, 1))
-    quad = matmul(matmul(xr, u), yc)
-    lin = matmul(reshape(as_tensor(w), (1, d1 + d2)), reshape(concat([x, y]), (d1 + d2, 1)))
-    return reshape(add(add(quad, lin), b), ())
-
-
-def bilinear_label(x, y, u_classes, w_classes):
-    """Per-class x'U_c y + W_c y (no bias, no x linear term) -> (C,) scores."""
-    x, y = as_tensor(x), as_tensor(y)
-    d2 = y.data.shape[0]
-    yc = reshape(y, (d2, 1))
-    # (C, d1, d2) @ (d2, 1) -> (C, d1, 1); contract with x -> (C,)
-    uy = matmul(u_classes, yc)
-    quad = reshape(matmul(reshape(x, (1, 1, -1)), uy), (-1,))
-    lin = reshape(matmul(w_classes, yc), (-1,))
-    return add(quad, lin)
-
-
-# ---------------------------------------------------------------------------
 # optimizer and clipping
 
 def clip_gradients(params, max_norm):
@@ -797,8 +771,17 @@ class ParamSet:
         }
         if extra:
             doc["extra"] = extra
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        # write beside the target, then rename over it: a save that fails
+        # part way leaves the previous file untouched
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @staticmethod
     def read(path):

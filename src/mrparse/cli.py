@@ -81,7 +81,6 @@ def build_parser():
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(entry=cmd_train)
 
     p = sub.add_parser("parse", help="decode graphs")
@@ -97,7 +96,6 @@ def build_parser():
                    help="DM graph file feeding the EDS converter")
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(entry=cmd_parse)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
@@ -135,7 +133,6 @@ def build_parser():
                    choices=["dm", "psd", "ucca", "amr"])
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--out", required=True, help="member spec JSON file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(entry=cmd_ensemble)
 
     return parser
@@ -153,12 +150,6 @@ def _load_embeddings(args):
     static = StaticEmbeddings.load(args.static, np.random.default_rng(0))
     contextual = ContextualEmbeddings.load(args.contextual)
     return static, contextual
-
-
-def _check_jobs(args):
-    if getattr(args, "jobs", 1) > 1:
-        print(f"warning: --jobs {args.jobs} not supported in this build; "
-              f"running with 1", file=sys.stderr)
 
 
 def _write_json(doc, path):
@@ -241,7 +232,6 @@ def _pseudo_result(model):
 
 
 def cmd_train(args):
-    _check_jobs(args)
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
     cfg = _resolve_config(args)
@@ -304,7 +294,6 @@ def _eds_dm_source(args, sentences, static, contextual):
 
 
 def cmd_parse(args):
-    _check_jobs(args)
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
     models = [T.load_model(p, static, contextual) for p in args.model]
@@ -415,7 +404,6 @@ def cmd_split(args):
 # ensemble
 
 def cmd_ensemble(args):
-    _check_jobs(args)
     sentences = _load_sentences(args.companion, [args.gold])
     usable = [s for s in sentences if args.framework in s.graphs]
     if not usable:

@@ -7,7 +7,7 @@ layers, concatenated per token, with a <ROOT> position prepended so
 top nodes have something to attach to.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,15 +223,6 @@ class EncoderConfig:
     pos_drop: float = 0.1
     lemma_drop: float = 0.2
     encoder_dropout: float = 0.25
-
-    def scaled(self, factor):
-        """Shrink widths for desk-scale runs; probabilities untouched."""
-        def s(n):
-            return max(2, int(round(n * factor)))
-        return replace(self, surface_dim=s(self.surface_dim), lemma_dim=s(self.lemma_dim),
-                       pos_dim=s(self.pos_dim), ne_dim=s(self.ne_dim),
-                       static_mlp=s(self.static_mlp), contextual_mlp=s(self.contextual_mlp),
-                       hidden=s(self.hidden))
 
 
 class Mlp:

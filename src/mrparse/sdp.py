@@ -97,34 +97,6 @@ class FrameLexicon:
         return max(sorted(weights), key=lambda a: weights[a])
 
 
-class SpecialLabelTable:
-    """(surface, POS) -> special node label, e.g. #PersPron."""
-
-    def __init__(self, table):
-        self.table = dict(table)
-
-    @classmethod
-    def load(cls, path):
-        table = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 columns")
-                table[(cols[0], cols[1])] = cols[2]
-        return cls(table)
-
-    def lookup(self, surface, xpos, upos):
-        for key in ((surface, xpos), (surface, upos),
-                    (surface.lower(), xpos), (surface.lower(), upos)):
-            if key in self.table:
-                return self.table[key]
-        return None
-
-
 @dataclass
 class FramePrediction:
     """Per-node frame distributions: one type head, four argument heads."""
@@ -275,18 +247,9 @@ def reconstruct_psd_frame(lemma, pos, outgoing_labels, lexicon):
     return best.frame
 
 
-def assign_node_labels(token_indices, tokens, special_table, framework):
-    """Token lemma, except PSD hits in the special-label dictionary."""
-    labels = {}
-    for i in token_indices:
-        tok = tokens[i]
-        label = tok.lemma
-        if framework == "psd" and special_table is not None:
-            hit = special_table.lookup(tok.surface, tok.xpos, tok.upos)
-            if hit is not None:
-                label = hit
-        labels[i] = label
-    return labels
+def assign_node_labels(token_indices, tokens):
+    """Node label of each kept token: its lemma."""
+    return {i: tokens[i].lemma for i in token_indices}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +287,6 @@ def gold_targets(graph, tokens, label_index):
 class SdpResources:
     dm_lexicon: FrameLexicon = None
     psd_lexicon: FrameLexicon = None
-    special_labels: SpecialLabelTable = None
 
 
 def build_graph(framework, sid, tokens, text, scores, frame_pred=None,
@@ -333,7 +295,7 @@ def build_graph(framework, sid, tokens, text, scores, frame_pred=None,
     resources = resources or SdpResources()
     decoded = decode_flavor0(scores)
     token_ids = [p - 1 for p in decoded.kept]
-    labels = assign_node_labels(token_ids, tokens, resources.special_labels, framework)
+    labels = assign_node_labels(token_ids, tokens)
 
     node_id_of = {tok: idx for idx, tok in enumerate(token_ids)}
     out_edges_of = {}

@@ -426,6 +426,12 @@ class AmrTargets:
 
 
 @dataclass
+class EdsTargets:
+    token_states: object  # constant: the converter's encoder is frozen
+    items: list           # (label, token set, first, last) per abstract node
+
+
+@dataclass
 class Prepared:
     """One sentence with whatever gold targets survived preparation."""
     sent: object
@@ -505,6 +511,14 @@ def prepare_sentences(model, sentences, frameworks, allowed_ids=None):
         preps.append(Prepared(sent=s, text=companion_text(s.tokens),
                               targets=targets))
     return preps
+
+
+def _train_preps(model, split, frameworks):
+    """Training sentences of ``frameworks``, each framework's gold kept
+    only on that framework's own training carve-out."""
+    allowed = {fw: {s.id for s in split.train.get(fw, [])} for fw in frameworks}
+    pool = _ordered_union([split.train.get(fw, []) for fw in frameworks])
+    return prepare_sentences(model, pool, frameworks, allowed_ids=allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +858,7 @@ def train_single(split, config, static, contextual, run_dir=None):
     """One regime on its own frameworks (DM and PSD train jointly)."""
     cfg = config
     model = MultiModel.derive(cfg, split, static, contextual)
-    allowed = {fw: {s.id for s in split.train.get(fw, [])} for fw in cfg.frameworks}
-    pool = _ordered_union([split.train.get(fw, []) for fw in cfg.frameworks])
-    preps = prepare_sentences(model, pool, cfg.frameworks, allowed_ids=allowed)
+    preps = _train_preps(model, split, cfg.frameworks)
     loss_fn = lambda m, p, rng: single_loss(m, cfg, p, train=True, rng=rng)
     specs = _single_val_specs(model, cfg, split)
     return _train_loop(model, cfg, preps, loss_fn, specs,
@@ -858,9 +870,7 @@ def train_multitask(split, config, static, contextual, run_dir=None):
     plus their sum, each on that framework's tuning carve-out."""
     cfg = config
     model = MultiModel.derive(cfg, split, static, contextual)
-    allowed = {fw: {s.id for s in split.train.get(fw, [])} for fw in cfg.frameworks}
-    pool = _ordered_union([split.train.get(fw, []) for fw in cfg.frameworks])
-    preps = prepare_sentences(model, pool, cfg.frameworks, allowed_ids=allowed)
+    preps = _train_preps(model, split, cfg.frameworks)
     loss_fn = lambda m, p, rng: sentence_multitask_loss(m, cfg, p, train=True, rng=rng)
 
     val_preps = {fw: prepare_sentences(model, split.val_i.get(fw, []), (fw,))
@@ -905,9 +915,7 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
         mtl_result.snapshots[mtl_result.best_epochs[start_key]])
 
     target = SDP_PAIR if framework in SDP_PAIR else (framework,)
-    allowed = {fw: {s.id for s in split.train.get(fw, [])} for fw in target}
-    pool = _ordered_union([split.train.get(fw, []) for fw in target])
-    preps = prepare_sentences(model, pool, target, allowed_ids=allowed)
+    preps = _train_preps(model, split, target)
     loss_cfg = replace(config, frameworks=target)
     loss_fn = lambda m, p, rng: single_loss(m, loss_cfg, p, train=True, rng=rng)
     specs = _single_val_specs(model, loss_cfg, split)
@@ -1017,10 +1025,44 @@ class EdsModel:
         return model
 
 
+def _anchor_items(sent, surface):
+    """(label, token set, first, last) for each abstract EDS node of
+    ``sent`` that covers a token span; ``surface`` is the DM-derived
+    surface graph."""
+    gold = sent.graphs["eds"]
+    _, abstract_ids = E.split_surface_abstract(gold, surface)
+    token_of_node = E.token_of_anchored_node(gold, sent.tokens)
+    by_id = gold.node_by_id()
+    items = []
+    for a in abstract_ids:
+        node = by_id[a]
+        span = _token_span(node, sent.tokens)
+        if span is None:
+            warnings.warn(f"{sent.id}: abstract node {a} has no token span")
+            continue
+        tset = E.descendant_token_set(gold, a, token_of_node)
+        items.append((node.label, tset, span[0], span[1]))
+    return items
+
+
+def _anchor_loss(model, target):
+    """Endpoint cross-entropies of one sentence's abstract nodes."""
+    pairs = [model.anchor.endpoint_logits(label, tset, target.token_states)
+             for label, tset, _, _ in target.items]
+    return E.anchor_loss(pairs, [(i, j) for _, _, i, j in target.items])
+
+
 def train_eds(split, config, static, contextual, rules, encoder_from=None,
               run_dir=None):
     """Fit the converter: detectors from pooled sites, anchoring by
-    gradient descent against gold spans, encoder copied and frozen."""
+    gradient descent against gold spans, encoder copied and frozen.
+
+    The anchor net trains through ``_train_loop``, early-stopped on the
+    anchor loss of the EDS tuning carve-out; its epoch checkpoints carry
+    ``kind: "eds-anchor"``.  Returns (model at the best epoch, history);
+    when no training sentence has a spanned abstract node, the anchor
+    net stays at initialisation and the history is empty.
+    """
     usable = [s for s in split.train.get("eds", [])
               if "eds" in s.graphs and "dm" in s.graphs]
     skipped = len(split.train.get("eds", [])) - len(usable)
@@ -1040,28 +1082,16 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
 
     # collect detector examples and anchor supervision in one pass
     site_examples = []
-    anchor_items = []  # (sid, [(label, token_set, from, to)])
-    labels_seen = []
+    anchor_items = []  # (sentence, items) for sentences with a spanned node
     for s in usable:
         surface = E.dm_to_eds_surface(s.graphs["dm"], rules)
-        gold = s.graphs["eds"]
-        site_examples.extend(E.abstract_training_examples(gold, surface, rules))
-        _, abstract_ids = E.split_surface_abstract(gold, surface)
-        token_of_node = E.token_of_anchored_node(gold, s.tokens)
-        by_id = gold.node_by_id()
-        items = []
-        for a in abstract_ids:
-            node = by_id[a]
-            span = _token_span(node, s.tokens)
-            if span is None:
-                warnings.warn(f"{s.id}: abstract node {a} has no token span")
-                continue
-            tset = E.descendant_token_set(gold, a, token_of_node)
-            items.append((node.label, tset, span[0], span[1]))
-            if node.label not in labels_seen:
-                labels_seen.append(node.label)
+        site_examples.extend(
+            E.abstract_training_examples(s.graphs["eds"], surface, rules))
+        items = _anchor_items(s, surface)
         if items:
             anchor_items.append((s, items))
+    labels_seen = _first_seen(label for _, items in anchor_items
+                              for label, _, _, _ in items)
 
     model = EdsModel(cfg, vocab, rules, static, contextual, labels_seen)
     if encoder_from is not None:
@@ -1076,86 +1106,31 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     fit_rng = np.random.default_rng(cfg.seed + 2)
     models, abstract_params = E.train_abstract_models(site_examples, fit_rng)
     model.adopt_abstract(models, abstract_params)
+    if not anchor_items:
+        warnings.warn("eds: no training sentence has an abstract node with a "
+                      "token span; the anchor net stays untrained")
+        return model, []
 
-    # anchor training: encoder frozen, so token states are constants
-    cached = [(model.token_states(s), items) for s, items in anchor_items]
-    anchor_tensors = [p for name, p in model.params._params.items()
-                      if name.startswith("anchor.")]
-    opt = ad.Adam(anchor_tensors, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    rng = np.random.default_rng(cfg.seed + 1)
-    val = [s for s in split.val_i.get("eds", []) if "dm" in s.graphs]
+    # the encoder is frozen, so token states are computed once; its
+    # gradients stay None, which keeps Adam and clipping off it
+    def prep(sent, items):
+        return Prepared(sent=sent, text=companion_text(sent.tokens),
+                        targets={"eds": EdsTargets(model.token_states(sent), items)})
 
-    def val_loss():
-        if not val:
-            return None
-        losses = []
-        for s in val:
-            gold = s.graphs["eds"]
-            surface = E.dm_to_eds_surface(s.graphs["dm"], rules)
-            _, abstract_ids = E.split_surface_abstract(gold, surface)
-            token_of_node = E.token_of_anchored_node(gold, s.tokens)
-            by_id = gold.node_by_id()
-            ts = model.token_states(s)
-            pairs, spans = [], []
-            for a in abstract_ids:
-                node = by_id[a]
-                span = _token_span(node, s.tokens)
-                if span is None:
-                    continue
-                tset = E.descendant_token_set(gold, a, token_of_node)
-                pairs.append(model.anchor.endpoint_logits(node.label, tset, ts))
-                spans.append(span)
-            if pairs:
-                losses.append(float(E.anchor_loss(pairs, spans).data))
-        out = float(np.mean(losses)) if losses else None
-        if out is not None:
-            _guard_finite(out, "eds validation loss")
-        return out
-
-    stopper = EarlyStopper("min")
-    snapshots = {}
-    history = []
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        cfg.save(os.path.join(run_dir, "config.json"))
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(cached))
-        total = 0.0
-        clip = dict(_NO_CLIPPING)
-        for lo in range(0, len(order), cfg.batch_size):
-            opt.zero_grad()
-            batch = None
-            for k in order[lo:lo + cfg.batch_size]:
-                ts, items = cached[k]
-                pairs = [model.anchor.endpoint_logits(lab, tset, ts)
-                         for lab, tset, _, _ in items]
-                spans = [(i, j) for _, _, i, j in items]
-                loss = E.anchor_loss(pairs, spans)
-                batch = loss if batch is None else ad.add(batch, loss)
-            if batch is None:
-                continue
-            _guard_finite(batch.data, "eds training loss", epoch)
-            batch.backward()
-            _clip(anchor_tensors, cfg.clip, clip)
-            opt.step()
-            total += float(batch.data)
-        v = val_loss()
-        stopper.update(epoch, v)
-        snapshots[epoch] = model.params.state_dict()
-        keep = ({stopper.best_epoch} if stopper.best_epoch is not None else set()) | {epoch}
-        for e in [e for e in snapshots if e not in keep]:
-            del snapshots[e]
-        record = {"epoch": epoch, "train_loss": total / max(1, len(cached)),
-                  "val": {"eds": v}, "best": {"eds": stopper.best_epoch},
-                  **clip}
-        history.append(record)
-        if run_dir:
-            with open(os.path.join(run_dir, "metrics.jsonl"), "a",
-                      encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    best = stopper.best_epoch if stopper.best_epoch is not None else cfg.epochs - 1
-    model.params.load_state_dict(snapshots[best])
-    return model, history
+    preps = [prep(s, items) for s, items in anchor_items]
+    val_preps = []
+    for s in split.val_i.get("eds", []):
+        if "dm" in s.graphs:
+            items = _anchor_items(s, E.dm_to_eds_surface(s.graphs["dm"], rules))
+            if items:
+                val_preps.append(prep(s, items))
+    loss_fn = lambda m, p, rng: _anchor_loss(m, p.targets["eds"])
+    specs = [("eds", "min", lambda m: _val_loss(
+        m, cfg, val_preps, lambda mm, _, p: _anchor_loss(mm, p.targets["eds"])))]
+    result = _train_loop(model, cfg, preps, loss_fn, specs,
+                         run_dir=run_dir, kind="eds-anchor")
+    model.params.load_state_dict(result.snapshots[result.best_epochs["eds"]])
+    return model, result.history
 
 
 def _token_span(node, tokens):

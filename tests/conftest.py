@@ -59,6 +59,38 @@ def gradcheck():
     return check_gradients
 
 
+def bilinear(x, y, u, w, b):
+    """x'Uy + W[x;y] + b  ->  scalar, for one (x, y) pair.
+
+    Per-pair oracle for the vectorized edge scorer of
+    ``biaffine.BiaffineHead``.
+    """
+    x, y = ad.as_tensor(x), ad.as_tensor(y)
+    d1 = x.data.shape[0]
+    d2 = y.data.shape[0]
+    xr = ad.reshape(x, (1, d1))
+    yc = ad.reshape(y, (d2, 1))
+    quad = ad.matmul(ad.matmul(xr, u), yc)
+    lin = ad.matmul(ad.reshape(ad.as_tensor(w), (1, d1 + d2)),
+                    ad.reshape(ad.concat([x, y]), (d1 + d2, 1)))
+    return ad.reshape(ad.add(ad.add(quad, lin), b), ())
+
+
+def bilinear_label(x, y, u_classes, w_classes):
+    """Per-class x'U_c y + W_c y (no bias, no x linear term) -> (C,) scores.
+
+    Per-pair oracle for the label scorer of ``biaffine.BiaffineHead``.
+    """
+    x, y = ad.as_tensor(x), ad.as_tensor(y)
+    d2 = y.data.shape[0]
+    yc = ad.reshape(y, (d2, 1))
+    # (C, d1, d2) @ (d2, 1) -> (C, d1, 1); contract with x -> (C,)
+    uy = ad.matmul(u_classes, yc)
+    quad = ad.reshape(ad.matmul(ad.reshape(x, (1, 1, -1)), uy), (-1,))
+    lin = ad.reshape(ad.matmul(w_classes, yc), (-1,))
+    return ad.add(quad, lin)
+
+
 def reference_lstm_step(x, h, c, wx, wh, b):
     """One LSTM step composed from elementary ops; returns (h', c').
 

@@ -1,6 +1,8 @@
 """Tensor core: forward values against scipy/manual oracles, gradients
 against finite differences, optimizer against a hand-rolled reference."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -9,7 +11,7 @@ from scipy.special import softmax as sp_softmax
 
 from mrparse import autodiff as ad
 
-from conftest import check_gradients, scalarize
+from conftest import bilinear, bilinear_label, check_gradients, scalarize
 
 N_TRIALS = 24
 
@@ -303,14 +305,14 @@ class TestGradients:
             u = leaf(rng, (4, 3))
             w = leaf(rng, (7,))
             b = leaf(rng, ())
-            check_gradients(lambda: ad.bilinear(x, y, u, w, b), [x, y, u, w, b])
+            check_gradients(lambda: bilinear(x, y, u, w, b), [x, y, u, w, b])
 
     def test_bilinear_value_matches_numpy(self):
         rng = np.random.default_rng(907)
         x, y = rng.normal(size=4), rng.normal(size=3)
         u, w, b = rng.normal(size=(4, 3)), rng.normal(size=7), rng.normal()
         want = x @ u @ y + w @ np.concatenate([x, y]) + b
-        got = ad.bilinear(ad.Tensor(x), ad.Tensor(y), ad.Tensor(u), ad.Tensor(w), ad.Tensor(b)).item()
+        got = bilinear(ad.Tensor(x), ad.Tensor(y), ad.Tensor(u), ad.Tensor(w), ad.Tensor(b)).item()
         assert abs(got - want) < 1e-10
 
     def test_bilinear_label(self):
@@ -321,14 +323,14 @@ class TestGradients:
             u = leaf(rng, (5, 3, 4))
             w = leaf(rng, (5, 4))
             proj = rng.normal(size=(5,))
-            check_gradients(lambda: scalarize(ad.bilinear_label(x, y, u, w), proj), [x, y, u, w])
+            check_gradients(lambda: scalarize(bilinear_label(x, y, u, w), proj), [x, y, u, w])
 
     def test_bilinear_label_value_matches_loop(self):
         rng = np.random.default_rng(940)
         x, y = rng.normal(size=3), rng.normal(size=4)
         u, w = rng.normal(size=(5, 3, 4)), rng.normal(size=(5, 4))
         want = np.array([x @ u[c] @ y + w[c] @ y for c in range(5)])
-        got = ad.bilinear_label(ad.Tensor(x), ad.Tensor(y), ad.Tensor(u), ad.Tensor(w)).data
+        got = bilinear_label(ad.Tensor(x), ad.Tensor(y), ad.Tensor(u), ad.Tensor(w)).data
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -462,6 +464,20 @@ class TestParamSet:
         other.load_state_dict(state)
         other.save(second, extra={"epoch": 3})
         assert first.read_bytes() == second.read_bytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        ps = ad.ParamSet()
+        ps.new("w", (50, 40), np.random.default_rng(21))
+        path = tmp_path / "model.ckpt"
+        ps.save(path, extra={"epoch": 1})
+        before = path.read_bytes()
+        ps["w"].data += 1.0
+        with pytest.raises(TypeError):
+            ps.save(path, extra={"epoch": object()})  # not JSON-serializable
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        state, extra = ad.ParamSet.read(path)
+        assert extra == {"epoch": 1}
 
     def test_duplicate_name_rejected(self):
         ps = ad.ParamSet()

@@ -6,7 +6,7 @@ import pytest
 from mrparse import autodiff as ad
 from mrparse import biaffine as bf
 
-from conftest import check_gradients
+from conftest import bilinear, bilinear_label, check_gradients
 
 
 def mk_head(in_dim=6, labels=("A", "B", "C"), seed=0, **kw):
@@ -63,8 +63,8 @@ class TestScoring:
         w = head.w_edge.data[:, 0]
         for i in range(4):
             for j in range(4):
-                ref = bf.ad.bilinear(ad.Tensor(ef[i]), ad.Tensor(et[j]), head.u_edge,
-                                     ad.Tensor(w), head.b_edge).item()
+                ref = bilinear(ad.Tensor(ef[i]), ad.Tensor(et[j]), head.u_edge,
+                               ad.Tensor(w), head.b_edge).item()
                 got = out.edge_probs.data[i, j]
                 assert got == pytest.approx(1.0 / (1.0 + np.exp(-ref)), abs=1e-10)
 
@@ -76,9 +76,9 @@ class TestScoring:
         lt = head.label_to(states).data
         for i in range(3):
             for j in range(3):
-                ref = bf.ad.bilinear_label(ad.Tensor(lf[i]), ad.Tensor(lt[j]),
-                                           head.u_label,
-                                           ad.Tensor(head.w_label.data[:, 0, :])).data
+                ref = bilinear_label(ad.Tensor(lf[i]), ad.Tensor(lt[j]),
+                                     head.u_label,
+                                     ad.Tensor(head.w_label.data[:, 0, :])).data
                 got = out.label_logits.data[i * 3 + j]
                 np.testing.assert_allclose(got, ref, atol=1e-10)
 

@@ -302,10 +302,14 @@ def test_help_exits_zero():
     assert run(["--help"]) == 0
 
 
-def test_jobs_fallback_warns(ws, tmp_path, capsys):
-    out = str(tmp_path / "o.mrp")
-    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
-                "--model", os.path.join(ws["single"], "model-dm.bundle"),
-                "--framework", "dm", "--jobs", "4", "--out", out])
-    assert code == 0
-    assert "--jobs" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["train", "--companion", "c", "--mrp", "g", "--static", "s",
+     "--contextual", "x", "--regime", "single", "--out", "o"],
+    ["parse", "--companion", "c", "--static", "s", "--contextual", "x",
+     "--model", "m", "--framework", "dm", "--out", "o"],
+    ["ensemble", "--companion", "c", "--gold", "g", "--static", "s",
+     "--contextual", "x", "--model", "m", "--framework", "dm", "--out", "o"],
+])
+def test_jobs_is_usage_error(argv, capsys):
+    assert run(argv + ["--jobs", "4"]) == 2
+    assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err

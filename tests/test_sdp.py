@@ -255,30 +255,7 @@ class TestJointLoss:
 class TestNodeLabels:
     def test_lemma_by_default(self):
         toks = mk_tokens(["dogs"], lemmas=["dog"])
-        assert sdp.assign_node_labels([0], toks, None, "dm") == {0: "dog"}
-
-    def test_special_table_hit_for_psd(self):
-        toks = mk_tokens(["he"], lemmas=["he"], xpos=["PRP"])
-        table = sdp.SpecialLabelTable({("he", "PRP"): "#PersPron"})
-        assert sdp.assign_node_labels([0], toks, table, "psd") == {0: "#PersPron"}
-
-    def test_table_ignored_for_dm(self):
-        toks = mk_tokens(["he"], lemmas=["he"], xpos=["PRP"])
-        table = sdp.SpecialLabelTable({("he", "PRP"): "#PersPron"})
-        assert sdp.assign_node_labels([0], toks, table, "dm") == {0: "he"}
-
-    def test_empty_table_gives_lemmas(self):
-        toks = mk_tokens(["books", "fly"], lemmas=["book", "fly"])
-        table = sdp.SpecialLabelTable({})
-        assert sdp.assign_node_labels([0, 1], toks, table, "psd") == {0: "book", 1: "fly"}
-
-    def test_table_tsv_load(self, tmp_path):
-        path = tmp_path / "special.tsv"
-        path.write_text("he\tPRP\t#PersPron\n(\t-LRB-\t#Bracket\n")
-        table = sdp.SpecialLabelTable.load(path)
-        assert table.lookup("he", "PRP", "PRON") == "#PersPron"
-        assert table.lookup("(", "-LRB-", "PUNCT") == "#Bracket"
-        assert table.lookup("cat", "NN", "NOUN") is None
+        assert sdp.assign_node_labels([0], toks) == {0: "dog"}
 
 
 class TestGoldAndBuild:

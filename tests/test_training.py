@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mrparse.autodiff as ad
+import mrparse.eds as E
 import mrparse.graphs as G
 import mrparse.training as T
 from mrparse import datagen
@@ -509,7 +510,75 @@ def test_eds_epoch_records_clipping(mtl, split, corpus, monkeypatch, clip, clipp
         history[0]["min_clip_factor"] == 1.0)
 
 
+# (train_loss, val["eds"]) per epoch of the ``eds`` fixture, recorded
+# from the dedicated epoch loop train_eds ran before it moved onto
+# _train_loop; the merged loop must reproduce them
+EDS_FIXTURE_HISTORY = [(8.992989276219229, 8.149163915523193),
+                       (8.992932088889539, 8.149123221075307)]
+
+
+def unanchored_abstract(sent, rules):
+    """``sent`` with the anchors of its abstract EDS nodes removed."""
+    gold = sent.graphs["eds"]
+    surface = E.dm_to_eds_surface(sent.graphs["dm"], rules)
+    _, abstract = E.split_surface_abstract(gold, surface)
+    nodes = tuple(G.replace(n, anchors=()) if n.id in abstract else n
+                  for n in gold.nodes)
+    return G.replace(sent, graphs={**sent.graphs,
+                                   "eds": G.replace(gold, nodes=nodes)})
+
+
 class TestEds:
+    def test_history_pinned(self, eds):
+        _, history = eds
+        got = [(r["train_loss"], r["val"]["eds"]) for r in history]
+        np.testing.assert_allclose(got, EDS_FIXTURE_HISTORY, rtol=1e-12, atol=0)
+        assert [r["best"] for r in history] == [{"eds": 0}, {"eds": 1}]
+
+    def test_run_dir_artifacts(self, mtl, split, corpus, tmp_path):
+        cfg = tiny(multitask_config(), epochs=3, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model, history = T.train_eds(split, cfg, corpus.static,
+                                         corpus.contextual, corpus.rules,
+                                         encoder_from=mtl.model,
+                                         run_dir=str(tmp_path))
+        rows = [json.loads(line) for line in
+                (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in rows] == [0, 1, 2]
+        assert all("seconds" not in r for r in rows)  # rerun-stable file
+        assert rows == [{k: v for k, v in h.items() if k != "seconds"}
+                        for h in history]
+        best = history[-1]["best"]["eds"]
+        ckpts = {os.path.join(str(tmp_path), n)
+                 for n in os.listdir(tmp_path) if n.endswith(".ckpt")}
+        assert ckpts == {T._checkpoint_path(str(tmp_path), e) for e in {best, 2}}
+        state, extra = ad.ParamSet.read(T._checkpoint_path(str(tmp_path), best))
+        assert extra["kind"] == "eds-anchor"
+        for name, arr in model.params.state_dict().items():
+            assert np.array_equal(arr, state[name]), name
+        with pytest.raises(ValueError, match="not a model bundle"):
+            T.load_model(T._checkpoint_path(str(tmp_path), best),
+                         corpus.static, corpus.contextual)
+
+    def test_no_spanned_abstract_node_leaves_anchor_untrained(self, mtl, split,
+                                                              corpus):
+        train = [unanchored_abstract(s, corpus.rules) for s in split.train["eds"]]
+        bare = T.DataSplit(train={"eds": train}, val_i=split.val_i, val_ii={})
+        cfg = tiny(multitask_config(), epochs=2, seed=3)
+        with pytest.warns(UserWarning, match="anchor net stays untrained"):
+            model, history = T.train_eds(bare, cfg, corpus.static,
+                                         corpus.contextual, corpus.rules,
+                                         encoder_from=mtl.model)
+        assert history == []
+        assert model.abstract is not None
+        fresh = T.EdsModel(model.config, model.vocab, model.rules,
+                           model.static, model.contextual, model.anchor_labels)
+        init = fresh.params.state_dict()
+        for name, arr in model.params.state_dict().items():
+            if name.startswith("anchor."):
+                assert np.array_equal(arr, init[name]), name
+
     def test_history_and_parse(self, eds, corpus):
         model, history = eds
         assert len(history) == 2
