@@ -10,7 +10,8 @@ scale.
 Subpackage map:
 
 * ``graphs``    -- graph data model, MRP JSON-Lines and companion I/O
-* ``autodiff``  -- tensors, backprop, Adam, gradient clipping
+* ``autodiff``  -- tensors, backprop, Adam, gradient clipping, checkpoints
+* ``atomic``    -- atomic file writes (temporary file plus rename)
 * ``encoder``   -- vocabularies, feature extraction, biLSTM stack
 * ``biaffine``  -- edge/label scoring and flavor-0 decoding
 * ``sdp``       -- DM/PSD frame prediction and postprocessing

@@ -323,17 +323,8 @@ def dag_to_tree(g):
     return AmrTree(tuple(out))
 
 
-def replication_count(g):
-    """Node count the tree must have: originals plus one replica per
-    extra incoming edge."""
-    indeg = {}
-    for e in g.edges:
-        indeg[e.target] = indeg.get(e.target, 0) + 1
-    return len(g.nodes) + sum(max(0, k - 1) for k in indeg.values())
-
-
 # ---------------------------------------------------------------------------
-# graph assembly (shared by the gold round trip and decoding)
+# graph assembly: the inverse of dag_to_tree, used by decoding
 
 def resolve_copies(copy_of):
     alias = list(range(len(copy_of)))
@@ -374,14 +365,6 @@ def assemble_graph(labels, copy_of, parents, edge_labels, gid, text,
     graph = G.MrpGraph(id=gid, flavor=2, framework="amr", input=text,
                        tops=(ids[alias[0]],), nodes=tuple(nodes), edges=tuple(edges))
     return graph, tuple(flags)
-
-
-def tree_round_trip(tree, gid, text, records=None, sense_table=None):
-    parents = [n.parent for n in tree.nodes]
-    edge_labels = [n.edge_label for n in tree.nodes]
-    copy_of = [n.copy_of for n in tree.nodes]
-    return assemble_graph(tree.labels(), copy_of, parents, edge_labels,
-                          gid, text, records=records, sense_table=sense_table)
 
 
 # ---------------------------------------------------------------------------
@@ -884,10 +867,6 @@ def chu_liu_edmonds(scores, root=0):
         else:
             parents[keep[j2]] = keep[p2]
     return parents
-
-
-def arborescence_score(scores, parents, root=0):
-    return float(sum(scores[p, j] for j, p in enumerate(parents) if j != root))
 
 
 def decode_graph(gen, pair_scores, edge_labels, gid, text,

@@ -17,17 +17,23 @@ composition's gradients to rounding, and their buffers take the input
 dtype.  Each creates one graph node however long the sequence.
 
 Also home to the optimizer (:class:`Adam`), global-norm gradient
-clipping and the named parameter container used for checkpoints.
+clipping and :class:`ParamSet`, the named parameter container that
+alone writes and reads checkpoints: deterministic, uncompressed zips of
+exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
 """
 
 import json
-import os
+import zipfile
 
 import numpy as np
 
+from .atomic import atomic_open
+
 _DEFAULT_DTYPE = np.float64
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+_META = "__meta__"
+ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)  # of every checkpoint member
 
 
 def set_default_dtype(dtype):
@@ -424,17 +430,6 @@ def softmax(a, axis=-1):
     return _make(out_data, (a,), rule)
 
 
-def log_softmax(a, axis=-1):
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def rule(g):
-        a.accumulate(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), rule)
-
-
 def reduce_sum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -448,12 +443,6 @@ def reduce_sum(a, axis=None, keepdims=False):
             a.accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out_data, (a,), rule)
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def dropout(a, p, rng, train=True):
@@ -668,7 +657,9 @@ def clip_gradients(params, max_norm):
 
 
 class Adam:
-    """Adam with bias correction; one slot pair per parameter."""
+    """Adam with bias correction.  A parameter's slot pair (moments) is
+    allocated at its first gradient; steps without one never touch the
+    slots, so updates equal those of slots zeroed up front."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -677,8 +668,7 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.slots = {}  # parameter index -> (m, v)
 
     def zero_grad(self):
         for p in self.params:
@@ -687,10 +677,13 @@ class Adam:
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
+        for k, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
+            if k not in self.slots:
+                self.slots[k] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            m, v = self.slots[k]
             m *= b1
             m += (1 - b1) * g
             v *= b2
@@ -704,10 +697,16 @@ class Adam:
 # named parameters and checkpoints
 
 class ParamSet:
-    """Ordered name -> parameter tensor registry.
+    """Ordered name -> parameter tensor registry and checkpoint container.
 
-    Serialization is a version-tagged JSON container mapping each name
-    to shape + flat values, deterministic for identical parameters.
+    A checkpoint is an uncompressed zip with one ``<name>.npy`` member
+    per parameter, holding its exact array (dtype and 0-d shape kept),
+    and a ``__meta__.npy`` member, the UTF-8 JSON of the format version
+    and ``extra`` as a uint8 array; ``np.load(path, allow_pickle=False)``
+    opens it.  ``save`` writes atomically with a fixed member date, so
+    identical parameters give identical bytes.  ``read`` is the format's
+    only reader: an empty, truncated or foreign file, or another format
+    version, raises one ``ValueError`` naming the path.
     """
 
     def __init__(self):
@@ -718,31 +717,19 @@ class ParamSet:
 
         ``scale`` defaults to 1/sqrt(fan-in), fan-in being the last dim.
         """
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
         if scale is None:
             fan = shape[-1] if shape else 1
             scale = 1.0 / np.sqrt(fan)
-        data = rng.uniform(-scale, scale, size=shape)
-        p = Tensor(data, requires_grad=True)
-        self._params[name] = p
-        return p
+        return self.new_from(name, rng.uniform(-scale, scale, size=shape))
 
     def new_from(self, name, data):
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        p = Tensor(np.array(data), requires_grad=True)
-        self._params[name] = p
+        p = self._params[name] = Tensor(np.array(data), requires_grad=True)
         return p
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def names(self):
-        return list(self._params)
 
     def tensors(self):
         return list(self._params.values())
@@ -762,36 +749,30 @@ class ParamSet:
             p.data[...] = arr
 
     def save(self, path, extra=None):
-        doc = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "params": {
-                name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
-                for name, p in self._params.items()
-            },
-        }
-        if extra:
-            doc["extra"] = extra
-        # write beside the target, then rename over it: a save that fails
-        # part way leaves the previous file untouched
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        meta = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION,
+                           "extra": extra or {}}).encode("utf-8")
+        members = [(name, p.data) for name, p in self._params.items()]
+        members.append((_META, np.frombuffer(meta, dtype=np.uint8)))
+        with atomic_open(path, "wb") as fh, \
+                zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+            for name, arr in members:
+                info = zipfile.ZipInfo(f"{name}.npy", date_time=ZIP_DATE_TIME)
+                with zf.open(info, "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, arr, allow_pickle=False)
 
     @staticmethod
     def read(path):
         """Read a checkpoint file into (state_dict, extra)."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        state = {
-            name: np.asarray(entry["data"], dtype=_DEFAULT_DTYPE).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
-        return state, doc.get("extra", {})
+        try:
+            npz = np.load(path, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+                raise ValueError
+            with npz:
+                meta = json.loads(npz[_META].tobytes().decode("utf-8"))
+                if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+                    raise ValueError
+                state = {name: npz[name] for name in npz.files if name != _META}
+                return state, meta["extra"]
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            raise ValueError(f"{path}: not a format-{CHECKPOINT_FORMAT_VERSION} "
+                             "checkpoint") from None

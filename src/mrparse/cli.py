@@ -26,6 +26,7 @@ from . import graphs as G
 from . import eds as E
 from . import scoring
 from . import training as T
+from .atomic import atomic_open
 from .config import (TrainConfig, single_config, multitask_config,
                      fine_tune_config)
 from .encoder import StaticEmbeddings, ContextualEmbeddings
@@ -153,7 +154,7 @@ def _load_embeddings(args):
 
 
 def _write_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 

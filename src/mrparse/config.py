@@ -15,6 +15,7 @@ replays the faulty originals.
 import json
 from dataclasses import dataclass, fields, replace, asdict
 
+from .atomic import atomic_open
 from .encoder import EncoderConfig
 
 SDP_PAIR = ("dm", "psd")
@@ -150,7 +151,7 @@ class TrainConfig:
         return cls(**doc)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

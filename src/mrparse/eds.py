@@ -284,19 +284,29 @@ def abstract_training_examples(gold_eds, surface_of_dm, rules):
     return examples
 
 
-def train_abstract_models(all_examples, rng, n_buckets=256, epochs=60, lr=0.1):
-    """Fit detector + labelers on pooled site examples with the shared Adam."""
-    node_classes = sorted({lab for _, fired, lab, _ in all_examples if fired})
-    edge_classes = sorted({el for _, fired, _, el in all_examples if fired})
-    params = ad.ParamSet()
-    models = AbstractModels(
+def build_abstract_models(params, n_buckets, node_classes, edge_classes, rng):
+    """Detector and labelers as the ``det``, ``nlab`` and ``elab``
+    parameters of ``params``; an empty class list becomes ``[<UNK>]``."""
+    node_classes = list(node_classes) or [UNK_FEATURE]
+    edge_classes = list(edge_classes) or [UNK_FEATURE]
+    return AbstractModels(
         detector=LogRegModel(params, "det", 1, n_buckets, rng),
-        node_labeler=LogRegModel(params, "nlab", max(1, len(node_classes)), n_buckets,
-                                 rng).attach_classes(node_classes or [UNK_FEATURE]),
-        edge_labeler=LogRegModel(params, "elab", max(1, len(edge_classes)), n_buckets,
-                                 rng).attach_classes(edge_classes or [UNK_FEATURE]),
+        node_labeler=LogRegModel(params, "nlab", len(node_classes), n_buckets,
+                                 rng).attach_classes(node_classes),
+        edge_labeler=LogRegModel(params, "elab", len(edge_classes), n_buckets,
+                                 rng).attach_classes(edge_classes),
     )
-    opt = ad.Adam(params.tensors(), lr=lr)
+
+
+def train_abstract_models(params, all_examples, rng, n_buckets=256, epochs=60, lr=0.1):
+    """Build detector + labelers inside ``params`` and fit them on pooled
+    site examples with the shared Adam, which sees only their six tensors."""
+    models = build_abstract_models(
+        params, n_buckets,
+        sorted({lab for _, fired, lab, _ in all_examples if fired}),
+        sorted({el for _, fired, _, el in all_examples if fired}), rng)
+    opt = ad.Adam([t for m in (models.detector, models.node_labeler, models.edge_labeler)
+                   for t in (m.w, m.b)], lr=lr)
     for _ in range(epochs):
         opt.zero_grad()
         losses = []
@@ -315,7 +325,7 @@ def train_abstract_models(all_examples, rng, n_buckets=256, epochs=60, lr=0.1):
             total = ad.add(total, l)
         total.backward()
         opt.step()
-    return models, params
+    return models
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ travels in a flat tab-separated file, one `#<id>` header per sentence.
 import json
 from dataclasses import dataclass, field, replace  # noqa: F401  (replace is part of the API)
 
+from .atomic import atomic_open
+
 
 class FormatError(ValueError):
     """Malformed graph or companion input."""
@@ -207,7 +209,7 @@ def load_mrp(path, validate=True):
 
 
 def save_mrp(graphs, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         write_mrp(graphs, fh)
 
 
@@ -287,7 +289,7 @@ def load_companion(path):
 
 
 def save_companion(sentences, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         write_companion(sentences, fh)
 
 

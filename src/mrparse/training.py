@@ -929,13 +929,14 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
 class EdsModel:
     """Rule-driven converter with learned detectors and span anchoring.
 
-    The encoder is transferred (values copied, then frozen): only the
-    anchoring network trains here, and the abstract-node detectors fit
-    their own tiny optimizer inside ``train_abstract_models``.
+    The model has one parameter set.  It holds the encoder (values
+    copied from the source model, then frozen), the anchoring network,
+    which trains here, and the abstract-node detector and labelers
+    (``det``, ``nlab``, ``elab``), which ``train_abstract_models`` fits
+    with an optimizer of their own.
     """
 
-    def __init__(self, config, vocab, rules, static, contextual,
-                 anchor_labels, abstract_meta=None):
+    def __init__(self, config, vocab, rules, static, contextual, anchor_labels):
         self.config = config
         self.vocab = vocab
         self.rules = rules
@@ -951,34 +952,7 @@ class EdsModel:
                                   encoder_width=2 * config.hidden, rng=rng,
                                   emb_dim=config.anchor_emb,
                                   hidden=config.anchor_hidden)
-        self.abstract = None
-        self.abstract_params = None
-        self.abstract_meta = None
-        if abstract_meta is not None:
-            self._build_abstract(abstract_meta, rng)
-
-    def _build_abstract(self, meta, rng):
-        params = ad.ParamSet()
-        self.abstract = E.AbstractModels(
-            detector=E.LogRegModel(params, "det", 1, meta["n_buckets"], rng),
-            node_labeler=E.LogRegModel(params, "nlab", len(meta["node_classes"]),
-                                       meta["n_buckets"], rng)
-            .attach_classes(meta["node_classes"]),
-            edge_labeler=E.LogRegModel(params, "elab", len(meta["edge_classes"]),
-                                       meta["n_buckets"], rng)
-            .attach_classes(meta["edge_classes"]),
-        )
-        self.abstract_params = params
-        self.abstract_meta = dict(meta)
-
-    def adopt_abstract(self, models, params):
-        self.abstract = models
-        self.abstract_params = params
-        self.abstract_meta = {
-            "n_buckets": models.detector.n_buckets,
-            "node_classes": list(models.node_labeler.classes),
-            "edge_classes": list(models.edge_labeler.classes),
-        }
+        self.abstract = None  # E.AbstractModels once fitted or loaded
 
     def token_states(self, sent):
         enc_out = self.encode(sent)
@@ -996,17 +970,18 @@ class EdsModel:
         return graph, diag
 
     def save(self, path):
-        state = self.abstract_params.state_dict() if self.abstract_params else {}
+        a = self.abstract
         self.params.save(path, extra={
             "kind": "eds",
             "config": self.config.to_json(),
             "vocab": self.vocab.to_json(),
             "rules": self.rules.to_dict(),
             "anchor_labels": self.anchor_labels,
-            "abstract_meta": self.abstract_meta,
-            "abstract_state": {name: {"shape": list(arr.shape),
-                                      "data": arr.reshape(-1).tolist()}
-                               for name, arr in state.items()},
+            # keyword arguments of E.build_abstract_models
+            "abstract_meta": None if a is None else {
+                "n_buckets": a.detector.n_buckets,
+                "node_classes": a.node_labeler.classes,
+                "edge_classes": a.edge_labeler.classes},
         })
 
     @classmethod
@@ -1014,14 +989,11 @@ class EdsModel:
         cfg = TrainConfig.from_json(extra["config"])
         model = cls(cfg, Vocabulary.from_json(extra["vocab"]),
                     E.ConversionRuleSet.from_dict(extra["rules"]),
-                    static, contextual, extra["anchor_labels"],
-                    abstract_meta=extra.get("abstract_meta"))
+                    static, contextual, extra["anchor_labels"])
+        if extra["abstract_meta"] is not None:  # the state overwrites the rng's values
+            model.abstract = E.build_abstract_models(
+                model.params, rng=np.random.default_rng(cfg.seed), **extra["abstract_meta"])
         model.params.load_state_dict(state)
-        if model.abstract_params is not None:
-            packed = extra.get("abstract_state", {})
-            model.abstract_params.load_state_dict(
-                {name: np.asarray(entry["data"]).reshape(entry["shape"])
-                 for name, entry in packed.items()})
         return model
 
 
@@ -1095,17 +1067,12 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
 
     model = EdsModel(cfg, vocab, rules, static, contextual, labels_seen)
     if encoder_from is not None:
-        enc_state = {name: arr
-                     for name, arr in encoder_from.params.state_dict().items()
-                     if name.startswith("encoder.")}
-        anchor_state = {name: p.data.copy()
-                        for name, p in model.params._params.items()
-                        if not name.startswith("encoder.")}
-        model.params.load_state_dict({**enc_state, **anchor_state})
+        model.params.load_state_dict(
+            {name: arr for name, arr in encoder_from.params.state_dict().items()
+             if name.startswith("encoder.")}, strict=False)
 
-    fit_rng = np.random.default_rng(cfg.seed + 2)
-    models, abstract_params = E.train_abstract_models(site_examples, fit_rng)
-    model.adopt_abstract(models, abstract_params)
+    model.abstract = E.train_abstract_models(model.params, site_examples,
+                                             np.random.default_rng(cfg.seed + 2))
     if not anchor_items:
         warnings.warn("eds: no training sentence has an abstract node with a "
                       "token span; the anchor net stays untrained")

@@ -9,6 +9,7 @@ modules get to use it.
 import numpy as np
 import pytest
 
+from mrparse import amr
 from mrparse import autodiff as ad
 
 FD_STEP = 1e-5
@@ -116,3 +117,27 @@ def reference_lstm_sequence(x, wx, wh, b, reverse=False):
         h, c = reference_lstm_step(xs[t], h, c, wx, wh, b)
         hs[t], cs[t] = h, c
     return ad.concat(hs, axis=0), ad.concat(cs, axis=0)
+
+
+def replication_count(g):
+    """Node count ``amr.dag_to_tree(g)`` must have: originals plus one
+    replica per extra incoming edge."""
+    indeg = {}
+    for e in g.edges:
+        indeg[e.target] = indeg.get(e.target, 0) + 1
+    return len(g.nodes) + sum(max(0, k - 1) for k in indeg.values())
+
+
+def tree_round_trip(tree, gid, text, records=None, sense_table=None):
+    """Graph of a gold ``amr.AmrTree`` through ``amr.assemble_graph``:
+    the inverse of ``amr.dag_to_tree``."""
+    parents = [n.parent for n in tree.nodes]
+    edge_labels = [n.edge_label for n in tree.nodes]
+    copy_of = [n.copy_of for n in tree.nodes]
+    return amr.assemble_graph(tree.labels(), copy_of, parents, edge_labels,
+                              gid, text, records=records, sense_table=sense_table)
+
+
+def arborescence_score(scores, parents, root=0):
+    """Total score of the arcs ``parents[j] -> j``, root excluded."""
+    return float(sum(scores[p, j] for j, p in enumerate(parents) if j != root))

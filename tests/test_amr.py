@@ -14,6 +14,8 @@ from mrparse import graphs as G
 from mrparse.biaffine import PairScores
 from mrparse.encoder import LayerFinalState
 
+from conftest import arborescence_score, replication_count, tree_round_trip
+
 
 def mk_tokens(words, lemmas=None, ne=None):
     lemmas = lemmas or [w.lower() for w in words]
@@ -241,7 +243,7 @@ class TestDagToTree:
         g = graph(nodes, edges)
         tree = amr.dag_to_tree(g)
         assert len(tree.replicas()) == 2
-        assert len(tree.nodes) == amr.replication_count(g)
+        assert len(tree.nodes) == replication_count(g)
 
     def test_cycle_rejected(self):
         nodes = [G.MrpNode(0, label="a"), G.MrpNode(1, label="b"),
@@ -266,14 +268,14 @@ class TestDagToTree:
         for k in range(100):
             g = amr.sample_dag(rng, gid=f"d{k}")
             tree = amr.dag_to_tree(g)
-            assert len(tree.nodes) == amr.replication_count(g)
+            assert len(tree.nodes) == replication_count(g)
 
     def test_round_trip_restores_node_and_edge_multisets(self):
         rng = np.random.default_rng(7)
         for k in range(60):
             g = amr.sample_dag(rng, gid=f"r{k}")
             tree = amr.dag_to_tree(g)
-            back, flags = amr.tree_round_trip(tree, g.id, g.input)
+            back, flags = tree_round_trip(tree, g.id, g.input)
             assert flags == ()
             # ids are renumbered by first visit; compare through labels
             old = {n.id: n.label for n in g.nodes}
@@ -631,7 +633,7 @@ def brute_force_arborescence(scores, root=0):
                     ok = False
                     break
             if ok:
-                score = amr.arborescence_score(scores, parents, root)
+                score = arborescence_score(scores, parents, root)
                 if score > best:
                     best, best_parents = score, parents
     return best, best_parents
@@ -661,7 +663,7 @@ class TestChuLiuEdmonds:
             s = rng.normal(size=(n, n))
             parents = amr.chu_liu_edmonds(s)
             best, _ = brute_force_arborescence(s)
-            got = amr.arborescence_score(s, parents)
+            got = arborescence_score(s, parents)
             assert got == pytest.approx(best, abs=1e-9), f"case {k}"
             # and the result is a genuine arborescence
             for j in range(1, n):
@@ -741,7 +743,7 @@ class TestFullRoundTrip:
                         for n in anon.graph.nodes))
         table = amr.build_sense_table(n.label for n in g.nodes)
         tree = amr.dag_to_tree(stripped)
-        back, flags = amr.tree_round_trip(tree, g.id, g.input,
+        back, flags = tree_round_trip(tree, g.id, g.input,
                                           records=anon.records,
                                           sense_table=table)
         assert flags == ()
@@ -761,7 +763,7 @@ class TestFullRoundTrip:
         for k in range(50):
             g = amr.sample_dag(rng, gid=f"rt{k}")
             tree = amr.dag_to_tree(g)
-            back, _ = amr.tree_round_trip(tree, g.id, g.input)
+            back, _ = tree_round_trip(tree, g.id, g.input)
             old = {n.id: n.label for n in g.nodes}
             new = {n.id: n.label for n in back.nodes}
             assert sorted(old.values()) == sorted(new.values())

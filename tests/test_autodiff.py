@@ -1,7 +1,9 @@
 """Tensor core: forward values against scipy/manual oracles, gradients
 against finite differences, optimizer against a hand-rolled reference."""
 
+import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -27,12 +29,6 @@ class TestForward:
         for axis in (0, 1, -1):
             got = ad.softmax(ad.Tensor(x), axis=axis).data
             np.testing.assert_allclose(got, sp_softmax(x, axis=axis), atol=1e-12)
-
-    def test_log_softmax_matches_scipy(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 6)) * 30  # large scale to exercise stability
-        got = ad.log_softmax(ad.Tensor(x), axis=-1).data
-        np.testing.assert_allclose(got, sp_log_softmax(x, axis=-1), atol=1e-10)
 
     def test_sigmoid_matches_expit(self):
         x = np.array([-800.0, -5.0, 0.0, 5.0, 800.0])
@@ -229,13 +225,6 @@ class TestGradients:
             check_gradients(lambda: scalarize(ad.softmax(a, axis=-1), proj), [a])
             check_gradients(lambda: scalarize(ad.softmax(a, axis=0), proj), [a])
 
-    def test_log_softmax(self):
-        for trial in range(N_TRIALS):
-            rng = np.random.default_rng(630 + trial)
-            a = leaf(rng, (4, 6))
-            proj = rng.normal(size=(4, 6))
-            check_gradients(lambda: scalarize(ad.log_softmax(a, axis=-1), proj), [a])
-
     def test_minimum(self):
         for trial in range(N_TRIALS):
             rng = np.random.default_rng(660 + trial)
@@ -267,7 +256,6 @@ class TestGradients:
             check_gradients(lambda: ad.reduce_sum(a), [a])
             check_gradients(lambda: scalarize(ad.reduce_sum(a, axis=0), proj_row), [a])
             check_gradients(lambda: scalarize(ad.reduce_sum(a, axis=1, keepdims=True), proj_keep), [a])
-            check_gradients(lambda: ad.reduce_mean(a), [a])
 
     def test_binary_cross_entropy(self):
         for trial in range(N_TRIALS):
@@ -427,6 +415,40 @@ class TestOptimizer:
             opt.step()
         np.testing.assert_allclose(w.data, target, atol=1e-3)
 
+    def test_adam_never_graded_tensor_has_no_slots(self):
+        rng = np.random.default_rng(12)
+        used = ad.Tensor(rng.normal(size=3), requires_grad=True)
+        idle = ad.Tensor(rng.normal(size=(40, 40)), requires_grad=True)
+        opt = ad.Adam([idle, used], lr=0.1)
+        for _ in range(3):
+            used.grad = rng.normal(size=3)
+            opt.step()
+        assert list(opt.slots) == [1]
+
+    def test_adam_late_first_gradient_matches_eager_slots(self):
+        # first graded at step 3: the same update as with slots zeroed at
+        # construction, the reference repeating the optimizer's arithmetic
+        rng = np.random.default_rng(13)
+        init = rng.normal(size=4)
+        grads = [None, None] + [rng.normal(size=4) for _ in range(3)]
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        w = ad.Tensor(init.copy(), requires_grad=True)
+        opt = ad.Adam([w], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for g in grads:
+            w.grad = None if g is None else g.copy()
+            opt.step()
+
+        ref, m, v = init.copy(), np.zeros(4), np.zeros(4)
+        for t, g in enumerate(grads, start=1):
+            if g is None:
+                continue
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        assert np.array_equal(w.data, ref)
+
     def test_clip_rescales_to_bound(self):
         a = ad.Tensor(np.zeros(2), requires_grad=True)
         b = ad.Tensor(np.zeros(1), requires_grad=True)
@@ -464,6 +486,58 @@ class TestParamSet:
         other.load_state_dict(state)
         other.save(second, extra={"epoch": 3})
         assert first.read_bytes() == second.read_bytes()
+        with zipfile.ZipFile(first) as zf:
+            infos = zf.infolist()
+        assert [i.filename for i in infos] == ["enc.w.npy", "enc.b.npy", "__meta__.npy"]
+        assert all(i.date_time == ad.ZIP_DATE_TIME for i in infos)
+
+    def test_container_is_exact_npz(self, tmp_path):
+        rng = np.random.default_rng(22)
+        ps = ad.ParamSet()
+        ps.new("w", (3, 5), rng)
+        ps.new_from("b_edge", np.array(rng.normal()))  # 0-d
+        ps.new_from("empty", np.zeros((0, 4)))
+        path = tmp_path / "m.bundle"
+        ps.save(path, extra={"kind": "multi", "lr": 0.1})
+        assert os.listdir(tmp_path) == ["m.bundle"]  # no .npz suffix, no .tmp
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["w", "b_edge", "empty", "__meta__"]
+        state, extra = ad.ParamSet.read(path)
+        assert extra == {"kind": "multi", "lr": 0.1}
+        assert list(state) == ["w", "b_edge", "empty"]
+        for name, want in ps.state_dict().items():
+            assert state[name].dtype == want.dtype, name
+            assert state[name].shape == want.shape, name
+            assert state[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b"PK\x03\x04 truncated zip",
+        b'{"format_version": 1, "params": {}}',  # the JSON container of format 1
+    ])
+    def test_unreadable_file_is_value_error_naming_path(self, tmp_path, content):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="bad.ckpt: not a format-2 checkpoint"):
+            ad.ParamSet.read(path)
+
+    def test_other_version_or_missing_meta_rejected(self, tmp_path):
+        ps = ad.ParamSet()
+        ps.new_from("w", np.ones(2))
+        path = tmp_path / "m.ckpt"
+        ps.save(path)
+        with zipfile.ZipFile(path) as zf:
+            members = {i.filename: zf.read(i) for i in zf.infolist()}
+        for name, meta in [("future.ckpt", {"format_version": 3, "extra": {}}),
+                           ("nometa.ckpt", None)]:
+            with zipfile.ZipFile(tmp_path / name, "w") as zf:
+                zf.writestr("w.npy", members["w.npy"])
+                if meta is not None:
+                    arr = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+                    with zf.open("__meta__.npy", "w") as fh:
+                        np.lib.format.write_array(fh, arr)
+            with pytest.raises(ValueError, match=f"{name}: not a format-2"):
+                ad.ParamSet.read(tmp_path / name)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         ps = ad.ParamSet()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mrparse.graphs as G
-from mrparse import datagen
+from mrparse import cli, datagen
 from mrparse.cli import run
 
 
@@ -178,6 +178,26 @@ def test_parse_rejects_non_bundle(ws, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["empty", "truncated", "format-1"])
+def test_parse_bad_bundle_is_one_line_error(ws, tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.bundle"
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "truncated":
+        with open(ws["mtl_bundle"], "rb") as fh:
+            path.write_bytes(fh.read()[:4096])
+    else:  # the JSON-of-floats container of format 1
+        path.write_text(json.dumps({"format_version": 1, "params": {},
+                                    "extra": {"kind": "multi"}}))
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--model", str(path), "--framework", "dm",
+                "--out", str(tmp_path / "x.mrp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {path}: not a format-2 checkpoint"]
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -202,6 +222,16 @@ def test_evaluate_missing_prediction_scores_empty(ws, tmp_path, capsys):
     assert "no prediction" in capsys.readouterr().err
     doc = json.loads(open(report).read())
     assert doc["dm"]["all"]["f1"] < 1.0
+
+
+def test_failed_report_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_json({"dm": {"f1": 0.5}}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_json({"dm": {"f1": object()}}, path)  # not JSON-serializable
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_evaluate_missing_file(ws, tmp_path):

@@ -9,6 +9,8 @@ from mrparse import sdp
 from mrparse import ucca as U
 from mrparse.encoder import StaticEmbeddings, ContextualEmbeddings
 
+from conftest import replication_count
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -75,7 +77,7 @@ class TestFrameworkGold:
                 G.replace(n, label=amr.strip_sense(n.label))
                 for n in anon.graph.nodes))
             tree = amr.dag_to_tree(stripped)
-            assert len(tree.nodes) == amr.replication_count(stripped)
+            assert len(tree.nodes) == replication_count(stripped)
 
     def test_amr_concepts_are_copyable_or_closed_class(self, corpus):
         # every desensed non-entity concept matches a token lemma, so the

@@ -206,7 +206,8 @@ class TestHashedLogReg:
             gold = MrpGraph(id=f"s{k}", flavor=1, framework="eds", input=g.input,
                             tops=(0,), nodes=tuple(gold_nodes), edges=tuple(gold_edges))
             examples.extend(eds.abstract_training_examples(gold, surface, rules))
-        models, _ = eds.train_abstract_models(examples, rng, epochs=80, lr=0.2)
+        models = eds.train_abstract_models(ad.ParamSet(), examples, rng,
+                                           epochs=80, lr=0.2)
         for feats, fired, nlab, elab in examples:
             assert (models.detector.probability(feats) > 0.5) == bool(fired)
             if fired:

@@ -128,6 +128,16 @@ class TestMrpIO:
                                  nodes=tuple(nodes), edges=tuple(edges)))
         assert roundtrip(gs) == gs
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.mrp"
+        G.save_mrp([toy_dm_graph()], path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            # the first graph is written before the second one fails
+            G.save_mrp([G.replace(toy_dm_graph(), id="s2"), "not a graph"], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.mrp"]
+
 
 class TestCompanion:
     SAMPLE = (

@@ -193,7 +193,7 @@ def test_framework_terms_match_composed_cells(tiny_model, monkeypatch):
     assert fused_losses.keys() == ref_losses.keys()
     for k in fused_losses:
         np.testing.assert_array_equal(fused_losses[k], ref_losses[k], err_msg=k)
-    names = model.params.names()
+    names = list(model.params.state_dict())
     for name, got, want in zip(names, fused_grads, ref_grads):
         assert (got is None) == (want is None), name
         if got is not None:

@@ -411,12 +411,25 @@ class TestTrainLoop:
 # ---------------------------------------------------------------------------
 # bundles
 
+def assert_same_arrays(want, got):
+    """Two state dicts hold the same names, in order, and the same
+    arrays in bits, dtype and shape."""
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape), name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
 class TestBundles:
     def test_multi_round_trip(self, mtl, corpus, tmp_path):
         path = str(tmp_path / "joint.bundle")
         model = mtl.model_at("total")
         model.save(path)
         back = T.load_model(path, corpus.static, corpus.contextual)
+        saved = model.params.state_dict()
+        assert_same_arrays(saved, ad.ParamSet.read(path)[0])
+        assert_same_arrays(saved, back.params.state_dict())
+        assert any(arr.ndim == 0 for arr in saved.values())  # the *.b_edge scalars
         sent = corpus.sentences[9]
         for fw in FWS:
             a = G.graph_to_json(T.parse_sentence(model, sent, fw, beam=2))
@@ -610,6 +623,10 @@ class TestEds:
         path = str(tmp_path / "eds.bundle")
         model.save(path)
         back = T.load_model(path, corpus.static, corpus.contextual)
+        saved = model.params.state_dict()
+        assert_same_arrays(saved, ad.ParamSet.read(path)[0])
+        assert_same_arrays(saved, back.params.state_dict())
+        assert {"det.w", "nlab.w", "elab.w"} <= set(saved)
         sent = corpus.sentences[8]
         a = G.graph_to_json(model.parse(sent, sent.graphs["dm"])[0])
         b = G.graph_to_json(back.parse(sent, sent.graphs["dm"])[0])
