@@ -594,27 +594,6 @@ def coverage_loss(attentions):
     return total
 
 
-@dataclass(frozen=True)
-class AmrLossWeights:
-    biaf: float = 0.39
-    label: float = 0.395
-    cov: float = 0.339
-
-    def __post_init__(self):
-        for v in (self.biaf, self.label, self.cov):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("loss weights must lie in [0, 1]")
-        if self.biaf + self.cov > 1.0 + 1e-12:
-            raise ValueError("biaffine and coverage weights exceed the budget")
-
-
-def amr_loss(edge_loss, label_loss, dec_loss, cov_loss, weights=AmrLossWeights()):
-    inner = ad.add(ad.mul(label_loss, weights.label),
-                   ad.mul(edge_loss, 1.0 - weights.label))
-    total = ad.add(ad.mul(inner, weights.biaf), ad.mul(cov_loss, weights.cov))
-    return ad.add(total, ad.mul(dec_loss, 1.0 - weights.biaf - weights.cov))
-
-
 def amr_edge_targets(tree):
     """Biaffine targets over generated positions; no top row, the first
     position is the root by construction."""

@@ -194,7 +194,10 @@ def _resolve_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc.update(json.load(fh))
-    cfg = TrainConfig.from_json(doc)
+    try:
+        cfg = TrainConfig.from_json(doc)
+    except ValueError as err:  # only the file's settings can be at fault
+        raise ValueError(f"{args.config}: {err}") from None
     overrides = {name: getattr(args, name)
                  for name in ("seed", "scale", "epochs", "lr", "batch_size")
                  if getattr(args, name) is not None}

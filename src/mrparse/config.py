@@ -66,10 +66,6 @@ class TrainConfig:
     # loss coefficients
     lam_label: float = 0.0210
     lam_frame: float = 0.5
-    ucca_edge: float = 0.3
-    ucca_label: float = 0.3
-    ucca_remote: float = 0.2
-    ucca_dec: float = 0.2
     lam_biaf: float = 1.0
     lam_cov: float = 0.0
     lam_dec_ucca: float = 0.08
@@ -83,8 +79,7 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        for name in ("lam_label", "lam_frame", "ucca_edge", "ucca_label",
-                     "ucca_remote", "ucca_dec", "lam_biaf", "lam_cov",
+        for name in ("lam_label", "lam_frame", "lam_biaf", "lam_cov",
                      "lam_dec_ucca", "lam_dec_amr", "lam_remote"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -164,6 +159,18 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # presets
 
+# Coefficients of the UCCA and AMR recipes in the one objective,
+# ``training.multitask_loss``.  UCCA's 0.3 edge + 0.3 label + 0.2 remote
+# + 0.2 pointer is 0.6 (0.5 label + 0.5 edge) + 0.2 pointer + 0.2 remote:
+# the same sum, rounded differently.
+_UCCA_LOSS = dict(lam_biaf=0.6, lam_label=0.5, lam_remote=0.2, lam_dec_ucca=0.2)
+# AMR's 0.39 (0.395 label + 0.605 edge) + 0.339 coverage puts the
+# remainder on the generator; it is written as that expression so that
+# it rounds as the old formula did (0.27099999999999996, not 0.271).
+_AMR_LOSS = dict(lam_label=0.395, lam_biaf=0.39, lam_cov=0.339,
+                 lam_dec_amr=1.0 - 0.39 - 0.339)
+
+
 def single_config(framework):
     """Stock recipe for one framework trained on its own.
 
@@ -178,20 +185,20 @@ def single_config(framework):
             encoder_dropout=0.5, biaffine_input_dropout=0.2,
             label_dropout=0.5, lr=0.000675, lam_label=0.0242)
     if framework == "ucca":
+        # 0.3 edge + 0.3 label + 0.2 remote + 0.2 pointer, as _UCCA_LOSS
         return TrainConfig(
             frameworks=("ucca",), layers=2, pos_drop=0.1, lemma_drop=0.4,
             encoder_dropout=0.5, biaffine_input_dropout=0.2,
             edge_mlp=500, label_mlp=400, label_dropout=0.25,
             decoder_dropout=0.5, lr=0.00117, beta1=0.0, beta2=0.95,
-            batch_size=100, epochs=40)
+            batch_size=100, epochs=40, **_UCCA_LOSS)
     if framework == "amr":
-        # lam_biaf is the remainder of the generator and coverage draws
+        # 0.39 biaffine + 0.339 coverage + the remainder on the generator
         return TrainConfig(
             frameworks=("amr",), pos_drop=0.2, lemma_drop=0.2,
             encoder_dropout=0.1, biaffine_input_dropout=0.2,
             label_dropout=0.33, decoder_dropout=0.33,
-            lr=0.00059, beta1=0.0, beta2=0.95,
-            lam_label=0.395, lam_biaf=0.39, lam_cov=0.339)
+            lr=0.00059, beta1=0.0, beta2=0.95, **_AMR_LOSS)
     if framework == "eds":
         # span-anchoring network; trained by transfer, not searched
         return TrainConfig(frameworks=("eds",), lr=0.001, epochs=30,
@@ -228,51 +235,22 @@ def fine_tune_config(framework, bug_compatible=False):
             lr=lr, beta1=b1, beta2=b2, lam_label=0.025, lam_frame=0.5,
             epochs=50, batch_size=64)
     if framework == "ucca":
+        # 0.3 edge + 0.3 label + 0.2 remote + 0.2 pointer, as _UCCA_LOSS
         return TrainConfig(
             frameworks=("ucca",), word_drop=0.1, pos_drop=0.1, lemma_drop=0.4,
             encoder_dropout=0.5, biaffine_input_dropout=0.2,
             label_dropout=0.25, decoder_dropout=0.5,
             lr=0.00117, beta1=0.0, beta2=0.95,
-            epochs=40, batch_size=100)
+            epochs=40, batch_size=100, **_UCCA_LOSS)
     if framework == "amr":
+        # 0.39 biaffine + 0.339 coverage + the remainder on the generator
         return TrainConfig(
             frameworks=("amr",), word_drop=0.1, pos_drop=0.2, lemma_drop=0.2,
             encoder_dropout=0.1, biaffine_input_dropout=0.2,
             label_dropout=0.33, decoder_dropout=0.33,
             lr=0.00059, beta1=0.0, beta2=0.95,
-            lam_label=0.395, lam_biaf=0.39, lam_cov=0.339,
-            epochs=50, batch_size=64)
+            epochs=50, batch_size=64, **_AMR_LOSS)
     if framework == "eds":
         return single_config("eds")
     raise ValueError(f"no continuation recipe for framework {framework!r}")
 
-
-# ---------------------------------------------------------------------------
-# random-search driver
-
-@dataclass(frozen=True)
-class SearchSpace:
-    """Sampled dimensions of the hyperparameter search.
-
-    The learning rate is log-uniform; the SDP label coefficient and the
-    AMR generator coefficient are uniform.  Everything else was picked
-    by hand and stays at the preset values.
-    """
-    lr_log10: tuple = (-3.32, -2.92)
-    lam_label_sdp: tuple = (0.02, 0.03)
-    lam_gen_amr: tuple = (0.2, 0.4)
-    betas: tuple = ((0.9, 0.999), (0.0, 0.95))
-
-
-def sample_config(framework, rng, space=SearchSpace()):
-    """One random-search draw around the stock recipe."""
-    base = single_config(framework)
-    lr = float(10.0 ** rng.uniform(*space.lr_log10))
-    b1, b2 = space.betas[int(rng.integers(len(space.betas)))]
-    out = replace(base, lr=lr, beta1=b1, beta2=b2)
-    if framework in SDP_PAIR:
-        out = replace(out, lam_label=float(rng.uniform(*space.lam_label_sdp)))
-    elif framework == "amr":
-        gen = float(rng.uniform(*space.lam_gen_amr))
-        out = replace(out, lam_biaf=1.0 - gen - out.lam_cov)
-    return out

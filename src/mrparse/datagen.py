@@ -13,6 +13,7 @@ import numpy as np
 
 from . import graphs as G
 from . import ucca as U
+from .atomic import atomic_open
 from .eds import ConversionRuleSet, dm_to_eds_surface
 from .encoder import ROOT, StaticEmbeddings, ContextualEmbeddings
 
@@ -385,25 +386,11 @@ def write_corpus(corpus, dirpath):
         graphs = [s.graphs[fw] for s in corpus.sentences if fw in s.graphs]
         paths[fw] = os.path.join(dirpath, f"{fw}.mrp")
         G.save_mrp(graphs, paths[fw])
-    with open(paths["static"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["static"]) as fh:
         for word in sorted(corpus.static.table):
             vec = corpus.static.table[word]
             fh.write(word + " " + " ".join(f"{x:.8f}" for x in vec) + "\n")
-    np.savez(paths["contextual"], **corpus.contextual.arrays)
+    with atomic_open(paths["contextual"], "wb") as fh:
+        np.savez(fh, **corpus.contextual.arrays)
     corpus.rules.save(paths["rules"])
     return paths
-
-
-def amr_fixture(n=50, seed=11):
-    """Sentence/graph pairs exercising entities, senses and reentrancy.
-
-    Every pair has a named entity and sensed predicates; a third add a
-    date attribute, a third a reentrant argument (all indegrees <= 3).
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        template = (1, 2, 3, 5)[i % 4]
-        sent = make_sentence(rng, f"fx{i:03d}", template=template)
-        out.append((sent.tokens, sent.graphs["amr"]))
-    return out

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
+from .atomic import atomic_open
 from .encoder import BiLstm, Mlp
 
 UNK_FEATURE = "<UNK>"
@@ -89,7 +90,7 @@ class ConversionRuleSet:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
     def surface_label(self, label, frame_type, pos):

@@ -45,9 +45,8 @@ class FrameEntry:
 class FrameLexicon:
     """Frame inventory with corpus frequencies.
 
-    File format: one `lemma<TAB>pos<TAB>frame<TAB>args<TAB>freq` row per
-    entry, args hyphen-joined (may be empty, like pos).  Order in the
-    file is preserved and breaks ties deterministically.
+    Entries keep their order, which breaks ties deterministically; a
+    bundle carries them as rows of its inventories.
     """
 
     def __init__(self, entries):
@@ -57,28 +56,6 @@ class FrameLexicon:
         for e in self.entries:
             self._by_lemma.setdefault(e.lemma, []).append(e)
             self._by_lemma_pos.setdefault((e.lemma, e.pos), []).append(e)
-
-    @classmethod
-    def load(cls, path):
-        entries = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 5:
-                    raise ValueError(f"{path}:{lineno}: expected 5 columns")
-                lemma, pos, frame, args, freq = cols
-                entries.append(FrameEntry(lemma, pos, frame,
-                                          tuple(a for a in args.split("-") if a), int(freq)))
-        return cls(entries)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write("\t".join([e.lemma, e.pos, e.frame, "-".join(e.args), str(e.freq)]))
-                fh.write("\n")
 
     def by_lemma(self, lemma):
         return self._by_lemma.get(lemma, [])
@@ -170,16 +147,6 @@ def frame_loss(pred, positions, gold_frames, classifier):
         total = ad.add(total, ad.cross_entropy_logits(ad.rows(pred.arg_logits[k], positions),
                                                       np.array(arg_targets[k])))
     return total
-
-
-def sdp_joint_loss(dm_edge, dm_label, psd_edge, psd_label, dm_frame,
-                   lam_label, lam_frame):
-    """lam_label (label_dm + label_psd + lam_frame*frame_dm) + (1-lam_label)(edge_dm + edge_psd)."""
-    if not 0.0 <= lam_label <= 1.0:
-        raise ValueError(f"lam_label must lie in [0,1], got {lam_label}")
-    label_part = ad.add(ad.add(dm_label, psd_label), ad.mul(dm_frame, lam_frame))
-    edge_part = ad.add(dm_edge, psd_edge)
-    return ad.add(ad.mul(label_part, lam_label), ad.mul(edge_part, 1.0 - lam_label))
 
 
 # ---------------------------------------------------------------------------

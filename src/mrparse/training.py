@@ -2,9 +2,14 @@
 
 This module owns everything between a corpus of Sentence records and a
 servable model: validation carve-outs, inventory extraction, the
-shared-encoder multi-framework model, the single-task and multi-task
-objectives, early stopping with pruned snapshots, bundle IO, per
-framework parsing, and the greedy ensemble builder.
+shared-encoder multi-framework model, the training objective, early
+stopping with pruned snapshots, bundle IO, per framework parsing, and
+the greedy ensemble builder.
+
+There is one objective, per-regime coefficients: single-framework,
+multi-task and fine-tuning runs all build each sentence's loss with
+``multitask_loss`` over ``framework_terms``, and a regime differs only
+in the frameworks it trains and the ``lam_*`` fields of its config.
 """
 
 import json
@@ -24,6 +29,7 @@ from . import ucca as U
 from . import amr as A
 from . import eds as E
 from . import scoring
+from .atomic import atomic_open
 from .config import TrainConfig, SDP_PAIR
 from .encoder import Encoder, BiLstm, Vocabulary
 
@@ -389,16 +395,25 @@ def load_model(path, static, contextual):
     """Rebuild a saved MultiModel or EdsModel around its checkpoint."""
     state, extra = ad.ParamSet.read(path)
     kind = extra.get("kind")
-    if kind == "multi":
+    if kind not in ("multi", "eds"):
+        raise ValueError(f"{path}: not a model bundle (kind={kind!r})")
+    try:
         cfg = TrainConfig.from_json(extra["config"])
-        vocab = Vocabulary.from_json(extra["vocab"])
-        inv = Inventories.from_json(extra["inventories"])
-        model = MultiModel(cfg, vocab, inv, static, contextual)
-        model.params.load_state_dict(state)
-        return model
-    if kind == "eds":
-        return EdsModel._from_checkpoint(state, extra, static, contextual)
-    raise ValueError(f"{path}: not a model bundle (kind={kind!r})")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    vocab = Vocabulary.from_json(extra["vocab"])
+    if kind == "multi":
+        model = MultiModel(cfg, vocab, Inventories.from_json(extra["inventories"]),
+                           static, contextual)
+    else:
+        model = EdsModel(cfg, vocab, E.ConversionRuleSet.from_dict(extra["rules"]),
+                         static, contextual, extra["anchor_labels"])
+        if extra["abstract_meta"] is not None:  # the state overwrites the rng's values
+            model.abstract = E.build_abstract_models(
+                model.params, rng=np.random.default_rng(cfg.seed),
+                **extra["abstract_meta"])
+    model.params.load_state_dict(state)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -620,32 +635,10 @@ def multitask_loss(cfg, terms):
     return _sum_terms(pieces)
 
 
-def single_loss(model, cfg, prep, train=False, rng=None):
-    """Single-regime objective; None when the sentence carries nothing."""
-    terms = framework_terms(model, prep, cfg.frameworks, train=train, rng=rng)
-    if not terms:
-        return None
-    zero = ad.Tensor(0.0)
-    if "amr" in cfg.frameworks:
-        return A.amr_loss(terms["amr.edge"], terms["amr.label"],
-                          terms["amr.dec"], terms["amr.cov"],
-                          A.AmrLossWeights(biaf=cfg.lam_biaf, label=cfg.lam_label,
-                                           cov=cfg.lam_cov))
-    if "ucca" in cfg.frameworks:
-        return U.ucca_loss(terms["ucca.edge"], terms["ucca.label"],
-                           terms["ucca.remote"], terms["ucca.dec"],
-                           U.UccaLossWeights(edge=cfg.ucca_edge,
-                                             label=cfg.ucca_label,
-                                             remote=cfg.ucca_remote,
-                                             dec=cfg.ucca_dec))
-    return S.sdp_joint_loss(terms.get("dm.edge", zero), terms.get("dm.label", zero),
-                            terms.get("psd.edge", zero), terms.get("psd.label", zero),
-                            terms.get("dm.frame", zero),
-                            cfg.lam_label, cfg.lam_frame)
-
-
-def sentence_multitask_loss(model, cfg, prep, train=False, rng=None):
-    terms = framework_terms(model, prep, cfg.frameworks, train=train, rng=rng)
+def sentence_loss(model, cfg, prep, frameworks, train=False, rng=None):
+    """The joint objective over one sentence's ``frameworks``; None when
+    the sentence carries none of their gold."""
+    terms = framework_terms(model, prep, frameworks, train=train, rng=rng)
     if not terms:
         return None
     return multitask_loss(cfg, terms)
@@ -675,30 +668,18 @@ def _val_ucca_f1(model, sentences):
     return rep.framework_f1("ucca")
 
 
-def _val_loss(model, cfg, preps, loss_fn):
+def _val_loss(preps, loss_fn, what):
+    """Mean of ``loss_fn(prep)`` over the sentences it scores (it returns
+    None for the others); None when it scores none."""
     vals = []
     for prep in preps:
-        loss = loss_fn(model, cfg, prep)
+        loss = loss_fn(prep)
         if loss is not None:
             vals.append(float(loss.data))
     if not vals:
         return None
     out = float(np.mean(vals))
-    _guard_finite(out, "validation loss")
-    return out
-
-
-def _mt_framework_val(model, cfg, preps, fw):
-    """The joint objective restricted to one framework's pieces."""
-    vals = []
-    for prep in preps:
-        terms = framework_terms(model, prep, (fw,))
-        if terms:
-            vals.append(float(multitask_loss(cfg, terms).data))
-    if not vals:
-        return None
-    out = float(np.mean(vals))
-    _guard_finite(out, f"{fw} validation loss")
+    _guard_finite(out, f"{what} validation loss")
     return out
 
 
@@ -759,9 +740,14 @@ def _clip(params, max_norm, stats):
         stats["min_clip_factor"] = min(stats["min_clip_factor"], factor)
 
 
-def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train"):
+def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
+                kind="train"):
     """Shared epoch loop: shuffled minibatches, clipped Adam steps,
-    per-metric early stopping, snapshots pruned to best-or-last."""
+    per-metric early stopping, snapshots pruned to best-or-last.
+
+    ``validate(model)`` returns, once per epoch, one value (or None) for
+    each key of ``modes``, which early-stops it in its mode.
+    """
     usable = [p for p in preps if p.targets]
     if not usable:
         raise ValueError("no sentence carries usable supervision")
@@ -771,10 +757,11 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
     opt = ad.Adam(model.params.tensors(), lr=cfg.lr,
                   beta1=cfg.beta1, beta2=cfg.beta2)
     rng = np.random.default_rng(cfg.seed + 1)
-    stoppers = {key: EarlyStopper(mode) for key, mode, _ in val_specs}
+    stoppers = {key: EarlyStopper(mode) for key, mode in modes.items()}
     snapshots = {}
     on_disk = set()
     history = []
+    rows = []  # metrics.jsonl, rewritten whole each epoch
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(len(usable))
@@ -798,10 +785,9 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
             _clip(model.params.tensors(), cfg.clip, clip)
             opt.step()
             total += float(batch_loss.data)
-        vals = {}
-        for key, _, fn in val_specs:
-            vals[key] = fn(model)
-            stoppers[key].update(epoch, vals[key])
+        vals = validate(model)
+        for key, st in stoppers.items():
+            st.update(epoch, vals[key])
         snapshots[epoch] = model.params.state_dict()
         keep = {st.best_epoch for st in stoppers.values()
                 if st.best_epoch is not None} | {epoch}
@@ -822,9 +808,9 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
                 os.remove(_checkpoint_path(run_dir, e))
                 on_disk.discard(e)
             # wallclock stays out of the file so reruns are byte-identical
-            with open(os.path.join(run_dir, "metrics.jsonl"), "a",
-                      encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            rows.append(json.dumps(record, sort_keys=True) + "\n")
+            with atomic_open(os.path.join(run_dir, "metrics.jsonl")) as fh:
+                fh.writelines(rows)
     last = cfg.epochs - 1
     best_epochs = {key: (st.best_epoch if st.best_epoch is not None else last)
                    for key, st in stoppers.items()}
@@ -834,24 +820,27 @@ def _train_loop(model, cfg, preps, loss_fn, val_specs, run_dir=None, kind="train
                        snapshots=snapshots, run_dir=run_dir)
 
 
-def _single_val_specs(model, cfg, split):
-    specs = []
-    for fw in cfg.frameworks:
+def _single_validation(model, cfg, split, frameworks):
+    """Early-stopping modes and validation of a per-framework regime:
+    labeled F1 for DM, PSD and UCCA, the objective for AMR, each on its
+    tuning carve-out."""
+    modes, fns = {}, {}
+    for fw in frameworks:
         val = split.val_i.get(fw, [])
         if not val:
             continue
         if fw in ("dm", "psd") and fw in model.heads:
-            specs.append((fw, "max",
-                          lambda m, fw=fw, val=val: _val_sdp_f1(m, fw, val)))
+            modes[fw] = "max"
+            fns[fw] = lambda m, fw=fw, val=val: _val_sdp_f1(m, fw, val)
         elif fw == "ucca" and model.ucca_decoder is not None:
-            specs.append((fw, "max", lambda m, val=val: _val_ucca_f1(m, val)))
+            modes[fw] = "max"
+            fns[fw] = lambda m, val=val: _val_ucca_f1(m, val)
         elif fw == "amr" and model.amr_decoder is not None:
             preps = prepare_sentences(model, val, ("amr",))
-            specs.append((fw, "min",
-                          lambda m, preps=preps: _val_loss(
-                              m, cfg, preps,
-                              lambda mm, cc, pp: single_loss(mm, cc, pp))))
-    return specs
+            modes[fw] = "min"
+            fns[fw] = lambda m, preps=preps: _val_loss(
+                preps, lambda p: sentence_loss(m, cfg, p, ("amr",)), "amr")
+    return modes, lambda m: {fw: fn(m) for fw, fn in fns.items()}
 
 
 def train_single(split, config, static, contextual, run_dir=None):
@@ -859,9 +848,10 @@ def train_single(split, config, static, contextual, run_dir=None):
     cfg = config
     model = MultiModel.derive(cfg, split, static, contextual)
     preps = _train_preps(model, split, cfg.frameworks)
-    loss_fn = lambda m, p, rng: single_loss(m, cfg, p, train=True, rng=rng)
-    specs = _single_val_specs(model, cfg, split)
-    return _train_loop(model, cfg, preps, loss_fn, specs,
+    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, cfg.frameworks,
+                                              train=True, rng=rng)
+    return _train_loop(model, cfg, preps, loss_fn,
+                       *_single_validation(model, cfg, split, cfg.frameworks),
                        run_dir=run_dir, kind="single")
 
 
@@ -871,25 +861,23 @@ def train_multitask(split, config, static, contextual, run_dir=None):
     cfg = config
     model = MultiModel.derive(cfg, split, static, contextual)
     preps = _train_preps(model, split, cfg.frameworks)
-    loss_fn = lambda m, p, rng: sentence_multitask_loss(m, cfg, p, train=True, rng=rng)
-
+    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, cfg.frameworks,
+                                              train=True, rng=rng)
     val_preps = {fw: prepare_sentences(model, split.val_i.get(fw, []), (fw,))
                  for fw in cfg.frameworks}
-    specs = []
-    for fw in cfg.frameworks:
-        if not val_preps[fw]:
-            continue
-        specs.append((fw, "min",
-                      lambda m, fw=fw: _mt_framework_val(m, cfg, val_preps[fw], fw)))
+    scored = [fw for fw in cfg.frameworks if val_preps[fw]]
 
-    def total_val(m):
-        parts = [_mt_framework_val(m, cfg, val_preps[fw], fw)
-                 for fw in cfg.frameworks if val_preps[fw]]
-        parts = [p for p in parts if p is not None]
-        return float(np.sum(parts)) if parts else None
+    def validate(m):
+        # each framework's pieces of the objective, then their sum
+        vals = {fw: _val_loss(val_preps[fw],
+                              lambda p: sentence_loss(m, cfg, p, (fw,)), fw)
+                for fw in scored}
+        parts = [v for v in vals.values() if v is not None]
+        vals["total"] = float(np.sum(parts)) if parts else None
+        return vals
 
-    specs.append(("total", "min", total_val))
-    return _train_loop(model, cfg, preps, loss_fn, specs,
+    modes = {**{fw: "min" for fw in scored}, "total": "min"}
+    return _train_loop(model, cfg, preps, loss_fn, modes, validate,
                        run_dir=run_dir, kind="multitask")
 
 
@@ -916,10 +904,10 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
 
     target = SDP_PAIR if framework in SDP_PAIR else (framework,)
     preps = _train_preps(model, split, target)
-    loss_cfg = replace(config, frameworks=target)
-    loss_fn = lambda m, p, rng: single_loss(m, loss_cfg, p, train=True, rng=rng)
-    specs = _single_val_specs(model, loss_cfg, split)
-    return _train_loop(model, merged, preps, loss_fn, specs,
+    loss_fn = lambda m, p, rng: sentence_loss(m, merged, p, target,
+                                              train=True, rng=rng)
+    return _train_loop(model, merged, preps, loss_fn,
+                       *_single_validation(model, merged, split, target),
                        run_dir=run_dir, kind=f"fine-tune-{framework}")
 
 
@@ -983,18 +971,6 @@ class EdsModel:
                 "node_classes": a.node_labeler.classes,
                 "edge_classes": a.edge_labeler.classes},
         })
-
-    @classmethod
-    def _from_checkpoint(cls, state, extra, static, contextual):
-        cfg = TrainConfig.from_json(extra["config"])
-        model = cls(cfg, Vocabulary.from_json(extra["vocab"]),
-                    E.ConversionRuleSet.from_dict(extra["rules"]),
-                    static, contextual, extra["anchor_labels"])
-        if extra["abstract_meta"] is not None:  # the state overwrites the rng's values
-            model.abstract = E.build_abstract_models(
-                model.params, rng=np.random.default_rng(cfg.seed), **extra["abstract_meta"])
-        model.params.load_state_dict(state)
-        return model
 
 
 def _anchor_items(sent, surface):
@@ -1092,9 +1068,9 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
             if items:
                 val_preps.append(prep(s, items))
     loss_fn = lambda m, p, rng: _anchor_loss(m, p.targets["eds"])
-    specs = [("eds", "min", lambda m: _val_loss(
-        m, cfg, val_preps, lambda mm, _, p: _anchor_loss(mm, p.targets["eds"])))]
-    result = _train_loop(model, cfg, preps, loss_fn, specs,
+    validate = lambda m: {"eds": _val_loss(
+        val_preps, lambda p: _anchor_loss(m, p.targets["eds"]), "eds")}
+    result = _train_loop(model, cfg, preps, loss_fn, {"eds": "min"}, validate,
                          run_dir=run_dir, kind="eds-anchor")
     model.params.load_state_dict(result.snapshots[result.best_epochs["eds"]])
     return model, result.history

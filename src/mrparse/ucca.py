@@ -59,9 +59,6 @@ class UccaSerialization:
     tops: tuple            # slot indices
     remotes: tuple         # (parent slot, child slot)
 
-    def slot_map(self):
-        return dict(self.slot_of_node)
-
 
 def serialize_ucca(g, tokens):
     """Gold graph -> pointer problem, or None when it cannot be aligned.
@@ -340,23 +337,7 @@ def build_node_states(enc_out, pointers, decoder, extra_lstm, pe_dim=16,
 
 
 # ---------------------------------------------------------------------------
-# loss and ensembling
-
-@dataclass(frozen=True)
-class UccaLossWeights:
-    edge: float = 0.3
-    label: float = 0.3
-    remote: float = 0.2
-    dec: float = 0.2
-
-
-def ucca_loss(edge_loss, label_loss, remote_loss, dec_loss,
-              weights=UccaLossWeights()):
-    total = ad.mul(edge_loss, weights.edge)
-    total = ad.add(total, ad.mul(label_loss, weights.label))
-    total = ad.add(total, ad.mul(remote_loss, weights.remote))
-    return ad.add(total, ad.mul(dec_loss, weights.dec))
-
+# decoding and ensembling
 
 @dataclass
 class UccaPrediction:

@@ -141,3 +141,48 @@ def tree_round_trip(tree, gid, text, records=None, sense_table=None):
 def arborescence_score(scores, parents, root=0):
     """Total score of the arcs ``parents[j] -> j``, root excluded."""
     return float(sum(scores[p, j] for j, p in enumerate(parents) if j != root))
+
+
+# ---------------------------------------------------------------------------
+# the per-framework objectives that ``training.multitask_loss`` replaced;
+# each single and fine-tuning preset's lam_* fields must reproduce them
+
+def sdp_joint_loss(dm_edge, dm_label, psd_edge, psd_label, dm_frame,
+                   lam_label, lam_frame):
+    """lam_label (label_dm + label_psd + lam_frame frame_dm)
+    + (1 - lam_label)(edge_dm + edge_psd)."""
+    label_part = ad.add(ad.add(dm_label, psd_label), ad.mul(dm_frame, lam_frame))
+    edge_part = ad.add(dm_edge, psd_edge)
+    return ad.add(ad.mul(label_part, lam_label), ad.mul(edge_part, 1.0 - lam_label))
+
+
+def ucca_loss(edge, label, remote, dec):
+    """0.3 edge + 0.3 label + 0.2 remote + 0.2 pointer."""
+    total = ad.mul(edge, 0.3)
+    total = ad.add(total, ad.mul(label, 0.3))
+    total = ad.add(total, ad.mul(remote, 0.2))
+    return ad.add(total, ad.mul(dec, 0.2))
+
+
+def amr_loss(edge, label, dec, cov, biaf, label_weight, cov_weight):
+    """biaf (label_weight label + (1 - label_weight) edge) + cov_weight cov
+    + the remainder (1 - biaf - cov_weight) on the generator."""
+    inner = ad.add(ad.mul(label, label_weight), ad.mul(edge, 1.0 - label_weight))
+    total = ad.add(ad.mul(inner, biaf), ad.mul(cov, cov_weight))
+    return ad.add(total, ad.mul(dec, 1.0 - biaf - cov_weight))
+
+
+def per_framework_loss(cfg, terms):
+    """The objective a single or fine-tuning preset used to train with,
+    chosen by its frameworks."""
+    if "amr" in cfg.frameworks:
+        return amr_loss(terms["amr.edge"], terms["amr.label"], terms["amr.dec"],
+                        terms["amr.cov"], cfg.lam_biaf, cfg.lam_label, cfg.lam_cov)
+    if "ucca" in cfg.frameworks:
+        return ucca_loss(terms["ucca.edge"], terms["ucca.label"],
+                         terms["ucca.remote"], terms["ucca.dec"])
+    zero = ad.Tensor(0.0)
+    return sdp_joint_loss(*[terms.get(k, zero) for k in
+                            ("dm.edge", "dm.label", "psd.edge", "psd.label",
+                             "dm.frame")],
+                          cfg.lam_label, cfg.lam_frame)

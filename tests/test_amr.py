@@ -12,7 +12,9 @@ from mrparse import autodiff as ad
 from mrparse import encoder as enc
 from mrparse import graphs as G
 from mrparse.biaffine import PairScores
+from mrparse.config import TrainConfig, single_config
 from mrparse.encoder import LayerFinalState
+from mrparse.training import multitask_loss
 
 from conftest import arborescence_score, replication_count, tree_round_trip
 
@@ -462,27 +464,25 @@ class TestCoverage:
         assert amr.coverage_loss([]).data == pytest.approx(0.0)
 
 
+def amr_terms(edge, label, dec, cov):
+    return {"amr.edge": ad.Tensor(edge), "amr.label": ad.Tensor(label),
+            "amr.dec": ad.Tensor(dec), "amr.cov": ad.Tensor(cov)}
+
+
 class TestAmrLoss:
     def test_pure_decoder_when_other_weights_vanish(self):
-        w = amr.AmrLossWeights(biaf=0.0, label=0.5, cov=0.0)
-        val = amr.amr_loss(ad.Tensor(2.0), ad.Tensor(3.0), ad.Tensor(5.0),
-                           ad.Tensor(7.0), w)
+        cfg = TrainConfig(lam_biaf=0.0, lam_label=0.5, lam_cov=0.0, lam_dec_amr=1.0)
+        val = multitask_loss(cfg, amr_terms(2.0, 3.0, 5.0, 7.0))
         assert val.data == pytest.approx(5.0, abs=1e-12)
 
     def test_submitted_weights_hand_value(self):
-        w = amr.AmrLossWeights()
-        val = amr.amr_loss(ad.Tensor(2.0), ad.Tensor(3.0), ad.Tensor(5.0),
-                           ad.Tensor(7.0), w)
+        val = multitask_loss(single_config("amr"), amr_terms(2.0, 3.0, 5.0, 7.0))
         expect = 0.39 * (0.395 * 3.0 + 0.605 * 2.0) + 0.339 * 7.0 + 0.271 * 5.0
         assert val.data == pytest.approx(expect, abs=1e-12)
 
-    def test_overweight_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            amr.AmrLossWeights(biaf=0.7, cov=0.5)
-
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError):
-            amr.AmrLossWeights(biaf=-0.1)
+            TrainConfig(lam_biaf=-0.1)
 
     def test_edge_loss_has_no_top_row(self):
         tree = amr.dag_to_tree(reentrant_graph())

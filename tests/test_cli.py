@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+import mrparse.autodiff as ad
 import mrparse.graphs as G
 from mrparse import cli, datagen
 from mrparse.cli import run
@@ -100,6 +101,34 @@ def test_train_rejects_unknown_config_keys(ws, tmp_path):
             "--regime", "multitask", "--out", str(tmp_path / "x"),
             "--config", str(override), "--mrp", ws["dm"]]
     assert run(argv) == 1
+
+
+@pytest.mark.parametrize("where", ["config", "bundle"])
+def test_removed_config_key_is_one_line_error(ws, tmp_path, capsys, where):
+    # ucca_edge was one of the four UCCA-only loss weights
+    if where == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ucca_edge": 0.3}))
+        argv = ["train", "--companion", ws["companion"], *embed_args(ws),
+                "--regime", "single", "--framework", "ucca",
+                "--out", str(tmp_path / "x"), "--config", str(path),
+                "--scale", "0.02", "--epochs", "1", "--mrp", ws["ucca"]]
+    else:
+        state, extra = ad.ParamSet.read(ws["mtl_bundle"])
+        extra["config"]["ucca_edge"] = 0.3
+        old = ad.ParamSet()
+        for name, arr in state.items():
+            old.new_from(name, arr)
+        path = tmp_path / "old.bundle"
+        old.save(path, extra=extra)
+        argv = ["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--model", str(path), "--framework", "dm",
+                "--out", str(tmp_path / "x.mrp")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == [f"error: {path}: unknown configuration keys: ['ucca_edge']"]
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from mrparse import config as C
@@ -29,13 +28,15 @@ class TestStockRecipes:
         assert (cfg.beta1, cfg.beta2) == (0.0, 0.95)
         assert cfg.edge_mlp == 500 and cfg.label_mlp == 400
         assert cfg.batch_size == 100 and cfg.epochs == 40
-        assert (cfg.ucca_edge, cfg.ucca_label, cfg.ucca_remote, cfg.ucca_dec) \
-            == (0.3, 0.3, 0.2, 0.2)
+        # 0.6 (0.5 label + 0.5 edge) + 0.2 pointer + 0.2 remote
+        assert (cfg.lam_biaf, cfg.lam_label, cfg.lam_dec_ucca, cfg.lam_remote) \
+            == (0.6, 0.5, 0.2, 0.2)
 
     def test_amr_biaffine_weight_is_the_remainder(self):
         # generator 0.271 and coverage 0.339 leave 0.39 for the biaffine
         cfg = C.single_config("amr")
         assert cfg.lam_biaf == pytest.approx(1.0 - 0.271 - 0.339, abs=1e-9)
+        assert cfg.lam_dec_amr == 1.0 - 0.39 - 0.339  # rounded as the remainder
         assert cfg.lam_cov == pytest.approx(0.339)
         assert cfg.lam_label == pytest.approx(0.395)
         assert cfg.decoder_layers == 3 and cfg.decoder_hidden == 512
@@ -135,25 +136,3 @@ class TestSerialization:
         ec = cfg.encoder_config()
         assert ec.layers == 2 and ec.pos_drop == 0.4
         assert ec.hidden == cfg.hidden
-
-
-class TestSearch:
-    def test_draws_stay_inside_the_documented_ranges(self):
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            cfg = C.sample_config("dm", rng)
-            assert 10 ** -3.32 <= cfg.lr <= 10 ** -2.92
-            assert 0.02 <= cfg.lam_label <= 0.03
-            assert (cfg.beta1, cfg.beta2) in ((0.9, 0.999), (0.0, 0.95))
-
-    def test_amr_draw_keeps_the_budget(self):
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            cfg = C.sample_config("amr", rng)
-            gen = 1.0 - cfg.lam_biaf - cfg.lam_cov
-            assert 0.2 <= gen <= 0.4
-
-    def test_seeded_draws_repeat(self):
-        a = C.sample_config("ucca", np.random.default_rng(5))
-        b = C.sample_config("ucca", np.random.default_rng(5))
-        assert a == b

@@ -108,10 +108,11 @@ class TestFrameworkGold:
 
 class TestFixture:
     def test_fixture_signature(self):
-        pairs = D.amr_fixture(n=50, seed=11)
-        assert len(pairs) == 50
+        rng = np.random.default_rng(11)
         n_dates = n_reentrant = 0
-        for tokens, g in pairs:
+        for i in range(50):
+            template = (1, 2, 3, 5)[i % 4]
+            g = D.make_sentence(rng, f"fx{i:03d}", template=template).graphs["amr"]
             assert G.validate_graph(g) == []
             labels = [n.label for n in g.nodes]
             assert any(amr.strip_sense(l) != l for l in labels)  # sensed

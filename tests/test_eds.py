@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ class TestSurfaceConversion:
         rules.save(path)
         back = eds.ConversionRuleSet.load(path)
         assert back.to_dict() == rules.to_dict()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        rules = rules_fixture()
+        path = tmp_path / "rules.json"
+        rules.save(path)
+        before = path.read_bytes()
+        rules.edge_map = {"ARG1": object()}  # not JSON-serializable
+        with pytest.raises(TypeError):
+            rules.save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["rules.json"]
 
 
 def constant_detector(p, node_label="udef_q", edge_label="BV"):

@@ -7,6 +7,8 @@ from mrparse import autodiff as ad
 from mrparse import graphs as G
 from mrparse import sdp
 from mrparse.biaffine import PairScores
+from mrparse.config import TrainConfig
+from mrparse.training import multitask_loss
 
 
 def mk_tokens(words, lemmas=None, xpos=None):
@@ -53,12 +55,6 @@ class TestLexicon:
     def test_parse_has_exactly_two_candidates(self):
         frames = {sdp.render_frame(e.frame, e.args) for e in PARSE_LEXICON.by_lemma("parse")}
         assert frames == {"n:x", "v:e-i-p"}
-
-    def test_tsv_roundtrip(self, tmp_path):
-        path = tmp_path / "lex.tsv"
-        PARSE_LEXICON.save(path)
-        again = sdp.FrameLexicon.load(path)
-        assert again.entries == PARSE_LEXICON.entries
 
     def test_first_arg_inferred_from_type(self):
         assert PARSE_LEXICON.first_arg_for_type("v") == "e"
@@ -216,40 +212,36 @@ class TestFrameClassifier:
 
 
 class TestJointLoss:
-    def parts(self):
-        return (ad.Tensor(2.0), ad.Tensor(3.0), ad.Tensor(5.0),
-                ad.Tensor(7.0), ad.Tensor(11.0))
+    """The DM/PSD part of the one objective, ``training.multitask_loss``."""
+
+    def loss(self, lam_label, lam_frame, **bumped):
+        values = {"dm.edge": 2.0, "dm.label": 3.0, "psd.edge": 5.0,
+                  "psd.label": 7.0, "dm.frame": 11.0, **bumped}
+        cfg = TrainConfig(lam_label=lam_label, lam_frame=lam_frame)
+        terms = {k: ad.Tensor(v) for k, v in values.items()}
+        return multitask_loss(cfg, terms).item()
 
     def test_label_zero_keeps_edges_only(self):
-        dm_e, dm_l, psd_e, psd_l, fr = self.parts()
-        loss = sdp.sdp_joint_loss(dm_e, dm_l, psd_e, psd_l, fr, 0.0, 0.5)
-        assert loss.item() == pytest.approx(2.0 + 5.0)
+        assert self.loss(0.0, 0.5) == pytest.approx(2.0 + 5.0)
 
     def test_label_one_frame_zero_keeps_labels_only(self):
-        dm_e, dm_l, psd_e, psd_l, fr = self.parts()
-        loss = sdp.sdp_joint_loss(dm_e, dm_l, psd_e, psd_l, fr, 1.0, 0.0)
-        assert loss.item() == pytest.approx(3.0 + 7.0)
+        assert self.loss(1.0, 0.0) == pytest.approx(3.0 + 7.0)
 
     def test_submitted_configuration_formula(self):
-        dm_e, dm_l, psd_e, psd_l, fr = self.parts()
-        loss = sdp.sdp_joint_loss(dm_e, dm_l, psd_e, psd_l, fr, 0.0210, 0.5)
         want = 0.0210 * (3.0 + 7.0 + 0.5 * 11.0) + (1 - 0.0210) * (2.0 + 5.0)
-        assert loss.item() == pytest.approx(want, abs=1e-12)
+        assert self.loss(0.0210, 0.5) == pytest.approx(want, abs=1e-12)
 
     def test_linear_in_each_component(self):
         lam_label, lam_frame = 0.3, 0.5
-        base = sdp.sdp_joint_loss(*self.parts(), lam_label, lam_frame).item()
-        dm_e, dm_l, psd_e, psd_l, fr = self.parts()
-        bumped = sdp.sdp_joint_loss(ad.Tensor(3.0), dm_l, psd_e, psd_l, fr,
-                                    lam_label, lam_frame).item()
+        base = self.loss(lam_label, lam_frame)
+        bumped = self.loss(lam_label, lam_frame, **{"dm.edge": 3.0})
         assert bumped - base == pytest.approx(1.0 - lam_label)
-        bumped_f = sdp.sdp_joint_loss(dm_e, dm_l, psd_e, psd_l, ad.Tensor(12.0),
-                                      lam_label, lam_frame).item()
+        bumped_f = self.loss(lam_label, lam_frame, **{"dm.frame": 12.0})
         assert bumped_f - base == pytest.approx(lam_label * lam_frame)
 
     def test_invalid_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            sdp.sdp_joint_loss(*self.parts(), 1.5, 0.5)
+            TrainConfig(lam_label=1.5)
 
 
 class TestNodeLabels:

@@ -19,7 +19,9 @@ import mrparse.eds as E
 import mrparse.graphs as G
 import mrparse.training as T
 from mrparse import datagen
-from mrparse.config import multitask_config, single_config
+from mrparse.config import fine_tune_config, multitask_config, single_config
+
+from conftest import per_framework_loss
 
 FWS = ("dm", "psd", "ucca", "amr")
 
@@ -218,13 +220,77 @@ class TestMultitaskLoss:
         want = (cfg.lam_label * (t("dm.label") + t("psd.label")
                                  + cfg.lam_frame * t("dm.frame"))
                 + (1 - cfg.lam_label) * (t("dm.edge") + t("psd.edge")))
-        got = float(T.single_loss(model, cfg, prep).data)
+        got = float(T.sentence_loss(model, cfg, prep, cfg.frameworks).data)
         assert abs(got - want) < 1e-10
 
     def test_single_loss_none_without_gold(self, model, mtl, corpus):
         bare = G.replace(corpus.sentences[0], graphs={})
         prep = T.prepare_sentences(model, [bare], FWS)[0]
-        assert T.single_loss(model, mtl.config, prep) is None
+        assert T.sentence_loss(model, mtl.config, prep, FWS) is None
+
+
+# every single and fine-tuning preset, by the regime that trains with it
+PRESETS = {
+    **{f"single-{fw}": single_config(fw) for fw in FWS},
+    **{f"fine-tune-{fw}": fine_tune_config(fw) for fw in FWS},
+    "fine-tune-dm-bug": fine_tune_config("dm", bug_compatible=True),
+    "fine-tune-psd-bug": fine_tune_config("psd", bug_compatible=True),
+}
+
+
+def loss_and_grads(model, loss):
+    for p in model.params.tensors():
+        p.zero_grad()
+    loss.backward()
+    return float(loss.data), {name: p.grad for name, p in model.params._params.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_reproduces_its_per_framework_objective(name, model, corpus):
+    """The one objective under a preset's lam_* fields against the
+    formula the preset trained with before: DM, PSD and AMR to the bit,
+    UCCA (whose sum is regrouped) to rounding."""
+    cfg = PRESETS[name]
+    preps = T.prepare_sentences(model, corpus.sentences[:3], cfg.frameworks)
+    assert all(p.targets for p in preps)
+    for prep in preps:
+        got, got_grads = loss_and_grads(
+            model, T.sentence_loss(model, cfg, prep, cfg.frameworks))
+        terms = T.framework_terms(model, prep, cfg.frameworks)
+        want, want_grads = loss_and_grads(model, per_framework_loss(cfg, terms))
+        assert [g is None for g in got_grads.values()] \
+            == [g is None for g in want_grads.values()]
+        graded = [n for n, g in want_grads.items() if g is not None]
+        assert graded
+        if "ucca" not in cfg.frameworks:
+            assert got == want
+            for n in graded:
+                assert np.array_equal(got_grads[n], want_grads[n]), n
+            continue
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for n in graded:
+            diff = np.linalg.norm(got_grads[n] - want_grads[n])
+            assert diff <= 1e-10 * np.linalg.norm(want_grads[n]), n
+
+
+def test_train_single_trains_every_named_framework(split, corpus):
+    # s000 keeps its DM gold but not its UCCA gold; the old UCCA-only
+    # objective dropped DM's terms and failed on that sentence
+    train = {**split.train, "ucca": split.train["ucca"][1:]}
+    split2 = replace(split, train=train)
+    cfg = tiny(replace(single_config("ucca"), frameworks=("ucca", "dm")),
+               epochs=1, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        init = T.MultiModel.derive(cfg, split2, corpus.static,
+                                   corpus.contextual).params.state_dict()
+        res = T.train_single(split2, cfg, corpus.static, corpus.contextual)
+    after = res.model.params.state_dict()
+    for prefix in ("ucca.", "dm."):
+        assert any(name.startswith(prefix)
+                   and not np.array_equal(after[name], init[name])
+                   for name in after), prefix
+    assert set(res.best_epochs) == {"ucca", "dm"}
 
 
 def test_prepare_drops_gold_with_unseen_labels(mtl, corpus):
@@ -352,6 +418,37 @@ class TestTrainLoop:
         assert [r["epoch"] for r in rows] == [0, 1]
         assert all("seconds" not in r for r in rows)  # rerun-stable file
 
+    def test_rerun_into_run_dir_rewrites_metrics(self, split, corpus, tmp_path):
+        cfg = tiny(single_config("dm"), epochs=2, seed=9)
+        files = []
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                T.train_single(split, cfg, corpus.static, corpus.contextual,
+                               run_dir=str(tmp_path))
+            files.append((tmp_path / "metrics.jsonl").read_bytes())
+        assert files[1] == files[0]
+        assert len(files[0].splitlines()) == 2
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
+    def test_multitask_validates_once_per_epoch(self, split, corpus, monkeypatch):
+        scored = []
+        terms = T.framework_terms
+
+        def counting(model, prep, frameworks, train=False, rng=None):
+            if not train:
+                scored.append(prep.sent.id)
+            return terms(model, prep, frameworks, train=train, rng=rng)
+
+        monkeypatch.setattr(T, "framework_terms", counting)
+        cfg = tiny(multitask_config(), epochs=1, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = T.train_multitask(split, cfg, corpus.static, corpus.contextual)
+        assert len(scored) == sum(len(split.val_i[fw]) for fw in cfg.frameworks)
+        val = res.history[0]["val"]
+        assert val["total"] == float(np.sum([val[fw] for fw in cfg.frameworks]))
+
     def test_loss_decreases_on_tiny_corpus(self, split, corpus):
         cfg = tiny(single_config("dm"), epochs=3, lr=0.01, seed=5)
         with warnings.catch_warnings():
@@ -376,10 +473,10 @@ class TestTrainLoop:
         model.params._params["encoder.surface_emb"].data[:] = np.nan
         preps = T.prepare_sentences(model, corpus.sentences[:2], ("dm",))
         cfg = replace(mtl.config, epochs=1)
-        loss_fn = lambda m, p, rng: T.single_loss(
-            m, replace(cfg, frameworks=("dm", "psd")), p, train=True, rng=rng)
+        loss_fn = lambda m, p, rng: T.sentence_loss(
+            m, cfg, p, ("dm", "psd"), train=True, rng=rng)
         with pytest.raises(T.TrainingDiverged) as err:
-            T._train_loop(model, cfg, preps, loss_fn, [])
+            T._train_loop(model, cfg, preps, loss_fn, {}, lambda m: {})
         assert err.value.epoch == 0
         assert err.value.sentence_ids
 
@@ -405,7 +502,8 @@ class TestTrainLoop:
         bare = [G.replace(s, graphs={}) for s in corpus.sentences[:2]]
         preps = T.prepare_sentences(mtl.model, bare, FWS)
         with pytest.raises(ValueError, match="supervision"):
-            T._train_loop(mtl.model, mtl.config, preps, lambda *a: None, [])
+            T._train_loop(mtl.model, mtl.config, preps, lambda *a: None, {},
+                          lambda m: {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 import mrparse.autodiff as ad
 import mrparse.ucca as ucca
+from mrparse.config import TrainConfig, single_config
 from mrparse.encoder import BiLstm, LayerFinalState, EncoderOutput
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
+from mrparse.training import multitask_loss
 
 
 def toks(words):
@@ -82,7 +84,7 @@ class TestSerialize:
                  MrpEdge(0, 4, "U")]
         ser = ucca.serialize_ucca(ugraph(nodes, edges, (0,), tokens), tokens)
         assert ser.pointers == (1, 1, 0)
-        smap = ser.slot_map()
+        smap = dict(ser.slot_of_node)
         assert smap[0] < smap[1] < ser.slots.index(("tok", 0))
 
     def test_misaligned_anchor_is_discrepant(self):
@@ -106,7 +108,7 @@ class TestSerialize:
                                            input=g.input, tops=g.tops,
                                            nodes=g.nodes, edges=edges), tokens)
         assert ser is not None
-        smap = ser.slot_map()
+        smap = dict(ser.slot_of_node)
         assert ser.remotes == ((smap[2], smap[1]),)
 
     def test_pointer_out_of_range_rejected(self):
@@ -116,7 +118,7 @@ class TestSerialize:
 
 def expected_after_round_trip(g, ser):
     """Gold graph with ids renumbered to slot order, as deserialize emits."""
-    smap = ser.slot_map()
+    smap = dict(ser.slot_of_node)
     kept = sorted(smap.values())
     rank = {s: k for k, s in enumerate(kept)}
     m = {nid: rank[s] for nid, s in smap.items()}
@@ -316,28 +318,34 @@ class TestNodeStates:
         assert not np.array_equal(ns.states.data[a], ns.states.data[b])
 
 
+UCCA_PARTS = ("ucca.edge", "ucca.label", "ucca.remote", "ucca.dec")
+
+
+def ucca_objective(cfg, values):
+    """The one objective over UCCA's four terms, in UCCA_PARTS order."""
+    terms = {k: ad.Tensor(v) for k, v in zip(UCCA_PARTS, values)}
+    return float(multitask_loss(cfg, terms).data)
+
+
 class TestLoss:
     def test_pure_pointer_objective(self):
-        w = ucca.UccaLossWeights(edge=0.0, label=0.0, remote=0.0, dec=1.0)
-        total = ucca.ucca_loss(ad.Tensor(5.0), ad.Tensor(7.0), ad.Tensor(11.0),
-                               ad.Tensor(1.25), w)
-        assert float(total.data) == pytest.approx(1.25)
+        cfg = TrainConfig(lam_biaf=0.0, lam_remote=0.0, lam_dec_ucca=1.0)
+        assert ucca_objective(cfg, (5.0, 7.0, 11.0, 1.25)) == pytest.approx(1.25)
 
     def test_submitted_coefficients(self):
-        total = ucca.ucca_loss(ad.Tensor(1.0), ad.Tensor(2.0), ad.Tensor(3.0),
-                               ad.Tensor(4.0))
-        assert float(total.data) == pytest.approx(0.3 * 1 + 0.3 * 2 + 0.2 * 3 + 0.2 * 4)
+        total = ucca_objective(single_config("ucca"), (1.0, 2.0, 3.0, 4.0))
+        assert total == pytest.approx(0.3 * 1 + 0.3 * 2 + 0.2 * 3 + 0.2 * 4)
 
     def test_linearity_in_each_term(self):
         rng = np.random.default_rng(8)
         base = [float(x) for x in rng.uniform(0.5, 2.0, size=4)]
-        w = ucca.UccaLossWeights()
-        lams = [w.edge, w.label, w.remote, w.dec]
-        f0 = float(ucca.ucca_loss(*[ad.Tensor(v) for v in base], w).data)
+        cfg = single_config("ucca")
+        lams = [0.3, 0.3, 0.2, 0.2]  # edge, label, remote, pointer
+        f0 = ucca_objective(cfg, base)
         for k in range(4):
             bumped = list(base)
             bumped[k] += 0.25
-            f1 = float(ucca.ucca_loss(*[ad.Tensor(v) for v in bumped], w).data)
+            f1 = ucca_objective(cfg, bumped)
             assert f1 - f0 == pytest.approx(lams[k] * 0.25, abs=1e-12)
 
 
