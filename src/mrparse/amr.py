@@ -458,17 +458,21 @@ class AmrDecoder:
             return h
         return ad.split(h, [self.hidden] * self.n_layers, axis=1)[-1]
 
-    def _attend(self, h, keys, w_dec, w_enc, v):
-        mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), ad.matmul(keys, w_enc)))
+    def source_keys(self, token_states):
+        """Projected attention keys of the source tokens, (L, att_dim)."""
+        return ad.matmul(token_states, self.src_enc)
+
+    def _attend(self, h, keys, w_dec, v):
+        mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), keys))
         return ad.transpose(ad.matmul(mixed, v))  # (1, n_keys)
 
-    def step(self, x, h, c, token_states, history, train=False, rng=None):
+    def step(self, x, h, c, src_keys, history, train=False, rng=None):
         """Advance one node; returns (h, c, p, source attention).
 
-        ``token_states`` excludes the <ROOT> row; ``history`` is the list
-        of previous top-layer decoder states (may be empty).  With
-        stacked cells h and c hold all layers side by side; the mixture
-        reads only the top layer.
+        ``src_keys`` is :meth:`source_keys` of the token states without
+        the <ROOT> row; ``history`` is the list of previous top-layer
+        decoder states (may be empty).  With stacked cells h and c hold
+        all layers side by side; the mixture reads only the top layer.
         """
         if self.n_layers == 1:
             hs, cs = [h], [c]
@@ -487,14 +491,14 @@ class AmrDecoder:
         h2 = new_h[0] if self.n_layers == 1 else ad.concat(new_h, axis=1)
         c2 = new_c[0] if self.n_layers == 1 else ad.concat(new_c, axis=1)
         hx = new_h[-1]
-        a_src = ad.softmax(self._attend(hx, token_states, self.src_dec,
-                                        self.src_enc, self.src_v), axis=-1)
+        a_src = ad.softmax(self._attend(hx, src_keys, self.src_dec, self.src_v),
+                           axis=-1)
         vocab_p = ad.softmax(self.vocab_head(hx), axis=-1)
         gate_logits = self.switch(hx)
         if history:
             hist = ad.concat(history, axis=0)
-            a_hist = ad.softmax(self._attend(hx, hist, self.hist_dec,
-                                             self.hist_enc, self.hist_v), axis=-1)
+            a_hist = ad.softmax(self._attend(hx, ad.matmul(hist, self.hist_enc),
+                                             self.hist_dec, self.hist_v), axis=-1)
         else:
             a_hist = None
             gate_logits = ad.add(gate_logits,
@@ -560,7 +564,10 @@ def run_teacher_forced(ctx, gold, train=False, rng=None):
     ps, attns, states, history = [], [], [], []
     n = len(gold.labels)
     for i in range(n + 1):
-        h, c, p, a_src = ctx.decoder.step(x, h, c, ctx.token_states, history,
+        # keys per step: one shared product would sum src_enc's gradient
+        # in another order, and training must stay bit-identical
+        keys = ctx.decoder.source_keys(ctx.token_states)
+        h, c, p, a_src = ctx.decoder.step(x, h, c, keys, history,
                                           train=train, rng=rng)
         ps.append(p)
         attns.append(a_src)
@@ -674,6 +681,16 @@ def _decode_index(ctx, idx, labels):
     return "vocab", ctx.vocab.labels[idx - L - len(labels)], None, None, None
 
 
+def _grow(ctx, hyp, idx, logp, h, c, top, a_src):
+    """``hyp`` extended by the node at mixture index ``idx``, with the
+    input feature of its next step."""
+    kind, label, copy, src, pos = _decode_index(ctx, idx, hyp.labels)
+    return _Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
+                hyp.copy_of + (copy,), hyp.src_token + (src,),
+                hyp.states + (top,), hyp.attns + (a_src,), logp,
+                h=h, c=c, x=node_feature(ctx.encoder, label, pos))
+
+
 def default_cap(n_tokens):
     return max(8, 2 * n_tokens + 2)
 
@@ -684,11 +701,12 @@ def greedy_decode(ctx, cap=None):
     L = len(ctx.lemmas)
     if cap is None:
         cap = default_cap(L)
+    keys = ctx.decoder.source_keys(ctx.token_states)
     x, h, c = ctx.decoder.initial(ctx.finals)
     hyp = _Hyp(h=h, c=c, x=x)
     for step in range(cap + 1):
-        h, c, p, a_src = ctx.decoder.step(hyp.x, hyp.h, hyp.c,
-                                          ctx.token_states, list(hyp.states))
+        h, c, p, a_src = ctx.decoder.step(hyp.x, hyp.h, hyp.c, keys,
+                                          list(hyp.states))
         row = p.data[0]
         end_at = L + len(hyp.labels) + ctx.vocab.end_index
         order = np.argsort(-row, kind="stable")
@@ -700,11 +718,7 @@ def greedy_decode(ctx, cap=None):
             hyp = _Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
                        hyp.states, hyp.attns + (a_src,), logp, finished=True)
             return _to_generation(hyp)
-        kind, label, copy, src, pos = _decode_index(ctx, idx, hyp.labels)
-        hyp = _Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
-                   hyp.copy_of + (copy,), hyp.src_token + (src,),
-                   hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,), logp,
-                   h=h, c=c, x=node_feature(ctx.encoder, label, pos))
+        hyp = _grow(ctx, hyp, idx, logp, h, c, ctx.decoder.top(h), a_src)
     hyp.truncated = True
     return _to_generation(hyp)
 
@@ -714,7 +728,10 @@ def beam_search(ctx, width=5, cap=None):
 
     Finished hypotheses accumulate without displacing live ones, so a
     path ending early never cuts exploration short; the best finish by
-    normalized score wins at the end.
+    normalized score wins at the end.  A candidate is only its parent,
+    mixture index and log-probability: node features are built for the
+    ``width`` candidates that survive the cut, and each parent's step
+    output is shared by all of its candidates.
     """
     if width < 1:
         raise ValueError("beam width must be positive")
@@ -723,14 +740,16 @@ def beam_search(ctx, width=5, cap=None):
     L = len(ctx.lemmas)
     if cap is None:
         cap = default_cap(L)
+    keys = ctx.decoder.source_keys(ctx.token_states)
     x0, h0, c0 = ctx.decoder.initial(ctx.finals)
     beams = [_Hyp(h=h0, c=c0, x=x0)]
     done = []
     for step in range(cap + 1):
-        candidates = []
+        candidates = []  # (log prob, parent, mixture index, step output)
         for hyp in beams:
-            h, c, p, a_src = ctx.decoder.step(hyp.x, hyp.h, hyp.c,
-                                              ctx.token_states, list(hyp.states))
+            h, c, p, a_src = ctx.decoder.step(hyp.x, hyp.h, hyp.c, keys,
+                                              list(hyp.states))
+            out = (h, c, ctx.decoder.top(h), a_src)
             row = p.data[0]
             end_at = L + len(hyp.labels) + ctx.vocab.end_index
             order = np.argsort(-row, kind="stable")[: width + 1]
@@ -745,13 +764,10 @@ def beam_search(ctx, width=5, cap=None):
                                      hyp.src_token, hyp.states,
                                      hyp.attns + (a_src,), logp, finished=True))
                     continue
-                kind, label, copy, src, pos = _decode_index(ctx, idx, hyp.labels)
-                candidates.append(_Hyp(
-                    hyp.labels + (label,), hyp.kinds + (kind,),
-                    hyp.copy_of + (copy,), hyp.src_token + (src,),
-                    hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,), logp,
-                    h=h, c=c, x=node_feature(ctx.encoder, label, pos)))
-        beams = sorted(candidates, key=lambda c: -c.log_prob)[:width]
+                candidates.append((logp, hyp, idx, out))
+        survivors = sorted(candidates, key=lambda cand: -cand[0])[:width]
+        beams = [_grow(ctx, hyp, idx, logp, *out)
+                 for logp, hyp, idx, out in survivors]
         if not beams:
             break
     if not done:

@@ -3,9 +3,16 @@
 Small and deliberately boring: a ``Tensor`` wraps a numpy array and
 remembers how it was produced, ``backward`` walks the recorded graph
 once in reverse topological order, and leaves created with
-``requires_grad=True`` accumulate gradients additively.  Float64 by
-default so finite-difference checks are meaningful; call
-``set_default_dtype(np.float32)`` if you want speed over checkability.
+``requires_grad=True`` accumulate gradients additively.  Float64 so
+finite-difference checks are meaningful.
+
+Inside :func:`no_grad` the ops compute the same values but record
+nothing: every result is a plain leaf with no parents and no backward
+rule, so a forward pass that is never differentiated keeps no graph
+alive.  Parsing (``training.parse_sentence`` and
+``training.parse_ensemble``, hence ensemble selection), validation
+losses (``training._val_loss``) and EDS conversion
+(``training.EdsModel.parse``) run under it.
 
 Two fused ops carry every LSTM recurrence: :func:`lstm_sequence` runs a
 whole sequence from a zero state and returns one (T, 2H) tensor of
@@ -22,6 +29,7 @@ alone writes and reads checkpoints: deterministic, uncompressed zips of
 exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
 """
 
+import contextlib
 import json
 import zipfile
 
@@ -30,17 +38,24 @@ import numpy as np
 from .atomic import atomic_open
 
 _DEFAULT_DTYPE = np.float64
+_GRAD_ENABLED = True  # False inside no_grad()
 
 CHECKPOINT_FORMAT_VERSION = 2
 _META = "__meta__"
 ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)  # of every checkpoint member
 
 
-def set_default_dtype(dtype):
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("supported dtypes: float32, float64")
-    _DEFAULT_DTYPE = dtype
+@contextlib.contextmanager
+def no_grad():
+    """Block (or decorator) in which ops record no graph; the previous
+    state comes back on exit, an exception included."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -166,6 +181,8 @@ def _unbroadcast(g, shape):
 
 
 def _make(data, parents, rule):
+    if not _GRAD_ENABLED:
+        return Tensor(data)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, parents=tuple(parents), backward_rule=rule if req else None)
 

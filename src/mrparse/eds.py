@@ -9,7 +9,7 @@ realized as character anchors.
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,7 +6,7 @@ arguments two to five), the joint training loss, and lexicon-driven
 postprocessing that turns decoded positions into full graphs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

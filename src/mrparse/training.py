@@ -668,6 +668,7 @@ def _val_ucca_f1(model, sentences):
     return rep.framework_f1("ucca")
 
 
+@ad.no_grad()
 def _val_loss(preps, loss_fn, what):
     """Mean of ``loss_fn(prep)`` over the sentences it scores (it returns
     None for the others); None when it scores none."""
@@ -950,6 +951,7 @@ class EdsModel:
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
         return self.encoder.run(sent.tokens, ctx)
 
+    @ad.no_grad()
     def parse(self, sent, dm_graph):
         """(EDS graph, conversion diagnostics) from a DM analysis."""
         graph, diag = E.convert(dm_graph, sent.tokens, self.rules,
@@ -1120,6 +1122,7 @@ def amr_prediction(model, sent, beam=5):
     return gen, model.heads["amr"].score(states)
 
 
+@ad.no_grad()
 def parse_sentence(model, sent, framework, beam=5):
     """Decode one framework's graph for one sentence."""
     text = companion_text(sent.tokens)
@@ -1201,6 +1204,7 @@ def combine_frames(preds):
                              types=types, arg_classes=args)
 
 
+@ad.no_grad()
 def parse_ensemble(models, sent, framework, beam=5):
     """Combine several models' predictions for one sentence."""
     if len(models) == 1:

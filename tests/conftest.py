@@ -186,3 +186,129 @@ def per_framework_loss(cfg, terms):
                             ("dm.edge", "dm.label", "psd.edge", "psd.label",
                              "dm.frame")],
                           cfg.lam_label, cfg.lam_frame)
+
+
+# ---------------------------------------------------------------------------
+# the AMR decoder as it was before the inference fast path: source keys
+# projected inside every step and a node feature built for every beam
+# candidate.  The fast path must reproduce it bit for bit.
+
+def _reference_attend(h, keys, w_dec, w_enc, v):
+    mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), ad.matmul(keys, w_enc)))
+    return ad.transpose(ad.matmul(mixed, v))  # (1, n_keys)
+
+
+def reference_amr_step(dec, x, h, c, token_states, history):
+    """``amr.AmrDecoder.step`` of ``dec`` on raw token states (no dropout)."""
+    if dec.n_layers == 1:
+        hs, cs = [h], [c]
+    else:
+        hs = ad.split(h, [dec.hidden] * dec.n_layers, axis=1)
+        cs = ad.split(c, [dec.hidden] * dec.n_layers, axis=1)
+    cur = x
+    new_h, new_c = [], []
+    for l, cell in enumerate(dec.cells):
+        hl, cl = cell.step(cur, hs[l], cs[l])
+        new_h.append(hl)
+        new_c.append(cl)
+        cur = hl
+    h2 = new_h[0] if dec.n_layers == 1 else ad.concat(new_h, axis=1)
+    c2 = new_c[0] if dec.n_layers == 1 else ad.concat(new_c, axis=1)
+    hx = new_h[-1]
+    a_src = ad.softmax(_reference_attend(hx, token_states, dec.src_dec,
+                                         dec.src_enc, dec.src_v), axis=-1)
+    vocab_p = ad.softmax(dec.vocab_head(hx), axis=-1)
+    gate_logits = dec.switch(hx)
+    if history:
+        hist = ad.concat(history, axis=0)
+        a_hist = ad.softmax(_reference_attend(hx, hist, dec.hist_dec,
+                                              dec.hist_enc, dec.hist_v), axis=-1)
+    else:
+        a_hist = None
+        gate_logits = ad.add(gate_logits,
+                             ad.Tensor(np.array([[0.0, -1e30, 0.0]])))
+    gate = ad.softmax(gate_logits, axis=-1)
+    g_src, g_hist, g_voc = ad.split(gate, [1, 1, 1], axis=1)
+    parts = [ad.mul(a_src, g_src)]
+    if a_hist is not None:
+        parts.append(ad.mul(a_hist, g_hist))
+    parts.append(ad.mul(vocab_p, g_voc))
+    return h2, c2, ad.concat(parts, axis=1), a_src
+
+
+def reference_greedy_decode(ctx, cap=None):
+    """Counterpart of ``amr.greedy_decode``."""
+    L = len(ctx.lemmas)
+    if cap is None:
+        cap = amr.default_cap(L)
+    x, h, c = ctx.decoder.initial(ctx.finals)
+    hyp = amr._Hyp(h=h, c=c, x=x)
+    for step in range(cap + 1):
+        h, c, p, a_src = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
+                                            ctx.token_states, list(hyp.states))
+        row = p.data[0]
+        end_at = L + len(hyp.labels) + ctx.vocab.end_index
+        order = np.argsort(-row, kind="stable")
+        idx = int(order[0])
+        if idx == end_at and step == 0:
+            idx = int(order[1])
+        logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
+        if idx == end_at:
+            hyp = amr._Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
+                           hyp.states, hyp.attns + (a_src,), logp, finished=True)
+            return amr._to_generation(hyp)
+        kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
+        hyp = amr._Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
+                       hyp.copy_of + (copy,), hyp.src_token + (src,),
+                       hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
+                       logp, h=h, c=c,
+                       x=amr.node_feature(ctx.encoder, label, pos))
+    hyp.truncated = True
+    return amr._to_generation(hyp)
+
+
+def reference_beam_search(ctx, width=5, cap=None):
+    """Counterpart of ``amr.beam_search``."""
+    if width == 1:
+        return reference_greedy_decode(ctx, cap)
+    L = len(ctx.lemmas)
+    if cap is None:
+        cap = amr.default_cap(L)
+    x0, h0, c0 = ctx.decoder.initial(ctx.finals)
+    beams = [amr._Hyp(h=h0, c=c0, x=x0)]
+    done = []
+    for step in range(cap + 1):
+        candidates = []
+        for hyp in beams:
+            h, c, p, a_src = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
+                                                ctx.token_states, list(hyp.states))
+            row = p.data[0]
+            end_at = L + len(hyp.labels) + ctx.vocab.end_index
+            order = np.argsort(-row, kind="stable")[: width + 1]
+            for idx in order:
+                idx = int(idx)
+                logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
+                if idx == end_at:
+                    if step == 0:
+                        continue
+                    done.append(amr._Hyp(hyp.labels, hyp.kinds, hyp.copy_of,
+                                         hyp.src_token, hyp.states,
+                                         hyp.attns + (a_src,), logp,
+                                         finished=True))
+                    continue
+                kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
+                candidates.append(amr._Hyp(
+                    hyp.labels + (label,), hyp.kinds + (kind,),
+                    hyp.copy_of + (copy,), hyp.src_token + (src,),
+                    hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
+                    logp, h=h, c=c, x=amr.node_feature(ctx.encoder, label, pos)))
+        beams = sorted(candidates, key=lambda c: -c.log_prob)[:width]
+        if not beams:
+            break
+    if not done:
+        for hyp in beams:
+            hyp.truncated = True
+        done = beams
+    return amr._to_generation(max(
+        done, key=lambda h: (amr._to_generation(h).normalized_score,
+                             -len(h.labels), tuple(h.labels))))

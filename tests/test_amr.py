@@ -396,7 +396,8 @@ class TestDecoderMixture:
     def test_first_step_has_no_history_segment(self):
         ctx, _ = make_ctx(["tok"], extra_labels=("x",), seed=4)
         x, h, c = ctx.decoder.initial(ctx.finals)
-        _, _, p, a = ctx.decoder.step(x, h, c, ctx.token_states, [])
+        _, _, p, a = ctx.decoder.step(
+            x, h, c, ctx.decoder.source_keys(ctx.token_states), [])
         assert p.data.shape == (1, 1 + len(ctx.vocab))
         assert a.data.shape == (1, 1)
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-9)
@@ -404,7 +405,8 @@ class TestDecoderMixture:
     def test_attention_covers_tokens_only(self):
         ctx, _ = make_ctx(["a", "b", "c", "d"], seed=5)
         x, h, c = ctx.decoder.initial(ctx.finals)
-        _, _, _, a = ctx.decoder.step(x, h, c, ctx.token_states, [])
+        _, _, _, a = ctx.decoder.step(
+            x, h, c, ctx.decoder.source_keys(ctx.token_states), [])
         assert a.data.shape == (1, 4)
         np.testing.assert_allclose(a.data.sum(), 1.0, atol=1e-9)
 
@@ -515,7 +517,8 @@ class TestBeamSearch:
         labels, states, logp = [], [], 0.0
         L = len(ctx.lemmas)
         for step in range(cap + 1):
-            h, c, p, _ = ctx.decoder.step(x, h, c, ctx.token_states, states)
+            h, c, p, _ = ctx.decoder.step(
+                x, h, c, ctx.decoder.source_keys(ctx.token_states), states)
             row = p.data[0].copy()
             if step == 0:
                 row[L + len(labels) + ctx.vocab.end_index] = -1.0
@@ -558,8 +561,8 @@ class TestBeamSearch:
         best = [None]
 
         def recurse(x, h, c, labels, states, logp):
-            h2, c2, p, _ = ctx.decoder.step(x, h, c, ctx.token_states,
-                                            list(states))
+            h2, c2, p, _ = ctx.decoder.step(
+                x, h, c, ctx.decoder.source_keys(ctx.token_states), list(states))
             row = p.data[0]
             n = len(labels)
             if n > 0:

@@ -361,6 +361,71 @@ class TestGraph:
         assert x.grad == pytest.approx(8.0)
 
 
+
+class TestNoGrad:
+    def test_ops_on_parameters_record_nothing(self):
+        w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.tanh(ad.matmul(ad.Tensor(np.ones((1, 2))), w))
+            fused = ad.lstm_step(np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                 np.ones((1, 4)), np.ones((1, 4)),
+                                 ad.Tensor(np.zeros(4), requires_grad=True))
+        for t in (out, fused):
+            assert t.requires_grad is False
+            assert t.parents == ()
+            assert t.backward_rule is None
+        np.testing.assert_array_equal(out.data, np.tanh(np.ones((1, 3)) * 2.0))
+
+    def test_values_equal_the_recorded_ones(self):
+        rng = np.random.default_rng(0)
+        x = leaf(rng, (3, 4))
+        w = leaf(rng, (4, 5))
+
+        def f():
+            row = ad.split(ad.sigmoid(w), [1, 3], axis=0)[0]
+            return ad.softmax(ad.add(ad.matmul(x, w), row), axis=-1)
+
+        taped = f()
+        with ad.no_grad():
+            bare = f()
+        assert taped.requires_grad and not bare.requires_grad
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_nested_context_restores_the_outer_state(self):
+        x = ad.Tensor(1.0, requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.mul(x, 2.0).requires_grad
+        assert ad.mul(x, 2.0).requires_grad
+
+    def test_exception_restores_the_state(self):
+        x = ad.Tensor(1.0, requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.mul(x, 2.0).requires_grad
+
+    def test_works_as_a_decorator(self):
+        x = ad.Tensor(1.0, requires_grad=True)
+
+        @ad.no_grad()
+        def double(t):
+            return ad.mul(t, 2.0)
+
+        assert not double(x).requires_grad
+        assert ad.mul(x, 2.0).requires_grad
+
+    def test_gradcheck_passes_after_the_context(self):
+        rng = np.random.default_rng(1)
+        a = leaf(rng, (2, 3))
+        b = leaf(rng, (3, 2))
+        with ad.no_grad():
+            ad.matmul(a, b)
+        proj = rng.normal(size=(2, 2))
+        check_gradients(lambda: scalarize(ad.tanh(ad.matmul(a, b)), proj), [a, b])
+
+
 class TestOptimizer:
     def test_adam_first_step_is_scaled_sign(self):
         rng = np.random.default_rng(10)

@@ -8,7 +8,6 @@ at the artifacts.
 import json
 import os
 
-import numpy as np
 import pytest
 
 import mrparse.autodiff as ad

@@ -81,16 +81,13 @@ class TestLstmSequence:
         flipped = ad.lstm_sequence(x[::-1].copy(), wx, wh, b).data
         np.testing.assert_array_equal(back, flipped[::-1])
 
-    def test_buffers_take_input_dtype(self):
+    def test_buffers_take_input_dtype(self, monkeypatch):
         rng = np.random.default_rng(4)
-        try:
-            ad.set_default_dtype(np.float32)
-            x = ad.Tensor(rng.normal(size=(3, D)), requires_grad=True)
-            wx, wh, b = weights(rng)
-            out = ad.lstm_sequence(x, wx, wh, b)
-            ad.reduce_sum(out).backward()
-        finally:
-            ad.set_default_dtype(np.float64)
+        monkeypatch.setattr(ad, "_DEFAULT_DTYPE", np.float32)
+        x = ad.Tensor(rng.normal(size=(3, D)), requires_grad=True)
+        wx, wh, b = weights(rng)
+        out = ad.lstm_sequence(x, wx, wh, b)
+        ad.reduce_sum(out).backward()
         assert out.data.dtype == np.float32
         assert x.grad.dtype == np.float32 and wh.grad.dtype == np.float32
 

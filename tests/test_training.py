@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mrparse.amr as A
 import mrparse.autodiff as ad
 import mrparse.eds as E
 import mrparse.graphs as G
@@ -21,7 +22,7 @@ import mrparse.training as T
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
 
-from conftest import per_framework_loss
+from conftest import per_framework_loss, reference_beam_search
 
 FWS = ("dm", "psd", "ucca", "amr")
 
@@ -809,3 +810,96 @@ class TestEnsembles:
         a = G.graph_to_json(T.parse_with_spec([mtl.model], spec, sent))
         b = G.graph_to_json(T.parse_sentence(mtl.model, sent, "psd"))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# inference fast path: parsing under ad.no_grad(), beam features for the
+# survivors only and source keys once per sentence change no value
+
+HELD = slice(6, 10)
+
+
+def assert_same_generation(want, got):
+    assert got.labels == want.labels
+    assert got.kinds == want.kinds
+    assert got.copy_of == want.copy_of
+    assert got.src_token == want.src_token
+    assert got.truncated == want.truncated
+    assert got.log_prob == want.log_prob
+    assert len(got.states) == len(want.states)
+    assert len(got.attentions) == len(want.attentions)
+    for w, g in zip(want.states + want.attentions, got.states + got.attentions):
+        assert (g.data.dtype, g.data.shape) == (w.data.dtype, w.data.shape)
+        assert g.data.tobytes() == w.data.tobytes()
+
+
+def record_graph_tensors(monkeypatch):
+    """A list that collects every tensor constructed with parents."""
+    recorded = []
+    init = ad.Tensor.__init__
+
+    def spy(self, data, requires_grad=False, parents=(), backward_rule=None):
+        init(self, data, requires_grad, parents, backward_rule)
+        if self.parents:
+            recorded.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", spy)
+    return recorded
+
+
+class TestInferenceFastPath:
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_amr_decoder_matches_reference(self, model, corpus, width):
+        truncated = 0
+        for cap in (None, 2):
+            for sent in corpus.sentences[HELD]:
+                ctx = model.amr_context(sent, model.encode(sent))
+                want = reference_beam_search(ctx, width=width, cap=cap)
+                assert_same_generation(want, A.beam_search(ctx, width=width, cap=cap))
+                with ad.no_grad():
+                    got = A.beam_search(ctx, width=width, cap=cap)
+                assert_same_generation(want, got)
+                truncated += got.truncated
+        assert truncated  # the small cap cuts some decodes short
+
+    @pytest.mark.parametrize("fw", FWS)
+    def test_parse_sentence_same_with_and_without_no_grad(self, model, corpus, fw):
+        for sent in corpus.sentences[HELD]:
+            taped = T.parse_sentence.__wrapped__(model, sent, fw)
+            fast = T.parse_sentence(model, sent, fw)
+            assert G.graph_to_json(fast) == G.graph_to_json(taped)
+
+    def test_val_loss_same_with_and_without_no_grad(self, model, corpus, mtl):
+        preps = T.prepare_sentences(model, corpus.sentences[HELD], FWS)
+        loss_fn = lambda p: T.sentence_loss(model, mtl.config, p, FWS)
+        want = T._val_loss.__wrapped__(preps, loss_fn, "all")
+        assert T._val_loss(preps, loss_fn, "all") == want
+
+    def test_eds_parse_same_with_and_without_no_grad(self, eds, corpus):
+        converter, _ = eds
+        for sent in corpus.sentences[HELD]:
+            taped = type(converter).parse.__wrapped__(converter, sent,
+                                                      sent.graphs["dm"])
+            fast = converter.parse(sent, sent.graphs["dm"])
+            assert G.graph_to_json(fast[0]) == G.graph_to_json(taped[0])
+            assert fast[1] == taped[1]
+
+    def test_inference_records_no_graph(self, model, mtl, eds, corpus,
+                                        monkeypatch):
+        converter, _ = eds
+        for p in model.params.tensors() + converter.params.tensors():
+            p.zero_grad()
+        preps = T.prepare_sentences(model, corpus.sentences[HELD], FWS)
+        recorded = record_graph_tensors(monkeypatch)
+        sent = corpus.sentences[8]
+        for fw in FWS:
+            T.parse_sentence(model, sent, fw)
+        T.parse_ensemble([model, model], sent, "dm")
+        T._val_loss(preps, lambda p: T.sentence_loss(model, mtl.config, p, FWS),
+                    "all")
+        converter.parse(sent, sent.graphs["dm"])
+        assert recorded == []
+        for p in model.params.tensors() + converter.params.tensors():
+            assert p.grad is None
+        T.sentence_loss(model, mtl.config, preps[0], FWS)
+        assert recorded  # the spy sees graphs outside the fast path
