@@ -392,17 +392,17 @@ class DecoderVocab:
         return 0
 
 
-def node_feature(encoder, label, pos=None):
-    """Previous-node input through the shared feature tables: lemma slot
-    holds the label, POS only for source-copied nodes, static vector
-    from the label."""
+def node_features(encoder, labels, poses):
+    """Previous-node inputs, one (k, F) row per node, through the shared
+    feature tables: the lemma slot holds the label, POS only for
+    source-copied nodes (``None`` gives a zero row), static vector from
+    the label."""
     v = encoder.vocab
-    lemma = ad.rows(encoder.lemma_emb, [v.lemma_id(label)])
-    if pos is None:
-        pos_vec = ad.Tensor(np.zeros((1, encoder.config.pos_dim)))
-    else:
-        pos_vec = ad.rows(encoder.pos_emb, [v.pos_id(pos)])
-    static_h = encoder.static_mlp(ad.Tensor(encoder.static.matrix([label])))
+    lemma = ad.rows(encoder.lemma_emb, [v.lemma_id(lab) for lab in labels])
+    has_pos = np.array([[float(pos is not None)] for pos in poses])
+    pos_vec = ad.mul(ad.rows(encoder.pos_emb, [v.pos_id(pos) for pos in poses]),
+                     has_pos)
+    static_h = encoder.static_mlp(ad.Tensor(encoder.static.matrix(labels)))
     return ad.concat([lemma, pos_vec, static_h], axis=1)
 
 
@@ -419,7 +419,8 @@ class AmrDecoder:
 
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
-    switch; the decoder-copy segment is masked while empty.
+    switch; the decoder-copy segment is masked while empty.  A step
+    advances k hypotheses of equal length together, one row each.
     """
 
     def __init__(self, params, name, enc_hidden, feat_width, hidden, n_vocab,
@@ -462,17 +463,35 @@ class AmrDecoder:
         """Projected attention keys of the source tokens, (L, att_dim)."""
         return ad.matmul(token_states, self.src_enc)
 
+    def history_keys(self, history):
+        """Projected attention keys of one hypothesis's previous top-layer
+        states (a list of (1, H) rows) as a (1, t, att_dim) batch; None
+        while the history is empty."""
+        if not history:
+            return None
+        keys = ad.matmul(ad.concat(history, axis=0), self.hist_enc)
+        return ad.reshape(keys, (1,) + keys.shape)
+
     def _attend(self, h, keys, w_dec, v):
-        mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), keys))
-        return ad.transpose(ad.matmul(mixed, v))  # (1, n_keys)
+        """Additive attention scores (k, n) of the k rows of ``h`` over
+        ``keys``, shared (n, att) or per row (k, n, att)."""
+        k, att = h.shape[0], w_dec.shape[1]
+        query = ad.reshape(ad.matmul(h, w_dec), (k, 1, att))
+        mixed = ad.tanh(ad.add(query, keys))  # (k, n, att)
+        n = mixed.shape[1]
+        return ad.reshape(ad.matmul(ad.reshape(mixed, (k * n, att)), v), (k, n))
 
-    def step(self, x, h, c, src_keys, history, train=False, rng=None):
-        """Advance one node; returns (h, c, p, source attention).
+    def step(self, x, h, c, src_keys, hist_keys, train=False, rng=None):
+        """Advance k hypotheses of equal length s by one node; returns
+        (h, c, p, source attention) as (k, ·) rows, p being the (k,
+        L + s + V) mixture.
 
-        ``src_keys`` is :meth:`source_keys` of the token states without
-        the <ROOT> row; ``history`` is the list of previous top-layer
-        decoder states (may be empty).  With stacked cells h and c hold
-        all layers side by side; the mixture reads only the top layer.
+        ``x`` is (k, F); ``h`` and ``c`` are (k, H·layers), the layers
+        side by side; the mixture reads only the top layer.
+        ``src_keys`` is :meth:`source_keys` (L, att) of the token states
+        without the <ROOT> row, shared by all rows.  ``hist_keys`` is
+        (k, s, att), row i holding the keys of hypothesis i's previous
+        top-layer states, each ``top(h) @ hist.enc``; None while s = 0.
         """
         if self.n_layers == 1:
             hs, cs = [h], [c]
@@ -495,14 +514,13 @@ class AmrDecoder:
                            axis=-1)
         vocab_p = ad.softmax(self.vocab_head(hx), axis=-1)
         gate_logits = self.switch(hx)
-        if history:
-            hist = ad.concat(history, axis=0)
-            a_hist = ad.softmax(self._attend(hx, ad.matmul(hist, self.hist_enc),
-                                             self.hist_dec, self.hist_v), axis=-1)
-        else:
+        if hist_keys is None:
             a_hist = None
             gate_logits = ad.add(gate_logits,
                                  ad.Tensor(np.array([[0.0, -1e30, 0.0]])))
+        else:
+            a_hist = ad.softmax(self._attend(hx, hist_keys, self.hist_dec,
+                                             self.hist_v), axis=-1)
         gate = ad.softmax(gate_logits, axis=-1)
         g_src, g_hist, g_voc = ad.split(gate, [1, 1, 1], axis=1)
         parts = [ad.mul(a_src, g_src)]
@@ -564,10 +582,12 @@ def run_teacher_forced(ctx, gold, train=False, rng=None):
     ps, attns, states, history = [], [], [], []
     n = len(gold.labels)
     for i in range(n + 1):
-        # keys per step: one shared product would sum src_enc's gradient
-        # in another order, and training must stay bit-identical
+        # keys per step: one shared product (or one key row per node)
+        # would sum the gradients of src_enc and hist_enc in another
+        # order, and training must stay bit-identical
         keys = ctx.decoder.source_keys(ctx.token_states)
-        h, c, p, a_src = ctx.decoder.step(x, h, c, keys, history,
+        h, c, p, a_src = ctx.decoder.step(x, h, c, keys,
+                                          ctx.decoder.history_keys(history),
                                           train=train, rng=rng)
         ps.append(p)
         attns.append(a_src)
@@ -578,7 +598,7 @@ def run_teacher_forced(ctx, gold, train=False, rng=None):
         pos = None
         if gold.src_token[i] is not None:
             pos = ctx.xpos[gold.src_token[i]]
-        x = node_feature(ctx.encoder, gold.labels[i], pos)
+        x = node_features(ctx.encoder, [gold.labels[i]], [pos])
     return ps, attns, states
 
 
@@ -646,11 +666,19 @@ class AmrGeneration:
 
     @property
     def normalized_score(self):
-        return self.log_prob / max(1, len(self.labels) + 1)
+        return _normalized(self.log_prob, len(self.labels))
+
+
+def _normalized(log_prob, n_nodes):
+    """Log-probability per step, the closing step included."""
+    return log_prob / max(1, n_nodes + 1)
 
 
 @dataclass
 class _Hyp:
+    """A hypothesis of the beam.  Its node states and source attentions
+    are kept as (batched step output, row) pairs and sliced out only
+    for the generation finally returned."""
     labels: tuple = ()
     kinds: tuple = ()
     copy_of: tuple = ()
@@ -658,16 +686,13 @@ class _Hyp:
     states: tuple = ()
     attns: tuple = ()
     log_prob: float = 0.0
-    h: object = None
-    c: object = None
-    x: object = None
-    finished: bool = False
     truncated: bool = False
 
 
 def _to_generation(hyp):
     return AmrGeneration(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                         list(hyp.states), list(hyp.attns), hyp.log_prob,
+                         [ad.rows(t, [j]) for t, j in hyp.states],
+                         [ad.rows(t, [j]) for t, j in hyp.attns], hyp.log_prob,
                          truncated=hyp.truncated)
 
 
@@ -681,14 +706,34 @@ def _decode_index(ctx, idx, labels):
     return "vocab", ctx.vocab.labels[idx - L - len(labels)], None, None, None
 
 
-def _grow(ctx, hyp, idx, logp, h, c, top, a_src):
-    """``hyp`` extended by the node at mixture index ``idx``, with the
-    input feature of its next step."""
-    kind, label, copy, src, pos = _decode_index(ctx, idx, hyp.labels)
+def _grow(ctx, hyp, idx, logp, top, a_src, row):
+    """``hyp`` extended by the node at mixture index ``idx``, its state
+    and attention being row ``row`` of the step outputs."""
+    kind, label, copy, src, _ = _decode_index(ctx, idx, hyp.labels)
     return _Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
                 hyp.copy_of + (copy,), hyp.src_token + (src,),
-                hyp.states + (top,), hyp.attns + (a_src,), logp,
-                h=h, c=c, x=node_feature(ctx.encoder, label, pos))
+                hyp.states + ((top, row),), hyp.attns + ((a_src, row),), logp)
+
+
+def _close(hyp, logp, a_src, row):
+    """``hyp`` finished by the END step; node states exclude that step."""
+    return _Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
+                hyp.states, hyp.attns + ((a_src, row),), logp)
+
+
+def _next_inputs(ctx, hyps, parents, h, c, top, hist_keys):
+    """Batched decoder inputs for ``hyps``, hypothesis i grown from row
+    ``parents[i]`` of the last step: its parent's (h, c), the feature of
+    its new node, and its parent's history keys plus the key of the new
+    node, ``top(h) @ hist.enc`` for all rows in one product."""
+    poses = [None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]]
+             for hyp in hyps]
+    x = node_features(ctx.encoder, [hyp.labels[-1] for hyp in hyps], poses)
+    new_keys = ad.matmul(ad.rows(top, parents), ctx.decoder.hist_enc)
+    new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
+    if hist_keys is not None:
+        new_keys = ad.concat([ad.rows(hist_keys, parents), new_keys], axis=1)
+    return x, ad.rows(h, parents), ad.rows(c, parents), new_keys
 
 
 def default_cap(n_tokens):
@@ -697,16 +742,18 @@ def default_cap(n_tokens):
 
 def greedy_decode(ctx, cap=None):
     """Argmax rollout; the single-slot beam is exactly this, so it is
-    implemented directly rather than left to emerge from pruning."""
+    implemented directly rather than left to emerge from pruning.  It
+    steps one row (k = 1) through the same batched decoder step."""
     L = len(ctx.lemmas)
     if cap is None:
         cap = default_cap(L)
-    keys = ctx.decoder.source_keys(ctx.token_states)
-    x, h, c = ctx.decoder.initial(ctx.finals)
-    hyp = _Hyp(h=h, c=c, x=x)
+    dec = ctx.decoder
+    keys = dec.source_keys(ctx.token_states)
+    x, h, c = dec.initial(ctx.finals)
+    hist_keys = None
+    hyp = _Hyp()
     for step in range(cap + 1):
-        h, c, p, a_src = ctx.decoder.step(hyp.x, hyp.h, hyp.c, keys,
-                                          list(hyp.states))
+        h, c, p, a_src = dec.step(x, h, c, keys, hist_keys)
         row = p.data[0]
         end_at = L + len(hyp.labels) + ctx.vocab.end_index
         order = np.argsort(-row, kind="stable")
@@ -715,10 +762,10 @@ def greedy_decode(ctx, cap=None):
             idx = int(order[1])  # empty graphs are not a thing
         logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
         if idx == end_at:
-            hyp = _Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                       hyp.states, hyp.attns + (a_src,), logp, finished=True)
-            return _to_generation(hyp)
-        hyp = _grow(ctx, hyp, idx, logp, h, c, ctx.decoder.top(h), a_src)
+            return _to_generation(_close(hyp, logp, a_src, 0))
+        top = dec.top(h)
+        hyp = _grow(ctx, hyp, idx, logp, top, a_src, 0)
+        x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, top, hist_keys)
     hyp.truncated = True
     return _to_generation(hyp)
 
@@ -728,10 +775,18 @@ def beam_search(ctx, width=5, cap=None):
 
     Finished hypotheses accumulate without displacing live ones, so a
     path ending early never cuts exploration short; the best finish by
-    normalized score wins at the end.  A candidate is only its parent,
-    mixture index and log-probability: node features are built for the
-    ``width`` candidates that survive the cut, and each parent's step
-    output is shared by all of its candidates.
+    normalized score wins at the end.  Every live hypothesis at step s
+    holds s nodes, so the whole beam advances in one (k, ·) call of
+    :meth:`AmrDecoder.step`.  A candidate is only its parent row,
+    mixture index and log-probability; node features and history keys
+    are built in one batch for the ``width`` candidates that survive the
+    cut, each hypothesis carrying its own history-key rows.
+
+    Candidates are enumerated and ranked as by one step per hypothesis:
+    beams in order, a stable argsort per row, a stable sort on the
+    log-probability.  The batched products round differently from
+    single rows, so log-probabilities, states and attentions agree with
+    a per-hypothesis decode to about 1e-10, not bit for bit.
     """
     if width < 1:
         raise ValueError("beam width must be positive")
@@ -740,42 +795,43 @@ def beam_search(ctx, width=5, cap=None):
     L = len(ctx.lemmas)
     if cap is None:
         cap = default_cap(L)
-    keys = ctx.decoder.source_keys(ctx.token_states)
-    x0, h0, c0 = ctx.decoder.initial(ctx.finals)
-    beams = [_Hyp(h=h0, c=c0, x=x0)]
+    dec = ctx.decoder
+    keys = dec.source_keys(ctx.token_states)
+    x, h, c = dec.initial(ctx.finals)
+    hist_keys = None
+    beams = [_Hyp()]
     done = []
     for step in range(cap + 1):
-        candidates = []  # (log prob, parent, mixture index, step output)
-        for hyp in beams:
-            h, c, p, a_src = ctx.decoder.step(hyp.x, hyp.h, hyp.c, keys,
-                                              list(hyp.states))
-            out = (h, c, ctx.decoder.top(h), a_src)
-            row = p.data[0]
-            end_at = L + len(hyp.labels) + ctx.vocab.end_index
-            order = np.argsort(-row, kind="stable")[: width + 1]
-            for idx in order:
+        h, c, p, a_src = dec.step(x, h, c, keys, hist_keys)
+        top = dec.top(h)
+        end_at = L + step + ctx.vocab.end_index
+        orders = np.argsort(-p.data, axis=1, kind="stable")[:, : width + 1]
+        candidates = []  # (log prob, parent row, mixture index)
+        for j, hyp in enumerate(beams):
+            row = p.data[j]
+            for idx in orders[j]:
                 idx = int(idx)
                 logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
                 if idx == end_at:
                     if step == 0:
                         continue  # empty graphs are not a thing
-                    # node states exclude the closing step
-                    done.append(_Hyp(hyp.labels, hyp.kinds, hyp.copy_of,
-                                     hyp.src_token, hyp.states,
-                                     hyp.attns + (a_src,), logp, finished=True))
+                    done.append(_close(hyp, logp, a_src, j))
                     continue
-                candidates.append((logp, hyp, idx, out))
+                candidates.append((logp, j, idx))
         survivors = sorted(candidates, key=lambda cand: -cand[0])[:width]
-        beams = [_grow(ctx, hyp, idx, logp, *out)
-                 for logp, hyp, idx, out in survivors]
+        parents = [j for _, j, _ in survivors]
+        beams = [_grow(ctx, beams[j], idx, logp, top, a_src, j)
+                 for logp, j, idx in survivors]
         if not beams:
             break
+        x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, top,
+                                          hist_keys)
     if not done:
         for hyp in beams:
             hyp.truncated = True
         done = beams
     return _to_generation(max(
-        done, key=lambda h: (_to_generation(h).normalized_score,
+        done, key=lambda h: (_normalized(h.log_prob, len(h.labels)),
                              -len(h.labels), tuple(h.labels))))
 
 

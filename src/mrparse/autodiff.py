@@ -16,7 +16,8 @@ losses (``training._val_loss``) and EDS conversion
 
 Two fused ops carry every LSTM recurrence: :func:`lstm_sequence` runs a
 whole sequence from a zero state and returns one (T, 2H) tensor of
-``[h_t | c_t]`` rows, and :func:`lstm_step` advances one (1, 2H) step.
+``[h_t | c_t]`` rows, and :func:`lstm_step` advances k independent
+rows one step, returning (k, 2H).
 Both share one cell implementation; their forward is bit-identical to
 composing the elementary ops per step, their hand-written backward
 (backpropagation through time for the sequence) agrees with the
@@ -494,10 +495,9 @@ def _lstm_cell(xw, h, c, wh, b):
     """
     hsz = h.shape[1]
     z = xw + h @ wh + b
-    i = _sigmoid(z[:, :hsz])
-    f = _sigmoid(z[:, hsz:2 * hsz])
+    s = _sigmoid(z)  # one call over all four gates; g's slice goes unused
+    i, f, o = s[:, :hsz], s[:, hsz:2 * hsz], s[:, 3 * hsz:]
     g = np.tanh(z[:, 2 * hsz:3 * hsz])
-    o = _sigmoid(z[:, 3 * hsz:])
     c2 = f * c + i * g
     tc = np.tanh(c2)
     return o * tc, c2, (i, f, g, o, tc)
@@ -515,8 +515,9 @@ def _lstm_cell_grad(dh, dc, c, saved):
 
 
 def lstm_step(x, h, c, wx, wh, b):
-    """One LSTM step from state ``(h, c)``, each (1, H), on input row
-    ``x`` (1, D); returns the (1, 2H) row ``[h' | c']``."""
+    """One LSTM step from states ``(h, c)``, each (k, H), on input rows
+    ``x`` (k, D); returns the (k, 2H) rows ``[h' | c']``.  The k rows
+    are independent recurrences advanced together (a decoder's beam)."""
     x, h, c, wx, wh, b = (as_tensor(t) for t in (x, h, c, wx, wh, b))
     hsz = wh.data.shape[0]
     h2, c2, saved = _lstm_cell(x.data @ wx.data, h.data, c.data, wh.data, b.data)

@@ -87,8 +87,12 @@ def build_parser():
     p = sub.add_parser("parse", help="decode graphs")
     _add_corpus_args(p, graphs_required=False)
     _add_embedding_args(p)
-    p.add_argument("--model", action="append", required=True, default=[],
-                   help="bundle; repeat to combine several")
+    members = p.add_mutually_exclusive_group(required=True)
+    members.add_argument("--model", action="append", default=[],
+                         help="bundle; repeat to combine several")
+    members.add_argument("--spec",
+                         help="member spec JSON written by `mrparse ensemble`; "
+                              "parses with the members it chose")
     p.add_argument("--framework", required=True,
                    choices=["dm", "psd", "eds", "ucca", "amr"])
     p.add_argument("--dm-model", dest="dm_model", action="append", default=[],
@@ -297,12 +301,36 @@ def _eds_dm_source(args, sentences, static, contextual):
     raise UsageError("parse --framework eds needs --dm-model or --dm-mrp")
 
 
+def _load_spec(args, static, contextual):
+    """The spec of ``--spec`` and its model list, members loaded (the
+    other slots None)."""
+    try:
+        with open(args.spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spec = T.EnsembleSpec.from_json(doc)
+        paths = list(doc["models"])
+        if not spec.members or not all(0 <= i < len(paths) for i in spec.members):
+            raise ValueError
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(f"{args.spec}: not a member spec written by "
+                         f"`mrparse ensemble`") from None
+    if spec.framework != args.framework:
+        raise ValueError(f"{args.spec}: spec is for {spec.framework}, "
+                         f"not {args.framework}")
+    return spec, [T.load_model(p, static, contextual) if i in spec.members
+                  else None for i, p in enumerate(paths)]
+
+
 def cmd_parse(args):
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
     models = [T.load_model(p, static, contextual) for p in args.model]
 
-    if args.framework == "eds":
+    if args.spec:
+        spec, listed = _load_spec(args, static, contextual)
+        graphs = [T.parse_with_spec(listed, spec, s, beam=args.beam)
+                  for s in sentences]
+    elif args.framework == "eds":
         converter = models[0]
         if not isinstance(converter, T.EdsModel):
             raise ValueError(f"{args.model[0]} is not a conversion bundle")

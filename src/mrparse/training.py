@@ -747,7 +747,8 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
     per-metric early stopping, snapshots pruned to best-or-last.
 
     ``validate(model)`` returns, once per epoch, one value (or None) for
-    each key of ``modes``, which early-stops it in its mode.
+    each key of ``modes``, which early-stops it in its mode.  The model
+    comes back without gradients.
     """
     usable = [p for p in preps if p.targets]
     if not usable:
@@ -812,6 +813,7 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
             rows.append(json.dumps(record, sort_keys=True) + "\n")
             with atomic_open(os.path.join(run_dir, "metrics.jsonl")) as fh:
                 fh.writelines(rows)
+    opt.zero_grad()  # the last minibatch's gradients would outlive training
     last = cfg.epochs - 1
     best_epochs = {key: (st.best_epoch if st.best_epoch is not None else last)
                    for key, st in stoppers.items()}

@@ -6,6 +6,8 @@ relative error of 1e-4 (denominator floored at 1) before downstream
 modules get to use it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -189,9 +191,45 @@ def per_framework_loss(cfg, terms):
 
 
 # ---------------------------------------------------------------------------
-# the AMR decoder as it was before the inference fast path: source keys
-# projected inside every step and a node feature built for every beam
-# candidate.  The fast path must reproduce it bit for bit.
+# the AMR decoder as it was before the inference fast path and the
+# batched beam: one row per step, source and history keys projected
+# inside every step, and a node feature built for every beam candidate.
+# Teacher forcing must reproduce it bit for bit; the batched beam gives
+# the same discrete decodes, and its floats agree to 1e-10.
+
+@dataclass
+class RefHyp:
+    labels: tuple = ()
+    kinds: tuple = ()
+    copy_of: tuple = ()
+    src_token: tuple = ()
+    states: tuple = ()
+    attns: tuple = ()
+    log_prob: float = 0.0
+    h: object = None
+    c: object = None
+    x: object = None
+    truncated: bool = False
+
+
+def _ref_generation(hyp):
+    return amr.AmrGeneration(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
+                             list(hyp.states), list(hyp.attns), hyp.log_prob,
+                             truncated=hyp.truncated)
+
+
+def reference_node_feature(encoder, label, pos=None):
+    """One node's (1, F) input row, as ``amr.node_features`` builds it
+    row by row."""
+    v = encoder.vocab
+    lemma = ad.rows(encoder.lemma_emb, [v.lemma_id(label)])
+    if pos is None:
+        pos_vec = ad.Tensor(np.zeros((1, encoder.config.pos_dim)))
+    else:
+        pos_vec = ad.rows(encoder.pos_emb, [v.pos_id(pos)])
+    static_h = encoder.static_mlp(ad.Tensor(encoder.static.matrix([label])))
+    return ad.concat([lemma, pos_vec, static_h], axis=1)
+
 
 def _reference_attend(h, keys, w_dec, w_enc, v):
     mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), ad.matmul(keys, w_enc)))
@@ -236,13 +274,33 @@ def reference_amr_step(dec, x, h, c, token_states, history):
     return h2, c2, ad.concat(parts, axis=1), a_src
 
 
+def reference_teacher_forced(ctx, gold):
+    """Counterpart of ``amr.run_teacher_forced`` (no dropout)."""
+    x, h, c = ctx.decoder.initial(ctx.finals)
+    ps, attns, states = [], [], []
+    n = len(gold.labels)
+    for i in range(n + 1):
+        h, c, p, a_src = reference_amr_step(ctx.decoder, x, h, c,
+                                            ctx.token_states, states)
+        ps.append(p)
+        attns.append(a_src)
+        if i == n:
+            break
+        states.append(ctx.decoder.top(h))
+        pos = None
+        if gold.src_token[i] is not None:
+            pos = ctx.xpos[gold.src_token[i]]
+        x = reference_node_feature(ctx.encoder, gold.labels[i], pos)
+    return ps, attns, states
+
+
 def reference_greedy_decode(ctx, cap=None):
     """Counterpart of ``amr.greedy_decode``."""
     L = len(ctx.lemmas)
     if cap is None:
         cap = amr.default_cap(L)
     x, h, c = ctx.decoder.initial(ctx.finals)
-    hyp = amr._Hyp(h=h, c=c, x=x)
+    hyp = RefHyp(h=h, c=c, x=x)
     for step in range(cap + 1):
         h, c, p, a_src = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
                                             ctx.token_states, list(hyp.states))
@@ -254,17 +312,17 @@ def reference_greedy_decode(ctx, cap=None):
             idx = int(order[1])
         logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
         if idx == end_at:
-            hyp = amr._Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                           hyp.states, hyp.attns + (a_src,), logp, finished=True)
-            return amr._to_generation(hyp)
+            hyp = RefHyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
+                         hyp.states, hyp.attns + (a_src,), logp)
+            return _ref_generation(hyp)
         kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
-        hyp = amr._Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
-                       hyp.copy_of + (copy,), hyp.src_token + (src,),
-                       hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
-                       logp, h=h, c=c,
-                       x=amr.node_feature(ctx.encoder, label, pos))
+        hyp = RefHyp(hyp.labels + (label,), hyp.kinds + (kind,),
+                     hyp.copy_of + (copy,), hyp.src_token + (src,),
+                     hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
+                     logp, h=h, c=c,
+                     x=reference_node_feature(ctx.encoder, label, pos))
     hyp.truncated = True
-    return amr._to_generation(hyp)
+    return _ref_generation(hyp)
 
 
 def reference_beam_search(ctx, width=5, cap=None):
@@ -275,7 +333,7 @@ def reference_beam_search(ctx, width=5, cap=None):
     if cap is None:
         cap = amr.default_cap(L)
     x0, h0, c0 = ctx.decoder.initial(ctx.finals)
-    beams = [amr._Hyp(h=h0, c=c0, x=x0)]
+    beams = [RefHyp(h=h0, c=c0, x=x0)]
     done = []
     for step in range(cap + 1):
         candidates = []
@@ -291,17 +349,17 @@ def reference_beam_search(ctx, width=5, cap=None):
                 if idx == end_at:
                     if step == 0:
                         continue
-                    done.append(amr._Hyp(hyp.labels, hyp.kinds, hyp.copy_of,
-                                         hyp.src_token, hyp.states,
-                                         hyp.attns + (a_src,), logp,
-                                         finished=True))
+                    done.append(RefHyp(hyp.labels, hyp.kinds, hyp.copy_of,
+                                       hyp.src_token, hyp.states,
+                                       hyp.attns + (a_src,), logp))
                     continue
                 kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
-                candidates.append(amr._Hyp(
+                candidates.append(RefHyp(
                     hyp.labels + (label,), hyp.kinds + (kind,),
                     hyp.copy_of + (copy,), hyp.src_token + (src,),
                     hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
-                    logp, h=h, c=c, x=amr.node_feature(ctx.encoder, label, pos)))
+                    logp, h=h, c=c,
+                    x=reference_node_feature(ctx.encoder, label, pos)))
         beams = sorted(candidates, key=lambda c: -c.log_prob)[:width]
         if not beams:
             break
@@ -309,6 +367,6 @@ def reference_beam_search(ctx, width=5, cap=None):
         for hyp in beams:
             hyp.truncated = True
         done = beams
-    return amr._to_generation(max(
-        done, key=lambda h: (amr._to_generation(h).normalized_score,
+    return _ref_generation(max(
+        done, key=lambda h: (_ref_generation(h).normalized_score,
                              -len(h.labels), tuple(h.labels))))

@@ -16,7 +16,9 @@ from mrparse.config import TrainConfig, single_config
 from mrparse.encoder import LayerFinalState
 from mrparse.training import multitask_loss
 
-from conftest import arborescence_score, replication_count, tree_round_trip
+from conftest import (arborescence_score, check_gradients,
+                      reference_teacher_forced, replication_count, scalarize,
+                      tree_round_trip)
 
 
 def mk_tokens(words, lemmas=None, ne=None):
@@ -397,7 +399,7 @@ class TestDecoderMixture:
         ctx, _ = make_ctx(["tok"], extra_labels=("x",), seed=4)
         x, h, c = ctx.decoder.initial(ctx.finals)
         _, _, p, a = ctx.decoder.step(
-            x, h, c, ctx.decoder.source_keys(ctx.token_states), [])
+            x, h, c, ctx.decoder.source_keys(ctx.token_states), None)
         assert p.data.shape == (1, 1 + len(ctx.vocab))
         assert a.data.shape == (1, 1)
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-9)
@@ -406,7 +408,7 @@ class TestDecoderMixture:
         ctx, _ = make_ctx(["a", "b", "c", "d"], seed=5)
         x, h, c = ctx.decoder.initial(ctx.finals)
         _, _, _, a = ctx.decoder.step(
-            x, h, c, ctx.decoder.source_keys(ctx.token_states), [])
+            x, h, c, ctx.decoder.source_keys(ctx.token_states), None)
         assert a.data.shape == (1, 4)
         np.testing.assert_allclose(a.data.sum(), 1.0, atol=1e-9)
 
@@ -442,6 +444,93 @@ class TestDecoderMixture:
         assert gen.labels == gold.labels
         assert gen.copy_of == gold.copy_of
         assert gen.kinds[1] == "src" and gen.kinds[3] == "dec"
+
+
+class TestBatchedStep:
+    """``AmrDecoder.step`` on k rows at once: (k, F) inputs, (k,
+    H·layers) states, shared source keys and per-row history keys."""
+
+    def batch(self, ctx, k, s, seed):
+        rng = np.random.default_rng(seed)
+        dec = ctx.decoder
+        w = dec.hidden * dec.n_layers
+        x = ad.Tensor(rng.normal(size=(k, dec.feat_width)), requires_grad=True)
+        h = ad.Tensor(rng.normal(size=(k, w)), requires_grad=True)
+        c = ad.Tensor(rng.normal(size=(k, w)), requires_grad=True)
+        hist = None
+        if s:
+            hist = ad.Tensor(rng.normal(size=(k, s, dec.hist_enc.shape[1])),
+                             requires_grad=True)
+        return x, h, c, hist
+
+    @pytest.mark.parametrize("s", [0, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradcheck(self, k, s):
+        ctx, params = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=40,
+                               dec_hidden=3, dec_layers=2, grad=True)
+        dec = ctx.decoder
+        x, h, c, hist = self.batch(ctx, k, s, seed=41)
+        rng = np.random.default_rng(42)
+        state, width = dec.hidden * dec.n_layers, 3 + s + len(ctx.vocab)
+        proj = [rng.normal(size=shape) for shape in
+                ((k, state), (k, state), (k, width), (k, 3))]
+
+        def build():
+            outs = dec.step(x, h, c, dec.source_keys(ctx.token_states), hist)
+            total = ad.Tensor(0.0)
+            for out, w in zip(outs, proj):
+                total = ad.add(total, scalarize(out, w))
+            return total
+
+        decoder_params = [params[name] for name in params.state_dict()
+                          if name.startswith("amr.")
+                          and not name.startswith("amr.init")]
+        leaves = [x, h, c, ctx.token_states] + decoder_params
+        if hist is not None:
+            leaves.append(hist)
+        check_gradients(build, leaves)
+        if hist is None:
+            assert dec.hist_enc.grad is None
+
+    def test_rows_match_single_row_steps(self):
+        ctx, _ = make_ctx(["a", "b", "c", "d"], extra_labels=("dog", "cat"),
+                          seed=43, dec_hidden=4, dec_layers=2)
+        dec = ctx.decoder
+        keys = dec.source_keys(ctx.token_states)
+        x, h, c, hist = self.batch(ctx, 3, 2, seed=44)
+        batched = dec.step(x, h, c, keys, hist)
+        for j in range(3):
+            one = dec.step(ad.rows(x, [j]), ad.rows(h, [j]), ad.rows(c, [j]),
+                           keys, ad.rows(hist, [j]))
+            for b, o in zip(batched, one):
+                np.testing.assert_allclose(b.data[j:j + 1], o.data,
+                                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_teacher_forcing_bitwise_equals_reference(self, layers):
+        """Mixture rows, and the gradient of every parameter, as a
+        teacher-forced loop over single-row reference steps."""
+        ctx, params = make_ctx(["boy", "wants"], extra_labels=("want", "believe"),
+                               seed=45, dec_hidden=4, dec_layers=layers,
+                               grad=True)
+        gold = amr.gold_sequence(amr.dag_to_tree(reentrant_graph()), ctx)
+        assert any(t is not None for t in gold.src_token)
+        assert any(t is not None for t in gold.copy_of)
+        leaves = params.tensors() + [ctx.token_states]
+        runs = []
+        for run in (amr.run_teacher_forced, reference_teacher_forced):
+            for t in leaves:
+                t.zero_grad()
+            ps, attns, _ = run(ctx, gold)
+            ad.add(amr.decoder_loss(ps, gold.targets),
+                   amr.coverage_loss(attns)).backward()
+            grads = [np.zeros_like(t.data) if t.grad is None else t.grad
+                     for t in leaves]
+            runs.append(([p.data for p in ps], grads))
+        (got_ps, got_grads), (want_ps, want_grads) = runs
+        assert [p.tobytes() for p in got_ps] == [p.tobytes() for p in want_ps]
+        for g, w in zip(got_grads, want_grads):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestCoverage:
@@ -518,7 +607,8 @@ class TestBeamSearch:
         L = len(ctx.lemmas)
         for step in range(cap + 1):
             h, c, p, _ = ctx.decoder.step(
-                x, h, c, ctx.decoder.source_keys(ctx.token_states), states)
+                x, h, c, ctx.decoder.source_keys(ctx.token_states),
+                ctx.decoder.history_keys(states))
             row = p.data[0].copy()
             if step == 0:
                 row[L + len(labels) + ctx.vocab.end_index] = -1.0
@@ -534,7 +624,7 @@ class TestBeamSearch:
                 lab, pos = ctx.vocab.labels[idx - L - len(labels)], None
             labels.append(lab)
             states.append(h)
-            x = amr.node_feature(ctx.encoder, lab, pos if idx < L else None)
+            x = amr.node_features(ctx.encoder, [lab], [pos if idx < L else None])
         return tuple(labels), logp, False
 
     def test_width_one_matches_greedy(self):
@@ -562,7 +652,8 @@ class TestBeamSearch:
 
         def recurse(x, h, c, labels, states, logp):
             h2, c2, p, _ = ctx.decoder.step(
-                x, h, c, ctx.decoder.source_keys(ctx.token_states), list(states))
+                x, h, c, ctx.decoder.source_keys(ctx.token_states),
+                ctx.decoder.history_keys(list(states)))
             row = p.data[0]
             n = len(labels)
             if n > 0:
@@ -581,8 +672,8 @@ class TestBeamSearch:
                     lab, pos = labels[idx - L], None
                 else:
                     lab, pos = ctx.vocab.labels[idx - L - n], None
-                recurse(amr.node_feature(ctx.encoder, lab,
-                                         pos if idx < L else None),
+                recurse(amr.node_features(ctx.encoder, [lab],
+                                          [pos if idx < L else None]),
                         h2, c2, labels + (lab,), states + (h2,),
                         logp + float(np.log(row[idx])))
 

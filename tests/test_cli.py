@@ -344,6 +344,64 @@ def test_ensemble_selection(ws, tmp_path):
     assert len(doc["models"]) == 2
 
 
+@pytest.mark.parametrize("fw, gold, bundle", [("psd", "psd", "model-psd.bundle"),
+                                              ("amr", "amr", "model-amr.bundle")])
+def test_parse_with_ensemble_spec(ws, tmp_path, fw, gold, bundle):
+    """`parse --spec` gives the graphs of `parse` with the chosen members."""
+    spec = str(tmp_path / "spec.json")
+    models = [os.path.join(ws["mtl"], bundle), os.path.join(ws["mtl"], "model-total.bundle")]
+    assert run(["ensemble", "--companion", ws["companion"], *embed_args(ws),
+                "--gold", ws[gold], "--framework", fw,
+                *[a for m in models for a in ("--model", m)],
+                "--out", spec]) == 0
+    doc = json.loads(open(spec).read())
+    chosen = [doc["models"][i] for i in doc["members"]]
+    common = ["parse", "--companion", ws["companion"], *embed_args(ws),
+              "--framework", fw, "--beam", "2"]
+    by_spec, by_model = str(tmp_path / "spec.mrp"), str(tmp_path / "model.mrp")
+    assert run(common + ["--spec", spec, "--out", by_spec]) == 0
+    assert run(common + [a for m in chosen for a in ("--model", m)]
+               + ["--out", by_model]) == 0
+    assert open(by_spec, "rb").read() == open(by_model, "rb").read()
+
+
+def test_parse_spec_of_another_framework_is_one_line_error(ws, tmp_path, capsys):
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w") as fh:
+        json.dump({"framework": "psd", "members": [0], "rule": "average",
+                   "models": [os.path.join(ws["mtl"], "model-psd.bundle")]}, fh)
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--spec", spec, "--framework", "dm",
+                "--out", str(tmp_path / "x.mrp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "spec is for psd, not dm" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", ['{"framework": "dm"}', "[]", "not json",
+                                 '{"framework": "dm", "members": [3], '
+                                 '"rule": "single", "models": []}'])
+def test_parse_bad_spec_is_one_line_error(ws, tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--spec", str(spec), "--framework", "dm",
+                "--out", str(tmp_path / "x.mrp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "not a member spec" in err and err.count("\n") == 1
+
+
+def test_parse_spec_and_model_are_exclusive(ws, tmp_path, capsys):
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--spec", "spec.json",
+                "--model", os.path.join(ws["mtl"], "model-dm.bundle"),
+                "--framework", "dm", "--out", str(tmp_path / "x.mrp")])
+    assert code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

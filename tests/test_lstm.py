@@ -102,9 +102,9 @@ STEP_INPUTS = ("x", "h", "c", "wx", "wh", "b")
 
 
 class TestLstmStep:
-    def inputs(self, seed, frozen=()):
+    def inputs(self, seed, frozen=(), rows=1):
         rng = np.random.default_rng(seed)
-        shapes = {"x": (1, D), "h": (1, H), "c": (1, H),
+        shapes = {"x": (rows, D), "h": (rows, H), "c": (rows, H),
                   "wx": (D, 4 * H), "wh": (H, 4 * H), "b": (4 * H,)}
         return {k: ad.Tensor(rng.uniform(-1.0, 1.0, size=shapes[k]),
                              requires_grad=k not in frozen)
@@ -126,9 +126,21 @@ class TestLstmStep:
         assert not out.requires_grad and out.parents == ()
 
     def test_forward_bitwise_and_gradients_match_composition(self):
-        t = self.inputs(23)
+        self.check_against_composition(self.inputs(23))
+
+    def test_rows_gradcheck(self):
+        """k rows advance as k independent recurrences (a decoder beam)."""
+        t = self.inputs(25, rows=3)
+        proj = np.random.default_rng(26).normal(size=(3, 2 * H))
         args = [t[k] for k in STEP_INPUTS]
-        proj = np.random.default_rng(24).normal(size=(1, 2 * H))
+        check_gradients(lambda: scalarize(ad.lstm_step(*args), proj), args)
+
+    def test_rows_forward_bitwise_and_gradients_match_composition(self):
+        self.check_against_composition(self.inputs(27, rows=3))
+
+    def check_against_composition(self, t):
+        args = [t[k] for k in STEP_INPUTS]
+        proj = np.random.default_rng(24).normal(size=(t["x"].shape[0], 2 * H))
         out = ad.lstm_step(*args)
         ref_h, ref_c = reference_lstm_step(*args)
         np.testing.assert_array_equal(out.data, np.concatenate([ref_h.data, ref_c.data], 1))
@@ -138,6 +150,39 @@ class TestLstmStep:
             a.zero_grad()
         ad.reduce_sum(ad.mul(ad.concat([ref_h, ref_c], axis=1), proj)).backward()
         assert_grads_close(fused, [a.grad for a in args])
+
+
+def per_gate_cell(xw, h, c, wh, b):
+    """``ad._lstm_cell`` with one ``_sigmoid`` call per gate, as the
+    elementary-op composition evaluates it."""
+    hsz = h.shape[1]
+    z = xw + h @ wh + b
+    i = ad._sigmoid(z[:, :hsz])
+    f = ad._sigmoid(z[:, hsz:2 * hsz])
+    g = np.tanh(z[:, 2 * hsz:3 * hsz])
+    o = ad._sigmoid(z[:, 3 * hsz:])
+    c2 = f * c + i * g
+    tc = np.tanh(c2)
+    return o * tc, c2, (i, f, g, o, tc)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("hsz", [1, 2, 26, 513])
+def test_cell_one_sigmoid_call_is_bitwise_per_gate(hsz, k):
+    """One sigmoid over the whole (k, 4H) pre-activation, sliced per
+    gate, gives the bytes of three per-gate calls, saved gates included."""
+    rng = np.random.default_rng(hsz * 10 + k)
+    for draw in range(12):
+        scale = (0.3, 3.0, 30.0)[draw % 3]  # tails of both sigmoid branches
+        xw = rng.normal(scale=scale, size=(k, 4 * hsz))
+        h, c = rng.normal(size=(k, hsz)), rng.normal(size=(k, hsz))
+        wh = rng.normal(size=(hsz, 4 * hsz)) / np.sqrt(hsz)
+        b = rng.normal(size=4 * hsz)
+        got_h, got_c, got_saved = ad._lstm_cell(xw, h, c, wh, b)
+        want_h, want_c, want_saved = per_gate_cell(xw, h, c, wh, b)
+        for got, want in zip((got_h, got_c) + got_saved,
+                             (want_h, want_c) + want_saved):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
