@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import Linear, LstmCell, Mlp
+from .encoder import Linear, LstmCell, Mlp, additive_attention
 
 END_LABEL = "<END>"
 UNK_LABEL = "<UNK>"
@@ -414,13 +414,18 @@ def node_feature_width(encoder):
 # ---------------------------------------------------------------------------
 # extended pointer-generator
 
+_NO_HISTORY = np.array([[0.0, -1e30, 0.0]])  # switch bias: no decoder copy
+
+
 class AmrDecoder:
-    """One LSTM step per node with a three-way mixture output.
+    """Stacked LSTM over generated nodes with a three-way mixture output.
 
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
-    switch; the decoder-copy segment is masked while empty.  A step
-    advances k hypotheses of equal length together, one row each.
+    switch; the decoder-copy segment is masked while empty.  Decoding
+    advances k hypotheses of equal length together, one row each
+    (:meth:`step`); teacher forcing runs the whole gold sequence at once
+    (:func:`run_teacher_forced`).
     """
 
     def __init__(self, params, name, enc_hidden, feat_width, hidden, n_vocab,
@@ -463,25 +468,7 @@ class AmrDecoder:
         """Projected attention keys of the source tokens, (L, att_dim)."""
         return ad.matmul(token_states, self.src_enc)
 
-    def history_keys(self, history):
-        """Projected attention keys of one hypothesis's previous top-layer
-        states (a list of (1, H) rows) as a (1, t, att_dim) batch; None
-        while the history is empty."""
-        if not history:
-            return None
-        keys = ad.matmul(ad.concat(history, axis=0), self.hist_enc)
-        return ad.reshape(keys, (1,) + keys.shape)
-
-    def _attend(self, h, keys, w_dec, v):
-        """Additive attention scores (k, n) of the k rows of ``h`` over
-        ``keys``, shared (n, att) or per row (k, n, att)."""
-        k, att = h.shape[0], w_dec.shape[1]
-        query = ad.reshape(ad.matmul(h, w_dec), (k, 1, att))
-        mixed = ad.tanh(ad.add(query, keys))  # (k, n, att)
-        n = mixed.shape[1]
-        return ad.reshape(ad.matmul(ad.reshape(mixed, (k * n, att)), v), (k, n))
-
-    def step(self, x, h, c, src_keys, hist_keys, train=False, rng=None):
+    def step(self, x, h, c, src_keys, hist_keys):
         """Advance k hypotheses of equal length s by one node; returns
         (h, c, p, source attention) as (k, ·) rows, p being the (k,
         L + s + V) mixture.
@@ -501,33 +488,38 @@ class AmrDecoder:
         cur = x
         new_h, new_c = [], []
         for l, cell in enumerate(self.cells):
-            if l > 0 and train and self.dropout > 0.0:
-                cur = ad.dropout(cur, self.dropout, rng)
             hl, cl = cell.step(cur, hs[l], cs[l])
             new_h.append(hl)
             new_c.append(cl)
             cur = hl
         h2 = new_h[0] if self.n_layers == 1 else ad.concat(new_h, axis=1)
         c2 = new_c[0] if self.n_layers == 1 else ad.concat(new_c, axis=1)
-        hx = new_h[-1]
-        a_src = ad.softmax(self._attend(hx, src_keys, self.src_dec, self.src_v),
+        p, a_src = self._mixture(new_h[-1], src_keys, hist_keys,
+                                 gate_bias=_NO_HISTORY if hist_keys is None else None)
+        return h2, c2, p, a_src
+
+    def _mixture(self, hx, src_keys, hist_keys, hist_bias=None, gate_bias=None):
+        """Mixture rows (k, L + n + V) and source attentions (k, L) of
+        the top-layer states ``hx`` (k, H).  ``hist_keys`` are shared
+        (n, att) or per row (k, n, att), None while there is no history;
+        ``hist_bias`` (k, n) and ``gate_bias`` (k, 3) are added to the
+        history scores and the switch logits, -1e30 masking a cell."""
+        a_src = ad.softmax(additive_attention(hx, src_keys, self.src_dec, self.src_v),
                            axis=-1)
         vocab_p = ad.softmax(self.vocab_head(hx), axis=-1)
         gate_logits = self.switch(hx)
-        if hist_keys is None:
-            a_hist = None
-            gate_logits = ad.add(gate_logits,
-                                 ad.Tensor(np.array([[0.0, -1e30, 0.0]])))
-        else:
-            a_hist = ad.softmax(self._attend(hx, hist_keys, self.hist_dec,
-                                             self.hist_v), axis=-1)
+        if gate_bias is not None:
+            gate_logits = ad.add(gate_logits, gate_bias)
         gate = ad.softmax(gate_logits, axis=-1)
         g_src, g_hist, g_voc = ad.split(gate, [1, 1, 1], axis=1)
         parts = [ad.mul(a_src, g_src)]
-        if a_hist is not None:
-            parts.append(ad.mul(a_hist, g_hist))
+        if hist_keys is not None:
+            scores = additive_attention(hx, hist_keys, self.hist_dec, self.hist_v)
+            if hist_bias is not None:
+                scores = ad.add(scores, hist_bias)
+            parts.append(ad.mul(ad.softmax(scores, axis=-1), g_hist))
         parts.append(ad.mul(vocab_p, g_voc))
-        return h2, c2, ad.concat(parts, axis=1), a_src
+        return ad.concat(parts, axis=1), a_src
 
 
 @dataclass
@@ -577,48 +569,70 @@ def gold_sequence(tree, ctx):
 
 
 def run_teacher_forced(ctx, gold, train=False, rng=None):
-    """Mixture rows, source attentions and node states under gold inputs."""
-    x, h, c = ctx.decoder.initial(ctx.finals)
-    ps, attns, states, history = [], [], [], []
-    n = len(gold.labels)
-    for i in range(n + 1):
-        # keys per step: one shared product (or one key row per node)
-        # would sum the gradients of src_enc and hist_enc in another
-        # order, and training must stay bit-identical
-        keys = ctx.decoder.source_keys(ctx.token_states)
-        h, c, p, a_src = ctx.decoder.step(x, h, c, keys,
-                                          ctx.decoder.history_keys(history),
-                                          train=train, rng=rng)
-        ps.append(p)
-        attns.append(a_src)
-        if i == n:
-            break
-        states.append(ctx.decoder.top(h))
-        history.append(ctx.decoder.top(h))
-        pos = None
-        if gold.src_token[i] is not None:
-            pos = ctx.xpos[gold.src_token[i]]
-        x = node_features(ctx.encoder, [gold.labels[i]], [pos])
-    return ps, attns, states
+    """Mixture rows, source attentions and node states under gold inputs.
+
+    Every input is known before the first step (the initial input, then
+    the gold nodes), so the n + 1 steps run as whole-sequence ops: one
+    :func:`node_features` batch, one :func:`autodiff.lstm_sequence` per
+    layer from its slice of the initial state, one source attention and
+    one history attention over ``top(h)[:n] @ hist.enc``, masked so that
+    step i sees the nodes before it.  Returns the (n + 1, L + n + V)
+    mixture rows, whose vocabulary segment starts at L + n on every row
+    (:func:`decoder_loss` maps the gold indices), the (n + 1, L) source
+    attentions and the (n, H) top-layer node states.
+
+    Inter-layer dropout masks come from one draw in the step-major
+    order of a step-by-step run, so they are the same masks; loss terms
+    and gradients agree with stepping :meth:`AmrDecoder.step` one node
+    at a time to about 1e-10 relative, not bit for bit.
+    """
+    dec = ctx.decoder
+    n, hsz, layers = len(gold.labels), dec.hidden, dec.n_layers
+    x0, h0, c0 = dec.initial(ctx.finals)
+    poses = [None if j is None else ctx.xpos[j] for j in gold.src_token]
+    cur = ad.concat([x0, node_features(ctx.encoder, gold.labels, poses)], axis=0)
+    if layers == 1:
+        h0s, c0s = [h0], [c0]
+    else:
+        h0s = ad.split(h0, [hsz] * layers, axis=1)
+        c0s = ad.split(c0, [hsz] * layers, axis=1)
+    drop = train and dec.dropout > 0.0 and layers > 1
+    if drop:
+        draws = rng.random((n + 1, layers - 1, hsz))
+    for l, cell in enumerate(dec.cells):
+        if l > 0 and drop:
+            cur = ad.mul(cur, (draws[:, l - 1] >= dec.dropout) / (1.0 - dec.dropout))
+        cur, _ = cell.sequence(cur, h0=h0s[l], c0=c0s[l])
+    states = ad.split(cur, [n, 1], axis=0)[0]
+    gate_bias = np.zeros((n + 1, 3))
+    gate_bias[0, 1] = -1e30  # step 0 has no history to copy from
+    p, a_src = dec._mixture(cur, dec.source_keys(ctx.token_states),
+                            ad.matmul(states, dec.hist_enc),
+                            hist_bias=np.triu(np.full((n + 1, n), -1e30)),
+                            gate_bias=gate_bias)
+    return p, a_src, states
 
 
-def decoder_loss(ps, targets):
-    total = ad.Tensor(0.0)
-    for p, t in zip(ps, targets):
-        total = ad.add(total, ad.nll_of_probs(p, [t]))
-    return total
+def decoder_loss(p, targets, n_tokens):
+    """Summed -log p of the gold mixture indices over the rows of
+    :func:`run_teacher_forced`.
+
+    ``targets`` are :class:`GoldSequence` indices, whose vocabulary
+    segment starts at L + i on step i; on the rows it starts at L + n,
+    so indices at or past L + i move by n - i.
+    """
+    n = p.shape[0] - 1
+    return ad.nll_of_probs(p, [t + n - i if t >= n_tokens + i else t
+                               for i, t in enumerate(targets)])
 
 
 def coverage_loss(attentions):
-    """Sum over steps of sum_j min(attention, accumulated coverage)."""
-    if not attentions:
-        return ad.Tensor(0.0)
-    cov = ad.Tensor(np.zeros(attentions[0].shape))
-    total = ad.Tensor(0.0)
-    for a in attentions:
-        total = ad.add(total, ad.reduce_sum(ad.minimum(a, cov)))
-        cov = ad.add(cov, a)
-    return total
+    """Sum over steps of sum_j min(attention, coverage) for (T, L)
+    attention rows, a step's coverage being the sum of the rows before
+    it: a strictly lower-triangular product."""
+    t = attentions.shape[0]
+    cov = ad.matmul(np.tril(np.ones((t, t)), -1), attentions)
+    return ad.reduce_sum(ad.minimum(attentions, cov))
 
 
 def amr_edge_targets(tree):

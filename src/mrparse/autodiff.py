@@ -15,14 +15,17 @@ losses (``training._val_loss``) and EDS conversion
 (``training.EdsModel.parse``) run under it.
 
 Two fused ops carry every LSTM recurrence: :func:`lstm_sequence` runs a
-whole sequence from a zero state and returns one (T, 2H) tensor of
-``[h_t | c_t]`` rows, and :func:`lstm_step` advances k independent
-rows one step, returning (k, 2H).
+whole sequence, from a zero state or from a given (1, H) initial state
+``h0, c0``, and returns one (T, 2H) tensor of ``[h_t | c_t]`` rows;
+:func:`lstm_step` advances k independent rows one step, returning
+(k, 2H).  The encoder runs sequences from zero, the teacher-forced
+decoders from their initial states, and free-running decoding steps.
 Both share one cell implementation; their forward is bit-identical to
 composing the elementary ops per step, their hand-written backward
-(backpropagation through time for the sequence) agrees with the
-composition's gradients to rounding, and their buffers take the input
-dtype.  Each creates one graph node however long the sequence.
+(backpropagation through time for the sequence, reaching the initial
+state) agrees with the composition's gradients to rounding, and their
+buffers take the input dtype.  Each creates one graph node however
+long the sequence.
 
 Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
@@ -298,16 +301,16 @@ def reshape(a, shape):
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
 
     def rule(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        lead = (slice(None),) * (axis % g.ndim)
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(idx)])
+                t.accumulate(g[lead + (slice(lo, hi),)])
+            lo = hi
 
     return _make(out_data, tuple(tensors), rule)
 
@@ -317,22 +320,24 @@ def split(a, sizes, axis=0):
     a = as_tensor(a)
     if sum(sizes) != a.data.shape[axis]:
         raise ValueError(f"split sizes {sizes} do not cover axis {axis} of {a.data.shape}")
-    outs = []
+    lead = (slice(None),) * (axis % a.data.ndim)
+    idxs = []
     lo = 0
     for size in sizes:
-        hi = lo + size
-        idx = [slice(None)] * a.data.ndim
-        idx[axis] = slice(lo, hi)
-        idx = tuple(idx)
+        idxs.append(lead + (slice(lo, lo + size),))
+        lo += size
+    if not (_GRAD_ENABLED and a.requires_grad):  # no rule would be kept
+        return [Tensor(a.data[idx]) for idx in idxs]
 
-        def rule(g, idx=idx):
+    def chunk(idx):
+        def rule(g):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             a.grad[idx] += g
 
-        outs.append(_make(a.data[idx], (a,), rule))
-        lo = hi
-    return outs
+        return _make(a.data[idx], (a,), rule)
+
+    return [chunk(idx) for idx in idxs]
 
 
 def stack(tensors, axis=0):
@@ -540,10 +545,14 @@ def lstm_step(x, h, c, wx, wh, b):
     return _make(np.concatenate([h2, c2], axis=1), (x, h, c, wx, wh, b), rule)
 
 
-def lstm_sequence(x, wx, wh, b, reverse=False):
-    """Run an LSTM over the rows of ``x`` (T, D) from a zero state,
-    last row first when ``reverse``; returns (T, 2H) whose row ``t`` is
-    ``[h_t | c_t]``.  Backward is backpropagation through time.
+def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
+    """Run an LSTM over the rows of ``x`` (T, D), last row first when
+    ``reverse``; returns (T, 2H) whose row ``t`` is ``[h_t | c_t]``.
+    Backward is backpropagation through time.
+
+    The state starts from ``h0`` and ``c0``, each (1, H), when given
+    (a decoder run from its initial state under teacher forcing) and
+    from zero otherwise; the backward sends their gradients to them.
 
     Each row is projected as ``x[t:t+1] @ wx`` inside the loop: one
     batched ``x @ wx`` rounds differently and would break bit equality
@@ -552,20 +561,25 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
     x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
     n, hsz = x.data.shape[0], wh.data.shape[0]
     dtype = x.data.dtype
-    out = np.empty((n, 2 * hsz), dtype=dtype)
     zero = np.zeros((1, hsz), dtype=dtype)
+    init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
+    h, c = (init[0].data, init[1].data) if init else (zero, zero)
+    out = np.empty((n, 2 * hsz), dtype=dtype)
     order = range(n - 1, -1, -1) if reverse else range(n)
     saved = [None] * n
-    h, c = zero, zero
     for t in order:
         h, c, saved[t] = _lstm_cell(x.data[t:t + 1] @ wx.data, h, c, wh.data, b.data)
         out[t, :hsz] = h[0]
         out[t, hsz:] = c[0]
 
     def rule(g):
-        # the state each step started from: the previous row, zero first
-        h_prev = np.zeros((n, hsz), dtype=dtype)
-        c_prev = np.zeros((n, hsz), dtype=dtype)
+        # the state each step started from: the previous row, the
+        # initial state first
+        h_prev = np.empty((n, hsz), dtype=dtype)
+        c_prev = np.empty((n, hsz), dtype=dtype)
+        first = n - 1 if reverse else 0
+        h_prev[first] = init[0].data[0] if init else 0.0
+        c_prev[first] = init[1].data[0] if init else 0.0
         if reverse:
             h_prev[:-1], c_prev[:-1] = out[1:, :hsz], out[1:, hsz:]
         else:
@@ -585,8 +599,12 @@ def lstm_sequence(x, wx, wh, b, reverse=False):
             wh.accumulate(h_prev.T @ dz)
         if b.requires_grad:
             b.accumulate(_unbroadcast(dz, b.data.shape))
+        # dh and dc now hold the gradients of the initial state
+        for t, d in zip(init, (dh, dc)):
+            if t.requires_grad:
+                t.accumulate(d)
 
-    return _make(out, (x, wx, wh, b), rule)
+    return _make(out, (x, wx, wh, b, *init), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +676,21 @@ def _clip_low(a, lo=_CLIP):
 def clip_gradients(params, max_norm):
     """Scale all gradients uniformly so their global L2 norm is <= max_norm.
 
-    Returns the factor applied (1.0 when already within the bound).
+    Returns ``(factor, norm)``: the factor applied (1.0 when already
+    within the bound) and the global norm before clipping.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
-    norm = np.sqrt(total)
+    norm = float(np.sqrt(total))
     if norm <= max_norm or norm == 0.0:
-        return 1.0
+        return 1.0, norm
     factor = max_norm / norm
     for p in params:
         if p.grad is not None:
             p.grad *= factor
-    return factor
+    return factor, norm
 
 
 class Adam:

@@ -259,6 +259,17 @@ class Classifier:
         return self.head(h)
 
 
+def additive_attention(h, keys, w_dec, v):
+    """Additive attention scores (k, n), ``v . tanh(h_i w_dec + key_j)``,
+    of the k rows of ``h`` over projected ``keys``, shared (n, att) or
+    per row (k, n, att)."""
+    k, att = h.shape[0], w_dec.shape[1]
+    query = ad.reshape(ad.matmul(h, w_dec), (k, 1, att))
+    mixed = ad.tanh(ad.add(query, keys))  # (k, n, att)
+    n = mixed.shape[1]
+    return ad.reshape(ad.matmul(ad.reshape(mixed, (k * n, att)), v), (k, n))
+
+
 GATE_ORDER = "ifgo"  # input, forget, cell candidate, output
 
 
@@ -276,9 +287,11 @@ class LstmCell:
         bias[hidden:2 * hidden] = 1.0  # forget gate open at init
         self.b = params.new_from(f"{name}.b", bias)
 
-    def sequence(self, xs, reverse=False):
-        """(h, c) as (T, H) tensors over the rows of ``xs`` from a zero state."""
-        out = ad.lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse)
+    def sequence(self, xs, reverse=False, h0=None, c0=None):
+        """(h, c) as (T, H) tensors over the rows of ``xs`` from the (1,
+        H) state ``(h0, c0)``, or from zero when it is not given."""
+        out = ad.lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse,
+                               h0=h0, c0=c0)
         return ad.split(out, [self.hidden] * 2, axis=1)
 
     def step(self, x, h, c):

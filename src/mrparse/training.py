@@ -582,12 +582,11 @@ def framework_terms(model, prep, frameworks, train=False, rng=None):
             terms["ucca.remote"] = redge
         elif fw == "amr":
             ctx = model.amr_context(prep.sent, enc_out)
-            ps, attns, states = A.run_teacher_forced(ctx, tgt.gold,
-                                                     train=train, rng=rng)
-            terms["amr.dec"] = A.decoder_loss(ps, tgt.gold.targets)
+            p, attns, states = A.run_teacher_forced(ctx, tgt.gold,
+                                                    train=train, rng=rng)
+            terms["amr.dec"] = A.decoder_loss(p, tgt.gold.targets, len(ctx.lemmas))
             terms["amr.cov"] = A.coverage_loss(attns)
-            scores = model.heads["amr"].score(ad.concat(states, axis=0),
-                                              train=train, rng=rng)
+            scores = model.heads["amr"].score(states, train=train, rng=rng)
             edge, label = A.amr_edge_loss(scores, tgt.tree)
             terms["amr.edge"] = edge
             terms["amr.label"] = label
@@ -729,13 +728,16 @@ def _checkpoint_path(run_dir, epoch):
     return os.path.join(run_dir, f"epoch-{epoch:04d}.ckpt")
 
 
-# per-epoch clipping record: steps clipped, smallest factor applied
-_NO_CLIPPING = {"clipped_steps": 0, "min_clip_factor": 1.0}
+# per-epoch clipping record: steps clipped, smallest factor applied,
+# largest global gradient norm before clipping
+_NO_CLIPPING = {"clipped_steps": 0, "min_clip_factor": 1.0, "max_grad_norm": 0.0}
 
 
 def _clip(params, max_norm, stats):
-    """Clip gradients and fold the factor into one epoch's ``stats``."""
-    factor = ad.clip_gradients(params, max_norm)
+    """Clip gradients and fold the factor and the pre-clip norm into one
+    epoch's ``stats``."""
+    factor, norm = ad.clip_gradients(params, max_norm)
+    stats["max_grad_norm"] = max(stats["max_grad_norm"], norm)
     if factor < 1.0:
         stats["clipped_steps"] += 1
         stats["min_clip_factor"] = min(stats["min_clip_factor"], factor)

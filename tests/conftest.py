@@ -108,12 +108,14 @@ def reference_lstm_step(x, h, c, wx, wh, b):
     return h2, c2
 
 
-def reference_lstm_sequence(x, wx, wh, b, reverse=False):
+def reference_lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
     """Composed counterpart of ``ad.lstm_sequence``: (h, c), each (T, H)."""
     x = ad.as_tensor(x)
     n, hsz = x.shape[0], wh.shape[0]
     xs = ad.split(x, [1] * n, axis=0)
     h = c = ad.Tensor(np.zeros((1, hsz)))
+    if h0 is not None:
+        h, c = h0, c0
     hs, cs = [None] * n, [None] * n
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         h, c = reference_lstm_step(xs[t], h, c, wx, wh, b)
@@ -191,11 +193,51 @@ def per_framework_loss(cfg, terms):
 
 
 # ---------------------------------------------------------------------------
-# the AMR decoder as it was before the inference fast path and the
-# batched beam: one row per step, source and history keys projected
-# inside every step, and a node feature built for every beam candidate.
-# Teacher forcing must reproduce it bit for bit; the batched beam gives
-# the same discrete decodes, and its floats agree to 1e-10.
+# the UCCA pointer decoder as it was before teacher forcing ran whole
+# sequences: one LSTM step and one attention row per pointer, the keys
+# projected inside every step, one cross-entropy term per row.  Teacher
+# forcing agrees with it to 1e-10 relative; free-running decoding, which
+# projects the keys once, reproduces it bit for bit.
+
+def reference_pointer_decode(enc_out, decoder, gold_pointers=None, cap=None):
+    """Counterpart of ``ucca.pointer_decode``: (pointers, list of (1, n)
+    score rows, truncated)."""
+    states = enc_out.top
+    if cap is None:
+        cap = max(1, 2 * (states.shape[0] - 1))
+    h, c = decoder.init_state(enc_out.finals)
+    x_pos, rows, pointers = 0, [], []
+    while True:
+        h, c = decoder.cell.step(ad.rows(states, [x_pos]), h, c)
+        mixed = ad.tanh(ad.add(ad.matmul(h, decoder.w_dec),
+                               ad.matmul(states, decoder.w_enc)))
+        rows.append(ad.transpose(ad.matmul(mixed, decoder.v)))
+        if gold_pointers is not None:
+            x_pos = gold_pointers[len(pointers)]
+        else:
+            x_pos = int(np.argmax(rows[-1].data[0]))
+        pointers.append(x_pos)
+        if gold_pointers is not None and len(pointers) == len(gold_pointers):
+            return tuple(pointers), rows, False
+        if gold_pointers is None and (x_pos == 0 or len(pointers) >= cap):
+            return tuple(pointers), rows, x_pos != 0
+
+
+def reference_pointer_loss(rows, gold_pointers):
+    """Counterpart of ``ucca.pointer_loss``: one term per row."""
+    total = ad.Tensor(0.0)
+    for row, p in zip(rows, gold_pointers):
+        total = ad.add(total, ad.cross_entropy_logits(row, [p]))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the AMR decoder as it was before the inference fast path, the batched
+# beam and whole-sequence teacher forcing: one row per step, source and
+# history keys projected inside every step, a node feature built for
+# every beam candidate, one loss term per step.  Teacher forcing agrees
+# with it to 1e-10 relative, dropout masks included; the batched beam
+# gives the same discrete decodes, and its floats agree to 1e-10.
 
 @dataclass
 class RefHyp:
@@ -236,8 +278,10 @@ def _reference_attend(h, keys, w_dec, w_enc, v):
     return ad.transpose(ad.matmul(mixed, v))  # (1, n_keys)
 
 
-def reference_amr_step(dec, x, h, c, token_states, history):
-    """``amr.AmrDecoder.step`` of ``dec`` on raw token states (no dropout)."""
+def reference_amr_step(dec, x, h, c, token_states, history, train=False,
+                       rng=None):
+    """``amr.AmrDecoder.step`` of ``dec`` on raw token states; with
+    ``train``, inter-layer dropout draws its mask from ``rng``."""
     if dec.n_layers == 1:
         hs, cs = [h], [c]
     else:
@@ -246,6 +290,8 @@ def reference_amr_step(dec, x, h, c, token_states, history):
     cur = x
     new_h, new_c = [], []
     for l, cell in enumerate(dec.cells):
+        if l > 0 and train:
+            cur = ad.dropout(cur, dec.dropout, rng)
         hl, cl = cell.step(cur, hs[l], cs[l])
         new_h.append(hl)
         new_c.append(cl)
@@ -274,14 +320,17 @@ def reference_amr_step(dec, x, h, c, token_states, history):
     return h2, c2, ad.concat(parts, axis=1), a_src
 
 
-def reference_teacher_forced(ctx, gold):
-    """Counterpart of ``amr.run_teacher_forced`` (no dropout)."""
+def reference_teacher_forced(ctx, gold, train=False, rng=None):
+    """Counterpart of ``amr.run_teacher_forced``: per-step lists of
+    mixture rows (row i is L + i + V wide), source attentions and
+    top-layer node states."""
     x, h, c = ctx.decoder.initial(ctx.finals)
     ps, attns, states = [], [], []
     n = len(gold.labels)
     for i in range(n + 1):
         h, c, p, a_src = reference_amr_step(ctx.decoder, x, h, c,
-                                            ctx.token_states, states)
+                                            ctx.token_states, states,
+                                            train=train, rng=rng)
         ps.append(p)
         attns.append(a_src)
         if i == n:
@@ -292,6 +341,24 @@ def reference_teacher_forced(ctx, gold):
             pos = ctx.xpos[gold.src_token[i]]
         x = reference_node_feature(ctx.encoder, gold.labels[i], pos)
     return ps, attns, states
+
+
+def reference_decoder_loss(ps, targets):
+    """Counterpart of ``amr.decoder_loss``: one term per step row."""
+    total = ad.Tensor(0.0)
+    for p, t in zip(ps, targets):
+        total = ad.add(total, ad.nll_of_probs(p, [t]))
+    return total
+
+
+def reference_coverage_loss(attentions):
+    """Counterpart of ``amr.coverage_loss``: a running coverage sum."""
+    cov = ad.Tensor(np.zeros(attentions[0].shape))
+    total = ad.Tensor(0.0)
+    for a in attentions:
+        total = ad.add(total, ad.reduce_sum(ad.minimum(a, cov)))
+        cov = ad.add(cov, a)
+    return total
 
 
 def reference_greedy_decode(ctx, cap=None):

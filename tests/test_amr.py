@@ -17,6 +17,7 @@ from mrparse.encoder import LayerFinalState
 from mrparse.training import multitask_loss
 
 from conftest import (arborescence_score, check_gradients,
+                      reference_coverage_loss, reference_decoder_loss,
                       reference_teacher_forced, replication_count, scalarize,
                       tree_round_trip)
 
@@ -302,7 +303,7 @@ def small_config(hidden):
 
 
 def make_ctx(lemmas, extra_labels=(), seed=0, enc_hidden=4, dec_hidden=6,
-             grad=False, dec_layers=1):
+             grad=False, dec_layers=1, dropout=0.0):
     rng = np.random.default_rng(seed)
     words = list(lemmas) or ["pad"]
     sents = [G.Sentence(id=f"s{k}", tokens=mk_tokens(words, lemmas=words),
@@ -317,7 +318,8 @@ def make_ctx(lemmas, extra_labels=(), seed=0, enc_hidden=4, dec_hidden=6,
     dvocab = amr.DecoderVocab(extra_labels)
     decoder = amr.AmrDecoder(params, "amr", enc_hidden,
                              amr.node_feature_width(encoder), dec_hidden,
-                             len(dvocab), rng, att_dim=5, layers=dec_layers)
+                             len(dvocab), rng, att_dim=5, layers=dec_layers,
+                             dropout=dropout)
     L = len(lemmas)
     token_states = ad.Tensor(rng.normal(size=(L, 2 * enc_hidden)),
                              requires_grad=grad)
@@ -329,6 +331,22 @@ def make_ctx(lemmas, extra_labels=(), seed=0, enc_hidden=4, dec_hidden=6,
     ctx = amr.AmrContext(encoder, decoder, dvocab, token_states, finals,
                          tuple(lemmas), tuple("XX" for _ in lemmas))
     return ctx, params
+
+
+def padded_targets(gold, n_tokens):
+    """Gold mixture columns on the rows of ``run_teacher_forced``, whose
+    vocabulary segment starts at L + n on every row."""
+    n = len(gold.labels)
+    return [t + n - i if t >= n_tokens + i else t
+            for i, t in enumerate(gold.targets)]
+
+
+def history_keys(dec, states):
+    """(1, s, att) history keys of one hypothesis's (1, H) state rows."""
+    if not states:
+        return None
+    keys = ad.matmul(ad.concat(list(states), axis=0), dec.hist_enc)
+    return ad.reshape(keys, (1,) + keys.shape)
 
 
 class TestGoldSequence:
@@ -362,13 +380,14 @@ class TestDecoderMixture:
         ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("want", "dog"), seed=3)
         tree = amr.dag_to_tree(reentrant_graph())
         gold = amr.gold_sequence(tree, ctx)
-        ps, attns, states = amr.run_teacher_forced(ctx, gold)
-        assert len(ps) == 5 and len(states) == 4
-        for i, p in enumerate(ps):
-            width = 3 + min(i, 4) + len(ctx.vocab)
-            assert p.data.shape == (1, width)
-            assert np.all(p.data >= 0)
-            np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-9)
+        p, attns, states = amr.run_teacher_forced(ctx, gold)
+        L, n = 3, 4
+        assert p.shape == (n + 1, L + n + len(ctx.vocab))
+        assert attns.shape == (n + 1, L) and states.shape == (n, 6)
+        assert np.all(p.data >= 0)
+        np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-9)
+        for i in range(n + 1):  # step i copies only nodes before it
+            assert not p.data[i, L + i:L + n].any()
 
     def test_stacked_decoder_keeps_state_per_layer(self):
         ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("want", "dog"),
@@ -377,19 +396,18 @@ class TestDecoderMixture:
         assert h.data.shape == (1, 15) and c.data.shape == (1, 15)
         tree = amr.dag_to_tree(reentrant_graph())
         gold = amr.gold_sequence(tree, ctx)
-        ps, attns, states = amr.run_teacher_forced(ctx, gold)
+        p, attns, states = amr.run_teacher_forced(ctx, gold)
         # biaffine/history rows come from the top layer only
-        assert all(s.data.shape == (1, 5) for s in states)
-        for p in ps:
-            np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-9)
+        assert states.shape == (4, 5)
+        np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_stacked_decoder_uses_every_cell(self):
         ctx, params = make_ctx(["a", "b"], extra_labels=("want",), seed=9,
                                dec_hidden=3, dec_layers=2, grad=True)
         tree = amr.dag_to_tree(reentrant_graph())
         gold = amr.gold_sequence(tree, ctx)
-        ps, _, _ = amr.run_teacher_forced(ctx, gold)
-        loss = amr.decoder_loss(ps, gold.targets)
+        p, _, _ = amr.run_teacher_forced(ctx, gold)
+        loss = amr.decoder_loss(p, gold.targets, 2)
         loss.backward()
         for name in ("amr.cell0.wx", "amr.cell1.wx"):
             assert params[name].grad is not None
@@ -419,8 +437,8 @@ class TestDecoderMixture:
         gold = amr.gold_sequence(tree, ctx)
 
         def build():
-            ps, attns, _ = amr.run_teacher_forced(ctx, gold)
-            loss = amr.decoder_loss(ps, gold.targets)
+            p, attns, _ = amr.run_teacher_forced(ctx, gold)
+            loss = amr.decoder_loss(p, gold.targets, 2)
             return ad.add(loss, amr.coverage_loss(attns))
 
         leaves = [t for t in params.tensors() if t.data.size <= 60]
@@ -434,12 +452,12 @@ class TestDecoderMixture:
         opt = ad.Adam(params.tensors(), lr=0.05)
         for _ in range(150):
             opt.zero_grad()
-            ps, _, _ = amr.run_teacher_forced(ctx, gold)
-            amr.decoder_loss(ps, gold.targets).backward()
+            p, _, _ = amr.run_teacher_forced(ctx, gold)
+            amr.decoder_loss(p, gold.targets, 2).backward()
             opt.step()
-        ps, _, _ = amr.run_teacher_forced(ctx, gold)
-        for p, t in zip(ps, gold.targets):
-            assert p.data[0, t] > 0.9
+        p, _, _ = amr.run_teacher_forced(ctx, gold)
+        for i, t in enumerate(padded_targets(gold, 2)):
+            assert p.data[i, t] > 0.9
         gen = amr.beam_search(ctx, width=1)
         assert gen.labels == gold.labels
         assert gen.copy_of == gold.copy_of
@@ -506,36 +524,62 @@ class TestBatchedStep:
                 np.testing.assert_allclose(b.data[j:j + 1], o.data,
                                            rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])
-    def test_teacher_forcing_bitwise_equals_reference(self, layers):
-        """Mixture rows, and the gradient of every parameter, as a
-        teacher-forced loop over single-row reference steps."""
+    def test_teacher_forcing_matches_reference(self, layers, train):
+        """Loss terms, mixture rows, node states and the gradient of every
+        parameter as a teacher-forced loop over single-row reference
+        steps, to 1e-10 relative; with dropout on, both runs draw the
+        same masks from the same stream."""
         ctx, params = make_ctx(["boy", "wants"], extra_labels=("want", "believe"),
                                seed=45, dec_hidden=4, dec_layers=layers,
-                               grad=True)
+                               grad=True, dropout=0.4)
         gold = amr.gold_sequence(amr.dag_to_tree(reentrant_graph()), ctx)
         assert any(t is not None for t in gold.src_token)
         assert any(t is not None for t in gold.copy_of)
         leaves = params.tensors() + [ctx.token_states]
+        L, n = 2, len(gold.labels)
         runs = []
-        for run in (amr.run_teacher_forced, reference_teacher_forced):
+        for batched in (True, False):
             for t in leaves:
                 t.zero_grad()
-            ps, attns, _ = run(ctx, gold)
-            ad.add(amr.decoder_loss(ps, gold.targets),
-                   amr.coverage_loss(attns)).backward()
+            rng = np.random.default_rng(46)
+            if batched:
+                p, attns, states = amr.run_teacher_forced(ctx, gold, train=train,
+                                                          rng=rng)
+                terms = (amr.decoder_loss(p, gold.targets, L),
+                         amr.coverage_loss(attns))
+                rows = p.data
+            else:
+                ps, attns, states = reference_teacher_forced(ctx, gold,
+                                                             train=train, rng=rng)
+                terms = (reference_decoder_loss(ps, gold.targets),
+                         reference_coverage_loss(attns))
+                # pad row i's history segment from i to n columns
+                rows = np.concatenate(
+                    [np.concatenate([q.data[:, :L + i], np.zeros((1, n - i)),
+                                     q.data[:, L + i:]], axis=1)
+                     for i, q in enumerate(ps)])
+                states = ad.concat(states, axis=0)
+            ad.add(*terms).backward()
             grads = [np.zeros_like(t.data) if t.grad is None else t.grad
                      for t in leaves]
-            runs.append(([p.data for p in ps], grads))
-        (got_ps, got_grads), (want_ps, want_grads) = runs
-        assert [p.tobytes() for p in got_ps] == [p.tobytes() for p in want_ps]
+            runs.append(([t.item() for t in terms], rows, states.data, grads,
+                         rng.random()))
+        (got_terms, got_rows, got_states, got_grads, got_next), want = runs
+        want_terms, want_rows, want_states, want_grads, want_next = want
+        assert got_next == want_next  # as many draws
+        assert got_terms == pytest.approx(want_terms, rel=1e-10, abs=0.0)
+        np.testing.assert_allclose(got_rows, want_rows, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(got_states, want_states, rtol=1e-10, atol=1e-14)
         for g, w in zip(got_grads, want_grads):
-            assert g.tobytes() == w.tobytes()
+            scale = max(1.0, float(np.abs(w).max()))
+            assert float(np.abs(g - w).max()) <= 1e-10 * scale
 
 
 class TestCoverage:
     def rows(self, *dists):
-        return [ad.Tensor(np.array([d], dtype=float)) for d in dists]
+        return ad.Tensor(np.array(dists, dtype=float))
 
     def test_disjoint_one_hots_cost_nothing(self):
         attns = self.rows([1, 0, 0], [0, 1, 0], [0, 0, 1])
@@ -552,7 +596,7 @@ class TestCoverage:
         assert amr.coverage_loss(attns).data == pytest.approx(1.25, abs=1e-12)
 
     def test_empty_is_zero(self):
-        assert amr.coverage_loss([]).data == pytest.approx(0.0)
+        assert amr.coverage_loss(ad.Tensor(np.zeros((0, 3)))).data == pytest.approx(0.0)
 
 
 def amr_terms(edge, label, dec, cov):
@@ -608,7 +652,7 @@ class TestBeamSearch:
         for step in range(cap + 1):
             h, c, p, _ = ctx.decoder.step(
                 x, h, c, ctx.decoder.source_keys(ctx.token_states),
-                ctx.decoder.history_keys(states))
+                history_keys(ctx.decoder, states))
             row = p.data[0].copy()
             if step == 0:
                 row[L + len(labels) + ctx.vocab.end_index] = -1.0
@@ -653,7 +697,7 @@ class TestBeamSearch:
         def recurse(x, h, c, labels, states, logp):
             h2, c2, p, _ = ctx.decoder.step(
                 x, h, c, ctx.decoder.source_keys(ctx.token_states),
-                ctx.decoder.history_keys(list(states)))
+                history_keys(ctx.decoder, states))
             row = p.data[0]
             n = len(labels)
             if n > 0:

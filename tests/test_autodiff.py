@@ -519,16 +519,16 @@ class TestOptimizer:
         b = ad.Tensor(np.zeros(1), requires_grad=True)
         a.grad = np.array([3.0, 0.0])
         b.grad = np.array([4.0])  # global norm 5
-        factor = ad.clip_gradients([a, b], max_norm=1.0)
-        assert factor == pytest.approx(0.2)
+        factor, norm = ad.clip_gradients([a, b], max_norm=1.0)
+        assert factor == pytest.approx(0.2) and norm == pytest.approx(5.0)
         total = np.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum())
         assert total == pytest.approx(1.0)
 
     def test_clip_noop_under_bound(self):
         a = ad.Tensor(np.zeros(2), requires_grad=True)
         a.grad = np.array([0.3, 0.4])
-        factor = ad.clip_gradients([a], max_norm=1.0)
-        assert factor == 1.0
+        factor, norm = ad.clip_gradients([a], max_norm=1.0)
+        assert factor == 1.0 and norm == pytest.approx(0.5)
         np.testing.assert_array_equal(a.grad, [0.3, 0.4])
 
 

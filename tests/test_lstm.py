@@ -30,6 +30,11 @@ def weights(rng, d=D, h=H):
             for shape in ((d, 4 * h), (h, 4 * h), (4 * h,))]
 
 
+def initial_state(rng, h=H):
+    return [ad.Tensor(rng.uniform(-1.0, 1.0, size=(1, h)), requires_grad=True)
+            for _ in range(2)]
+
+
 def assert_grads_close(got, want):
     for g, w in zip(got, want):
         scale = max(1.0, float(np.abs(w).max()))
@@ -49,29 +54,52 @@ class TestLstmSequence:
             [x, wx, wh, b])
 
     @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_gradcheck_from_initial_state(self, n, reverse):
+        """BPTT reaches the initial state (h0, c0) as well."""
+        rng = np.random.default_rng(30 + n + 10 * reverse)
+        x = ad.Tensor(rng.normal(size=(n, D)), requires_grad=True)
+        wx, wh, b = weights(rng)
+        h0, c0 = initial_state(rng)
+        proj = rng.normal(size=(n, 2 * H))
+        check_gradients(
+            lambda: scalarize(ad.lstm_sequence(x, wx, wh, b, reverse=reverse,
+                                               h0=h0, c0=c0), proj),
+            [x, wx, wh, b, h0, c0])
+
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_forward_bitwise_equals_composition(self, n, reverse):
         rng = np.random.default_rng(100 + n)
         x = rng.normal(size=(n, D))
         wx, wh, b = weights(rng)
-        out = ad.lstm_sequence(x, wx, wh, b, reverse=reverse).data
-        ref_h, ref_c = reference_lstm_sequence(x, wx, wh, b, reverse=reverse)
-        np.testing.assert_array_equal(out[:, :H], ref_h.data)
-        np.testing.assert_array_equal(out[:, H:], ref_c.data)
+        for h0, c0 in ((None, None), initial_state(rng)):
+            out = ad.lstm_sequence(x, wx, wh, b, reverse=reverse, h0=h0, c0=c0).data
+            ref_h, ref_c = reference_lstm_sequence(x, wx, wh, b, reverse=reverse,
+                                                   h0=h0, c0=c0)
+            np.testing.assert_array_equal(out[:, :H], ref_h.data)
+            np.testing.assert_array_equal(out[:, H:], ref_c.data)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_match_composition(self, reverse):
         rng = np.random.default_rng(7)
         x = ad.Tensor(rng.normal(size=(9, D)), requires_grad=True)
-        leaves = [x] + weights(rng)
+        wx, wh, b = weights(rng)
         proj = rng.normal(size=(9, 2 * H))
-        ad.reduce_sum(ad.mul(ad.lstm_sequence(*leaves, reverse=reverse), proj)).backward()
-        fused = [p.grad.copy() for p in leaves]
-        for p in leaves:
-            p.zero_grad()
-        ref = ad.concat(reference_lstm_sequence(*leaves, reverse=reverse), axis=1)
-        ad.reduce_sum(ad.mul(ref, proj)).backward()
-        assert_grads_close(fused, [p.grad for p in leaves])
+        for init in ([], initial_state(rng)):
+            leaves = [x, wx, wh, b] + init
+            start = dict(zip(("h0", "c0"), init))
+            for p in leaves:
+                p.zero_grad()
+            out = ad.lstm_sequence(x, wx, wh, b, reverse=reverse, **start)
+            ad.reduce_sum(ad.mul(out, proj)).backward()
+            fused = [p.grad.copy() for p in leaves]
+            for p in leaves:
+                p.zero_grad()
+            ref = ad.concat(reference_lstm_sequence(x, wx, wh, b, reverse=reverse,
+                                                    **start), axis=1)
+            ad.reduce_sum(ad.mul(ref, proj)).backward()
+            assert_grads_close(fused, [p.grad for p in leaves])
 
     def test_reverse_runs_last_row_first(self):
         rng = np.random.default_rng(3)
@@ -188,8 +216,9 @@ def test_cell_one_sigmoid_call_is_bitwise_per_gate(hsz, k):
 # ---------------------------------------------------------------------------
 # a whole multitask model: fused cells against the composed oracle
 
-def _reference_sequence(self, xs, reverse=False):
-    return reference_lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse)
+def _reference_sequence(self, xs, reverse=False, h0=None, c0=None):
+    return reference_lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse,
+                                   h0=h0, c0=c0)
 
 
 def _reference_step(self, x, h, c):

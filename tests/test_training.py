@@ -6,6 +6,7 @@ shrunk hard: two epochs at two percent width over ten synthetic
 sentences.
 """
 
+import hashlib
 import json
 import os
 import warnings
@@ -369,13 +370,15 @@ class TestEarlyStopper:
 # training loops
 
 def count_clip_calls(monkeypatch):
-    """Record every ``clip_gradients`` call (one per optimizer step)."""
+    """Record the pre-clip norm of every ``clip_gradients`` call (one per
+    optimizer step)."""
     calls = []
     clip = ad.clip_gradients
 
     def counting(params, max_norm):
-        calls.append(max_norm)
-        return clip(params, max_norm)
+        factor, norm = clip(params, max_norm)
+        calls.append(norm)
+        return factor, norm
 
     monkeypatch.setattr(ad, "clip_gradients", counting)
     return calls
@@ -493,7 +496,8 @@ class TestTrainLoop:
         rows = [json.loads(line) for line in
                 (tmp_path / "metrics.jsonl").read_text().splitlines()]
         assert len(steps) == 4  # two epochs of two minibatches
-        for row, hist in zip(rows, res.history):
+        for epoch, (row, hist) in enumerate(zip(rows, res.history)):
+            assert row["max_grad_norm"] == max(steps[2 * epoch:2 * epoch + 2]) > 0.0
             assert row["clipped_steps"] == hist["clipped_steps"]
             assert row["clipped_steps"] == (2 if clipped else 0)
             assert (row["min_clip_factor"] < 1e-6) if clipped else (
@@ -617,6 +621,7 @@ def test_eds_epoch_records_clipping(mtl, split, corpus, monkeypatch, clip, clipp
         _, history = T.train_eds(split, cfg, corpus.static, corpus.contextual,
                                  corpus.rules, encoder_from=mtl.model)
     assert steps
+    assert history[0]["max_grad_norm"] == max(steps) > 0.0
     assert history[0]["clipped_steps"] == (len(steps) if clipped else 0)
     assert (history[0]["min_clip_factor"] < 1e-6) if clipped else (
         history[0]["min_clip_factor"] == 1.0)
@@ -945,3 +950,35 @@ class TestInferenceFastPath:
             assert p.grad is None
         T.sentence_loss(model, mtl.config, preps[0], FWS)
         assert recorded  # the spy sees graphs outside the fast path
+
+
+# First 16 hex digits of the sha256 of the graph JSON lines (sorted keys)
+# that parsing held-out sentences with ``fixed_models`` gives, recorded
+# at the commit before teacher forcing ran whole sequences.  The models
+# do not depend on decoder training, so parsing must keep these bytes.
+PARSE_DIGESTS = {"dm": "ca6ee6e36063c49e", "psd": "10b0823d057616a4",
+                 "ucca": "916736e0c28d8596", "amr": "848f6445bb6f980d",
+                 "eds": "26eac471af564bea"}
+
+
+@pytest.fixture(scope="module")
+def fixed_models(split, corpus):
+    """An untrained multitask model and the converter trained on its
+    frozen encoder: neither touches a decoder's training path."""
+    cfg = tiny(multitask_config(), epochs=1, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = T.MultiModel.derive(cfg, split, corpus.static, corpus.contextual)
+        converter, _ = T.train_eds(split, cfg, corpus.static, corpus.contextual,
+                                   corpus.rules, encoder_from=model)
+    return model, converter
+
+
+@pytest.mark.parametrize("fw", FWS + ("eds",))
+def test_parse_output_pinned(fixed_models, corpus, fw):
+    model, converter = fixed_models
+    graphs = [converter.parse(s, s.graphs["dm"])[0] if fw == "eds"
+              else T.parse_sentence(model, s, fw) for s in corpus.sentences[HELD]]
+    assert all(g.nodes for g in graphs if fw != "dm")
+    text = "\n".join(json.dumps(G.graph_to_json(g), sort_keys=True) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PARSE_DIGESTS[fw]

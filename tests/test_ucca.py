@@ -8,6 +8,8 @@ from mrparse.encoder import BiLstm, LayerFinalState, EncoderOutput
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
 from mrparse.training import multitask_loss
 
+from conftest import reference_pointer_decode, reference_pointer_loss
+
 
 def toks(words):
     rows = []
@@ -214,10 +216,9 @@ class TestPointerDecoder:
         enc = fake_encoder_output(rng, 5, 4)
         dec, _ = make_decoder(4)
         out = ucca.pointer_decode(enc, dec, gold_pointers=(2, 1, 0))
-        for row in out.logits:
-            probs = ad.softmax(row, axis=-1).data
-            assert probs.shape == (1, 5)
-            np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
+        probs = ad.softmax(out.logits, axis=-1).data
+        assert probs.shape == (3, 5)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_teacher_forcing_feeds_gold_positions(self):
         rng = np.random.default_rng(2)
@@ -264,6 +265,48 @@ class TestPointerDecoder:
             return ucca.pointer_loss(out.logits, (2, 1, 0))
 
         gradcheck(build, leaves)
+
+    @pytest.mark.parametrize("gold", [(0,), (3, 5, 2, 0), (1, 1, 4, 2, 5, 3, 0)])
+    def test_teacher_forcing_matches_per_step_reference(self, gold):
+        """One sequence op and one (T, n) attention give the loss and
+        every gradient of one step and one row per pointer, to 1e-10."""
+        rng = np.random.default_rng(8)
+        enc = fake_encoder_output(rng, 6, 4, requires_grad=True)
+        dec, params = make_decoder(4, seed=9)
+        f = enc.finals[0]
+        leaves = params.tensors() + [enc.layers[0], f.h_fwd, f.c_fwd,
+                                     f.h_bwd, f.c_bwd]
+        runs = []
+        for run in ("batched", "reference"):
+            for t in leaves:
+                t.zero_grad()
+            if run == "batched":
+                out = ucca.pointer_decode(enc, dec, gold_pointers=gold)
+                loss = ucca.pointer_loss(out.logits, gold)
+            else:
+                _, rows, _ = reference_pointer_decode(enc, dec, gold_pointers=gold)
+                loss = reference_pointer_loss(rows, gold)
+            loss.backward()
+            runs.append((loss.item(), [np.zeros_like(t.data) if t.grad is None
+                                       else t.grad for t in leaves]))
+        (got, got_grads), (want, want_grads) = runs
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        for g, w in zip(got_grads, want_grads):
+            scale = max(1.0, float(np.abs(w).max()))
+            assert float(np.abs(g - w).max()) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_free_running_bitwise_equals_per_step_reference(self, seed):
+        """Keys projected once per sentence: the same product on the same
+        arrays, so pointers and scores are those of the per-step run."""
+        rng = np.random.default_rng(20 + seed)
+        enc = fake_encoder_output(rng, 5 + seed, 4)
+        dec, _ = make_decoder(4, seed=seed)
+        with ad.no_grad():
+            out = ucca.pointer_decode(enc, dec)
+            pointers, rows, truncated = reference_pointer_decode(enc, dec)
+        assert out.pointers == pointers and out.truncated == truncated
+        assert out.logits.data.tobytes() == ad.concat(rows, axis=0).data.tobytes()
 
     def test_overfit_reproduces_gold_sequence(self):
         rng = np.random.default_rng(6)
