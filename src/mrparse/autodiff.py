@@ -31,6 +31,8 @@ Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
 alone writes and reads checkpoints: deterministic, uncompressed zips of
 exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
+A model is built from saved values by handing them to its container
+as ``state``: the parameters copy them and no initializer draws.
 """
 
 import contextlib
@@ -736,6 +738,15 @@ class Adam:
 class ParamSet:
     """Ordered name -> parameter tensor registry and checkpoint container.
 
+    Built without ``state``, ``new`` draws each parameter's initial
+    values from the rng and ``new_from`` takes the given array.  Built
+    with ``state`` (name -> array, as from ``state_dict`` or ``read``),
+    both take each parameter's values from it and draw nothing: a name
+    missing from ``state`` raises ``KeyError``, an array of another
+    shape ``ValueError``, and the values are copied, so the parameters
+    never alias the state; the set keeps no reference to an array it
+    has taken.  Names in ``state`` that no parameter claims are ignored.
+
     A checkpoint is an uncompressed zip with one ``<name>.npy`` member
     per parameter, holding its exact array (dtype and 0-d shape kept),
     and a ``__meta__.npy`` member, the UTF-8 JSON of the format version
@@ -746,8 +757,9 @@ class ParamSet:
     version, raises one ``ValueError`` naming the path.
     """
 
-    def __init__(self):
+    def __init__(self, state=None):
         self._params = {}
+        self._state = None if state is None else dict(state)
 
     def new(self, name, shape, rng, scale=None):
         """Create a parameter initialized uniformly in +-scale.
@@ -757,11 +769,23 @@ class ParamSet:
         if scale is None:
             fan = shape[-1] if shape else 1
             scale = 1.0 / np.sqrt(fan)
-        return self.new_from(name, rng.uniform(-scale, scale, size=shape))
+        return self._add(name, tuple(shape),
+                         lambda: rng.uniform(-scale, scale, size=shape))
 
     def new_from(self, name, data):
+        return self._add(name, np.shape(data), lambda: data)
+
+    def _add(self, name, shape, initial):
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
+        if self._state is None:
+            data = initial()
+        elif name not in self._state:
+            raise KeyError(f"missing parameter {name}")
+        else:
+            data = self._state.pop(name)
+            if np.shape(data) != shape:
+                raise ValueError(f"shape mismatch for {name}: {np.shape(data)} vs {shape}")
         p = self._params[name] = Tensor(np.array(data), requires_grad=True)
         return p
 
@@ -773,17 +797,6 @@ class ParamSet:
 
     def state_dict(self):
         return {name: p.data.copy() for name, p in self._params.items()}
-
-    def load_state_dict(self, state, strict=True):
-        for name, p in self._params.items():
-            if name not in state:
-                if strict:
-                    raise KeyError(f"checkpoint missing parameter {name}")
-                continue
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data[...] = arr
 
     def save(self, path, extra=None):
         meta = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION,

@@ -322,6 +322,9 @@ def _load_spec(args, static, contextual):
 
 
 def cmd_parse(args):
+    if args.framework == "eds" and len(args.model) > 1:
+        raise UsageError("parse --framework eds takes one conversion bundle; "
+                         "pass a single --model")
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
     models = [T.load_model(p, static, contextual) for p in args.model]
@@ -401,6 +404,8 @@ def cmd_convert(args):
         converter = T.load_model(args.model, static, contextual)
         if not isinstance(converter, T.EdsModel):
             raise ValueError(f"{args.model} is not a conversion bundle")
+        if args.rules:
+            converter.rules = E.ConversionRuleSet.load(args.rules)
         graphs = [converter.parse(s, s.graphs["dm"])[0] for s in sentences]
     else:
         if not args.rules:

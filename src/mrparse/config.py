@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, fields, replace, asdict
 
 from .atomic import atomic_open
-from .encoder import EncoderConfig
 
 SDP_PAIR = ("dm", "psd")
 
@@ -43,7 +42,7 @@ class TrainConfig:
     anchor_hidden: int = 32
 
     # regularization
-    word_drop: float = 0.1
+    word_drop: float = 0.1    # surface + NE + projected vectors ("the rest")
     pos_drop: float = 0.1
     lemma_drop: float = 0.2
     encoder_dropout: float = 0.25
@@ -95,15 +94,6 @@ class TrainConfig:
                if fw not in ("dm", "psd", "eds", "ucca", "amr")]
         if bad:
             raise ValueError(f"unknown frameworks: {bad}")
-
-    def encoder_config(self):
-        return EncoderConfig(
-            surface_dim=self.surface_dim, lemma_dim=self.lemma_dim,
-            pos_dim=self.pos_dim, ne_dim=self.ne_dim,
-            static_mlp=self.static_mlp, contextual_mlp=self.contextual_mlp,
-            layers=self.layers, hidden=self.hidden,
-            word_drop=self.word_drop, pos_drop=self.pos_drop,
-            lemma_drop=self.lemma_drop, encoder_dropout=self.encoder_dropout)
 
     def scaled(self, factor=None):
         """Shrink every width by the configured (or given) factor.

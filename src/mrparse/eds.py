@@ -19,6 +19,7 @@ from .atomic import atomic_open
 from .encoder import BiLstm, Mlp
 
 UNK_FEATURE = "<UNK>"
+N_BUCKETS = 256  # hashed feature buckets of a freshly fitted detector
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +300,17 @@ def build_abstract_models(params, n_buckets, node_classes, edge_classes, rng):
     )
 
 
-def train_abstract_models(params, all_examples, rng, n_buckets=256, epochs=60, lr=0.1):
-    """Build detector + labelers inside ``params`` and fit them on pooled
-    site examples with the shared Adam, which sees only their six tensors."""
-    models = build_abstract_models(
-        params, n_buckets,
-        sorted({lab for _, fired, lab, _ in all_examples if fired}),
-        sorted({el for _, fired, _, el in all_examples if fired}), rng)
+def abstract_shape(all_examples):
+    """Keyword arguments of :func:`build_abstract_models` for the labels
+    that fire in pooled site examples."""
+    return {"n_buckets": N_BUCKETS,
+            "node_classes": sorted({lab for _, fired, lab, _ in all_examples if fired}),
+            "edge_classes": sorted({el for _, fired, _, el in all_examples if fired})}
+
+
+def train_abstract_models(models, all_examples, epochs=60, lr=0.1):
+    """Fit built detector + labelers in place on pooled site examples
+    with the shared Adam, which sees only their six tensors."""
     opt = ad.Adam([t for m in (models.detector, models.node_labeler, models.edge_labeler)
                    for t in (m.w, m.b)], lr=lr)
     for _ in range(epochs):
@@ -326,7 +331,6 @@ def train_abstract_models(params, all_examples, rng, n_buckets=256, epochs=60, l
             total = ad.add(total, l)
         total.backward()
         opt.step()
-    return models
 
 
 # ---------------------------------------------------------------------------

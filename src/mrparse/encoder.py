@@ -209,22 +209,6 @@ def _average_subwords(arr, token_index):
     return out / counts[None, :, None]
 
 
-@dataclass
-class EncoderConfig:
-    surface_dim: int = 100
-    lemma_dim: int = 100
-    pos_dim: int = 100
-    ne_dim: int = 100
-    static_mlp: int = 125
-    contextual_mlp: int = 512
-    layers: int = 3
-    hidden: int = 512
-    word_drop: float = 0.1    # surface + NE + projected vectors ("the rest")
-    pos_drop: float = 0.1
-    lemma_drop: float = 0.2
-    encoder_dropout: float = 0.25
-
-
 class Mlp:
     """Single affine layer with the smooth rectifier; output = hidden size."""
 
@@ -357,7 +341,9 @@ class Encoder:
 
     ``run`` takes companion TokenRows and the sentence's contextual
     array and returns an :class:`EncoderOutput` whose position 0 is the
-    prepended <ROOT>.
+    prepended <ROOT>.  ``config`` is a ``TrainConfig``; the encoder
+    reads its embedding and MLP widths, ``layers``, ``hidden``, the
+    three feature-group drop rates and ``encoder_dropout``.
     """
 
     def __init__(self, params, vocab, config, static, ctx_layers, ctx_width, rng,

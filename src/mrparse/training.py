@@ -45,7 +45,7 @@ VAL_SIZES = {
 }
 
 # architecture fields that must agree between a checkpoint and the model
-# rebuilt around it; everything else may differ between regimes
+# built from it; everything else may differ between regimes
 ARCH_FIELDS = (
     "surface_dim", "lemma_dim", "pos_dim", "ne_dim", "static_mlp",
     "contextual_mlp", "layers", "hidden", "edge_mlp", "label_mlp",
@@ -283,21 +283,23 @@ def _strip_graph_senses(g):
 class MultiModel:
     """Shared encoder plus per-framework heads and decoders.
 
-    Construction is deterministic given (config, vocab, inventories), so
-    a checkpoint can be reloaded by rebuilding and overwriting.  Heads
+    Construction is deterministic given (config, vocab, inventories).
+    Without ``state`` the parameters take initial values drawn from
+    ``config.seed``; with ``state`` (name -> array, as a checkpoint or
+    snapshot holds) they take its values and nothing is drawn.  Heads
     exist only for frameworks with a nonempty label inventory.
     """
 
-    def __init__(self, config, vocab, inv, static, contextual):
+    def __init__(self, config, vocab, inv, static, contextual, state=None):
         self.config = config
         self.vocab = vocab
         self.inv = inv
         self.static = static
         self.contextual = contextual
-        self.params = ad.ParamSet()
+        self.params = ad.ParamSet(state)
         cfg = config
         rng = np.random.default_rng(cfg.seed)
-        self.encoder = Encoder(self.params, vocab, cfg.encoder_config(), static,
+        self.encoder = Encoder(self.params, vocab, cfg, static,
                                ctx_layers=contextual.n_layers,
                                ctx_width=contextual.width, rng=rng)
         self.heads = {}
@@ -383,37 +385,24 @@ class MultiModel:
         })
 
 
-def clone_model(model, state=None):
-    fresh = MultiModel(model.config, model.vocab, model.inv,
-                       model.static, model.contextual)
-    fresh.params.load_state_dict(state if state is not None
-                                 else model.params.state_dict())
-    return fresh
-
-
 def load_model(path, static, contextual):
-    """Rebuild a saved MultiModel or EdsModel around its checkpoint."""
+    """Build a saved MultiModel or EdsModel from its checkpoint; a
+    bundle whose content does not fit raises a ValueError naming it."""
     state, extra = ad.ParamSet.read(path)
     kind = extra.get("kind")
     if kind not in ("multi", "eds"):
         raise ValueError(f"{path}: not a model bundle (kind={kind!r})")
     try:
         cfg = TrainConfig.from_json(extra["config"])
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    vocab = Vocabulary.from_json(extra["vocab"])
-    if kind == "multi":
-        model = MultiModel(cfg, vocab, Inventories.from_json(extra["inventories"]),
-                           static, contextual)
-    else:
-        model = EdsModel(cfg, vocab, E.ConversionRuleSet.from_dict(extra["rules"]),
-                         static, contextual, extra["anchor_labels"])
-        if extra["abstract_meta"] is not None:  # the state overwrites the rng's values
-            model.abstract = E.build_abstract_models(
-                model.params, rng=np.random.default_rng(cfg.seed),
-                **extra["abstract_meta"])
-    model.params.load_state_dict(state)
-    return model
+        vocab = Vocabulary.from_json(extra["vocab"])
+        if kind == "multi":
+            return MultiModel(cfg, vocab, Inventories.from_json(extra["inventories"]),
+                              static, contextual, state=state)
+        return EdsModel(cfg, vocab, E.ConversionRuleSet.from_dict(extra["rules"]),
+                        static, contextual, extra["anchor_labels"],
+                        abstract_meta=extra["abstract_meta"], state=state)
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{path}: {err.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +439,6 @@ class EdsTargets:
 class Prepared:
     """One sentence with whatever gold targets survived preparation."""
     sent: object
-    text: str
     targets: dict
 
 
@@ -523,8 +511,7 @@ def prepare_sentences(model, sentences, frameworks, allowed_ids=None):
                 targets[fw] = builders[fw](s)
             except (ValueError, KeyError) as err:
                 warnings.warn(f"{s.id}: {fw} gold dropped ({err})")
-        preps.append(Prepared(sent=s, text=companion_text(s.tokens),
-                              targets=targets))
+        preps.append(Prepared(sent=s, targets=targets))
     return preps
 
 
@@ -719,9 +706,12 @@ class TrainResult:
     run_dir: str = None
 
     def model_at(self, key):
-        """Clone of the model at a metric's best epoch (or a given epoch)."""
+        """The model at a metric's best epoch (or a given epoch), built
+        from that epoch's snapshot."""
         epoch = key if isinstance(key, int) else self.best_epochs[key]
-        return clone_model(self.model, state=self.snapshots[epoch])
+        m = self.model
+        return MultiModel(m.config, m.vocab, m.inv, m.static, m.contextual,
+                          state=self.snapshots[epoch])
 
 
 def _checkpoint_path(run_dir, epoch):
@@ -903,9 +893,8 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
     start_key = start_key if start_key in mtl_result.best_epochs else framework
     arch = {f: getattr(base.config, f) for f in ARCH_FIELDS}
     merged = replace(config, **arch)
-    model = MultiModel(merged, base.vocab, base.inv, static, contextual)
-    model.params.load_state_dict(
-        mtl_result.snapshots[mtl_result.best_epochs[start_key]])
+    model = MultiModel(merged, base.vocab, base.inv, static, contextual,
+                       state=mtl_result.snapshots[mtl_result.best_epochs[start_key]])
 
     target = SDP_PAIR if framework in SDP_PAIR else (framework,)
     preps = _train_preps(model, split, target)
@@ -924,28 +913,34 @@ class EdsModel:
 
     The model has one parameter set.  It holds the encoder (values
     copied from the source model, then frozen), the anchoring network,
-    which trains here, and the abstract-node detector and labelers
-    (``det``, ``nlab``, ``elab``), which ``train_abstract_models`` fits
-    with an optimizer of their own.
+    which trains here, and, when ``abstract_meta`` (the keyword
+    arguments of ``E.build_abstract_models``) is given, the abstract-node
+    detector and labelers (``det``, ``nlab``, ``elab``), which
+    ``E.train_abstract_models`` fits with an optimizer of their own.
+    Without ``state`` the encoder and anchor net draw their initial
+    values from ``config.seed`` and the detectors from ``config.seed +
+    2``; with ``state`` every parameter takes its value from it.
     """
 
-    def __init__(self, config, vocab, rules, static, contextual, anchor_labels):
+    def __init__(self, config, vocab, rules, static, contextual, anchor_labels,
+                 abstract_meta=None, state=None):
         self.config = config
         self.vocab = vocab
         self.rules = rules
         self.static = static
         self.contextual = contextual
         self.anchor_labels = list(anchor_labels)
-        self.params = ad.ParamSet()
+        self.params = ad.ParamSet(state)
         rng = np.random.default_rng(config.seed)
-        self.encoder = Encoder(self.params, vocab, config.encoder_config(), static,
+        self.encoder = Encoder(self.params, vocab, config, static,
                                ctx_layers=contextual.n_layers,
                                ctx_width=contextual.width, rng=rng)
         self.anchor = E.AnchorNet(self.params, "anchor", self.anchor_labels,
                                   encoder_width=2 * config.hidden, rng=rng,
                                   emb_dim=config.anchor_emb,
                                   hidden=config.anchor_hidden)
-        self.abstract = None  # E.AbstractModels once fitted or loaded
+        self.abstract = None if abstract_meta is None else E.build_abstract_models(
+            self.params, rng=np.random.default_rng(config.seed + 2), **abstract_meta)
 
     def token_states(self, sent):
         enc_out = self.encode(sent)
@@ -1047,14 +1042,19 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     labels_seen = _first_seen(label for _, items in anchor_items
                               for label, _, _, _ in items)
 
-    model = EdsModel(cfg, vocab, rules, static, contextual, labels_seen)
-    if encoder_from is not None:
-        model.params.load_state_dict(
-            {name: arr for name, arr in encoder_from.params.state_dict().items()
-             if name.startswith("encoder.")}, strict=False)
+    meta = E.abstract_shape(site_examples)
 
-    model.abstract = E.train_abstract_models(model.params, site_examples,
-                                             np.random.default_rng(cfg.seed + 2))
+    def converter(state=None):
+        return EdsModel(cfg, vocab, rules, static, contextual, labels_seen,
+                        abstract_meta=meta, state=state)
+
+    model = converter()
+    if encoder_from is not None:
+        # the anchor net and detectors keep the values drawn above
+        model = converter({name: encoder_from.params[name].data
+                           if name.startswith("encoder.") else arr
+                           for name, arr in model.params.state_dict().items()})
+    E.train_abstract_models(model.abstract, site_examples)
     if not anchor_items:
         warnings.warn("eds: no training sentence has an abstract node with a "
                       "token span; the anchor net stays untrained")
@@ -1063,7 +1063,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     # the encoder is frozen, so token states are computed once; its
     # gradients stay None, which keeps Adam and clipping off it
     def prep(sent, items):
-        return Prepared(sent=sent, text=companion_text(sent.tokens),
+        return Prepared(sent=sent,
                         targets={"eds": EdsTargets(model.token_states(sent), items)})
 
     preps = [prep(s, items) for s, items in anchor_items]
@@ -1078,8 +1078,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
         val_preps, lambda p: _anchor_loss(m, p.targets["eds"]), "eds")}
     result = _train_loop(model, cfg, preps, loss_fn, {"eds": "min"}, validate,
                          run_dir=run_dir, kind="eds-anchor")
-    model.params.load_state_dict(result.snapshots[result.best_epochs["eds"]])
-    return model, result.history
+    return converter(result.snapshots[result.best_epochs["eds"]]), result.history
 
 
 def _token_span(node, tokens):

@@ -296,10 +296,10 @@ class TestDagToTree:
 # decoder fixtures
 
 def small_config(hidden):
-    return enc.EncoderConfig(surface_dim=3, lemma_dim=3, pos_dim=2, ne_dim=2,
-                             static_mlp=3, contextual_mlp=3, layers=1,
-                             hidden=hidden, word_drop=0.0, pos_drop=0.0,
-                             lemma_drop=0.0, encoder_dropout=0.0)
+    return TrainConfig(surface_dim=3, lemma_dim=3, pos_dim=2, ne_dim=2,
+                       static_mlp=3, contextual_mlp=3, layers=1,
+                       hidden=hidden, word_drop=0.0, pos_drop=0.0,
+                       lemma_drop=0.0, encoder_dropout=0.0)
 
 
 def make_ctx(lemmas, extra_labels=(), seed=0, enc_hidden=4, dec_hidden=6,

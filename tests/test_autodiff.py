@@ -3,6 +3,7 @@ against finite differences, optimizer against a hand-rolled reference."""
 
 import json
 import os
+import weakref
 import zipfile
 
 import numpy as np
@@ -545,10 +546,9 @@ class TestParamSet:
 
         state, extra = ad.ParamSet.read(first)
         assert extra == {"epoch": 3}
-        other = ad.ParamSet()
+        other = ad.ParamSet(state)
         other.new("enc.w", (3, 4), np.random.default_rng(99))
         other.new("enc.b", (4,), np.random.default_rng(99))
-        other.load_state_dict(state)
         other.save(second, extra={"epoch": 3})
         assert first.read_bytes() == second.read_bytes()
         with zipfile.ZipFile(first) as zf:
@@ -624,14 +624,37 @@ class TestParamSet:
         with pytest.raises(ValueError):
             ps.new("w", (2,), np.random.default_rng(0))
 
+    def test_built_from_state_copies_and_draws_nothing(self):
+        state = {"w": np.arange(6.0).reshape(2, 3), "b": np.array(0.5)}
+        rng = np.random.default_rng(0)
+        ps = ad.ParamSet(state)
+        w = ps.new("w", (2, 3), rng)
+        b = ps.new_from("b", 0.0)
+        assert rng.uniform() == np.random.default_rng(0).uniform()
+        assert w.data.tobytes() == state["w"].tobytes() and w.data.shape == (2, 3)
+        assert b.data.shape == () and b.data == 0.5
+        w.data += 1.0  # the parameter never aliases the state
+        assert state["w"][0, 0] == 0.0
+        assert list(ps.state_dict()) == ["w", "b"]
+        assert list(state) == ["w", "b"]  # the caller's map is left whole
+
+    def test_built_from_state_keeps_no_taken_array(self):
+        arr = np.ones(2)
+        taken = weakref.ref(arr)
+        ps = ad.ParamSet({"w": arr})
+        ps.new("w", (2,), None)
+        del arr
+        assert taken() is None
+
     def test_missing_param_rejected(self):
-        ps = ad.ParamSet()
-        ps.new("w", (2,), np.random.default_rng(0))
-        with pytest.raises(KeyError):
-            ps.load_state_dict({})
+        for build in (lambda ps: ps.new("w", (2,), None),
+                      lambda ps: ps.new_from("w", np.zeros(2))):
+            with pytest.raises(KeyError, match="missing parameter w"):
+                build(ad.ParamSet({"v": np.zeros(2)}))
 
     def test_shape_mismatch_rejected(self):
-        ps = ad.ParamSet()
-        ps.new("w", (2,), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            ps.load_state_dict({"w": np.zeros((3,))})
+        for build in (lambda ps: ps.new("w", (2,), None),
+                      lambda ps: ps.new_from("w", np.zeros(2))):
+            with pytest.raises(ValueError,
+                               match=r"shape mismatch for w: \(3,\) vs \(2,\)"):
+                build(ad.ParamSet({"w": np.zeros(3)}))

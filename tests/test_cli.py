@@ -8,6 +8,7 @@ at the artifacts.
 import json
 import os
 
+import numpy as np
 import pytest
 
 import mrparse.autodiff as ad
@@ -198,6 +199,18 @@ def test_parse_amr_refuses_multiple_models(ws, tmp_path, capsys):
     assert "single" in capsys.readouterr().err
 
 
+def test_parse_eds_refuses_multiple_models(ws, tmp_path, capsys):
+    # the second path does not exist: the usage error comes before any load
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--model", os.path.join(ws["eds_run"], "model-eds.bundle"),
+                "--model", str(tmp_path / "absent.bundle"),
+                "--framework", "eds", "--dm-mrp", ws["dm"],
+                "--out", str(tmp_path / "x.mrp")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "parse --framework eds takes one conversion bundle; pass a single --model"]
+
+
 def test_parse_rejects_non_bundle(ws, tmp_path, capsys):
     code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
                 "--model", ws["dm"], "--framework", "dm",
@@ -224,6 +237,29 @@ def test_parse_bad_bundle_is_one_line_error(ws, tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {path}: not a format-2 checkpoint"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape"])
+def test_parse_bundle_member_mismatch_is_one_line_error(ws, tmp_path, capsys,
+                                                       fault):
+    state, extra = ad.ParamSet.read(ws["mtl_bundle"])
+    name = "encoder.mix"
+    n = state[name].size
+    bad = ad.ParamSet()
+    for key, arr in state.items():
+        if key != name:
+            bad.new_from(key, arr)
+        elif fault == "shape":
+            bad.new_from(key, np.zeros(n + 1))
+    path = tmp_path / f"{fault}.bundle"
+    bad.save(path, extra=extra)
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--model", str(path), "--framework", "dm",
+                "--out", str(tmp_path / "x.mrp")])
+    assert code == 1
+    want = (f"missing parameter {name}" if fault == "missing"
+            else f"shape mismatch for {name}: ({n + 1},) vs ({n},)")
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {want}"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +322,24 @@ def test_convert_with_model(ws, tmp_path):
                 *embed_args(ws), "--out", out])
     assert code == 0
     assert len(G.load_mrp(out)) == 10
+
+
+def test_convert_rules_override_the_embedded_rules(ws, tmp_path):
+    doc = json.loads(open(ws["rules"], encoding="utf-8").read())
+    assert doc["surface"]
+    for rule in doc["surface"]:
+        rule["template"] = "over_" + rule["template"]
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(doc))
+    labels = {}
+    for name, extra in (("embedded", []), ("override", ["--rules", str(rules)])):
+        out = str(tmp_path / f"{name}.mrp")
+        assert run(["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
+                    "--model", os.path.join(ws["eds_run"], "model-eds.bundle"),
+                    *embed_args(ws), *extra, "--out", out]) == 0
+        labels[name] = {n.label for g in G.load_mrp(out) for n in g.nodes}
+    assert not any(label.startswith("over_") for label in labels["embedded"])
+    assert any(label.startswith("over_") for label in labels["override"])
 
 
 def test_convert_needs_rules_or_model(ws, tmp_path):

@@ -130,9 +130,3 @@ class TestSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration keys"):
             C.TrainConfig.from_json({"hidden": 8, "colour": "red"})
-
-    def test_encoder_config_projection(self):
-        cfg = C.single_config("psd")
-        ec = cfg.encoder_config()
-        assert ec.layers == 2 and ec.pos_drop == 0.4
-        assert ec.hidden == cfg.hidden

@@ -217,8 +217,9 @@ class TestHashedLogReg:
             gold = MrpGraph(id=f"s{k}", flavor=1, framework="eds", input=g.input,
                             tops=(0,), nodes=tuple(gold_nodes), edges=tuple(gold_edges))
             examples.extend(eds.abstract_training_examples(gold, surface, rules))
-        models = eds.train_abstract_models(ad.ParamSet(), examples, rng,
-                                           epochs=80, lr=0.2)
+        models = eds.build_abstract_models(ad.ParamSet(), rng=rng,
+                                           **eds.abstract_shape(examples))
+        eds.train_abstract_models(models, examples, epochs=80, lr=0.2)
         for feats, fired, nlab, elab in examples:
             assert (models.detector.probability(feats) > 0.5) == bool(fired)
             if fired:

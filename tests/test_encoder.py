@@ -1,11 +1,15 @@
 """Vocabulary rules, embedding files, feature mixing, group dropout, biLSTM."""
 
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mrparse import autodiff as ad
 from mrparse import encoder as enc
 from mrparse import graphs as G
+from mrparse.config import TrainConfig
 
 
 def mk_tokens(words, lemmas=None, upos=None, ne=None):
@@ -30,7 +34,14 @@ def small_config(**kw):
                 contextual_mlp=8, layers=1, hidden=9, word_drop=0.0, pos_drop=0.0,
                 lemma_drop=0.0, encoder_dropout=0.0)
     base.update(kw)
-    return enc.EncoderConfig(**base)
+    return TrainConfig(**base)
+
+
+def certain_drop(e, **rates):
+    """``e`` with drop rates of 1.0, which ``TrainConfig`` rejects as a
+    training setting; ``_group_drop`` reads them when it runs."""
+    e.config = SimpleNamespace(**{**asdict(e.config), **rates})
+    return e
 
 
 def mk_static(words, dim, seed=0):
@@ -229,7 +240,7 @@ class TestFeaturize:
         np.testing.assert_array_equal(h0.data, h1.data)
 
     def test_group_drop_probability_one_zeroes_lemma(self):
-        e, _ = mk_encoder(self.vocab, self.words, lemma_drop=1.0)
+        e = certain_drop(mk_encoder(self.vocab, self.words)[0], lemma_drop=1.0)
         h0 = e.featurize(self.tokens, self.ctx, train=True, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(h0.data[:, 6:11], 0.0)
         assert np.abs(h0.data[:, :6]).sum() > 0  # surface group untouched
@@ -249,7 +260,7 @@ class TestFeaturize:
         assert abs(word_rate - 0.1) < 0.02
 
     def test_word_group_covers_rest(self):
-        e, _ = mk_encoder(self.vocab, self.words, word_drop=1.0)
+        e = certain_drop(mk_encoder(self.vocab, self.words)[0], word_drop=1.0)
         h0 = e.featurize(self.tokens, self.ctx, train=True, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(h0.data[:, :6], 0.0)    # surface
         np.testing.assert_array_equal(h0.data[:, 15:], 0.0)   # ne + projections

@@ -473,7 +473,7 @@ class TestTrainLoop:
             assert np.array_equal(states[0][name], states[1][name]), name
 
     def test_nan_guard_raises(self, mtl, corpus):
-        model = T.clone_model(mtl.model)
+        model = mtl.model_at("total")
         model.params._params["encoder.surface_emb"].data[:] = np.nan
         preps = T.prepare_sentences(model, corpus.sentences[:2], ("dm",))
         cfg = replace(mtl.config, epochs=1)
@@ -546,6 +546,41 @@ class TestBundles:
         ps.save(path)
         with pytest.raises(ValueError, match="not a model bundle"):
             T.load_model(path, None, None)
+
+    def test_models_built_from_state_draw_nothing(self, mtl, eds, split, corpus,
+                                                  tmp_path, monkeypatch):
+        """Bundle loads, ``model_at`` and the start of fine-tuning take
+        every value from saved arrays: no initializer draws."""
+        paths = [str(tmp_path / "joint.bundle"), str(tmp_path / "eds.bundle")]
+        mtl.model.save(paths[0])
+        eds[0].save(paths[1])
+        draws = []
+
+        class CountingGenerator(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return super().uniform(*args, **kwargs)
+
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: CountingGenerator(np.random.PCG64(seed)))
+        monkeypatch.setattr(T, "_train_loop", started)
+        m = mtl.model
+        T.MultiModel(m.config, m.vocab, m.inv, m.static, m.contextual)
+        assert draws  # a random build is counted
+        draws.clear()
+        for path in paths:
+            T.load_model(path, corpus.static, corpus.contextual)
+        mtl.model_at("total")
+        with pytest.raises(Started):
+            T.fine_tune(mtl, "dm", tiny(multitask_config(), epochs=1, seed=12),
+                        split, corpus.static, corpus.contextual)
+        assert draws == []
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +858,7 @@ class TestEnsembles:
             json.dumps(spec.to_json()))) == spec
 
     def test_members_must_agree_on_labels(self, mtl, corpus):
-        other = T.clone_model(mtl.model)
+        other = mtl.model_at("total")
         other.heads["dm"].labels = list(mtl.model.heads["dm"].labels)[::-1]
         with pytest.raises(ValueError, match="disagree"):
             T.parse_ensemble([mtl.model, other], corpus.sentences[8], "dm")
