@@ -263,9 +263,6 @@ class TreeNode:
 class AmrTree:
     nodes: tuple
 
-    def replicas(self):
-        return tuple(n for n in self.nodes if n.copy_of is not None)
-
     def labels(self):
         return tuple(n.label for n in self.nodes)
 
@@ -677,10 +674,6 @@ class AmrGeneration:
     attentions: list
     log_prob: float
     truncated: bool = False
-
-    @property
-    def normalized_score(self):
-        return _normalized(self.log_prob, len(self.labels))
 
 
 def _normalized(log_prob, n_nodes):

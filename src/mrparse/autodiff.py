@@ -9,9 +9,10 @@ finite-difference checks are meaningful.
 Inside :func:`no_grad` the ops compute the same values but record
 nothing: every result is a plain leaf with no parents and no backward
 rule, so a forward pass that is never differentiated keeps no graph
-alive.  Parsing (``training.parse_sentence`` and
-``training.parse_ensemble``, hence ensemble selection), validation
-losses (``training._val_loss``) and EDS conversion
+alive.  Parsing (``training.parse_ensemble``, which
+``training.parse_sentence`` calls), ensemble selection
+(``training.build_ensemble``), validation losses
+(``training._val_loss``) and EDS conversion
 (``training.EdsModel.parse``) run under it.
 
 Two fused ops carry every LSTM recurrence: :func:`lstm_sequence` runs a
@@ -91,13 +92,21 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
     def accumulate(self, g):
-        if self.grad is None:
+        """Add ``g`` into ``grad``.  The first gradient of the same shape
+        and dtype is copied into a buffer laid out like ``data``: the
+        values of adding it to zeros, except that a -0.0 stays -0.0, and
+        the buffer aliases no other array.  Any other first gradient is
+        broadcast or cast by adding it to zeros."""
+        if self.grad is not None:
+            self.grad += g
+        elif (isinstance(g, np.ndarray) and g.shape == self.data.shape
+                and g.dtype == self.data.dtype):
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None

@@ -6,14 +6,12 @@ static and contextual embedding arrays.  Builds are pure functions of
 the seed.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs as G
 from . import ucca as U
-from .atomic import atomic_open
 from .eds import ConversionRuleSet, dm_to_eds_surface
 from .encoder import ROOT, StaticEmbeddings, ContextualEmbeddings
 
@@ -371,26 +369,3 @@ def build_corpus(n=32, seed=7, singles=0):
     static, contextual = build_embeddings(sentences, seed)
     return SynthCorpus(sentences=sentences, rules=conversion_rules(),
                        static=static, contextual=contextual)
-
-
-def write_corpus(corpus, dirpath):
-    """Materialize the corpus in its on-disk formats; returns the paths."""
-    os.makedirs(dirpath, exist_ok=True)
-    paths = {"companion": os.path.join(dirpath, "companion.tsv"),
-             "static": os.path.join(dirpath, "glove.txt"),
-             "contextual": os.path.join(dirpath, "contextual.npz"),
-             "rules": os.path.join(dirpath, "eds_rules.json")}
-    G.save_companion({s.id: list(s.tokens) for s in corpus.sentences},
-                     paths["companion"])
-    for fw in G.FRAMEWORKS:
-        graphs = [s.graphs[fw] for s in corpus.sentences if fw in s.graphs]
-        paths[fw] = os.path.join(dirpath, f"{fw}.mrp")
-        G.save_mrp(graphs, paths[fw])
-    with atomic_open(paths["static"]) as fh:
-        for word in sorted(corpus.static.table):
-            vec = corpus.static.table[word]
-            fh.write(word + " " + " ".join(f"{x:.8f}" for x in vec) + "\n")
-    with atomic_open(paths["contextual"], "wb") as fh:
-        np.savez(fh, **corpus.contextual.arrays)
-    corpus.rules.save(paths["rules"])
-    return paths

@@ -273,24 +273,9 @@ def _check_token_anchors(sid, rows):
             raise FormatError(f"{sid}: empty token anchor {row.anchor}")
 
 
-def write_companion(sentences, stream):
-    """Inverse of :func:`read_companion`; ne column always written."""
-    for sid in sentences:
-        stream.write(f"#{sid}\n")
-        for r in sentences[sid]:
-            stream.write("\t".join([str(r.index), r.surface, r.lemma, r.upos, r.xpos,
-                                    r.ne, str(r.anchor.start), str(r.anchor.end)]))
-            stream.write("\n")
-
-
 def load_companion(path):
     with open(path, encoding="utf-8") as fh:
         return read_companion(fh)
-
-
-def save_companion(sentences, path):
-    with atomic_open(path) as fh:
-        write_companion(sentences, fh)
 
 
 # ---------------------------------------------------------------------------

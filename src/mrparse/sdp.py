@@ -268,15 +268,18 @@ def build_graph(framework, sid, tokens, text, scores, frame_pred=None,
     out_edges_of = {}
     for i, j, lab in decoded.edges:
         out_edges_of.setdefault(i - 1, []).append(lab)
+    with_frames = framework == "dm" and frame_pred is not None
+    if with_frames:
+        type_probs = frame_pred.type_probs()
+        arg_probs = [frame_pred.arg_probs(k) for k in range(N_ARG_HEADS)]
 
     nodes = []
     for tok_idx in token_ids:
         tok = tokens[tok_idx]
         props = [("pos", tok.xpos)]
-        if framework == "dm" and frame_pred is not None:
+        if with_frames:
             frame = reconstruct_dm_frame(
-                frame_pred.type_probs()[tok_idx + 1],
-                [frame_pred.arg_probs(k)[tok_idx + 1] for k in range(N_ARG_HEADS)],
+                type_probs[tok_idx + 1], [p[tok_idx + 1] for p in arg_probs],
                 tok.lemma, resources.dm_lexicon,
                 frame_pred.types, frame_pred.arg_classes)
             props.append(("frame", frame))

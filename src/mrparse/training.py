@@ -1125,32 +1125,70 @@ def amr_prediction(model, sent, beam=5):
     return gen, model.heads["amr"].score(states)
 
 
-@ad.no_grad()
-def parse_sentence(model, sent, framework, beam=5):
-    """Decode one framework's graph for one sentence."""
-    text = companion_text(sent.tokens)
+def predict(model, sent, framework, beam=5):
+    """One model's prediction for one sentence, the arrays its graph is
+    decoded from: (pair scores, frames) for DM and PSD, a
+    ``UccaPrediction`` for UCCA, (generation, pair scores) for AMR.  A
+    model without the framework's head or decoder raises a ValueError."""
     if framework in ("dm", "psd"):
         if framework not in model.heads:
             raise ValueError(f"model has no {framework} head")
-        scores, frames = sdp_prediction(model, sent, framework)
-        return S.build_graph(framework, sent.id, sent.tokens, text, scores,
-                             frame_pred=frames, resources=model.sdp_resources())
+        return sdp_prediction(model, sent, framework)
     if framework == "ucca":
         if model.ucca_decoder is None:
             raise ValueError("model has no ucca decoder")
-        pred = ucca_prediction(model, sent)
-        return U.decode_graph(pred, model.heads["ucca"].labels,
-                              sent.tokens, text, sent.id)
+        return ucca_prediction(model, sent)
     if framework == "amr":
         if model.amr_decoder is None:
             raise ValueError("model has no amr decoder")
-        gen, scores = amr_prediction(model, sent, beam=beam)
-        records = A.records_from_ne(sent.tokens, model.inv.ne_map)
-        graph, _ = A.decode_graph(gen, scores, model.heads["amr"].labels,
-                                  sent.id, text, records=records,
-                                  sense_table=model.inv.sense_table)
-        return graph
+        return amr_prediction(model, sent, beam=beam)
     raise ValueError(f"cannot parse framework {framework!r} with this model")
+
+
+def decode_predictions(models, sent, framework, preds):
+    """One sentence's graph from ``preds[i] = predict(models[i], ...)``.
+
+    A single prediction decodes as it stands; several are combined
+    first: DM and PSD average their probabilities, UCCA votes, and AMR
+    refuses (it is served by its single best model).
+    """
+    text = companion_text(sent.tokens)
+    if framework in ("dm", "psd"):
+        if len(preds) == 1:
+            scores, frames = preds[0]
+        else:
+            scores = combine_pair_scores([s for s, _ in preds])
+            frames = None
+            if framework == "dm" and all(f is not None for _, f in preds):
+                frames = combine_frames([f for _, f in preds])
+        return S.build_graph(framework, sent.id, sent.tokens, text, scores,
+                             frame_pred=frames,
+                             resources=models[0].sdp_resources())
+    if framework == "ucca":
+        labels = _require_same_labels([m.heads["ucca"].labels for m in models],
+                                      "ucca labels")
+        win = preds[0] if len(preds) == 1 else U.voting_ensemble(preds)
+        return U.decode_graph(win, labels, sent.tokens, text, sent.id)
+    if len(preds) > 1:
+        raise ValueError("amr is served by its single best model, not combined")
+    model, (gen, scores) = models[0], preds[0]
+    records = A.records_from_ne(sent.tokens, model.inv.ne_map)
+    graph, _ = A.decode_graph(gen, scores, model.heads["amr"].labels,
+                              sent.id, text, records=records,
+                              sense_table=model.inv.sense_table)
+    return graph
+
+
+@ad.no_grad()
+def parse_ensemble(models, sent, framework, beam=5):
+    """Predict with each model, then combine and decode."""
+    preds = [predict(m, sent, framework, beam=beam) for m in models]
+    return decode_predictions(models, sent, framework, preds)
+
+
+def parse_sentence(model, sent, framework, beam=5):
+    """Decode one framework's graph for one sentence."""
+    return parse_ensemble([model], sent, framework, beam=beam)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,31 +1245,6 @@ def combine_frames(preds):
                              types=types, arg_classes=args)
 
 
-@ad.no_grad()
-def parse_ensemble(models, sent, framework, beam=5):
-    """Combine several models' predictions for one sentence."""
-    if len(models) == 1:
-        return parse_sentence(models[0], sent, framework, beam=beam)
-    text = companion_text(sent.tokens)
-    if framework in ("dm", "psd"):
-        pairs = [sdp_prediction(m, sent, framework) for m in models]
-        scores = combine_pair_scores([s for s, _ in pairs])
-        frames = None
-        if framework == "dm" and all(f is not None for _, f in pairs):
-            frames = combine_frames([f for _, f in pairs])
-        return S.build_graph(framework, sent.id, sent.tokens, text, scores,
-                             frame_pred=frames,
-                             resources=models[0].sdp_resources())
-    if framework == "ucca":
-        labels = _require_same_labels([m.heads["ucca"].labels for m in models],
-                                      "ucca labels")
-        win = U.voting_ensemble([ucca_prediction(m, sent) for m in models])
-        return U.decode_graph(win, labels, sent.tokens, text, sent.id)
-    if framework == "amr":
-        raise ValueError("amr is served by its single best model, not combined")
-    raise ValueError(f"no ensemble rule for framework {framework!r}")
-
-
 def greedy_ensemble(candidates, score_fn):
     """Forward selection: order by solo score, then add members while the
     score strictly improves; the first non-improvement stops the scan."""
@@ -1251,24 +1264,28 @@ def greedy_ensemble(candidates, score_fn):
     return tuple(chosen), best
 
 
+@ad.no_grad()
 def build_ensemble(models, framework, sentences, beam=5, score_fn=None):
     """Pick members on the ensembling carve-out by held-out F1.
 
     AMR keeps its single best model; DM and PSD average scores; UCCA
-    votes.  ``score_fn`` is injectable for tests and takes a member
-    index tuple.
+    votes.  Each model predicts each sentence once: for k models and n
+    sentences the cache holds k × n predictions, each the arrays one
+    parse already builds (``predict``), and every subset the scan tries
+    is scored by decoding its members' cached predictions.  ``score_fn``
+    is injectable for tests and takes a member index tuple.
     """
-    golds = [s.graphs[framework] for s in sentences]
     if score_fn is None:
+        golds = [s.graphs[framework] for s in sentences]
+        cache = [[predict(m, s, framework, beam=beam) for s in sentences]
+                 for m in models]
+
         def score_fn(member_ids):
-            if framework == "amr":
-                preds = [parse_sentence(models[member_ids[0]], s, "amr", beam=beam)
-                         for s in sentences]
-            else:
-                subset = [models[i] for i in member_ids]
-                preds = [parse_ensemble(subset, s, framework, beam=beam)
-                         for s in sentences]
-            return corpus_report(golds, preds).framework_f1(framework)
+            subset = [models[i] for i in member_ids]
+            graphs = [decode_predictions(subset, s, framework,
+                                         [cache[i][k] for i in member_ids])
+                      for k, s in enumerate(sentences)]
+            return corpus_report(golds, graphs).framework_f1(framework)
 
     candidates = list(range(len(models)))
     if framework == "amr":
@@ -1281,7 +1298,5 @@ def build_ensemble(models, framework, sentences, beam=5, score_fn=None):
 
 
 def parse_with_spec(models, spec, sent, beam=5):
-    subset = [models[i] for i in spec.members]
-    if spec.rule == "single":
-        return parse_sentence(subset[0], sent, spec.framework, beam=beam)
-    return parse_ensemble(subset, sent, spec.framework, beam=beam)
+    return parse_ensemble([models[i] for i in spec.members], sent,
+                          spec.framework, beam=beam)

@@ -6,6 +6,7 @@ relative error of 1e-4 (denominator floored at 1) before downstream
 modules get to use it.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,10 @@ import pytest
 
 from mrparse import amr
 from mrparse import autodiff as ad
+from mrparse import graphs as G
+from mrparse import sdp
+from mrparse import training as T
+from mrparse import ucca
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -46,7 +51,7 @@ def check_gradients(build, leaves, tol=FD_TOL, h=FD_STEP):
     out.backward()
     for leaf in leaves:
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        numeric = numeric_gradient(lambda: build().item(), leaf.data, h=h)
+        numeric = numeric_gradient(lambda: build().data.item(), leaf.data, h=h)
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = float(err.max()) if err.size else 0.0
         assert worst <= tol, f"max rel err {worst:.3g} exceeds {tol}"
@@ -260,6 +265,13 @@ def _ref_generation(hyp):
                              truncated=hyp.truncated)
 
 
+def normalized_score(gen):
+    """Log-probability per step of an ``amr.AmrGeneration``, the closing
+    step included: the score ``amr.beam_search`` ranks finished
+    hypotheses by."""
+    return gen.log_prob / max(1, len(gen.labels) + 1)
+
+
 def reference_node_feature(encoder, label, pos=None):
     """One node's (1, F) input row, as ``amr.node_features`` builds it
     row by row."""
@@ -435,5 +447,124 @@ def reference_beam_search(ctx, width=5, cap=None):
             hyp.truncated = True
         done = beams
     return _ref_generation(max(
-        done, key=lambda h: (_ref_generation(h).normalized_score,
+        done, key=lambda h: (normalized_score(_ref_generation(h)),
                              -len(h.labels), tuple(h.labels))))
+
+
+# ---------------------------------------------------------------------------
+# the synthetic corpus on disk, for the command line tests
+
+def write_companion(sentences, stream):
+    """Inverse of ``graphs.read_companion``; ne column always written."""
+    for sid in sentences:
+        stream.write(f"#{sid}\n")
+        for r in sentences[sid]:
+            stream.write("\t".join([str(r.index), r.surface, r.lemma, r.upos, r.xpos,
+                                    r.ne, str(r.anchor.start), str(r.anchor.end)]))
+            stream.write("\n")
+
+
+def write_corpus(corpus, dirpath):
+    """Materialize a ``datagen.SynthCorpus`` in its on-disk formats;
+    returns the paths."""
+    os.makedirs(dirpath, exist_ok=True)
+    paths = {"companion": os.path.join(dirpath, "companion.tsv"),
+             "static": os.path.join(dirpath, "glove.txt"),
+             "contextual": os.path.join(dirpath, "contextual.npz"),
+             "rules": os.path.join(dirpath, "eds_rules.json")}
+    with open(paths["companion"], "w", encoding="utf-8") as fh:
+        write_companion({s.id: list(s.tokens) for s in corpus.sentences}, fh)
+    for fw in G.FRAMEWORKS:
+        graphs = [s.graphs[fw] for s in corpus.sentences if fw in s.graphs]
+        paths[fw] = os.path.join(dirpath, f"{fw}.mrp")
+        G.save_mrp(graphs, paths[fw])
+    with open(paths["static"], "w", encoding="utf-8") as fh:
+        for word in sorted(corpus.static.table):
+            vec = corpus.static.table[word]
+            fh.write(word + " " + " ".join(f"{x:.8f}" for x in vec) + "\n")
+    with open(paths["contextual"], "wb") as fh:
+        np.savez(fh, **corpus.contextual.arrays)
+    corpus.rules.save(paths["rules"])
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# ensemble selection as it was before it cached member predictions: each
+# subset the greedy scan tries re-parses every member on every sentence.
+# The cached scan must pick the same members with the same F1.
+
+@ad.no_grad()
+def reference_parse_sentence(model, sent, framework, beam=5):
+    """Counterpart of ``training.parse_sentence``."""
+    text = T.companion_text(sent.tokens)
+    if framework in ("dm", "psd"):
+        if framework not in model.heads:
+            raise ValueError(f"model has no {framework} head")
+        scores, frames = T.sdp_prediction(model, sent, framework)
+        return sdp.build_graph(framework, sent.id, sent.tokens, text, scores,
+                               frame_pred=frames, resources=model.sdp_resources())
+    if framework == "ucca":
+        if model.ucca_decoder is None:
+            raise ValueError("model has no ucca decoder")
+        pred = T.ucca_prediction(model, sent)
+        return ucca.decode_graph(pred, model.heads["ucca"].labels,
+                                 sent.tokens, text, sent.id)
+    if framework == "amr":
+        if model.amr_decoder is None:
+            raise ValueError("model has no amr decoder")
+        gen, scores = T.amr_prediction(model, sent, beam=beam)
+        records = amr.records_from_ne(sent.tokens, model.inv.ne_map)
+        graph, _ = amr.decode_graph(gen, scores, model.heads["amr"].labels,
+                                    sent.id, text, records=records,
+                                    sense_table=model.inv.sense_table)
+        return graph
+    raise ValueError(f"cannot parse framework {framework!r} with this model")
+
+
+@ad.no_grad()
+def reference_parse_ensemble(models, sent, framework, beam=5):
+    """Counterpart of ``training.parse_ensemble``."""
+    if len(models) == 1:
+        return reference_parse_sentence(models[0], sent, framework, beam=beam)
+    text = T.companion_text(sent.tokens)
+    if framework in ("dm", "psd"):
+        pairs = [T.sdp_prediction(m, sent, framework) for m in models]
+        scores = T.combine_pair_scores([s for s, _ in pairs])
+        frames = None
+        if framework == "dm" and all(f is not None for _, f in pairs):
+            frames = T.combine_frames([f for _, f in pairs])
+        return sdp.build_graph(framework, sent.id, sent.tokens, text, scores,
+                               frame_pred=frames,
+                               resources=models[0].sdp_resources())
+    if framework == "ucca":
+        labels = T._require_same_labels([m.heads["ucca"].labels for m in models],
+                                        "ucca labels")
+        win = ucca.voting_ensemble([T.ucca_prediction(m, sent) for m in models])
+        return ucca.decode_graph(win, labels, sent.tokens, text, sent.id)
+    if framework == "amr":
+        raise ValueError("amr is served by its single best model, not combined")
+    raise ValueError(f"no ensemble rule for framework {framework!r}")
+
+
+def reference_build_ensemble(models, framework, sentences, beam=5):
+    """Counterpart of ``training.build_ensemble``: (spec, F1)."""
+    golds = [s.graphs[framework] for s in sentences]
+
+    def score_fn(member_ids):
+        if framework == "amr":
+            preds = [reference_parse_sentence(models[member_ids[0]], s, "amr",
+                                              beam=beam) for s in sentences]
+        else:
+            subset = [models[i] for i in member_ids]
+            preds = [reference_parse_ensemble(subset, s, framework, beam=beam)
+                     for s in sentences]
+        return T.corpus_report(golds, preds).framework_f1(framework)
+
+    candidates = list(range(len(models)))
+    if framework == "amr":
+        solo = {i: score_fn((i,)) for i in candidates}
+        best = sorted(candidates, key=lambda i: (-solo[i], i))[0]
+        return T.EnsembleSpec("amr", (best,), "single"), solo[best]
+    members, best = T.greedy_ensemble(candidates, score_fn)
+    rule = "vote" if framework == "ucca" else "average"
+    return T.EnsembleSpec(framework, members, rule), best

@@ -46,13 +46,13 @@ class TestForward:
         p = np.array([0.9, 0.2, 0.5])
         t = np.array([1.0, 0.0, 1.0])
         want = -(np.log(0.9) + np.log(0.8) + np.log(0.5))
-        got = ad.binary_cross_entropy(ad.Tensor(p), t).item()
+        got = ad.binary_cross_entropy(ad.Tensor(p), t).data.item()
         assert abs(got - want) < 1e-12
 
     def test_binary_cross_entropy_clips_saturated_probs(self):
         p = np.array([0.0, 1.0])
         t = np.array([1.0, 0.0])
-        got = ad.binary_cross_entropy(ad.Tensor(p), t).item()
+        got = ad.binary_cross_entropy(ad.Tensor(p), t).data.item()
         assert np.isfinite(got)
         assert abs(got - 2 * -np.log(1e-9)) < 1e-3
 
@@ -61,7 +61,7 @@ class TestForward:
         logits = rng.normal(size=(6, 5))
         targets = rng.integers(0, 5, size=6)
         want = -sp_log_softmax(logits, axis=-1)[np.arange(6), targets].sum()
-        got = ad.cross_entropy_logits(ad.Tensor(logits), targets).item()
+        got = ad.cross_entropy_logits(ad.Tensor(logits), targets).data.item()
         assert abs(got - want) < 1e-10
 
     def test_matmul_batch_broadcast(self):
@@ -301,7 +301,7 @@ class TestGradients:
         x, y = rng.normal(size=4), rng.normal(size=3)
         u, w, b = rng.normal(size=(4, 3)), rng.normal(size=7), rng.normal()
         want = x @ u @ y + w @ np.concatenate([x, y]) + b
-        got = bilinear(ad.Tensor(x), ad.Tensor(y), ad.Tensor(u), ad.Tensor(w), ad.Tensor(b)).item()
+        got = bilinear(ad.Tensor(x), ad.Tensor(y), ad.Tensor(u), ad.Tensor(w), ad.Tensor(b)).data.item()
         assert abs(got - want) < 1e-10
 
     def test_bilinear_label(self):
@@ -361,6 +361,32 @@ class TestGraph:
         out.backward()
         assert x.grad == pytest.approx(8.0)
 
+    def test_first_gradient_is_an_owned_copy(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        g = np.array([-0.0, 1.0, 2.0])
+        x.accumulate(g)
+        assert np.signbit(x.grad[0])  # zeros plus -0.0 would give +0.0
+        assert not np.shares_memory(x.grad, g)
+        g[1] = 7.0
+        x.accumulate(np.ones(3))
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+
+    def test_first_gradient_of_another_layout_takes_the_data_layout(self):
+        x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        g = np.arange(6.0).reshape(3, 2).T
+        x.accumulate(g)
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, g)
+
+    @pytest.mark.parametrize("g", [np.ones(3), np.ones((2, 3), dtype=np.float32),
+                                   np.float64(2.0)])
+    def test_first_gradient_of_another_shape_or_dtype_adds_to_zeros(self, g):
+        x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        x.accumulate(g)
+        want = np.zeros((2, 3))
+        want += g
+        assert x.grad.dtype == np.float64
+        assert x.grad.tobytes() == want.tobytes()
 
 
 class TestNoGrad:

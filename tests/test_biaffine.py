@@ -64,7 +64,7 @@ class TestScoring:
         for i in range(4):
             for j in range(4):
                 ref = bilinear(ad.Tensor(ef[i]), ad.Tensor(et[j]), head.u_edge,
-                               ad.Tensor(w), head.b_edge).item()
+                               ad.Tensor(w), head.b_edge).data.item()
                 got = out.edge_probs.data[i, j]
                 assert got == pytest.approx(1.0 / (1.0 + np.exp(-ref)), abs=1e-10)
 
@@ -164,8 +164,8 @@ class TestLoss:
         logits[1, 2, 0] = 50.0
         scores = mk_scores(p, logits, ["A", "B"])
         e, l = bf.edge_and_label_loss(scores, [(1, 2, 0)], [1])
-        assert e.item() < 1e-6
-        assert l.item() < 1e-6
+        assert e.data.item() < 1e-6
+        assert l.data.item() < 1e-6
 
     def test_two_node_hand_computation(self):
         p = np.array([[0.1, 0.7, 0.2],
@@ -184,9 +184,9 @@ class TestLoss:
             for j in range(3):
                 t = target[i, j]
                 want += -(t * np.log(p[i, j]) + (1 - t) * np.log(1 - p[i, j]))
-        assert e.item() == pytest.approx(want, abs=1e-10)
+        assert e.data.item() == pytest.approx(want, abs=1e-10)
         soft = np.exp([1.0, -1.0]) / np.exp([1.0, -1.0]).sum()
-        assert l.item() == pytest.approx(-np.log(soft[0]), abs=1e-10)
+        assert l.data.item() == pytest.approx(-np.log(soft[0]), abs=1e-10)
 
     def test_gold_top_charged_through_root_cell(self):
         p = np.full((3, 3), 0.5)
@@ -194,18 +194,18 @@ class TestLoss:
         e_without, _ = bf.edge_and_label_loss(scores, [], [])
         e_with, _ = bf.edge_and_label_loss(scores, [], [2])
         # flipping one cell's target at p=0.5 leaves -log(0.5) unchanged
-        assert e_with.item() == pytest.approx(e_without.item())
+        assert e_with.data.item() == pytest.approx(e_without.data.item())
         p2 = p.copy()
         p2[0, 2] = 0.9
         scores2 = mk_scores(p2, np.zeros((3, 3, 1)), ["A"])
         e2_without, _ = bf.edge_and_label_loss(scores2, [], [])
         e2_with, _ = bf.edge_and_label_loss(scores2, [], [2])
-        assert e2_with.item() < e2_without.item()  # target now matches the confident cell
+        assert e2_with.data.item() < e2_without.data.item()  # target now matches the confident cell
 
     def test_no_gold_edges_zero_label_loss(self):
         scores = mk_scores(np.full((2, 2), 0.5), np.zeros((2, 2, 1)), ["A"])
         _, l = bf.edge_and_label_loss(scores, [], [1])
-        assert l.item() == 0.0
+        assert l.data.item() == 0.0
 
 
 class TestOverfit:

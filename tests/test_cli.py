@@ -16,13 +16,15 @@ import mrparse.graphs as G
 from mrparse import cli, datagen
 from mrparse.cli import run
 
+from conftest import write_corpus
+
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Corpus on disk plus one run directory per training regime."""
     root = tmp_path_factory.mktemp("cli")
     corpus = datagen.build_corpus(n=10, seed=7)
-    paths = datagen.write_corpus(corpus, str(root / "data"))
+    paths = write_corpus(corpus, str(root / "data"))
     paths["root"] = str(root)
 
     def train(regime, out, *extra):
@@ -396,6 +398,18 @@ def test_ensemble_selection(ws, tmp_path):
     assert doc["framework"] == "psd" and doc["rule"] == "average"
     assert doc["members"] and 0.0 <= doc["score"] <= 1.0
     assert len(doc["models"]) == 2
+
+
+def test_ensemble_member_without_decoder_is_one_line_error(ws, tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    code = run(["ensemble", "--companion", ws["companion"], *embed_args(ws),
+                "--gold", ws["ucca"], "--framework", "ucca",
+                "--model", os.path.join(ws["single"], "model-psd.bundle"),
+                "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: model has no ucca decoder"]
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("fw, gold, bundle", [("psd", "psd", "model-psd.bundle"),

@@ -9,7 +9,7 @@ from mrparse import sdp
 from mrparse import ucca as U
 from mrparse.encoder import StaticEmbeddings, ContextualEmbeddings
 
-from conftest import replication_count
+from conftest import replication_count, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestFixture:
 
 class TestFiles:
     def test_write_and_reload(self, tmp_path, corpus):
-        paths = D.write_corpus(corpus, str(tmp_path / "corpus"))
+        paths = write_corpus(corpus, str(tmp_path / "corpus"))
         companion = G.load_companion(paths["companion"])
         assert len(companion) == 32
         for fw in G.FRAMEWORKS:
@@ -145,7 +145,7 @@ class TestFiles:
         assert arr.shape == (D.CTX_LAYERS, len(first.tokens) + 1, D.CTX_WIDTH)
 
     def test_rebuilt_corpus_joins_with_build_corpus(self, tmp_path, corpus):
-        paths = D.write_corpus(corpus, str(tmp_path / "c2"))
+        paths = write_corpus(corpus, str(tmp_path / "c2"))
         companion = G.load_companion(paths["companion"])
         lists = [G.load_mrp(paths[fw]) for fw in G.FRAMEWORKS]
         sentences = G.build_corpus(companion, lists)

@@ -8,6 +8,8 @@ import pytest
 
 from mrparse import graphs as G
 
+from conftest import write_companion
+
 
 def toy_dm_graph():
     nodes = (
@@ -178,7 +180,7 @@ class TestCompanion:
     def test_write_read_roundtrip(self):
         sents = G.read_companion(io.StringIO(self.SAMPLE))
         buf = io.StringIO()
-        G.write_companion(sents, buf)
+        write_companion(sents, buf)
         assert G.read_companion(io.StringIO(buf.getvalue())) == sents
 
 

@@ -219,7 +219,7 @@ class TestJointLoss:
                   "psd.label": 7.0, "dm.frame": 11.0, **bumped}
         cfg = TrainConfig(lam_label=lam_label, lam_frame=lam_frame)
         terms = {k: ad.Tensor(v) for k, v in values.items()}
-        return multitask_loss(cfg, terms).item()
+        return multitask_loss(cfg, terms).data.item()
 
     def test_label_zero_keeps_edges_only(self):
         assert self.loss(0.0, 0.5) == pytest.approx(2.0 + 5.0)

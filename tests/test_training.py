@@ -23,7 +23,8 @@ import mrparse.training as T
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
 
-from conftest import per_framework_loss, reference_beam_search
+from conftest import (per_framework_loss, reference_beam_search,
+                      reference_build_ensemble, reference_parse_ensemble)
 
 FWS = ("dm", "psd", "ucca", "amr")
 
@@ -947,7 +948,7 @@ class TestInferenceFastPath:
     @pytest.mark.parametrize("fw", FWS)
     def test_parse_sentence_same_with_and_without_no_grad(self, model, corpus, fw):
         for sent in corpus.sentences[HELD]:
-            taped = T.parse_sentence.__wrapped__(model, sent, fw)
+            taped = T.parse_ensemble.__wrapped__([model], sent, fw)
             fast = T.parse_sentence(model, sent, fw)
             assert G.graph_to_json(fast) == G.graph_to_json(taped)
 
@@ -1017,3 +1018,146 @@ def test_parse_output_pinned(fixed_models, corpus, fw):
     assert all(g.nodes for g in graphs if fw != "dm")
     text = "\n".join(json.dumps(G.graph_to_json(g), sort_keys=True) for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PARSE_DIGESTS[fw]
+
+
+# ---------------------------------------------------------------------------
+# ensemble selection from cached predictions: the spec and F1 of
+# re-parsing every tried subset, the graphs of parse_ensemble for every
+# tried subset, and one prediction per member and sentence
+
+@pytest.fixture(scope="module")
+def members(mtl, ft, fixed_models):
+    """Three different models over the same inventories."""
+    return [mtl.model, ft.model, fixed_models[0]]
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one on each call of ``T.<name>``."""
+    calls = []
+    fn = getattr(T, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(T, name, counted)
+    return calls
+
+
+class TestCachedSelection:
+    @pytest.mark.parametrize("fw", FWS)
+    def test_same_spec_and_f1_as_reparsing(self, members, corpus, fw):
+        sents = corpus.sentences[HELD]
+        got = T.build_ensemble(members, fw, sents, beam=2)
+        assert got == reference_build_ensemble(members, fw, sents, beam=2)
+
+    @pytest.mark.parametrize("fw", ("dm", "psd", "ucca"))
+    def test_every_tried_subset_decodes_as_parse_ensemble(self, members, corpus,
+                                                          fw, monkeypatch):
+        decoded = []
+        decode = T.decode_predictions
+
+        def spy(models, sent, framework, preds):
+            graph = decode(models, sent, framework, preds)
+            decoded.append((models, sent, graph))
+            return graph
+
+        monkeypatch.setattr(T, "decode_predictions", spy)
+        T.build_ensemble(members, fw, corpus.sentences[HELD])
+        monkeypatch.undo()
+        assert any(len(models) > 1 for models, _, _ in decoded)
+        for models, sent, graph in decoded:
+            got = G.graph_to_json(graph)
+            assert got == G.graph_to_json(T.parse_ensemble(models, sent, fw))
+            assert got == G.graph_to_json(reference_parse_ensemble(models, sent, fw))
+
+    @pytest.mark.parametrize("fw, predictor", [("dm", "sdp_prediction"),
+                                               ("psd", "sdp_prediction"),
+                                               ("ucca", "ucca_prediction"),
+                                               ("amr", "amr_prediction")])
+    def test_one_prediction_per_member_and_sentence(self, members, corpus, fw,
+                                                    predictor, monkeypatch):
+        sents = corpus.sentences[HELD]
+        calls = count_calls(monkeypatch, predictor)
+        parses = count_calls(monkeypatch, "parse_ensemble")
+        T.build_ensemble(members, fw, sents, beam=2)
+        assert len(calls) == len(members) * len(sents)
+        assert parses == []
+
+    def test_member_without_the_decoder_raises_as_before(self, split, corpus):
+        cfg = tiny(multitask_config(), frameworks=("dm", "psd"), seed=5)
+        sdp_only = T.MultiModel.derive(cfg, split, corpus.static, corpus.contextual)
+        sents = corpus.sentences[HELD]
+        for fw, message in (("ucca", "model has no ucca decoder"),
+                            ("amr", "model has no amr decoder")):
+            for build in (T.build_ensemble, reference_build_ensemble):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    build([sdp_only], fw, sents)
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership: the first gradient a tensor receives is copied, not
+# added to zeros
+
+def zeros_plus_add(self, g):
+    """``Tensor.accumulate`` as it was: every gradient added to zeros."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+class TestGradientOwnership:
+    @pytest.fixture(autouse=True)
+    def release_gradients(self, model):
+        yield
+        for p in model.params.tensors():
+            p.zero_grad()
+
+    def backward(self, model, cfg, prep):
+        """Every tensor of one multitask graph after its backward pass,
+        in topological order, and each gradient it received."""
+        received = []
+        accumulate = ad.Tensor.accumulate
+
+        def spy(self, g):
+            received.append((self, g))
+            accumulate(self, g)
+
+        for p in model.params.tensors():
+            p.zero_grad()
+        loss = T.sentence_loss(model, cfg, prep, FWS)
+        ad.Tensor.accumulate = spy
+        try:
+            loss.backward()
+        finally:
+            ad.Tensor.accumulate = accumulate
+        return ad._toposort(loss), received
+
+    def test_gradients_equal_zeros_plus_add(self, model, mtl, prep,
+                                            monkeypatch):
+        new, _ = self.backward(model, mtl.config, prep)
+        new = [t.grad for t in new]
+        monkeypatch.setattr(ad.Tensor, "accumulate", zeros_plus_add)
+        old, _ = self.backward(model, mtl.config, prep)
+        old = [t.grad for t in old]
+        assert len(new) == len(old) and sum(g is not None for g in new) > 100
+        for n, o in zip(new, old):
+            assert (n is None) == (o is None)
+            if n is None:
+                continue
+            assert (n.dtype, n.shape) == (o.dtype, o.shape)
+            assert np.array_equal(n, o)
+            signs = np.signbit(n) != np.signbit(o)
+            assert np.all(n[signs] == 0.0)  # a -0.0 stays -0.0
+
+    def test_no_gradient_aliases_another_array(self, model, mtl, prep):
+        tensors, received = self.backward(model, mtl.config, prep)
+        datas = [t.data for t in tensors]
+        for t in tensors:
+            if t.grad is None:
+                continue
+            incoming = [g for owner, g in received if owner is t]
+            grads = [u.grad for u in tensors if u is not t and u.grad is not None]
+            for other in incoming + datas + grads:
+                if np.may_share_memory(t.grad, other):
+                    assert not np.shares_memory(t.grad, other)

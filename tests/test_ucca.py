@@ -287,7 +287,7 @@ class TestPointerDecoder:
                 _, rows, _ = reference_pointer_decode(enc, dec, gold_pointers=gold)
                 loss = reference_pointer_loss(rows, gold)
             loss.backward()
-            runs.append((loss.item(), [np.zeros_like(t.data) if t.grad is None
+            runs.append((loss.data.item(), [np.zeros_like(t.data) if t.grad is None
                                        else t.grad for t in leaves]))
         (got, got_grads), (want, want_grads) = runs
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
