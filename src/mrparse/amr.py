@@ -747,13 +747,12 @@ def default_cap(n_tokens):
     return max(8, 2 * n_tokens + 2)
 
 
-def greedy_decode(ctx, cap=None):
+def greedy_decode(ctx):
     """Argmax rollout; the single-slot beam is exactly this, so it is
     implemented directly rather than left to emerge from pruning.  It
     steps one row (k = 1) through the same batched decoder step."""
     L = len(ctx.lemmas)
-    if cap is None:
-        cap = default_cap(L)
+    cap = default_cap(L)
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, h, c = dec.initial(ctx.finals)
@@ -777,7 +776,7 @@ def greedy_decode(ctx, cap=None):
     return _to_generation(hyp)
 
 
-def beam_search(ctx, width=5, cap=None):
+def beam_search(ctx, width=5):
     """Length-normalized beam over the mixture.
 
     Finished hypotheses accumulate without displacing live ones, so a
@@ -798,10 +797,9 @@ def beam_search(ctx, width=5, cap=None):
     if width < 1:
         raise ValueError("beam width must be positive")
     if width == 1:
-        return greedy_decode(ctx, cap)
+        return greedy_decode(ctx)
     L = len(ctx.lemmas)
-    if cap is None:
-        cap = default_cap(L)
+    cap = default_cap(L)
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, h, c = dec.initial(ctx.finals)
@@ -950,7 +948,7 @@ def decode_graph(gen, pair_scores, edge_labels, gid, text,
 # ---------------------------------------------------------------------------
 # synthetic gold DAGs (harness + corpus)
 
-def sample_dag(rng, gid="a0", n_nodes=None, reentrancy_rate=0.4):
+def sample_dag(rng, gid="a0", n_nodes=None):
     """Random single-top acyclic graph with AMR-flavored labels."""
     pool = ["want-01", "believe-01", "dog", "cat", "boy", "girl", "run-02",
             "see-01", "house", "big", "city", "visit-01"]
@@ -963,7 +961,7 @@ def sample_dag(rng, gid="a0", n_nodes=None, reentrancy_rate=0.4):
         edges.append(G.MrpEdge(p, j, str(rng.choice(roles))))
     pairs = {(e.source, e.target) for e in edges}
     for _ in range(int(rng.integers(0, 3))):
-        if n < 3 or rng.random() > reentrancy_rate:
+        if n < 3 or rng.random() > 0.4:  # the reentrancy rate
             continue
         j = int(rng.integers(1, n))
         i = int(rng.integers(0, j))

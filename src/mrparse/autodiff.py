@@ -44,7 +44,6 @@ import numpy as np
 
 from .atomic import atomic_open
 
-_DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True  # False inside no_grad()
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -78,7 +77,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward_rule=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self.parents = parents if requires_grad else ()
@@ -111,19 +110,17 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self, seed=None):
-        """Backpropagate from this tensor (scalar unless ``seed`` given).
+    def backward(self):
+        """Backpropagate from this tensor, which must be a scalar.
 
         Visits each node exactly once via an iterative topological sort,
         so arbitrarily deep decoder chains do not hit the recursion
         limit.
         """
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without seed requires a scalar")
-            seed = np.ones_like(self.data)
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar")
         order = _toposort(self)
-        self.accumulate(np.asarray(seed, dtype=self.data.dtype))
+        self.accumulate(np.ones_like(self.data))
         for node in order:
             if node.backward_rule is not None and node.grad is not None:
                 node.backward_rule(node.grad)
@@ -351,18 +348,6 @@ def split(a, sizes, axis=0):
     return [chunk(idx) for idx in idxs]
 
 
-def stack(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def rule(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate(np.take(g, i, axis=axis))
-
-    return _make(out_data, tuple(tensors), rule)
-
-
 def rows(table, indices):
     """Row lookup ``table[indices]`` with scatter-add backward (embeddings)."""
     table = as_tensor(table)
@@ -420,16 +405,6 @@ def sigmoid(a):
     return _make(out_data, (a,), rule)
 
 
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def rule(g):
-        a.accumulate(g * out_data)
-
-    return _make(out_data, (a,), rule)
-
-
 def log(a):
     a = as_tensor(a)
 
@@ -464,25 +439,22 @@ def softmax(a, axis=-1):
     return _make(out_data, (a,), rule)
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a, axis=None):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def rule(g):
-        if axis is None:
-            a.accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, a.data.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a.accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(out_data, (a,), rule)
 
 
-def dropout(a, p, rng, train=True):
+def dropout(a, p, rng):
     """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p)."""
     a = as_tensor(a)
-    if not train or p <= 0.0:
+    if p <= 0.0:
         return a
     if p >= 1.0:
         return mul(a, 0.0)
@@ -638,15 +610,14 @@ def binary_cross_entropy(probs, targets):
     return _make(out_data, (probs,), rule)
 
 
-def cross_entropy_logits(logits, targets, axis=-1):
+def cross_entropy_logits(logits, targets):
     """Summed categorical cross-entropy from raw scores.
 
-    ``targets`` holds class indices along ``axis`` for every remaining
-    position.  Fused log-softmax keeps it stable for confident models.
+    ``targets`` holds class indices along the last axis for every
+    remaining position.  Fused log-softmax keeps it stable for confident
+    models.
     """
     logits = as_tensor(logits)
-    if axis != -1 and axis != logits.data.ndim - 1:
-        raise ValueError("cross_entropy_logits expects class axis last")
     idx = np.asarray(targets, dtype=np.int64)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -671,12 +642,12 @@ def nll_of_probs(probs, targets):
     return neg(reduce_sum(log(clipped)))
 
 
-def _clip_low(a, lo=_CLIP):
+def _clip_low(a):
     a = as_tensor(a)
-    clipped = np.maximum(a.data, lo)
+    clipped = np.maximum(a.data, _CLIP)
 
     def rule(g):
-        a.accumulate(g * (a.data >= lo))
+        a.accumulate(g * (a.data >= _CLIP))
 
     return _make(clipped, (a,), rule)
 

@@ -27,7 +27,7 @@ from . import eds as E
 from . import scoring
 from . import training as T
 from .atomic import atomic_open
-from .config import (TrainConfig, single_config, multitask_config,
+from .config import (SDP_PAIR, TrainConfig, single_config, multitask_config,
                      fine_tune_config)
 from .encoder import StaticEmbeddings, ContextualEmbeddings
 
@@ -180,16 +180,34 @@ def _validate_or_fail(graphs):
 # ---------------------------------------------------------------------------
 # train
 
+def _check_train_flags(args):
+    """Refuse, before anything is loaded or written, a flag the regime
+    needs but lacks, or has but would ignore."""
+    regime = args.regime
+    needed = {"--framework": regime in ("single", "fine-tune") and not args.framework,
+              "--from-model": regime == "fine-tune" and not args.from_model,
+              "--rules": regime == "eds" and not args.rules}
+    ignored = {"--framework": regime in ("multitask", "eds") and args.framework,
+               "--from-model": regime in ("single", "multitask") and args.from_model,
+               "--rules": regime != "eds" and args.rules}
+    for flag, missing in needed.items():
+        if missing:
+            raise UsageError(f"train --regime {regime} needs {flag}")
+    for flag, unused in ignored.items():
+        if unused:
+            raise UsageError(f"train --regime {regime} does not use {flag}")
+    if args.bug_compatible and not (regime == "fine-tune"
+                                    and args.framework in SDP_PAIR):
+        raise UsageError("--bug-compatible applies only to train --regime "
+                         "fine-tune --framework dm|psd")
+
+
 def _resolve_config(args):
     if args.regime == "single":
-        if not args.framework:
-            raise UsageError("train --regime single needs --framework")
         base = single_config(args.framework)
     elif args.regime == "multitask":
         base = multitask_config()
     elif args.regime == "fine-tune":
-        if not args.framework:
-            raise UsageError("train --regime fine-tune needs --framework")
         base = fine_tune_config(args.framework,
                                 bug_compatible=args.bug_compatible)
     else:
@@ -234,12 +252,13 @@ def _resolve_split(args, sentences, seed):
 def _pseudo_result(model):
     """Wrap a loaded bundle so fine-tuning can start from its state."""
     keys = {"total", "dm", "psd", "ucca", "amr"}
-    return T.TrainResult(model=model, config=model.config, history=[],
+    return T.TrainResult(model=model, history=[],
                          best_epochs={k: 0 for k in keys}, best_values={},
                          snapshots={0: model.params.state_dict()})
 
 
 def cmd_train(args):
+    _check_train_flags(args)
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
     cfg = _resolve_config(args)
@@ -247,8 +266,6 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
 
     if args.regime == "eds":
-        if not args.rules:
-            raise UsageError("train --regime eds needs --rules")
         rules = E.ConversionRuleSet.load(args.rules)
         encoder_from = (T.load_model(args.from_model, static, contextual)
                         if args.from_model else None)
@@ -267,8 +284,6 @@ def cmd_train(args):
         result = T.train_multitask(split, cfg, static, contextual,
                                    run_dir=args.out)
     else:
-        if not args.from_model:
-            raise UsageError("train --regime fine-tune needs --from-model")
         base = T.load_model(args.from_model, static, contextual)
         result = T.fine_tune(_pseudo_result(base), args.framework, cfg,
                              split, static, contextual, run_dir=args.out)
@@ -325,6 +340,8 @@ def cmd_parse(args):
     if args.framework == "eds" and len(args.model) > 1:
         raise UsageError("parse --framework eds takes one conversion bundle; "
                          "pass a single --model")
+    if args.framework == "amr" and len(args.model) > 1:
+        raise UsageError("amr is served by one bundle; pass a single --model")
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
     models = [T.load_model(p, static, contextual) for p in args.model]
@@ -339,13 +356,7 @@ def cmd_parse(args):
             raise ValueError(f"{args.model[0]} is not a conversion bundle")
         dm_of = _eds_dm_source(args, sentences, static, contextual)
         graphs = [converter.parse(s, dm_of(s))[0] for s in sentences]
-    elif len(models) == 1:
-        graphs = [T.parse_sentence(models[0], s, args.framework,
-                                   beam=args.beam) for s in sentences]
     else:
-        if args.framework == "amr":
-            raise UsageError("amr is served by one bundle; pass a single "
-                             "--model")
         graphs = [T.parse_ensemble(models, s, args.framework, beam=args.beam)
                   for s in sentences]
 
@@ -461,7 +472,7 @@ def cmd_ensemble(args):
 # ---------------------------------------------------------------------------
 # entry
 
-def run(argv=None):
+def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -489,7 +500,7 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -95,18 +95,17 @@ class TrainConfig:
         if bad:
             raise ValueError(f"unknown frameworks: {bad}")
 
-    def scaled(self, factor=None):
-        """Shrink every width by the configured (or given) factor.
+    def scaled(self):
+        """Shrink every width by the configured ``scale``.
 
         Rates, coefficients and schedule lengths are untouched; widths
         never drop below 2.
         """
-        factor = self.scale if factor is None else factor
-        if factor == 1.0:
+        if self.scale == 1.0:
             return self
 
         def s(n):
-            return max(2, int(round(n * factor)))
+            return max(2, int(round(n * self.scale)))
 
         return replace(
             self,

@@ -117,7 +117,7 @@ def _pick2(rng, pool):
     return pool[i], pool[j]
 
 
-def make_sentence(rng, sid, template=None, month=None):
+def make_sentence(rng, sid, template=None):
     """One synthetic sentence with gold graphs for all five frameworks.
 
     Templates: 0 noun-verb-noun, 1 name-verb-noun, 2 noun-verb-name,
@@ -227,7 +227,7 @@ def make_sentence(rng, sid, template=None, month=None):
         verb_tok = 4
     else:
         # John paints the house in November
-        mon = _pick(rng, MONTHS) if month is None else month
+        mon = _pick(rng, MONTHS)
         words = [(name, name, "NNP", "PER"), (v[0], v[1], "VBZ", "O"),
                  (det1[0], det1[1], "DT", "O"), (n1[0], n1[1], "NN", "O"),
                  ("in", "in", "IN", "O"), (mon[0], mon[0], "NNP", "O")]
@@ -353,19 +353,10 @@ def build_embeddings(sentences, seed):
     return static, ContextualEmbeddings(arrays)
 
 
-def build_corpus(n=32, seed=7, singles=0):
-    """Synthetic corpus of n sentences with gold in all five frameworks.
-
-    The last ``singles`` sentences keep only one framework each (cycling
-    through the inventory), so consumers can exercise partial coverage.
-    """
+def build_corpus(n=32, seed=7):
+    """Synthetic corpus of n sentences with gold in all five frameworks."""
     rng = np.random.default_rng(seed)
     sentences = [make_sentence(rng, f"s{i:03d}") for i in range(n)]
-    for k in range(min(singles, n)):
-        idx = n - 1 - k
-        keep = G.FRAMEWORKS[k % len(G.FRAMEWORKS)]
-        s = sentences[idx]
-        sentences[idx] = G.replace(s, graphs={keep: s.graphs[keep]})
     static, contextual = build_embeddings(sentences, seed)
     return SynthCorpus(sentences=sentences, rules=conversion_rules(),
                        static=static, contextual=contextual)

@@ -20,6 +20,9 @@ from .encoder import BiLstm, Mlp
 
 UNK_FEATURE = "<UNK>"
 N_BUCKETS = 256  # hashed feature buckets of a freshly fitted detector
+DETECTION_THRESHOLD = 0.5  # a detector fires above this probability
+ABSTRACT_EPOCHS = 60  # full-batch Adam steps fitting the detector and labelers
+ABSTRACT_LR = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +186,11 @@ class AbstractModels:
     edge_labeler: LogRegModel    # multi-class: connecting edge label
 
 
-def generate_abstract_nodes(surface, rules, models=None, threshold=0.5):
+def generate_abstract_nodes(surface, rules, models=None):
     """Add rule-implied and detector-fired abstract nodes (unanchored).
 
-    With ``models`` None or an extreme threshold the result is a pure
+    A detector fires where its probability exceeds
+    ``DETECTION_THRESHOLD``.  With ``models`` None the result is a pure
     function of the surface graph.
     """
     nodes = list(surface.nodes)
@@ -212,13 +216,13 @@ def generate_abstract_nodes(surface, rules, models=None, threshold=0.5):
         if rules.detect_on_nodes:
             for n in surface.nodes:
                 feats = node_site_features(surface, n)
-                if models.detector.probability(feats) > threshold:
+                if models.detector.probability(feats) > DETECTION_THRESHOLD:
                     attach(n.id, models.node_labeler.best_class(feats),
                            models.edge_labeler.best_class(feats), "abstract_to_node")
         if rules.detect_on_edges:
             for e in surface.edges:
                 feats = edge_site_features(surface, e)
-                if models.detector.probability(feats) > threshold:
+                if models.detector.probability(feats) > DETECTION_THRESHOLD:
                     attach(e.target, models.node_labeler.best_class(feats),
                            models.edge_labeler.best_class(feats), "abstract_to_node")
 
@@ -308,12 +312,12 @@ def abstract_shape(all_examples):
             "edge_classes": sorted({el for _, fired, _, el in all_examples if fired})}
 
 
-def train_abstract_models(models, all_examples, epochs=60, lr=0.1):
+def train_abstract_models(models, all_examples):
     """Fit built detector + labelers in place on pooled site examples
     with the shared Adam, which sees only their six tensors."""
     opt = ad.Adam([t for m in (models.detector, models.node_labeler, models.edge_labeler)
-                   for t in (m.w, m.b)], lr=lr)
-    for _ in range(epochs):
+                   for t in (m.w, m.b)], lr=ABSTRACT_LR)
+    for _ in range(ABSTRACT_EPOCHS):
         opt.zero_grad()
         losses = []
         for feats, fired, nlab, elab in all_examples:
@@ -429,17 +433,17 @@ def token_of_anchored_node(graph, tokens):
     for n in graph.nodes:
         if not n.anchors:
             continue
-        hits = [t.index for t in tokens if any(a.overlaps(t.anchor) for a in n.anchors)]
+        hits = G.covered_tokens(n, tokens)
         if len(hits) == 1:
             mapping[n.id] = hits[0]
     return mapping
 
 
 def convert(dm_graph, tokens, rules, models=None, anchor_net=None,
-            token_states=None, threshold=0.5):
+            token_states=None):
     """Full DM -> EDS pipeline; returns (graph, diagnostics)."""
     surface = dm_to_eds_surface(dm_graph, rules)
-    full = generate_abstract_nodes(surface, rules, models=models, threshold=threshold)
+    full = generate_abstract_nodes(surface, rules, models=models)
     diagnostics = {"swapped": 0}
     if anchor_net is not None and token_states is not None:
         token_of_node = token_of_anchored_node(full, tokens)

@@ -54,7 +54,7 @@ class Vocabulary:
         return NUM if is_numeric(s) else s
 
     @classmethod
-    def build(cls, sentences, min_count=MIN_COUNT):
+    def build(cls, sentences):
         if not sentences:
             raise ValueError("cannot build a vocabulary from an empty corpus")
         surf_counts = {}
@@ -80,8 +80,8 @@ class Vocabulary:
                     table[sym] = len(table)
             return table
 
-        surfaces = [s for s, c in surf_counts.items() if c >= min_count]
-        lemmas = [s for s, c in lemma_counts.items() if c >= min_count]
+        surfaces = [s for s, c in surf_counts.items() if c >= MIN_COUNT]
+        lemmas = [s for s, c in lemma_counts.items() if c >= MIN_COUNT]
         return cls(index(surfaces), index(lemmas), index(pos_symbols), index(ne_symbols))
 
     def surface_id(self, s):

@@ -140,11 +140,11 @@ def graph_from_json(obj):
     return g
 
 
-def read_mrp(stream, validate=True):
+def read_mrp(stream):
     """Parse newline-delimited JSON graphs from ``stream`` (text lines).
 
-    Raises :class:`FormatError` with a line number on malformed JSON and,
-    when ``validate``, on graphs violating structural invariants.
+    Raises :class:`FormatError` with a line number on malformed JSON and
+    on graphs violating structural invariants.
     """
     graphs = []
     for lineno, line in enumerate(stream, start=1):
@@ -156,10 +156,9 @@ def read_mrp(stream, validate=True):
         except json.JSONDecodeError as e:
             raise FormatError(f"line {lineno}: malformed JSON ({e.msg})") from None
         g = graph_from_json(obj)
-        if validate:
-            problems = validate_graph(g)
-            if problems:
-                raise FormatError(f"line {lineno}: {g.id}: " + "; ".join(problems))
+        problems = validate_graph(g)
+        if problems:
+            raise FormatError(f"line {lineno}: {g.id}: " + "; ".join(problems))
         graphs.append(g)
     return graphs
 
@@ -203,9 +202,9 @@ def write_mrp(graphs, stream):
         stream.write("\n")
 
 
-def load_mrp(path, validate=True):
+def load_mrp(path):
     with open(path, encoding="utf-8") as fh:
-        return read_mrp(fh, validate=validate)
+        return read_mrp(fh)
 
 
 def save_mrp(graphs, path):
@@ -316,6 +315,12 @@ def validate_graph(g):
 # ---------------------------------------------------------------------------
 # token alignment for anchored frameworks
 
+def covered_tokens(node, tokens):
+    """Indices, in token order, of the tokens some anchor of ``node``
+    overlaps."""
+    return [t.index for t in tokens if any(a.overlaps(t.anchor) for a in node.anchors)]
+
+
 def align_ucca_tokens(g, tokens):
     """Map each anchored (terminal) node to a contiguous token span.
 
@@ -329,7 +334,7 @@ def align_ucca_tokens(g, tokens):
     for n in g.nodes:
         if not n.anchors:
             continue
-        covered = [t.index for t in tokens if any(a.overlaps(t.anchor) for a in n.anchors)]
+        covered = covered_tokens(n, tokens)
         if not covered:
             return None
         lo, hi = covered[0], covered[-1] + 1

@@ -94,19 +94,6 @@ def anchor_signatures(g):
     return {n.id: sig(n.id, frozenset()) for n in g.nodes}
 
 
-def _trimmed_anchor_set(node, text):
-    out = set()
-    for a in node.anchors:
-        s, e = a.start, a.end
-        while s < e and text[s].isspace():
-            s += 1
-        while e > s and text[e - 1].isspace():
-            e -= 1
-        if s < e:
-            out.add((s, e))
-    return frozenset(out)
-
-
 def _anchor_set(node):
     return frozenset((a.start, a.end) for a in node.anchors)
 
@@ -130,21 +117,14 @@ class _PairMatcher:
     table entry of their images.  This holds with duplicate edges too.
     """
 
-    def __init__(self, gold, pred, lenient=False):
+    def __init__(self, gold, pred):
         self.gold, self.pred = gold, pred
-        self.lenient = lenient
         self.gold_label = {n.id: n.label for n in gold.nodes}
         self.pred_label = {n.id: n.label for n in pred.nodes}
         self.gold_props = {n.id: Counter(n.properties) for n in gold.nodes}
         self.pred_props = {n.id: Counter(n.properties) for n in pred.nodes}
-        if lenient:
-            self.gold_anchor = {n.id: _trimmed_anchor_set(n, gold.input)
-                                for n in gold.nodes}
-            self.pred_anchor = {n.id: _trimmed_anchor_set(n, pred.input)
-                                for n in pred.nodes}
-        else:
-            self.gold_anchor = {n.id: _anchor_set(n) for n in gold.nodes}
-            self.pred_anchor = {n.id: _anchor_set(n) for n in pred.nodes}
+        self.gold_anchor = {n.id: _anchor_set(n) for n in gold.nodes}
+        self.pred_anchor = {n.id: _anchor_set(n) for n in pred.nodes}
         self.pred_tops = set(pred.tops)
         self.pred_edges = Counter((e.source, e.target, e.label)
                                   for e in pred.edges)
@@ -406,15 +386,14 @@ def _anchored_correspondence(gold, pred, matcher):
     return {g: pred_ids[v] for g, v in zip(gold_ids, values) if v != unmapped}
 
 
-def _search_correspondence(matcher, seed, method):
+def _search_correspondence(matcher):
     gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
     if not gold_ids or not pred_ids:
         return {}
-    small = (len(gold_ids) <= EXHAUSTIVE_LIMIT
-             and len(pred_ids) <= EXHAUSTIVE_LIMIT)
-    if method == "exhaustive" or (method == "auto" and small):
+    if (len(gold_ids) <= EXHAUSTIVE_LIMIT
+            and len(pred_ids) <= EXHAUSTIVE_LIMIT):
         return _exhaustive_correspondence(matcher)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     unmapped = len(pred_ids)
     slots = (list(range(len(pred_ids)))
              + [unmapped] * max(0, len(gold_ids) - len(pred_ids)))
@@ -503,8 +482,7 @@ def _exhaustive_correspondence(matcher):
     return {gold_ids[c]: p for p, c in zip(pred_ids, cols)}
 
 
-def correspondence(gold, pred, lenient=False, seed=0, method="auto", *,
-                   _matcher=None):
+def correspondence(gold, pred, *, _matcher=None):
     """Node mapping gold id -> pred id used for tuple matching.
 
     Anchored graphs pair nodes greedily by character overlap and then
@@ -518,27 +496,23 @@ def correspondence(gold, pred, lenient=False, seed=0, method="auto", *,
     improvements, so it returns the mapping a full recount of every
     candidate would.
 
-    ``method`` is for oracle tests: "exhaustive" and "hillclimb" force
-    the unanchored search strategy regardless of graph size.
     ``_matcher`` lets ``mrp_f1`` share the tables it reports from.
     """
-    matcher = (_matcher if _matcher is not None
-               else _PairMatcher(gold, pred, lenient=lenient))
+    matcher = _matcher if _matcher is not None else _PairMatcher(gold, pred)
     if gold.flavor in (0, 1):
         return _anchored_correspondence(gold, pred, matcher)
-    return _search_correspondence(matcher, seed, method)
+    return _search_correspondence(matcher)
 
 
-def mrp_f1(gold, pred, lenient=False, seed=0, method="auto"):
+def mrp_f1(gold, pred):
     """Per-component Counts (plus pooled "all") for one sentence."""
     if gold.framework != pred.framework:
         raise ValueError(f"framework mismatch: {gold.framework} vs "
                          f"{pred.framework} for {gold.id}")
     if gold.id != pred.id:
         raise ValueError(f"sentence id mismatch: {gold.id} vs {pred.id}")
-    matcher = _PairMatcher(gold, pred, lenient=lenient)
-    m = correspondence(gold, pred, lenient=lenient, seed=seed, method=method,
-                       _matcher=matcher)
+    matcher = _PairMatcher(gold, pred)
+    m = correspondence(gold, pred, _matcher=matcher)
     return matcher.counts(m)
 
 
@@ -558,14 +532,14 @@ class ScoreReport:
     def framework_f1(self, framework):
         return self.by_framework[framework]["all"].f1
 
-    def macro_f1(self, frameworks=G.FRAMEWORKS):
+    def macro_f1(self):
         total = 0.0
-        for fw in frameworks:
+        for fw in G.FRAMEWORKS:
             if fw in self.by_framework:
                 total += self.framework_f1(fw)
             else:
                 warnings.warn(f"no scores for framework {fw}; counted as 0")
-        return total / len(frameworks)
+        return total / len(G.FRAMEWORKS)
 
     def to_json(self):
         doc = {}

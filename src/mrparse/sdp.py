@@ -226,7 +226,7 @@ def node_token_map(graph, tokens):
     """Flavor-0 node -> token index via anchor overlap; must be unique."""
     mapping = {}
     for node in graph.nodes:
-        hits = [t.index for t in tokens if any(a.overlaps(t.anchor) for a in node.anchors)]
+        hits = G.covered_tokens(node, tokens)
         if len(hits) != 1:
             raise ValueError(f"{graph.id}: node {node.id} anchors to {len(hits)} tokens")
         mapping[node.id] = hits[0]

@@ -633,10 +633,10 @@ def sentence_loss(model, cfg, prep, frameworks, train=False, rng=None):
 # ---------------------------------------------------------------------------
 # validation metrics
 
-def corpus_report(golds, preds, **kw):
+def corpus_report(golds, preds):
     rep = scoring.ScoreReport()
     for g, p in zip(golds, preds):
-        rep.add(g.framework, scoring.mrp_f1(g, p, **kw))
+        rep.add(g.framework, scoring.mrp_f1(g, p))
     return rep
 
 
@@ -698,12 +698,10 @@ class EarlyStopper:
 @dataclass
 class TrainResult:
     model: object
-    config: object
     history: list
     best_epochs: dict
     best_values: dict
     snapshots: dict
-    run_dir: str = None
 
     def model_at(self, key):
         """The model at a metric's best epoch (or a given epoch), built
@@ -810,9 +808,8 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
     best_epochs = {key: (st.best_epoch if st.best_epoch is not None else last)
                    for key, st in stoppers.items()}
     best_values = {key: st.best_value for key, st in stoppers.items()}
-    return TrainResult(model=model, config=cfg, history=history,
-                       best_epochs=best_epochs, best_values=best_values,
-                       snapshots=snapshots, run_dir=run_dir)
+    return TrainResult(model=model, history=history, best_epochs=best_epochs,
+                       best_values=best_values, snapshots=snapshots)
 
 
 def _single_validation(model, cfg, split, frameworks):
@@ -1082,8 +1079,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
 
 
 def _token_span(node, tokens):
-    hits = [t.index for t in tokens
-            if any(a.overlaps(t.anchor) for a in node.anchors)]
+    hits = G.covered_tokens(node, tokens)
     if not hits:
         return None
     return min(hits), max(hits)
@@ -1186,9 +1182,9 @@ def parse_ensemble(models, sent, framework, beam=5):
     return decode_predictions(models, sent, framework, preds)
 
 
-def parse_sentence(model, sent, framework, beam=5):
+def parse_sentence(model, sent, framework):
     """Decode one framework's graph for one sentence."""
-    return parse_ensemble([model], sent, framework, beam=beam)
+    return parse_ensemble([model], sent, framework)
 
 
 # ---------------------------------------------------------------------------
@@ -1265,27 +1261,25 @@ def greedy_ensemble(candidates, score_fn):
 
 
 @ad.no_grad()
-def build_ensemble(models, framework, sentences, beam=5, score_fn=None):
+def build_ensemble(models, framework, sentences, beam=5):
     """Pick members on the ensembling carve-out by held-out F1.
 
     AMR keeps its single best model; DM and PSD average scores; UCCA
     votes.  Each model predicts each sentence once: for k models and n
     sentences the cache holds k × n predictions, each the arrays one
     parse already builds (``predict``), and every subset the scan tries
-    is scored by decoding its members' cached predictions.  ``score_fn``
-    is injectable for tests and takes a member index tuple.
+    is scored by decoding its members' cached predictions.
     """
-    if score_fn is None:
-        golds = [s.graphs[framework] for s in sentences]
-        cache = [[predict(m, s, framework, beam=beam) for s in sentences]
-                 for m in models]
+    golds = [s.graphs[framework] for s in sentences]
+    cache = [[predict(m, s, framework, beam=beam) for s in sentences]
+             for m in models]
 
-        def score_fn(member_ids):
-            subset = [models[i] for i in member_ids]
-            graphs = [decode_predictions(subset, s, framework,
-                                         [cache[i][k] for i in member_ids])
-                      for k, s in enumerate(sentences)]
-            return corpus_report(golds, graphs).framework_f1(framework)
+    def score_fn(member_ids):
+        subset = [models[i] for i in member_ids]
+        graphs = [decode_predictions(subset, s, framework,
+                                     [cache[i][k] for i in member_ids])
+                  for k, s in enumerate(sentences)]
+        return corpus_report(golds, graphs).framework_f1(framework)
 
     candidates = list(range(len(models)))
     if framework == "amr":

@@ -267,7 +267,7 @@ class PointerDecode:
     truncated: bool = False
 
 
-def pointer_decode(enc_out, decoder, gold_pointers=None, cap=None):
+def pointer_decode(enc_out, decoder, gold_pointers=None):
     """Run the decoder; teacher-forced when gold_pointers is given.
 
     Under teacher forcing every input is known up front: the <ROOT>
@@ -276,8 +276,9 @@ def pointer_decode(enc_out, decoder, gold_pointers=None, cap=None):
     attention.  Its loss and gradients agree with a step-by-step run to
     about 1e-10 relative, not bit for bit.
 
-    Free-running mode stops on <ROOT> or after ``cap`` steps (default
-    twice the token count); hitting the cap sets the truncated flag.
+    Free-running mode stops on <ROOT> or after twice as many steps as
+    there are tokens (at least one); hitting that cap sets the truncated
+    flag.
     The keys are projected once per sentence.
     """
     states = enc_out.top
@@ -287,9 +288,7 @@ def pointer_decode(enc_out, decoder, gold_pointers=None, cap=None):
         fed = (0,) + tuple(gold_pointers[:-1])
         hs, _ = decoder.cell.sequence(ad.rows(states, fed), h0=h, c0=c)
         return PointerDecode(tuple(gold_pointers), decoder.attend(hs, keys), fed)
-    n_pos = states.shape[0]
-    if cap is None:
-        cap = max(1, 2 * (n_pos - 1))
+    cap = max(1, 2 * (states.shape[0] - 1))
     x_pos = 0  # first input is the <ROOT> encoder state
     logits, pointers, fed = [], [], []
     while True:
@@ -393,7 +392,7 @@ def voting_ensemble(members):
 # ---------------------------------------------------------------------------
 # synthetic gold graphs (round-trip harness + desk-scale corpora)
 
-def sample_graph(rng, tokens, gid="u0", text=None, remote_rate=0.3):
+def sample_graph(rng, tokens, gid="u0", text=None):
     """Random gold-like UCCA tree over the given tokens.
 
     Terminals may merge adjacent tokens into compounds; every
@@ -445,7 +444,7 @@ def sample_graph(rng, tokens, gid="u0", text=None, remote_rate=0.3):
         root = top
 
     nonterms = [n.id for n in nodes if not n.anchors]
-    if len(nodes) > 1 and rng.random() < remote_rate:
+    if len(nodes) > 1 and rng.random() < 0.3:  # the remote-edge rate
         src = int(rng.choice(nonterms))
         existing = {(e.source, e.target) for e in edges}
         candidates = [n.id for n in nodes

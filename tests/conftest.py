@@ -204,12 +204,11 @@ def per_framework_loss(cfg, terms):
 # forcing agrees with it to 1e-10 relative; free-running decoding, which
 # projects the keys once, reproduces it bit for bit.
 
-def reference_pointer_decode(enc_out, decoder, gold_pointers=None, cap=None):
+def reference_pointer_decode(enc_out, decoder, gold_pointers=None):
     """Counterpart of ``ucca.pointer_decode``: (pointers, list of (1, n)
     score rows, truncated)."""
     states = enc_out.top
-    if cap is None:
-        cap = max(1, 2 * (states.shape[0] - 1))
+    cap = max(1, 2 * (states.shape[0] - 1))
     h, c = decoder.init_state(enc_out.finals)
     x_pos, rows, pointers = 0, [], []
     while True:
@@ -373,11 +372,10 @@ def reference_coverage_loss(attentions):
     return total
 
 
-def reference_greedy_decode(ctx, cap=None):
+def reference_greedy_decode(ctx):
     """Counterpart of ``amr.greedy_decode``."""
     L = len(ctx.lemmas)
-    if cap is None:
-        cap = amr.default_cap(L)
+    cap = amr.default_cap(L)
     x, h, c = ctx.decoder.initial(ctx.finals)
     hyp = RefHyp(h=h, c=c, x=x)
     for step in range(cap + 1):
@@ -404,13 +402,12 @@ def reference_greedy_decode(ctx, cap=None):
     return _ref_generation(hyp)
 
 
-def reference_beam_search(ctx, width=5, cap=None):
+def reference_beam_search(ctx, width=5):
     """Counterpart of ``amr.beam_search``."""
     if width == 1:
-        return reference_greedy_decode(ctx, cap)
+        return reference_greedy_decode(ctx)
     L = len(ctx.lemmas)
-    if cap is None:
-        cap = amr.default_cap(L)
+    cap = amr.default_cap(L)
     x0, h0, c0 = ctx.decoder.initial(ctx.finals)
     beams = [RefHyp(h=h0, c=c0, x=x0)]
     done = []

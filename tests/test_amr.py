@@ -643,6 +643,11 @@ class TestAmrLoss:
         assert float(l.data) == pytest.approx(0.0, abs=1e-10)
 
 
+def fix_cap(monkeypatch, cap):
+    """Cut every AMR decode after ``cap`` generation steps."""
+    monkeypatch.setattr(amr, "default_cap", lambda n_tokens: cap)
+
+
 class TestBeamSearch:
     def greedy(self, ctx, cap):
         """Independent argmax rollout with the same END convention."""
@@ -671,20 +676,22 @@ class TestBeamSearch:
             x = amr.node_features(ctx.encoder, [lab], [pos if idx < L else None])
         return tuple(labels), logp, False
 
-    def test_width_one_matches_greedy(self):
+    def test_width_one_matches_greedy(self, monkeypatch):
+        fix_cap(monkeypatch, 6)
         for seed in range(6):
             ctx, _ = make_ctx(["a", "b"], extra_labels=("dog", "run"), seed=seed)
-            gen = amr.beam_search(ctx, width=1, cap=6)
+            gen = amr.beam_search(ctx, width=1)
             labels, logp, finished = self.greedy(ctx, cap=6)
             if finished:
                 assert gen.labels == labels
                 assert gen.log_prob == pytest.approx(logp, abs=1e-9)
 
-    def test_wider_beam_never_scores_worse(self):
+    def test_wider_beam_never_scores_worse(self, monkeypatch):
+        fix_cap(monkeypatch, 5)
         for seed in range(10):
             ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=seed)
-            g1 = amr.beam_search(ctx, width=1, cap=5)
-            g5 = amr.beam_search(ctx, width=5, cap=5)
+            g1 = amr.beam_search(ctx, width=1)
+            g5 = amr.beam_search(ctx, width=5)
             if not g1.truncated and not g5.truncated:
                 assert normalized_score(g5) >= normalized_score(g1) - 1e-12
 
@@ -724,22 +731,25 @@ class TestBeamSearch:
         recurse(x0, h0, c0, (), (), 0.0)
         return best[0]
 
-    def test_wide_beam_is_exhaustive_on_a_toy(self):
+    def test_wide_beam_is_exhaustive_on_a_toy(self, monkeypatch):
+        fix_cap(monkeypatch, 3)
         ctx, _ = make_ctx(["t"], extra_labels=("dog",), seed=11)
         score, labels = self.exhaustive_best(ctx, max_nodes=3)
-        gen = amr.beam_search(ctx, width=75, cap=3)
+        gen = amr.beam_search(ctx, width=75)
         assert normalized_score(gen) == pytest.approx(score, abs=1e-10)
         assert gen.labels == labels
 
-    def test_never_generates_the_empty_graph(self):
+    def test_never_generates_the_empty_graph(self, monkeypatch):
+        fix_cap(monkeypatch, 4)
         for seed in range(5):
             ctx, _ = make_ctx(["u", "v"], extra_labels=(), seed=seed + 30)
-            gen = amr.beam_search(ctx, width=2, cap=4)
+            gen = amr.beam_search(ctx, width=2)
             assert len(gen.labels) >= 1
 
-    def test_zero_cap_truncates(self):
+    def test_zero_cap_truncates(self, monkeypatch):
+        fix_cap(monkeypatch, 0)
         ctx, _ = make_ctx(["w"], extra_labels=("dog",), seed=13)
-        gen = amr.beam_search(ctx, width=2, cap=0)
+        gen = amr.beam_search(ctx, width=2)
         assert gen.truncated
         assert len(gen.labels) == 1
 

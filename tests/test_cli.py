@@ -133,6 +133,27 @@ def test_removed_config_key_is_one_line_error(ws, tmp_path, capsys, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, regime, extra", [
+    ("--framework", "multitask", ["--framework", "dm"]),
+    ("--from-model", "single", ["--framework", "dm", "--from-model", "m"]),
+    ("--rules", "single", ["--framework", "dm", "--rules", "r"]),
+    ("--bug-compatible", "fine-tune",
+     ["--framework", "ucca", "--from-model", "m", "--bug-compatible"]),
+], ids=["framework", "from-model", "rules", "bug-compatible"])
+def test_train_rejects_a_flag_its_regime_ignores(tmp_path, capsys, flag,
+                                                 regime, extra):
+    # no input exists: the usage error comes before anything is loaded
+    out = tmp_path / "run"
+    code = run(["train", "--companion", str(tmp_path / "c"),
+                "--mrp", str(tmp_path / "g"), "--static", str(tmp_path / "s"),
+                "--contextual", str(tmp_path / "x"), "--regime", regime,
+                "--out", str(out), *extra])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert flag in line
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parse
 

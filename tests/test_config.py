@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mrparse import config as C
@@ -104,7 +106,7 @@ class TestValidation:
 class TestScaling:
     def test_widths_shrink_rates_stay(self):
         cfg = C.single_config("ucca")
-        small = cfg.scaled(0.05)
+        small = replace(cfg, scale=0.05).scaled()
         assert small.hidden == max(2, round(512 * 0.05))
         assert small.edge_mlp == 25 and small.label_mlp == 20
         assert small.encoder_dropout == cfg.encoder_dropout
@@ -112,12 +114,12 @@ class TestScaling:
         assert small.scale == 1.0
 
     def test_floor_of_two(self):
-        small = C.TrainConfig().scaled(0.001)
+        small = C.TrainConfig(scale=0.001).scaled()
         assert small.hidden == 2 and small.static_mlp == 2
 
     def test_identity_factor_returns_self(self):
         cfg = C.TrainConfig()
-        assert cfg.scaled(1.0) is cfg
+        assert cfg.scale == 1.0 and cfg.scaled() is cfg
 
 
 class TestSerialization:

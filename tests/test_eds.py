@@ -140,12 +140,13 @@ class TestAbstractNodes:
         assert edge.target == by_label["_chicken_n_1"].id
         assert edge.label == "BV"
 
-    def test_threshold_one_disables_detectors(self):
+    def test_threshold_one_disables_detectors(self, monkeypatch):
+        monkeypatch.setattr(eds, "DETECTION_THRESHOLD", 1.0)
         g = dm_graph([dm_node(0, "chicken", frame="n:x"), dm_node(1, "and", start=2, end=3)],
                      [])
         surface = eds.dm_to_eds_surface(g, rules_fixture())
         out = eds.generate_abstract_nodes(surface, rules_fixture(),
-                                          models=constant_detector(0.9), threshold=1.0)
+                                          models=constant_detector(0.9))
         # only the rule-implied _q next to _and_c survives
         assert sorted(n.label for n in out.nodes) == ["_and_c", "_chicken_n_1", "_q"]
 
@@ -219,7 +220,7 @@ class TestHashedLogReg:
             examples.extend(eds.abstract_training_examples(gold, surface, rules))
         models = eds.build_abstract_models(ad.ParamSet(), rng=rng,
                                            **eds.abstract_shape(examples))
-        eds.train_abstract_models(models, examples, epochs=80, lr=0.2)
+        eds.train_abstract_models(models, examples)
         for feats, fired, nlab, elab in examples:
             assert (models.detector.probability(feats) > 0.5) == bool(fired)
             if fired:

@@ -111,12 +111,16 @@ class TestLstmSequence:
 
     def test_buffers_take_input_dtype(self, monkeypatch):
         rng = np.random.default_rng(4)
-        monkeypatch.setattr(ad, "_DEFAULT_DTYPE", np.float32)
         x = ad.Tensor(rng.normal(size=(3, D)), requires_grad=True)
         wx, wh, b = weights(rng)
+        for leaf in (x, wx, wh, b):  # a Tensor built from data is float64
+            leaf.data = leaf.data.astype(np.float32)
+        made, make = [], ad._make
+        monkeypatch.setattr(ad, "_make", lambda data, parents, rule: (
+            made.append(data.dtype), make(data, parents, rule))[1])
         out = ad.lstm_sequence(x, wx, wh, b)
         ad.reduce_sum(out).backward()
-        assert out.data.dtype == np.float32
+        assert made[0] == np.float32
         assert x.grad.dtype == np.float32 and wh.grad.dtype == np.float32
 
     def test_constant_inputs_build_no_graph(self):
@@ -231,7 +235,7 @@ def tiny_model():
     fws = ("dm", "psd", "ucca", "amr")
     split = T.DataSplit(train={fw: corpus.sentences for fw in fws},
                         val_i={}, val_ii={})
-    cfg = replace(multitask_config().scaled(0.02), seed=5)
+    cfg = replace(multitask_config(), scale=0.02, seed=5).scaled()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = T.MultiModel.derive(cfg, split, corpus.static, corpus.contextual)

@@ -140,7 +140,7 @@ class TestCorrespondence:
         assert r["tops"].f1 == 1.0
         assert r["all"].f1 == 1.0
 
-    def test_hill_climb_matches_exhaustive_on_small_graphs(self):
+    def test_hill_climb_matches_exhaustive_on_small_graphs(self, monkeypatch):
         rng = np.random.default_rng(17)
         for k in range(10):
             g = amr.sample_dag(rng, gid=f"h{k}", n_nodes=int(rng.integers(3, 7)))
@@ -152,8 +152,10 @@ class TestCorrespondence:
             if rng.random() < 0.5 and len(edges) > 1:
                 edges = edges[:-1]  # drop one edge so the match is imperfect
             pred = G.replace(g, tops=(perm[g.tops[0]],), nodes=nodes, edges=edges)
-            via_hill = S.mrp_f1(g, pred, method="hillclimb")
-            via_exh = S.mrp_f1(g, pred, method="exhaustive")
+            via_exh = S.mrp_f1(g, pred)
+            with monkeypatch.context() as m:
+                m.setattr(S, "EXHAUSTIVE_LIMIT", 0)
+                via_hill = S.mrp_f1(g, pred)
             assert via_hill["all"].matched == via_exh["all"].matched, f"case {k}"
 
     def test_remote_edges_score_attributes(self):
@@ -176,10 +178,7 @@ class TestAnchors:
         padded[1] = G.replace(padded[1], anchors=(G.Anchor(3, 7),))
         pred = G.replace(g, nodes=tuple(padded))
         strict = S.mrp_f1(g, pred)
-        lenient = S.mrp_f1(g, pred, lenient=True)
         assert strict["anchors"].matched == 2
-        assert lenient["anchors"].matched == 3
-        assert lenient["all"].f1 == 1.0
 
 
 class TestReport:
@@ -390,10 +389,9 @@ def frozen_pairs():
     for n in (5, 7):                            # forced hill climbing
         g = random_amr(rng, n)
         p = perturb(rng, g, drop_edges=1, relabel=1)
-        out.append((f"amr-forced-hill-{n}", g, p, {"method": "hillclimb"}))
+        out.append((f"amr-forced-hill-{n}", g, p, {"EXHAUSTIVE_LIMIT": 0}))
     g = random_amr(rng, 6)
-    out.append(("amr-forced-exh-6", g, perturb(rng, g, relabel=2),
-                {"method": "exhaustive"}))
+    out.append(("amr-forced-exh-6", g, perturb(rng, g, relabel=2), {}))
     g = random_amr(rng, 7)                      # G > P, exhaustive
     out.append(("amr-g7-p5", g, perturb(rng, g, drop_nodes=2, relabel=1), {}))
     g = random_amr(rng, 5)                      # G < P, exhaustive
@@ -416,17 +414,17 @@ def frozen_pairs():
     for k, n in enumerate((4, 6, 9)):           # UCCA remote attributes
         g = random_ucca(rng, n, gid=f"u{k}")
         out.append((f"ucca-remote-{n}", g, damage_ucca(rng, g), {}))
-    for lenient in (False, True):               # padded anchors
-        g = padded_dm(rng, 6, pad=False)
-        p = padded_dm(np.random.default_rng(5), 6, pad=True)
-        p = G.replace(p, edges=g.edges[:-1])
-        out.append((f"dm-padded-lenient-{lenient}", g, p, {"lenient": lenient}))
+    g = padded_dm(rng, 6, pad=False)             # padded anchors
+    p = padded_dm(np.random.default_rng(5), 6, pad=True)
+    p = G.replace(p, edges=g.edges[:-1])
+    out.append(("dm-padded-lenient-False", g, p, {}))
     return out
 
 
 # Correspondence and (gold, pred, matched) per component in COMPONENTS
 # order plus "all", recorded from the scorer that recounted every
-# candidate mapping in full.  The incremental search must reproduce them.
+# candidate mapping in full.  The incremental search must reproduce them,
+# under the scorer settings each case of ``frozen_pairs`` names.
 FROZEN = {
     'amr-exh-2': (
         {0: 3, 1: 13},
@@ -539,20 +537,18 @@ FROZEN = {
         {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
         ((1, 1, 1), (6, 6, 6), (0, 0, 0), (6, 6, 3),
          (4, 3, 3), (0, 0, 0), (17, 16, 13))),
-    'dm-padded-lenient-True': (
-        {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
-        ((1, 1, 1), (6, 6, 6), (0, 0, 0), (6, 6, 6),
-         (3, 2, 2), (0, 0, 0), (16, 15, 15))),
 }
 
 
 class TestFrozenPairs:
     @pytest.mark.parametrize("case", frozen_pairs(), ids=lambda c: c[0])
-    def test_correspondence_and_counts_unchanged(self, case):
-        name, gold, pred, kw = case
+    def test_correspondence_and_counts_unchanged(self, case, monkeypatch):
+        name, gold, pred, settings = case
+        for setting, value in settings.items():
+            monkeypatch.setattr(S, setting, value)
         mapping, counts = FROZEN[name]
-        assert S.correspondence(gold, pred, **kw) == mapping
-        r = S.mrp_f1(gold, pred, **kw)
+        assert S.correspondence(gold, pred) == mapping
+        r = S.mrp_f1(gold, pred)
         got = tuple((r[c].gold, r[c].pred, r[c].matched)
                     for c in S.COMPONENTS + ("all",))
         assert got == counts
@@ -578,18 +574,19 @@ def recounted_first_best(gold, pred):
 
 
 class TestScorerProperties:
-    def test_self_f1_under_renumbering(self):
+    def test_self_f1_under_renumbering(self, monkeypatch):
         rng = np.random.default_rng(3)
-        cases = [(random_amr(rng, n), {}) for n in (1, 3, 5, 8, 9, 12)]
-        cases += [(random_amr(rng, n), {"method": "hillclimb"})
-                  for n in (4, 7)]
-        cases += [(random_ucca(rng, n), {}) for n in (3, 6, 10)]
-        cases += [(padded_dm(rng, n, pad=True), {}) for n in (4, 9)]
-        for k, (g, kw) in enumerate(cases):
-            r = S.mrp_f1(g, perturb(rng, g), **kw)
+        limit = S.EXHAUSTIVE_LIMIT
+        cases = [(random_amr(rng, n), limit) for n in (1, 3, 5, 8, 9, 12)]
+        cases += [(random_amr(rng, n), 0) for n in (4, 7)]  # hill climbing
+        cases += [(random_ucca(rng, n), limit) for n in (3, 6, 10)]
+        cases += [(padded_dm(rng, n, pad=True), limit) for n in (4, 9)]
+        for k, (g, case_limit) in enumerate(cases):
+            monkeypatch.setattr(S, "EXHAUSTIVE_LIMIT", case_limit)
+            r = S.mrp_f1(g, perturb(rng, g))
             assert r["all"].f1 == 1.0, f"case {k}"
 
-    def test_hillclimb_never_beats_exhaustive(self):
+    def test_hillclimb_never_beats_exhaustive(self, monkeypatch):
         rng = np.random.default_rng(5)
         for k in range(12):
             g = random_amr(rng, int(rng.integers(2, 9)))
@@ -597,8 +594,10 @@ class TestScorerProperties:
                         drop_edges=1, relabel=2,
                         add_nodes=int(rng.integers(0, 2)))
             p = G.replace(p, nodes=p.nodes[:8])
-            hill = S.mrp_f1(g, p, method="hillclimb")["all"].matched
-            exh = S.mrp_f1(g, p, method="exhaustive")["all"].matched
+            exh = S.mrp_f1(g, p)["all"].matched
+            with monkeypatch.context() as m:
+                m.setattr(S, "EXHAUSTIVE_LIMIT", 0)
+                hill = S.mrp_f1(g, p)["all"].matched
             assert hill <= exh, f"case {k}"
 
     def test_exhaustive_is_first_best_of_a_full_recount(self):
@@ -609,7 +608,7 @@ class TestScorerProperties:
                 g = G.replace(g, edges=g.edges + g.edges[:1])
             p = perturb(rng, g, drop_nodes=k % 2, relabel=1,
                         dup_edges=1, add_nodes=(k // 2) % 2)
-            assert (S.correspondence(g, p, method="exhaustive")
+            assert (S.correspondence(g, p)
                     == recounted_first_best(g, p)), f"case {k}"
 
     def test_tables_total_equals_counts(self):

@@ -11,6 +11,7 @@ import json
 import os
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def split(corpus):
 
 
 def tiny(cfg, **kw):
-    return replace(cfg.scaled(0.02), batch_size=4, **kw)
+    return replace(replace(cfg, scale=0.02).scaled(), batch_size=4, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +61,14 @@ def mtl(split, corpus):
 
 @pytest.fixture(scope="module")
 def big_sents():
-    # last 8 sentences keep a single framework each
-    return datagen.build_corpus(n=40, seed=11, singles=8).sentences
+    # the last 8 sentences keep a single framework each, cycling
+    # through the inventory
+    sents = datagen.build_corpus(n=40, seed=11).sentences
+    for k in range(8):
+        s = sents[-1 - k]
+        keep = G.FRAMEWORKS[k % len(G.FRAMEWORKS)]
+        sents[-1 - k] = G.replace(s, graphs={keep: s.graphs[keep]})
+    return sents
 
 
 class TestSplit:
@@ -187,14 +194,14 @@ class TestMultitaskLoss:
                 + cfg.lam_remote * t("ucca.remote"))
 
     def test_full_assembly_matches_hand_formula(self, model, prep, mtl):
-        cfg = mtl.config
+        cfg = mtl.model.config
         terms = T.framework_terms(model, prep, FWS)
         assert len(terms) == 13
         got = float(T.multitask_loss(cfg, terms).data)
         assert abs(got - self.hand_total(cfg, terms)) < 1e-10
 
     def test_masked_assembly_matches_hand_formula(self, model, prep, mtl):
-        cfg = mtl.config
+        cfg = mtl.model.config
         terms = T.framework_terms(model, prep, ("dm", "psd"))
         assert set(terms) == {"dm.edge", "dm.label", "dm.frame",
                               "psd.edge", "psd.label"}
@@ -205,7 +212,7 @@ class TestMultitaskLoss:
         for p in model.params.tensors():
             p.zero_grad()
         terms = T.framework_terms(model, prep, ("dm", "psd"))
-        T.multitask_loss(mtl.config, terms).backward()
+        T.multitask_loss(mtl.model.config, terms).backward()
         for name, p in model.params._params.items():
             if name.startswith(("ucca.", "amr.")):
                 assert p.grad is None, name
@@ -213,11 +220,11 @@ class TestMultitaskLoss:
                    for n in model.params._params if n.startswith("encoder."))
 
     def test_empty_terms_is_zero(self, mtl):
-        loss = T.multitask_loss(mtl.config, {})
+        loss = T.multitask_loss(mtl.model.config, {})
         assert float(loss.data) == 0.0
 
     def test_single_sdp_matches_joint_formula(self, model, prep, mtl):
-        cfg = replace(mtl.config, frameworks=("dm", "psd"))
+        cfg = replace(mtl.model.config, frameworks=("dm", "psd"))
         terms = T.framework_terms(model, prep, cfg.frameworks)
         t = lambda k: float(terms[k].data)
         want = (cfg.lam_label * (t("dm.label") + t("psd.label")
@@ -229,7 +236,7 @@ class TestMultitaskLoss:
     def test_single_loss_none_without_gold(self, model, mtl, corpus):
         bare = G.replace(corpus.sentences[0], graphs={})
         prep = T.prepare_sentences(model, [bare], FWS)[0]
-        assert T.sentence_loss(model, mtl.config, prep, FWS) is None
+        assert T.sentence_loss(model, mtl.model.config, prep, FWS) is None
 
 
 # every single and fine-tuning preset, by the regime that trains with it
@@ -387,13 +394,13 @@ def count_clip_calls(monkeypatch):
 
 class TestTrainLoop:
     def test_history_and_best_keys(self, mtl):
-        assert len(mtl.history) == mtl.config.epochs
+        assert len(mtl.history) == mtl.model.config.epochs
         assert set(mtl.best_epochs) == set(FWS) | {"total"}
         for key, epoch in mtl.best_epochs.items():
-            assert 0 <= epoch < mtl.config.epochs
+            assert 0 <= epoch < mtl.model.config.epochs
 
     def test_snapshots_pruned_to_best_and_last(self, mtl):
-        keep = set(mtl.best_epochs.values()) | {mtl.config.epochs - 1}
+        keep = set(mtl.best_epochs.values()) | {mtl.model.config.epochs - 1}
         assert set(mtl.snapshots) == keep
 
     def test_model_at_returns_detached_clone(self, mtl):
@@ -477,7 +484,7 @@ class TestTrainLoop:
         model = mtl.model_at("total")
         model.params._params["encoder.surface_emb"].data[:] = np.nan
         preps = T.prepare_sentences(model, corpus.sentences[:2], ("dm",))
-        cfg = replace(mtl.config, epochs=1)
+        cfg = replace(mtl.model.config, epochs=1)
         loss_fn = lambda m, p, rng: T.sentence_loss(
             m, cfg, p, ("dm", "psd"), train=True, rng=rng)
         with pytest.raises(T.TrainingDiverged) as err:
@@ -508,7 +515,7 @@ class TestTrainLoop:
         bare = [G.replace(s, graphs={}) for s in corpus.sentences[:2]]
         preps = T.prepare_sentences(mtl.model, bare, FWS)
         with pytest.raises(ValueError, match="supervision"):
-            T._train_loop(mtl.model, mtl.config, preps, lambda *a: None, {},
+            T._train_loop(mtl.model, mtl.model.config, preps, lambda *a: None, {},
                           lambda m: {})
 
 
@@ -536,8 +543,8 @@ class TestBundles:
         assert any(arr.ndim == 0 for arr in saved.values())  # the *.b_edge scalars
         sent = corpus.sentences[9]
         for fw in FWS:
-            a = G.graph_to_json(T.parse_sentence(model, sent, fw, beam=2))
-            b = G.graph_to_json(T.parse_sentence(back, sent, fw, beam=2))
+            a = G.graph_to_json(T.parse_ensemble([model], sent, fw, beam=2))
+            b = G.graph_to_json(T.parse_ensemble([back], sent, fw, beam=2))
             assert a == b, fw
 
     def test_not_a_bundle(self, tmp_path):
@@ -837,20 +844,27 @@ class TestEnsembles:
         members, _ = T.greedy_ensemble([1, 0], table.__getitem__)
         assert members == (0,)
 
-    def test_build_ensemble_amr_takes_single_best(self, corpus):
-        fake = {(0,): 0.3, (1,): 0.6, (2,): 0.5}
-        spec, score = T.build_ensemble([None, None, None], "amr",
-                                       corpus.sentences[8:],
-                                       score_fn=fake.__getitem__)
+    @staticmethod
+    def fake_scores(monkeypatch, table):
+        """Make a member subset score ``table[member ids]``: each model is
+        its own index, its prediction the same, and a decode the tuple
+        of the predictions it combines."""
+        monkeypatch.setattr(T, "predict", lambda m, s, fw, beam: m)
+        monkeypatch.setattr(T, "decode_predictions",
+                            lambda models, s, fw, preds: tuple(preds))
+        monkeypatch.setattr(T, "corpus_report", lambda golds, graphs: SimpleNamespace(
+            framework_f1=lambda fw: table[graphs[0]]))
+
+    def test_build_ensemble_amr_takes_single_best(self, corpus, monkeypatch):
+        self.fake_scores(monkeypatch, {(0,): 0.3, (1,): 0.6, (2,): 0.5})
+        spec, score = T.build_ensemble([0, 1, 2], "amr", corpus.sentences[8:])
         assert spec == T.EnsembleSpec("amr", (1,), "single")
         assert score == 0.6
 
-    def test_build_ensemble_rules(self, corpus):
-        fake = {(0,): 0.3, (1,): 0.6, (1, 0): 0.7}
+    def test_build_ensemble_rules(self, corpus, monkeypatch):
+        self.fake_scores(monkeypatch, {(0,): 0.3, (1,): 0.6, (1, 0): 0.7})
         for fw, rule in (("dm", "average"), ("ucca", "vote")):
-            spec, score = T.build_ensemble([None, None], fw,
-                                           corpus.sentences[8:],
-                                           score_fn=fake.__getitem__)
+            spec, score = T.build_ensemble([0, 1], fw, corpus.sentences[8:])
             assert spec.rule == rule and spec.members == (1, 0)
 
     def test_spec_json_round_trip(self):
@@ -920,16 +934,18 @@ def record_graph_tensors(monkeypatch):
 
 class TestInferenceFastPath:
     @pytest.mark.parametrize("width", [1, 2, 5])
-    def test_amr_decoder_matches_reference(self, model, corpus, width):
+    def test_amr_decoder_matches_reference(self, model, corpus, width,
+                                           monkeypatch):
         truncated = 0
-        for cap in (None, 2):
+        for cap in (A.default_cap, lambda n_tokens: 2):
+            monkeypatch.setattr(A, "default_cap", cap)
             for sent in corpus.sentences[HELD]:
                 ctx = model.amr_context(sent, model.encode(sent))
-                want = reference_beam_search(ctx, width=width, cap=cap)
-                taped = A.beam_search(ctx, width=width, cap=cap)
+                want = reference_beam_search(ctx, width=width)
+                taped = A.beam_search(ctx, width=width)
                 assert_same_generation(want, taped, tol=BEAM_TOL)
                 with ad.no_grad():
-                    got = A.beam_search(ctx, width=width, cap=cap)
+                    got = A.beam_search(ctx, width=width)
                 assert_same_generation(taped, got)
                 truncated += got.truncated
         assert truncated  # the small cap cuts some decodes short
@@ -938,10 +954,10 @@ class TestInferenceFastPath:
     def test_amr_graphs_match_reference(self, model, corpus, width,
                                         monkeypatch):
         sents = corpus.sentences[HELD]
-        got = [G.graph_to_json(T.parse_sentence(model, s, "amr", beam=width))
+        got = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
                for s in sents]
         monkeypatch.setattr(A, "beam_search", reference_beam_search)
-        want = [G.graph_to_json(T.parse_sentence(model, s, "amr", beam=width))
+        want = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
                 for s in sents]
         assert got == want
 
@@ -954,7 +970,7 @@ class TestInferenceFastPath:
 
     def test_val_loss_same_with_and_without_no_grad(self, model, corpus, mtl):
         preps = T.prepare_sentences(model, corpus.sentences[HELD], FWS)
-        loss_fn = lambda p: T.sentence_loss(model, mtl.config, p, FWS)
+        loss_fn = lambda p: T.sentence_loss(model, mtl.model.config, p, FWS)
         want = T._val_loss.__wrapped__(preps, loss_fn, "all")
         assert T._val_loss(preps, loss_fn, "all") == want
 
@@ -978,13 +994,13 @@ class TestInferenceFastPath:
         for fw in FWS:
             T.parse_sentence(model, sent, fw)
         T.parse_ensemble([model, model], sent, "dm")
-        T._val_loss(preps, lambda p: T.sentence_loss(model, mtl.config, p, FWS),
+        T._val_loss(preps, lambda p: T.sentence_loss(model, mtl.model.config, p, FWS),
                     "all")
         converter.parse(sent, sent.graphs["dm"])
         assert recorded == []
         for p in model.params.tensors() + converter.params.tensors():
             assert p.grad is None
-        T.sentence_loss(model, mtl.config, preps[0], FWS)
+        T.sentence_loss(model, mtl.model.config, preps[0], FWS)
         assert recorded  # the spy sees graphs outside the fast path
 
 
@@ -1135,10 +1151,10 @@ class TestGradientOwnership:
 
     def test_gradients_equal_zeros_plus_add(self, model, mtl, prep,
                                             monkeypatch):
-        new, _ = self.backward(model, mtl.config, prep)
+        new, _ = self.backward(model, mtl.model.config, prep)
         new = [t.grad for t in new]
         monkeypatch.setattr(ad.Tensor, "accumulate", zeros_plus_add)
-        old, _ = self.backward(model, mtl.config, prep)
+        old, _ = self.backward(model, mtl.model.config, prep)
         old = [t.grad for t in old]
         assert len(new) == len(old) and sum(g is not None for g in new) > 100
         for n, o in zip(new, old):
@@ -1151,7 +1167,7 @@ class TestGradientOwnership:
             assert np.all(n[signs] == 0.0)  # a -0.0 stays -0.0
 
     def test_no_gradient_aliases_another_array(self, model, mtl, prep):
-        tensors, received = self.backward(model, mtl.config, prep)
+        tensors, received = self.backward(model, mtl.model.config, prep)
         datas = [t.data for t in tensors]
         for t in tensors:
             if t.grad is None:
