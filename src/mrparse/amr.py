@@ -22,6 +22,7 @@ from .encoder import Linear, LstmCell, Mlp, additive_attention
 
 END_LABEL = "<END>"
 UNK_LABEL = "<UNK>"
+BEAM_WIDTH = 5  # beam_search width unless a caller sets one
 
 _ANON = re.compile(r"^[A-Z][A-Z_]*\.\d+$")
 _SENSE = re.compile(r"^(.*[^\d-])-(\d{2,3})$")
@@ -420,9 +421,10 @@ class AmrDecoder:
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
     switch; the decoder-copy segment is masked while empty.  Decoding
-    advances k hypotheses of equal length together, one row each
-    (:meth:`step`); teacher forcing runs the whole gold sequence at once
-    (:func:`run_teacher_forced`).
+    advances k hypotheses of equal length together, one row each, as k
+    LSTM sequences of length 1 (:meth:`step`); teacher forcing runs the
+    whole gold sequence at once (:func:`run_teacher_forced`).  Both run
+    :func:`autodiff.lstm_sequence`.
     """
 
     def __init__(self, params, name, enc_hidden, feat_width, hidden, n_vocab,
@@ -776,7 +778,7 @@ def greedy_decode(ctx):
     return _to_generation(hyp)
 
 
-def beam_search(ctx, width=5):
+def beam_search(ctx, width=BEAM_WIDTH):
     """Length-normalized beam over the mixture.
 
     Finished hypotheses accumulate without displacing live ones, so a

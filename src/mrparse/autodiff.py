@@ -15,18 +15,17 @@ alive.  Parsing (``training.parse_ensemble``, which
 (``training._val_loss``) and EDS conversion
 (``training.EdsModel.parse``) run under it.
 
-Two fused ops carry every LSTM recurrence: :func:`lstm_sequence` runs a
-whole sequence, from a zero state or from a given (1, H) initial state
-``h0, c0``, and returns one (T, 2H) tensor of ``[h_t | c_t]`` rows;
-:func:`lstm_step` advances k independent rows one step, returning
-(k, 2H).  The encoder runs sequences from zero, the teacher-forced
-decoders from their initial states, and free-running decoding steps.
-Both share one cell implementation; their forward is bit-identical to
-composing the elementary ops per step, their hand-written backward
-(backpropagation through time for the sequence, reaching the initial
-state) agrees with the composition's gradients to rounding, and their
-buffers take the input dtype.  Each creates one graph node however
-long the sequence.
+One fused op carries every LSTM recurrence: :func:`lstm_sequence` runs
+B equal-length sequences together, from a zero state or from given
+(B, H) initial states ``h0, c0``, and returns their ``[h_t | c_t]``
+rows; a (T, D) input is the one-sequence case.  The encoder runs
+sequences from zero, the teacher-forced decoders from their initial
+states, and free-running decoders advance their k rows as k sequences
+of length 1.  Its forward is bit-identical to composing the elementary
+ops per step, its hand-written backward (backpropagation through time,
+reaching the initial state) agrees with the composition's gradients to
+rounding, and its buffers take the input dtype.  It creates one graph
+node however long the sequences.
 
 Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
@@ -502,84 +501,55 @@ def _lstm_cell_grad(dh, dc, c, saved):
     return dz, dc * f
 
 
-def lstm_step(x, h, c, wx, wh, b):
-    """One LSTM step from states ``(h, c)``, each (k, H), on input rows
-    ``x`` (k, D); returns the (k, 2H) rows ``[h' | c']``.  The k rows
-    are independent recurrences advanced together (a decoder's beam)."""
-    x, h, c, wx, wh, b = (as_tensor(t) for t in (x, h, c, wx, wh, b))
-    hsz = wh.data.shape[0]
-    h2, c2, saved = _lstm_cell(x.data @ wx.data, h.data, c.data, wh.data, b.data)
-
-    def rule(g):
-        dz, dc = _lstm_cell_grad(g[:, :hsz], g[:, hsz:], c.data, saved)
-        if x.requires_grad:
-            x.accumulate(dz @ wx.data.T)
-        if h.requires_grad:
-            h.accumulate(dz @ wh.data.T)
-        if c.requires_grad:
-            c.accumulate(dc)
-        if wx.requires_grad:
-            wx.accumulate(x.data.T @ dz)
-        if wh.requires_grad:
-            wh.accumulate(h.data.T @ dz)
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(dz, b.data.shape))
-
-    return _make(np.concatenate([h2, c2], axis=1), (x, h, c, wx, wh, b), rule)
-
-
 def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
-    """Run an LSTM over the rows of ``x`` (T, D), last row first when
-    ``reverse``; returns (T, 2H) whose row ``t`` is ``[h_t | c_t]``.
-    Backward is backpropagation through time.
+    """Run an LSTM over ``x`` (B, T, D), B sequences of length T side by
+    side, each last step first when ``reverse``; returns (B, T, 2H) with
+    the rows ``[h_t | c_t]`` at ``[:, t]``.  A (T, D) input is one
+    sequence and returns (T, 2H).  Backward is backpropagation through time.
 
-    The state starts from ``h0`` and ``c0``, each (1, H), when given
-    (a decoder run from its initial state under teacher forcing) and
-    from zero otherwise; the backward sends their gradients to them.
+    The state starts from ``h0`` and ``c0``, each (B, H), when given (a
+    decoder's initial state, or k beam rows advanced one step as k
+    sequences of length 1), and from zero otherwise; the backward sends
+    their gradients to them.
 
-    Each row is projected as ``x[t:t+1] @ wx`` inside the loop: one
-    batched ``x @ wx`` rounds differently and would break bit equality
-    with the per-step composition.
+    Step ``t`` projects its B rows as ``x[:, t] @ wx`` inside the loop:
+    one ``x @ wx`` over all steps rounds differently and would break
+    bit equality with the per-step composition.
     """
     x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
-    n, hsz = x.data.shape[0], wh.data.shape[0]
+    xs = x.data if x.data.ndim == 3 else x.data[None]
+    (bsz, n, _), hsz = xs.shape, wh.data.shape[0]
     dtype = x.data.dtype
-    zero = np.zeros((1, hsz), dtype=dtype)
+    zero = np.zeros((bsz, hsz), dtype=dtype)
     init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
-    h, c = (init[0].data, init[1].data) if init else (zero, zero)
-    out = np.empty((n, 2 * hsz), dtype=dtype)
+    h, c = start = (init[0].data, init[1].data) if init else (zero, zero)
+    out = np.empty((bsz, n, 2 * hsz), dtype=dtype)
     order = range(n - 1, -1, -1) if reverse else range(n)
     saved = [None] * n
     for t in order:
-        h, c, saved[t] = _lstm_cell(x.data[t:t + 1] @ wx.data, h, c, wh.data, b.data)
-        out[t, :hsz] = h[0]
-        out[t, hsz:] = c[0]
+        h, c, saved[t] = _lstm_cell(xs[:, t] @ wx.data, h, c, wh.data, b.data)
+        out[:, t, :hsz] = h
+        out[:, t, hsz:] = c
 
     def rule(g):
-        # the state each step started from: the previous row, the
-        # initial state first
-        h_prev = np.empty((n, hsz), dtype=dtype)
-        c_prev = np.empty((n, hsz), dtype=dtype)
-        first = n - 1 if reverse else 0
-        h_prev[first] = init[0].data[0] if init else 0.0
-        c_prev[first] = init[1].data[0] if init else 0.0
-        if reverse:
-            h_prev[:-1], c_prev[:-1] = out[1:, :hsz], out[1:, hsz:]
-        else:
-            h_prev[1:], c_prev[1:] = out[:-1, :hsz], out[:-1, hsz:]
-        dz = np.empty((n, 4 * hsz), dtype=dtype)
+        g = g.reshape(out.shape)
+        # the [h | c] each step started from
+        first = np.concatenate(start, axis=1, dtype=dtype)[:, None]
+        prev = np.concatenate([out[:, 1:], first] if reverse else [first, out[:, :-1]],
+                              axis=1)
+        dz = np.empty((bsz, n, 4 * hsz), dtype=dtype)
         dh, dc = zero, zero
         for t in reversed(order):
-            row = slice(t, t + 1)
-            dz[row], dc = _lstm_cell_grad(dh + g[row, :hsz], dc + g[row, hsz:],
-                                          c_prev[row], saved[t])
-            dh = dz[row] @ wh.data.T
+            dz[:, t], dc = _lstm_cell_grad(dh + g[:, t, :hsz], dc + g[:, t, hsz:],
+                                           prev[:, t, hsz:], saved[t])
+            dh = dz[:, t] @ wh.data.T
+        dz = dz.reshape(bsz * n, 4 * hsz)  # (B, T) folded into rows
         if x.requires_grad:
-            x.accumulate(dz @ wx.data.T)
+            x.accumulate((dz @ wx.data.T).reshape(x.data.shape))
         if wx.requires_grad:
-            wx.accumulate(x.data.T @ dz)
+            wx.accumulate(xs.reshape(bsz * n, -1).T @ dz)
         if wh.requires_grad:
-            wh.accumulate(h_prev.T @ dz)
+            wh.accumulate(prev[..., :hsz].reshape(bsz * n, hsz).T @ dz)
         if b.requires_grad:
             b.accumulate(_unbroadcast(dz, b.data.shape))
         # dh and dc now hold the gradients of the initial state
@@ -587,7 +557,7 @@ def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
             if t.requires_grad:
                 t.accumulate(d)
 
-    return _make(out, (x, wx, wh, b, *init), rule)
+    return _make(out if x.data.ndim == 3 else out[0], (x, wx, wh, b, *init), rule)
 
 
 # ---------------------------------------------------------------------------

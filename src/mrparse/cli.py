@@ -26,6 +26,7 @@ from . import graphs as G
 from . import eds as E
 from . import scoring
 from . import training as T
+from .amr import BEAM_WIDTH
 from .atomic import atomic_open
 from .config import (SDP_PAIR, TrainConfig, single_config, multitask_config,
                      fine_tune_config)
@@ -65,8 +66,7 @@ def build_parser():
     _add_embedding_args(p)
     p.add_argument("--regime", required=True,
                    choices=["single", "multitask", "fine-tune", "eds"])
-    p.add_argument("--framework",
-                   choices=["dm", "psd", "eds", "ucca", "amr"])
+    p.add_argument("--framework", choices=["dm", "psd", "ucca", "amr"])
     p.add_argument("--config", help="JSON file of setting overrides")
     p.add_argument("--split", help="id-list file written by `mrparse split`")
     p.add_argument("--from-model", dest="from_model",
@@ -99,7 +99,7 @@ def build_parser():
                    help="DM bundle(s) feeding the EDS converter")
     p.add_argument("--dm-mrp", dest="dm_mrp",
                    help="DM graph file feeding the EDS converter")
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=int, help="AMR beam width")
     p.add_argument("--out", required=True)
     p.set_defaults(entry=cmd_parse)
 
@@ -136,7 +136,7 @@ def build_parser():
     p.add_argument("--model", action="append", required=True, default=[])
     p.add_argument("--framework", required=True,
                    choices=["dm", "psd", "ucca", "amr"])
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=int, help="AMR beam width")
     p.add_argument("--out", required=True, help="member spec JSON file")
     p.set_defaults(entry=cmd_ensemble)
 
@@ -155,6 +155,15 @@ def _load_embeddings(args):
     static = StaticEmbeddings.load(args.static, np.random.default_rng(0))
     contextual = ContextualEmbeddings.load(args.contextual)
     return static, contextual
+
+
+def _beam(args):
+    """The AMR beam width; ``--beam`` with another framework is a usage
+    error, so call this before loading anything."""
+    if args.beam is not None and args.framework != "amr":
+        raise UsageError(f"{args.cmd} --framework {args.framework} "
+                         f"does not use --beam")
+    return BEAM_WIDTH if args.beam is None else args.beam
 
 
 def _write_json(doc, path):
@@ -301,6 +310,22 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 # parse
 
+def _check_parse_flags(args):
+    """Refuse, before anything is loaded, a flag the framework ignores,
+    lacks or cannot take as given."""
+    fw = args.framework
+    for flag, value in (("--dm-model", args.dm_model), ("--dm-mrp", args.dm_mrp)):
+        if value and fw != "eds":
+            raise UsageError(f"parse --framework {fw} does not use {flag}")
+    if fw == "eds" and len(args.model) != 1:
+        raise UsageError("parse --framework eds takes one conversion bundle; "
+                         "pass a single --model")
+    if fw == "eds" and not (args.dm_model or args.dm_mrp):
+        raise UsageError("parse --framework eds needs --dm-model or --dm-mrp")
+    if fw == "amr" and len(args.model) > 1:
+        raise UsageError("amr is served by one bundle; pass a single --model")
+
+
 def _eds_dm_source(args, sentences, static, contextual):
     if args.dm_mrp:
         dm = {g.id: g for g in G.load_mrp(args.dm_mrp)}
@@ -309,16 +334,12 @@ def _eds_dm_source(args, sentences, static, contextual):
             raise ValueError(f"{args.dm_mrp}: no DM graph for: "
                              + ", ".join(missing))
         return lambda s: dm[s.id]
-    if args.dm_model:
-        dm_models = [T.load_model(p, static, contextual)
-                     for p in args.dm_model]
-        return lambda s: T.parse_ensemble(dm_models, s, "dm")
-    raise UsageError("parse --framework eds needs --dm-model or --dm-mrp")
+    dm_models = [T.load_model(p, static, contextual) for p in args.dm_model]
+    return lambda s: T.parse_ensemble(dm_models, s, "dm")
 
 
 def _load_spec(args, static, contextual):
-    """The spec of ``--spec`` and its model list, members loaded (the
-    other slots None)."""
+    """The member models of the spec of ``--spec``, in spec order."""
     try:
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -332,32 +353,25 @@ def _load_spec(args, static, contextual):
     if spec.framework != args.framework:
         raise ValueError(f"{args.spec}: spec is for {spec.framework}, "
                          f"not {args.framework}")
-    return spec, [T.load_model(p, static, contextual) if i in spec.members
-                  else None for i, p in enumerate(paths)]
+    return [T.load_model(paths[i], static, contextual) for i in spec.members]
 
 
 def cmd_parse(args):
-    if args.framework == "eds" and len(args.model) > 1:
-        raise UsageError("parse --framework eds takes one conversion bundle; "
-                         "pass a single --model")
-    if args.framework == "amr" and len(args.model) > 1:
-        raise UsageError("amr is served by one bundle; pass a single --model")
+    beam = _beam(args)
+    _check_parse_flags(args)
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
-    models = [T.load_model(p, static, contextual) for p in args.model]
+    models = (_load_spec(args, static, contextual) if args.spec
+              else [T.load_model(p, static, contextual) for p in args.model])
 
-    if args.spec:
-        spec, listed = _load_spec(args, static, contextual)
-        graphs = [T.parse_with_spec(listed, spec, s, beam=args.beam)
-                  for s in sentences]
-    elif args.framework == "eds":
+    if args.framework == "eds":
         converter = models[0]
         if not isinstance(converter, T.EdsModel):
             raise ValueError(f"{args.model[0]} is not a conversion bundle")
         dm_of = _eds_dm_source(args, sentences, static, contextual)
         graphs = [converter.parse(s, dm_of(s))[0] for s in sentences]
     else:
-        graphs = [T.parse_ensemble(models, s, args.framework, beam=args.beam)
+        graphs = [T.parse_ensemble(models, s, args.framework, beam=beam)
                   for s in sentences]
 
     if not _validate_or_fail(graphs):
@@ -452,6 +466,7 @@ def cmd_split(args):
 # ensemble
 
 def cmd_ensemble(args):
+    beam = _beam(args)
     sentences = _load_sentences(args.companion, [args.gold])
     usable = [s for s in sentences if args.framework in s.graphs]
     if not usable:
@@ -459,8 +474,7 @@ def cmd_ensemble(args):
                          f"for the companion sentences")
     static, contextual = _load_embeddings(args)
     models = [T.load_model(p, static, contextual) for p in args.model]
-    spec, score = T.build_ensemble(models, args.framework, usable,
-                                   beam=args.beam)
+    spec, score = T.build_ensemble(models, args.framework, usable, beam=beam)
     doc = dict(spec.to_json(), score=score, models=list(args.model))
     _write_json(doc, args.out)
     chosen = ", ".join(args.model[i] for i in spec.members)

@@ -239,7 +239,5 @@ def fine_tune_config(framework, bug_compatible=False):
             label_dropout=0.33, decoder_dropout=0.33,
             lr=0.00059, beta1=0.0, beta2=0.95,
             epochs=50, batch_size=64, **_AMR_LOSS)
-    if framework == "eds":
-        return single_config("eds")
     raise ValueError(f"no continuation recipe for framework {framework!r}")
 

@@ -258,9 +258,9 @@ GATE_ORDER = "ifgo"  # input, forget, cell candidate, output
 
 
 class LstmCell:
-    """Weights of one LSTM direction, run over a whole sequence
-    (:func:`autodiff.lstm_sequence`) or one step at a time
-    (:func:`autodiff.lstm_step`); the encoder and every decoder use it."""
+    """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`
+    over a whole sequence or, k rows at a time, one step; the encoder
+    and every decoder use it."""
 
     def __init__(self, params, name, in_dim, hidden, rng):
         self.hidden = hidden
@@ -279,9 +279,12 @@ class LstmCell:
         return ad.split(out, [self.hidden] * 2, axis=1)
 
     def step(self, x, h, c):
-        """Advance one step from ``(h, c)`` on input row ``x``; returns (h', c')."""
-        out = ad.lstm_step(x, h, c, self.wx, self.wh, self.b)
-        return ad.split(out, [self.hidden] * 2, axis=1)
+        """Advance k rows one step from ``(h, c)``, each (k, H), on input
+        rows ``x`` (k, D), as k sequences of length 1; returns (h', c')."""
+        k = x.shape[0]
+        out = ad.lstm_sequence(ad.reshape(x, (k, 1, -1)), self.wx, self.wh, self.b,
+                               h0=h, c0=c)
+        return ad.split(ad.reshape(out, (k, -1)), [self.hidden] * 2, axis=1)
 
 
 @dataclass

@@ -1110,7 +1110,7 @@ def ucca_prediction(model, sent):
                             remote_probs=remote.edge_probs.data)
 
 
-def amr_prediction(model, sent, beam=5):
+def amr_prediction(model, sent, beam=A.BEAM_WIDTH):
     """(generation, pair scores or None) for one sentence."""
     enc_out = model.encode(sent)
     ctx = model.amr_context(sent, enc_out)
@@ -1121,7 +1121,7 @@ def amr_prediction(model, sent, beam=5):
     return gen, model.heads["amr"].score(states)
 
 
-def predict(model, sent, framework, beam=5):
+def predict(model, sent, framework, beam=A.BEAM_WIDTH):
     """One model's prediction for one sentence, the arrays its graph is
     decoded from: (pair scores, frames) for DM and PSD, a
     ``UccaPrediction`` for UCCA, (generation, pair scores) for AMR.  A
@@ -1176,7 +1176,7 @@ def decode_predictions(models, sent, framework, preds):
 
 
 @ad.no_grad()
-def parse_ensemble(models, sent, framework, beam=5):
+def parse_ensemble(models, sent, framework, beam=A.BEAM_WIDTH):
     """Predict with each model, then combine and decode."""
     preds = [predict(m, sent, framework, beam=beam) for m in models]
     return decode_predictions(models, sent, framework, preds)
@@ -1261,7 +1261,7 @@ def greedy_ensemble(candidates, score_fn):
 
 
 @ad.no_grad()
-def build_ensemble(models, framework, sentences, beam=5):
+def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
     """Pick members on the ensembling carve-out by held-out F1.
 
     AMR keeps its single best model; DM and PSD average scores; UCCA
@@ -1290,7 +1290,3 @@ def build_ensemble(models, framework, sentences, beam=5):
     rule = "vote" if framework == "ucca" else "average"
     return EnsembleSpec(framework, members, rule), best
 
-
-def parse_with_spec(models, spec, sent, beam=5):
-    return parse_ensemble([models[i] for i in spec.members], sent,
-                          spec.framework, beam=beam)

@@ -102,8 +102,9 @@ def bilinear_label(x, y, u_classes, w_classes):
 def reference_lstm_step(x, h, c, wx, wh, b):
     """One LSTM step composed from elementary ops; returns (h', c').
 
-    This per-step composition is the oracle for ``ad.lstm_step`` and
-    ``ad.lstm_sequence``: their forward must equal it bit for bit.
+    This per-step composition is the oracle for ``ad.lstm_sequence``:
+    its forward must equal it bit for bit, step by step over the rows of
+    every sequence it runs.
     """
     hsz = wh.shape[0]
     z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)

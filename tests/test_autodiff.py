@@ -1,10 +1,12 @@
 """Tensor core: forward values against scipy/manual oracles, gradients
 against finite differences, optimizer against a hand-rolled reference."""
 
+import ast
 import json
 import os
 import weakref
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,9 +385,9 @@ class TestNoGrad:
         w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
         with ad.no_grad():
             out = ad.tanh(ad.matmul(ad.Tensor(np.ones((1, 2))), w))
-            fused = ad.lstm_step(np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                                 np.ones((1, 4)), np.ones((1, 4)),
-                                 ad.Tensor(np.zeros(4), requires_grad=True))
+            fused = ad.lstm_sequence(np.ones((1, 1, 1)), np.ones((1, 4)), np.ones((1, 4)),
+                                     ad.Tensor(np.zeros(4), requires_grad=True),
+                                     h0=np.zeros((1, 1)), c0=np.zeros((1, 1)))
         for t in (out, fused):
             assert t.requires_grad is False
             assert t.parents == ()
@@ -673,3 +675,61 @@ class TestParamSet:
             with pytest.raises(ValueError,
                                match=r"shape mismatch for w: \(3,\) vs \(2,\)"):
                 build(ad.ParamSet({"w": np.zeros(3)}))
+
+
+# ---------------------------------------------------------------------------
+# every differentiable op meets the finite-difference gradcheck
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+GRADCHECKS = ("check_gradients", "gradcheck")  # the oracle and its fixture
+
+
+def differentiable_ops(source):
+    """Public module-level functions of ``source`` that build a result
+    with ``_make``, in a nested function or not."""
+    return {fn.name for fn in ast.parse(source).body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
+                    for n in ast.walk(fn))}
+
+
+def gradchecked_ops(sources):
+    """Attributes read as ``ad.<name>`` inside a test function (module
+    level or method) that calls the gradcheck oracle or its fixture."""
+    found = set()
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("test")):
+                continue
+            inside = list(ast.walk(fn))
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in GRADCHECKS
+                   for n in inside):
+                found |= {n.attr for n in inside if isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name) and n.value.id == "ad"}
+    return found
+
+
+def test_every_differentiable_op_is_gradchecked():
+    ops = differentiable_ops(Path(ad.__file__).read_text(encoding="utf-8"))
+    covered = gradchecked_ops(p.read_text(encoding="utf-8") for p in TESTS)
+    assert "lstm_sequence" in ops
+    assert sorted(ops - covered) == []
+
+
+def test_scan_flags_an_op_without_gradcheck():
+    library = ("def _make(data, parents, rule):\n    pass\n\n"
+               "def checked(a):\n    return _make(a, (), None)\n\n"
+               "def by_fixture(a):\n    return _make(a, (), None)\n\n"
+               "def forward_only(a):\n    return _make(a, (), None)\n\n"
+               "def via_helper(a):\n    def inner():\n"
+               "        return _make(a, (), None)\n    return inner()\n\n"
+               "def composite(a):\n    return checked(a)\n\n"
+               "def _private(a):\n    return _make(a, (), None)\n")
+    tests = ("def helper():\n    return ad.via_helper(1)\n\n"
+             "def test_forward():\n    ad.forward_only(1)\n\n"
+             "def test_fixture(gradcheck):\n    gradcheck(lambda: ad.by_fixture(1), [])\n\n"
+             "class TestOps:\n    def test_grad(self):\n"
+             "        check_gradients(lambda: helper() + ad.checked(1), [])\n")
+    ops = differentiable_ops(library)
+    assert sorted(ops) == ["by_fixture", "checked", "forward_only", "via_helper"]
+    assert sorted(ops - gradchecked_ops([tests])) == ["forward_only", "via_helper"]

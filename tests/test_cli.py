@@ -154,8 +154,45 @@ def test_train_rejects_a_flag_its_regime_ignores(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("regime", ["single", "fine-tune"])
+def test_train_has_no_eds_framework(tmp_path, capsys, regime):
+    # no input exists: argparse refuses the choice before anything is loaded
+    out = tmp_path / "run"
+    code = run(["train", "--companion", str(tmp_path / "c"),
+                "--mrp", str(tmp_path / "g"), "--static", str(tmp_path / "s"),
+                "--contextual", str(tmp_path / "x"), "--regime", regime,
+                "--framework", "eds", "--from-model", str(tmp_path / "m"),
+                "--out", str(out)])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "invalid choice: 'eds'" in line
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parse
+
+@pytest.mark.parametrize("cmd, flag, extra", [
+    ("parse", "--beam", ["--model", "m", "--framework", "dm", "--beam", "2"]),
+    ("parse", "--dm-model", ["--model", "m", "--framework", "psd",
+                             "--dm-model", "d"]),
+    ("parse", "--dm-mrp", ["--model", "m", "--framework", "ucca",
+                           "--dm-mrp", "d"]),
+    ("ensemble", "--beam", ["--gold", "g", "--model", "m", "--framework", "ucca",
+                            "--beam", "2"]),
+], ids=["parse-beam", "parse-dm-model", "parse-dm-mrp", "ensemble-beam"])
+def test_a_flag_the_framework_ignores_is_usage_error(tmp_path, capsys, cmd, flag,
+                                                      extra):
+    # no input exists: the usage error comes before anything is loaded
+    out = tmp_path / "out"
+    code = run([cmd, "--companion", str(tmp_path / "c"),
+                "--static", str(tmp_path / "s"), "--contextual", str(tmp_path / "x"),
+                "--out", str(out), *extra])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert flag in line
+    assert not out.exists()
+
 
 def test_parse_each_framework(ws, tmp_path):
     for fw, bundle_dir, key in (("dm", "single", "dm"),
@@ -163,9 +200,10 @@ def test_parse_each_framework(ws, tmp_path):
                                 ("ucca", "mtl", "ucca"),
                                 ("amr", "mtl", "amr")):
         out = str(tmp_path / f"{fw}.mrp")
+        beam = ["--beam", "2"] if fw == "amr" else []
         code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
                     "--model", os.path.join(ws[bundle_dir], f"model-{key}.bundle"),
-                    "--framework", fw, "--beam", "2", "--out", out])
+                    "--framework", fw, *beam, "--out", out])
         assert code == 0, fw
         graphs = G.load_mrp(out)
         assert len(graphs) == 10
@@ -446,7 +484,7 @@ def test_parse_with_ensemble_spec(ws, tmp_path, fw, gold, bundle):
     doc = json.loads(open(spec).read())
     chosen = [doc["models"][i] for i in doc["members"]]
     common = ["parse", "--companion", ws["companion"], *embed_args(ws),
-              "--framework", fw, "--beam", "2"]
+              "--framework", fw, *(["--beam", "2"] if fw == "amr" else [])]
     by_spec, by_model = str(tmp_path / "spec.mrp"), str(tmp_path / "model.mrp")
     assert run(common + ["--spec", spec, "--out", by_spec]) == 0
     assert run(common + [a for m in chosen for a in ("--model", m)]

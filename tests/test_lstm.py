@@ -1,9 +1,10 @@
-"""Fused LSTM ops against the per-step composition they replace.
+"""The fused LSTM op against the per-step composition it replaces.
 
-``ad.lstm_sequence`` and ``ad.lstm_step`` must reproduce the composed
-forward (``conftest.reference_lstm_*``) bit for bit, pass the
-finite-difference gradcheck, and give gradients within 1e-10 of the
-composition, both op by op and through a whole multitask model.
+``ad.lstm_sequence`` must reproduce the composed forward
+(``conftest.reference_lstm_*``) bit for bit, pass the finite-difference
+gradcheck, and give gradients within 1e-10 of the composition: on one
+sequence, on B sequences from a given state, on the k rows of a
+decoder's step (T = 1), and through a whole multitask model.
 """
 
 import warnings
@@ -133,54 +134,92 @@ class TestLstmSequence:
 STEP_INPUTS = ("x", "h", "c", "wx", "wh", "b")
 
 
+def composed(x, h, c, wx, wh, b, reverse=False):
+    """(B, T, 2H) oracle of ``ad.lstm_sequence`` on a (B, T, D) input from
+    the state ``(h, c)``: ``reference_lstm_step`` over the B rows of each
+    step."""
+    bsz, n, d = x.shape
+    hsz = wh.shape[0]
+    xs = [ad.reshape(s, (bsz, d)) for s in ad.split(x, [1] * n, axis=1)]
+    outs = [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h, c = reference_lstm_step(xs[t], h, c, wx, wh, b)
+        outs[t] = ad.reshape(ad.concat([h, c], axis=1), (bsz, 1, 2 * hsz))
+    return ad.concat(outs, axis=1)
+
+
 class TestLstmStep:
-    def inputs(self, seed, frozen=(), rows=1):
+    """``ad.lstm_sequence`` on B sequences from a given (B, H) state
+    ``(h, c)``; a decoder's step is the T = 1 case, its k rows being k
+    sequences of length 1."""
+
+    def inputs(self, seed, frozen=(), rows=1, steps=1):
         rng = np.random.default_rng(seed)
-        shapes = {"x": (rows, D), "h": (rows, H), "c": (rows, H),
+        shapes = {"x": (rows, steps, D), "h": (rows, H), "c": (rows, H),
                   "wx": (D, 4 * H), "wh": (H, 4 * H), "b": (4 * H,)}
         return {k: ad.Tensor(rng.uniform(-1.0, 1.0, size=shapes[k]),
                              requires_grad=k not in frozen)
                 for k in STEP_INPUTS}
 
+    @staticmethod
+    def run(t, reverse=False):
+        return ad.lstm_sequence(t["x"], t["wx"], t["wh"], t["b"], reverse=reverse,
+                                h0=t["h"], c0=t["c"])
+
     @pytest.mark.parametrize("frozen", [None] + list(STEP_INPUTS))
     def test_gradcheck_with_each_input_frozen(self, frozen):
-        t = self.inputs(20, frozen=(frozen,))
-        proj = np.random.default_rng(21).normal(size=(1, 2 * H))
-        args = [t[k] for k in STEP_INPUTS]
-        check_gradients(lambda: scalarize(ad.lstm_step(*args), proj),
-                        [t[k] for k in STEP_INPUTS if k != frozen])
-        if frozen is not None:
-            assert t[frozen].grad is None
+        """B = 3 sequences of T = 4 steps, forward and reverse."""
+        t = self.inputs(20, frozen=(frozen,), rows=3, steps=4)
+        proj = np.random.default_rng(21).normal(size=(3, 4, 2 * H))
+        for reverse in (False, True):
+            check_gradients(lambda: scalarize(self.run(t, reverse), proj),
+                            [t[k] for k in STEP_INPUTS if k != frozen])
+            if frozen is not None:
+                assert t[frozen].grad is None
 
     def test_all_constant_builds_no_graph(self):
-        t = self.inputs(22, frozen=STEP_INPUTS)
-        out = ad.lstm_step(*(t[k] for k in STEP_INPUTS))
+        t = self.inputs(22, frozen=STEP_INPUTS, rows=3, steps=4)
+        out = self.run(t)
         assert not out.requires_grad and out.parents == ()
 
     def test_forward_bitwise_and_gradients_match_composition(self):
         self.check_against_composition(self.inputs(23))
 
     def test_rows_gradcheck(self):
-        """k rows advance as k independent recurrences (a decoder beam)."""
+        """k rows advance one step as k independent recurrences (a
+        decoder beam)."""
         t = self.inputs(25, rows=3)
-        proj = np.random.default_rng(26).normal(size=(3, 2 * H))
-        args = [t[k] for k in STEP_INPUTS]
-        check_gradients(lambda: scalarize(ad.lstm_step(*args), proj), args)
+        proj = np.random.default_rng(26).normal(size=(3, 1, 2 * H))
+        check_gradients(lambda: scalarize(self.run(t), proj),
+                        [t[k] for k in STEP_INPUTS])
 
     def test_rows_forward_bitwise_and_gradients_match_composition(self):
         self.check_against_composition(self.inputs(27, rows=3))
 
-    def check_against_composition(self, t):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_sequences_forward_bitwise_and_gradients_match_composition(self, reverse):
+        self.check_against_composition(self.inputs(28, rows=3, steps=4), reverse)
+
+    def test_one_sequence_is_the_two_dimensional_case(self):
+        t = self.inputs(29, steps=5)
+        batched = self.run(t, reverse=True)
+        x2 = ad.Tensor(t["x"].data[0])
+        one = ad.lstm_sequence(x2, t["wx"], t["wh"], t["b"], reverse=True,
+                               h0=t["h"], c0=t["c"])
+        assert one.shape == (5, 2 * H)
+        assert one.data.tobytes() == batched.data[0].tobytes()
+
+    def check_against_composition(self, t, reverse=False):
         args = [t[k] for k in STEP_INPUTS]
-        proj = np.random.default_rng(24).normal(size=(t["x"].shape[0], 2 * H))
-        out = ad.lstm_step(*args)
-        ref_h, ref_c = reference_lstm_step(*args)
-        np.testing.assert_array_equal(out.data, np.concatenate([ref_h.data, ref_c.data], 1))
+        proj = np.random.default_rng(24).normal(size=t["x"].shape[:2] + (2 * H,))
+        out = self.run(t, reverse)
+        ref = composed(*args, reverse=reverse)
+        np.testing.assert_array_equal(out.data, ref.data)
         ad.reduce_sum(ad.mul(out, proj)).backward()
         fused = [a.grad.copy() for a in args]
         for a in args:
             a.zero_grad()
-        ad.reduce_sum(ad.mul(ad.concat([ref_h, ref_c], axis=1), proj)).backward()
+        ad.reduce_sum(ad.mul(ref, proj)).backward()
         assert_grads_close(fused, [a.grad for a in args])
 
 

@@ -878,13 +878,6 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="disagree"):
             T.parse_ensemble([mtl.model, other], corpus.sentences[8], "dm")
 
-    def test_parse_with_spec_dispatch(self, mtl, corpus):
-        sent = corpus.sentences[9]
-        spec = T.EnsembleSpec("psd", (0,), "average")
-        a = G.graph_to_json(T.parse_with_spec([mtl.model], spec, sent))
-        b = G.graph_to_json(T.parse_sentence(mtl.model, sent, "psd"))
-        assert a == b
-
 
 # ---------------------------------------------------------------------------
 # inference fast path: parsing under ad.no_grad() changes no value; the
