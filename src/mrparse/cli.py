@@ -389,12 +389,23 @@ def _empty_like(g):
                       input=g.input, tops=(), nodes=(), edges=())
 
 
+def _graphs_by_key(path):
+    """The graphs of an MRP file by (framework, id).  A repeated key is
+    refused: only one of its graphs could be paired and scored."""
+    out = {}
+    for g in G.load_mrp(path):
+        key = (g.framework, g.id)
+        if key in out:
+            raise ValueError(f"{path}: repeated graph {g.framework}/{g.id}")
+        out[key] = g
+    return out
+
+
 def cmd_evaluate(args):
-    golds = G.load_mrp(args.gold)
-    preds = G.load_mrp(args.pred)
-    by_key = {(g.framework, g.id): g for g in preds}
+    golds = _graphs_by_key(args.gold)
+    by_key = _graphs_by_key(args.pred)
     report = scoring.ScoreReport()
-    for g in golds:
+    for g in golds.values():
         p = by_key.pop((g.framework, g.id), None)
         if p is None:
             print(f"warning: no prediction for {g.framework}/{g.id}; "

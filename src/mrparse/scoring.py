@@ -18,6 +18,15 @@ that cuts subtrees which cannot beat the best so far.  Each search
 accepts only strict improvements, so it keeps the first strict maximum
 and returns the mapping that recounting every candidate would.
 
+Every hill climb, anchored or not, also stops at a ceiling: the
+multiset intersection of gold and predicted tuples with the node ids
+left out, which no mapping can exceed.  Once a climb's best reaches
+it no candidate can gain, so stopping there leaves the mapping the
+full climb would; the restarts stop there too.  The exhaustive search
+does not build it: on graphs that small the search is cheap and parsed
+pairs rarely reach the ceiling, so the bound would cost more than it
+saves.
+
 Scores are labeled "MRP-F1 (toolkit)": the official scorer's
 correspondence tie-breaking is not public, so bit-equality with it is
 not claimed.
@@ -96,6 +105,16 @@ def anchor_signatures(g):
 
 def _anchor_set(node):
     return frozenset((a.start, a.end) for a in node.anchors)
+
+
+def _id_free_tuples(g):
+    """Counters of the label, property, anchor, edge and attribute
+    tuples of ``g`` with the node ids left out."""
+    return (Counter(n.label for n in g.nodes if n.label is not None),
+            Counter(kv for n in g.nodes for kv in n.properties),
+            Counter(s for s in map(_anchor_set, g.nodes) if s),
+            Counter(e.label for e in g.edges),
+            Counter((e.label, k, v) for e in g.edges for k, v in e.attributes))
 
 
 class _PairMatcher:
@@ -193,6 +212,21 @@ class _PairMatcher:
         for (s, t), table in sorted(tables.items()):
             self.links[s].append((t, dict(table)))
 
+    def ceiling(self):
+        """An upper bound on the matched total of every correspondence:
+        per component, the multiset intersection of gold and predicted
+        tuples with the node ids left out.  A gold tuple can match only
+        a predicted one equal to it but for the ids, each predicted
+        tuple at most once, duplicates and self-loops included.  An
+        injective mapping puts at most one gold node on each predicted
+        top, so tops add the largest gold top multiplicities, one per
+        distinct predicted top.
+        """
+        tops = sorted(Counter(self.gold.tops).values(), reverse=True)
+        return sum(tops[:len(self.pred_tops)]) + sum(
+            sum((gold & pred).values()) for gold, pred in
+            zip(_id_free_tuples(self.gold), _id_free_tuples(self.pred)))
+
     def transposed_tables(self):
         """``unary`` and ``links`` with predicted nodes as the rows."""
         n_pred = len(self.pred_ids)
@@ -267,7 +301,7 @@ def _sum_rows(unary, links, values, rows):
     return total
 
 
-def _improve_by_swaps(values, unary, links):
+def _improve_by_swaps(values, unary, links, cap):
     """Hill climbing over pair swaps (and, for small problems, 3-cycles,
     which plain swaps cannot escape) in deterministic order.
 
@@ -277,7 +311,10 @@ def _improve_by_swaps(values, unary, links):
     available to swap in.  The objective is kept incrementally: a
     candidate is scored by re-summing only the rows it moves and their
     links, so it is accepted exactly when the full recount would
-    exceed the best so far.  Returns that best total.
+    exceed the best so far.  ``cap`` is an upper bound on every total:
+    the climb returns as soon as its best reaches it, since no later
+    candidate could then gain, so ``values`` ends as the uncapped climb
+    would leave it.  Returns the best total.
     """
     n = len(values)
     spare = n - len(unary)
@@ -285,7 +322,7 @@ def _improve_by_swaps(values, unary, links):
         unary = unary + [[0] * (max(values) + 1)] * spare
         links = links + [()] * spare
     best = _sum_rows(unary, links, values, range(n))
-    improved = True
+    improved = best < cap
     while improved:
         improved = False
         for i in range(n):
@@ -298,6 +335,8 @@ def _improve_by_swaps(values, unary, links):
                 gain = _sum_rows(unary, links, values, rows) - before
                 if gain > 0:
                     best += gain
+                    if best >= cap:
+                        return best
                     improved = True
                 else:
                     values[i], values[j] = values[j], values[i]
@@ -312,6 +351,8 @@ def _improve_by_swaps(values, unary, links):
                 gain = _sum_rows(unary, links, values, rows) - before
                 if gain > 0:
                     best += gain
+                    if best >= cap:
+                        return best
                     improved = True
                     break
             else:
@@ -382,7 +423,7 @@ def _anchored_correspondence(gold, pred, matcher):
     unmapped = len(pred_ids)
     values = ([column[m[g]] if g in m else unmapped for g in gold_ids]
               + [column[p] for p in pred_ids if p not in used])
-    _improve_by_swaps(values, matcher.unary, matcher.links)
+    _improve_by_swaps(values, matcher.unary, matcher.links, matcher.ceiling())
     return {g: pred_ids[v] for g, v in zip(gold_ids, values) if v != unmapped}
 
 
@@ -397,11 +438,12 @@ def _search_correspondence(matcher):
     unmapped = len(pred_ids)
     slots = (list(range(len(pred_ids)))
              + [unmapped] * max(0, len(gold_ids) - len(pred_ids)))
-    ceiling = _suffix_bounds(matcher.unary, _earlier_links(matcher.links))[0]
+    ceiling = min(matcher.ceiling(), _suffix_bounds(
+        matcher.unary, _earlier_links(matcher.links))[0])
     best_m, best_score = {}, -1
     for _ in range(HILL_CLIMB_RESTARTS):
         work = [slots[i] for i in rng.permutation(len(slots))]
-        score = _improve_by_swaps(work, matcher.unary, matcher.links)
+        score = _improve_by_swaps(work, matcher.unary, matcher.links, ceiling)
         if score > best_score:
             best_score = score
             best_m = {g: pred_ids[v] for g, v in zip(gold_ids, work)
@@ -489,12 +531,14 @@ def correspondence(gold, pred, *, _matcher=None):
     hill-climb.  Unanchored graphs of up to ``EXHAUSTIVE_LIMIT`` nodes
     a side get the first best mapping in ``itertools.permutations``
     order, found by a bounded depth-first search; larger ones take the
-    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs, stopping early
-    once one reaches the tables' upper bound, which no later climb
-    could strictly beat.  Every search scores candidates with the
-    incremental objective of ``_PairMatcher`` and accepts only strict
-    improvements, so it returns the mapping a full recount of every
-    candidate would.
+    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs.  A hill climb
+    ends once its total reaches ``_PairMatcher.ceiling`` (for the
+    restarts, the tables' own upper bound when that is lower), and the
+    restarts stop at the first climb that does.  No candidate can gain
+    past an upper bound, so these stops change no mapping.  Every
+    search scores candidates with the incremental objective of
+    ``_PairMatcher`` and accepts only strict improvements, so it
+    returns the mapping a full recount of every candidate would.
 
     ``_matcher`` lets ``mrp_f1`` share the tables it reports from.
     """

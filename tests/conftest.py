@@ -6,6 +6,7 @@ relative error of 1e-4 (denominator floored at 1) before downstream
 modules get to use it.
 """
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import pytest
 from mrparse import amr
 from mrparse import autodiff as ad
 from mrparse import graphs as G
+from mrparse import scoring as S
 from mrparse import sdp
 from mrparse import training as T
 from mrparse import ucca
@@ -566,3 +568,125 @@ def reference_build_ensemble(models, framework, sentences, beam=5):
     members, best = T.greedy_ensemble(candidates, score_fn)
     rule = "vote" if framework == "ucca" else "average"
     return T.EnsembleSpec(framework, members, rule), best
+
+
+# ---------------------------------------------------------------------------
+# the correspondence search as it was before its hill climbs stopped at
+# the multiset ceiling: every climb runs until a full pass finds no
+# strict gain, and the restarts stop only at the tables' suffix bound.
+# ``scoring.correspondence`` must return the same mapping.
+
+def _reference_improve_by_swaps(values, unary, links):
+    """Counterpart of ``scoring._improve_by_swaps`` without a cap."""
+    n = len(values)
+    spare = n - len(unary)
+    if spare:
+        unary = unary + [[0] * (max(values) + 1)] * spare
+        links = links + [()] * spare
+    best = S._sum_rows(unary, links, values, range(n))
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                if values[i] == values[j]:
+                    continue
+                rows = (i, j)
+                before = S._sum_rows(unary, links, values, rows)
+                values[i], values[j] = values[j], values[i]
+                gain = S._sum_rows(unary, links, values, rows) - before
+                if gain > 0:
+                    best += gain
+                    improved = True
+                else:
+                    values[i], values[j] = values[j], values[i]
+        if improved or n > 12:
+            continue
+        for i, j, k in itertools.combinations(range(n), 3):
+            rows = (i, j, k)
+            before = S._sum_rows(unary, links, values, rows)
+            for _ in range(2):
+                values[i], values[j], values[k] = (values[j], values[k],
+                                                   values[i])
+                gain = S._sum_rows(unary, links, values, rows) - before
+                if gain > 0:
+                    best += gain
+                    improved = True
+                    break
+            else:
+                values[i], values[j], values[k] = (values[j], values[k],
+                                                   values[i])
+            if improved:
+                break
+    return best
+
+
+def _reference_anchored(gold, pred, matcher):
+    sig_g = S.anchor_signatures(gold)
+    sig_p = S.anchor_signatures(pred)
+    dep_g, dep_p = S._node_depths(gold), S._node_depths(pred)
+    cands = []
+    for gn in gold.nodes:
+        for pn in pred.nodes:
+            a, b = sig_g[gn.id], sig_p[pn.id]
+            union = len(a | b)
+            if union == 0:
+                jac = 1.0
+            else:
+                inter = len(a & b)
+                if inter == 0:
+                    continue
+                jac = inter / union
+            label_miss = 0 if gn.label == pn.label else 1
+            ddiff = abs(dep_g[gn.id] - dep_p[pn.id])
+            cands.append((-jac, ddiff, label_miss, gn.id, pn.id))
+    cands.sort()
+    m = {}
+    used = set()
+    for _, _, _, gid, pid in cands:
+        if gid in m or pid in used:
+            continue
+        m[gid] = pid
+        used.add(pid)
+    gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
+    column = {p: j for j, p in enumerate(pred_ids)}
+    unmapped = len(pred_ids)
+    values = ([column[m[g]] if g in m else unmapped for g in gold_ids]
+              + [column[p] for p in pred_ids if p not in used])
+    _reference_improve_by_swaps(values, matcher.unary, matcher.links)
+    return {g: pred_ids[v] for g, v in zip(gold_ids, values) if v != unmapped}
+
+
+def _reference_search(matcher):
+    gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
+    if not gold_ids or not pred_ids:
+        return {}
+    if (len(gold_ids) <= S.EXHAUSTIVE_LIMIT
+            and len(pred_ids) <= S.EXHAUSTIVE_LIMIT):
+        return S._exhaustive_correspondence(matcher)
+    rng = np.random.default_rng(0)
+    unmapped = len(pred_ids)
+    slots = (list(range(len(pred_ids)))
+             + [unmapped] * max(0, len(gold_ids) - len(pred_ids)))
+    ceiling = S._suffix_bounds(matcher.unary,
+                               S._earlier_links(matcher.links))[0]
+    best_m, best_score = {}, -1
+    for _ in range(S.HILL_CLIMB_RESTARTS):
+        work = [slots[i] for i in rng.permutation(len(slots))]
+        score = _reference_improve_by_swaps(work, matcher.unary,
+                                            matcher.links)
+        if score > best_score:
+            best_score = score
+            best_m = {g: pred_ids[v] for g, v in zip(gold_ids, work)
+                      if v != unmapped}
+            if best_score == ceiling:
+                break
+    return best_m
+
+
+def reference_correspondence(gold, pred):
+    """Counterpart of ``scoring.correspondence``."""
+    matcher = S._PairMatcher(gold, pred)
+    if gold.flavor in (0, 1):
+        return _reference_anchored(gold, pred, matcher)
+    return _reference_search(matcher)

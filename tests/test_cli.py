@@ -349,6 +349,20 @@ def test_evaluate_missing_prediction_scores_empty(ws, tmp_path, capsys):
     assert doc["dm"]["all"]["f1"] < 1.0
 
 
+@pytest.mark.parametrize("side", ["gold", "pred"])
+def test_evaluate_refuses_a_repeated_graph(ws, tmp_path, capsys, side):
+    graphs = G.load_mrp(ws["amr"])
+    twice = str(tmp_path / "twice.mrp")
+    G.save_mrp(graphs + graphs[:1], twice)
+    files = {"gold": ws["amr"], "pred": ws["amr"], side: twice}
+    code = run(["evaluate", "--gold", files["gold"], "--pred", files["pred"]])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"error: {twice}: repeated graph amr/{graphs[0].id}"]
+
+
 def test_failed_report_write_keeps_previous_file(tmp_path):
     path = tmp_path / "report.json"
     cli._write_json({"dm": {"f1": 0.5}}, path)

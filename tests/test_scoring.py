@@ -10,6 +10,8 @@ from mrparse import amr
 from mrparse import graphs as G
 from mrparse import scoring as S
 
+from conftest import reference_correspondence
+
 
 def dm_like(ids=(0, 1, 2), text="The cat sat"):
     spans = [(0, 3), (4, 7), (8, 11)]
@@ -371,6 +373,17 @@ def padded_dm(rng, n_tokens, pad, gid="d"):
                       tops=(0,), nodes=tuple(nodes), edges=edges)
 
 
+def bench_pair(rng, n, gid):
+    """A damaged pair shaped like the ``score`` benchmark's: a renumbered
+    ``amr.sample_dag`` of ``n`` nodes with its lowest-numbered node
+    relabelled and its last edge dropped."""
+    g = amr.sample_dag(rng, gid=gid, n_nodes=n)
+    p = perturb(rng, g)
+    nodes = sorted(p.nodes, key=lambda node: node.id)
+    nodes[0] = G.replace(nodes[0], label="perturbed-01")
+    return g, G.replace(p, nodes=tuple(nodes), edges=p.edges[:-1])
+
+
 def frozen_pairs():
     """(name, gold, pred, keyword arguments) for the pinned cases."""
     out = []
@@ -418,13 +431,19 @@ def frozen_pairs():
     p = padded_dm(np.random.default_rng(5), 6, pad=True)
     p = G.replace(p, edges=g.edges[:-1])
     out.append(("dm-padded-lenient-False", g, p, {}))
+    rng = np.random.default_rng(20191004)
+    for n in range(9, 17):                      # the benchmark's damaged pairs
+        g, p = bench_pair(rng, n, gid=f"b{n}")
+        out.append((f"amr-bench-{n}", g, p, {}))
     return out
 
 
 # Correspondence and (gold, pred, matched) per component in COMPONENTS
 # order plus "all", recorded from the scorer that recounted every
-# candidate mapping in full.  The incremental search must reproduce them,
-# under the scorer settings each case of ``frozen_pairs`` names.
+# candidate mapping in full (the ``amr-bench`` cases: from the incremental
+# search before its hill climbs stopped at the ceiling).  The search must
+# reproduce them, under the scorer settings each case of ``frozen_pairs``
+# names.
 FROZEN = {
     'amr-exh-2': (
         {0: 3, 1: 13},
@@ -537,6 +556,44 @@ FROZEN = {
         {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
         ((1, 1, 1), (6, 6, 6), (0, 0, 0), (6, 6, 3),
          (4, 3, 3), (0, 0, 0), (17, 16, 13))),
+    'amr-bench-9': (
+        {0: 23, 1: 73, 2: 13, 3: 3, 4: 43, 5: 83, 6: 63, 7: 33, 8: 53},
+        ((1, 1, 1), (9, 9, 8), (0, 0, 0), (0, 0, 0),
+         (8, 7, 7), (0, 0, 0), (18, 17, 16))),
+    'amr-bench-10': (
+        {0: 33, 1: 93, 2: 23, 3: 83, 4: 53, 5: 3, 6: 43, 7: 73, 8: 63, 9: 13},
+        ((1, 1, 1), (10, 10, 9), (0, 0, 0), (0, 0, 0),
+         (9, 8, 8), (0, 0, 0), (20, 19, 18))),
+    'amr-bench-11': (
+        {0: 23, 1: 13, 2: 43, 3: 83, 4: 53, 5: 93, 6: 3, 7: 63, 8: 33, 9: 73,
+         10: 103},
+        ((1, 1, 1), (11, 11, 10), (0, 0, 0), (0, 0, 0),
+         (10, 9, 9), (0, 0, 0), (22, 21, 20))),
+    'amr-bench-12': (
+        {0: 113, 1: 93, 2: 83, 3: 33, 4: 3, 5: 53, 6: 63, 7: 23, 8: 103, 9: 13,
+         10: 43, 11: 73},
+        ((1, 1, 1), (12, 12, 11), (0, 0, 0), (0, 0, 0),
+         (12, 11, 11), (0, 0, 0), (25, 24, 23))),
+    'amr-bench-13': (
+        {0: 73, 1: 13, 2: 123, 3: 23, 4: 43, 5: 83, 6: 113, 7: 3, 8: 63, 9: 53,
+         10: 33, 11: 103, 12: 93},
+        ((1, 1, 1), (13, 13, 12), (0, 0, 0), (0, 0, 0),
+         (13, 12, 12), (0, 0, 0), (27, 26, 25))),
+    'amr-bench-14': (
+        {0: 43, 1: 3, 2: 13, 3: 53, 4: 113, 5: 33, 6: 103, 7: 93, 8: 73, 9: 63,
+         10: 133, 11: 83, 12: 123, 13: 23},
+        ((1, 1, 1), (14, 14, 13), (0, 0, 0), (0, 0, 0),
+         (13, 12, 12), (0, 0, 0), (28, 27, 26))),
+    'amr-bench-15': (
+        {0: 143, 1: 33, 2: 53, 3: 83, 4: 63, 5: 123, 6: 13, 7: 3, 8: 73,
+         9: 113, 10: 103, 11: 93, 12: 133, 13: 43, 14: 23},
+        ((1, 1, 1), (15, 15, 14), (0, 0, 0), (0, 0, 0),
+         (14, 13, 13), (0, 0, 0), (30, 29, 28))),
+    'amr-bench-16': (
+        {0: 73, 1: 33, 2: 43, 3: 113, 4: 83, 5: 93, 6: 13, 7: 23, 8: 133,
+         9: 123, 10: 53, 11: 153, 12: 63, 13: 3, 14: 143, 15: 103},
+        ((1, 1, 1), (16, 16, 15), (0, 0, 0), (0, 0, 0),
+         (15, 14, 14), (0, 0, 0), (32, 31, 30))),
 }
 
 
@@ -573,6 +630,78 @@ def recounted_first_best(gold, pred):
     return best_m
 
 
+def oracle_pairs():
+    """Seeded pairs of every shape the searches meet: AMR with every
+    kind of damage, two tops, self-loops and duplicate edges; damaged
+    UCCA; DM with padded anchors."""
+    rng = np.random.default_rng(20191005)
+    out = []
+    for k in range(200):
+        g = random_amr(rng, int(rng.integers(2, 15)), gid=f"a{k}")
+        if k % 3 == 1:
+            n = len(g.nodes)
+            g = G.replace(g, tops=(0, n - 1), edges=g.edges + g.edges[:1]
+                          + (G.MrpEdge(n // 2, n // 2, "mod"),))
+        p = perturb(rng, g, drop_nodes=int(rng.integers(0, 2)),
+                    drop_edges=int(rng.integers(0, 3)),
+                    relabel=int(rng.integers(0, 3)),
+                    dup_edges=int(rng.integers(0, 2)),
+                    add_nodes=int(rng.integers(0, 2)))
+        out.append((g, p))
+    for k in range(60):
+        g = random_ucca(rng, int(rng.integers(2, 9)), gid=f"u{k}")
+        out.append((g, damage_ucca(rng, g)))
+    for k in range(60):
+        n = int(rng.integers(2, 10))
+        out.append((padded_dm(rng, n, pad=False, gid=f"d{k}"),
+                    padded_dm(rng, n, pad=True, gid=f"d{k}")))
+    return out
+
+
+def recount_cases():
+    """(case, gold, pred): small AMR pairs with duplicate edges, dropped
+    and added nodes."""
+    rng = np.random.default_rng(9)
+    for k in range(10):
+        g = random_amr(rng, int(rng.integers(2, 7)))
+        if k % 3 == 0:
+            g = G.replace(g, edges=g.edges + g.edges[:1])
+        p = perturb(rng, g, drop_nodes=k % 2, relabel=1,
+                    dup_edges=1, add_nodes=(k // 2) % 2)
+        yield k, g, p
+
+
+def table_cases():
+    """(case, matcher, values, mapping) for a random and for the found
+    correspondence of damaged AMR (two tops, a self-loop, duplicate
+    edges) and UCCA pairs: ``values[r]`` is the column of gold row
+    ``r``, ``len(matcher.pred_ids)`` meaning unmapped, and ``mapping``
+    the same correspondence by node ids."""
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        if k % 3 == 2:
+            g = random_ucca(rng, int(rng.integers(2, 7)))
+            p = damage_ucca(rng, g)
+        else:
+            g = random_amr(rng, int(rng.integers(2, 9)))
+            g = G.replace(g, tops=(0, len(g.nodes) - 1), edges=g.edges
+                          + g.edges[:1] + (G.MrpEdge(0, 0, "mod"),))
+            p = perturb(rng, g, drop_nodes=k % 2, drop_edges=1,
+                        relabel=1, dup_edges=1, add_nodes=k % 3)
+        matcher = S._PairMatcher(g, p)
+        n_gold, n_pred = len(matcher.gold_ids), len(matcher.pred_ids)
+        column = {q: j for j, q in enumerate(matcher.pred_ids)}
+        cols = [int(c) for c in rng.permutation(n_pred)][:n_gold]
+        values = cols + [n_pred] * (n_gold - len(cols))  # n_pred: unmapped
+        rng.shuffle(values)
+        found = S.correspondence(g, p)
+        for values in (values, [column[found[q]] if q in found else n_pred
+                                for q in matcher.gold_ids]):
+            m = {matcher.gold_ids[i]: matcher.pred_ids[v]
+                 for i, v in enumerate(values) if v != n_pred}
+            yield k, matcher, values, m
+
+
 class TestScorerProperties:
     def test_self_f1_under_renumbering(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -601,42 +730,41 @@ class TestScorerProperties:
             assert hill <= exh, f"case {k}"
 
     def test_exhaustive_is_first_best_of_a_full_recount(self):
-        rng = np.random.default_rng(9)
-        for k in range(10):
-            g = random_amr(rng, int(rng.integers(2, 7)))
-            if k % 3 == 0:
-                g = G.replace(g, edges=g.edges + g.edges[:1])
-            p = perturb(rng, g, drop_nodes=k % 2, relabel=1,
-                        dup_edges=1, add_nodes=(k // 2) % 2)
+        for k, g, p in recount_cases():
             assert (S.correspondence(g, p)
                     == recounted_first_best(g, p)), f"case {k}"
 
     def test_tables_total_equals_counts(self):
-        rng = np.random.default_rng(11)
-        for k in range(30):
-            if k % 3 == 2:
-                g = random_ucca(rng, int(rng.integers(2, 7)))
-                p = damage_ucca(rng, g)
-            else:
-                g = random_amr(rng, int(rng.integers(2, 9)))
-                g = G.replace(g, tops=(0, len(g.nodes) - 1), edges=g.edges
-                              + g.edges[:1] + (G.MrpEdge(0, 0, "mod"),))
-                p = perturb(rng, g, drop_nodes=k % 2, drop_edges=1,
-                            relabel=1, dup_edges=1, add_nodes=k % 3)
+        for k, matcher, values, m in table_cases():
+            total = S._sum_rows(matcher.unary, matcher.links, values,
+                                range(len(matcher.gold_ids)))
+            assert total == matcher.counts(m)["all"].matched, f"case {k}"
+
+    def test_ceiling_bounds_the_first_best(self):
+        for k, g, p in recount_cases():
             matcher = S._PairMatcher(g, p)
-            n_gold, n_pred = len(matcher.gold_ids), len(matcher.pred_ids)
-            column = {q: j for j, q in enumerate(matcher.pred_ids)}
-            cols = [int(c) for c in rng.permutation(n_pred)][:n_gold]
-            values = cols + [n_pred] * (n_gold - len(cols))  # n_pred: unmapped
-            rng.shuffle(values)
-            found = S.correspondence(g, p)
-            for values in (values, [column[found[q]] if q in found else n_pred
-                                    for q in matcher.gold_ids]):
-                m = {matcher.gold_ids[i]: matcher.pred_ids[v]
-                     for i, v in enumerate(values) if v != n_pred}
-                total = S._sum_rows(matcher.unary, matcher.links, values,
-                                    range(n_gold))
-                assert total == matcher.counts(m)["all"].matched, f"case {k}"
+            best = matcher.counts(recounted_first_best(g, p))["all"].matched
+            assert matcher.ceiling() >= best, f"case {k}"
+
+    def test_ceiling_bounds_every_table_total(self):
+        for k, matcher, values, _ in table_cases():
+            total = S._sum_rows(matcher.unary, matcher.links, values,
+                                range(len(matcher.gold_ids)))
+            assert matcher.ceiling() >= total, f"case {k}"
+
+    def test_ceiling_is_reached_by_renumbered_copies(self):
+        rng = np.random.default_rng(13)
+        graphs = [random_amr(rng, n) for n in (1, 4, 9, 14)]
+        g = random_amr(rng, 10)
+        graphs.append(G.replace(g, tops=(0, 0, 9), edges=g.edges
+                                + g.edges[:2] + (G.MrpEdge(4, 4, "mod"),)))
+        graphs += [random_ucca(rng, n) for n in (3, 7)]
+        graphs += [padded_dm(rng, n, pad=True) for n in (4, 9)]
+        for k, g in enumerate(graphs):
+            p = perturb(rng, g)
+            r = S.mrp_f1(g, p)["all"]
+            assert r.matched == r.gold, f"case {k}"
+            assert S._PairMatcher(g, p).ceiling() == r.matched, f"case {k}"
 
     def test_hillclimb_stops_once_a_restart_is_perfect(self, monkeypatch):
         calls = []
@@ -654,7 +782,26 @@ class TestScorerProperties:
         calls.clear()
         damaged = perturb(rng, g, relabel=2, drop_edges=1)
         assert S.mrp_f1(g, damaged)["all"].f1 < 1.0
+        assert len(calls) == 1  # its optimum reaches the ceiling
+        calls.clear()
+        # distinct labels pin every node, so the reversed edge cannot
+        # match: the optimum stays one below the ceiling
+        nodes = tuple(G.MrpNode(k, label=f"n{k}") for k in range(12))
+        gold = G.MrpGraph(id="r", flavor=2, framework="amr", input="x",
+                          tops=(0,), nodes=nodes,
+                          edges=(G.MrpEdge(0, 1, "r"),))
+        reversed_edge = G.replace(gold, edges=(G.MrpEdge(1, 0, "r"),))
+        assert S.mrp_f1(gold, reversed_edge)["all"].matched == 13
+        assert S._PairMatcher(gold, reversed_edge).ceiling() == 14
         assert len(calls) == S.HILL_CLIMB_RESTARTS
+
+    @pytest.mark.parametrize("limit", [S.EXHAUSTIVE_LIMIT, 0],
+                             ids=["default-limit", "limit-0"])
+    def test_same_mapping_as_the_uncapped_search(self, limit, monkeypatch):
+        monkeypatch.setattr(S, "EXHAUSTIVE_LIMIT", limit)
+        for k, (g, p) in enumerate(oracle_pairs()):
+            assert (S.correspondence(g, p)
+                    == reference_correspondence(g, p)), f"case {k}"
 
     def test_mrp_f1_builds_one_matcher(self, monkeypatch):
         built = []
