@@ -8,6 +8,7 @@ realized as character anchors.
 """
 
 import json
+import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -314,25 +315,38 @@ def abstract_shape(all_examples):
 
 def train_abstract_models(models, all_examples):
     """Fit built detector + labelers in place on pooled site examples
-    with the shared Adam, which sees only their six tensors."""
-    opt = ad.Adam([t for m in (models.detector, models.node_labeler, models.edge_labeler)
-                   for t in (m.w, m.b)], lr=ABSTRACT_LR)
+    with the shared Adam, which sees only their six tensors.
+
+    Every site is hashed once into one (sites, n_buckets) design matrix.
+    Each epoch is then one small graph: the detector's summed BCE over
+    all rows plus, when any site fired, each labeler's summed
+    cross-entropy over the fired rows.  Without a fired site the
+    labelers get no term, so their gradients stay None and Adam leaves
+    them as built.  Without any site nothing is fitted and a warning
+    says so.
+    """
+    if not all_examples:
+        warnings.warn("eds: no detector site in the training data; the "
+                      "abstract-node detectors stay untrained")
+        return
+    det, nlab, elab = models.detector, models.node_labeler, models.edge_labeler
+    x = np.stack([hash_features(feats, det.n_buckets) for feats, _, _, _ in all_examples])
+    fired = [k for k, (_, f, _, _) in enumerate(all_examples) if f]
+    targets = np.array([[float(f)] for _, f, _, _ in all_examples])
+    x_all, x_fired = ad.Tensor(x), ad.Tensor(x[fired])
+    node_idx = [nlab.classes.index(all_examples[k][2]) for k in fired]
+    edge_idx = [elab.classes.index(all_examples[k][3]) for k in fired]
+
+    def scores(m, rows):
+        return ad.add(ad.matmul(rows, m.w), m.b)
+
+    opt = ad.Adam([t for m in (det, nlab, elab) for t in (m.w, m.b)], lr=ABSTRACT_LR)
     for _ in range(ABSTRACT_EPOCHS):
         opt.zero_grad()
-        losses = []
-        for feats, fired, nlab, elab in all_examples:
-            p = ad.sigmoid(models.detector.logits(feats))
-            losses.append(ad.binary_cross_entropy(p, np.array([[float(fired)]])))
-            if fired:
-                losses.append(ad.cross_entropy_logits(
-                    models.node_labeler.logits(feats),
-                    [models.node_labeler.classes.index(nlab)]))
-                losses.append(ad.cross_entropy_logits(
-                    models.edge_labeler.logits(feats),
-                    [models.edge_labeler.classes.index(elab)]))
-        total = losses[0]
-        for l in losses[1:]:
-            total = ad.add(total, l)
+        total = ad.binary_cross_entropy(ad.sigmoid(scores(det, x_all)), targets)
+        if fired:
+            total = ad.add(total, ad.cross_entropy_logits(scores(nlab, x_fired), node_idx))
+            total = ad.add(total, ad.cross_entropy_logits(scores(elab, x_fired), edge_idx))
         total.backward()
         opt.step()
 

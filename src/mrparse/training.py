@@ -939,9 +939,11 @@ class EdsModel:
         self.abstract = None if abstract_meta is None else E.build_abstract_models(
             self.params, rng=np.random.default_rng(config.seed + 2), **abstract_meta)
 
+    @ad.no_grad()
     def token_states(self, sent):
-        enc_out = self.encode(sent)
-        return ad.Tensor(enc_out.top.data[1:])  # constant: the encoder is frozen
+        """Encoder states of the tokens (the root row dropped); a
+        constant, since the encoder is frozen."""
+        return ad.Tensor(self.encode(sent).top.data[1:])
 
     def encode(self, sent):
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))

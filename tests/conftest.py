@@ -15,6 +15,7 @@ import pytest
 
 from mrparse import amr
 from mrparse import autodiff as ad
+from mrparse import eds as E
 from mrparse import graphs as G
 from mrparse import scoring as S
 from mrparse import sdp
@@ -690,3 +691,33 @@ def reference_correspondence(gold, pred):
     if gold.flavor in (0, 1):
         return _reference_anchored(gold, pred, matcher)
     return _reference_search(matcher)
+
+
+# ---------------------------------------------------------------------------
+# the abstract-node fit as it was before it ran on one design matrix:
+# every epoch hashes each site again and builds a sigmoid, a BCE and an
+# ``add`` per site.  ``eds.train_abstract_models`` must fit the same
+# parameters within rounding and make the same decisions.
+
+def reference_train_abstract_models(models, all_examples):
+    """Counterpart of ``eds.train_abstract_models`` (per-site graphs)."""
+    opt = ad.Adam([t for m in (models.detector, models.node_labeler, models.edge_labeler)
+                   for t in (m.w, m.b)], lr=E.ABSTRACT_LR)
+    for _ in range(E.ABSTRACT_EPOCHS):
+        opt.zero_grad()
+        losses = []
+        for feats, fired, nlab, elab in all_examples:
+            p = ad.sigmoid(models.detector.logits(feats))
+            losses.append(ad.binary_cross_entropy(p, np.array([[float(fired)]])))
+            if fired:
+                losses.append(ad.cross_entropy_logits(
+                    models.node_labeler.logits(feats),
+                    [models.node_labeler.classes.index(nlab)]))
+                losses.append(ad.cross_entropy_logits(
+                    models.edge_labeler.logits(feats),
+                    [models.edge_labeler.classes.index(elab)]))
+        total = losses[0]
+        for l in losses[1:]:
+            total = ad.add(total, l)
+        total.backward()
+        opt.step()

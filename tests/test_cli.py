@@ -7,6 +7,7 @@ at the artifacts.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ def test_train_has_no_eds_framework(tmp_path, capsys, regime):
     (line,) = capsys.readouterr().err.splitlines()
     assert "invalid choice: 'eds'" in line
     assert not out.exists()
+
+
+def test_train_eds_without_detector_sites_finishes(tmp_path, capsys):
+    corpus = datagen.build_corpus(n=10, seed=7)
+    sents = [G.replace(s, graphs={**s.graphs, "dm": G.replace(
+                 s.graphs["dm"], nodes=(), edges=(), tops=())})
+             for s in corpus.sentences]
+    paths = write_corpus(replace(corpus, sentences=sents), str(tmp_path / "data"))
+    out = tmp_path / "eds"
+    with pytest.warns(UserWarning, match="detectors stay untrained"):
+        code = run(["train", "--companion", paths["companion"],
+                    "--static", paths["static"], "--contextual", paths["contextual"],
+                    "--regime", "eds", "--out", str(out), "--rules", paths["rules"],
+                    "--scale", "0.02", "--batch-size", "4", "--seed", "3",
+                    "--epochs", "1", "--mrp", paths["dm"], "--mrp", paths["eds"]])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "model-eds.bundle").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 import mrparse.autodiff as ad
 import mrparse.eds as eds
 import mrparse.graphs as G
+from mrparse import datagen
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
+
+from conftest import reference_train_abstract_models
 
 
 def rules_fixture():
@@ -178,6 +181,27 @@ class TestAbstractNodes:
             assert any(e.source == n.id or e.target == n.id for e in out.edges)
 
 
+def noun_rule_examples():
+    """Sites where every *_n_1 surface node carries a udef_q via BV."""
+    rules = rules_fixture()
+    examples = []
+    for k, (lemma, frame) in enumerate([("chicken", "n:x"), ("pork", "n:x"),
+                                        ("beef", "n:x"), ("eat", "v:e-x"),
+                                        ("sleep", "v:e")] * 3):
+        g = dm_graph([dm_node(0, lemma, frame=frame)], [], gid=f"s{k}")
+        surface = eds.dm_to_eds_surface(g, rules)
+        noun = frame.startswith("n")
+        gold_nodes = [surface.nodes[0]]
+        gold_edges = []
+        if noun:
+            gold_nodes.append(MrpNode(1, label="udef_q"))
+            gold_edges.append(MrpEdge(1, 0, "BV"))
+        gold = MrpGraph(id=f"s{k}", flavor=1, framework="eds", input=g.input,
+                        tops=(0,), nodes=tuple(gold_nodes), edges=tuple(gold_edges))
+        examples.extend(eds.abstract_training_examples(gold, surface, rules))
+    return examples
+
+
 class TestHashedLogReg:
     def test_binary_probability_in_unit_interval(self):
         params = ad.ParamSet()
@@ -200,24 +224,8 @@ class TestHashedLogReg:
         assert x.sum() in (1.0, 2.0)  # collisions allowed, order is not a feature
 
     def test_detector_training_recovers_noun_rule(self):
-        # gold: every *_n_1 surface node carries a udef_q via BV
         rng = np.random.default_rng(11)
-        rules = rules_fixture()
-        examples = []
-        for k, (lemma, frame) in enumerate([("chicken", "n:x"), ("pork", "n:x"),
-                                            ("beef", "n:x"), ("eat", "v:e-x"),
-                                            ("sleep", "v:e")] * 3):
-            g = dm_graph([dm_node(0, lemma, frame=frame)], [], gid=f"s{k}")
-            surface = eds.dm_to_eds_surface(g, rules)
-            noun = frame.startswith("n")
-            gold_nodes = [surface.nodes[0]]
-            gold_edges = []
-            if noun:
-                gold_nodes.append(MrpNode(1, label="udef_q"))
-                gold_edges.append(MrpEdge(1, 0, "BV"))
-            gold = MrpGraph(id=f"s{k}", flavor=1, framework="eds", input=g.input,
-                            tops=(0,), nodes=tuple(gold_nodes), edges=tuple(gold_edges))
-            examples.extend(eds.abstract_training_examples(gold, surface, rules))
+        examples = noun_rule_examples()
         models = eds.build_abstract_models(ad.ParamSet(), rng=rng,
                                            **eds.abstract_shape(examples))
         eds.train_abstract_models(models, examples)
@@ -234,6 +242,108 @@ class TestHashedLogReg:
         gold = eds.generate_abstract_nodes(surface, rules)  # contains the rule _q
         examples = eds.abstract_training_examples(gold, surface, rules)
         assert [fired for _, fired, _, _ in examples] == [0]
+
+
+def datagen_examples(seed):
+    corpus = datagen.build_corpus(n=24, seed=seed)
+    examples = []
+    for s in corpus.sentences:
+        surface = eds.dm_to_eds_surface(s.graphs["dm"], corpus.rules)
+        examples.extend(eds.abstract_training_examples(s.graphs["eds"], surface,
+                                                       corpus.rules))
+    return examples
+
+
+def many_class_examples(seed, fired_labels=8):
+    """Sites with 12 label features in turn plus random noise features;
+    the first ``fired_labels`` labels fire, with one of four node and
+    one of three edge classes."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for k in range(40):
+        j = k % 12
+        feats = [f"label=L{j}"] + [f"noise={int(n)}" for n in rng.integers(30, size=3)]
+        if j < fired_labels:
+            examples.append((feats, 1, "abcd"[j % 4], "XYZ"[j % 3]))
+        else:
+            examples.append((feats, 0, None, None))
+    return examples
+
+
+FIT_CASES = {
+    "datagen-7": lambda: datagen_examples(7),
+    "datagen-19": lambda: datagen_examples(19),
+    "noun-rule": noun_rule_examples,
+    "none-fired": lambda: [(f, 0, None, None) for f, _, _, _ in noun_rule_examples()],
+    "all-fired": lambda: many_class_examples(5, fired_labels=12),
+    "many-classes": lambda: many_class_examples(3),
+}
+
+
+def built_models(examples, seed):
+    params = ad.ParamSet()
+    return params, eds.build_abstract_models(params, rng=np.random.default_rng(seed),
+                                             **eds.abstract_shape(examples))
+
+
+class TestAbstractFit:
+    """The fit on one design matrix against the per-site loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", sorted(FIT_CASES))
+    def test_same_fit_as_the_per_site_loop(self, case, seed):
+        examples = FIT_CASES[case]()
+        params, models = built_models(examples, seed)
+        ref_params, ref = built_models(examples, seed)
+        init = params.state_dict()
+        eds.train_abstract_models(models, examples)
+        reference_train_abstract_models(ref, examples)
+        want = ref_params.state_dict()
+        for name, arr in params.state_dict().items():
+            # relative to the array's scale: a weight the fit drives near
+            # zero has no meaningful elementwise relative error
+            assert np.abs(arr - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
+            if not any(fired for _, fired, _, _ in examples) and name[:4] in ("nlab", "elab"):
+                assert arr.tobytes() == init[name].tobytes(), name
+        for feats, _, _, _ in examples:
+            assert (models.detector.probability(feats) > eds.DETECTION_THRESHOLD) \
+                == (ref.detector.probability(feats) > eds.DETECTION_THRESHOLD)
+            assert models.node_labeler.best_class(feats) == ref.node_labeler.best_class(feats)
+            assert models.edge_labeler.best_class(feats) == ref.edge_labeler.best_class(feats)
+
+    def test_cases_cover_fired_and_class_counts(self):
+        fired = {case: [f for _, f, _, _ in FIT_CASES[case]()] for case in FIT_CASES}
+        assert not any(fired["none-fired"]) and all(fired["all-fired"])
+        assert 0 < sum(fired["datagen-7"]) < len(fired["datagen-7"])
+        shape = eds.abstract_shape(FIT_CASES["many-classes"]())
+        assert (len(shape["node_classes"]), len(shape["edge_classes"])) == (4, 3)
+
+    def test_graph_size_does_not_grow_with_sites(self, monkeypatch):
+        counted = []
+        init = ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            counted.append(1)
+
+        examples = many_class_examples(3)
+        sizes = []
+        for sites in (examples, examples * 2):
+            _, models = built_models(sites, 0)
+            monkeypatch.setattr(ad.Tensor, "__init__", counting)
+            eds.train_abstract_models(models, sites)
+            monkeypatch.setattr(ad.Tensor, "__init__", init)
+            sizes.append(len(counted))
+            counted.clear()
+        assert sizes[0] == sizes[1] <= 16 * eds.ABSTRACT_EPOCHS
+
+    def test_no_site_warns_and_fits_nothing(self):
+        params, models = built_models([], 0)
+        init = params.state_dict()
+        with pytest.warns(UserWarning, match="detectors stay untrained"):
+            eds.train_abstract_models(models, [])
+        for name, arr in params.state_dict().items():
+            assert arr.tobytes() == init[name].tobytes(), name
 
 
 def tokens_fixture(words):

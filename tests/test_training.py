@@ -791,6 +791,42 @@ class TestEds:
                             mtl.model.static, mtl.model.contextual,
                             datagen.conversion_rules(), encoder_from=mtl.model)
 
+    def test_no_detector_site_leaves_detectors_untrained(self, mtl, split, corpus):
+        # DM gold without nodes gives no site to fit the detectors on
+        def nodeless_dm(s):
+            dm = G.replace(s.graphs["dm"], nodes=(), edges=(), tops=())
+            return G.replace(s, graphs={**s.graphs, "dm": dm})
+
+        bare = T.DataSplit(train={"eds": [nodeless_dm(s) for s in split.train["eds"]]},
+                           val_i={"eds": [nodeless_dm(s) for s in split.val_i["eds"]]},
+                           val_ii={})
+        cfg = tiny(multitask_config(), epochs=1, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model, _ = T.train_eds(bare, cfg, corpus.static, corpus.contextual,
+                                   corpus.rules, encoder_from=mtl.model)
+        untrained = [w for w in caught if "detectors stay untrained" in str(w.message)]
+        assert len(untrained) == 1
+        fresh = E.build_abstract_models(
+            ad.ParamSet(), rng=np.random.default_rng(cfg.seed + 2),
+            **E.abstract_shape([]))
+        for got, want in zip((model.abstract.detector, model.abstract.node_labeler,
+                              model.abstract.edge_labeler),
+                             (fresh.detector, fresh.node_labeler, fresh.edge_labeler)):
+            assert np.array_equal(got.w.data, want.w.data)
+            assert np.array_equal(got.b.data, want.b.data)
+
+    def test_token_states_record_no_graph(self, eds, corpus, monkeypatch):
+        converter, _ = eds
+        recorded = record_graph_tensors(monkeypatch)
+        states = converter.token_states(corpus.sentences[8])
+        assert recorded == []
+        assert states.parents == () and not states.requires_grad
+        assert all(p.grad is None for p in converter.params.tensors())
+        enc = converter.encode(corpus.sentences[8])
+        assert np.array_equal(states.data, enc.top.data[1:])
+        assert recorded  # the spy sees the taped encoder pass
+
 
 def test_training_releases_gradients(split, corpus):
     """Every regime returns a model without the last minibatch's
