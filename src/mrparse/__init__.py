@@ -18,7 +18,7 @@ Subpackage map:
 * ``eds``       -- DM-to-EDS conversion and anchor prediction
 * ``ucca``      -- pointer-based constituent generation
 * ``amr``       -- node generation, spanning arborescence, pre/post
-* ``training``  -- splits, single/multi-task loops, ensembling
+* ``training``  -- splits, the one training loop, parsing, ensembling
 * ``scoring``   -- MRP component F1 and SDP labeled F1
 * ``cli``       -- batch entry points
 """

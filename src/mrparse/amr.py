@@ -115,8 +115,6 @@ class EntityRecord:
 class Anonymization:
     graph: G.MrpGraph
     records: tuple
-    ne_tags: tuple    # per-token feature: entity kind or "O"
-    skipped: tuple    # node ids left unanonymized (no token span found)
 
 
 def _ordered_ops(props):
@@ -132,11 +130,10 @@ def anonymize(g, tokens):
         if e.label == "name" and by_id[e.target].label == "name":
             name_child[e.source] = e.target
 
-    records, skipped = [], []
+    records = []
     counters = {}
     replaced = {}      # head node id -> anon label
     removed = set()    # name node ids folded into their head
-    ne_tags = ["O"] * len(tokens)
 
     for n in g.nodes:
         if n.id in name_child:
@@ -158,8 +155,7 @@ def anonymize(g, tokens):
         else:
             continue
         if span is None:
-            skipped.append(n.id)
-            continue
+            continue  # no token span: the entity stays unanonymized
         idx = counters.get(kind, 0)
         counters[kind] = idx + 1
         anon = f"{kind}.{idx}"
@@ -170,8 +166,6 @@ def anonymize(g, tokens):
         else:
             records.append(EntityRecord(anon, n.label, "attribute",
                                         properties=n.properties, span=span))
-        for t in range(span[0], span[1]):
-            ne_tags[t] = kind
 
     nodes = []
     for n in g.nodes:
@@ -183,7 +177,7 @@ def anonymize(g, tokens):
             nodes.append(n)
     edges = tuple(e for e in g.edges if e.target not in removed and e.source not in removed)
     out = G.replace(g, nodes=tuple(nodes), edges=edges)
-    return Anonymization(out, tuple(records), tuple(ne_tags), tuple(skipped))
+    return Anonymization(out, tuple(records))
 
 
 def build_ne_map(observations):
@@ -254,7 +248,6 @@ def expand_entities(nodes, edges, records_by_label, next_id):
 class TreeNode:
     index: int
     label: str
-    origin: int          # node id in the source graph
     parent: int          # tree index; -1 at the root
     edge_label: str = None
     copy_of: int = None  # tree index of the first replica, for leaf copies
@@ -306,11 +299,11 @@ def dag_to_tree(g):
     def visit(nid, parent, elabel):
         idx = len(out)
         if nid in first_idx:
-            out.append(TreeNode(idx, by_id[nid].label, nid, parent, elabel,
+            out.append(TreeNode(idx, by_id[nid].label, parent, elabel,
                                 copy_of=first_idx[nid]))
             return
         first_idx[nid] = idx
-        out.append(TreeNode(idx, by_id[nid].label, nid, parent, elabel))
+        out.append(TreeNode(idx, by_id[nid].label, parent, elabel))
         for e in children.get(nid, ()):
             visit(e.target, idx, e.label)
 
@@ -413,6 +406,7 @@ def node_feature_width(encoder):
 # extended pointer-generator
 
 _NO_HISTORY = np.array([[0.0, -1e30, 0.0]])  # switch bias: no decoder copy
+ATT_DIM = 64  # width of the source and history attention keys
 
 
 class AmrDecoder:
@@ -428,7 +422,7 @@ class AmrDecoder:
     """
 
     def __init__(self, params, name, enc_hidden, feat_width, hidden, n_vocab,
-                 rng, att_dim=64, layers=1, dropout=0.0):
+                 rng, layers=1, dropout=0.0):
         self.hidden = hidden
         self.feat_width = feat_width
         self.n_layers = layers
@@ -440,12 +434,12 @@ class AmrDecoder:
         for l in range(layers):
             self.cells.append(LstmCell(params, f"{name}.cell{l}", width, hidden, rng))
             width = hidden
-        self.src_dec = params.new(f"{name}.src.dec", (hidden, att_dim), rng)
-        self.src_enc = params.new(f"{name}.src.enc", (2 * enc_hidden, att_dim), rng)
-        self.src_v = params.new(f"{name}.src.v", (att_dim, 1), rng)
-        self.hist_dec = params.new(f"{name}.hist.dec", (hidden, att_dim), rng)
-        self.hist_enc = params.new(f"{name}.hist.enc", (hidden, att_dim), rng)
-        self.hist_v = params.new(f"{name}.hist.v", (att_dim, 1), rng)
+        self.src_dec = params.new(f"{name}.src.dec", (hidden, ATT_DIM), rng)
+        self.src_enc = params.new(f"{name}.src.enc", (2 * enc_hidden, ATT_DIM), rng)
+        self.src_v = params.new(f"{name}.src.v", (ATT_DIM, 1), rng)
+        self.hist_dec = params.new(f"{name}.hist.dec", (hidden, ATT_DIM), rng)
+        self.hist_enc = params.new(f"{name}.hist.enc", (hidden, ATT_DIM), rng)
+        self.hist_v = params.new(f"{name}.hist.v", (ATT_DIM, 1), rng)
         self.vocab_head = Linear(params, f"{name}.vocab", hidden, n_vocab, rng)
         self.switch = Linear(params, f"{name}.switch", hidden, 3, rng)
 
@@ -464,13 +458,12 @@ class AmrDecoder:
         return ad.split(h, [self.hidden] * self.n_layers, axis=1)[-1]
 
     def source_keys(self, token_states):
-        """Projected attention keys of the source tokens, (L, att_dim)."""
+        """Projected attention keys of the source tokens, (L, ATT_DIM)."""
         return ad.matmul(token_states, self.src_enc)
 
     def step(self, x, h, c, src_keys, hist_keys):
         """Advance k hypotheses of equal length s by one node; returns
-        (h, c, p, source attention) as (k, ·) rows, p being the (k,
-        L + s + V) mixture.
+        (h, c, p) as (k, ·) rows, p being the (k, L + s + V) mixture.
 
         ``x`` is (k, F); ``h`` and ``c`` are (k, H·layers), the layers
         side by side; the mixture reads only the top layer.
@@ -493,9 +486,9 @@ class AmrDecoder:
             cur = hl
         h2 = new_h[0] if self.n_layers == 1 else ad.concat(new_h, axis=1)
         c2 = new_c[0] if self.n_layers == 1 else ad.concat(new_c, axis=1)
-        p, a_src = self._mixture(new_h[-1], src_keys, hist_keys,
-                                 gate_bias=_NO_HISTORY if hist_keys is None else None)
-        return h2, c2, p, a_src
+        p, _ = self._mixture(new_h[-1], src_keys, hist_keys,
+                             gate_bias=_NO_HISTORY if hist_keys is None else None)
+        return h2, c2, p
 
     def _mixture(self, hx, src_keys, hist_keys, hist_bias=None, gate_bias=None):
         """Mixture rows (k, L + n + V) and source attentions (k, L) of
@@ -673,7 +666,6 @@ class AmrGeneration:
     copy_of: tuple
     src_token: tuple
     states: list       # decoder state per node
-    attentions: list
     log_prob: float
     truncated: bool = False
 
@@ -685,23 +677,21 @@ def _normalized(log_prob, n_nodes):
 
 @dataclass
 class _Hyp:
-    """A hypothesis of the beam.  Its node states and source attentions
-    are kept as (batched step output, row) pairs and sliced out only
-    for the generation finally returned."""
+    """A hypothesis of the beam.  Its node states are kept as (batched
+    step output, row) pairs and sliced out only for the generation
+    finally returned."""
     labels: tuple = ()
     kinds: tuple = ()
     copy_of: tuple = ()
     src_token: tuple = ()
     states: tuple = ()
-    attns: tuple = ()
     log_prob: float = 0.0
     truncated: bool = False
 
 
 def _to_generation(hyp):
     return AmrGeneration(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                         [ad.rows(t, [j]) for t, j in hyp.states],
-                         [ad.rows(t, [j]) for t, j in hyp.attns], hyp.log_prob,
+                         [ad.rows(t, [j]) for t, j in hyp.states], hyp.log_prob,
                          truncated=hyp.truncated)
 
 
@@ -715,19 +705,19 @@ def _decode_index(ctx, idx, labels):
     return "vocab", ctx.vocab.labels[idx - L - len(labels)], None, None, None
 
 
-def _grow(ctx, hyp, idx, logp, top, a_src, row):
+def _grow(ctx, hyp, idx, logp, top, row):
     """``hyp`` extended by the node at mixture index ``idx``, its state
-    and attention being row ``row`` of the step outputs."""
+    being row ``row`` of the step's top-layer states ``top``."""
     kind, label, copy, src, _ = _decode_index(ctx, idx, hyp.labels)
     return _Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
                 hyp.copy_of + (copy,), hyp.src_token + (src,),
-                hyp.states + ((top, row),), hyp.attns + ((a_src, row),), logp)
+                hyp.states + ((top, row),), logp)
 
 
-def _close(hyp, logp, a_src, row):
+def _close(hyp, logp):
     """``hyp`` finished by the END step; node states exclude that step."""
     return _Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                hyp.states, hyp.attns + ((a_src, row),), logp)
+                hyp.states, logp)
 
 
 def _next_inputs(ctx, hyps, parents, h, c, top, hist_keys):
@@ -750,9 +740,12 @@ def default_cap(n_tokens):
 
 
 def greedy_decode(ctx):
-    """Argmax rollout; the single-slot beam is exactly this, so it is
-    implemented directly rather than left to emerge from pruning.  It
-    steps one row (k = 1) through the same batched decoder step."""
+    """Argmax rollout, which ``beam_search`` runs at width 1: greedy
+    decoding, stopping at the first step whose argmax is END.  (The
+    batched beam with one slot would not be the same: it files that END
+    as finished and keeps extending the runner-up, so it can return a
+    longer hypothesis.)  It steps one row (k = 1) through the same
+    batched decoder step."""
     L = len(ctx.lemmas)
     cap = default_cap(L)
     dec = ctx.decoder
@@ -761,7 +754,7 @@ def greedy_decode(ctx):
     hist_keys = None
     hyp = _Hyp()
     for step in range(cap + 1):
-        h, c, p, a_src = dec.step(x, h, c, keys, hist_keys)
+        h, c, p = dec.step(x, h, c, keys, hist_keys)
         row = p.data[0]
         end_at = L + len(hyp.labels) + ctx.vocab.end_index
         order = np.argsort(-row, kind="stable")
@@ -770,9 +763,9 @@ def greedy_decode(ctx):
             idx = int(order[1])  # empty graphs are not a thing
         logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
         if idx == end_at:
-            return _to_generation(_close(hyp, logp, a_src, 0))
+            return _to_generation(_close(hyp, logp))
         top = dec.top(h)
-        hyp = _grow(ctx, hyp, idx, logp, top, a_src, 0)
+        hyp = _grow(ctx, hyp, idx, logp, top, 0)
         x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, top, hist_keys)
     hyp.truncated = True
     return _to_generation(hyp)
@@ -793,8 +786,8 @@ def beam_search(ctx, width=BEAM_WIDTH):
     Candidates are enumerated and ranked as by one step per hypothesis:
     beams in order, a stable argsort per row, a stable sort on the
     log-probability.  The batched products round differently from
-    single rows, so log-probabilities, states and attentions agree with
-    a per-hypothesis decode to about 1e-10, not bit for bit.
+    single rows, so log-probabilities and states agree with a
+    per-hypothesis decode to about 1e-10, not bit for bit.
     """
     if width < 1:
         raise ValueError("beam width must be positive")
@@ -809,7 +802,7 @@ def beam_search(ctx, width=BEAM_WIDTH):
     beams = [_Hyp()]
     done = []
     for step in range(cap + 1):
-        h, c, p, a_src = dec.step(x, h, c, keys, hist_keys)
+        h, c, p = dec.step(x, h, c, keys, hist_keys)
         top = dec.top(h)
         end_at = L + step + ctx.vocab.end_index
         orders = np.argsort(-p.data, axis=1, kind="stable")[:, : width + 1]
@@ -822,12 +815,12 @@ def beam_search(ctx, width=BEAM_WIDTH):
                 if idx == end_at:
                     if step == 0:
                         continue  # empty graphs are not a thing
-                    done.append(_close(hyp, logp, a_src, j))
+                    done.append(_close(hyp, logp))
                     continue
                 candidates.append((logp, j, idx))
         survivors = sorted(candidates, key=lambda cand: -cand[0])[:width]
         parents = [j for _, j, _ in survivors]
-        beams = [_grow(ctx, beams[j], idx, logp, top, a_src, j)
+        beams = [_grow(ctx, beams[j], idx, logp, top, j)
                  for logp, j, idx in survivors]
         if not beams:
             break

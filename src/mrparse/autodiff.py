@@ -48,6 +48,7 @@ _GRAD_ENABLED = True  # False inside no_grad()
 CHECKPOINT_FORMAT_VERSION = 2
 _META = "__meta__"
 ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)  # of every checkpoint member
+ADAM_EPS = 1e-8  # added to Adam's root second moment
 
 
 @contextlib.contextmanager
@@ -86,10 +87,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def accumulate(self, g):
         """Add ``g`` into ``grad``.  The first gradient of the same shape
         and dtype is copied into a buffer laid out like ``data``: the
@@ -123,31 +120,6 @@ class Tensor:
         for node in order:
             if node.backward_rule is not None and node.grad is not None:
                 node.backward_rule(node.grad)
-
-    # operator sugar; the real work is in the module functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -210,19 +182,6 @@ def add(a, b):
             a.accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), rule)
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def rule(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), rule)
 
@@ -650,12 +609,11 @@ class Adam:
     allocated at its first gradient; steps without one never touch the
     slots, so updates equal those of slots zeroed up front."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.slots = {}  # parameter index -> (m, v)
 
@@ -679,7 +637,7 @@ class Adam:
             v += (1 - b2) * g * g
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

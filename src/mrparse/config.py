@@ -139,11 +139,6 @@ class TrainConfig:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # presets

@@ -2,7 +2,7 @@
 
 Three stages: every DM node becomes an EDS surface node through an
 ordered rewrite table; abstract nodes are added by implication rules
-and by logistic-regression detectors over node/edge sites; a small
+and by logistic-regression detectors over node sites; a small
 pointer-style network then assigns each abstract node a token span,
 realized as character anchors.
 """
@@ -57,25 +57,29 @@ class Implication:
     direction: str = "abstract_to_node"  # or node_to_abstract
 
 
+# Switches every saved rule set carries.  The detector runs on node
+# sites only, so a rule file may set them to these values alone.
+FIXED_KEYS = {"detect_on_nodes": True, "detect_on_edges": False}
+
+
 class ConversionRuleSet:
-    def __init__(self, surface_rules, edge_map, implications,
-                 detect_on_nodes=True, detect_on_edges=False):
+    def __init__(self, surface_rules, edge_map, implications):
         self.surface_rules = list(surface_rules)
         self.edge_map = dict(edge_map)
         self.implications = list(implications)
-        self.detect_on_nodes = detect_on_nodes
-        self.detect_on_edges = detect_on_edges
 
     @classmethod
     def from_dict(cls, doc):
+        for key, value in FIXED_KEYS.items():
+            if doc.get(key, value) is not value:
+                raise ValueError(f"rule key {key!r} must be "
+                                 f"{json.dumps(value)}, not {json.dumps(doc[key])}")
         rules = [SurfaceRule(tuple(sorted(r.get("match", {}).items())), r["template"])
                  for r in doc.get("surface", [])]
         implications = [Implication(i["if_label"], i["add_label"], i["edge"],
                                     i.get("direction", "abstract_to_node"))
                         for i in doc.get("implications", [])]
-        return cls(rules, doc.get("edge_map", {}), implications,
-                   detect_on_nodes=doc.get("detect_on_nodes", True),
-                   detect_on_edges=doc.get("detect_on_edges", False))
+        return cls(rules, doc.get("edge_map", {}), implications)
 
     @classmethod
     def load(cls, path):
@@ -90,8 +94,7 @@ class ConversionRuleSet:
             "implications": [{"if_label": i.if_label, "add_label": i.add_label,
                               "edge": i.edge, "direction": i.direction}
                              for i in self.implications],
-            "detect_on_nodes": self.detect_on_nodes,
-            "detect_on_edges": self.detect_on_edges,
+            **FIXED_KEYS,
         }
 
     def save(self, path):
@@ -173,13 +176,6 @@ def node_site_features(graph, node):
     return feats
 
 
-def edge_site_features(graph, edge):
-    by_id = graph.node_by_id()
-    return [f"edge={edge.label}",
-            f"src={by_id[edge.source].label}",
-            f"tgt={by_id[edge.target].label}"]
-
-
 @dataclass
 class AbstractModels:
     detector: LogRegModel        # binary: does this site carry an abstract node
@@ -214,18 +210,11 @@ def generate_abstract_nodes(surface, rules, models=None):
                 attach(n.id, imp.add_label, imp.edge, imp.direction)
 
     if models is not None:
-        if rules.detect_on_nodes:
-            for n in surface.nodes:
-                feats = node_site_features(surface, n)
-                if models.detector.probability(feats) > DETECTION_THRESHOLD:
-                    attach(n.id, models.node_labeler.best_class(feats),
-                           models.edge_labeler.best_class(feats), "abstract_to_node")
-        if rules.detect_on_edges:
-            for e in surface.edges:
-                feats = edge_site_features(surface, e)
-                if models.detector.probability(feats) > DETECTION_THRESHOLD:
-                    attach(e.target, models.node_labeler.best_class(feats),
-                           models.edge_labeler.best_class(feats), "abstract_to_node")
+        for n in surface.nodes:
+            feats = node_site_features(surface, n)
+            if models.detector.probability(feats) > DETECTION_THRESHOLD:
+                attach(n.id, models.node_labeler.best_class(feats),
+                       models.edge_labeler.best_class(feats), "abstract_to_node")
 
     return G.MrpGraph(id=surface.id, flavor=1, framework="eds", input=surface.input,
                       tops=surface.tops, nodes=tuple(nodes), edges=tuple(edges))

@@ -19,6 +19,7 @@ ROOT = "<ROOT>"
 RESERVED = (UNK, NUM, ROOT)
 
 MIN_COUNT = 4  # symbols seen fewer times than this become <UNK>
+PARAM_PREFIX = "encoder"  # of the names of the encoder's parameters
 
 
 def is_numeric(s):
@@ -349,8 +350,8 @@ class Encoder:
     three feature-group drop rates and ``encoder_dropout``.
     """
 
-    def __init__(self, params, vocab, config, static, ctx_layers, ctx_width, rng,
-                 name="encoder"):
+    def __init__(self, params, vocab, config, static, ctx_layers, ctx_width, rng):
+        name = PARAM_PREFIX
         self.vocab = vocab
         self.config = config
         self.static = static

@@ -31,7 +31,7 @@ from . import eds as E
 from . import scoring
 from .atomic import atomic_open
 from .config import TrainConfig, SDP_PAIR
-from .encoder import Encoder, BiLstm, Vocabulary
+from .encoder import PARAM_PREFIX, Encoder, BiLstm, Vocabulary
 
 PE_DIM = 16  # positional-encoding width of the slot-state biLSTM input
 
@@ -287,7 +287,10 @@ class MultiModel:
     Without ``state`` the parameters take initial values drawn from
     ``config.seed``; with ``state`` (name -> array, as a checkpoint or
     snapshot holds) they take its values and nothing is drawn.  Heads
-    exist only for frameworks with a nonempty label inventory.
+    exist only for frameworks with a nonempty label inventory.  The
+    frame classifier and the UCCA and AMR decoders are built with their
+    framework's head, so ``fw in model.heads`` tells whether the model
+    serves ``fw``.
     """
 
     def __init__(self, config, vocab, inv, static, contextual, state=None):
@@ -497,13 +500,7 @@ def prepare_sentences(model, sentences, frameworks, allowed_ids=None):
     for s in sentences:
         targets = {}
         for fw in frameworks:
-            if fw not in s.graphs or fw not in builders:
-                continue
-            if fw == "ucca" and model.ucca_decoder is None:
-                continue
-            if fw == "amr" and model.amr_decoder is None:
-                continue
-            if fw in ("dm", "psd") and fw not in model.heads:
+            if fw not in s.graphs or fw not in model.heads:
                 continue
             if allowed_ids is not None and s.id not in allowed_ids.get(fw, ()):
                 continue
@@ -544,7 +541,7 @@ def framework_terms(model, prep, frameworks, train=False, rng=None):
             edge, label = B.edge_and_label_loss(scores, tgt.edges, tgt.tops)
             terms[f"{fw}.edge"] = edge
             terms[f"{fw}.label"] = label
-            if fw == "dm" and model.frame_clf is not None:
+            if fw == "dm":
                 if tgt.frames:
                     pred = model.frame_clf.predict(enc_out.top, train=train, rng=rng)
                     positions = sorted(tgt.frames)
@@ -704,12 +701,11 @@ class TrainResult:
     snapshots: dict
 
     def model_at(self, key):
-        """The model at a metric's best epoch (or a given epoch), built
-        from that epoch's snapshot."""
-        epoch = key if isinstance(key, int) else self.best_epochs[key]
+        """The model at the best epoch of metric ``key``, built from that
+        epoch's snapshot."""
         m = self.model
         return MultiModel(m.config, m.vocab, m.inv, m.static, m.contextual,
-                          state=self.snapshots[epoch])
+                          state=self.snapshots[self.best_epochs[key]])
 
 
 def _checkpoint_path(run_dir, epoch):
@@ -750,8 +746,7 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
                   beta1=cfg.beta1, beta2=cfg.beta2)
     rng = np.random.default_rng(cfg.seed + 1)
     stoppers = {key: EarlyStopper(mode) for key, mode in modes.items()}
-    snapshots = {}
-    on_disk = set()
+    snapshots = {}  # epoch -> state; mirrored by a checkpoint in run_dir
     history = []
     rows = []  # metrics.jsonl, rewritten whole each epoch
     for epoch in range(cfg.epochs):
@@ -781,10 +776,6 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
         for key, st in stoppers.items():
             st.update(epoch, vals[key])
         snapshots[epoch] = model.params.state_dict()
-        keep = {st.best_epoch for st in stoppers.values()
-                if st.best_epoch is not None} | {epoch}
-        for e in [e for e in snapshots if e not in keep]:
-            del snapshots[e]
         record = {"epoch": epoch,
                   "train_loss": total / max(1, len(usable)),
                   "val": vals,
@@ -795,14 +786,16 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
             model.params.save(_checkpoint_path(run_dir, epoch),
                               extra={"kind": kind, "epoch": epoch,
                                      "config": cfg.to_json()})
-            on_disk.add(epoch)
-            for e in [e for e in on_disk if e not in keep]:
-                os.remove(_checkpoint_path(run_dir, e))
-                on_disk.discard(e)
             # wallclock stays out of the file so reruns are byte-identical
             rows.append(json.dumps(record, sort_keys=True) + "\n")
             with atomic_open(os.path.join(run_dir, "metrics.jsonl")) as fh:
                 fh.writelines(rows)
+        keep = {st.best_epoch for st in stoppers.values()
+                if st.best_epoch is not None} | {epoch}
+        for e in [e for e in snapshots if e not in keep]:
+            del snapshots[e]
+            if run_dir:
+                os.remove(_checkpoint_path(run_dir, e))
     opt.zero_grad()  # the last minibatch's gradients would outlive training
     last = cfg.epochs - 1
     best_epochs = {key: (st.best_epoch if st.best_epoch is not None else last)
@@ -819,15 +812,15 @@ def _single_validation(model, cfg, split, frameworks):
     modes, fns = {}, {}
     for fw in frameworks:
         val = split.val_i.get(fw, [])
-        if not val:
+        if not val or fw not in model.heads:
             continue
-        if fw in ("dm", "psd") and fw in model.heads:
+        if fw in SDP_PAIR:
             modes[fw] = "max"
             fns[fw] = lambda m, fw=fw, val=val: _val_sdp_f1(m, fw, val)
-        elif fw == "ucca" and model.ucca_decoder is not None:
+        elif fw == "ucca":
             modes[fw] = "max"
             fns[fw] = lambda m, val=val: _val_ucca_f1(m, val)
-        elif fw == "amr" and model.amr_decoder is not None:
+        else:
             preps = prepare_sentences(model, val, ("amr",))
             modes[fw] = "min"
             fns[fw] = lambda m, preps=preps: _val_loss(
@@ -1051,7 +1044,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     if encoder_from is not None:
         # the anchor net and detectors keep the values drawn above
         model = converter({name: encoder_from.params[name].data
-                           if name.startswith("encoder.") else arr
+                           if name.startswith(f"{PARAM_PREFIX}.") else arr
                            for name, arr in model.params.state_dict().items()})
     E.train_abstract_models(model.abstract, site_examples)
     if not anchor_items:
@@ -1093,9 +1086,7 @@ def _token_span(node, tokens):
 def sdp_prediction(model, sent, fw):
     enc_out = model.encode(sent)
     scores = model.heads[fw].score(enc_out.top)
-    frames = None
-    if fw == "dm" and model.frame_clf is not None:
-        frames = model.frame_clf.predict(enc_out.top)
+    frames = model.frame_clf.predict(enc_out.top) if fw == "dm" else None
     return scores, frames
 
 
@@ -1128,19 +1119,16 @@ def predict(model, sent, framework, beam=A.BEAM_WIDTH):
     decoded from: (pair scores, frames) for DM and PSD, a
     ``UccaPrediction`` for UCCA, (generation, pair scores) for AMR.  A
     model without the framework's head or decoder raises a ValueError."""
-    if framework in ("dm", "psd"):
-        if framework not in model.heads:
-            raise ValueError(f"model has no {framework} head")
+    if framework not in ("dm", "psd", "ucca", "amr"):
+        raise ValueError(f"cannot parse framework {framework!r} with this model")
+    if framework not in model.heads:
+        part = "head" if framework in SDP_PAIR else "decoder"
+        raise ValueError(f"model has no {framework} {part}")
+    if framework in SDP_PAIR:
         return sdp_prediction(model, sent, framework)
     if framework == "ucca":
-        if model.ucca_decoder is None:
-            raise ValueError("model has no ucca decoder")
         return ucca_prediction(model, sent)
-    if framework == "amr":
-        if model.amr_decoder is None:
-            raise ValueError("model has no amr decoder")
-        return amr_prediction(model, sent, beam=beam)
-    raise ValueError(f"cannot parse framework {framework!r} with this model")
+    return amr_prediction(model, sent, beam=beam)
 
 
 def decode_predictions(models, sent, framework, preds):

@@ -20,6 +20,8 @@ from .encoder import LstmCell, Mlp, additive_attention
 
 CT_LABEL = "CT"
 REMOTE_ATTR = "remote"
+ATT_DIM = 64     # width of the pointer's attention keys
+BULLET_DIM = 32  # width of the learned vector behind non-terminal slots
 
 
 def is_remote(edge):
@@ -228,17 +230,16 @@ class UccaDecoder:
     position including <ROOT>, whose selection terminates decoding.
     """
 
-    def __init__(self, params, name, enc_hidden, use_layers, rng,
-                 att_dim=64, bullet_dim=32):
+    def __init__(self, params, name, enc_hidden, use_layers, rng):
         self.use_layers = use_layers
         self.hidden = 2 * enc_hidden * use_layers
         self.cell = LstmCell(params, f"{name}.cell", 2 * enc_hidden,
                                    self.hidden, rng)
-        self.w_dec = params.new(f"{name}.att.dec", (self.hidden, att_dim), rng)
-        self.w_enc = params.new(f"{name}.att.enc", (2 * enc_hidden, att_dim), rng)
-        self.v = params.new(f"{name}.att.v", (att_dim, 1), rng)
-        self.r = params.new(f"{name}.r", (1, bullet_dim), rng)
-        self.bullet_mlp = Mlp(params, f"{name}.bullet", bullet_dim, 2 * enc_hidden, rng)
+        self.w_dec = params.new(f"{name}.att.dec", (self.hidden, ATT_DIM), rng)
+        self.w_enc = params.new(f"{name}.att.enc", (2 * enc_hidden, ATT_DIM), rng)
+        self.v = params.new(f"{name}.att.v", (ATT_DIM, 1), rng)
+        self.r = params.new(f"{name}.r", (1, BULLET_DIM), rng)
+        self.bullet_mlp = Mlp(params, f"{name}.bullet", BULLET_DIM, 2 * enc_hidden, rng)
 
     def init_state(self, finals):
         use = finals[-self.use_layers:]
@@ -263,7 +264,6 @@ class UccaDecoder:
 class PointerDecode:
     pointers: tuple        # includes the 0 terminator unless truncated
     logits: ad.Tensor      # (steps, n_positions) attention scores
-    fed_positions: tuple   # encoder position fed at each step
     truncated: bool = False
 
 
@@ -276,9 +276,10 @@ def pointer_decode(enc_out, decoder, gold_pointers=None):
     attention.  Its loss and gradients agree with a step-by-step run to
     about 1e-10 relative, not bit for bit.
 
-    Free-running mode stops on <ROOT> or after twice as many steps as
-    there are tokens (at least one); hitting that cap sets the truncated
-    flag.
+    Free-running mode feeds each pointed-at state as a sequence of one
+    row from the last state.  It stops on <ROOT> or after twice as many
+    steps as there are tokens (at least one); hitting that cap sets the
+    truncated flag.
     The keys are projected once per sentence.
     """
     states = enc_out.top
@@ -287,20 +288,19 @@ def pointer_decode(enc_out, decoder, gold_pointers=None):
     if gold_pointers is not None:
         fed = (0,) + tuple(gold_pointers[:-1])
         hs, _ = decoder.cell.sequence(ad.rows(states, fed), h0=h, c0=c)
-        return PointerDecode(tuple(gold_pointers), decoder.attend(hs, keys), fed)
+        return PointerDecode(tuple(gold_pointers), decoder.attend(hs, keys))
     cap = max(1, 2 * (states.shape[0] - 1))
     x_pos = 0  # first input is the <ROOT> encoder state
-    logits, pointers, fed = [], [], []
+    logits, pointers = [], []
     while True:
-        fed.append(x_pos)
-        h, c = decoder.cell.step(ad.rows(states, [x_pos]), h, c)
+        h, c = decoder.cell.sequence(ad.rows(states, [x_pos]), h0=h, c0=c)
         a = decoder.attend(h, keys)
         logits.append(a)
         p = int(np.argmax(a.data[0]))
         pointers.append(p)
         if p == 0 or len(pointers) >= cap:
             return PointerDecode(tuple(pointers), ad.concat(logits, axis=0),
-                                 tuple(fed), truncated=p != 0)
+                                 truncated=p != 0)
         x_pos = p
 
 

@@ -254,7 +254,6 @@ class RefHyp:
     copy_of: tuple = ()
     src_token: tuple = ()
     states: tuple = ()
-    attns: tuple = ()
     log_prob: float = 0.0
     h: object = None
     c: object = None
@@ -264,7 +263,7 @@ class RefHyp:
 
 def _ref_generation(hyp):
     return amr.AmrGeneration(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                             list(hyp.states), list(hyp.attns), hyp.log_prob,
+                             list(hyp.states), hyp.log_prob,
                              truncated=hyp.truncated)
 
 
@@ -295,7 +294,8 @@ def _reference_attend(h, keys, w_dec, w_enc, v):
 
 def reference_amr_step(dec, x, h, c, token_states, history, train=False,
                        rng=None):
-    """``amr.AmrDecoder.step`` of ``dec`` on raw token states; with
+    """``amr.AmrDecoder.step`` of ``dec`` on raw token states, plus the
+    source attention that teacher forcing's coverage loss reads; with
     ``train``, inter-layer dropout draws its mask from ``rng``."""
     if dec.n_layers == 1:
         hs, cs = [h], [c]
@@ -383,8 +383,8 @@ def reference_greedy_decode(ctx):
     x, h, c = ctx.decoder.initial(ctx.finals)
     hyp = RefHyp(h=h, c=c, x=x)
     for step in range(cap + 1):
-        h, c, p, a_src = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
-                                            ctx.token_states, list(hyp.states))
+        h, c, p, _ = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
+                                        ctx.token_states, list(hyp.states))
         row = p.data[0]
         end_at = L + len(hyp.labels) + ctx.vocab.end_index
         order = np.argsort(-row, kind="stable")
@@ -394,13 +394,12 @@ def reference_greedy_decode(ctx):
         logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
         if idx == end_at:
             hyp = RefHyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                         hyp.states, hyp.attns + (a_src,), logp)
+                         hyp.states, logp)
             return _ref_generation(hyp)
         kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
         hyp = RefHyp(hyp.labels + (label,), hyp.kinds + (kind,),
                      hyp.copy_of + (copy,), hyp.src_token + (src,),
-                     hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
-                     logp, h=h, c=c,
+                     hyp.states + (ctx.decoder.top(h),), logp, h=h, c=c,
                      x=reference_node_feature(ctx.encoder, label, pos))
     hyp.truncated = True
     return _ref_generation(hyp)
@@ -418,8 +417,8 @@ def reference_beam_search(ctx, width=5):
     for step in range(cap + 1):
         candidates = []
         for hyp in beams:
-            h, c, p, a_src = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
-                                                ctx.token_states, list(hyp.states))
+            h, c, p, _ = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
+                                            ctx.token_states, list(hyp.states))
             row = p.data[0]
             end_at = L + len(hyp.labels) + ctx.vocab.end_index
             order = np.argsort(-row, kind="stable")[: width + 1]
@@ -430,15 +429,13 @@ def reference_beam_search(ctx, width=5):
                     if step == 0:
                         continue
                     done.append(RefHyp(hyp.labels, hyp.kinds, hyp.copy_of,
-                                       hyp.src_token, hyp.states,
-                                       hyp.attns + (a_src,), logp))
+                                       hyp.src_token, hyp.states, logp))
                     continue
                 kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
                 candidates.append(RefHyp(
                     hyp.labels + (label,), hyp.kinds + (kind,),
                     hyp.copy_of + (copy,), hyp.src_token + (src,),
-                    hyp.states + (ctx.decoder.top(h),), hyp.attns + (a_src,),
-                    logp, h=h, c=c,
+                    hyp.states + (ctx.decoder.top(h),), logp, h=h, c=c,
                     x=reference_node_feature(ctx.encoder, label, pos)))
         beams = sorted(candidates, key=lambda c: -c.log_prob)[:width]
         if not beams:

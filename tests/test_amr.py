@@ -123,18 +123,12 @@ class TestAnonymize:
         assert rec.ops == ("Anna",)
         assert rec.span == (0, 1)
 
-    def test_ne_feature_tags_cover_the_span(self):
-        toks = mk_tokens(["Anna", "wants", "to", "leave"])
-        out = amr.anonymize(person_graph(), toks)
-        assert out.ne_tags == ("PERSON", "O", "O", "O")
-
     def test_no_entities_graph_unchanged(self):
         g = graph([G.MrpNode(0, label="run-02"), G.MrpNode(1, label="dog")],
                   [G.MrpEdge(0, 1, "ARG0")])
         out = amr.anonymize(g, mk_tokens(["dogs", "run"]))
         assert out.graph == g
         assert out.records == ()
-        assert out.ne_tags == ("O", "O")
 
     def test_numbered_per_kind_in_node_order(self):
         nodes = [G.MrpNode(0, label="meet-03"),
@@ -147,7 +141,7 @@ class TestAnonymize:
         out = amr.anonymize(graph(nodes, edges), mk_tokens(["Ada", "met", "Bo"]))
         labels = [n.label for n in out.graph.nodes]
         assert labels == ["meet-03", "PERSON.0", "PERSON.1"]
-        assert out.ne_tags == ("PERSON", "O", "PERSON")
+        assert [r.span for r in out.records] == [(0, 1), (2, 3)]
 
     def test_date_entity_month_name_expansion(self):
         nodes = [G.MrpNode(0, label="date-entity",
@@ -163,7 +157,7 @@ class TestAnonymize:
     def test_unlocatable_entity_skipped_and_kept(self):
         toks = mk_tokens(["nothing", "matches"])
         out = amr.anonymize(person_graph(), toks)
-        assert out.skipped == (1,)
+        assert out.records == ()
         labels = {n.label for n in out.graph.nodes}
         assert "person" in labels and "name" in labels
 
@@ -316,10 +310,12 @@ def make_ctx(lemmas, extra_labels=(), seed=0, enc_hidden=4, dec_hidden=6,
     encoder = enc.Encoder(params, vocab, small_config(enc_hidden), static,
                           ctx_layers=1, ctx_width=3, rng=rng)
     dvocab = amr.DecoderVocab(extra_labels)
-    decoder = amr.AmrDecoder(params, "amr", enc_hidden,
-                             amr.node_feature_width(encoder), dec_hidden,
-                             len(dvocab), rng, att_dim=5, layers=dec_layers,
-                             dropout=dropout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amr, "ATT_DIM", 5)
+        decoder = amr.AmrDecoder(params, "amr", enc_hidden,
+                                 amr.node_feature_width(encoder), dec_hidden,
+                                 len(dvocab), rng, layers=dec_layers,
+                                 dropout=dropout)
     L = len(lemmas)
     token_states = ad.Tensor(rng.normal(size=(L, 2 * enc_hidden)),
                              requires_grad=grad)
@@ -369,7 +365,7 @@ class TestGoldSequence:
         assert gold.targets[4] == L + 4 + ctx.vocab.end_index
 
     def test_unknown_label_falls_back_to_unk(self):
-        tree = amr.AmrTree((amr.TreeNode(0, "zuzax", 0, -1),))
+        tree = amr.AmrTree((amr.TreeNode(0, "zuzax", -1),))
         ctx = self.ctx()
         gold = amr.gold_sequence(tree, ctx)
         assert gold.targets[0] == 2 + ctx.vocab.index(amr.UNK_LABEL)
@@ -416,19 +412,17 @@ class TestDecoderMixture:
     def test_first_step_has_no_history_segment(self):
         ctx, _ = make_ctx(["tok"], extra_labels=("x",), seed=4)
         x, h, c = ctx.decoder.initial(ctx.finals)
-        _, _, p, a = ctx.decoder.step(
+        _, _, p = ctx.decoder.step(
             x, h, c, ctx.decoder.source_keys(ctx.token_states), None)
         assert p.data.shape == (1, 1 + len(ctx.vocab))
-        assert a.data.shape == (1, 1)
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-9)
 
     def test_attention_covers_tokens_only(self):
         ctx, _ = make_ctx(["a", "b", "c", "d"], seed=5)
-        x, h, c = ctx.decoder.initial(ctx.finals)
-        _, _, _, a = ctx.decoder.step(
-            x, h, c, ctx.decoder.source_keys(ctx.token_states), None)
-        assert a.data.shape == (1, 4)
-        np.testing.assert_allclose(a.data.sum(), 1.0, atol=1e-9)
+        gold = amr.gold_sequence(amr.dag_to_tree(reentrant_graph()), ctx)
+        _, a, _ = amr.run_teacher_forced(ctx, gold)
+        assert a.data.shape == (len(gold.labels) + 1, 4)
+        np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_gradients_flow_to_all_parts(self, gradcheck):
         ctx, params = make_ctx(["a", "b"], extra_labels=("want",), seed=6,
@@ -491,7 +485,7 @@ class TestBatchedStep:
         rng = np.random.default_rng(42)
         state, width = dec.hidden * dec.n_layers, 3 + s + len(ctx.vocab)
         proj = [rng.normal(size=shape) for shape in
-                ((k, state), (k, state), (k, width), (k, 3))]
+                ((k, state), (k, state), (k, width))]
 
         def build():
             outs = dec.step(x, h, c, dec.source_keys(ctx.token_states), hist)
@@ -655,7 +649,7 @@ class TestBeamSearch:
         labels, states, logp = [], [], 0.0
         L = len(ctx.lemmas)
         for step in range(cap + 1):
-            h, c, p, _ = ctx.decoder.step(
+            h, c, p = ctx.decoder.step(
                 x, h, c, ctx.decoder.source_keys(ctx.token_states),
                 history_keys(ctx.decoder, states))
             row = p.data[0].copy()
@@ -702,7 +696,7 @@ class TestBeamSearch:
         best = [None]
 
         def recurse(x, h, c, labels, states, logp):
-            h2, c2, p, _ = ctx.decoder.step(
+            h2, c2, p = ctx.decoder.step(
                 x, h, c, ctx.decoder.source_keys(ctx.token_states),
                 history_keys(ctx.decoder, states))
             row = p.data[0]
@@ -937,7 +931,7 @@ class TestDecodeGraph:
         n = len(labels)
         return amr.AmrGeneration(tuple(labels), tuple(kinds or ["vocab"] * n),
                                  tuple(copy_of or [None] * n),
-                                 tuple(src or [None] * n), [], [], 0.0)
+                                 tuple(src or [None] * n), [], 0.0)
 
     def test_arborescence_and_labels(self):
         gen = self.gen(["see", "dog", "cat"])

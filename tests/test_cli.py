@@ -436,6 +436,24 @@ def test_convert_rules_override_the_embedded_rules(ws, tmp_path):
     assert any(label.startswith("over_") for label in labels["override"])
 
 
+@pytest.mark.parametrize("key, value", [("detect_on_edges", True),
+                                        ("detect_on_nodes", False)])
+def test_convert_rejects_a_detector_switch_in_one_line(ws, tmp_path, capsys,
+                                                       key, value):
+    doc = json.loads(open(ws["rules"], encoding="utf-8").read())
+    doc[key] = value
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(doc))
+    out = tmp_path / "eds.mrp"
+    capsys.readouterr()
+    code = run(["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
+                "--rules", str(rules), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
 def test_convert_needs_rules_or_model(ws, tmp_path):
     assert run(["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
                 "--out", str(tmp_path / "x.mrp")]) == 2

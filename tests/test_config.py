@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -127,7 +128,7 @@ class TestSerialization:
         cfg = C.multitask_config()
         path = tmp_path / "c.json"
         cfg.save(path)
-        assert C.TrainConfig.load(path) == cfg
+        assert C.TrainConfig.from_json(json.loads(path.read_text())) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration keys"):

@@ -93,6 +93,18 @@ class TestSurfaceConversion:
         back = eds.ConversionRuleSet.load(path)
         assert back.to_dict() == rules.to_dict()
 
+    def test_detector_switches_load_at_their_saved_values(self):
+        doc = dict(rules_fixture().to_dict())
+        assert (doc["detect_on_nodes"], doc["detect_on_edges"]) == (True, False)
+        assert eds.ConversionRuleSet.from_dict(doc).to_dict() == doc
+
+    @pytest.mark.parametrize("key, value", [("detect_on_edges", True),
+                                            ("detect_on_nodes", False),
+                                            ("detect_on_nodes", 1)])
+    def test_other_detector_switch_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            eds.ConversionRuleSet.from_dict({key: value})
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         rules = rules_fixture()
         path = tmp_path / "rules.json"

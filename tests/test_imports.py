@@ -1,6 +1,6 @@
-"""Every imported name is used, and every public name and every option
-has a caller outside the tests: AST scans of the package, the tests and
-the bench.
+"""Every imported name is used, and every public name, every option and
+every dataclass field has a reader outside the tests: AST scans of the
+package, the tests and the bench.
 
 A name bound by ``import`` or ``from ... import`` must be read somewhere
 in its module.  Re-exports are exempt: the package's ``__init__.py``,
@@ -11,18 +11,25 @@ A public function or class of the package must be read somewhere in
 ``src/`` or ``bench/``: as an attribute of a name bound to its module,
 by a ``from`` import out of its module, or inside its module by a name
 that no enclosing function binds for itself.  A public method must be
-read as an attribute of any name.  Code that only the tests call
-belongs in the tests.
+read as an attribute of any name; a public classmethod or staticmethod
+only through its class: ``Class.m`` outside the class, ``cls.m`` or
+``self.m`` inside it.  Code that only the tests call belongs in the
+tests.
 
-A defaulted parameter of a module-level function or method of the
-package (constructors and other dunder methods aside) must be passed,
-by position or keyword, by some call in ``src/`` or ``bench/`` that can
-reach it: a method by its name as an attribute, a function through its
-module, as public names are read.  A call that only forwards a
-defaulted parameter of its own caller counts once that parameter is
-itself passed, and ``**kwargs`` forwarding counts not at all: a value
-only the tests set is a constant, and a test that needs another one
-monkeypatches it.
+A defaulted parameter of a module-level function, a method or a
+constructor (``__init__``; other dunder methods aside) of the package
+must be passed, by position or keyword, by some call in ``src/`` or
+``bench/`` that can reach it: a method by its name as an attribute, a
+function through its module, as public names are read; a constructor
+through its class's name, or as ``cls(...)`` in one of the class's
+classmethods.  A call that only forwards a defaulted parameter of its
+own caller counts once that parameter is itself passed, and
+``**kwargs`` forwarding counts not at all: a value only the tests set
+is a constant, and a test that needs another one monkeypatches it.
+
+A field of a dataclass of the package must be read as an attribute,
+of any name, somewhere in ``src/`` or ``bench/``.  A result field that
+only the tests read is work done for the tests.
 """
 
 import ast
@@ -38,6 +45,9 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # argparse calls it; no file names it
 CALLED_BY_LIBRARIES = {"cli._Parser.error"}
+# intermediate structure the tests inspect
+READ_BY_TESTS = {"ucca.UccaSerialization.slot_of_node",
+                 "ucca.NodeStates.pre_positional"}
 
 
 def unused_imports(source):
@@ -71,18 +81,25 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(src) == [(1, "os"), (3, "d")]
 
 
+def is_classlevel(fn):
+    """Whether ``fn`` is a classmethod or staticmethod."""
+    return any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+               for d in fn.decorator_list)
+
+
 def public_definitions(tree):
-    """(qualified name, name) of each public module-level function and
-    class of ``tree``, and of each public method of its classes."""
+    """(qualified name, name, classmethod or staticmethod) of each public
+    module-level function and class of ``tree``, and of each public
+    method of its classes."""
     out = []
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            out.append((node.name, node.name))
+            out.append((node.name, node.name, False))
         if isinstance(node, ast.ClassDef):
-            out.extend((f"{node.name}.{sub.name}", sub.name) for sub in node.body
-                       if isinstance(sub, ast.FunctionDef)
+            out.extend((f"{node.name}.{sub.name}", sub.name, is_classlevel(sub))
+                       for sub in node.body if isinstance(sub, ast.FunctionDef)
                        and not sub.name.startswith("_"))
     return out
 
@@ -168,11 +185,62 @@ def module_aliases(tree):
     return out
 
 
+def imported_names(tree):
+    """{name: "module.original name"} of each name ``tree`` imports out
+    of a package module."""
+    return {a.asname or a.name: f"{package_module(node)}.{a.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and package_module(node)
+            for a in node.names}
+
+
+def module_names(tree, module):
+    """(module aliases, imported names, "module.Class" of each
+    module-level class) of ``tree``, the names a reference resolves
+    through."""
+    return (module_aliases(tree), imported_names(tree),
+            {n.name: f"{module}.{n.name}" for n in tree.body
+             if isinstance(n, ast.ClassDef)})
+
+
+def class_home(target, names):
+    """"module.Class" of the package that the expression ``target``
+    names through its module, or None; ``names`` is
+    :func:`module_names` of the module it is in."""
+    aliases, imported, classes = names
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+        home = aliases.get(target.value.id)
+        return home and f"{home}.{target.attr}"
+    if isinstance(target, ast.Name):
+        return classes.get(target.id) or imported.get(target.id)
+    return None
+
+
+def class_reads(tree, module):
+    """"module.Class.attr" of each attribute ``tree`` reads through a
+    class: ``Class.attr`` anywhere, ``cls.attr`` or ``self.attr`` inside
+    the class."""
+    names = module_names(tree, module)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            home = class_home(node.value, names)
+            if home:
+                reads.add(f"{home}.{node.attr}")
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            reads |= {f"{module}.{cls.name}.{node.attr}" for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in ("cls", "self")}
+    return reads
+
+
 def unread_public_names(sources, scope):
     """Qualified names of the public definitions of the modules ``scope``
     that no source of ``sources`` ({module: text}) reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    attrs, qualified = set(), set()
+    attrs, qualified, through_class = set(), set(), set()
     for module, tree in trees.items():
         aliases = module_aliases(tree)
         for node in ast.walk(tree):
@@ -183,10 +251,16 @@ def unread_public_names(sources, scope):
             elif isinstance(node, ast.ImportFrom) and package_module(node):
                 qualified |= {f"{package_module(node)}.{a.name}" for a in node.names}
         qualified |= {f"{module}.{name}" for name in global_reads(tree)}
+        through_class |= class_reads(tree, module)
+
+    def read(module, qual, name, classlevel):
+        if classlevel:
+            return f"{module}.{qual}" in through_class
+        return name in attrs if "." in qual else f"{module}.{name}" in qualified
+
     return sorted(f"{module}.{qual}" for module in scope
-                  for qual, name in public_definitions(trees[module])
-                  if (name not in attrs if "." in qual
-                      else f"{module}.{name}" not in qualified))
+                  for qual, name, classlevel in public_definitions(trees[module])
+                  if not read(module, qual, name, classlevel))
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -210,6 +284,28 @@ def test_scan_flags_an_unread_public_name():
         ["a.K", "a.K.m", "a.dead", "a.shadowed"]
 
 
+def test_scan_reads_a_classmethod_only_through_its_class():
+    sources = {
+        "a": ("class K:\n"
+              "    @classmethod\n    def by_cls(cls):\n        return cls.inner()\n"
+              "    @staticmethod\n    def inner():\n        pass\n"
+              "    @classmethod\n    def by_name(cls):\n        pass\n"
+              "    @classmethod\n    def by_alias(cls):\n        pass\n"
+              "    @classmethod\n    def by_import(cls):\n        pass\n"
+              "    @classmethod\n    def by_instance(cls):\n        pass\n"
+              "    def m(self):\n        return self.by_self()\n"
+              "    @staticmethod\n    def by_self():\n        pass\n\n"
+              "class L:\n    @classmethod\n    def by_instance(cls):\n"
+              "        pass\n\n"
+              "def f(k):\n    return K.by_name(), k.by_instance(), k.m()\n"),
+        "b": ("from .a import K as J\nfrom . import a\n\n"
+              "J.by_import()\na.K.by_alias()\na.K.by_cls()\n"
+              "a.L().by_instance()\na.f(a.K())\n"),
+    }
+    assert unread_public_names(sources, ["a"]) == \
+        ["a.K.by_instance", "a.L.by_instance"]
+
+
 def defaulted(fn):
     """{parameter: position a call passes it at, or None when only by
     keyword} of each defaulted parameter of ``fn``, ``self`` or ``cls``
@@ -227,14 +323,17 @@ def defaulted(fn):
 def functions_and_calls(tree, module):
     """The functions of ``tree`` as (qualified name, def, module-level
     function or method, method), and its calls as (call, enclosing defs
-    innermost first, ``module``)."""
+    innermost first, ``module``).  A constructor's qualified name is its
+    class's, "module.Class"."""
     defs, calls = [], []
 
     def visit(node, prefix, enclosing, top):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
-                qual = f"{prefix}{child.name}"
-                defs.append((qual, child, top, isinstance(node, ast.ClassDef)))
+                method = isinstance(node, ast.ClassDef)
+                qual = prefix[:-1] if method and child.name == "__init__" \
+                    else f"{prefix}{child.name}"
+                defs.append((qual, child, top, method))
                 visit(child, f"{qual}.", (child,) + enclosing, False)
                 continue
             if isinstance(child, ast.Call):
@@ -251,15 +350,26 @@ def reaches(call, module, qual, top, method, bound):
     ``qual``: a method as an attribute of any name; any other function
     by its bare name inside its module; a module-level function also
     as an imported name or an attribute of its module.  ``bound`` maps
-    each module to its (module aliases, names imported from modules)."""
+    each module to its :func:`module_names`."""
     home = qual.split(".")[0]
-    aliases, imported = bound[module]
+    aliases, imported, _ = bound[module]
     if isinstance(call.func, ast.Attribute):
         target = call.func.value
         return method or top and isinstance(target, ast.Name) and \
             aliases.get(target.id) == home
     return not method and (module == home
-                           or top and imported.get(call.func.id) == home)
+                           or top and imported.get(call.func.id) == qual)
+
+
+def constructs(call, module, cls, enclosing, bound, classmethods):
+    """Whether ``call``, made in ``module`` inside the defs ``enclosing``,
+    builds the package class ``cls`` ("module.Class"): through the
+    class's name, or as ``cls(...)`` in one of its ``classmethods``
+    ({"module.Class": defs})."""
+    if isinstance(call.func, ast.Name) and call.func.id == "cls":
+        owner = next((f for f in enclosing if "cls" in local_names(f)), None)
+        return owner in classmethods.get(cls, ())
+    return class_home(call.func, bound[module]) == cls
 
 
 def passed_value(call, name, position):
@@ -274,32 +384,45 @@ def passed_value(call, name, position):
     return None
 
 
-def is_dunder(fn):
-    return fn.name.startswith("__") and fn.name.endswith("__")
+def has_options(fn):
+    """Whether the defaulted parameters of ``fn`` are options: any
+    function but a dunder method other than ``__init__``."""
+    return fn.name == "__init__" or not (
+        fn.name.startswith("__") and fn.name.endswith("__"))
 
 
 def unset_options(sources, scope):
     """"module.function(parameter)" of each defaulted parameter of a
-    module-level function or method of the modules ``scope`` that no
-    call in ``sources`` ({module: text}) sets."""
+    module-level function, method or constructor of the modules
+    ``scope`` that no call in ``sources`` ({module: text}) sets; a
+    constructor is named by its class, "module.Class(parameter)"."""
     defs, calls, bound = [], [], {}
     for module, text in sources.items():
         tree = ast.parse(text)
         more_defs, more_calls = functions_and_calls(tree, module)
         defs += more_defs
         calls += more_calls
-        bound[module] = (module_aliases(tree), {
-            a.asname or a.name: package_module(node) for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) for a in node.names})
-    by_name = {}
+        bound[module] = module_names(tree, module)
+    by_name, classmethods = {}, {}
     for qual, fn, top, method in defs:
-        by_name.setdefault(fn.name, []).append((qual, fn, top, method))
+        if fn.name != "__init__":
+            by_name.setdefault(fn.name, []).append((qual, fn, top, method))
+        elif top and method:
+            for name in (qual.split(".")[-1], "cls"):
+                by_name.setdefault(name, []).append((qual, fn, top, method))
+        if method and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                          for d in fn.decorator_list):
+            classmethods.setdefault(qual.rsplit(".", 1)[0], set()).add(fn)
     qual_of = {fn: qual for qual, fn, _, _ in defs}
     live, needs = set(), {}  # needs: option -> the options it forwards
     for call, enclosing, module in calls:
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
         for qual, fn, top, method in by_name.get(name, ()):
-            if not reaches(call, module, qual, top, method, bound):
+            if fn.name == "__init__":
+                if not constructs(call, module, qual, enclosing, bound,
+                                  classmethods):
+                    continue
+            elif not reaches(call, module, qual, top, method, bound):
                 continue
             for param, position in defaulted(fn).items():
                 value = passed_value(call, param, position)
@@ -308,7 +431,7 @@ def unset_options(sources, scope):
                 option = f"{qual}({param})"
                 owner = isinstance(value, ast.Name) and next(
                     (f for f in enclosing if value.id in local_names(f)), None)
-                if owner and not is_dunder(owner) and value.id in defaulted(owner):
+                if owner and has_options(owner) and value.id in defaulted(owner):
                     needs.setdefault(option, set()).add(
                         f"{qual_of[owner]}({value.id})")
                 else:
@@ -321,7 +444,7 @@ def unset_options(sources, scope):
                 live.add(option)
                 grown = True
     return sorted(f"{qual}({param})" for qual, fn, top, _ in defs
-                  if top and not is_dunder(fn) and qual.split(".")[0] in scope
+                  if top and has_options(fn) and qual.split(".")[0] in scope
                   for param in defaulted(fn) if f"{qual}({param})" not in live)
 
 
@@ -344,7 +467,65 @@ def test_scan_flags_an_unset_option():
         "    def step(self, cap=None):\n        pass\n"
         "    def run(self):\n        self.step(3)\n"),
         "b": ("from . import a\n\ndef step(cap=None):\n    pass\n\n"
-              "def go():\n    a.leaf(0, unset=1)\n")}
+              "def go():\n    a.leaf(0, unset=1)\n    a.K(2)\n")}
     assert unset_options(sources, {"a", "b"}) == [
         "a.leaf(chained)", "a.leaf(nested)", "a.leaf(via_kwargs)",
         "a.middle(chained)", "b.step(cap)"]
+
+
+def test_scan_flags_an_unset_constructor_option():
+    sources = {"a": (
+        "class K:\n    def __init__(self, x, by_name=1, by_alias=2, by_cls=3,\n"
+        "                 forwarded=4, unset=5):\n        pass\n"
+        "    @classmethod\n    def build(cls):\n        return cls(0, by_cls=6)\n"
+        "    @staticmethod\n    def other():\n        cls = print\n"
+        "        cls(0, unset=7)\n\n"
+        "class L:\n    def __init__(self, width=1):\n"
+        "        K(0, forwarded=width)\n\n"
+        "def make():\n    return K(0, by_name=8)\n"),
+        "b": ("from . import a\nfrom .a import L\n\n"
+              "def go(k):\n    a.K(0, by_alias=9)\n    L(width=2)\n"
+              "    k.__init__(0, unset=10)\n")}
+    assert unset_options(sources, {"a", "b"}) == ["a.K(unset)"]
+
+
+def is_dataclass(cls):
+    """Whether the class ``cls`` is decorated with ``dataclass``."""
+    for d in cls.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources, scope):
+    """"module.Class.field" of each dataclass field of the modules
+    ``scope`` that no source of ``sources`` ({module: text}) reads as an
+    attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{cls.name}.{field.target.id}"
+                  for module in scope for cls in trees[module].body
+                  if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+                  for field in cls.body if isinstance(field, ast.AnnAssign)
+                  and field.target.id not in read)
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE + BENCH}
+    unread = set(unread_fields(sources, [p.stem for p in PACKAGE]))
+    assert sorted(unread - READ_BY_TESTS) == []
+    assert READ_BY_TESTS <= unread  # an entry that gained a reader goes
+
+
+def test_scan_flags_an_unread_field():
+    sources = {
+        "a": ("from dataclasses import dataclass\nimport dataclasses\n\n"
+              "@dataclass\nclass P:\n    read: int\n    written: int = 0\n\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Q:\n    unread: int\n\n"
+              "class Plain:\n    ignored: int\n\n"
+              "def f(p):\n    p.written = p.read\n    return Q(1)\n"),
+        "b": "def g(x):\n    return x.other.read\n",
+    }
+    assert unread_fields(sources, ["a"]) == ["a.P.written", "a.Q.unread"]

@@ -203,10 +203,13 @@ def fake_encoder_output(rng, n_pos, hidden, requires_grad=False):
     return EncoderOutput(layers=[states], finals=[f])
 
 
-def make_decoder(hidden, seed=0, **kw):
+def make_decoder(hidden, seed=0, att_dim=ucca.ATT_DIM, bullet_dim=ucca.BULLET_DIM):
     params = ad.ParamSet()
     rng = np.random.default_rng(seed)
-    dec = ucca.UccaDecoder(params, "dec", hidden, 1, rng, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ucca, "ATT_DIM", att_dim)
+        mp.setattr(ucca, "BULLET_DIM", bullet_dim)
+        dec = ucca.UccaDecoder(params, "dec", hidden, 1, rng)
     return dec, params
 
 
@@ -227,7 +230,12 @@ class TestPointerDecoder:
         gold = (3, 5, 2, 0)
         out = ucca.pointer_decode(enc, dec, gold_pointers=gold)
         assert out.pointers == gold
-        assert out.fed_positions == (0,) + gold[:-1]
+        # step t reads the <ROOT> state, then gold pointer t - 1
+        fed = ad.rows(enc.top, (0,) + gold[:-1])
+        h, c = dec.init_state(enc.finals)
+        hs, _ = dec.cell.sequence(fed, h0=h, c0=c)
+        want = dec.attend(hs, dec.keys(enc.top))
+        assert out.logits.data.tobytes() == want.data.tobytes()
 
     def test_free_running_terminates_in_range(self):
         rng = np.random.default_rng(3)
