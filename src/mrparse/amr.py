@@ -12,7 +12,7 @@ everything.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -414,7 +414,9 @@ class AmrDecoder:
 
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
-    switch; the decoder-copy segment is masked while empty.  Decoding
+    switch; the decoder-copy segment is masked while empty.  The LSTM
+    state is two lists, ``h`` and ``c``, of one (k, H) tensor per layer,
+    bottom first; the mixture reads the top layer, ``h[-1]``.  Decoding
     advances k hypotheses of equal length together, one row each, as k
     LSTM sequences of length 1 (:meth:`step`); teacher forcing runs the
     whole gold sequence at once (:func:`run_teacher_forced`).  Both run
@@ -444,18 +446,14 @@ class AmrDecoder:
         self.switch = Linear(params, f"{name}.switch", hidden, 3, rng)
 
     def initial(self, finals):
-        """Initial input and LSTM state from the top-layer boundary states."""
+        """Initial input ``x0`` (1, F) and per-layer state lists ``h`` and
+        ``c`` of (1, H) tensors, all sliced by one split from one MLP
+        over the encoder's top-layer boundary states."""
         f = finals[-1]
         packed = self.init_mlp(ad.concat([f.h_fwd, f.h_bwd, f.c_fwd, f.c_bwd], axis=1))
-        w = self.hidden * self.n_layers
-        x0, h, c = ad.split(packed, [self.feat_width, w, w], axis=1)
-        return x0, h, c
-
-    def top(self, h):
-        """Top-layer slice of a stacked hidden state; identity when flat."""
-        if self.n_layers == 1:
-            return h
-        return ad.split(h, [self.hidden] * self.n_layers, axis=1)[-1]
+        n = self.n_layers
+        parts = ad.split(packed, [self.feat_width] + [self.hidden] * (2 * n), axis=1)
+        return parts[0], parts[1:n + 1], parts[n + 1:]
 
     def source_keys(self, token_states):
         """Projected attention keys of the source tokens, (L, ATT_DIM)."""
@@ -463,30 +461,22 @@ class AmrDecoder:
 
     def step(self, x, h, c, src_keys, hist_keys):
         """Advance k hypotheses of equal length s by one node; returns
-        (h, c, p) as (k, ·) rows, p being the (k, L + s + V) mixture.
+        (h, c, p), p being the (k, L + s + V) mixture.
 
-        ``x`` is (k, F); ``h`` and ``c`` are (k, H·layers), the layers
-        side by side; the mixture reads only the top layer.
-        ``src_keys`` is :meth:`source_keys` (L, att) of the token states
-        without the <ROOT> row, shared by all rows.  ``hist_keys`` is
-        (k, s, att), row i holding the keys of hypothesis i's previous
-        top-layer states, each ``top(h) @ hist.enc``; None while s = 0.
+        ``x`` is (k, F); ``h`` and ``c`` are lists of one (k, H) tensor
+        per layer, as :meth:`initial` gives them and as returned; the
+        mixture reads only the top layer.  ``src_keys`` is
+        :meth:`source_keys` (L, att) of the token states without the
+        <ROOT> row, shared by all rows.  ``hist_keys`` is (k, s, att), row
+        i holding the keys of hypothesis i's previous top-layer states,
+        each ``h[-1] @ hist.enc``; None while s = 0.
         """
-        if self.n_layers == 1:
-            hs, cs = [h], [c]
-        else:
-            hs = ad.split(h, [self.hidden] * self.n_layers, axis=1)
-            cs = ad.split(c, [self.hidden] * self.n_layers, axis=1)
-        cur = x
-        new_h, new_c = [], []
-        for l, cell in enumerate(self.cells):
-            hl, cl = cell.step(cur, hs[l], cs[l])
-            new_h.append(hl)
-            new_c.append(cl)
-            cur = hl
-        h2 = new_h[0] if self.n_layers == 1 else ad.concat(new_h, axis=1)
-        c2 = new_c[0] if self.n_layers == 1 else ad.concat(new_c, axis=1)
-        p, _ = self._mixture(new_h[-1], src_keys, hist_keys,
+        cur, h2, c2 = x, [], []
+        for cell, h_in, c_in in zip(self.cells, h, c):
+            cur, c_out = cell.step(cur, h_in, c_in)
+            h2.append(cur)
+            c2.append(c_out)
+        p, _ = self._mixture(cur, src_keys, hist_keys,
                              gate_bias=_NO_HISTORY if hist_keys is None else None)
         return h2, c2, p
 
@@ -566,8 +556,8 @@ def run_teacher_forced(ctx, gold, train=False, rng=None):
     Every input is known before the first step (the initial input, then
     the gold nodes), so the n + 1 steps run as whole-sequence ops: one
     :func:`node_features` batch, one :func:`autodiff.lstm_sequence` per
-    layer from its slice of the initial state, one source attention and
-    one history attention over ``top(h)[:n] @ hist.enc``, masked so that
+    layer from its initial state, one source attention and one history
+    attention over the top layer's ``h[:n] @ hist.enc``, masked so that
     step i sees the nodes before it.  Returns the (n + 1, L + n + V)
     mixture rows, whose vocabulary segment starts at L + n on every row
     (:func:`decoder_loss` maps the gold indices), the (n + 1, L) source
@@ -583,18 +573,13 @@ def run_teacher_forced(ctx, gold, train=False, rng=None):
     x0, h0, c0 = dec.initial(ctx.finals)
     poses = [None if j is None else ctx.xpos[j] for j in gold.src_token]
     cur = ad.concat([x0, node_features(ctx.encoder, gold.labels, poses)], axis=0)
-    if layers == 1:
-        h0s, c0s = [h0], [c0]
-    else:
-        h0s = ad.split(h0, [hsz] * layers, axis=1)
-        c0s = ad.split(c0, [hsz] * layers, axis=1)
     drop = train and dec.dropout > 0.0 and layers > 1
     if drop:
         draws = rng.random((n + 1, layers - 1, hsz))
     for l, cell in enumerate(dec.cells):
         if l > 0 and drop:
             cur = ad.mul(cur, (draws[:, l - 1] >= dec.dropout) / (1.0 - dec.dropout))
-        cur, _ = cell.sequence(cur, h0=h0s[l], c0=c0s[l])
+        cur, _ = cell.sequence(cur, h0=h0[l], c0=c0[l])
     states = ad.split(cur, [n, 1], axis=0)[0]
     gate_bias = np.zeros((n + 1, 3))
     gate_bias[0, 1] = -1e30  # step 0 has no history to copy from
@@ -661,78 +646,51 @@ def amr_edge_loss(scores, tree):
 
 @dataclass
 class AmrGeneration:
+    """A node sequence, the one record of both the beam's hypotheses and
+    the decode it returns.  ``states`` holds each node's top-layer
+    decoder state: during the search as a (batched step output, row)
+    pair, in the returned generation as the (1, H) row, sliced out once."""
     labels: tuple
-    kinds: tuple       # "src" | "dec" | "vocab" per node
     copy_of: tuple
     src_token: tuple
-    states: list       # decoder state per node
+    states: tuple
     log_prob: float
     truncated: bool = False
 
 
-def _normalized(log_prob, n_nodes):
-    """Log-probability per step, the closing step included."""
-    return log_prob / max(1, n_nodes + 1)
-
-
-@dataclass
-class _Hyp:
-    """A hypothesis of the beam.  Its node states are kept as (batched
-    step output, row) pairs and sliced out only for the generation
-    finally returned."""
-    labels: tuple = ()
-    kinds: tuple = ()
-    copy_of: tuple = ()
-    src_token: tuple = ()
-    states: tuple = ()
-    log_prob: float = 0.0
-    truncated: bool = False
-
-
-def _to_generation(hyp):
-    return AmrGeneration(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                         [ad.rows(t, [j]) for t, j in hyp.states], hyp.log_prob,
-                         truncated=hyp.truncated)
-
-
 def _decode_index(ctx, idx, labels):
-    """Resolve a mixture index to (kind, label, copy_of, src_token, pos)."""
+    """Resolve a mixture index to (label, copy_of, src_token)."""
     L = len(ctx.lemmas)
     if idx < L:
-        return "src", ctx.lemmas[idx], None, idx, ctx.xpos[idx]
+        return ctx.lemmas[idx], None, idx
     if idx < L + len(labels):
-        return "dec", labels[idx - L], idx - L, None, None
-    return "vocab", ctx.vocab.labels[idx - L - len(labels)], None, None, None
+        return labels[idx - L], idx - L, None
+    return ctx.vocab.labels[idx - L - len(labels)], None, None
 
 
 def _grow(ctx, hyp, idx, logp, top, row):
     """``hyp`` extended by the node at mixture index ``idx``, its state
     being row ``row`` of the step's top-layer states ``top``."""
-    kind, label, copy, src, _ = _decode_index(ctx, idx, hyp.labels)
-    return _Hyp(hyp.labels + (label,), hyp.kinds + (kind,),
-                hyp.copy_of + (copy,), hyp.src_token + (src,),
-                hyp.states + ((top, row),), logp)
+    label, copy, src = _decode_index(ctx, idx, hyp.labels)
+    return AmrGeneration(hyp.labels + (label,), hyp.copy_of + (copy,),
+                         hyp.src_token + (src,), hyp.states + ((top, row),), logp)
 
 
-def _close(hyp, logp):
-    """``hyp`` finished by the END step; node states exclude that step."""
-    return _Hyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
-                hyp.states, logp)
-
-
-def _next_inputs(ctx, hyps, parents, h, c, top, hist_keys):
+def _next_inputs(ctx, hyps, parents, h, c, hist_keys):
     """Batched decoder inputs for ``hyps``, hypothesis i grown from row
-    ``parents[i]`` of the last step: its parent's (h, c), the feature of
-    its new node, and its parent's history keys plus the key of the new
-    node, ``top(h) @ hist.enc`` for all rows in one product."""
+    ``parents[i]`` of the last step: its parent's rows of every layer's
+    (h, c), the feature of its new node, and its parent's history keys
+    plus the key of the new node, ``h[-1] @ hist.enc`` for all rows in
+    one product."""
     poses = [None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]]
              for hyp in hyps]
     x = node_features(ctx.encoder, [hyp.labels[-1] for hyp in hyps], poses)
-    new_keys = ad.matmul(ad.rows(top, parents), ctx.decoder.hist_enc)
+    new_keys = ad.matmul(ad.rows(h[-1], parents), ctx.decoder.hist_enc)
     new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
     if hist_keys is not None:
         new_keys = ad.concat([ad.rows(hist_keys, parents), new_keys], axis=1)
-    return x, ad.rows(h, parents), ad.rows(c, parents), new_keys
+    return (x, [ad.rows(t, parents) for t in h], [ad.rows(t, parents) for t in c],
+            new_keys)
 
 
 def default_cap(n_tokens):
@@ -752,7 +710,7 @@ def greedy_decode(ctx):
     keys = dec.source_keys(ctx.token_states)
     x, h, c = dec.initial(ctx.finals)
     hist_keys = None
-    hyp = _Hyp()
+    hyp = AmrGeneration((), (), (), (), 0.0)
     for step in range(cap + 1):
         h, c, p = dec.step(x, h, c, keys, hist_keys)
         row = p.data[0]
@@ -763,12 +721,13 @@ def greedy_decode(ctx):
             idx = int(order[1])  # empty graphs are not a thing
         logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
         if idx == end_at:
-            return _to_generation(_close(hyp, logp))
-        top = dec.top(h)
-        hyp = _grow(ctx, hyp, idx, logp, top, 0)
-        x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, top, hist_keys)
-    hyp.truncated = True
-    return _to_generation(hyp)
+            hyp.log_prob = logp
+            break
+        hyp = _grow(ctx, hyp, idx, logp, h[-1], 0)
+        x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, hist_keys)
+    else:
+        hyp.truncated = True
+    return replace(hyp, states=tuple(ad.rows(t, [j]) for t, j in hyp.states))
 
 
 def beam_search(ctx, width=BEAM_WIDTH):
@@ -781,7 +740,9 @@ def beam_search(ctx, width=BEAM_WIDTH):
     :meth:`AmrDecoder.step`.  A candidate is only its parent row,
     mixture index and log-probability; node features and history keys
     are built in one batch for the ``width`` candidates that survive the
-    cut, each hypothesis carrying its own history-key rows.
+    cut, each hypothesis carrying its own history-key rows.  Hypotheses
+    are :class:`AmrGeneration` records; only the winner's state rows are
+    sliced out.
 
     Candidates are enumerated and ranked as by one step per hypothesis:
     beams in order, a stable argsort per row, a stable sort on the
@@ -799,11 +760,10 @@ def beam_search(ctx, width=BEAM_WIDTH):
     keys = dec.source_keys(ctx.token_states)
     x, h, c = dec.initial(ctx.finals)
     hist_keys = None
-    beams = [_Hyp()]
+    beams = [AmrGeneration((), (), (), (), 0.0)]
     done = []
     for step in range(cap + 1):
         h, c, p = dec.step(x, h, c, keys, hist_keys)
-        top = dec.top(h)
         end_at = L + step + ctx.vocab.end_index
         orders = np.argsort(-p.data, axis=1, kind="stable")[:, : width + 1]
         candidates = []  # (log prob, parent row, mixture index)
@@ -815,24 +775,24 @@ def beam_search(ctx, width=BEAM_WIDTH):
                 if idx == end_at:
                     if step == 0:
                         continue  # empty graphs are not a thing
-                    done.append(_close(hyp, logp))
+                    done.append(replace(hyp, log_prob=logp))
                     continue
                 candidates.append((logp, j, idx))
         survivors = sorted(candidates, key=lambda cand: -cand[0])[:width]
         parents = [j for _, j, _ in survivors]
-        beams = [_grow(ctx, beams[j], idx, logp, top, j)
+        beams = [_grow(ctx, beams[j], idx, logp, h[-1], j)
                  for logp, j, idx in survivors]
         if not beams:
             break
-        x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, top,
-                                          hist_keys)
+        x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, hist_keys)
     if not done:
         for hyp in beams:
             hyp.truncated = True
         done = beams
-    return _to_generation(max(
-        done, key=lambda h: (_normalized(h.log_prob, len(h.labels)),
-                             -len(h.labels), tuple(h.labels))))
+    # log-probability per step, the closing step included
+    best = max(done, key=lambda g: (g.log_prob / max(1, len(g.labels) + 1),
+                                    -len(g.labels), g.labels))
+    return replace(best, states=tuple(ad.rows(t, [j]) for t, j in best.states))
 
 
 # ---------------------------------------------------------------------------

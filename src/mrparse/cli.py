@@ -224,7 +224,11 @@ def _resolve_config(args):
     doc = base.to_json()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            doc.update(json.load(fh))
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: settings must be a JSON object, "
+                             f"not {type(overrides).__name__}")
+        doc.update(overrides)
     try:
         cfg = TrainConfig.from_json(doc)
     except ValueError as err:  # only the file's settings can be at fault
@@ -244,9 +248,16 @@ def _resolve_split(args, sentences, seed):
         doc = json.load(fh)
     by_id = {s.id: s for s in sentences}
 
+    names = ("train", "val_i", "val_ii")
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(n), dict) for n in names)):
+        raise ValueError(f"{args.split}: not an id-list file written by `mrparse split`")
+
     def part(name):
         out = {}
         for fw, ids in doc[name].items():
+            if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+                raise ValueError(f"{args.split}: {name}/{fw} is not a list of "
+                                 f"sentence ids")
             missing = [i for i in ids if i not in by_id]
             if missing:
                 raise ValueError(f"{args.split}: {name}/{fw} lists unknown "

@@ -125,10 +125,15 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc):
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        known = {f.name: f.default for f in fields(cls)}
+        unknown = set(doc) - set(known)
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        for name, value in doc.items():  # as JSON: a list for the tuple
+            kind = type(known[name])
+            if isinstance(value, bool) or not isinstance(
+                    value, {tuple: list, float: (int, float)}.get(kind, kind)):
+                raise ValueError(f"{name} must be {kind.__name__}, not {value!r}")
         doc = dict(doc)
         if "frameworks" in doc:
             doc["frameworks"] = tuple(doc["frameworks"])
@@ -206,8 +211,11 @@ def multitask_config():
 def fine_tune_config(framework, bug_compatible=False):
     """Continuation recipe applied after multi-task pretraining.
 
-    ``bug_compatible`` replays the faulty DM/PSD learning rate and
-    momentum pair instead of the corrected per-framework values.
+    UCCA and AMR continue with their single-framework recipes; the
+    architecture fields come from the pretrained model
+    (``training.ARCH_FIELDS``).  ``bug_compatible`` replays the faulty
+    DM/PSD learning rate and momentum pair instead of the corrected
+    per-framework values.
     """
     if framework in SDP_PAIR:
         lr = 0.001 if bug_compatible else single_config(framework).lr
@@ -218,21 +226,7 @@ def fine_tune_config(framework, bug_compatible=False):
             frame_dropout=0.55, label_dropout=0.33,
             lr=lr, beta1=b1, beta2=b2, lam_label=0.025, lam_frame=0.5,
             epochs=50, batch_size=64)
-    if framework == "ucca":
-        # 0.3 edge + 0.3 label + 0.2 remote + 0.2 pointer, as _UCCA_LOSS
-        return TrainConfig(
-            frameworks=("ucca",), word_drop=0.1, pos_drop=0.1, lemma_drop=0.4,
-            encoder_dropout=0.5, biaffine_input_dropout=0.2,
-            label_dropout=0.25, decoder_dropout=0.5,
-            lr=0.00117, beta1=0.0, beta2=0.95,
-            epochs=40, batch_size=100, **_UCCA_LOSS)
-    if framework == "amr":
-        # 0.39 biaffine + 0.339 coverage + the remainder on the generator
-        return TrainConfig(
-            frameworks=("amr",), word_drop=0.1, pos_drop=0.2, lemma_drop=0.2,
-            encoder_dropout=0.1, biaffine_input_dropout=0.2,
-            label_dropout=0.33, decoder_dropout=0.33,
-            lr=0.00059, beta1=0.0, beta2=0.95,
-            epochs=50, batch_size=64, **_AMR_LOSS)
+    if framework in ("ucca", "amr"):
+        return single_config(framework)
     raise ValueError(f"no continuation recipe for framework {framework!r}")
 

@@ -70,12 +70,17 @@ class ConversionRuleSet:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(f"a rule set is a JSON object, not {type(doc).__name__}")
         for key, value in FIXED_KEYS.items():
             if doc.get(key, value) is not value:
                 raise ValueError(f"rule key {key!r} must be "
                                  f"{json.dumps(value)}, not {json.dumps(doc[key])}")
         rules = [SurfaceRule(tuple(sorted(r.get("match", {}).items())), r["template"])
                  for r in doc.get("surface", [])]
+        for r in rules:
+            if not isinstance(r.template, str):
+                raise ValueError(f"surface rule template {r.template!r} is not a string")
         implications = [Implication(i["if_label"], i["add_label"], i["edge"],
                                     i.get("direction", "abstract_to_node"))
                         for i in doc.get("implications", [])]

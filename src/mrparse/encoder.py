@@ -174,6 +174,8 @@ class ContextualEmbeddings:
             if tok_key in raw.files:
                 arr = _average_subwords(arr, np.asarray(raw[tok_key], dtype=np.int64))
             arrays[key] = arr
+        if not arrays:
+            raise ValueError(f"{path}: no contextual arrays")
         return cls(arrays)
 
     @property

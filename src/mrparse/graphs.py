@@ -98,24 +98,40 @@ def _anchor_from_json(obj):
     return Anchor(int(obj["from"]), int(obj["to"]))
 
 
+def _object(obj, what):
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _array(obj, key):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise FormatError(f"{key} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
 def _pairs_from_json(obj, names_key, values_key):
-    names = obj.get(names_key, [])
-    values = obj.get(values_key, [])
+    names, values = _array(obj, names_key), _array(obj, values_key)
     if len(names) != len(values):
         raise FormatError(f"{names_key}/{values_key} length mismatch")
+    if any(isinstance(v, (list, dict)) for v in names + values):
+        raise FormatError(f"{names_key}/{values_key} must hold scalars")
     return tuple(zip(names, values))
 
 
 def _node_from_json(obj):
+    obj = _object(obj, "node")
     return MrpNode(
         id=int(obj["id"]),
         label=obj.get("label"),
         properties=_pairs_from_json(obj, "properties", "values"),
-        anchors=tuple(_anchor_from_json(a) for a in obj.get("anchors", [])),
+        anchors=tuple(_anchor_from_json(a) for a in _array(obj, "anchors")),
     )
 
 
 def _edge_from_json(obj):
+    obj = _object(obj, "edge")
     return MrpEdge(
         source=int(obj["source"]),
         target=int(obj["target"]),
@@ -125,15 +141,16 @@ def _edge_from_json(obj):
 
 
 def graph_from_json(obj):
+    obj = _object(obj, "graph")
     try:
         g = MrpGraph(
             id=str(obj["id"]),
             flavor=int(obj.get("flavor", 0)),
             framework=obj["framework"],
             input=obj.get("input", ""),
-            tops=tuple(int(t) for t in obj.get("tops", [])),
-            nodes=tuple(_node_from_json(n) for n in obj.get("nodes", [])),
-            edges=tuple(_edge_from_json(e) for e in obj.get("edges", [])),
+            tops=tuple(int(t) for t in _array(obj, "tops")),
+            nodes=tuple(_node_from_json(n) for n in _array(obj, "nodes")),
+            edges=tuple(_edge_from_json(e) for e in _array(obj, "edges")),
         )
     except KeyError as e:
         raise FormatError(f"graph object missing key {e}") from None
@@ -155,7 +172,10 @@ def read_mrp(stream):
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"line {lineno}: malformed JSON ({e.msg})") from None
-        g = graph_from_json(obj)
+        try:
+            g = graph_from_json(obj)
+        except FormatError as e:
+            raise FormatError(f"line {lineno}: {e}") from None
         problems = validate_graph(g)
         if problems:
             raise FormatError(f"line {lineno}: {g.id}: " + "; ".join(problems))
@@ -239,6 +259,8 @@ def read_companion(stream):
         if line.startswith("#"):
             flush()
             current_id = line[1:].strip()
+            if current_id in sentences:
+                raise FormatError(f"line {lineno}: repeated sentence id {current_id}")
             current_rows = []
             continue
         if current_id is None:
@@ -372,12 +394,16 @@ def build_corpus(companion, graph_lists):
     """Join companion tokens with any number of per-framework graph lists.
 
     ``graph_lists`` is an iterable of MrpGraph lists (one per framework
-    file, but mixing is fine).  Sentence order follows the companion.
+    file, but mixing is fine).  Sentence order follows the companion.  A
+    (framework, id) pair given twice is refused.
     """
     by_sid = {}
     for graphs in graph_lists:
         for g in graphs:
-            by_sid.setdefault(g.id, {})[g.framework] = g
+            by_framework = by_sid.setdefault(g.id, {})
+            if g.framework in by_framework:
+                raise FormatError(f"repeated graph {g.framework}/{g.id}")
+            by_framework[g.framework] = g
     sentences = []
     for sid, rows in companion.items():
         sentences.append(Sentence(id=sid, tokens=tuple(rows), graphs=by_sid.get(sid, {})))

@@ -250,7 +250,6 @@ def reference_pointer_loss(rows, gold_pointers):
 @dataclass
 class RefHyp:
     labels: tuple = ()
-    kinds: tuple = ()
     copy_of: tuple = ()
     src_token: tuple = ()
     states: tuple = ()
@@ -262,7 +261,7 @@ class RefHyp:
 
 
 def _ref_generation(hyp):
-    return amr.AmrGeneration(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
+    return amr.AmrGeneration(hyp.labels, hyp.copy_of, hyp.src_token,
                              list(hyp.states), hyp.log_prob,
                              truncated=hyp.truncated)
 
@@ -297,22 +296,15 @@ def reference_amr_step(dec, x, h, c, token_states, history, train=False,
     """``amr.AmrDecoder.step`` of ``dec`` on raw token states, plus the
     source attention that teacher forcing's coverage loss reads; with
     ``train``, inter-layer dropout draws its mask from ``rng``."""
-    if dec.n_layers == 1:
-        hs, cs = [h], [c]
-    else:
-        hs = ad.split(h, [dec.hidden] * dec.n_layers, axis=1)
-        cs = ad.split(c, [dec.hidden] * dec.n_layers, axis=1)
     cur = x
     new_h, new_c = [], []
     for l, cell in enumerate(dec.cells):
         if l > 0 and train:
             cur = ad.dropout(cur, dec.dropout, rng)
-        hl, cl = cell.step(cur, hs[l], cs[l])
+        hl, cl = cell.step(cur, h[l], c[l])
         new_h.append(hl)
         new_c.append(cl)
         cur = hl
-    h2 = new_h[0] if dec.n_layers == 1 else ad.concat(new_h, axis=1)
-    c2 = new_c[0] if dec.n_layers == 1 else ad.concat(new_c, axis=1)
     hx = new_h[-1]
     a_src = ad.softmax(_reference_attend(hx, token_states, dec.src_dec,
                                          dec.src_enc, dec.src_v), axis=-1)
@@ -332,7 +324,7 @@ def reference_amr_step(dec, x, h, c, token_states, history, train=False,
     if a_hist is not None:
         parts.append(ad.mul(a_hist, g_hist))
     parts.append(ad.mul(vocab_p, g_voc))
-    return h2, c2, ad.concat(parts, axis=1), a_src
+    return new_h, new_c, ad.concat(parts, axis=1), a_src
 
 
 def reference_teacher_forced(ctx, gold, train=False, rng=None):
@@ -350,7 +342,7 @@ def reference_teacher_forced(ctx, gold, train=False, rng=None):
         attns.append(a_src)
         if i == n:
             break
-        states.append(ctx.decoder.top(h))
+        states.append(h[-1])
         pos = None
         if gold.src_token[i] is not None:
             pos = ctx.xpos[gold.src_token[i]]
@@ -393,13 +385,14 @@ def reference_greedy_decode(ctx):
             idx = int(order[1])
         logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
         if idx == end_at:
-            hyp = RefHyp(hyp.labels, hyp.kinds, hyp.copy_of, hyp.src_token,
+            hyp = RefHyp(hyp.labels, hyp.copy_of, hyp.src_token,
                          hyp.states, logp)
             return _ref_generation(hyp)
-        kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
-        hyp = RefHyp(hyp.labels + (label,), hyp.kinds + (kind,),
+        label, copy, src = amr._decode_index(ctx, idx, hyp.labels)
+        pos = None if src is None else ctx.xpos[src]
+        hyp = RefHyp(hyp.labels + (label,),
                      hyp.copy_of + (copy,), hyp.src_token + (src,),
-                     hyp.states + (ctx.decoder.top(h),), logp, h=h, c=c,
+                     hyp.states + (h[-1],), logp, h=h, c=c,
                      x=reference_node_feature(ctx.encoder, label, pos))
     hyp.truncated = True
     return _ref_generation(hyp)
@@ -428,14 +421,15 @@ def reference_beam_search(ctx, width=5):
                 if idx == end_at:
                     if step == 0:
                         continue
-                    done.append(RefHyp(hyp.labels, hyp.kinds, hyp.copy_of,
+                    done.append(RefHyp(hyp.labels, hyp.copy_of,
                                        hyp.src_token, hyp.states, logp))
                     continue
-                kind, label, copy, src, pos = amr._decode_index(ctx, idx, hyp.labels)
+                label, copy, src = amr._decode_index(ctx, idx, hyp.labels)
+                pos = None if src is None else ctx.xpos[src]
                 candidates.append(RefHyp(
-                    hyp.labels + (label,), hyp.kinds + (kind,),
+                    hyp.labels + (label,),
                     hyp.copy_of + (copy,), hyp.src_token + (src,),
-                    hyp.states + (ctx.decoder.top(h),), logp, h=h, c=c,
+                    hyp.states + (h[-1],), logp, h=h, c=c,
                     x=reference_node_feature(ctx.encoder, label, pos)))
         beams = sorted(candidates, key=lambda c: -c.log_prob)[:width]
         if not beams:

@@ -389,7 +389,7 @@ class TestDecoderMixture:
         ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("want", "dog"),
                           seed=3, dec_hidden=5, dec_layers=3)
         x, h, c = ctx.decoder.initial(ctx.finals)
-        assert h.data.shape == (1, 15) and c.data.shape == (1, 15)
+        assert [t.shape for t in h + c] == [(1, 5)] * 6
         tree = amr.dag_to_tree(reentrant_graph())
         gold = amr.gold_sequence(tree, ctx)
         p, attns, states = amr.run_teacher_forced(ctx, gold)
@@ -455,20 +455,19 @@ class TestDecoderMixture:
         gen = amr.beam_search(ctx, width=1)
         assert gen.labels == gold.labels
         assert gen.copy_of == gold.copy_of
-        assert gen.kinds[1] == "src" and gen.kinds[3] == "dec"
+        assert gen.src_token[1] is not None and gen.copy_of[3] is not None
 
 
 class TestBatchedStep:
-    """``AmrDecoder.step`` on k rows at once: (k, F) inputs, (k,
-    H·layers) states, shared source keys and per-row history keys."""
+    """``AmrDecoder.step`` on k rows at once: (k, F) inputs, one (k, H)
+    state per layer, shared source keys and per-row history keys."""
 
     def batch(self, ctx, k, s, seed):
         rng = np.random.default_rng(seed)
         dec = ctx.decoder
-        w = dec.hidden * dec.n_layers
         x = ad.Tensor(rng.normal(size=(k, dec.feat_width)), requires_grad=True)
-        h = ad.Tensor(rng.normal(size=(k, w)), requires_grad=True)
-        c = ad.Tensor(rng.normal(size=(k, w)), requires_grad=True)
+        h, c = ([ad.Tensor(rng.normal(size=(k, dec.hidden)), requires_grad=True)
+                 for _ in dec.cells] for _ in range(2))
         hist = None
         if s:
             hist = ad.Tensor(rng.normal(size=(k, s, dec.hist_enc.shape[1])),
@@ -483,21 +482,21 @@ class TestBatchedStep:
         dec = ctx.decoder
         x, h, c, hist = self.batch(ctx, k, s, seed=41)
         rng = np.random.default_rng(42)
-        state, width = dec.hidden * dec.n_layers, 3 + s + len(ctx.vocab)
+        width = 3 + s + len(ctx.vocab)
         proj = [rng.normal(size=shape) for shape in
-                ((k, state), (k, state), (k, width))]
+                [(k, dec.hidden)] * (2 * dec.n_layers) + [(k, width)]]
 
         def build():
-            outs = dec.step(x, h, c, dec.source_keys(ctx.token_states), hist)
+            h2, c2, p = dec.step(x, h, c, dec.source_keys(ctx.token_states), hist)
             total = ad.Tensor(0.0)
-            for out, w in zip(outs, proj):
+            for out, w in zip(h2 + c2 + [p], proj):
                 total = ad.add(total, scalarize(out, w))
             return total
 
         decoder_params = [params[name] for name in params.state_dict()
                           if name.startswith("amr.")
                           and not name.startswith("amr.init")]
-        leaves = [x, h, c, ctx.token_states] + decoder_params
+        leaves = [x, *h, *c, ctx.token_states] + decoder_params
         if hist is not None:
             leaves.append(hist)
         check_gradients(build, leaves)
@@ -510,13 +509,43 @@ class TestBatchedStep:
         dec = ctx.decoder
         keys = dec.source_keys(ctx.token_states)
         x, h, c, hist = self.batch(ctx, 3, 2, seed=44)
-        batched = dec.step(x, h, c, keys, hist)
+        h2, c2, p = dec.step(x, h, c, keys, hist)
         for j in range(3):
-            one = dec.step(ad.rows(x, [j]), ad.rows(h, [j]), ad.rows(c, [j]),
-                           keys, ad.rows(hist, [j]))
-            for b, o in zip(batched, one):
+            oh, oc, op = dec.step(ad.rows(x, [j]), [ad.rows(t, [j]) for t in h],
+                                  [ad.rows(t, [j]) for t in c], keys,
+                                  ad.rows(hist, [j]))
+            for b, o in zip(h2 + c2 + [p], oh + oc + [op]):
                 np.testing.assert_allclose(b.data[j:j + 1], o.data,
                                            rtol=0.0, atol=1e-12)
+
+    def test_each_layer_adds_one_cell_step(self, monkeypatch):
+        """Going from 1 to 3 layers adds to a step exactly the tensors of
+        two more ``LstmCell.step`` calls: no state is split or joined."""
+        counted = []
+        init = ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            counted.append(1)
+
+        def tensors(fn, *args):
+            monkeypatch.setattr(ad.Tensor, "__init__", counting)
+            fn(*args)
+            monkeypatch.setattr(ad.Tensor, "__init__", init)
+            n = len(counted)
+            counted.clear()
+            return n
+
+        built = {}
+        for layers in (1, 3):
+            ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=47,
+                              dec_hidden=4, dec_layers=layers)
+            dec = ctx.decoder
+            x, h, c, hist = self.batch(ctx, 3, 2, seed=48)
+            built[layers] = tensors(dec.step, x, h, c,
+                                    dec.source_keys(ctx.token_states), hist)
+        cell = tensors(dec.cells[1].step, h[0], h[1], c[1])
+        assert built[3] - built[1] == 2 * cell
 
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])
@@ -666,7 +695,7 @@ class TestBeamSearch:
             else:
                 lab, pos = ctx.vocab.labels[idx - L - len(labels)], None
             labels.append(lab)
-            states.append(h)
+            states.append(h[-1])
             x = amr.node_features(ctx.encoder, [lab], [pos if idx < L else None])
         return tuple(labels), logp, False
 
@@ -719,7 +748,7 @@ class TestBeamSearch:
                     lab, pos = ctx.vocab.labels[idx - L - n], None
                 recurse(amr.node_features(ctx.encoder, [lab],
                                           [pos if idx < L else None]),
-                        h2, c2, labels + (lab,), states + (h2,),
+                        h2, c2, labels + (lab,), states + (h2[-1],),
                         logp + float(np.log(row[idx])))
 
         recurse(x0, h0, c0, (), (), 0.0)
@@ -927,10 +956,9 @@ class TestDecodeGraph:
                           label_logits=ad.Tensor(logits),
                           n_positions=n, labels=list(labels))
 
-    def gen(self, labels, kinds=None, copy_of=None, src=None):
+    def gen(self, labels, copy_of=None, src=None):
         n = len(labels)
-        return amr.AmrGeneration(tuple(labels), tuple(kinds or ["vocab"] * n),
-                                 tuple(copy_of or [None] * n),
+        return amr.AmrGeneration(tuple(labels), tuple(copy_of or [None] * n),
                                  tuple(src or [None] * n), [], 0.0)
 
     def test_arborescence_and_labels(self):

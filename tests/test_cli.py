@@ -493,6 +493,79 @@ def test_split_feeds_train(ws, tmp_path):
     assert "model-amr.bundle" in os.listdir(out)
 
 
+@pytest.mark.parametrize("where", ["companion", "mrp"])
+def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
+    companion, mrps = ws["companion"], [ws["dm"]]
+    text = open(companion, encoding="utf-8").read()
+    first = text[:text.index("\n#")]  # the first sentence's block
+    sid = first.splitlines()[0][1:]
+    if where == "companion":
+        companion = str(tmp_path / "twice.tsv")
+        with open(companion, "w", encoding="utf-8") as fh:
+            fh.write(text + first + "\n")
+        want = f"error: line {len(text.splitlines()) + 1}: repeated sentence id {sid}"
+    else:
+        mrps, want = mrps * 2, f"error: repeated graph dm/{sid}"
+    out = tmp_path / "split.json"
+    argv = ["split", "--companion", companion, "--out", str(out)]
+    for path in mrps:
+        argv += ["--mrp", path]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [want]
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: exit 1 with one line, before anything is written
+
+MALFORMED = {  # case -> (the file it stands in for, its content)
+    "contextual-without-arrays": ("contextual", None),
+    "config-array": ("config", "[1, 2]"),
+    "config-string-width": ("config", '{"hidden": "big"}'),
+    "split-array": ("split", "[]"),
+    "split-integer-ids": ("split", '{"train": {"dm": [1]}, "val_i": {}, '
+                                   '"val_ii": {}}'),
+    "rules-array": ("rules", "[]"),
+    "rules-integer-template": ("rules", '{"surface": [{"template": 5}]}'),
+    "mrp-array": ("mrp", "[]"),
+    "mrp-integer-nodes": ("mrp", '{"id": "s", "framework": "dm", "nodes": 5}'),
+    "mrp-list-property": ("mrp", '{"id": "s", "framework": "dm", "nodes": '
+                                 '[{"id": 0, "properties": ["pos"], '
+                                 '"values": [["NN"]]}]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_input_file_is_one_line_error(ws, tmp_path, capsys, case):
+    kind, content = MALFORMED[case]
+    path = tmp_path / f"bad.{kind}"
+    with open(path, "wb") as fh:
+        if content is None:
+            np.savez(fh)
+        else:
+            fh.write(content.encode("utf-8") + b"\n")
+    out = tmp_path / "out"
+    if kind == "rules":
+        argv = ["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
+                "--rules", str(path), "--out", str(out)]
+    elif kind == "mrp":
+        argv = ["evaluate", "--gold", str(path), "--pred", ws["dm"],
+                "--out", str(out)]
+    else:
+        contextual = str(path) if kind == "contextual" else ws["contextual"]
+        argv = ["train", "--companion", ws["companion"], "--static", ws["static"],
+                "--contextual", contextual, "--regime", "single",
+                "--framework", "dm", "--scale", "0.02", "--epochs", "1",
+                "--out", str(out), "--mrp", ws["dm"], "--mrp", ws["psd"]]
+        if kind != "contextual":
+            argv += [f"--{kind}", str(path)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 

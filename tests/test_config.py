@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from mrparse import config as C
+from mrparse.training import ARCH_FIELDS
 
 
 class TestStockRecipes:
@@ -84,6 +85,37 @@ class TestFineTune:
         cfg = C.fine_tune_config("ucca")
         assert cfg.lemma_drop == 0.4 and cfg.pos_drop == 0.1
         assert cfg.epochs == 40
+
+    # every continuation recipe written out field by field
+    WRITTEN_OUT = {
+        "dm": C.TrainConfig(
+            frameworks=C.SDP_PAIR, word_drop=0.1, pos_drop=0.2, lemma_drop=0.2,
+            encoder_dropout=0.25, biaffine_input_dropout=0.45,
+            frame_dropout=0.55, label_dropout=0.33, lr=0.000858, beta1=0.9,
+            beta2=0.999, lam_label=0.025, lam_frame=0.5, epochs=50, batch_size=64),
+        "ucca": C.TrainConfig(
+            frameworks=("ucca",), word_drop=0.1, pos_drop=0.1, lemma_drop=0.4,
+            encoder_dropout=0.5, biaffine_input_dropout=0.2,
+            label_dropout=0.25, decoder_dropout=0.5,
+            lr=0.00117, beta1=0.0, beta2=0.95,
+            epochs=40, batch_size=100, **C._UCCA_LOSS),
+        "amr": C.TrainConfig(
+            frameworks=("amr",), word_drop=0.1, pos_drop=0.2, lemma_drop=0.2,
+            encoder_dropout=0.1, biaffine_input_dropout=0.2,
+            label_dropout=0.33, decoder_dropout=0.33,
+            lr=0.00059, beta1=0.0, beta2=0.95,
+            epochs=50, batch_size=64, **C._AMR_LOSS),
+    }
+    WRITTEN_OUT["psd"] = replace(WRITTEN_OUT["dm"], lr=0.000675)
+
+    @pytest.mark.parametrize("fw", ["dm", "psd", "ucca", "amr"])
+    def test_fine_tune_merges_the_written_out_recipe(self, fw):
+        """``training.fine_tune`` takes the architecture fields from the
+        pretrained model; the rest of its configuration is the recipe's."""
+        base = C.multitask_config().scaled()
+        arch = {f: getattr(base, f) for f in ARCH_FIELDS}
+        assert replace(C.fine_tune_config(fw), **arch) \
+            == replace(self.WRITTEN_OUT[fw], **arch)
 
 
 class TestValidation:

@@ -177,6 +177,11 @@ class TestCompanion:
         with pytest.raises(G.FormatError, match="overlap"):
             G.read_companion(io.StringIO(text))
 
+    def test_repeated_sentence_id_rejected(self):
+        text = self.SAMPLE + "#s2\n0\thi\thi\tINTJ\tUH\t0\t2\n" + self.SAMPLE
+        with pytest.raises(G.FormatError, match="^line 8: repeated sentence id s1$"):
+            G.read_companion(io.StringIO(text))
+
     def test_write_read_roundtrip(self):
         sents = G.read_companion(io.StringIO(self.SAMPLE))
         buf = io.StringIO()
@@ -270,3 +275,11 @@ class TestCorpus:
         assert len(sents) == 1
         assert sents[0].graphs["dm"].id == "s1"
         assert len(sents[0].tokens) == 4
+
+    def test_repeated_graph_rejected_across_files(self):
+        comp = G.read_companion(io.StringIO(TestCompanion.SAMPLE))
+        g = G.replace(toy_dm_graph(), id="s1")
+        psd = G.replace(g, framework="psd")
+        assert G.build_corpus(comp, [[g], [psd]])[0].graphs == {"dm": g, "psd": psd}
+        with pytest.raises(G.FormatError, match="^repeated graph dm/s1$"):
+            G.build_corpus(comp, [[g], [psd, g]])

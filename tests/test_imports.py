@@ -417,6 +417,8 @@ def unset_options(sources, scope):
     live, needs = set(), {}  # needs: option -> the options it forwards
     for call, enclosing, module in calls:
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if isinstance(call.func, ast.Name):  # an imported name by its own name
+            name = bound[module][1].get(name, name).rsplit(".", 1)[-1]
         for qual, fn, top, method in by_name.get(name, ()):
             if fn.name == "__init__":
                 if not constructs(call, module, qual, enclosing, bound,
@@ -480,12 +482,12 @@ def test_scan_flags_an_unset_constructor_option():
         "    @classmethod\n    def build(cls):\n        return cls(0, by_cls=6)\n"
         "    @staticmethod\n    def other():\n        cls = print\n"
         "        cls(0, unset=7)\n\n"
-        "class L:\n    def __init__(self, width=1):\n"
+        "class L:\n    def __init__(self, width=1, renamed=2):\n"
         "        K(0, forwarded=width)\n\n"
         "def make():\n    return K(0, by_name=8)\n"),
-        "b": ("from . import a\nfrom .a import L\n\n"
+        "b": ("from . import a\nfrom .a import L\nfrom .a import L as M\n\n"
               "def go(k):\n    a.K(0, by_alias=9)\n    L(width=2)\n"
-              "    k.__init__(0, unset=10)\n")}
+              "    M(renamed=3)\n    k.__init__(0, unset=10)\n")}
     assert unset_options(sources, {"a", "b"}) == ["a.K(unset)"]
 
 

@@ -938,7 +938,6 @@ def assert_same_generation(want, got, tol=0.0):
     """Equal discrete fields; log-probability and states equal bit for
     bit, or within ``tol`` when it is positive."""
     assert got.labels == want.labels
-    assert got.kinds == want.kinds
     assert got.copy_of == want.copy_of
     assert got.src_token == want.src_token
     assert got.truncated == want.truncated
