@@ -198,7 +198,10 @@ def _check_train_flags(args):
               "--rules": regime == "eds" and not args.rules}
     ignored = {"--framework": regime in ("multitask", "eds") and args.framework,
                "--from-model": regime in ("single", "multitask") and args.from_model,
-               "--rules": regime != "eds" and args.rules}
+               "--rules": regime != "eds" and args.rules,
+               # every width --scale sets comes from the base model there
+               "--scale": (regime == "fine-tune" or (regime == "eds" and args.from_model))
+                          and args.scale is not None}
     for flag, missing in needed.items():
         if missing:
             raise UsageError(f"train --regime {regime} needs {flag}")

@@ -62,6 +62,14 @@ class Implication:
 FIXED_KEYS = {"detect_on_nodes": True, "detect_on_edges": False}
 
 
+def _objects(doc, key):
+    """``doc[key]``, which must be a list of JSON objects; [] when absent."""
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise ValueError(f"rule key {key!r} must be a list of objects")
+    return items
+
+
 class ConversionRuleSet:
     def __init__(self, surface_rules, edge_map, implications):
         self.surface_rules = list(surface_rules)
@@ -76,20 +84,28 @@ class ConversionRuleSet:
             if doc.get(key, value) is not value:
                 raise ValueError(f"rule key {key!r} must be "
                                  f"{json.dumps(value)}, not {json.dumps(doc[key])}")
+        surface = _objects(doc, "surface")
+        for r in surface:
+            if not isinstance(r.get("match", {}), dict):
+                raise ValueError(f"surface rule match {r['match']!r} is not an object")
         rules = [SurfaceRule(tuple(sorted(r.get("match", {}).items())), r["template"])
-                 for r in doc.get("surface", [])]
+                 for r in surface]
         for r in rules:
             if not isinstance(r.template, str):
                 raise ValueError(f"surface rule template {r.template!r} is not a string")
         implications = [Implication(i["if_label"], i["add_label"], i["edge"],
                                     i.get("direction", "abstract_to_node"))
-                        for i in doc.get("implications", [])]
+                        for i in _objects(doc, "implications")]
         return cls(rules, doc.get("edge_map", {}), implications)
 
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            doc = json.load(fh)
+        try:
+            return cls.from_dict(doc)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
     def to_dict(self):
         return {

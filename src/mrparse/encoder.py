@@ -165,15 +165,26 @@ class ContextualEmbeddings:
     @classmethod
     def load(cls, path):
         raw = np.load(path)
+        if not isinstance(raw, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not an .npz archive of arrays")
         arrays = {}
-        for key in raw.files:
-            if key.endswith("__tok"):
-                continue
-            arr = np.asarray(raw[key], dtype=np.float64)
-            tok_key = key + "__tok"
-            if tok_key in raw.files:
-                arr = _average_subwords(arr, np.asarray(raw[tok_key], dtype=np.int64))
-            arrays[key] = arr
+        with raw:
+            for key in raw.files:
+                if key.endswith("__tok"):
+                    continue
+                arr = np.asarray(raw[key], dtype=np.float64)
+                if arr.ndim != 3:
+                    raise ValueError(f"{path}: {key} has shape {arr.shape}, "
+                                     f"not (layers, tokens, width)")
+                first = next(iter(arrays.values()), arr)
+                if (arr.shape[0], arr.shape[2]) != (first.shape[0], first.shape[2]):
+                    raise ValueError(f"{path}: {key} has {arr.shape[0]} layers of "
+                                     f"width {arr.shape[2]}, the first array "
+                                     f"{first.shape[0]} of width {first.shape[2]}")
+                tok_key = key + "__tok"
+                if tok_key in raw.files:
+                    arr = _average_subwords(arr, np.asarray(raw[tok_key], dtype=np.int64))
+                arrays[key] = arr
         if not arrays:
             raise ValueError(f"{path}: no contextual arrays")
         return cls(arrays)

@@ -95,13 +95,29 @@ FLAVOR = {"dm": 0, "psd": 0, "eds": 1, "ucca": 1, "amr": 2}
 def _anchor_from_json(obj):
     if not isinstance(obj, dict) or "from" not in obj or "to" not in obj:
         raise FormatError(f"anchor must be an object with from/to, got {obj!r}")
-    return Anchor(int(obj["from"]), int(obj["to"]))
+    return Anchor(_int(obj["from"], "anchor from"), _int(obj["to"], "anchor to"))
 
 
 def _object(obj, what):
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object, not {type(obj).__name__}")
     return obj
+
+
+def _int(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _string(obj, key, absent):
+    """``obj[key]``, which must be a string or ``absent``; ``absent``
+    when the key is missing."""
+    value = obj.get(key, absent)
+    if value is not absent and not isinstance(value, str):
+        raise FormatError(f"{key} must be a JSON string, not {type(value).__name__}")
+    return value
 
 
 def _array(obj, key):
@@ -123,8 +139,8 @@ def _pairs_from_json(obj, names_key, values_key):
 def _node_from_json(obj):
     obj = _object(obj, "node")
     return MrpNode(
-        id=int(obj["id"]),
-        label=obj.get("label"),
+        id=_int(obj["id"], "node id"),
+        label=_string(obj, "label", None),
         properties=_pairs_from_json(obj, "properties", "values"),
         anchors=tuple(_anchor_from_json(a) for a in _array(obj, "anchors")),
     )
@@ -133,9 +149,9 @@ def _node_from_json(obj):
 def _edge_from_json(obj):
     obj = _object(obj, "edge")
     return MrpEdge(
-        source=int(obj["source"]),
-        target=int(obj["target"]),
-        label=obj.get("label"),
+        source=_int(obj["source"], "edge source"),
+        target=_int(obj["target"], "edge target"),
+        label=_string(obj, "label", None),
         attributes=_pairs_from_json(obj, "attributes", "values"),
     )
 
@@ -145,10 +161,10 @@ def graph_from_json(obj):
     try:
         g = MrpGraph(
             id=str(obj["id"]),
-            flavor=int(obj.get("flavor", 0)),
+            flavor=_int(obj.get("flavor", 0), "flavor"),
             framework=obj["framework"],
-            input=obj.get("input", ""),
-            tops=tuple(int(t) for t in _array(obj, "tops")),
+            input=_string(obj, "input", ""),
+            tops=tuple(_int(t, "top") for t in _array(obj, "tops")),
             nodes=tuple(_node_from_json(n) for n in _array(obj, "nodes")),
             edges=tuple(_edge_from_json(e) for e in _array(obj, "edges")),
         )
@@ -317,6 +333,9 @@ def validate_graph(g):
     for t in g.tops:
         if t not in id_set:
             problems.append(f"top {t} is not a node")
+    if len(set(g.tops)) != len(g.tops):
+        repeated = sorted({t for t in g.tops if g.tops.count(t) > 1})
+        problems.append(f"repeated top ids {repeated}")
     for e in g.edges:
         if e.source not in id_set:
             problems.append(f"edge source {e.source} is not a node")

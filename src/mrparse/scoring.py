@@ -1,22 +1,29 @@
 """Component-wise graph scoring.
 
-A predicted graph is compared to gold by first establishing a node
-correspondence, then counting matched tuples per component (tops, node
-labels, node properties, anchors, labeled edges, edge attributes).
-Anchored frameworks get a deterministic correspondence from character
-overlap; the unanchored one searches for the bijection that maximizes
-matched tuples.  Counts pool across sentences within a framework
-(micro) and frameworks average unweighted (macro).
+Each graph is read once into one multiset of tuples per component
+(tops, node labels, node properties, anchors, labeled edges, edge
+attributes).  A tuple starts with the ids of the ``ARITY`` nodes it
+belongs to and ends in its payload: ``(id,)`` for a top, ``(id,
+label)``, ``(id, name, value)``, ``(id, anchor set)``, ``(source,
+target, label)`` and ``(source, target, label, name, value)``.  A
+predicted graph is compared to gold by first establishing a node
+correspondence, then intersecting per component the gold tuples, their
+ids mapped through it, with the predicted ones.  Anchored frameworks get
+a deterministic correspondence from character overlap; the unanchored
+one searches for the bijection that maximizes matched tuples.  Counts
+pool across sentences within a framework (micro) and frameworks average
+unweighted (macro).
 
 The searches never recount a candidate mapping.  ``_PairMatcher``
 tabulates, once per pair, the hits of every gold/pred node pair and of
-every pair of edge-linked nodes; since mappings are injective, a
-mapping's matched total is a sum over those tables, and a swap is
-scored by re-summing only the rows it moves.  Small unanchored graphs
-are solved by a depth-first search in ``itertools.permutations`` order
-that cuts subtrees which cannot beat the best so far.  Each search
-accepts only strict improvements, so it keeps the first strict maximum
-and returns the mapping that recounting every candidate would.
+every pair of edge-linked nodes, by pairing the tuples of equal payload;
+since mappings are injective, a mapping's matched total is a sum over
+those tables, and a swap is scored by re-summing only the rows it moves.
+Small unanchored graphs are solved by a depth-first search in
+``itertools.permutations`` order that cuts subtrees which cannot beat
+the best so far.  Each search accepts only strict improvements, so it
+keeps the first strict maximum and returns the mapping that recounting
+every candidate would.
 
 Every hill climb, anchored or not, also stops at a ceiling: the
 multiset intersection of gold and predicted tuples with the node ids
@@ -41,7 +48,10 @@ import numpy as np
 
 from . import graphs as G
 
-COMPONENTS = ("tops", "labels", "properties", "anchors", "edges", "attributes")
+# per component, how many node ids lead each of its tuples
+ARITY = {"tops": 1, "labels": 1, "properties": 1, "anchors": 1,
+         "edges": 2, "attributes": 2}
+COMPONENTS = tuple(ARITY)
 HILL_CLIMB_RESTARTS = 20
 EXHAUSTIVE_LIMIT = 8
 
@@ -103,26 +113,74 @@ def anchor_signatures(g):
     return {n.id: sig(n.id, frozenset()) for n in g.nodes}
 
 
-def _anchor_set(node):
-    return frozenset((a.start, a.end) for a in node.anchors)
+def _tuples(g):
+    """Per component, the multiset of the tuples of ``g``, each led by
+    the ids of its ``ARITY`` nodes."""
+    anchors = ((n.id, frozenset((a.start, a.end) for a in n.anchors))
+               for n in g.nodes)
+    return {
+        "tops": Counter((t,) for t in g.tops),
+        "labels": Counter((n.id, n.label) for n in g.nodes
+                          if n.label is not None),
+        "properties": Counter((n.id, *kv) for n in g.nodes
+                              for kv in n.properties),
+        "anchors": Counter(t for t in anchors if t[1]),
+        "edges": Counter((e.source, e.target, e.label) for e in g.edges),
+        "attributes": Counter((e.source, e.target, e.label, *kv)
+                              for e in g.edges for kv in e.attributes),
+    }
 
 
-def _id_free_tuples(g):
-    """Counters of the label, property, anchor, edge and attribute
-    tuples of ``g`` with the node ids left out."""
-    return (Counter(n.label for n in g.nodes if n.label is not None),
-            Counter(kv for n in g.nodes for kv in n.properties),
-            Counter(s for s in map(_anchor_set, g.nodes) if s),
-            Counter(e.label for e in g.edges),
-            Counter((e.label, k, v) for e in g.edges for k, v in e.attributes))
+def _tables(rows, cols, row_ids, col_ids):
+    """``unary`` and ``links`` (see ``_PairMatcher``) of the tuple
+    multisets ``rows`` against ``cols``, over their sorted node ids.
+
+    A row tuple meets every column tuple of its component and payload.
+    Under an injective mapping a tuple on one node, or a self-loop, can
+    meet only one on the image of that node, and a tuple between two
+    nodes only one between their two images.
+    """
+    col_at = {c: j for j, c in enumerate(col_ids)}
+    by_payload = {}
+    for comp, arity in ARITY.items():
+        for t, k in cols[comp].items():
+            by_payload.setdefault((comp, t[arity:]), []).append(
+                (col_at[t[0]], col_at[t[arity - 1]], k))
+    row_at = {r: i for i, r in enumerate(row_ids)}
+    unary = [[0] * (len(col_ids) + 1) for _ in row_ids]  # last: unmapped
+    tables = {}
+    for comp, arity in ARITY.items():
+        for t, k in rows[comp].items():
+            s, u = row_at[t[0]], row_at[t[arity - 1]]
+            for j, l, kc in by_payload.get((comp, t[arity:]), ()):
+                if s == u:
+                    if j == l:
+                        unary[s][j] += min(k, kc)
+                elif j != l:
+                    for ends, cell in (((s, u), (j, l)), ((u, s), (l, j))):
+                        table = tables.setdefault(ends, {})
+                        table[cell] = table.get(cell, 0) + min(k, kc)
+    links = [[] for _ in row_ids]
+    for (s, u), table in sorted(tables.items()):
+        links[s].append((u, table))
+    return unary, links
+
+
+def _without_ids(tuples, arity):
+    out = Counter()
+    for t, k in tuples.items():
+        out[t[arity:]] += k
+    return out
 
 
 class _PairMatcher:
-    """Precomputed tuple structures for one gold/pred pair.
+    """The tuple multisets of one gold/pred pair and the tables the
+    searches score a correspondence from.
 
-    ``counts`` reports the per-component tuples of a correspondence.
-    The search never calls it: it scores candidates from ``unary`` and
-    ``links``, built once over the sorted node ids ``gold_ids`` and
+    ``gold_tuples`` and ``pred_tuples`` hold, per component, the tuples
+    of ``_tuples``; ``counts`` and ``ceiling`` read them alone.  The
+    search scores candidates from ``unary`` and ``links``, built from
+    the same tuples over the sorted node ids ``gold_ids`` and
     ``pred_ids``.  ``unary[i][j]`` holds the top, label, property,
     anchor and self-loop hits of gold node ``i`` on predicted node
     ``j``; each row ends in a zero column that stands for "unmapped".
@@ -133,156 +191,40 @@ class _PairMatcher:
     gold tuple can meet only the predicted tuple between the images of
     its own endpoints, so the matched total of a correspondence is the
     sum of its unary entries plus, once per linked gold pair, the
-    table entry of their images.  This holds with duplicate edges too.
+    table entry of their images.  This holds with duplicate tuples too.
     """
 
     def __init__(self, gold, pred):
-        self.gold, self.pred = gold, pred
-        self.gold_label = {n.id: n.label for n in gold.nodes}
-        self.pred_label = {n.id: n.label for n in pred.nodes}
-        self.gold_props = {n.id: Counter(n.properties) for n in gold.nodes}
-        self.pred_props = {n.id: Counter(n.properties) for n in pred.nodes}
-        self.gold_anchor = {n.id: _anchor_set(n) for n in gold.nodes}
-        self.pred_anchor = {n.id: _anchor_set(n) for n in pred.nodes}
-        self.pred_tops = set(pred.tops)
-        self.pred_edges = Counter((e.source, e.target, e.label)
-                                  for e in pred.edges)
-        self.pred_attrs = Counter((e.source, e.target, e.label, k, v)
-                                  for e in pred.edges
-                                  for k, v in e.attributes)
-        self.n_gold_labels = sum(1 for n in gold.nodes if n.label is not None)
-        self.n_pred_labels = sum(1 for n in pred.nodes if n.label is not None)
-        self.n_gold_props = sum(len(n.properties) for n in gold.nodes)
-        self.n_pred_props = sum(len(n.properties) for n in pred.nodes)
-        self.n_gold_anchors = sum(1 for s in self.gold_anchor.values() if s)
-        self.n_pred_anchors = sum(1 for s in self.pred_anchor.values() if s)
-        self.n_gold_attrs = sum(len(e.attributes) for e in gold.edges)
-        self.n_pred_attrs = sum(len(e.attributes) for e in pred.edges)
+        self.gold_tuples, self.pred_tuples = _tuples(gold), _tuples(pred)
         self.gold_ids = sorted(n.id for n in gold.nodes)
         self.pred_ids = sorted(n.id for n in pred.nodes)
-        self._build_tables()
-
-    def _build_tables(self):
-        gi = {g: i for i, g in enumerate(self.gold_ids)}
-        pj = {p: j for j, p in enumerate(self.pred_ids)}
-        top_count = Counter(self.gold.tops)
-        self.unary = []
-        for g in self.gold_ids:
-            lab, props, anch = (self.gold_label[g], self.gold_props[g],
-                                self.gold_anchor[g])
-            row = []
-            for p in self.pred_ids:
-                hits = top_count[g] if p in self.pred_tops else 0
-                if lab is not None and self.pred_label[p] == lab:
-                    hits += 1
-                other = self.pred_props[p]
-                hits += sum(min(c, other[kv]) for kv, c in props.items())
-                if anch and self.pred_anchor[p] == anch:
-                    hits += 1
-                row.append(hits)
-            row.append(0)  # the unmapped column
-            self.unary.append(row)
-
-        # predicted tuples grouped by everything but their endpoints
-        pred_by_key = {}
-        for counter in (self.pred_edges, self.pred_attrs):
-            for (s, t, *key), c in counter.items():
-                if s in pj and t in pj:
-                    pred_by_key.setdefault(tuple(key), []).append(
-                        (pj[s], pj[t], c))
-        gold_tuples = Counter()
-        for e in self.gold.edges:
-            if e.source in gi and e.target in gi:
-                s, t = gi[e.source], gi[e.target]
-                gold_tuples[(s, t, e.label)] += 1
-                for k, v in e.attributes:
-                    gold_tuples[(s, t, e.label, k, v)] += 1
-        tables = {}
-        for (s, t, *key), c in gold_tuples.items():
-            for j, l, cp in pred_by_key.get(tuple(key), ()):
-                if s == t:
-                    if j == l:
-                        self.unary[s][j] += min(c, cp)
-                elif j != l:
-                    fwd = tables.setdefault((s, t), Counter())
-                    fwd[(j, l)] += min(c, cp)
-                    bwd = tables.setdefault((t, s), Counter())
-                    bwd[(l, j)] += min(c, cp)
-        self.links = [[] for _ in self.gold_ids]
-        for (s, t), table in sorted(tables.items()):
-            self.links[s].append((t, dict(table)))
+        self.unary, self.links = _tables(self.gold_tuples, self.pred_tuples,
+                                         self.gold_ids, self.pred_ids)
 
     def ceiling(self):
         """An upper bound on the matched total of every correspondence:
         per component, the multiset intersection of gold and predicted
-        tuples with the node ids left out.  A gold tuple can match only
-        a predicted one equal to it but for the ids, each predicted
-        tuple at most once, duplicates and self-loops included.  An
-        injective mapping puts at most one gold node on each predicted
-        top, so tops add the largest gold top multiplicities, one per
-        distinct predicted top.
+        tuples with the node ids left out.  Mapping the ids of a gold
+        tuple leaves its payload as it is, so it can match only a
+        predicted tuple of the same payload, each at most once.
         """
-        tops = sorted(Counter(self.gold.tops).values(), reverse=True)
-        return sum(tops[:len(self.pred_tops)]) + sum(
-            sum((gold & pred).values()) for gold, pred in
-            zip(_id_free_tuples(self.gold), _id_free_tuples(self.pred)))
-
-    def transposed_tables(self):
-        """``unary`` and ``links`` with predicted nodes as the rows."""
-        n_pred = len(self.pred_ids)
-        unary = [[row[j] for row in self.unary] + [0] for j in range(n_pred)]
-        tables = {}
-        for i, linked in enumerate(self.links):
-            for k, table in linked:
-                for (j, l), hits in table.items():
-                    tables.setdefault((j, l), {})[(i, k)] = hits
-        links = [[] for _ in range(n_pred)]
-        for (j, l), table in sorted(tables.items()):
-            links[j].append((l, table))
-        return unary, links
+        return sum((_without_ids(self.gold_tuples[c], arity)
+                    & _without_ids(self.pred_tuples[c], arity)).total()
+                   for c, arity in ARITY.items())
 
     def counts(self, m):
-        g, p = self.gold, self.pred
+        """Per component (plus pooled "all"), the gold and predicted
+        tuples and those matched under the correspondence ``m``."""
         out = {}
-        top_hits = sum(1 for t in g.tops if m.get(t) in self.pred_tops)
-        out["tops"] = Counts(len(g.tops), len(p.tops), top_hits)
-
-        lab_hits = sum(1 for n, lab in self.gold_label.items()
-                       if lab is not None and m.get(n) is not None
-                       and self.pred_label.get(m[n]) == lab)
-        out["labels"] = Counts(self.n_gold_labels, self.n_pred_labels, lab_hits)
-
-        prop_hits = 0
-        for n, props in self.gold_props.items():
-            if m.get(n) is None:
-                continue
-            other = self.pred_props.get(m[n], Counter())
-            prop_hits += sum(min(c, other[kv]) for kv, c in props.items())
-        out["properties"] = Counts(self.n_gold_props, self.n_pred_props,
-                                   prop_hits)
-
-        anch_hits = sum(1 for n, s in self.gold_anchor.items()
-                        if s and m.get(n) is not None
-                        and self.pred_anchor.get(m[n]) == s)
-        out["anchors"] = Counts(self.n_gold_anchors, self.n_pred_anchors,
-                                anch_hits)
-
-        mapped_edges = Counter()
-        mapped_attrs = Counter()
-        for e in g.edges:
-            s, t = m.get(e.source), m.get(e.target)
-            if s is None or t is None:
-                continue
-            mapped_edges[(s, t, e.label)] += 1
-            for k, v in e.attributes:
-                mapped_attrs[(s, t, e.label, k, v)] += 1
-        edge_hits = sum(min(c, self.pred_edges[key])
-                        for key, c in mapped_edges.items())
-        attr_hits = sum(min(c, self.pred_attrs[key])
-                        for key, c in mapped_attrs.items())
-        out["edges"] = Counts(len(g.edges), len(p.edges), edge_hits)
-        out["attributes"] = Counts(self.n_gold_attrs, self.n_pred_attrs,
-                                   attr_hits)
+        for c, arity in ARITY.items():
+            gold, pred = self.gold_tuples[c], self.pred_tuples[c]
+            mapped = Counter()
+            for t, k in gold.items():
+                ids = [m.get(i) for i in t[:arity]]
+                if None not in ids:
+                    mapped[(*ids, *t[arity:])] += k
+            out[c] = Counts(gold.total(), pred.total(),
+                            (mapped & pred).total())
         out["all"] = sum(out.values(), Counts())
         return out
 
@@ -519,7 +461,8 @@ def _exhaustive_correspondence(matcher):
         cols = _first_best_assignment(matcher.unary, matcher.links,
                                       len(pred_ids))
         return {g: pred_ids[c] for g, c in zip(gold_ids, cols)}
-    unary, links = matcher.transposed_tables()
+    unary, links = _tables(matcher.pred_tuples, matcher.gold_tuples,
+                           pred_ids, gold_ids)
     cols = _first_best_assignment(unary, links, len(gold_ids))
     return {gold_ids[c]: p for p, c in zip(pred_ids, cols)}
 

@@ -32,16 +32,17 @@ def ws(tmp_path_factory):
         argv = ["train", "--companion", paths["companion"],
                 "--static", paths["static"], "--contextual", paths["contextual"],
                 "--regime", regime, "--out", out,
-                "--scale", "0.02", "--batch-size", "4", "--seed", "3",
-                *extra]
+                "--batch-size", "4", "--seed", "3", *extra]
         for fw in G.FRAMEWORKS:
             argv += ["--mrp", paths[fw]]
         assert run(argv) == 0, regime
         return out
 
-    paths["single"] = train("single", str(root / "single"),
+    # fine-tune and eds take their widths from the multitask model
+    paths["single"] = train("single", str(root / "single"), "--scale", "0.02",
                             "--framework", "dm", "--epochs", "2")
-    paths["mtl"] = train("multitask", str(root / "mtl"), "--epochs", "1")
+    paths["mtl"] = train("multitask", str(root / "mtl"), "--scale", "0.02",
+                         "--epochs", "1")
     paths["mtl_bundle"] = os.path.join(paths["mtl"], "model-total.bundle")
     paths["ft"] = train("fine-tune", str(root / "ft"),
                         "--framework", "ucca", "--epochs", "1",
@@ -140,7 +141,11 @@ def test_removed_config_key_is_one_line_error(ws, tmp_path, capsys, where):
     ("--rules", "single", ["--framework", "dm", "--rules", "r"]),
     ("--bug-compatible", "fine-tune",
      ["--framework", "ucca", "--from-model", "m", "--bug-compatible"]),
-], ids=["framework", "from-model", "rules", "bug-compatible"])
+    ("--scale", "fine-tune",
+     ["--framework", "dm", "--from-model", "m", "--scale", "0.5"]),
+    ("--scale", "eds", ["--rules", "r", "--from-model", "m", "--scale", "0.5"]),
+], ids=["framework", "from-model", "rules", "bug-compatible", "scale-fine-tune",
+        "scale-eds-from-model"])
 def test_train_rejects_a_flag_its_regime_ignores(tmp_path, capsys, flag,
                                                  regime, extra):
     # no input exists: the usage error comes before anything is loaded
@@ -519,7 +524,13 @@ def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
 # malformed input files: exit 1 with one line, before anything is written
 
 MALFORMED = {  # case -> (the file it stands in for, its content)
-    "contextual-without-arrays": ("contextual", None),
+    "contextual-without-arrays": ("contextual", {}),
+    "contextual-npy": ("contextual", np.zeros((2, 3, 4))),
+    "contextual-2d": ("contextual", {"s": np.zeros((3, 4))}),
+    "contextual-layers-differ": ("contextual", {"a": np.zeros((2, 3, 4)),
+                                                "b": np.zeros((3, 3, 4))}),
+    "contextual-widths-differ": ("contextual", {"a": np.zeros((2, 3, 4)),
+                                                "b": np.zeros((2, 3, 5))}),
     "config-array": ("config", "[1, 2]"),
     "config-string-width": ("config", '{"hidden": "big"}'),
     "split-array": ("split", "[]"),
@@ -527,11 +538,22 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
                                    '"val_ii": {}}'),
     "rules-array": ("rules", "[]"),
     "rules-integer-template": ("rules", '{"surface": [{"template": 5}]}'),
+    "rules-integer-surface": ("rules", '{"surface": [5]}'),
+    "rules-list-match": ("rules", '{"surface": [{"match": ["pos"], '
+                                  '"template": "x"}]}'),
+    "rules-integer-implication": ("rules", '{"implications": [5]}'),
     "mrp-array": ("mrp", "[]"),
     "mrp-integer-nodes": ("mrp", '{"id": "s", "framework": "dm", "nodes": 5}'),
     "mrp-list-property": ("mrp", '{"id": "s", "framework": "dm", "nodes": '
                                  '[{"id": 0, "properties": ["pos"], '
                                  '"values": [["NN"]]}]}'),
+    "mrp-list-node-id": ("mrp", '{"id": "s", "framework": "dm", '
+                                '"nodes": [{"id": [0]}]}'),
+    "mrp-integer-input": ("mrp", '{"id": "s", "framework": "dm", "input": 5}'),
+    "mrp-list-label": ("mrp", '{"id": "s", "framework": "dm", '
+                              '"nodes": [{"id": 0, "label": ["a"]}]}'),
+    "mrp-repeated-top": ("mrp", '{"id": "s", "framework": "dm", "tops": [0, 0], '
+                                '"nodes": [{"id": 0}]}'),
 }
 
 
@@ -540,8 +562,10 @@ def test_a_malformed_input_file_is_one_line_error(ws, tmp_path, capsys, case):
     kind, content = MALFORMED[case]
     path = tmp_path / f"bad.{kind}"
     with open(path, "wb") as fh:
-        if content is None:
-            np.savez(fh)
+        if isinstance(content, dict):
+            np.savez(fh, **content)
+        elif isinstance(content, np.ndarray):
+            np.save(fh, content)
         else:
             fh.write(content.encode("utf-8") + b"\n")
     out = tmp_path / "out"

@@ -702,7 +702,31 @@ def table_cases():
             yield k, matcher, values, m
 
 
+def assert_no_more_matches_than_tuples(matcher, m, what):
+    counts = matcher.counts(m)
+    for c in S.COMPONENTS + ("all",):
+        k = counts[c]
+        assert k.matched <= min(k.gold, k.pred), f"{what} {c}"
+    assert matcher.ceiling() >= counts["all"].matched, what
+
+
 class TestScorerProperties:
+    def test_no_more_matches_than_tuples(self):
+        rng = np.random.default_rng(17)
+        for k, (g, p) in enumerate(oracle_pairs()):
+            matcher = S._PairMatcher(g, p)
+            m = dict(zip(rng.permutation(matcher.gold_ids).tolist(),
+                         rng.permutation(matcher.pred_ids).tolist()))
+            assert_no_more_matches_than_tuples(matcher, m, f"case {k}")
+
+    def test_a_repeated_gold_top_matches_once(self):
+        gold = G.replace(amr_like(), tops=(0, 0))
+        pred = amr_like(ids=(7, 5, 3))
+        m = S.correspondence(gold, pred)
+        assert m == {0: 7, 1: 5, 2: 3}
+        assert_no_more_matches_than_tuples(S._PairMatcher(gold, pred), m,
+                                           "repeated top")
+
     def test_self_f1_under_renumbering(self, monkeypatch):
         rng = np.random.default_rng(3)
         limit = S.EXHAUSTIVE_LIMIT
