@@ -189,6 +189,13 @@ def _validate_or_fail(graphs):
 # ---------------------------------------------------------------------------
 # train
 
+def _widths_from_base(args):
+    """Whether the regime copies every width (``training.ARCH_FIELDS``)
+    from the base model, so that no flag or setting may set one."""
+    return args.regime == "fine-tune" or (args.regime == "eds"
+                                          and bool(args.from_model))
+
+
 def _check_train_flags(args):
     """Refuse, before anything is loaded or written, a flag the regime
     needs but lacks, or has but would ignore."""
@@ -199,9 +206,7 @@ def _check_train_flags(args):
     ignored = {"--framework": regime in ("multitask", "eds") and args.framework,
                "--from-model": regime in ("single", "multitask") and args.from_model,
                "--rules": regime != "eds" and args.rules,
-               # every width --scale sets comes from the base model there
-               "--scale": (regime == "fine-tune" or (regime == "eds" and args.from_model))
-                          and args.scale is not None}
+               "--scale": _widths_from_base(args) and args.scale is not None}
     for flag, missing in needed.items():
         if missing:
             raise UsageError(f"train --regime {regime} needs {flag}")
@@ -231,6 +236,10 @@ def _resolve_config(args):
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: settings must be a JSON object, "
                              f"not {type(overrides).__name__}")
+        widths = sorted(set(overrides) & {"scale", *T.ARCH_FIELDS})
+        if widths and _widths_from_base(args):
+            raise UsageError(f"train --regime {args.regime} does not use --config "
+                             f"keys {', '.join(widths)}: the base model sets them")
         doc.update(overrides)
     try:
         cfg = TrainConfig.from_json(doc)
@@ -282,9 +291,9 @@ def _pseudo_result(model):
 
 def cmd_train(args):
     _check_train_flags(args)
+    cfg = _resolve_config(args)
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
-    cfg = _resolve_config(args)
     split = _resolve_split(args, sentences, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
 

@@ -54,8 +54,11 @@ class Implication:
     if_label: str
     add_label: str
     edge: str
-    direction: str = "abstract_to_node"  # or node_to_abstract
+    direction: str = "abstract_to_node"  # one of DIRECTIONS
 
+
+# which way an implied abstract node's edge points
+DIRECTIONS = ("abstract_to_node", "node_to_abstract")
 
 # Switches every saved rule set carries.  The detector runs on node
 # sites only, so a rule file may set them to these values alone.
@@ -68,6 +71,15 @@ def _objects(doc, key):
     if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
         raise ValueError(f"rule key {key!r} must be a list of objects")
     return items
+
+
+def _text(obj, key, what):
+    """``obj[key]``, which must be present and a string."""
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r}")
+    if not isinstance(obj[key], str):
+        raise ValueError(f"{what} {key} {obj[key]!r} is not a string")
+    return obj[key]
 
 
 class ConversionRuleSet:
@@ -88,15 +100,23 @@ class ConversionRuleSet:
         for r in surface:
             if not isinstance(r.get("match", {}), dict):
                 raise ValueError(f"surface rule match {r['match']!r} is not an object")
-        rules = [SurfaceRule(tuple(sorted(r.get("match", {}).items())), r["template"])
+        rules = [SurfaceRule(tuple(sorted(r.get("match", {}).items())),
+                             _text(r, "template", "surface rule"))
                  for r in surface]
-        for r in rules:
-            if not isinstance(r.template, str):
-                raise ValueError(f"surface rule template {r.template!r} is not a string")
-        implications = [Implication(i["if_label"], i["add_label"], i["edge"],
-                                    i.get("direction", "abstract_to_node"))
-                        for i in _objects(doc, "implications")]
-        return cls(rules, doc.get("edge_map", {}), implications)
+        implications = []
+        for i in _objects(doc, "implications"):
+            direction = i.get("direction", "abstract_to_node")
+            if direction not in DIRECTIONS:
+                raise ValueError(f"implication direction {direction!r} is not "
+                                 f"one of {', '.join(DIRECTIONS)}")
+            implications.append(Implication(
+                *(_text(i, k, "implication") for k in ("if_label", "add_label", "edge")),
+                direction))
+        edge_map = doc.get("edge_map", {})
+        if not (isinstance(edge_map, dict)
+                and all(isinstance(v, str) for v in edge_map.values())):
+            raise ValueError("rule key 'edge_map' must be an object of edge labels")
+        return cls(rules, edge_map, implications)
 
     @classmethod
     def load(cls, path):

@@ -6,33 +6,32 @@ attributes).  A tuple starts with the ids of the ``ARITY`` nodes it
 belongs to and ends in its payload: ``(id,)`` for a top, ``(id,
 label)``, ``(id, name, value)``, ``(id, anchor set)``, ``(source,
 target, label)`` and ``(source, target, label, name, value)``.  A
-predicted graph is compared to gold by first establishing a node
-correspondence, then intersecting per component the gold tuples, their
-ids mapped through it, with the predicted ones.  Anchored frameworks get
-a deterministic correspondence from character overlap; the unanchored
-one searches for the bijection that maximizes matched tuples.  Counts
-pool across sentences within a framework (micro) and frameworks average
-unweighted (macro).
+predicted graph is compared to gold by first establishing an injective
+node correspondence, then looking up each gold tuple, its ids mapped
+through it, among the predicted ones; being injective, the mapping keeps
+distinct tuples distinct.  Anchored frameworks get a deterministic
+correspondence from character overlap; the unanchored one searches for
+the bijection that maximizes matched tuples.  Counts pool across
+sentences within a framework (micro) and frameworks average unweighted (macro).
 
 The searches never recount a candidate mapping.  ``_PairMatcher``
-tabulates, once per pair, the hits of every gold/pred node pair and of
-every pair of edge-linked nodes, by pairing the tuples of equal payload;
-since mappings are injective, a mapping's matched total is a sum over
-those tables, and a swap is scored by re-summing only the rows it moves.
-Small unanchored graphs are solved by a depth-first search in
-``itertools.permutations`` order that cuts subtrees which cannot beat
-the best so far.  Each search accepts only strict improvements, so it
-keeps the first strict maximum and returns the mapping that recounting
-every candidate would.
+tabulates, once per pair and only when a search needs it, the hits of
+every gold/pred node pair and of every pair of edge-linked nodes, by
+pairing the tuples of equal payload; since mappings are injective, a
+mapping's matched total is a sum over those tables, and a swap is
+scored by re-summing only the rows it moves.  Small unanchored graphs
+are solved by a depth-first search in ``itertools.permutations`` order
+that cuts subtrees which cannot beat the best so far.  Each search
+accepts only strict improvements, so it keeps the first strict maximum
+and returns the mapping that recounting every candidate would.
 
-Every hill climb, anchored or not, also stops at a ceiling: the
-multiset intersection of gold and predicted tuples with the node ids
-left out, which no mapping can exceed.  Once a climb's best reaches
-it no candidate can gain, so stopping there leaves the mapping the
-full climb would; the restarts stop there too.  The exhaustive search
-does not build it: on graphs that small the search is cheap and parsed
-pairs rarely reach the ceiling, so the bound would cost more than it
-saves.
+Every hill climb also stops at a ceiling: the multiset intersection of
+gold and predicted tuples with the node ids left out, which no mapping
+can exceed, so stopping there leaves the mapping the full climb would;
+the restarts stop there too.  An anchored pair whose greedy mapping
+already reaches it skips the climb and never builds the tables.  The
+exhaustive search does not build the ceiling: on graphs that small the
+search is cheap and parsed pairs rarely reach it.
 
 Scores are labeled "MRP-F1 (toolkit)": the official scorer's
 correspondence tie-breaking is not public, so bit-equality with it is
@@ -81,20 +80,26 @@ class Counts:
 
 
 def _anchor_chars(node):
-    out = set()
+    """The characters of ``node``'s anchors: bit ``c`` for character c."""
+    out = 0
     for a in node.anchors:
-        out.update(range(a.start, a.end))
-    return frozenset(out)
+        if a.end > a.start:
+            out |= ((1 << (a.end - a.start)) - 1) << a.start
+    return out
 
 
-def anchor_signatures(g):
-    """Character set per node: own anchors, or the union over non-remote
-    descendants for unanchored internal nodes (the UCCA yield)."""
+def _tree_children(g):
+    """Targets per source over the non-remote edges."""
     children = {}
     for e in g.edges:
-        if e.attribute_map().get("remote"):
-            continue
-        children.setdefault(e.source, []).append(e.target)
+        if not e.attribute_map().get("remote"):
+            children.setdefault(e.source, []).append(e.target)
+    return children
+
+
+def anchor_signatures(g, children):
+    """``_anchor_chars`` per node, or for unanchored internal nodes the
+    union over ``children`` of ``_tree_children`` (the UCCA yield)."""
     own = {n.id: _anchor_chars(n) for n in g.nodes}
     memo = {}
 
@@ -104,11 +109,11 @@ def anchor_signatures(g):
         if own[nid] or nid in stack:
             return own[nid]
         stack = stack | {nid}
-        acc = set()
+        acc = 0
         for ch in children.get(nid, ()):
-            acc.update(sig(ch, stack))
-        memo[nid] = frozenset(acc)
-        return memo[nid]
+            acc |= sig(ch, stack)
+        memo[nid] = acc
+        return acc
 
     return {n.id: sig(n.id, frozenset()) for n in g.nodes}
 
@@ -166,66 +171,75 @@ def _tables(rows, cols, row_ids, col_ids):
     return unary, links
 
 
-def _without_ids(tuples, arity):
-    out = Counter()
-    for t, k in tuples.items():
-        out[t[arity:]] += k
-    return out
-
-
 class _PairMatcher:
     """The tuple multisets of one gold/pred pair and the tables the
     searches score a correspondence from.
 
     ``gold_tuples`` and ``pred_tuples`` hold, per component, the tuples
-    of ``_tuples``; ``counts`` and ``ceiling`` read them alone.  The
-    search scores candidates from ``unary`` and ``links``, built from
-    the same tuples over the sorted node ids ``gold_ids`` and
-    ``pred_ids``.  ``unary[i][j]`` holds the top, label, property,
-    anchor and self-loop hits of gold node ``i`` on predicted node
-    ``j``; each row ends in a zero column that stands for "unmapped".
-    ``links[i]`` lists ``(k, table)`` for every gold node ``k != i``
-    joined to ``i`` by an edge in either direction, and ``table`` maps
-    a predicted pair ``(j, l)`` for ``(i, k)`` to its edge and
-    attribute hits.  Because a correspondence is injective, a mapped
-    gold tuple can meet only the predicted tuple between the images of
-    its own endpoints, so the matched total of a correspondence is the
-    sum of its unary entries plus, once per linked gold pair, the
-    table entry of their images.  This holds with duplicate tuples too.
+    of ``_tuples``; ``ceiling`` and ``counts`` (of an injective mapping)
+    read them alone.  The searches score candidates from ``unary`` and
+    ``links``, built from the same tuples over the sorted node ids
+    ``gold_ids`` and ``pred_ids`` on first use.  ``unary[i][j]`` holds
+    the top, label, property, anchor and self-loop hits of gold node
+    ``i`` on predicted node ``j``; each row ends in a zero column that
+    stands for "unmapped".  ``links[i]`` lists ``(k, table)`` for every
+    gold node ``k != i`` joined to ``i`` by an edge in either direction,
+    and ``table`` maps a predicted pair ``(j, l)`` for ``(i, k)`` to its
+    edge and attribute hits.  Because a correspondence is injective, a
+    mapped gold tuple can meet only the predicted tuple between the
+    images of its own endpoints, so the matched total of a
+    correspondence is the sum of its unary entries plus, once per linked
+    gold pair, the table entry of their images, duplicates included.
     """
 
     def __init__(self, gold, pred):
         self.gold_tuples, self.pred_tuples = _tuples(gold), _tuples(pred)
         self.gold_ids = sorted(n.id for n in gold.nodes)
         self.pred_ids = sorted(n.id for n in pred.nodes)
+        self._counted = None
+
+    def __getattr__(self, name):
+        # ``unary`` and ``links``, built together on first use
+        if name not in ("unary", "links"):
+            raise AttributeError(name)
         self.unary, self.links = _tables(self.gold_tuples, self.pred_tuples,
                                          self.gold_ids, self.pred_ids)
+        return getattr(self, name)
 
     def ceiling(self):
         """An upper bound on the matched total of every correspondence:
-        per component, the multiset intersection of gold and predicted
-        tuples with the node ids left out.  Mapping the ids of a gold
-        tuple leaves its payload as it is, so it can match only a
-        predicted tuple of the same payload, each at most once.
-        """
-        return sum((_without_ids(self.gold_tuples[c], arity)
-                    & _without_ids(self.pred_tuples[c], arity)).total()
-                   for c, arity in ARITY.items())
+        the intersection of gold and predicted (component, payload)
+        multisets.  Mapping the ids of a gold tuple leaves its payload
+        as it is, so it can match only a predicted tuple of the same
+        payload, each at most once."""
+        def payloads(tuples):
+            out = Counter()
+            for c, arity in ARITY.items():
+                for t, k in tuples[c].items():
+                    out[c, t[arity:]] += k
+            return out
+        return (payloads(self.gold_tuples)
+                & payloads(self.pred_tuples)).total()
 
     def counts(self, m):
         """Per component (plus pooled "all"), the gold and predicted
-        tuples and those matched under the correspondence ``m``."""
+        tuples and those matched under ``m``, which must be injective,
+        as every search's mapping is: then each mapped gold tuple meets
+        at most one predicted tuple.  The last result is kept for reuse.
+        """
+        if self._counted is not None and self._counted[0] == m:
+            return self._counted[1]
         out = {}
         for c, arity in ARITY.items():
             gold, pred = self.gold_tuples[c], self.pred_tuples[c]
-            mapped = Counter()
+            matched = 0
             for t, k in gold.items():
-                ids = [m.get(i) for i in t[:arity]]
+                ids = tuple(map(m.get, t[:arity]))
                 if None not in ids:
-                    mapped[(*ids, *t[arity:])] += k
-            out[c] = Counts(gold.total(), pred.total(),
-                            (mapped & pred).total())
+                    matched += min(k, pred.get(ids + t[arity:], 0))
+            out[c] = Counts(gold.total(), pred.total(), matched)
         out["all"] = sum(out.values(), Counts())
+        self._counted = (dict(m), out)
         return out
 
 
@@ -306,14 +320,9 @@ def _improve_by_swaps(values, unary, links, cap):
     return best
 
 
-def _node_depths(g):
-    """BFS depth from the tops over non-remote edges; unreached nodes
-    sit below everything."""
-    children = {}
-    for e in g.edges:
-        if e.attribute_map().get("remote"):
-            continue
-        children.setdefault(e.source, []).append(e.target)
+def _node_depths(g, children):
+    """BFS depth from the tops over ``children`` (``_tree_children``);
+    unreached nodes sit below everything."""
     depth = {t: 0 for t in g.tops}
     frontier = list(g.tops)
     while frontier:
@@ -331,41 +340,46 @@ def _anchored_correspondence(gold, pred, matcher):
     """Greedy by character overlap, then deterministic swap refinement.
 
     Depth breaks ties between nodes with identical character yields
-    (unary chains), so a parent pairs with a parent.
+    (unary chains), so a parent pairs with a parent.  A greedy mapping
+    that reaches the ceiling is kept, as the climb would keep it.
     """
-    sig_g = anchor_signatures(gold)
-    sig_p = anchor_signatures(pred)
-    dep_g, dep_p = _node_depths(gold), _node_depths(pred)
+    kids_g, kids_p = _tree_children(gold), _tree_children(pred)
+    sig_g = anchor_signatures(gold, kids_g)
+    sig_p = anchor_signatures(pred, kids_p)
+    dep_g, dep_p = _node_depths(gold, kids_g), _node_depths(pred, kids_p)
     cands = []
     for gn in gold.nodes:
+        a, dg = sig_g[gn.id], dep_g[gn.id]
         for pn in pred.nodes:
-            a, b = sig_g[gn.id], sig_p[pn.id]
-            union = len(a | b)
+            b = sig_p[pn.id]
+            union = (a | b).bit_count()
             if union == 0:
                 jac = 1.0  # both unanchored with empty yields
             else:
-                inter = len(a & b)
+                inter = (a & b).bit_count()
                 if inter == 0:
                     continue
                 jac = inter / union
             label_miss = 0 if gn.label == pn.label else 1
-            ddiff = abs(dep_g[gn.id] - dep_p[pn.id])
+            ddiff = abs(dg - dep_p[pn.id])
             cands.append((-jac, ddiff, label_miss, gn.id, pn.id))
     cands.sort()
-    m = {}
-    used = set()
+    m, used = {}, set()
     for _, _, _, gid, pid in cands:
         if gid in m or pid in used:
             continue
         m[gid] = pid
         used.add(pid)
+    cap = matcher.ceiling()
+    if matcher.counts(m)["all"].matched >= cap:
+        return m
 
     gold_ids, pred_ids = matcher.gold_ids, matcher.pred_ids
     column = {p: j for j, p in enumerate(pred_ids)}
     unmapped = len(pred_ids)
     values = ([column[m[g]] if g in m else unmapped for g in gold_ids]
               + [column[p] for p in pred_ids if p not in used])
-    _improve_by_swaps(values, matcher.unary, matcher.links, matcher.ceiling())
+    _improve_by_swaps(values, matcher.unary, matcher.links, cap)
     return {g: pred_ids[v] for g, v in zip(gold_ids, values) if v != unmapped}
 
 
@@ -474,16 +488,16 @@ def correspondence(gold, pred, *, _matcher=None):
     hill-climb.  Unanchored graphs of up to ``EXHAUSTIVE_LIMIT`` nodes
     a side get the first best mapping in ``itertools.permutations``
     order, found by a bounded depth-first search; larger ones take the
-    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs.  A hill climb
-    ends once its total reaches ``_PairMatcher.ceiling`` (for the
-    restarts, the tables' own upper bound when that is lower), and the
-    restarts stop at the first climb that does.  No candidate can gain
-    past an upper bound, so these stops change no mapping.  Every
-    search scores candidates with the incremental objective of
-    ``_PairMatcher`` and accepts only strict improvements, so it
-    returns the mapping a full recount of every candidate would.
+    best of ``HILL_CLIMB_RESTARTS`` seeded hill climbs.  A climb ends
+    once its total reaches ``_PairMatcher.ceiling`` (for the restarts,
+    the tables' own upper bound when that is lower), and the restarts
+    stop at the first climb that does; no candidate can gain past an
+    upper bound, so these stops change no mapping.  Every search scores
+    candidates with the incremental objective of ``_PairMatcher`` and
+    accepts only strict improvements, so it returns the mapping a full
+    recount of every candidate would.
 
-    ``_matcher`` lets ``mrp_f1`` share the tables it reports from.
+    ``_matcher`` lets ``mrp_f1`` share the matcher it reports from.
     """
     matcher = _matcher if _matcher is not None else _PairMatcher(gold, pred)
     if gold.flavor in (0, 1):

@@ -565,7 +565,8 @@ def reference_build_ensemble(models, framework, sentences, beam=5):
 # ---------------------------------------------------------------------------
 # the correspondence search as it was before its hill climbs stopped at
 # the multiset ceiling: every climb runs until a full pass finds no
-# strict gain, and the restarts stop only at the tables' suffix bound.
+# strict gain, and the restarts stop only at the tables' suffix bound;
+# anchored pairs always climb, and character yields are sets.
 # ``scoring.correspondence`` must return the same mapping.
 
 def _reference_improve_by_swaps(values, unary, links):
@@ -613,10 +614,61 @@ def _reference_improve_by_swaps(values, unary, links):
     return best
 
 
+def _reference_children(g):
+    children = {}
+    for e in g.edges:
+        if e.attribute_map().get("remote"):
+            continue
+        children.setdefault(e.source, []).append(e.target)
+    return children
+
+
+def _reference_signatures(g):
+    """Counterpart of ``scoring.anchor_signatures`` on character sets."""
+    children = _reference_children(g)
+    own = {}
+    for n in g.nodes:
+        chars = set()
+        for a in n.anchors:
+            chars.update(range(a.start, a.end))
+        own[n.id] = frozenset(chars)
+    memo = {}
+
+    def sig(nid, stack):
+        if nid in memo:
+            return memo[nid]
+        if own[nid] or nid in stack:
+            return own[nid]
+        stack = stack | {nid}
+        acc = set()
+        for ch in children.get(nid, ()):
+            acc.update(sig(ch, stack))
+        memo[nid] = frozenset(acc)
+        return memo[nid]
+
+    return {n.id: sig(n.id, frozenset()) for n in g.nodes}
+
+
+def _reference_depths(g):
+    """Counterpart of ``scoring._node_depths``."""
+    children = _reference_children(g)
+    depth = {t: 0 for t in g.tops}
+    frontier = list(g.tops)
+    while frontier:
+        new = []
+        for u in frontier:
+            for v in children.get(u, ()):
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    new.append(v)
+        frontier = new
+    return {n.id: depth.get(n.id, len(g.nodes)) for n in g.nodes}
+
+
 def _reference_anchored(gold, pred, matcher):
-    sig_g = S.anchor_signatures(gold)
-    sig_p = S.anchor_signatures(pred)
-    dep_g, dep_p = S._node_depths(gold), S._node_depths(pred)
+    sig_g = _reference_signatures(gold)
+    sig_p = _reference_signatures(pred)
+    dep_g, dep_p = _reference_depths(gold), _reference_depths(pred)
     cands = []
     for gn in gold.nodes:
         for pn in pred.nodes:

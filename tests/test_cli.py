@@ -144,11 +144,20 @@ def test_removed_config_key_is_one_line_error(ws, tmp_path, capsys, where):
     ("--scale", "fine-tune",
      ["--framework", "dm", "--from-model", "m", "--scale", "0.5"]),
     ("--scale", "eds", ["--rules", "r", "--from-model", "m", "--scale", "0.5"]),
+    ("--config keys hidden, scale", "fine-tune",
+     ["--framework", "dm", "--from-model", "m", "--config", "WIDTHS"]),
+    ("--config keys hidden, scale", "eds",
+     ["--rules", "r", "--from-model", "m", "--config", "WIDTHS"]),
 ], ids=["framework", "from-model", "rules", "bug-compatible", "scale-fine-tune",
-        "scale-eds-from-model"])
+        "scale-eds-from-model", "config-widths-fine-tune",
+        "config-widths-eds-from-model"])
 def test_train_rejects_a_flag_its_regime_ignores(tmp_path, capsys, flag,
                                                  regime, extra):
-    # no input exists: the usage error comes before anything is loaded
+    # no input but the config exists: the usage error comes before
+    # anything else is loaded
+    widths = tmp_path / "widths.json"
+    widths.write_text('{"hidden": 50, "scale": 0.5, "epochs": 2}')
+    extra = [str(widths) if a == "WIDTHS" else a for a in extra]
     out = tmp_path / "run"
     code = run(["train", "--companion", str(tmp_path / "c"),
                 "--mrp", str(tmp_path / "g"), "--static", str(tmp_path / "s"),
@@ -542,6 +551,14 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
     "rules-list-match": ("rules", '{"surface": [{"match": ["pos"], '
                                   '"template": "x"}]}'),
     "rules-integer-implication": ("rules", '{"implications": [5]}'),
+    "rules-list-edge-map": ("rules", '{"edge_map": [5]}'),
+    "rules-list-edge-label": ("rules", '{"edge_map": {"a": ["b"]}}'),
+    "rules-surface-without-template": ("rules", '{"surface": [{"match": {}}]}'),
+    "rules-implication-without-add-label": (
+        "rules", '{"implications": [{"if_label": "a", "edge": "e"}]}'),
+    "rules-sideways-implication": (
+        "rules", '{"implications": [{"if_label": "a", "add_label": "b", '
+                 '"edge": "e", "direction": "sideways"}]}'),
     "mrp-array": ("mrp", "[]"),
     "mrp-integer-nodes": ("mrp", '{"id": "s", "framework": "dm", "nodes": 5}'),
     "mrp-list-property": ("mrp", '{"id": "s", "framework": "dm", "nodes": '
@@ -587,6 +604,8 @@ def test_a_malformed_input_file_is_one_line_error(ws, tmp_path, capsys, case):
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if kind == "rules":
+        assert str(path) in err[0], err
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from mrparse import amr
 from mrparse import graphs as G
 from mrparse import scoring as S
 
-from conftest import reference_correspondence
+from conftest import _reference_signatures, reference_correspondence
 
 
 def dm_like(ids=(0, 1, 2), text="The cat sat"):
@@ -763,6 +763,52 @@ class TestScorerProperties:
             total = S._sum_rows(matcher.unary, matcher.links, values,
                                 range(len(matcher.gold_ids)))
             assert total == matcher.counts(m)["all"].matched, f"case {k}"
+
+    def test_counts_equal_the_tables_under_injective_mappings(self):
+        # the identity that lets an anchored pair at the ceiling skip the
+        # tables: the count of a mapping is the total its climb starts at
+        rng = np.random.default_rng(19)
+        for k, (g, p) in enumerate(oracle_pairs()):
+            matcher = S._PairMatcher(g, p)
+            n_gold, n_pred = len(matcher.gold_ids), len(matcher.pred_ids)
+            values = [int(c) for c in rng.permutation(n_pred)][:n_gold]
+            values += [n_pred] * (n_gold - len(values))  # n_pred: unmapped
+            rng.shuffle(values)
+            values = [n_pred if rng.random() < 0.2 else v for v in values]
+            m = {matcher.gold_ids[i]: matcher.pred_ids[v]
+                 for i, v in enumerate(values) if v != n_pred}
+            total = S._sum_rows(matcher.unary, matcher.links, values,
+                                range(n_gold))
+            assert matcher.counts(m)["all"].matched == total, f"case {k}"
+
+    def test_yields_are_character_sets_as_bitmasks(self):
+        for k, (g, _) in enumerate(oracle_pairs()):
+            got = S.anchor_signatures(g, S._tree_children(g))
+            as_sets = {n: {c for c in range(b.bit_length()) if b >> c & 1}
+                       for n, b in got.items()}
+            assert as_sets == _reference_signatures(g), f"case {k}"
+
+    def test_an_anchored_pair_at_the_ceiling_builds_no_tables(
+            self, monkeypatch):
+        built = []
+        tables = S._tables
+
+        def counting(*args):
+            built.append(1)
+            return tables(*args)
+
+        monkeypatch.setattr(S, "_tables", counting)
+        gold = dm_like()
+        assert S.mrp_f1(gold, dm_like(ids=(2, 1, 0)))["all"].f1 == 1.0
+        assert not built
+        # the first two labels trade anchors: the greedy mapping falls
+        # short of the ceiling, so the climb builds the tables once
+        the, cat, sit = gold.nodes
+        swapped = G.replace(gold, nodes=(G.replace(the, label="cat"),
+                                         G.replace(cat, label="the"), sit))
+        matcher = S._PairMatcher(gold, swapped)
+        assert S.mrp_f1(gold, swapped)["all"].matched < matcher.ceiling()
+        assert len(built) == 1
 
     def test_ceiling_bounds_the_first_best(self):
         for k, g, p in recount_cases():
