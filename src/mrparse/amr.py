@@ -733,16 +733,23 @@ def greedy_decode(ctx):
 def beam_search(ctx, width=BEAM_WIDTH):
     """Length-normalized beam over the mixture.
 
-    Finished hypotheses accumulate without displacing live ones, so a
-    path ending early never cuts exploration short; the best finish by
-    normalized score wins at the end.  Every live hypothesis at step s
-    holds s nodes, so the whole beam advances in one (k, ·) call of
-    :meth:`AmrDecoder.step`.  A candidate is only its parent row,
-    mixture index and log-probability; node features and history keys
-    are built in one batch for the ``width`` candidates that survive the
-    cut, each hypothesis carrying its own history-key rows.  Hypotheses
-    are :class:`AmrGeneration` records; only the winner's state rows are
-    sliced out.
+    Finished hypotheses never displace live ones; the first finish with
+    the best log-probability per step, the closing step included, wins.
+    The search stops once every survivor ``b`` has
+    ``b.log_prob / (cap + 1)`` below that score (Huang et al., "When to
+    Finish?", EMNLP 2017).  The stop is exact: mixture entries are at
+    most 1, so no descendant outscores its ancestor; a finish has at most
+    ``cap`` nodes; and rounded ``+`` and ``/`` are monotone.  With no
+    finish the search runs to the cap and returns its best live
+    hypothesis, ``truncated``.
+
+    Every live hypothesis at step s holds s nodes, so the whole beam
+    advances in one (k, ·) call of :meth:`AmrDecoder.step`.  A candidate
+    is only its parent row, mixture index and log-probability; node
+    features and history keys are built in one batch for the ``width``
+    candidates that survive the cut, each hypothesis carrying its own
+    history-key rows.  Hypotheses are :class:`AmrGeneration` records;
+    only the winner's state rows are sliced out.
 
     Candidates are enumerated and ranked as by one step per hypothesis:
     beams in order, a stable argsort per row, a stable sort on the
@@ -761,7 +768,9 @@ def beam_search(ctx, width=BEAM_WIDTH):
     x, h, c = dec.initial(ctx.finals)
     hist_keys = None
     beams = [AmrGeneration((), (), (), (), 0.0)]
-    done = []
+    best = None  # (rank, hypothesis, log prob) of the first best finish
+    def rank(logp, labels):  # per step, then the shorter, then by labels
+        return logp / (len(labels) + 1), -len(labels), labels
     for step in range(cap + 1):
         h, c, p = dec.step(x, h, c, keys, hist_keys)
         end_at = L + step + ctx.vocab.end_index
@@ -772,27 +781,28 @@ def beam_search(ctx, width=BEAM_WIDTH):
             for idx in orders[j]:
                 idx = int(idx)
                 logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
-                if idx == end_at:
-                    if step == 0:
-                        continue  # empty graphs are not a thing
-                    done.append(replace(hyp, log_prob=logp))
-                    continue
-                candidates.append((logp, j, idx))
+                if idx != end_at:
+                    candidates.append((logp, j, idx))
+                elif step:  # empty graphs are not a thing
+                    key = rank(logp, hyp.labels)
+                    if best is None or key > best[0]:
+                        best = (key, hyp, logp)
         survivors = sorted(candidates, key=lambda cand: -cand[0])[:width]
         parents = [j for _, j, _ in survivors]
         beams = [_grow(ctx, beams[j], idx, logp, h[-1], j)
                  for logp, j, idx in survivors]
-        if not beams:
+        if not beams or best is not None and all(  # best[0][0]: its score
+                b.log_prob / (cap + 1) < best[0][0] for b in beams):
             break
         x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, hist_keys)
-    if not done:
+    if best is None:
         for hyp in beams:
             hyp.truncated = True
-        done = beams
-    # log-probability per step, the closing step included
-    best = max(done, key=lambda g: (g.log_prob / max(1, len(g.labels) + 1),
-                                    -len(g.labels), g.labels))
-    return replace(best, states=tuple(ad.rows(t, [j]) for t, j in best.states))
+        best = max(((rank(b.log_prob, b.labels), b, b.log_prob) for b in beams),
+                   key=lambda entry: entry[0])
+    _, hyp, logp = best
+    return replace(hyp, log_prob=logp,
+                   states=tuple(ad.rows(t, [j]) for t, j in hyp.states))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ realized as character anchors.
 """
 
 import json
+import string
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -96,13 +97,24 @@ class ConversionRuleSet:
             if doc.get(key, value) is not value:
                 raise ValueError(f"rule key {key!r} must be "
                                  f"{json.dumps(value)}, not {json.dumps(doc[key])}")
-        surface = _objects(doc, "surface")
-        for r in surface:
-            if not isinstance(r.get("match", {}), dict):
-                raise ValueError(f"surface rule match {r['match']!r} is not an object")
-        rules = [SurfaceRule(tuple(sorted(r.get("match", {}).items())),
-                             _text(r, "template", "surface rule"))
-                 for r in surface]
+        fields = ("label", "frame_type", "pos")  # match keys and placeholders
+        rules = []
+        for r in _objects(doc, "surface"):
+            match = r.get("match", {})
+            if not isinstance(match, dict):
+                raise ValueError(f"surface rule match {match!r} is not an object")
+            for key, value in match.items():
+                if key not in fields:
+                    raise ValueError(f"surface rule match key {key!r} is not one of "
+                                     f"{', '.join(fields)}")
+                if not isinstance(value, str):
+                    raise ValueError(f"surface rule match {key} {value!r} is not a string")
+            template = _text(r, "template", "surface rule")
+            for _, name, _, _ in string.Formatter().parse(template):
+                if name is not None and name not in fields:
+                    raise ValueError(f"surface rule template {template!r} has placeholder "
+                                     f"{{{name}}}, not one of {', '.join(fields)}")
+            rules.append(SurfaceRule(tuple(sorted(match.items())), template))
         implications = []
         for i in _objects(doc, "implications"):
             direction = i.get("direction", "abstract_to_node")

@@ -239,8 +239,12 @@ def write_mrp(graphs, stream):
 
 
 def load_mrp(path):
+    """:func:`read_mrp` of the file at ``path``; its errors name the file."""
     with open(path, encoding="utf-8") as fh:
-        return read_mrp(fh)
+        try:
+            return read_mrp(fh)
+        except FormatError as err:
+            raise FormatError(f"{path}: {err}") from None
 
 
 def save_mrp(graphs, path):

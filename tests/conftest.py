@@ -398,8 +398,45 @@ def reference_greedy_decode(ctx):
     return _ref_generation(hyp)
 
 
+# the batched beam's products round differently from one step per
+# hypothesis: its floats agree with the reference to this much
+BEAM_TOL = 1e-10
+
+
+def assert_same_generation(want, got, tol=0.0):
+    """Equal discrete fields; log-probability and states equal bit for
+    bit, or within ``tol`` when it is positive."""
+    assert got.labels == want.labels
+    assert got.copy_of == want.copy_of
+    assert got.src_token == want.src_token
+    assert got.truncated == want.truncated
+    assert len(got.states) == len(want.states)
+    pairs = list(zip(want.states, got.states))
+    for w, g in pairs:
+        assert (g.data.dtype, g.data.shape) == (w.data.dtype, w.data.shape)
+    if tol == 0.0:
+        assert got.log_prob == want.log_prob
+        for w, g in pairs:
+            assert g.data.tobytes() == w.data.tobytes()
+    else:
+        assert abs(got.log_prob - want.log_prob) <= tol
+        for w, g in pairs:
+            np.testing.assert_allclose(g.data, w.data, rtol=0.0, atol=tol)
+
+
+def count_decoder_steps(monkeypatch):
+    """A list that grows by one entry per ``amr.AmrDecoder.step`` call."""
+    steps = []
+    step = amr.AmrDecoder.step
+    monkeypatch.setattr(amr.AmrDecoder, "step",
+                        lambda *args: steps.append(1) or step(*args))
+    return steps
+
+
 def reference_beam_search(ctx, width=5):
-    """Counterpart of ``amr.beam_search``."""
+    """Counterpart of ``amr.beam_search`` that never stops early: every
+    search runs all ``cap + 1`` steps and keeps every finish, so it is the
+    run-to-cap oracle for the beam's early stop."""
     if width == 1:
         return reference_greedy_decode(ctx)
     L = len(ctx.lemmas)

@@ -16,10 +16,11 @@ from mrparse.config import TrainConfig, single_config
 from mrparse.encoder import LayerFinalState
 from mrparse.training import multitask_loss
 
-from conftest import (arborescence_score, check_gradients, normalized_score,
-                      reference_coverage_loss, reference_decoder_loss,
-                      reference_teacher_forced, replication_count, scalarize,
-                      tree_round_trip)
+from conftest import (BEAM_TOL, arborescence_score, assert_same_generation,
+                      check_gradients, count_decoder_steps, normalized_score,
+                      reference_beam_search, reference_coverage_loss,
+                      reference_decoder_loss, reference_teacher_forced,
+                      replication_count, scalarize, tree_round_trip)
 
 
 def mk_tokens(words, lemmas=None, ne=None):
@@ -780,6 +781,74 @@ class TestBeamSearch:
         ctx, _ = make_ctx(["w"], seed=14)
         with pytest.raises(ValueError):
             amr.beam_search(ctx, width=0)
+
+    def test_early_stop_decodes_what_running_to_the_cap_decodes(self,
+                                                                monkeypatch):
+        steps = count_decoder_steps(monkeypatch)
+        early = 0
+        # every (width, cap) pair once per END bias; a raised END finishes
+        # early enough for the stop to fire
+        for end_bias, seed in itertools.product((0.0, 3.0), range(20)):
+            width, cap = 2 + seed % 5, 3 + seed % 4
+            fix_cap(monkeypatch, cap)
+            ctx, _ = make_ctx(["a", "b", "c"][:1 + seed % 3],
+                              extra_labels=("dog", "run"), seed=seed + 40)
+            ctx.decoder.vocab_head.b.data[ctx.vocab.end_index] = end_bias
+            steps.clear()
+            got = amr.beam_search(ctx, width=width)
+            early += len(steps) < cap + 1
+            assert_same_generation(reference_beam_search(ctx, width=width), got,
+                                   tol=BEAM_TOL)
+        assert early
+
+    @pytest.mark.parametrize("second, labels, steps", [
+        (0.25, ("dog", "cat", "cat"), 4),  # log(.25) / 4 > log(.45) / 2
+        (0.1, ("a",), 2),                  # log(.1) / 4 < log(.45) / 2
+    ])
+    def test_the_stop_waits_while_a_live_hypothesis_can_win(
+            self, monkeypatch, second, labels, steps):
+        """Planned rows: [a] finishes at step 1; the runner-up "dog" then
+        continues with probability 1 and finishes at the cap.  The search
+        must run on while that path can still outscore [a], and stop at
+        the first step where it cannot."""
+        fix_cap(monkeypatch, 3)
+        ctx, _ = make_ctx(["a"], extra_labels=("dog", "cat"), seed=3)
+        end = amr.END_LABEL
+        plans = [  # per step, one {label: probability} per beam row
+            [{"a": 0.5, "dog": second, "cat": second}],
+            [{end: 0.9, "dog": 0.05, "cat": 0.05}, {"cat": 1.0}],
+            [{"cat": 1.0}, {"cat": 1.0}],
+            [{end: 1.0}, {end: 1.0}],
+        ]
+        calls = []
+        step = amr.AmrDecoder.step
+
+        def planned(self, x, h, c, keys, hist_keys):
+            h, c, p = step(self, x, h, c, keys, hist_keys)
+            s = len(calls)
+            calls.append(s)
+            rows = np.zeros(p.shape)
+            for j, plan in enumerate(plans[s]):
+                for label, prob in plan.items():
+                    col = (0 if label == "a"
+                           else len(ctx.lemmas) + s + ctx.vocab.index(label))
+                    rows[j, col] = prob
+            return h, c, ad.Tensor(rows)
+
+        monkeypatch.setattr(amr.AmrDecoder, "step", planned)
+        got = amr.beam_search(ctx, width=2)
+        assert (got.labels, len(calls), got.truncated) == (labels, steps, False)
+
+    def test_a_cap_too_short_for_any_finish_truncates(self, monkeypatch):
+        steps = count_decoder_steps(monkeypatch)
+        fix_cap(monkeypatch, 4)
+        ctx, _ = make_ctx(["w", "x"], extra_labels=("dog",), seed=15)
+        # END never ranks among the width + 1 best entries of a row
+        ctx.decoder.vocab_head.b.data[ctx.vocab.end_index] = -60.0
+        got = amr.beam_search(ctx, width=3)
+        assert got.truncated and len(got.labels) == 5 and len(steps) == 5
+        assert_same_generation(reference_beam_search(ctx, width=3), got,
+                               tol=BEAM_TOL)
 
 
 def brute_force_arborescence(scores, root=0):

@@ -550,6 +550,11 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
     "rules-integer-surface": ("rules", '{"surface": [5]}'),
     "rules-list-match": ("rules", '{"surface": [{"match": ["pos"], '
                                   '"template": "x"}]}'),
+    "rules-unknown-match-key": ("rules", '{"surface": [{"match": {"lemma": "x"}, '
+                                         '"template": "x"}]}'),
+    "rules-integer-match-value": ("rules", '{"surface": [{"match": {"pos": 5}, '
+                                           '"template": "x"}]}'),
+    "rules-unknown-placeholder": ("rules", '{"surface": [{"template": "{lemma}_x"}]}'),
     "rules-integer-implication": ("rules", '{"implications": [5]}'),
     "rules-list-edge-map": ("rules", '{"edge_map": [5]}'),
     "rules-list-edge-label": ("rules", '{"edge_map": {"a": ["b"]}}'),
@@ -604,7 +609,7 @@ def test_a_malformed_input_file_is_one_line_error(ws, tmp_path, capsys, case):
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    if kind == "rules":
+    if kind in ("rules", "mrp"):
         assert str(path) in err[0], err
     assert not out.exists()
 

@@ -24,7 +24,8 @@ import mrparse.training as T
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
 
-from conftest import (per_framework_loss, reference_beam_search,
+from conftest import (BEAM_TOL, assert_same_generation, count_decoder_steps,
+                      per_framework_loss, reference_beam_search,
                       reference_build_ensemble, reference_parse_ensemble)
 
 FWS = ("dm", "psd", "ucca", "amr")
@@ -931,28 +932,6 @@ class TestEnsembles:
 # floats within 1e-10 (its batched products round differently)
 
 HELD = slice(6, 10)
-BEAM_TOL = 1e-10
-
-
-def assert_same_generation(want, got, tol=0.0):
-    """Equal discrete fields; log-probability and states equal bit for
-    bit, or within ``tol`` when it is positive."""
-    assert got.labels == want.labels
-    assert got.copy_of == want.copy_of
-    assert got.src_token == want.src_token
-    assert got.truncated == want.truncated
-    assert len(got.states) == len(want.states)
-    pairs = list(zip(want.states, got.states))
-    for w, g in pairs:
-        assert (g.data.dtype, g.data.shape) == (w.data.dtype, w.data.shape)
-    if tol == 0.0:
-        assert got.log_prob == want.log_prob
-        for w, g in pairs:
-            assert g.data.tobytes() == w.data.tobytes()
-    else:
-        assert abs(got.log_prob - want.log_prob) <= tol
-        for w, g in pairs:
-            np.testing.assert_allclose(g.data, w.data, rtol=0.0, atol=tol)
 
 
 def record_graph_tensors(monkeypatch):
@@ -997,6 +976,29 @@ class TestInferenceFastPath:
         want = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
                 for s in sents]
         assert got == want
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_amr_beam_stops_early_as_the_reference_decodes(self, model, corpus,
+                                                           width, monkeypatch):
+        steps = count_decoder_steps(monkeypatch)
+        # The two-epoch fixture spreads its rows thin, about 2.5 nats a
+        # node, so no finish clears the live bound before the cap; raising
+        # END by 2 nats brings finishes early enough for the stop to fire.
+        bias = model.amr_decoder.vocab_head.b
+        raised = bias.data.copy()
+        raised[model.amr_vocab.end_index] += 2.0
+        early = 0
+        for data in (bias.data, raised):
+            monkeypatch.setattr(bias, "data", data)
+            for sent in corpus.sentences[HELD]:
+                ctx = model.amr_context(sent, model.encode(sent))
+                steps.clear()
+                with ad.no_grad():
+                    got = A.beam_search(ctx, width=width)
+                early += len(steps) < A.default_cap(len(ctx.lemmas)) + 1
+                assert_same_generation(reference_beam_search(ctx, width=width),
+                                       got, tol=BEAM_TOL)
+        assert early
 
     @pytest.mark.parametrize("fw", FWS)
     def test_parse_sentence_same_with_and_without_no_grad(self, model, corpus, fw):
