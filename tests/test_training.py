@@ -1075,6 +1075,48 @@ def test_parse_output_pinned(fixed_models, corpus, fw):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PARSE_DIGESTS[fw]
 
 
+# First 16 hex digits of the sha256 of a run's trained parameters (in
+# name order) and its history JSON (wall time dropped), recorded before
+# each framework's handling moved onto one task object.  Every regime
+# must keep its parameter draws, dropout draws and summation order.
+TRAINING_DIGESTS = {
+    "multitask": "be87135844b8c831",
+    "single-dm": "a2e3934000d5fec3", "single-psd": "88cb8448eb880163",
+    "single-ucca": "748adf5f57db65fc", "single-amr": "7ae3477984a071c1",
+    "fine-tune-dm": "bb67233dba97a97d", "fine-tune-psd": "aa4f7828de0b7412",
+    "fine-tune-ucca": "87e4ceb05f0e8ff6", "fine-tune-amr": "c124637a344f405d",
+}
+
+
+def training_digest(result):
+    h = hashlib.sha256()
+    for name, arr in sorted(result.model.params.state_dict().items()):
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    history = [{k: v for k, v in r.items() if k != "seconds"}
+               for r in result.history]
+    h.update(json.dumps(history, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("run", sorted(TRAINING_DIGESTS))
+def test_training_pinned(run, mtl, split, corpus):
+    emb = (corpus.static, corpus.contextual)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if run == "multitask":
+            result = mtl
+        elif run.startswith("single-"):
+            fw = run[len("single-"):]
+            result = T.train_single(split, tiny(single_config(fw), epochs=2, seed=5),
+                                    *emb)
+        else:
+            fw = run[len("fine-tune-"):]
+            result = T.fine_tune(mtl, fw, tiny(fine_tune_config(fw), epochs=1, seed=6),
+                                 split, *emb)
+    assert training_digest(result) == TRAINING_DIGESTS[run]
+
+
 # ---------------------------------------------------------------------------
 # ensemble selection from cached predictions: the spec and F1 of
 # re-parsing every tried subset, the graphs of parse_ensemble for every
