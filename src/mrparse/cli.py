@@ -66,7 +66,7 @@ def build_parser():
     _add_embedding_args(p)
     p.add_argument("--regime", required=True,
                    choices=["single", "multitask", "fine-tune", "eds"])
-    p.add_argument("--framework", choices=["dm", "psd", "ucca", "amr"])
+    p.add_argument("--framework", choices=list(T.TASKS))
     p.add_argument("--config", help="JSON file of setting overrides")
     p.add_argument("--split", help="id-list file written by `mrparse split`")
     p.add_argument("--from-model", dest="from_model",
@@ -93,8 +93,7 @@ def build_parser():
     members.add_argument("--spec",
                          help="member spec JSON written by `mrparse ensemble`; "
                               "parses with the members it chose")
-    p.add_argument("--framework", required=True,
-                   choices=["dm", "psd", "eds", "ucca", "amr"])
+    p.add_argument("--framework", required=True, choices=G.FRAMEWORKS)
     p.add_argument("--dm-model", dest="dm_model", action="append", default=[],
                    help="DM bundle(s) feeding the EDS converter")
     p.add_argument("--dm-mrp", dest="dm_mrp",
@@ -134,8 +133,7 @@ def build_parser():
                    help="held-out gold graphs for member scoring")
     _add_embedding_args(p)
     p.add_argument("--model", action="append", required=True, default=[])
-    p.add_argument("--framework", required=True,
-                   choices=["dm", "psd", "ucca", "amr"])
+    p.add_argument("--framework", required=True, choices=list(T.TASKS))
     p.add_argument("--beam", type=int, help="AMR beam width")
     p.add_argument("--out", required=True, help="member spec JSON file")
     p.set_defaults(entry=cmd_ensemble)
@@ -283,9 +281,8 @@ def _resolve_split(args, sentences, seed):
 
 def _pseudo_result(model):
     """Wrap a loaded bundle so fine-tuning can start from its state."""
-    keys = {"total", "dm", "psd", "ucca", "amr"}
-    return T.TrainResult(model=model, history=[],
-                         best_epochs={k: 0 for k in keys}, best_values={},
+    return T.TrainResult(model=model, history=[], best_values={},
+                         best_epochs={k: 0 for k in ("total", *T.TASKS)},
                          snapshots={0: model.params.state_dict()})
 
 

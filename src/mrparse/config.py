@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, fields, replace, asdict
 
 from .atomic import atomic_open
+from .graphs import FRAMEWORKS
 
 SDP_PAIR = ("dm", "psd")
 
@@ -90,8 +91,7 @@ class TrainConfig:
             raise ValueError("batch size and epoch count must be at least 1")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
-        bad = [fw for fw in self.frameworks
-               if fw not in ("dm", "psd", "eds", "ucca", "amr")]
+        bad = [fw for fw in self.frameworks if fw not in FRAMEWORKS]
         if bad:
             raise ValueError(f"unknown frameworks: {bad}")
 

@@ -238,13 +238,18 @@ def write_mrp(graphs, stream):
         stream.write("\n")
 
 
-def load_mrp(path):
-    """:func:`read_mrp` of the file at ``path``; its errors name the file."""
+def _read_file(path, read):
+    """``read`` of the file at ``path``; its format errors name the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return read_mrp(fh)
+            return read(fh)
         except FormatError as err:
             raise FormatError(f"{path}: {err}") from None
+
+
+def load_mrp(path):
+    """:func:`read_mrp` of the file at ``path``; its errors name the file."""
+    return _read_file(path, read_mrp)
 
 
 def save_mrp(graphs, path):
@@ -315,8 +320,7 @@ def _check_token_anchors(sid, rows):
 
 
 def load_companion(path):
-    with open(path, encoding="utf-8") as fh:
-        return read_companion(fh)
+    return _read_file(path, read_companion)
 
 
 # ---------------------------------------------------------------------------

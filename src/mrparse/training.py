@@ -3,8 +3,15 @@
 This module owns everything between a corpus of Sentence records and a
 servable model: validation carve-outs, inventory extraction, the
 shared-encoder multi-framework model, the training objective, early
-stopping with pruned snapshots, bundle IO, per framework parsing, and
-the greedy ensemble builder.
+stopping with pruned snapshots, bundle IO, parsing, and the greedy
+ensemble builder.
+
+The model is one shared encoder with one task per framework: ``TASKS``
+holds a stateless ``Task`` for each of DM, PSD, UCCA and AMR, which owns
+everything framework-specific (modules, gold, loss terms, prediction,
+decoding and ensembling, validation, where fine-tuning starts).  The
+functions outside the tasks loop over the table or look a framework up
+in it.
 
 There is one objective, per-regime coefficients: single-framework,
 multi-task and fine-tuning runs all build each sentence's loss with
@@ -16,7 +23,8 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -161,27 +169,16 @@ class Inventories:
     amr_edges: list = field(default_factory=list)
     sense_table: dict = field(default_factory=dict)
     ne_map: dict = field(default_factory=dict)
+    # lexicon rows: [lemma, pos, frame, argument list, frequency]
     dm_lexicon_rows: list = field(default_factory=list)
     psd_lexicon_rows: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "dm_labels": self.dm_labels, "dm_types": self.dm_types,
-            "dm_args": self.dm_args, "psd_labels": self.psd_labels,
-            "ucca_labels": self.ucca_labels,
-            "amr_concepts": self.amr_concepts, "amr_edges": self.amr_edges,
-            "sense_table": self.sense_table, "ne_map": self.ne_map,
-            "dm_lexicon_rows": [list(r) for r in self.dm_lexicon_rows],
-            "psd_lexicon_rows": [list(r) for r in self.psd_lexicon_rows],
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc):
-        inv = cls(**{k: doc[k] for k in doc
-                     if k not in ("dm_lexicon_rows", "psd_lexicon_rows")})
-        inv.dm_lexicon_rows = [tuple(r) for r in doc.get("dm_lexicon_rows", [])]
-        inv.psd_lexicon_rows = [tuple(r) for r in doc.get("psd_lexicon_rows", [])]
-        return inv
+        return cls(**doc)
 
 
 def _lexicon_from_rows(rows):
@@ -202,7 +199,7 @@ def _dm_lexicon_rows(graphs):
             ftype, args = S.parse_frame(props["frame"])
             key = (n.label, "", ftype, args)
             counts[key] = counts.get(key, 0) + 1
-    return [(*key[:3], list(key[3]), freq) for key, freq in counts.items()]
+    return [[*key[:3], list(key[3]), freq] for key, freq in counts.items()]
 
 
 def _psd_lexicon_rows(graphs):
@@ -218,15 +215,11 @@ def _psd_lexicon_rows(graphs):
             required = tuple(sorted(outgoing.get(n.id, ())))
             key = (n.label, props.get("pos", ""), props["frame"], required)
             counts[key] = counts.get(key, 0) + 1
-    return [(*key[:3], list(key[3]), freq) for key, freq in counts.items()]
+    return [[*key[:3], list(key[3]), freq] for key, freq in counts.items()]
 
 
 def _first_seen(seq):
-    out = []
-    for x in seq:
-        if x not in out:
-            out.append(x)
-    return out
+    return list(dict.fromkeys(seq))
 
 
 def build_inventories(train_by_fw):
@@ -281,16 +274,16 @@ def _strip_graph_senses(g):
 # the shared-encoder model
 
 class MultiModel:
-    """Shared encoder plus per-framework heads and decoders.
+    """Shared encoder plus the modules of the tasks its config names.
 
     Construction is deterministic given (config, vocab, inventories).
     Without ``state`` the parameters take initial values drawn from
-    ``config.seed``; with ``state`` (name -> array, as a checkpoint or
-    snapshot holds) they take its values and nothing is drawn.  Heads
-    exist only for frameworks with a nonempty label inventory.  The
-    frame classifier and the UCCA and AMR decoders are built with their
-    framework's head, so ``fw in model.heads`` tells whether the model
-    serves ``fw``.
+    ``config.seed``, the encoder's first, then each named task's in
+    ``TASKS`` order; with ``state`` (name -> array, as a checkpoint or
+    snapshot holds) they take its values and nothing is drawn.  A task
+    with an empty inventory builds nothing; any other builds at least
+    its framework's entry of ``heads``, so ``name in model.heads`` tells
+    whether the model serves a framework.  Unbuilt modules are None.
     """
 
     def __init__(self, config, vocab, inv, static, contextual, state=None):
@@ -300,52 +293,16 @@ class MultiModel:
         self.static = static
         self.contextual = contextual
         self.params = ad.ParamSet(state)
-        cfg = config
-        rng = np.random.default_rng(cfg.seed)
-        self.encoder = Encoder(self.params, vocab, cfg, static,
+        rng = np.random.default_rng(config.seed)
+        self.encoder = Encoder(self.params, vocab, config, static,
                                ctx_layers=contextual.n_layers,
                                ctx_width=contextual.width, rng=rng)
         self.heads = {}
-        self.frame_clf = None
-        self.ucca_decoder = None
-        self.ucca_extra = None
-        self.remote_head = None
-        self.amr_decoder = None
-        self.amr_vocab = None
-        width = 2 * cfg.hidden
-
-        def head(name, labels, in_dim=width):
-            return B.BiaffineHead(
-                self.params, name, in_dim, labels, rng,
-                edge_mlp=cfg.edge_mlp, label_mlp=cfg.label_mlp,
-                input_dropout=cfg.biaffine_input_dropout,
-                edge_dropout=cfg.edge_dropout, label_dropout=cfg.label_dropout)
-
-        if "dm" in cfg.frameworks and inv.dm_labels:
-            self.heads["dm"] = head("dm", inv.dm_labels)
-            self.frame_clf = S.FrameClassifier(
-                self.params, "dm.frame", width, inv.dm_types, inv.dm_args, rng,
-                hidden=cfg.frame_mlp, drop=cfg.frame_dropout)
-        if "psd" in cfg.frameworks and inv.psd_labels:
-            self.heads["psd"] = head("psd", inv.psd_labels)
-        if "ucca" in cfg.frameworks and inv.ucca_labels:
-            self.ucca_decoder = U.UccaDecoder(self.params, "ucca.dec",
-                                              enc_hidden=cfg.hidden,
-                                              use_layers=cfg.layers, rng=rng)
-            self.ucca_extra = BiLstm(self.params, "ucca.extra",
-                                     width + PE_DIM, cfg.hidden, 1, rng,
-                                     input_dropout=cfg.decoder_dropout)
-            self.heads["ucca"] = head("ucca", inv.ucca_labels)
-            self.remote_head = head("ucca.remote", ["remote"])
-        if "amr" in cfg.frameworks and inv.amr_concepts and inv.amr_edges:
-            self.amr_vocab = A.DecoderVocab(inv.amr_concepts)
-            self.amr_decoder = A.AmrDecoder(
-                self.params, "amr.dec", enc_hidden=cfg.hidden,
-                feat_width=A.node_feature_width(self.encoder),
-                hidden=cfg.decoder_hidden, n_vocab=len(self.amr_vocab), rng=rng,
-                layers=cfg.decoder_layers, dropout=cfg.decoder_dropout)
-            self.heads["amr"] = head("amr", inv.amr_edges,
-                                     in_dim=cfg.decoder_hidden)
+        self.frame_clf = self.ucca_decoder = self.ucca_extra = None
+        self.remote_head = self.amr_vocab = self.amr_decoder = None
+        for task in TASKS.values():
+            if task.name in config.frameworks:
+                task.build(self, rng)
         self._resources = None
 
     @classmethod
@@ -358,6 +315,15 @@ class MultiModel:
         vocab = Vocabulary.build(pool)
         inv = build_inventories(train_by_fw)
         return cls(config, vocab, inv, static, contextual)
+
+    def biaffine_head(self, name, labels, rng, in_dim=None):
+        """A head over ``in_dim``-wide states, by default the encoder's."""
+        cfg = self.config
+        return B.BiaffineHead(
+            self.params, name, in_dim or 2 * cfg.hidden, labels, rng,
+            edge_mlp=cfg.edge_mlp, label_mlp=cfg.label_mlp,
+            input_dropout=cfg.biaffine_input_dropout,
+            edge_dropout=cfg.edge_dropout, label_dropout=cfg.label_dropout)
 
     def encode(self, sent, train=False, rng=None):
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
@@ -412,33 +378,6 @@ def load_model(path, static, contextual):
 # prepared gold targets
 
 @dataclass
-class SdpTargets:
-    edges: list
-    tops: list
-    frames: dict
-
-
-@dataclass
-class UccaTargets:
-    pointers: tuple
-    edge_cells: list
-    tops: list
-    remote_cells: list
-
-
-@dataclass
-class AmrTargets:
-    tree: object
-    gold: object
-
-
-@dataclass
-class EdsTargets:
-    token_states: object  # constant: the converter's encoder is frozen
-    items: list           # (label, token set, first, last) per abstract node
-
-
-@dataclass
 class Prepared:
     """One sentence with whatever gold targets survived preparation."""
     sent: object
@@ -454,12 +393,6 @@ def companion_text(tokens):
     return "".join(chars)
 
 
-def _prep_sdp(model, fw, sent):
-    label_index = {lab: k for k, lab in enumerate(model.heads[fw].labels)}
-    edges, tops, frames = S.gold_targets(sent.graphs[fw], sent.tokens, label_index)
-    return SdpTargets(edges=edges, tops=tops, frames=frames)
-
-
 def _serialize_ucca(sent):
     ser = U.serialize_ucca(sent.graphs["ucca"], sent.tokens)
     if ser is None:
@@ -468,46 +401,252 @@ def _serialize_ucca(sent):
     return ser
 
 
-def _prep_ucca(model, sent):
-    ser = _serialize_ucca(sent)
-    labels = model.heads["ucca"].labels
-    cells = [(i, j, labels.index(lab)) for i, j, lab in ser.edges]
-    remote = [(i, j, 0) for i, j in ser.remotes]
-    return UccaTargets(pointers=ser.pointers, edge_cells=cells,
-                       tops=list(ser.tops), remote_cells=remote)
+# ---------------------------------------------------------------------------
+# one task per framework
+
+class Task:
+    """One framework's part of the model; stateless, so each method takes
+    the model, or the ensemble members, it acts on.  ``build`` adds the
+    framework's modules to a model under construction (none when its
+    inventory is empty); ``prepare`` turns a sentence's gold into the
+    targets ``terms`` reads, or raises ValueError or KeyError; ``terms``
+    gives the loss pieces, keyed "name.part"; ``predict`` the arrays a
+    graph is decoded from; ``decode`` a graph from one prediction per
+    model, combining several by ``rule``; ``validator`` the metric a
+    single-framework run early-stops on, in ``mode``.  Fine-tuning
+    restarts from the joint run's best epoch of ``start_key`` and trains
+    the frameworks of ``group``.
+    """
+    part = "decoder"  # what a model that cannot serve the framework lacks
+    mode = "max"
+
+    def __init__(self, name):
+        self.name = name
+        self.start_key = name
+        self.group = (name,)
 
 
-def _prep_amr(model, sent):
-    anon = A.anonymize(sent.graphs["amr"], sent.tokens)
-    tree = A.dag_to_tree(_strip_graph_senses(anon.graph))
-    known = set(model.heads["amr"].labels)
-    for n in tree.nodes:
-        if n.parent >= 0 and n.edge_label not in known:
-            raise ValueError(f"edge label {n.edge_label!r} not in inventory")
-    ctx = SimpleNamespace(lemmas=tuple(t.lemma for t in sent.tokens),
-                          vocab=model.amr_vocab)
-    return AmrTargets(tree=tree, gold=A.gold_sequence(tree, ctx))
+class SdpTask(Task):
+    """DM or PSD: a biaffine head over the encoder's top layer; ``frames``
+    marks DM, whose inventory adds the frame classifier.  Ensembles
+    average probabilities.  The pair fine-tunes jointly, from the epoch
+    of the lowest total joint loss."""
+    part = "head"
+    rule = "average"
+
+    def __init__(self, name, frames):
+        super().__init__(name)
+        self.frames = frames
+        self.start_key, self.group = "total", SDP_PAIR
+
+    def build(self, model, rng):
+        inv, cfg = model.inv, model.config
+        labels = inv.dm_labels if self.frames else inv.psd_labels
+        if not labels:
+            return
+        model.heads[self.name] = model.biaffine_head(self.name, labels, rng)
+        if self.frames:
+            model.frame_clf = S.FrameClassifier(
+                model.params, f"{self.name}.frame", 2 * cfg.hidden,
+                inv.dm_types, inv.dm_args, rng,
+                hidden=cfg.frame_mlp, drop=cfg.frame_dropout)
+
+    def prepare(self, model, sent):
+        """(edges, tops, frames)."""
+        labels = model.heads[self.name].labels
+        return S.gold_targets(sent.graphs[self.name], sent.tokens,
+                              {lab: k for k, lab in enumerate(labels)})
+
+    def terms(self, model, sent, enc_out, tgt, train, rng):
+        name, (edges, tops, frames) = self.name, tgt
+        scores = model.heads[name].score(enc_out.top, train=train, rng=rng)
+        edge, label = B.edge_and_label_loss(scores, edges, tops)
+        out = {f"{name}.edge": edge, f"{name}.label": label}
+        if self.frames and frames:
+            pred = model.frame_clf.predict(enc_out.top, train=train, rng=rng)
+            positions = sorted(frames)
+            out[f"{name}.frame"] = S.frame_loss(
+                pred, positions, [frames[p] for p in positions], model.frame_clf)
+        elif self.frames:
+            out[f"{name}.frame"] = ad.Tensor(0.0)
+        return out
+
+    def predict(self, model, sent, enc_out, beam):
+        """(pair scores, frames or None)."""
+        scores = model.heads[self.name].score(enc_out.top)
+        frames = model.frame_clf.predict(enc_out.top) if self.frames else None
+        return scores, frames
+
+    def decode(self, models, sent, preds, text):
+        scores, frames = preds[0]
+        if len(preds) > 1:
+            scores = combine_pair_scores([s for s, _ in preds])
+            frames = (combine_frames([f for _, f in preds])
+                      if all(f is not None for _, f in preds) else None)
+        return S.build_graph(self.name, sent.id, sent.tokens, text, scores,
+                             frame_pred=frames,
+                             resources=models[0].sdp_resources())
+
+    def validator(self, model, cfg, val):
+        """Mean labeled F1."""
+        return lambda m: float(np.mean([
+            scoring.sdp_labeled_f1(s.graphs[self.name],
+                                   parse_sentence(m, s, self.name))
+            for s in val]))
+
+
+class UccaTask(Task):
+    """UCCA: the pointer decoder lays out the nodes, a slot-state biLSTM
+    reads them, and two biaffine heads score primary and remote edges.
+    Ensembles vote."""
+    rule = "vote"
+
+    def build(self, model, rng):
+        inv, cfg = model.inv, model.config
+        if not inv.ucca_labels:
+            return
+        model.ucca_decoder = U.UccaDecoder(model.params, "ucca.dec",
+                                           enc_hidden=cfg.hidden,
+                                           use_layers=cfg.layers, rng=rng)
+        model.ucca_extra = BiLstm(model.params, "ucca.extra",
+                                  2 * cfg.hidden + PE_DIM, cfg.hidden, 1, rng,
+                                  input_dropout=cfg.decoder_dropout)
+        model.heads["ucca"] = model.biaffine_head("ucca", inv.ucca_labels, rng)
+        model.remote_head = model.biaffine_head("ucca.remote", ["remote"], rng)
+
+    def prepare(self, model, sent):
+        """(pointers, edge cells, tops, remote cells)."""
+        ser = _serialize_ucca(sent)
+        labels = model.heads["ucca"].labels
+        return (ser.pointers, [(i, j, labels.index(lab)) for i, j, lab in ser.edges],
+                list(ser.tops), [(i, j, 0) for i, j in ser.remotes])
+
+    def terms(self, model, sent, enc_out, tgt, train, rng):
+        pointers, cells, tops, remote_cells = tgt
+        dec = U.pointer_decode(enc_out, model.ucca_decoder, gold_pointers=pointers)
+        pointer = U.pointer_loss(dec.logits, pointers)
+        ns = U.build_node_states(enc_out, pointers, model.ucca_decoder,
+                                 model.ucca_extra, pe_dim=PE_DIM,
+                                 train=train, rng=rng)
+        scores = model.heads["ucca"].score(ns.states, train=train, rng=rng)
+        edge, label = B.edge_and_label_loss(scores, cells, tops)
+        rscores = model.remote_head.score(ns.states, train=train, rng=rng)
+        remote, _ = B.edge_and_label_loss(rscores, remote_cells, [])
+        return {"ucca.dec": pointer, "ucca.edge": edge, "ucca.label": label,
+                "ucca.remote": remote}
+
+    def predict(self, model, sent, enc_out, beam):
+        """A ``UccaPrediction``."""
+        dec = U.pointer_decode(enc_out, model.ucca_decoder)
+        ns = U.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
+                                 model.ucca_extra, pe_dim=PE_DIM)
+        scores = model.heads["ucca"].score(ns.states)
+        remote = model.remote_head.score(ns.states)
+        return U.UccaPrediction(pointers=dec.pointers,
+                                edge_probs=scores.edge_probs.data,
+                                label_probs=scores.label_probs(),
+                                remote_probs=remote.edge_probs.data)
+
+    def decode(self, models, sent, preds, text):
+        labels = _require_same_labels([m.heads["ucca"].labels for m in models],
+                                      "ucca labels")
+        win = preds[0] if len(preds) == 1 else U.voting_ensemble(preds)
+        return U.decode_graph(win, labels, sent.tokens, text, sent.id)
+
+    def validator(self, model, cfg, val):
+        """Labeled F1 over the corpus."""
+        golds = [s.graphs["ucca"] for s in val]
+        return lambda m: corpus_report(
+            golds, [parse_sentence(m, s, "ucca") for s in val]).framework_f1("ucca")
+
+
+class AmrTask(Task):
+    """AMR: the generator writes the nodes, and a biaffine head over its
+    states scores the edges.  An ensemble is its single best model, and
+    a single-framework run early-stops on the objective."""
+    rule = "single"
+    mode = "min"
+
+    def build(self, model, rng):
+        inv, cfg = model.inv, model.config
+        if not (inv.amr_concepts and inv.amr_edges):
+            return
+        model.amr_vocab = A.DecoderVocab(inv.amr_concepts)
+        model.amr_decoder = A.AmrDecoder(
+            model.params, "amr.dec", enc_hidden=cfg.hidden,
+            feat_width=A.node_feature_width(model.encoder),
+            hidden=cfg.decoder_hidden, n_vocab=len(model.amr_vocab), rng=rng,
+            layers=cfg.decoder_layers, dropout=cfg.decoder_dropout)
+        model.heads["amr"] = model.biaffine_head("amr", inv.amr_edges, rng,
+                                                 in_dim=cfg.decoder_hidden)
+
+    def prepare(self, model, sent):
+        """(tree, gold sequence)."""
+        anon = A.anonymize(sent.graphs["amr"], sent.tokens)
+        tree = A.dag_to_tree(_strip_graph_senses(anon.graph))
+        known = set(model.heads["amr"].labels)
+        for n in tree.nodes:
+            if n.parent >= 0 and n.edge_label not in known:
+                raise ValueError(f"edge label {n.edge_label!r} not in inventory")
+        ctx = SimpleNamespace(lemmas=tuple(t.lemma for t in sent.tokens),
+                              vocab=model.amr_vocab)
+        return tree, A.gold_sequence(tree, ctx)
+
+    def terms(self, model, sent, enc_out, tgt, train, rng):
+        tree, gold = tgt
+        ctx = model.amr_context(sent, enc_out)
+        p, attns, states = A.run_teacher_forced(ctx, gold, train=train, rng=rng)
+        dec = A.decoder_loss(p, gold.targets, len(ctx.lemmas))
+        cov = A.coverage_loss(attns)
+        scores = model.heads["amr"].score(states, train=train, rng=rng)
+        edge, label = A.amr_edge_loss(scores, tree)
+        return {"amr.dec": dec, "amr.cov": cov, "amr.edge": edge,
+                "amr.label": label}
+
+    def predict(self, model, sent, enc_out, beam):
+        """(generation, pair scores or None)."""
+        gen = A.beam_search(model.amr_context(sent, enc_out), width=beam)
+        if not gen.labels:
+            return gen, None
+        return gen, model.heads["amr"].score(ad.concat(list(gen.states), axis=0))
+
+    def decode(self, models, sent, preds, text):
+        if len(preds) > 1:
+            raise ValueError("amr is served by its single best model, not combined")
+        model, (gen, scores) = models[0], preds[0]
+        records = A.records_from_ne(sent.tokens, model.inv.ne_map)
+        graph, _ = A.decode_graph(gen, scores, model.heads["amr"].labels,
+                                  sent.id, text, records=records,
+                                  sense_table=model.inv.sense_table)
+        return graph
+
+    def validator(self, model, cfg, val):
+        """The objective."""
+        preps = prepare_sentences(model, val, ("amr",))
+        return lambda m: _val_loss(
+            preps, lambda p: sentence_loss(m, cfg, p, ("amr",)), "amr")
+
+
+# the served frameworks, in the order their modules are built
+TASKS = {t.name: t for t in (SdpTask("dm", frames=True), SdpTask("psd", frames=False),
+                             UccaTask("ucca"), AmrTask("amr"))}
 
 
 def prepare_sentences(model, sentences, frameworks, allowed_ids=None):
     """Precompute per-framework supervision; unusable gold is dropped
     with a warning instead of failing the run."""
-    builders = {"dm": lambda s: _prep_sdp(model, "dm", s),
-                "psd": lambda s: _prep_sdp(model, "psd", s),
-                "ucca": lambda s: _prep_ucca(model, s),
-                "amr": lambda s: _prep_amr(model, s)}
+    tasks = [TASKS[name] for name in frameworks if name in model.heads]
     preps = []
     for s in sentences:
         targets = {}
-        for fw in frameworks:
-            if fw not in s.graphs or fw not in model.heads:
-                continue
-            if allowed_ids is not None and s.id not in allowed_ids.get(fw, ()):
+        for task in tasks:
+            if task.name not in s.graphs or (
+                    allowed_ids is not None and s.id not in allowed_ids.get(task.name, ())):
                 continue
             try:
-                targets[fw] = builders[fw](s)
+                targets[task.name] = task.prepare(model, s)
             except (ValueError, KeyError) as err:
-                warnings.warn(f"{s.id}: {fw} gold dropped ({err})")
+                warnings.warn(f"{s.id}: {task.name} gold dropped ({err})")
         preps.append(Prepared(sent=s, targets=targets))
     return preps
 
@@ -529,59 +668,20 @@ def framework_terms(model, prep, frameworks, train=False, rng=None):
     Frameworks without prepared gold contribute no keys at all, so their
     parameters stay entirely off the backward graph.
     """
-    want = [fw for fw in frameworks if fw in prep.targets]
+    want = [TASKS[name] for name in frameworks if name in prep.targets]
     if not want:
         return {}
     enc_out = model.encode(prep.sent, train=train, rng=rng)
     terms = {}
-    for fw in want:
-        tgt = prep.targets[fw]
-        if fw in ("dm", "psd"):
-            scores = model.heads[fw].score(enc_out.top, train=train, rng=rng)
-            edge, label = B.edge_and_label_loss(scores, tgt.edges, tgt.tops)
-            terms[f"{fw}.edge"] = edge
-            terms[f"{fw}.label"] = label
-            if fw == "dm":
-                if tgt.frames:
-                    pred = model.frame_clf.predict(enc_out.top, train=train, rng=rng)
-                    positions = sorted(tgt.frames)
-                    terms["dm.frame"] = S.frame_loss(
-                        pred, positions, [tgt.frames[p] for p in positions],
-                        model.frame_clf)
-                else:
-                    terms["dm.frame"] = ad.Tensor(0.0)
-        elif fw == "ucca":
-            dec = U.pointer_decode(enc_out, model.ucca_decoder,
-                                   gold_pointers=tgt.pointers)
-            terms["ucca.dec"] = U.pointer_loss(dec.logits, tgt.pointers)
-            ns = U.build_node_states(enc_out, tgt.pointers, model.ucca_decoder,
-                                     model.ucca_extra, pe_dim=PE_DIM,
-                                     train=train, rng=rng)
-            scores = model.heads["ucca"].score(ns.states, train=train, rng=rng)
-            edge, label = B.edge_and_label_loss(scores, tgt.edge_cells, tgt.tops)
-            terms["ucca.edge"] = edge
-            terms["ucca.label"] = label
-            rscores = model.remote_head.score(ns.states, train=train, rng=rng)
-            redge, _ = B.edge_and_label_loss(rscores, tgt.remote_cells, [])
-            terms["ucca.remote"] = redge
-        elif fw == "amr":
-            ctx = model.amr_context(prep.sent, enc_out)
-            p, attns, states = A.run_teacher_forced(ctx, tgt.gold,
-                                                    train=train, rng=rng)
-            terms["amr.dec"] = A.decoder_loss(p, tgt.gold.targets, len(ctx.lemmas))
-            terms["amr.cov"] = A.coverage_loss(attns)
-            scores = model.heads["amr"].score(states, train=train, rng=rng)
-            edge, label = A.amr_edge_loss(scores, tgt.tree)
-            terms["amr.edge"] = edge
-            terms["amr.label"] = label
+    for task in want:
+        terms.update(task.terms(model, prep.sent, enc_out,
+                                prep.targets[task.name], train, rng))
     return terms
 
 
-def _sum_terms(parts):
-    total = parts[0]
-    for p in parts[1:]:
-        total = ad.add(total, p)
-    return total
+# the biaffine pieces, summed in table order
+_LABEL_TERMS = tuple(f"{name}.label" for name in TASKS)
+_EDGE_TERMS = tuple(f"{name}.edge" for name in TASKS)
 
 
 def multitask_loss(cfg, terms):
@@ -590,32 +690,25 @@ def multitask_loss(cfg, terms):
     Absent frameworks are omitted rather than zero-weighted, keeping
     their gradients exactly zero.
     """
-    label_parts = [terms[k] for k in ("dm.label", "psd.label", "ucca.label",
-                                      "amr.label") if k in terms]
+    label_parts = [terms[k] for k in _LABEL_TERMS if k in terms]
     if "dm.frame" in terms:
         label_parts.append(ad.mul(terms["dm.frame"], cfg.lam_frame))
-    edge_parts = [terms[k] for k in ("dm.edge", "psd.edge", "ucca.edge",
-                                     "amr.edge") if k in terms]
+    edge_parts = [terms[k] for k in _EDGE_TERMS if k in terms]
     pieces = []
     if label_parts or edge_parts:
         inner = None
         if label_parts:
-            inner = ad.mul(_sum_terms(label_parts), cfg.lam_label)
+            inner = ad.mul(reduce(ad.add, label_parts), cfg.lam_label)
         if edge_parts:
-            e = ad.mul(_sum_terms(edge_parts), 1.0 - cfg.lam_label)
+            e = ad.mul(reduce(ad.add, edge_parts), 1.0 - cfg.lam_label)
             inner = e if inner is None else ad.add(inner, e)
         pieces.append(ad.mul(inner, cfg.lam_biaf))
-    if "amr.cov" in terms:
-        pieces.append(ad.mul(terms["amr.cov"], cfg.lam_cov))
-    if "ucca.dec" in terms:
-        pieces.append(ad.mul(terms["ucca.dec"], cfg.lam_dec_ucca))
-    if "amr.dec" in terms:
-        pieces.append(ad.mul(terms["amr.dec"], cfg.lam_dec_amr))
-    if "ucca.remote" in terms:
-        pieces.append(ad.mul(terms["ucca.remote"], cfg.lam_remote))
+    pieces += [ad.mul(terms[k], lam) for k, lam in (
+        ("amr.cov", cfg.lam_cov), ("ucca.dec", cfg.lam_dec_ucca),
+        ("amr.dec", cfg.lam_dec_amr), ("ucca.remote", cfg.lam_remote)) if k in terms]
     if not pieces:
         return ad.Tensor(0.0)
-    return _sum_terms(pieces)
+    return reduce(ad.add, pieces)
 
 
 def sentence_loss(model, cfg, prep, frameworks, train=False, rng=None):
@@ -635,20 +728,6 @@ def corpus_report(golds, preds):
     for g, p in zip(golds, preds):
         rep.add(g.framework, scoring.mrp_f1(g, p))
     return rep
-
-
-def _val_sdp_f1(model, fw, sentences):
-    scores = []
-    for s in sentences:
-        pred = parse_sentence(model, s, fw)
-        scores.append(scoring.sdp_labeled_f1(s.graphs[fw], pred))
-    return float(np.mean(scores))
-
-
-def _val_ucca_f1(model, sentences):
-    preds = [parse_sentence(model, s, "ucca") for s in sentences]
-    rep = corpus_report([s.graphs["ucca"] for s in sentences], preds)
-    return rep.framework_f1("ucca")
 
 
 @ad.no_grad()
@@ -805,39 +884,29 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
                        best_values=best_values, snapshots=snapshots)
 
 
-def _single_validation(model, cfg, split, frameworks):
-    """Early-stopping modes and validation of a per-framework regime:
-    labeled F1 for DM, PSD and UCCA, the objective for AMR, each on its
-    tuning carve-out."""
+def _train_frameworks(model, cfg, split, frameworks, run_dir, kind):
+    """Train ``frameworks`` jointly, each early-stopped on its task's
+    validation metric over its tuning carve-out: labeled F1 for DM, PSD
+    and UCCA, the objective for AMR."""
+    preps = _train_preps(model, split, frameworks)
     modes, fns = {}, {}
-    for fw in frameworks:
-        val = split.val_i.get(fw, [])
-        if not val or fw not in model.heads:
-            continue
-        if fw in SDP_PAIR:
-            modes[fw] = "max"
-            fns[fw] = lambda m, fw=fw, val=val: _val_sdp_f1(m, fw, val)
-        elif fw == "ucca":
-            modes[fw] = "max"
-            fns[fw] = lambda m, val=val: _val_ucca_f1(m, val)
-        else:
-            preps = prepare_sentences(model, val, ("amr",))
-            modes[fw] = "min"
-            fns[fw] = lambda m, preps=preps: _val_loss(
-                preps, lambda p: sentence_loss(m, cfg, p, ("amr",)), "amr")
-    return modes, lambda m: {fw: fn(m) for fw, fn in fns.items()}
+    for name in frameworks:
+        val = split.val_i.get(name, [])
+        if val and name in model.heads:
+            modes[name] = TASKS[name].mode
+            fns[name] = TASKS[name].validator(model, cfg, val)
+    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, frameworks,
+                                              train=True, rng=rng)
+    return _train_loop(model, cfg, preps, loss_fn, modes,
+                       lambda m: {name: fn(m) for name, fn in fns.items()},
+                       run_dir=run_dir, kind=kind)
 
 
 def train_single(split, config, static, contextual, run_dir=None):
     """One regime on its own frameworks (DM and PSD train jointly)."""
-    cfg = config
-    model = MultiModel.derive(cfg, split, static, contextual)
-    preps = _train_preps(model, split, cfg.frameworks)
-    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, cfg.frameworks,
-                                              train=True, rng=rng)
-    return _train_loop(model, cfg, preps, loss_fn,
-                       *_single_validation(model, cfg, split, cfg.frameworks),
-                       run_dir=run_dir, kind="single")
+    model = MultiModel.derive(config, split, static, contextual)
+    return _train_frameworks(model, config, split, config.frameworks,
+                             run_dir, "single")
 
 
 def train_multitask(split, config, static, contextual, run_dir=None):
@@ -875,24 +944,18 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
     The other frameworks' modules stay in the model but receive no
     gradient.
     """
-    if framework not in ("dm", "psd", "ucca", "amr"):
-        raise ValueError(f"fine-tuning is defined for dm/psd/ucca/amr, "
+    task = TASKS.get(framework)
+    if task is None:
+        raise ValueError(f"fine-tuning is defined for {'/'.join(TASKS)}, "
                          f"not {framework!r}")
     base = mtl_result.model
-    start_key = "total" if framework in SDP_PAIR else framework
-    start_key = start_key if start_key in mtl_result.best_epochs else framework
+    start_key = task.start_key if task.start_key in mtl_result.best_epochs else framework
     arch = {f: getattr(base.config, f) for f in ARCH_FIELDS}
     merged = replace(config, **arch)
     model = MultiModel(merged, base.vocab, base.inv, static, contextual,
                        state=mtl_result.snapshots[mtl_result.best_epochs[start_key]])
-
-    target = SDP_PAIR if framework in SDP_PAIR else (framework,)
-    preps = _train_preps(model, split, target)
-    loss_fn = lambda m, p, rng: sentence_loss(m, merged, p, target,
-                                              train=True, rng=rng)
-    return _train_loop(model, merged, preps, loss_fn,
-                       *_single_validation(model, merged, split, target),
-                       run_dir=run_dir, kind=f"fine-tune-{framework}")
+    return _train_frameworks(model, merged, split, task.group, run_dir,
+                             f"fine-tune-{framework}")
 
 
 # ---------------------------------------------------------------------------
@@ -936,11 +999,8 @@ class EdsModel:
     def token_states(self, sent):
         """Encoder states of the tokens (the root row dropped); a
         constant, since the encoder is frozen."""
-        return ad.Tensor(self.encode(sent).top.data[1:])
-
-    def encode(self, sent):
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
-        return self.encoder.run(sent.tokens, ctx)
+        return ad.Tensor(self.encoder.run(sent.tokens, ctx).top.data[1:])
 
     @ad.no_grad()
     def parse(self, sent, dm_graph):
@@ -986,11 +1046,11 @@ def _anchor_items(sent, surface):
     return items
 
 
-def _anchor_loss(model, target):
+def _anchor_loss(model, token_states, items):
     """Endpoint cross-entropies of one sentence's abstract nodes."""
-    pairs = [model.anchor.endpoint_logits(label, tset, target.token_states)
-             for label, tset, _, _ in target.items]
-    return E.anchor_loss(pairs, [(i, j) for _, _, i, j in target.items])
+    pairs = [model.anchor.endpoint_logits(label, tset, token_states)
+             for label, tset, _, _ in items]
+    return E.anchor_loss(pairs, [(i, j) for _, _, i, j in items])
 
 
 def train_eds(split, config, static, contextual, rules, encoder_from=None,
@@ -1053,10 +1113,12 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
         return model, []
 
     # the encoder is frozen, so token states are computed once; its
-    # gradients stay None, which keeps Adam and clipping off it
+    # gradients stay None, which keeps Adam and clipping off it.  The
+    # targets are (token states, (label, token set, first, last) per
+    # abstract node).
     def prep(sent, items):
         return Prepared(sent=sent,
-                        targets={"eds": EdsTargets(model.token_states(sent), items)})
+                        targets={"eds": (model.token_states(sent), items)})
 
     preps = [prep(s, items) for s, items in anchor_items]
     val_preps = []
@@ -1065,9 +1127,9 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
             items = _anchor_items(s, E.dm_to_eds_surface(s.graphs["dm"], rules))
             if items:
                 val_preps.append(prep(s, items))
-    loss_fn = lambda m, p, rng: _anchor_loss(m, p.targets["eds"])
+    loss_fn = lambda m, p, rng: _anchor_loss(m, *p.targets["eds"])
     validate = lambda m: {"eds": _val_loss(
-        val_preps, lambda p: _anchor_loss(m, p.targets["eds"]), "eds")}
+        val_preps, lambda p: _anchor_loss(m, *p.targets["eds"]), "eds")}
     result = _train_loop(model, cfg, preps, loss_fn, {"eds": "min"}, validate,
                          run_dir=run_dir, kind="eds-anchor")
     return converter(result.snapshots[result.best_epochs["eds"]]), result.history
@@ -1083,86 +1145,24 @@ def _token_span(node, tokens):
 # ---------------------------------------------------------------------------
 # parsing
 
-def sdp_prediction(model, sent, fw):
-    enc_out = model.encode(sent)
-    scores = model.heads[fw].score(enc_out.top)
-    frames = model.frame_clf.predict(enc_out.top) if fw == "dm" else None
-    return scores, frames
-
-
-def ucca_prediction(model, sent):
-    enc_out = model.encode(sent)
-    dec = U.pointer_decode(enc_out, model.ucca_decoder)
-    ns = U.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
-                             model.ucca_extra, pe_dim=PE_DIM)
-    scores = model.heads["ucca"].score(ns.states)
-    remote = model.remote_head.score(ns.states)
-    return U.UccaPrediction(pointers=dec.pointers,
-                            edge_probs=scores.edge_probs.data,
-                            label_probs=scores.label_probs(),
-                            remote_probs=remote.edge_probs.data)
-
-
-def amr_prediction(model, sent, beam=A.BEAM_WIDTH):
-    """(generation, pair scores or None) for one sentence."""
-    enc_out = model.encode(sent)
-    ctx = model.amr_context(sent, enc_out)
-    gen = A.beam_search(ctx, width=beam)
-    if not gen.labels:
-        return gen, None
-    states = ad.concat(list(gen.states), axis=0)
-    return gen, model.heads["amr"].score(states)
-
-
 def predict(model, sent, framework, beam=A.BEAM_WIDTH):
     """One model's prediction for one sentence, the arrays its graph is
-    decoded from: (pair scores, frames) for DM and PSD, a
-    ``UccaPrediction`` for UCCA, (generation, pair scores) for AMR.  A
+    decoded from (``Task.predict``), from one pass of the encoder.  A
     model without the framework's head or decoder raises a ValueError."""
-    if framework not in ("dm", "psd", "ucca", "amr"):
+    task = TASKS.get(framework)
+    if task is None:
         raise ValueError(f"cannot parse framework {framework!r} with this model")
-    if framework not in model.heads:
-        part = "head" if framework in SDP_PAIR else "decoder"
-        raise ValueError(f"model has no {framework} {part}")
-    if framework in SDP_PAIR:
-        return sdp_prediction(model, sent, framework)
-    if framework == "ucca":
-        return ucca_prediction(model, sent)
-    return amr_prediction(model, sent, beam=beam)
+    if task.name not in model.heads:
+        raise ValueError(f"model has no {task.name} {task.part}")
+    return task.predict(model, sent, model.encode(sent), beam)
 
 
 def decode_predictions(models, sent, framework, preds):
     """One sentence's graph from ``preds[i] = predict(models[i], ...)``.
-
-    A single prediction decodes as it stands; several are combined
-    first: DM and PSD average their probabilities, UCCA votes, and AMR
-    refuses (it is served by its single best model).
-    """
-    text = companion_text(sent.tokens)
-    if framework in ("dm", "psd"):
-        if len(preds) == 1:
-            scores, frames = preds[0]
-        else:
-            scores = combine_pair_scores([s for s, _ in preds])
-            frames = None
-            if framework == "dm" and all(f is not None for _, f in preds):
-                frames = combine_frames([f for _, f in preds])
-        return S.build_graph(framework, sent.id, sent.tokens, text, scores,
-                             frame_pred=frames,
-                             resources=models[0].sdp_resources())
-    if framework == "ucca":
-        labels = _require_same_labels([m.heads["ucca"].labels for m in models],
-                                      "ucca labels")
-        win = preds[0] if len(preds) == 1 else U.voting_ensemble(preds)
-        return U.decode_graph(win, labels, sent.tokens, text, sent.id)
-    if len(preds) > 1:
-        raise ValueError("amr is served by its single best model, not combined")
-    model, (gen, scores) = models[0], preds[0]
-    records = A.records_from_ne(sent.tokens, model.inv.ne_map)
-    graph, _ = A.decode_graph(gen, scores, model.heads["amr"].labels,
-                              sent.id, text, records=records,
-                              sense_table=model.inv.sense_table)
-    return graph
+    A single prediction decodes as it stands; several are combined first
+    by the framework's rule: DM and PSD average their probabilities, UCCA
+    votes, and AMR refuses (it is served by its single best model)."""
+    return TASKS[framework].decode(models, sent, preds, companion_text(sent.tokens))
 
 
 @ad.no_grad()
@@ -1187,8 +1187,7 @@ class EnsembleSpec:
     rule: str             # "average" | "vote" | "single"
 
     def to_json(self):
-        return {"framework": self.framework, "members": list(self.members),
-                "rule": self.rule}
+        return dict(asdict(self), members=list(self.members))
 
     @classmethod
     def from_json(cls, doc):
@@ -1254,8 +1253,8 @@ def greedy_ensemble(candidates, score_fn):
 def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
     """Pick members on the ensembling carve-out by held-out F1.
 
-    AMR keeps its single best model; DM and PSD average scores; UCCA
-    votes.  Each model predicts each sentence once: for k models and n
+    The framework's rule decides: AMR keeps its single best model; DM
+    and PSD average scores; UCCA votes.  Each model predicts each sentence once: for k models and n
     sentences the cache holds k × n predictions, each the arrays one
     parse already builds (``predict``), and every subset the scan tries
     is scored by decoding its members' cached predictions.
@@ -1272,11 +1271,11 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
         return corpus_report(golds, graphs).framework_f1(framework)
 
     candidates = list(range(len(models)))
-    if framework == "amr":
+    rule = TASKS[framework].rule
+    if rule == "single":
         solo = {i: score_fn((i,)) for i in candidates}
         best = sorted(candidates, key=lambda i: (-solo[i], i))[0]
-        return EnsembleSpec("amr", (best,), "single"), solo[best]
+        return EnsembleSpec(framework, (best,), rule), solo[best]
     members, best = greedy_ensemble(candidates, score_fn)
-    rule = "vote" if framework == "ucca" else "average"
     return EnsembleSpec(framework, members, rule), best
 

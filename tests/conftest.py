@@ -520,7 +520,41 @@ def write_corpus(corpus, dirpath):
 # ---------------------------------------------------------------------------
 # ensemble selection as it was before it cached member predictions: each
 # subset the greedy scan tries re-parses every member on every sentence.
-# The cached scan must pick the same members with the same F1.
+# The cached scan must pick the same members with the same F1.  The
+# per-framework predictions are written out here, as they were before
+# each framework's handling moved onto a task object, so that the oracle
+# shares no code with the path it checks.
+
+def reference_sdp_prediction(model, sent, fw):
+    enc_out = model.encode(sent)
+    scores = model.heads[fw].score(enc_out.top)
+    frames = model.frame_clf.predict(enc_out.top) if fw == "dm" else None
+    return scores, frames
+
+
+def reference_ucca_prediction(model, sent):
+    enc_out = model.encode(sent)
+    dec = ucca.pointer_decode(enc_out, model.ucca_decoder)
+    ns = ucca.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
+                                model.ucca_extra, pe_dim=T.PE_DIM)
+    scores = model.heads["ucca"].score(ns.states)
+    remote = model.remote_head.score(ns.states)
+    return ucca.UccaPrediction(pointers=dec.pointers,
+                               edge_probs=scores.edge_probs.data,
+                               label_probs=scores.label_probs(),
+                               remote_probs=remote.edge_probs.data)
+
+
+def reference_amr_prediction(model, sent, beam):
+    """(generation, pair scores or None) for one sentence."""
+    enc_out = model.encode(sent)
+    ctx = model.amr_context(sent, enc_out)
+    gen = amr.beam_search(ctx, width=beam)
+    if not gen.labels:
+        return gen, None
+    states = ad.concat(list(gen.states), axis=0)
+    return gen, model.heads["amr"].score(states)
+
 
 @ad.no_grad()
 def reference_parse_sentence(model, sent, framework, beam=5):
@@ -529,19 +563,19 @@ def reference_parse_sentence(model, sent, framework, beam=5):
     if framework in ("dm", "psd"):
         if framework not in model.heads:
             raise ValueError(f"model has no {framework} head")
-        scores, frames = T.sdp_prediction(model, sent, framework)
+        scores, frames = reference_sdp_prediction(model, sent, framework)
         return sdp.build_graph(framework, sent.id, sent.tokens, text, scores,
                                frame_pred=frames, resources=model.sdp_resources())
     if framework == "ucca":
         if model.ucca_decoder is None:
             raise ValueError("model has no ucca decoder")
-        pred = T.ucca_prediction(model, sent)
+        pred = reference_ucca_prediction(model, sent)
         return ucca.decode_graph(pred, model.heads["ucca"].labels,
                                  sent.tokens, text, sent.id)
     if framework == "amr":
         if model.amr_decoder is None:
             raise ValueError("model has no amr decoder")
-        gen, scores = T.amr_prediction(model, sent, beam=beam)
+        gen, scores = reference_amr_prediction(model, sent, beam=beam)
         records = amr.records_from_ne(sent.tokens, model.inv.ne_map)
         graph, _ = amr.decode_graph(gen, scores, model.heads["amr"].labels,
                                     sent.id, text, records=records,
@@ -557,7 +591,7 @@ def reference_parse_ensemble(models, sent, framework, beam=5):
         return reference_parse_sentence(models[0], sent, framework, beam=beam)
     text = T.companion_text(sent.tokens)
     if framework in ("dm", "psd"):
-        pairs = [T.sdp_prediction(m, sent, framework) for m in models]
+        pairs = [reference_sdp_prediction(m, sent, framework) for m in models]
         scores = T.combine_pair_scores([s for s, _ in pairs])
         frames = None
         if framework == "dm" and all(f is not None for _, f in pairs):
@@ -568,7 +602,7 @@ def reference_parse_ensemble(models, sent, framework, beam=5):
     if framework == "ucca":
         labels = T._require_same_labels([m.heads["ucca"].labels for m in models],
                                         "ucca labels")
-        win = ucca.voting_ensemble([T.ucca_prediction(m, sent) for m in models])
+        win = ucca.voting_ensemble([reference_ucca_prediction(m, sent) for m in models])
         return ucca.decode_graph(win, labels, sent.tokens, text, sent.id)
     if framework == "amr":
         raise ValueError("amr is served by its single best model, not combined")

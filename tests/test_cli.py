@@ -517,7 +517,8 @@ def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
         companion = str(tmp_path / "twice.tsv")
         with open(companion, "w", encoding="utf-8") as fh:
             fh.write(text + first + "\n")
-        want = f"error: line {len(text.splitlines()) + 1}: repeated sentence id {sid}"
+        want = (f"error: {companion}: line {len(text.splitlines()) + 1}: "
+                f"repeated sentence id {sid}")
     else:
         mrps, want = mrps * 2, f"error: repeated graph dm/{sid}"
     out = tmp_path / "split.json"

@@ -834,7 +834,9 @@ class TestEds:
         assert recorded == []
         assert states.parents == () and not states.requires_grad
         assert all(p.grad is None for p in converter.params.tensors())
-        enc = converter.encode(corpus.sentences[8])
+        sent = corpus.sentences[8]
+        ctx = converter.contextual.for_sentence(sent.id, len(sent.tokens))
+        enc = converter.encoder.run(sent.tokens, ctx)
         assert np.array_equal(states.data, enc.top.data[1:])
         assert recorded  # the spy sees the taped encoder pass
 
@@ -1168,28 +1170,36 @@ class TestCachedSelection:
             assert got == G.graph_to_json(T.parse_ensemble(models, sent, fw))
             assert got == G.graph_to_json(reference_parse_ensemble(models, sent, fw))
 
-    @pytest.mark.parametrize("fw, predictor", [("dm", "sdp_prediction"),
-                                               ("psd", "sdp_prediction"),
-                                               ("ucca", "ucca_prediction"),
-                                               ("amr", "amr_prediction")])
+    @pytest.mark.parametrize("fw", FWS)
     def test_one_prediction_per_member_and_sentence(self, members, corpus, fw,
-                                                    predictor, monkeypatch):
+                                                    monkeypatch):
         sents = corpus.sentences[HELD]
-        calls = count_calls(monkeypatch, predictor)
+        calls = count_calls(monkeypatch, "predict")
         parses = count_calls(monkeypatch, "parse_ensemble")
+        encodes = []
+        encode = T.MultiModel.encode
+
+        def counted_encode(self, sent, **kwargs):
+            encodes.append(sent.id)
+            return encode(self, sent, **kwargs)
+
+        monkeypatch.setattr(T.MultiModel, "encode", counted_encode)
         T.build_ensemble(members, fw, sents, beam=2)
         assert len(calls) == len(members) * len(sents)
+        assert {args[2] for args in calls} == {fw}
+        assert len(encodes) == len(calls)  # one encoder pass per prediction
         assert parses == []
 
     def test_member_without_the_decoder_raises_as_before(self, split, corpus):
-        cfg = tiny(multitask_config(), frameworks=("dm", "psd"), seed=5)
-        sdp_only = T.MultiModel.derive(cfg, split, corpus.static, corpus.contextual)
         sents = corpus.sentences[HELD]
-        for fw, message in (("ucca", "model has no ucca decoder"),
-                            ("amr", "model has no amr decoder")):
+        for served, fw, message in ((("dm", "psd"), "ucca", "model has no ucca decoder"),
+                                    (("dm", "psd"), "amr", "model has no amr decoder"),
+                                    (("ucca",), "dm", "model has no dm head")):
+            cfg = tiny(multitask_config(), frameworks=served, seed=5)
+            model = T.MultiModel.derive(cfg, split, corpus.static, corpus.contextual)
             for build in (T.build_ensemble, reference_build_ensemble):
                 with pytest.raises(ValueError, match=f"^{message}$"):
-                    build([sdp_only], fw, sents)
+                    build([model], fw, sents)
 
 
 # ---------------------------------------------------------------------------
