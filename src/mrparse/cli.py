@@ -448,6 +448,8 @@ def cmd_evaluate(args):
 # convert
 
 def cmd_convert(args):
+    if (args.static or args.contextual) and not args.model:
+        raise UsageError("convert --static and --contextual need --model")
     sentences = _load_sentences(args.companion, [args.mrp])
     missing = [s.id for s in sentences if "dm" not in s.graphs]
     if missing:

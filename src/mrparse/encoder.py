@@ -103,7 +103,14 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(dict(doc["surface"]), dict(doc["lemma"]), dict(doc["pos"]), dict(doc["ne"]))
+        tables = ("surface", "lemma", "pos", "ne")
+        if not isinstance(doc, dict) or set(doc) != set(tables):
+            raise ValueError(f"vocabulary must be an object with keys {list(tables)}")
+        for name in tables:
+            if not (isinstance(doc[name], dict)
+                    and all(type(i) is int for i in doc[name].values())):
+                raise ValueError(f"vocabulary {name} must map symbols to integer ids")
+        return cls(*(dict(doc[name]) for name in tables))
 
 
 class StaticEmbeddings:

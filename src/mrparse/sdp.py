@@ -2,10 +2,14 @@
 
 Edges come from the shared biaffine scorer; this module adds what is
 specific to the two frameworks: the DM frame classifier (type plus
-arguments two to five), the joint training loss, and lexicon-driven
-postprocessing that turns decoded positions into full graphs.
+arguments two to five), its training loss, the frame lexicons and the
+rules that pick a node's frame from them, and ``build_graph``, which
+turns decoded positions into a full graph.  No code here compares
+framework names: ``training.SdpTask`` picks the inventories, lexicon
+rows and frame rule of each framework.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,7 @@ class FrameLexicon:
     """Frame inventory with corpus frequencies.
 
     Entries keep their order, which breaks ties deterministically; a
-    bundle carries them as rows of its inventories.
+    bundle carries them as rows of its inventories (``lexicon_rows``).
     """
 
     def __init__(self, entries):
@@ -250,16 +254,26 @@ def gold_targets(graph, tokens, label_index):
     return edges, tops, frames
 
 
-@dataclass
-class SdpResources:
-    dm_lexicon: FrameLexicon = None
-    psd_lexicon: FrameLexicon = None
+def dm_frame_rule(pred, lexicon, tokens):
+    """``frame_of`` of a DM graph: the lexicon frame the classifier's
+    distributions ``pred`` make most likely (``reconstruct_dm_frame``)."""
+    type_probs = pred.type_probs()
+    arg_probs = [pred.arg_probs(k) for k in range(N_ARG_HEADS)]
+    return lambda i, _: reconstruct_dm_frame(
+        type_probs[i + 1], [p[i + 1] for p in arg_probs], tokens[i].lemma,
+        lexicon, pred.types, pred.arg_classes)
 
 
-def build_graph(framework, sid, tokens, text, scores, frame_pred=None,
-                resources=None):
-    """Decode pair scores into a complete flavor-0 graph."""
-    resources = resources or SdpResources()
+def psd_frame_rule(lexicon, tokens):
+    """``frame_of`` of a PSD graph: the lexicon frame whose required
+    arguments the node's outgoing labels hold (``reconstruct_psd_frame``)."""
+    return lambda i, labels: reconstruct_psd_frame(tokens[i].lemma, tokens[i].xpos,
+                                                   labels, lexicon)
+
+
+def build_graph(framework, sid, tokens, text, scores, frame_of):
+    """Decode pair scores into a complete flavor-0 graph; a node's frame
+    is ``frame_of(token index, outgoing labels)``, None for no frame."""
     decoded = decode_flavor0(scores)
     token_ids = [p - 1 for p in decoded.kept]
     labels = assign_node_labels(token_ids, tokens)
@@ -268,27 +282,14 @@ def build_graph(framework, sid, tokens, text, scores, frame_pred=None,
     out_edges_of = {}
     for i, j, lab in decoded.edges:
         out_edges_of.setdefault(i - 1, []).append(lab)
-    with_frames = framework == "dm" and frame_pred is not None
-    if with_frames:
-        type_probs = frame_pred.type_probs()
-        arg_probs = [frame_pred.arg_probs(k) for k in range(N_ARG_HEADS)]
 
     nodes = []
     for tok_idx in token_ids:
         tok = tokens[tok_idx]
         props = [("pos", tok.xpos)]
-        if with_frames:
-            frame = reconstruct_dm_frame(
-                type_probs[tok_idx + 1], [p[tok_idx + 1] for p in arg_probs],
-                tok.lemma, resources.dm_lexicon,
-                frame_pred.types, frame_pred.arg_classes)
+        frame = frame_of(tok_idx, out_edges_of.get(tok_idx, []))
+        if frame is not None:
             props.append(("frame", frame))
-        elif framework == "psd":
-            frame = reconstruct_psd_frame(tok.lemma, tok.xpos,
-                                          out_edges_of.get(tok_idx, []),
-                                          resources.psd_lexicon)
-            if frame is not None:
-                props.append(("frame", frame))
         nodes.append(G.MrpNode(node_id_of[tok_idx], label=labels[tok_idx],
                                properties=tuple(props), anchors=(tok.anchor,)))
 
@@ -301,20 +302,35 @@ def build_graph(framework, sid, tokens, text, scores, frame_pred=None,
 
 def collect_inventories(gold_graphs):
     """Label/type/argument inventories from training graphs, file order."""
-    labels = []
-    types = [UNK_SYM]
-    arg_classes = [NONE_ARG]
+    labels, types, arg_classes = {}, {UNK_SYM: None}, {NONE_ARG: None}
     for g in gold_graphs:
-        for e in g.edges:
-            if e.label not in labels:
-                labels.append(e.label)
+        labels.update(dict.fromkeys(e.label for e in g.edges))
         for n in g.nodes:
             props = n.property_map()
             if "frame" in props:
                 ftype, args = parse_frame(props["frame"])
-                if ftype not in types:
-                    types.append(ftype)
-                for a in args:
-                    if a not in arg_classes:
-                        arg_classes.append(a)
-    return labels, types, arg_classes
+                types[ftype] = None
+                arg_classes.update(dict.fromkeys(args))
+    return list(labels), list(types), list(arg_classes)
+
+
+def lexicon_rows(gold_graphs, split_frames):
+    """Lexicon rows [lemma, pos, frame, argument list, frequency] of the
+    framed nodes, first seen first.  With ``split_frames`` (DM) a row has
+    no POS and splits the frame into type and arguments; without (PSD)
+    its arguments are the node's outgoing labels, suffixes stripped."""
+    counts = Counter()
+    for g in gold_graphs:
+        outgoing = {}
+        for e in g.edges:
+            outgoing.setdefault(e.source, set()).add(strip_label_suffix(e.label))
+        for n in g.nodes:
+            props = n.property_map()
+            if "frame" not in props:
+                continue
+            if split_frames:
+                counts[(n.label, "", *parse_frame(props["frame"]))] += 1
+            else:
+                counts[(n.label, props.get("pos", ""), props["frame"],
+                        tuple(sorted(outgoing.get(n.id, ()))))] += 1
+    return [[*key[:3], list(key[3]), freq] for key, freq in counts.items()]

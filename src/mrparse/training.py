@@ -8,10 +8,12 @@ ensemble builder.
 
 The model is one shared encoder with one task per framework: ``TASKS``
 holds a stateless ``Task`` for each of DM, PSD, UCCA and AMR, which owns
-everything framework-specific (modules, gold, loss terms, prediction,
-decoding and ensembling, validation, where fine-tuning starts).  The
-functions outside the tasks loop over the table or look a framework up
-in it.
+everything framework-specific (its fields of the inventories, modules
+and lexicons, gold, loss terms, prediction, graph building and
+ensembling, validation, where fine-tuning starts).  The functions
+outside the tasks loop over the table or look a framework up in it;
+only the carve-out rules of ``split_dataset`` and the DM -> EDS
+converter name frameworks themselves.
 
 There is one objective, per-regime coefficients: single-framework,
 multi-task and fine-tuning runs all build each sentence's loss with
@@ -23,7 +25,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from types import SimpleNamespace
 
@@ -144,14 +146,11 @@ def split_dataset(sentences, seed=0, factor=1.0):
 
 
 def _ordered_union(sentence_lists):
-    seen = set()
-    pool = []
+    pool = {}
     for lst in sentence_lists:
         for s in lst:
-            if s.id not in seen:
-                seen.add(s.id)
-                pool.append(s)
-    return pool
+            pool.setdefault(s.id, s)
+    return list(pool.values())
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def _ordered_union(sentence_lists):
 
 @dataclass
 class Inventories:
-    """Symbol tables extracted from the training carve-out."""
+    """Symbol tables of the training carve-out, filled by ``Task.inventory``."""
     dm_labels: list = field(default_factory=list)
     dm_types: list = field(default_factory=list)
     dm_args: list = field(default_factory=list)
@@ -178,44 +177,16 @@ class Inventories:
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(f"inventories must be an object, not {type(doc).__name__}")
+        kinds = {f.name: type(f.default_factory()) for f in fields(cls)}
+        for name, value in doc.items():
+            if name not in kinds:
+                raise ValueError(f"unknown inventory key {name!r}")
+            if not isinstance(value, kinds[name]):
+                raise ValueError(f"inventory {name} must be {kinds[name].__name__}, "
+                                 f"not {type(value).__name__}")
         return cls(**doc)
-
-
-def _lexicon_from_rows(rows):
-    if not rows:
-        return None
-    entries = [S.FrameEntry(lemma, pos, frame, tuple(args), freq)
-               for lemma, pos, frame, args, freq in rows]
-    return S.FrameLexicon(entries)
-
-
-def _dm_lexicon_rows(graphs):
-    counts = {}
-    for g in graphs:
-        for n in g.nodes:
-            props = n.property_map()
-            if "frame" not in props:
-                continue
-            ftype, args = S.parse_frame(props["frame"])
-            key = (n.label, "", ftype, args)
-            counts[key] = counts.get(key, 0) + 1
-    return [[*key[:3], list(key[3]), freq] for key, freq in counts.items()]
-
-
-def _psd_lexicon_rows(graphs):
-    counts = {}
-    for g in graphs:
-        outgoing = {}
-        for e in g.edges:
-            outgoing.setdefault(e.source, set()).add(S.strip_label_suffix(e.label))
-        for n in g.nodes:
-            props = n.property_map()
-            if "frame" not in props:
-                continue
-            required = tuple(sorted(outgoing.get(n.id, ())))
-            key = (n.label, props.get("pos", ""), props["frame"], required)
-            counts[key] = counts.get(key, 0) + 1
-    return [[*key[:3], list(key[3]), freq] for key, freq in counts.items()]
 
 
 def _first_seen(seq):
@@ -223,51 +194,11 @@ def _first_seen(seq):
 
 
 def build_inventories(train_by_fw):
+    """Each task's inventories from its framework's training sentences."""
     inv = Inventories()
-    if train_by_fw.get("dm"):
-        graphs = [s.graphs["dm"] for s in train_by_fw["dm"]]
-        inv.dm_labels, inv.dm_types, inv.dm_args = S.collect_inventories(graphs)
-        inv.dm_lexicon_rows = _dm_lexicon_rows(graphs)
-    if train_by_fw.get("psd"):
-        graphs = [s.graphs["psd"] for s in train_by_fw["psd"]]
-        inv.psd_labels, _, _ = S.collect_inventories(graphs)
-        inv.psd_lexicon_rows = _psd_lexicon_rows(graphs)
-    for s in train_by_fw.get("ucca", ()):
-        try:
-            ser = _serialize_ucca(s)
-        except ValueError as err:
-            warnings.warn(f"{s.id}: ucca gold skipped for inventories ({err})")
-            continue
-        for _, _, label in ser.edges:
-            if label not in inv.ucca_labels:
-                inv.ucca_labels.append(label)
-    sense_obs = []
-    ne_obs = []
-    for s in train_by_fw.get("amr", ()):
-        try:
-            anon = A.anonymize(s.graphs["amr"], s.tokens)
-            tree = A.dag_to_tree(_strip_graph_senses(anon.graph))
-        except ValueError as err:
-            warnings.warn(f"{s.id}: amr gold skipped for inventories ({err})")
-            continue
-        sense_obs.extend(n.label for n in anon.graph.nodes)
-        for r in anon.records:
-            if r.span is None:
-                continue
-            tags = {s.tokens[k].ne for k in range(*r.span)}
-            ne_obs.extend((tag, r.head_label) for tag in tags if tag != "O")
-        inv.amr_concepts = _first_seen(inv.amr_concepts + list(tree.labels()))
-        inv.amr_edges = _first_seen(
-            inv.amr_edges + [n.edge_label for n in tree.nodes if n.parent >= 0])
-    if sense_obs:
-        inv.sense_table = A.build_sense_table(sense_obs)
-        inv.ne_map = A.build_ne_map(ne_obs)
+    for task in TASKS.values():
+        task.inventory(inv, train_by_fw.get(task.name, ()))
     return inv
-
-
-def _strip_graph_senses(g):
-    nodes = tuple(G.replace(n, label=A.strip_sense(n.label)) for n in g.nodes)
-    return G.replace(g, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +215,7 @@ class MultiModel:
     with an empty inventory builds nothing; any other builds at least
     its framework's entry of ``heads``, so ``name in model.heads`` tells
     whether the model serves a framework.  Unbuilt modules are None.
+    ``lexicons`` holds the frame lexicon of each SDP framework it serves.
     """
 
     def __init__(self, config, vocab, inv, static, contextual, state=None):
@@ -297,13 +229,12 @@ class MultiModel:
         self.encoder = Encoder(self.params, vocab, config, static,
                                ctx_layers=contextual.n_layers,
                                ctx_width=contextual.width, rng=rng)
-        self.heads = {}
+        self.heads, self.lexicons = {}, {}
         self.frame_clf = self.ucca_decoder = self.ucca_extra = None
         self.remote_head = self.amr_vocab = self.amr_decoder = None
         for task in TASKS.values():
             if task.name in config.frameworks:
                 task.build(self, rng)
-        self._resources = None
 
     @classmethod
     def derive(cls, config, split, static, contextual):
@@ -328,13 +259,6 @@ class MultiModel:
     def encode(self, sent, train=False, rng=None):
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
         return self.encoder.run(sent.tokens, ctx, train=train, rng=rng)
-
-    def sdp_resources(self):
-        if self._resources is None:
-            self._resources = S.SdpResources(
-                dm_lexicon=_lexicon_from_rows(self.inv.dm_lexicon_rows),
-                psd_lexicon=_lexicon_from_rows(self.inv.psd_lexicon_rows))
-        return self._resources
 
     def amr_context(self, sent, enc_out):
         n = enc_out.n_positions
@@ -393,29 +317,23 @@ def companion_text(tokens):
     return "".join(chars)
 
 
-def _serialize_ucca(sent):
-    ser = U.serialize_ucca(sent.graphs["ucca"], sent.tokens)
-    if ser is None:
-        raise ValueError("no pointer problem: misaligned anchors, "
-                         "reentrant primary edges or an empty yield")
-    return ser
-
-
 # ---------------------------------------------------------------------------
 # one task per framework
 
 class Task:
     """One framework's part of the model; stateless, so each method takes
-    the model, or the ensemble members, it acts on.  ``build`` adds the
-    framework's modules to a model under construction (none when its
-    inventory is empty); ``prepare`` turns a sentence's gold into the
-    targets ``terms`` reads, or raises ValueError or KeyError; ``terms``
-    gives the loss pieces, keyed "name.part"; ``predict`` the arrays a
-    graph is decoded from; ``decode`` a graph from one prediction per
-    model, combining several by ``rule``; ``validator`` the metric a
-    single-framework run early-stops on, in ``mode``.  Fine-tuning
-    restarts from the joint run's best epoch of ``start_key`` and trains
-    the frameworks of ``group``.
+    the model, or the ensemble members, it acts on.  ``inventory`` fills
+    the framework's fields of an ``Inventories`` from its training
+    sentences; ``build`` adds the framework's modules and lexicons to a
+    model under construction (none when its inventory is empty);
+    ``prepare`` turns a sentence's gold into the targets ``terms`` reads,
+    or raises ValueError or KeyError; ``terms`` gives the loss pieces,
+    keyed "name.part"; ``predict`` the arrays a graph is decoded from;
+    ``decode`` a graph from one prediction per model, combining several
+    by ``rule``; ``validator`` the metric a single-framework run
+    early-stops on, in ``mode``.  Fine-tuning restarts from the joint
+    run's best epoch of ``start_key`` and trains the frameworks of
+    ``group``.
     """
     part = "decoder"  # what a model that cannot serve the framework lacks
     mode = "max"
@@ -427,10 +345,11 @@ class Task:
 
 
 class SdpTask(Task):
-    """DM or PSD: a biaffine head over the encoder's top layer; ``frames``
-    marks DM, whose inventory adds the frame classifier.  Ensembles
-    average probabilities.  The pair fine-tunes jointly, from the epoch
-    of the lowest total joint loss."""
+    """DM or PSD: a biaffine head over the encoder's top layer and a
+    frame lexicon.  ``frames`` marks DM, whose frames come from a frame
+    classifier and the lexicon; PSD's from the lexicon and each node's
+    outgoing labels.  Ensembles average probabilities.  The pair
+    fine-tunes jointly, from the epoch of the lowest total joint loss."""
     part = "head"
     rule = "average"
 
@@ -439,12 +358,28 @@ class SdpTask(Task):
         self.frames = frames
         self.start_key, self.group = "total", SDP_PAIR
 
+    def inventory(self, inv, sents):
+        graphs = [s.graphs[self.name] for s in sents]
+        if not graphs:
+            return
+        labels, types, args = S.collect_inventories(graphs)
+        rows = S.lexicon_rows(graphs, self.frames)
+        if self.frames:
+            inv.dm_labels, inv.dm_types, inv.dm_args, inv.dm_lexicon_rows = (
+                labels, types, args, rows)
+        else:
+            inv.psd_labels, inv.psd_lexicon_rows = labels, rows
+
     def build(self, model, rng):
         inv, cfg = model.inv, model.config
-        labels = inv.dm_labels if self.frames else inv.psd_labels
+        labels, rows = ((inv.dm_labels, inv.dm_lexicon_rows) if self.frames
+                        else (inv.psd_labels, inv.psd_lexicon_rows))
         if not labels:
             return
         model.heads[self.name] = model.biaffine_head(self.name, labels, rng)
+        model.lexicons[self.name] = S.FrameLexicon(
+            S.FrameEntry(lemma, pos, frame, tuple(args), freq)
+            for lemma, pos, frame, args, freq in rows)
         if self.frames:
             model.frame_clf = S.FrameClassifier(
                 model.params, f"{self.name}.frame", 2 * cfg.hidden,
@@ -481,11 +416,11 @@ class SdpTask(Task):
         scores, frames = preds[0]
         if len(preds) > 1:
             scores = combine_pair_scores([s for s, _ in preds])
-            frames = (combine_frames([f for _, f in preds])
-                      if all(f is not None for _, f in preds) else None)
-        return S.build_graph(self.name, sent.id, sent.tokens, text, scores,
-                             frame_pred=frames,
-                             resources=models[0].sdp_resources())
+            frames = combine_frames([f for _, f in preds]) if self.frames else None
+        lexicon = models[0].lexicons[self.name]
+        frame_of = (S.dm_frame_rule(frames, lexicon, sent.tokens) if self.frames
+                    else S.psd_frame_rule(lexicon, sent.tokens))
+        return S.build_graph(self.name, sent.id, sent.tokens, text, scores, frame_of)
 
     def validator(self, model, cfg, val):
         """Mean labeled F1."""
@@ -500,6 +435,23 @@ class UccaTask(Task):
     reads them, and two biaffine heads score primary and remote edges.
     Ensembles vote."""
     rule = "vote"
+
+    def _serialize(self, sent):
+        ser = U.serialize_ucca(sent.graphs["ucca"], sent.tokens)
+        if ser is None:
+            raise ValueError("no pointer problem: misaligned anchors, "
+                             "reentrant primary edges or an empty yield")
+        return ser
+
+    def inventory(self, inv, sents):
+        """Edge labels, first seen first."""
+        labels = []
+        for s in sents:
+            try:
+                labels += [label for _, _, label in self._serialize(s).edges]
+            except ValueError as err:
+                warnings.warn(f"{s.id}: ucca gold skipped for inventories ({err})")
+        inv.ucca_labels = _first_seen(labels)
 
     def build(self, model, rng):
         inv, cfg = model.inv, model.config
@@ -516,7 +468,7 @@ class UccaTask(Task):
 
     def prepare(self, model, sent):
         """(pointers, edge cells, tops, remote cells)."""
-        ser = _serialize_ucca(sent)
+        ser = self._serialize(sent)
         labels = model.heads["ucca"].labels
         return (ser.pointers, [(i, j, labels.index(lab)) for i, j, lab in ser.edges],
                 list(ser.tops), [(i, j, 0) for i, j in ser.remotes])
@@ -567,6 +519,35 @@ class AmrTask(Task):
     rule = "single"
     mode = "min"
 
+    def _tree(self, sent):
+        """(anonymization, tree of the anonymized graph, senses stripped)."""
+        anon = A.anonymize(sent.graphs["amr"], sent.tokens)
+        nodes = tuple(G.replace(n, label=A.strip_sense(n.label))
+                      for n in anon.graph.nodes)
+        return anon, A.dag_to_tree(G.replace(anon.graph, nodes=nodes))
+
+    def inventory(self, inv, sents):
+        """Concepts and edge labels, first seen first, the sense table
+        and the NE map."""
+        concepts, edges, senses, nes = [], [], [], []
+        for s in sents:
+            try:
+                anon, tree = self._tree(s)
+            except ValueError as err:
+                warnings.warn(f"{s.id}: amr gold skipped for inventories ({err})")
+                continue
+            concepts += tree.labels()
+            edges += [n.edge_label for n in tree.nodes if n.parent >= 0]
+            senses += [n.label for n in anon.graph.nodes]
+            for r in anon.records:
+                if r.span is not None:
+                    tags = {s.tokens[k].ne for k in range(*r.span)}
+                    nes += [(tag, r.head_label) for tag in tags if tag != "O"]
+        inv.amr_concepts, inv.amr_edges = _first_seen(concepts), _first_seen(edges)
+        if senses:
+            inv.sense_table = A.build_sense_table(senses)
+            inv.ne_map = A.build_ne_map(nes)
+
     def build(self, model, rng):
         inv, cfg = model.inv, model.config
         if not (inv.amr_concepts and inv.amr_edges):
@@ -582,8 +563,7 @@ class AmrTask(Task):
 
     def prepare(self, model, sent):
         """(tree, gold sequence)."""
-        anon = A.anonymize(sent.graphs["amr"], sent.tokens)
-        tree = A.dag_to_tree(_strip_graph_senses(anon.graph))
+        _, tree = self._tree(sent)
         known = set(model.heads["amr"].labels)
         for n in tree.nodes:
             if n.parent >= 0 and n.edge_label not in known:
@@ -806,14 +786,14 @@ def _clip(params, max_norm, stats):
         stats["min_clip_factor"] = min(stats["min_clip_factor"], factor)
 
 
-def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
-                kind="train"):
+def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None):
     """Shared epoch loop: shuffled minibatches, clipped Adam steps,
     per-metric early stopping, snapshots pruned to best-or-last.
 
     ``validate(model)`` returns, once per epoch, one value (or None) for
-    each key of ``modes``, which early-stops it in its mode.  The model
-    comes back without gradients.
+    each key of ``modes``, which early-stops it in its mode.  Each kept
+    epoch of a ``run_dir`` is a bundle (``model.save``).  The model comes
+    back without gradients.
     """
     usable = [p for p in preps if p.targets]
     if not usable:
@@ -862,9 +842,7 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
                   **clip}
         history.append(dict(record, seconds=time.perf_counter() - t0))
         if run_dir:
-            model.params.save(_checkpoint_path(run_dir, epoch),
-                              extra={"kind": kind, "epoch": epoch,
-                                     "config": cfg.to_json()})
+            model.save(_checkpoint_path(run_dir, epoch))
             # wallclock stays out of the file so reruns are byte-identical
             rows.append(json.dumps(record, sort_keys=True) + "\n")
             with atomic_open(os.path.join(run_dir, "metrics.jsonl")) as fh:
@@ -884,7 +862,7 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None,
                        best_values=best_values, snapshots=snapshots)
 
 
-def _train_frameworks(model, cfg, split, frameworks, run_dir, kind):
+def _train_frameworks(model, cfg, split, frameworks, run_dir):
     """Train ``frameworks`` jointly, each early-stopped on its task's
     validation metric over its tuning carve-out: labeled F1 for DM, PSD
     and UCCA, the objective for AMR."""
@@ -899,14 +877,13 @@ def _train_frameworks(model, cfg, split, frameworks, run_dir, kind):
                                               train=True, rng=rng)
     return _train_loop(model, cfg, preps, loss_fn, modes,
                        lambda m: {name: fn(m) for name, fn in fns.items()},
-                       run_dir=run_dir, kind=kind)
+                       run_dir=run_dir)
 
 
 def train_single(split, config, static, contextual, run_dir=None):
     """One regime on its own frameworks (DM and PSD train jointly)."""
     model = MultiModel.derive(config, split, static, contextual)
-    return _train_frameworks(model, config, split, config.frameworks,
-                             run_dir, "single")
+    return _train_frameworks(model, config, split, config.frameworks, run_dir)
 
 
 def train_multitask(split, config, static, contextual, run_dir=None):
@@ -931,8 +908,7 @@ def train_multitask(split, config, static, contextual, run_dir=None):
         return vals
 
     modes = {**{fw: "min" for fw in scored}, "total": "min"}
-    return _train_loop(model, cfg, preps, loss_fn, modes, validate,
-                       run_dir=run_dir, kind="multitask")
+    return _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=run_dir)
 
 
 def fine_tune(mtl_result, framework, config, split, static, contextual,
@@ -954,8 +930,7 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
     merged = replace(config, **arch)
     model = MultiModel(merged, base.vocab, base.inv, static, contextual,
                        state=mtl_result.snapshots[mtl_result.best_epochs[start_key]])
-    return _train_frameworks(model, merged, split, task.group, run_dir,
-                             f"fine-tune-{framework}")
+    return _train_frameworks(model, merged, split, task.group, run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,8 +1034,8 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     gradient descent against gold spans, encoder copied and frozen.
 
     The anchor net trains through ``_train_loop``, early-stopped on the
-    anchor loss of the EDS tuning carve-out; its epoch checkpoints carry
-    ``kind: "eds-anchor"``.  Returns (model at the best epoch, history);
+    anchor loss of the EDS tuning carve-out; its epoch checkpoints are
+    converter bundles.  Returns (model at the best epoch, history);
     when no training sentence has a spanned abstract node, the anchor
     net stays at initialisation and the history is empty.
     """
@@ -1130,8 +1105,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     loss_fn = lambda m, p, rng: _anchor_loss(m, *p.targets["eds"])
     validate = lambda m: {"eds": _val_loss(
         val_preps, lambda p: _anchor_loss(m, *p.targets["eds"]), "eds")}
-    result = _train_loop(model, cfg, preps, loss_fn, {"eds": "min"}, validate,
-                         run_dir=run_dir, kind="eds-anchor")
+    result = _train_loop(model, cfg, preps, loss_fn, {"eds": "min"}, validate, run_dir)
     return converter(result.snapshots[result.best_epochs["eds"]]), result.history
 
 

@@ -21,6 +21,7 @@ from mrparse import scoring as S
 from mrparse import sdp
 from mrparse import training as T
 from mrparse import ucca
+from mrparse.biaffine import decode_flavor0
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -525,6 +526,52 @@ def write_corpus(corpus, dirpath):
 # each framework's handling moved onto a task object, so that the oracle
 # shares no code with the path it checks.
 
+def reference_lexicon(rows):
+    if not rows:
+        return None
+    return sdp.FrameLexicon([sdp.FrameEntry(lemma, pos, frame, tuple(args), freq)
+                             for lemma, pos, frame, args, freq in rows])
+
+
+def reference_sdp_graph(model, framework, sid, tokens, text, scores, frame_pred):
+    """Pair scores decoded into a flavor-0 graph, each framework's frames
+    picked by a lexicon built from the model's inventory rows."""
+    dm_lexicon = reference_lexicon(model.inv.dm_lexicon_rows)
+    psd_lexicon = reference_lexicon(model.inv.psd_lexicon_rows)
+    decoded = decode_flavor0(scores)
+    token_ids = [p - 1 for p in decoded.kept]
+    node_id_of = {tok: idx for idx, tok in enumerate(token_ids)}
+    out_edges_of = {}
+    for i, j, lab in decoded.edges:
+        out_edges_of.setdefault(i - 1, []).append(lab)
+    with_frames = framework == "dm" and frame_pred is not None
+    if with_frames:
+        type_probs = frame_pred.type_probs()
+        arg_probs = [frame_pred.arg_probs(k) for k in range(sdp.N_ARG_HEADS)]
+    nodes = []
+    for tok_idx in token_ids:
+        tok = tokens[tok_idx]
+        props = [("pos", tok.xpos)]
+        if with_frames:
+            frame = sdp.reconstruct_dm_frame(
+                type_probs[tok_idx + 1], [p[tok_idx + 1] for p in arg_probs],
+                tok.lemma, dm_lexicon, frame_pred.types, frame_pred.arg_classes)
+            props.append(("frame", frame))
+        elif framework == "psd":
+            frame = sdp.reconstruct_psd_frame(tok.lemma, tok.xpos,
+                                              out_edges_of.get(tok_idx, []),
+                                              psd_lexicon)
+            if frame is not None:
+                props.append(("frame", frame))
+        nodes.append(G.MrpNode(node_id_of[tok_idx], label=tok.lemma,
+                               properties=tuple(props), anchors=(tok.anchor,)))
+    edges = tuple(G.MrpEdge(node_id_of[i - 1], node_id_of[j - 1], lab)
+                  for i, j, lab in decoded.edges)
+    tops = tuple(node_id_of[p - 1] for p in decoded.tops)
+    return G.MrpGraph(id=sid, flavor=0, framework=framework, input=text,
+                      tops=tops, nodes=tuple(nodes), edges=edges)
+
+
 def reference_sdp_prediction(model, sent, fw):
     enc_out = model.encode(sent)
     scores = model.heads[fw].score(enc_out.top)
@@ -564,8 +611,8 @@ def reference_parse_sentence(model, sent, framework, beam=5):
         if framework not in model.heads:
             raise ValueError(f"model has no {framework} head")
         scores, frames = reference_sdp_prediction(model, sent, framework)
-        return sdp.build_graph(framework, sent.id, sent.tokens, text, scores,
-                               frame_pred=frames, resources=model.sdp_resources())
+        return reference_sdp_graph(model, framework, sent.id, sent.tokens, text,
+                                   scores, frames)
     if framework == "ucca":
         if model.ucca_decoder is None:
             raise ValueError("model has no ucca decoder")
@@ -596,9 +643,8 @@ def reference_parse_ensemble(models, sent, framework, beam=5):
         frames = None
         if framework == "dm" and all(f is not None for _, f in pairs):
             frames = T.combine_frames([f for _, f in pairs])
-        return sdp.build_graph(framework, sent.id, sent.tokens, text, scores,
-                               frame_pred=frames,
-                               resources=models[0].sdp_resources())
+        return reference_sdp_graph(models[0], framework, sent.id, sent.tokens,
+                                   text, scores, frames)
     if framework == "ucca":
         labels = T._require_same_labels([m.heads["ucca"].labels for m in models],
                                         "ucca labels")

@@ -356,6 +356,30 @@ def test_parse_bundle_member_mismatch_is_one_line_error(ws, tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {want}"]
 
 
+@pytest.mark.parametrize("corrupt, want", [
+    (lambda extra: extra.update(inventories={"unknown_key": []}),
+     "unknown inventory key 'unknown_key'"),
+    (lambda extra: extra.update(inventories=[1]),
+     "inventories must be an object, not list"),
+    (lambda extra: extra["vocab"].update(surface=[1]),
+     "vocabulary surface must map symbols to integer ids"),
+], ids=["unknown-inventory-key", "inventories-list", "vocabulary-list"])
+def test_parse_bad_bundle_header_is_one_line_error(ws, tmp_path, capsys, corrupt,
+                                                  want):
+    state, extra = ad.ParamSet.read(ws["mtl_bundle"])
+    corrupt(extra)
+    bad = ad.ParamSet()
+    for key, arr in state.items():
+        bad.new_from(key, arr)
+    path = tmp_path / "bad.bundle"
+    bad.save(path, extra=extra)
+    code = run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--model", str(path), "--framework", "dm",
+                "--out", str(tmp_path / "x.mrp")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {want}"]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -471,6 +495,16 @@ def test_convert_rejects_a_detector_switch_in_one_line(ws, tmp_path, capsys,
 def test_convert_needs_rules_or_model(ws, tmp_path):
     assert run(["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
                 "--out", str(tmp_path / "x.mrp")]) == 2
+
+
+def test_convert_embeddings_without_model_is_usage_error(ws, tmp_path, capsys):
+    out = tmp_path / "x.mrp"
+    code = run(["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
+                "--rules", ws["rules"], *embed_args(ws), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "convert --static and --contextual need --model"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ class TestGoldAndBuild:
         logits[3, 2, 1] = 9.0
         scores = mk_scores(p, logits, ["ARG1", "ARG2"])
         g = sdp.build_graph("psd", "s7", toks, "the cat slept x", scores,
-                            resources=sdp.SdpResources())
+                            sdp.psd_frame_rule(sdp.FrameLexicon([]), toks))
         assert G.validate_graph(g) == []
         assert [n.label for n in g.nodes] == ["cat", "slept"]
         assert g.edges[0].label == "ARG2"
@@ -299,8 +299,8 @@ class TestGoldAndBuild:
             type_logits=ad.Tensor(t_logits),
             arg_logits=[ad.Tensor(np.zeros((2, len(args)))) for _ in range(4)],
             types=types, arg_classes=args)
-        g = sdp.build_graph("dm", "s8", toks, "parse", scores, frame_pred=pred,
-                            resources=sdp.SdpResources(dm_lexicon=PARSE_LEXICON))
+        g = sdp.build_graph("dm", "s8", toks, "parse", scores,
+                            sdp.dm_frame_rule(pred, PARSE_LEXICON, toks))
         assert g.nodes[0].property_map()["frame"] == "v:e-i-p"
 
     def test_collect_inventories(self):

@@ -430,6 +430,11 @@ class TestTrainLoop:
                 (tmp_path / "metrics.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in rows] == [0, 1]
         assert all("seconds" not in r for r in rows)  # rerun-stable file
+        for key, epoch in res.best_epochs.items():
+            back = T.load_model(T._checkpoint_path(str(tmp_path), epoch),
+                                corpus.static, corpus.contextual)
+            assert_same_arrays(res.model_at(key).params.state_dict(),
+                               back.params.state_dict())
 
     def test_rerun_into_run_dir_rewrites_metrics(self, split, corpus, tmp_path):
         cfg = tiny(single_config("dm"), epochs=2, seed=9)
@@ -714,13 +719,10 @@ class TestEds:
         ckpts = {os.path.join(str(tmp_path), n)
                  for n in os.listdir(tmp_path) if n.endswith(".ckpt")}
         assert ckpts == {T._checkpoint_path(str(tmp_path), e) for e in {best, 2}}
-        state, extra = ad.ParamSet.read(T._checkpoint_path(str(tmp_path), best))
-        assert extra["kind"] == "eds-anchor"
-        for name, arr in model.params.state_dict().items():
-            assert np.array_equal(arr, state[name]), name
-        with pytest.raises(ValueError, match="not a model bundle"):
-            T.load_model(T._checkpoint_path(str(tmp_path), best),
-                         corpus.static, corpus.contextual)
+        back = T.load_model(T._checkpoint_path(str(tmp_path), best),
+                            corpus.static, corpus.contextual)
+        assert isinstance(back, T.EdsModel)
+        assert_same_arrays(model.params.state_dict(), back.params.state_dict())
 
     def test_no_spanned_abstract_node_leaves_anchor_untrained(self, mtl, split,
                                                               corpus):
