@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import os
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -28,8 +29,8 @@ from . import scoring
 from . import training as T
 from .amr import BEAM_WIDTH
 from .atomic import atomic_open
-from .config import (SDP_PAIR, TrainConfig, single_config, multitask_config,
-                     fine_tune_config)
+from .config import (ARCH_FIELDS, SDP_PAIR, TrainConfig, single_config,
+                     multitask_config, fine_tune_config)
 from .encoder import StaticEmbeddings, ContextualEmbeddings
 
 
@@ -156,11 +157,13 @@ def _load_embeddings(args):
 
 
 def _beam(args):
-    """The AMR beam width; ``--beam`` with another framework is a usage
-    error, so call this before loading anything."""
+    """The AMR beam width; ``--beam`` below 1 or with another framework
+    is a usage error, so call this before loading anything."""
     if args.beam is not None and args.framework != "amr":
         raise UsageError(f"{args.cmd} --framework {args.framework} "
                          f"does not use --beam")
+    if args.beam is not None and args.beam < 1:
+        raise UsageError(f"{args.cmd} --beam must be at least 1, not {args.beam}")
     return BEAM_WIDTH if args.beam is None else args.beam
 
 
@@ -188,7 +191,7 @@ def _validate_or_fail(graphs):
 # train
 
 def _widths_from_base(args):
-    """Whether the regime copies every width (``training.ARCH_FIELDS``)
+    """Whether the regime copies every width (``config.ARCH_FIELDS``)
     from the base model, so that no flag or setting may set one."""
     return args.regime == "fine-tune" or (args.regime == "eds"
                                           and bool(args.from_model))
@@ -234,7 +237,7 @@ def _resolve_config(args):
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: settings must be a JSON object, "
                              f"not {type(overrides).__name__}")
-        widths = sorted(set(overrides) & {"scale", *T.ARCH_FIELDS})
+        widths = sorted(set(overrides) & {"scale", *ARCH_FIELDS})
         if widths and _widths_from_base(args):
             raise UsageError(f"train --regime {args.regime} does not use --config "
                              f"keys {', '.join(widths)}: the base model sets them")
@@ -279,11 +282,10 @@ def _resolve_split(args, sentences, seed):
                        val_ii=part("val_ii"))
 
 
-def _pseudo_result(model):
-    """Wrap a loaded bundle so fine-tuning can start from its state."""
-    return T.TrainResult(model=model, history=[], best_values={},
-                         best_epochs={k: 0 for k in ("total", *T.TASKS)},
-                         snapshots={0: model.params.state_dict()})
+def _pseudo_result(model, path):
+    """Fine-tuning's start: the bundle at ``path``, loaded as ``model``."""
+    return T.TrainResult(model=model, history=[], best_values={}, checkpoints={0: path},
+                         best_epochs={k: 0 for k in ("total", *T.TASKS)})
 
 
 def cmd_train(args):
@@ -314,12 +316,14 @@ def cmd_train(args):
                                    run_dir=args.out)
     else:
         base = T.load_model(args.from_model, static, contextual)
-        result = T.fine_tune(_pseudo_result(base), args.framework, cfg,
-                             split, static, contextual, run_dir=args.out)
+        result = T.fine_tune(_pseudo_result(base, args.from_model), args.framework,
+                             cfg, split, static, contextual, run_dir=args.out)
 
     for key in sorted(result.best_epochs):
         path = os.path.join(args.out, f"model-{key}.bundle")
-        result.model_at(key).save(path)
+        with open(result.checkpoints[result.best_epochs[key]], "rb") as src, \
+                atomic_open(path, "wb") as dst:
+            shutil.copyfileobj(src, dst)
         value = result.best_values.get(key)
         shown = "n/a" if value is None else f"{value:.4f}"
         print(f"{key}: best epoch {result.best_epochs[key]} "

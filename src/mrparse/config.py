@@ -20,6 +20,13 @@ from .graphs import FRAMEWORKS
 
 SDP_PAIR = ("dm", "psd")
 
+# the widths ``TrainConfig.scaled`` shrinks, and the architecture fields, which
+# a checkpoint and the model built from it share; the rest may differ
+WIDTH_FIELDS = ("surface_dim", "lemma_dim", "pos_dim", "ne_dim", "static_mlp",
+                "contextual_mlp", "hidden", "edge_mlp", "label_mlp", "frame_mlp",
+                "decoder_hidden", "anchor_emb", "anchor_hidden")
+ARCH_FIELDS = WIDTH_FIELDS + ("layers", "decoder_layers", "frameworks")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -96,27 +103,16 @@ class TrainConfig:
             raise ValueError(f"unknown frameworks: {bad}")
 
     def scaled(self):
-        """Shrink every width by the configured ``scale``.
+        """Shrink every width (``WIDTH_FIELDS``) by the configured ``scale``.
 
         Rates, coefficients and schedule lengths are untouched; widths
         never drop below 2.
         """
         if self.scale == 1.0:
             return self
-
-        def s(n):
-            return max(2, int(round(n * self.scale)))
-
-        return replace(
-            self,
-            surface_dim=s(self.surface_dim), lemma_dim=s(self.lemma_dim),
-            pos_dim=s(self.pos_dim), ne_dim=s(self.ne_dim),
-            static_mlp=s(self.static_mlp), contextual_mlp=s(self.contextual_mlp),
-            hidden=s(self.hidden), edge_mlp=s(self.edge_mlp),
-            label_mlp=s(self.label_mlp), frame_mlp=s(self.frame_mlp),
-            decoder_hidden=s(self.decoder_hidden),
-            anchor_emb=s(self.anchor_emb), anchor_hidden=s(self.anchor_hidden),
-            scale=1.0)
+        return replace(self, scale=1.0, **{
+            name: max(2, int(round(getattr(self, name) * self.scale)))
+            for name in WIDTH_FIELDS})
 
     def to_json(self):
         doc = asdict(self)
@@ -213,7 +209,7 @@ def fine_tune_config(framework, bug_compatible=False):
 
     UCCA and AMR continue with their single-framework recipes; the
     architecture fields come from the pretrained model
-    (``training.ARCH_FIELDS``).  ``bug_compatible`` replays the faulty
+    (``ARCH_FIELDS``).  ``bug_compatible`` replays the faulty
     DM/PSD learning rate and momentum pair instead of the corrected
     per-framework values.
     """

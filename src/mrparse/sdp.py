@@ -328,9 +328,9 @@ def lexicon_rows(gold_graphs, split_frames):
             props = n.property_map()
             if "frame" not in props:
                 continue
-            if split_frames:
-                counts[(n.label, "", *parse_frame(props["frame"]))] += 1
-            else:
-                counts[(n.label, props.get("pos", ""), props["frame"],
-                        tuple(sorted(outgoing.get(n.id, ()))))] += 1
+            key = ((n.label, "", *parse_frame(props["frame"])) if split_frames else
+                   (n.label, props.get("pos", ""), props["frame"],
+                    tuple(sorted(outgoing.get(n.id, ())))))
+            if all(isinstance(v, str) for v in key[:3]):  # a row a bundle can carry
+                counts[key] += 1
     return [[*key[:3], list(key[3]), freq] for key, freq in counts.items()]

@@ -3,8 +3,8 @@
 This module owns everything between a corpus of Sentence records and a
 servable model: validation carve-outs, inventory extraction, the
 shared-encoder multi-framework model, the training objective, early
-stopping with pruned snapshots, bundle IO, parsing, and the greedy
-ensemble builder.
+stopping that keeps each best and the last epoch as a bundle file,
+bundle IO, parsing, and the greedy ensemble builder.
 
 The model is one shared encoder with one task per framework: ``TASKS``
 holds a stateless ``Task`` for each of DM, PSD, UCCA and AMR, which owns
@@ -23,8 +23,11 @@ in the frameworks it trains and the ``lam_*`` fields of its config.
 
 import json
 import os
+import shutil
+import tempfile
 import time
 import warnings
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from types import SimpleNamespace
@@ -40,7 +43,7 @@ from . import amr as A
 from . import eds as E
 from . import scoring
 from .atomic import atomic_open
-from .config import TrainConfig, SDP_PAIR
+from .config import ARCH_FIELDS, SDP_PAIR, TrainConfig
 from .encoder import PARAM_PREFIX, Encoder, BiLstm, Vocabulary
 
 PE_DIM = 16  # positional-encoding width of the slot-state biLSTM input
@@ -53,15 +56,6 @@ VAL_SIZES = {
     "ucca": (300, 700),
     "amr": (500, 1500),
 }
-
-# architecture fields that must agree between a checkpoint and the model
-# built from it; everything else may differ between regimes
-ARCH_FIELDS = (
-    "surface_dim", "lemma_dim", "pos_dim", "ne_dim", "static_mlp",
-    "contextual_mlp", "layers", "hidden", "edge_mlp", "label_mlp",
-    "frame_mlp", "decoder_hidden", "decoder_layers",
-    "anchor_emb", "anchor_hidden", "frameworks",
-)
 
 
 class TrainingDiverged(RuntimeError):
@@ -186,6 +180,12 @@ class Inventories:
             if not isinstance(value, kinds[name]):
                 raise ValueError(f"inventory {name} must be {kinds[name].__name__}, "
                                  f"not {type(value).__name__}")
+            bad = [row for row in value if name.endswith("_lexicon_rows") and not (
+                isinstance(row, list) and len(row) == 5 and isinstance(row[3], list)
+                and all(isinstance(v, str) for v in row[:3] + row[3]) and type(row[4]) is int)]
+            if bad:
+                raise ValueError(f"inventory {name}: {bad[0]!r} is not a "
+                                 f"[lemma, pos, frame, arguments, frequency] row")
         return cls(**doc)
 
 
@@ -210,8 +210,8 @@ class MultiModel:
     Construction is deterministic given (config, vocab, inventories).
     Without ``state`` the parameters take initial values drawn from
     ``config.seed``, the encoder's first, then each named task's in
-    ``TASKS`` order; with ``state`` (name -> array, as a checkpoint or
-    snapshot holds) they take its values and nothing is drawn.  A task
+    ``TASKS`` order; with ``state`` (name -> array, as a checkpoint
+    holds) they take its values and nothing is drawn.  A task
     with an empty inventory builds nothing; any other builds at least
     its framework's entry of ``heads``, so ``name in model.heads`` tells
     whether the model serves a framework.  Unbuilt modules are None.
@@ -757,18 +757,12 @@ class TrainResult:
     history: list
     best_epochs: dict
     best_values: dict
-    snapshots: dict
+    checkpoints: dict
 
     def model_at(self, key):
-        """The model at the best epoch of metric ``key``, built from that
-        epoch's snapshot."""
-        m = self.model
-        return MultiModel(m.config, m.vocab, m.inv, m.static, m.contextual,
-                          state=self.snapshots[self.best_epochs[key]])
-
-
-def _checkpoint_path(run_dir, epoch):
-    return os.path.join(run_dir, f"epoch-{epoch:04d}.ckpt")
+        """The model at the best epoch of metric ``key``, from its bundle."""
+        return load_model(self.checkpoints[self.best_epochs[key]],
+                          self.model.static, self.model.contextual)
 
 
 # per-epoch clipping record: steps clipped, smallest factor applied,
@@ -788,78 +782,84 @@ def _clip(params, max_norm, stats):
 
 def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None):
     """Shared epoch loop: shuffled minibatches, clipped Adam steps,
-    per-metric early stopping, snapshots pruned to best-or-last.
+    per-metric early stopping, kept epochs pruned to best-or-last.
 
     ``validate(model)`` returns, once per epoch, one value (or None) for
-    each key of ``modes``, which early-stops it in its mode.  Each kept
-    epoch of a ``run_dir`` is a bundle (``model.save``).  The model comes
-    back without gradients.
+    each key of ``modes``, which early-stops it in its mode.  Each epoch
+    is a bundle (``model.save``), not a copy in memory, in one store:
+    ``run_dir``, or a ``mrparse-*`` temporary directory that goes when
+    training raises or the returned ``TrainResult`` is collected.  The
+    model comes back without gradients.
     """
     usable = [p for p in preps if p.targets]
     if not usable:
         raise ValueError("no sentence carries usable supervision")
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        cfg.save(os.path.join(run_dir, "config.json"))
-    opt = ad.Adam(model.params.tensors(), lr=cfg.lr,
-                  beta1=cfg.beta1, beta2=cfg.beta2)
-    rng = np.random.default_rng(cfg.seed + 1)
-    stoppers = {key: EarlyStopper(mode) for key, mode in modes.items()}
-    snapshots = {}  # epoch -> state; mirrored by a checkpoint in run_dir
-    history = []
-    rows = []  # metrics.jsonl, rewritten whole each epoch
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(usable))
-        total = 0.0
-        clip = dict(_NO_CLIPPING)
-        for lo in range(0, len(order), cfg.batch_size):
-            chunk = order[lo:lo + cfg.batch_size]
-            opt.zero_grad()
-            batch_loss = None
-            ids = []
-            for k in chunk:
-                loss = loss_fn(model, usable[k], rng)
-                if loss is None:
+    store = run_dir or tempfile.mkdtemp(prefix="mrparse-")
+    try:
+        os.makedirs(store, exist_ok=True)
+        cfg.save(os.path.join(store, "config.json"))
+        opt = ad.Adam(model.params.tensors(), lr=cfg.lr,
+                      beta1=cfg.beta1, beta2=cfg.beta2)
+        rng = np.random.default_rng(cfg.seed + 1)
+        stoppers = {key: EarlyStopper(mode) for key, mode in modes.items()}
+        checkpoints = {}  # epoch -> bundle path
+        history = []
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(len(usable))
+            total = 0.0
+            clip = dict(_NO_CLIPPING)
+            for lo in range(0, len(order), cfg.batch_size):
+                chunk = order[lo:lo + cfg.batch_size]
+                opt.zero_grad()
+                batch_loss = None
+                ids = []
+                for k in chunk:
+                    loss = loss_fn(model, usable[k], rng)
+                    if loss is None:
+                        continue
+                    ids.append(usable[k].sent.id)
+                    batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
+                if batch_loss is None:
                     continue
-                ids.append(usable[k].sent.id)
-                batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
-            if batch_loss is None:
-                continue
-            _guard_finite(batch_loss.data, "training loss", epoch, ids)
-            batch_loss.backward()
-            _clip(model.params.tensors(), cfg.clip, clip)
-            opt.step()
-            total += float(batch_loss.data)
-        vals = validate(model)
-        for key, st in stoppers.items():
-            st.update(epoch, vals[key])
-        snapshots[epoch] = model.params.state_dict()
-        record = {"epoch": epoch,
-                  "train_loss": total / max(1, len(usable)),
-                  "val": vals,
-                  "best": {key: st.best_epoch for key, st in stoppers.items()},
-                  **clip}
-        history.append(dict(record, seconds=time.perf_counter() - t0))
-        if run_dir:
-            model.save(_checkpoint_path(run_dir, epoch))
-            # wallclock stays out of the file so reruns are byte-identical
-            rows.append(json.dumps(record, sort_keys=True) + "\n")
-            with atomic_open(os.path.join(run_dir, "metrics.jsonl")) as fh:
-                fh.writelines(rows)
-        keep = {st.best_epoch for st in stoppers.values()
-                if st.best_epoch is not None} | {epoch}
-        for e in [e for e in snapshots if e not in keep]:
-            del snapshots[e]
-            if run_dir:
-                os.remove(_checkpoint_path(run_dir, e))
+                _guard_finite(batch_loss.data, "training loss", epoch, ids)
+                batch_loss.backward()
+                _clip(model.params.tensors(), cfg.clip, clip)
+                opt.step()
+                total += float(batch_loss.data)
+            vals = validate(model)
+            for key, st in stoppers.items():
+                st.update(epoch, vals[key])
+            record = {"epoch": epoch,
+                      "train_loss": total / max(1, len(usable)),
+                      "val": vals,
+                      "best": {key: st.best_epoch for key, st in stoppers.items()},
+                      **clip}
+            history.append(dict(record, seconds=time.perf_counter() - t0))
+            checkpoints[epoch] = os.path.join(store, f"epoch-{epoch:04d}.ckpt")
+            model.save(checkpoints[epoch])
+            # rewritten whole; wallclock stays out so reruns are byte-identical
+            with atomic_open(os.path.join(store, "metrics.jsonl")) as fh:
+                fh.writelines(json.dumps({k: v for k, v in r.items() if k != "seconds"},
+                                         sort_keys=True) + "\n" for r in history)
+            keep = {st.best_epoch for st in stoppers.values()
+                    if st.best_epoch is not None} | {epoch}
+            for e in [e for e in checkpoints if e not in keep]:
+                os.remove(checkpoints.pop(e))
+    except BaseException:
+        if store != run_dir:
+            shutil.rmtree(store, ignore_errors=True)
+        raise
     opt.zero_grad()  # the last minibatch's gradients would outlive training
     last = cfg.epochs - 1
     best_epochs = {key: (st.best_epoch if st.best_epoch is not None else last)
                    for key, st in stoppers.items()}
     best_values = {key: st.best_value for key, st in stoppers.items()}
-    return TrainResult(model=model, history=history, best_epochs=best_epochs,
-                       best_values=best_values, snapshots=snapshots)
+    result = TrainResult(model=model, history=history, best_epochs=best_epochs,
+                         best_values=best_values, checkpoints=checkpoints)
+    if store != run_dir:
+        weakref.finalize(result, shutil.rmtree, store, ignore_errors=True)
+    return result
 
 
 def _train_frameworks(model, cfg, split, frameworks, run_dir):
@@ -915,10 +915,10 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
               run_dir=None):
     """Continue from the joint model on a single framework's objective.
 
-    DM and PSD restart from the epoch with the lowest total joint
-    validation loss; UCCA and AMR from their own framework-best epoch.
-    The other frameworks' modules stay in the model but receive no
-    gradient.
+    DM and PSD restart from the bundle of the epoch with the lowest
+    total joint validation loss; UCCA and AMR from the bundle of their
+    own framework-best epoch.  The other frameworks' modules stay in the
+    model but receive no gradient.
     """
     task = TASKS.get(framework)
     if task is None:
@@ -928,8 +928,8 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
     start_key = task.start_key if task.start_key in mtl_result.best_epochs else framework
     arch = {f: getattr(base.config, f) for f in ARCH_FIELDS}
     merged = replace(config, **arch)
-    model = MultiModel(merged, base.vocab, base.inv, static, contextual,
-                       state=mtl_result.snapshots[mtl_result.best_epochs[start_key]])
+    state, _ = ad.ParamSet.read(mtl_result.checkpoints[mtl_result.best_epochs[start_key]])
+    model = MultiModel(merged, base.vocab, base.inv, static, contextual, state=state)
     return _train_frameworks(model, merged, split, task.group, run_dir)
 
 
@@ -1035,7 +1035,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
 
     The anchor net trains through ``_train_loop``, early-stopped on the
     anchor loss of the EDS tuning carve-out; its epoch checkpoints are
-    converter bundles.  Returns (model at the best epoch, history);
+    converter bundles.  Returns (the best epoch's bundle loaded, history);
     when no training sentence has a spanned abstract node, the anchor
     net stays at initialisation and the history is empty.
     """
@@ -1106,7 +1106,7 @@ def train_eds(split, config, static, contextual, rules, encoder_from=None,
     validate = lambda m: {"eds": _val_loss(
         val_preps, lambda p: _anchor_loss(m, *p.targets["eds"]), "eds")}
     result = _train_loop(model, cfg, preps, loss_fn, {"eds": "min"}, validate, run_dir)
-    return converter(result.snapshots[result.best_epochs["eds"]]), result.history
+    return result.model_at("eds"), result.history
 
 
 def _token_span(node, tokens):

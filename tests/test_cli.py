@@ -44,6 +44,8 @@ def ws(tmp_path_factory):
     paths["mtl"] = train("multitask", str(root / "mtl"), "--scale", "0.02",
                          "--epochs", "1")
     paths["mtl_bundle"] = os.path.join(paths["mtl"], "model-total.bundle")
+    with open(paths["mtl_bundle"], "rb") as fh:
+        paths["mtl_bundle_bytes"] = fh.read()
     paths["ft"] = train("fine-tune", str(root / "ft"),
                         "--framework", "ucca", "--epochs", "1",
                         "--from-model", paths["mtl_bundle"])
@@ -80,6 +82,24 @@ def test_train_multitask_writes_one_bundle_per_metric(ws):
 def test_fine_tune_and_eds_artifacts(ws):
     assert "model-ucca.bundle" in os.listdir(ws["ft"])
     assert "model-eds.bundle" in os.listdir(ws["eds_run"])
+
+
+def test_train_bundles_are_copies_of_the_kept_epochs(ws):
+    for run in ("single", "mtl", "ft"):
+        rows = [json.loads(line) for line in
+                open(os.path.join(ws[run], "metrics.jsonl"))]
+        for key, epoch in rows[-1]["best"].items():
+            epoch = len(rows) - 1 if epoch is None else epoch
+            with open(os.path.join(ws[run], f"model-{key}.bundle"), "rb") as fh:
+                bundle = fh.read()
+            with open(os.path.join(ws[run], f"epoch-{epoch:04d}.ckpt"), "rb") as fh:
+                assert bundle == fh.read(), (run, key)
+
+
+def test_training_from_a_bundle_leaves_it_untouched(ws):
+    # the fine-tune and eds runs of the fixture both start from it
+    with open(ws["mtl_bundle"], "rb") as fh:
+        assert fh.read() == ws["mtl_bundle_bytes"]
 
 
 def test_config_file_and_flag_precedence(ws, tmp_path):
@@ -213,7 +233,11 @@ def test_train_eds_without_detector_sites_finishes(tmp_path, capsys):
                            "--dm-mrp", "d"]),
     ("ensemble", "--beam", ["--gold", "g", "--model", "m", "--framework", "ucca",
                             "--beam", "2"]),
-], ids=["parse-beam", "parse-dm-model", "parse-dm-mrp", "ensemble-beam"])
+    ("parse", "--beam", ["--model", "m", "--framework", "amr", "--beam", "0"]),
+    ("ensemble", "--beam", ["--gold", "g", "--model", "m", "--framework", "amr",
+                            "--beam", "-1"]),
+], ids=["parse-beam", "parse-dm-model", "parse-dm-mrp", "ensemble-beam",
+        "parse-beam-zero", "ensemble-beam-negative"])
 def test_a_flag_the_framework_ignores_is_usage_error(tmp_path, capsys, cmd, flag,
                                                       extra):
     # no input exists: the usage error comes before anything is loaded
@@ -363,7 +387,17 @@ def test_parse_bundle_member_mismatch_is_one_line_error(ws, tmp_path, capsys,
      "inventories must be an object, not list"),
     (lambda extra: extra["vocab"].update(surface=[1]),
      "vocabulary surface must map symbols to integer ids"),
-], ids=["unknown-inventory-key", "inventories-list", "vocabulary-list"])
+    (lambda extra: extra["inventories"].update(dm_lexicon_rows=[1]),
+     "inventory dm_lexicon_rows: 1 is not a "
+     "[lemma, pos, frame, arguments, frequency] row"),
+    (lambda extra: extra["inventories"].update(dm_lexicon_rows=[["a", "", "v", 5, 1]]),
+     "inventory dm_lexicon_rows: ['a', '', 'v', 5, 1] is not a "
+     "[lemma, pos, frame, arguments, frequency] row"),
+    (lambda extra: extra["inventories"].update(psd_lexicon_rows=[["a", "", "v", []]]),
+     "inventory psd_lexicon_rows: ['a', '', 'v', []] is not a "
+     "[lemma, pos, frame, arguments, frequency] row"),
+], ids=["unknown-inventory-key", "inventories-list", "vocabulary-list",
+        "lexicon-row-int", "lexicon-row-args-int", "lexicon-row-four-items"])
 def test_parse_bad_bundle_header_is_one_line_error(ws, tmp_path, capsys, corrupt,
                                                   want):
     state, extra = ad.ParamSet.read(ws["mtl_bundle"])

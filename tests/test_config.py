@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from mrparse import config as C
-from mrparse.training import ARCH_FIELDS
 
 
 class TestStockRecipes:
@@ -113,7 +112,7 @@ class TestFineTune:
         """``training.fine_tune`` takes the architecture fields from the
         pretrained model; the rest of its configuration is the recipe's."""
         base = C.multitask_config().scaled()
-        arch = {f: getattr(base, f) for f in ARCH_FIELDS}
+        arch = {f: getattr(base, f) for f in C.ARCH_FIELDS}
         assert replace(C.fine_tune_config(fw), **arch) \
             == replace(self.WRITTEN_OUT[fw], **arch)
 

@@ -6,9 +6,11 @@ shrunk hard: two epochs at two percent width over ten synthetic
 sentences.
 """
 
+import gc
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -163,6 +165,28 @@ class TestInventories:
         doc = json.loads(json.dumps(inv.to_json()))
         back = T.Inventories.from_json(doc)
         assert back == inv
+
+    def test_lexicons_hold_only_rows_a_bundle_can_carry(self, corpus, inv):
+        """A framed node without a label, or with a POS that is not a
+        string, gives no lexicon row, so its bundle still loads."""
+        def spoil(sent, fw, node):
+            g = sent.graphs[fw]
+            k = next(i for i, n in enumerate(g.nodes) if "frame" in n.property_map())
+            nodes = g.nodes[:k] + (node(g.nodes[k]),) + g.nodes[k + 1:]
+            return G.replace(sent, graphs={**sent.graphs,
+                                           fw: G.replace(g, nodes=nodes)})
+
+        unlabeled = lambda n: G.replace(n, label=None)
+        numeric_pos = lambda n: G.replace(n, properties=tuple(
+            (k, 5 if k == "pos" else v) for k, v in n.properties))
+        train = {"dm": [spoil(s, "dm", unlabeled) for s in corpus.sentences[:6]],
+                 "psd": [spoil(s, "psd", numeric_pos) for s in corpus.sentences[:6]]}
+        spoiled = T.build_inventories(train)
+        for name in ("dm_lexicon_rows", "psd_lexicon_rows"):
+            rows = getattr(spoiled, name)
+            assert rows and len(rows) < len(getattr(inv, name)), name
+        assert T.Inventories.from_json(json.loads(json.dumps(spoiled.to_json()))) \
+            == spoiled
 
 
 def test_companion_text_matches_gold_input(corpus):
@@ -378,6 +402,16 @@ class TestEarlyStopper:
 # ---------------------------------------------------------------------------
 # training loops
 
+def epoch_file(run_dir, epoch):
+    """The bundle file of a kept epoch in a run directory."""
+    return os.path.join(str(run_dir), f"epoch-{epoch:04d}.ckpt")
+
+
+def kept_state(result, epoch):
+    """The parameters of a kept epoch, read from its bundle file."""
+    return ad.ParamSet.read(result.checkpoints[epoch])[0]
+
+
 def count_clip_calls(monkeypatch):
     """Record the pre-clip norm of every ``clip_gradients`` call (one per
     optimizer step)."""
@@ -402,11 +436,34 @@ class TestTrainLoop:
 
     def test_snapshots_pruned_to_best_and_last(self, mtl):
         keep = set(mtl.best_epochs.values()) | {mtl.model.config.epochs - 1}
-        assert set(mtl.snapshots) == keep
+        assert set(mtl.checkpoints) == keep
+        # the store holds exactly the bundles the result names
+        store = os.path.dirname(mtl.checkpoints[max(keep)])
+        assert {epoch_file(store, e) for e in keep} == set(mtl.checkpoints.values())
+        assert {os.path.join(store, n) for n in os.listdir(store)
+                if n.endswith(".ckpt")} == set(mtl.checkpoints.values())
+
+    def test_temporary_store_lives_as_long_as_its_result(self, split, corpus,
+                                                         tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cfg = tiny(single_config("dm"), epochs=2, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = T.train_single(split, cfg, corpus.static, corpus.contextual)
+        (name,) = os.listdir(tmp_path)
+        assert name.startswith("mrparse-")
+        assert {os.path.dirname(p) for p in res.checkpoints.values()} \
+            == {str(tmp_path / name)}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del res
+            gc.collect()
+        assert os.listdir(tmp_path) == []
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_model_at_returns_detached_clone(self, mtl):
         clone = mtl.model_at("total")
-        state = mtl.snapshots[mtl.best_epochs["total"]]
+        state = kept_state(mtl, mtl.best_epochs["total"])
         for name, arr in clone.params.state_dict().items():
             assert np.array_equal(arr, state[name])
         name = next(iter(clone.params._params))
@@ -423,7 +480,7 @@ class TestTrainLoop:
         names = sorted(os.listdir(tmp_path))
         assert "config.json" in names and "metrics.jsonl" in names
         ckpts = [n for n in names if n.endswith(".ckpt")]
-        keep = {T._checkpoint_path(str(tmp_path), e)
+        keep = {epoch_file(tmp_path, e)
                 for e in set(res.best_epochs.values()) | {cfg.epochs - 1}}
         assert {os.path.join(str(tmp_path), n) for n in ckpts} == keep
         rows = [json.loads(line) for line in
@@ -431,7 +488,7 @@ class TestTrainLoop:
         assert [r["epoch"] for r in rows] == [0, 1]
         assert all("seconds" not in r for r in rows)  # rerun-stable file
         for key, epoch in res.best_epochs.items():
-            back = T.load_model(T._checkpoint_path(str(tmp_path), epoch),
+            back = T.load_model(epoch_file(tmp_path, epoch),
                                 corpus.static, corpus.contextual)
             assert_same_arrays(res.model_at(key).params.state_dict(),
                                back.params.state_dict())
@@ -486,7 +543,11 @@ class TestTrainLoop:
         for name in states[0]:
             assert np.array_equal(states[0][name], states[1][name]), name
 
-    def test_nan_guard_raises(self, mtl, corpus):
+    def test_nan_guard_raises(self, mtl, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        made, mkdtemp = [], tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "mkdtemp",
+                            lambda **kw: made.append(mkdtemp(**kw)) or made[-1])
         model = mtl.model_at("total")
         model.params._params["encoder.surface_emb"].data[:] = np.nan
         preps = T.prepare_sentences(model, corpus.sentences[:2], ("dm",))
@@ -497,6 +558,8 @@ class TestTrainLoop:
             T._train_loop(model, cfg, preps, loss_fn, {}, lambda m: {})
         assert err.value.epoch == 0
         assert err.value.sentence_ids
+        # the run made a temporary store, and the error removed it
+        assert len(made) == 1 and os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("clip, clipped", [(1e-12, True), (1e12, False)])
     def test_epoch_records_clipping(self, split, corpus, tmp_path, monkeypatch,
@@ -611,7 +674,7 @@ def ft(mtl, split, corpus):
 
 class TestFineTune:
     def test_starts_from_framework_best(self, ft, mtl):
-        start = mtl.snapshots[mtl.best_epochs["ucca"]]
+        start = kept_state(mtl, mtl.best_epochs["ucca"])
         after = ft.model.params.state_dict()
         # untargeted modules never moved off the starting state
         for name in after:
@@ -619,7 +682,7 @@ class TestFineTune:
                 assert np.array_equal(after[name], start[name]), name
 
     def test_target_modules_moved(self, ft, mtl):
-        start = mtl.snapshots[mtl.best_epochs["ucca"]]
+        start = kept_state(mtl, mtl.best_epochs["ucca"])
         after = ft.model.params.state_dict()
         moved = [name for name in after
                  if name.startswith("ucca.")
@@ -632,7 +695,7 @@ class TestFineTune:
             warnings.simplefilter("ignore")
             res = T.fine_tune(mtl, "dm", cfg, split,
                               corpus.static, corpus.contextual)
-        start = mtl.snapshots[mtl.best_epochs["total"]]
+        start = kept_state(mtl, mtl.best_epochs["total"])
         after = res.model.params.state_dict()
         for name in after:
             if name.startswith(("ucca.", "amr.")):
@@ -718,8 +781,8 @@ class TestEds:
         best = history[-1]["best"]["eds"]
         ckpts = {os.path.join(str(tmp_path), n)
                  for n in os.listdir(tmp_path) if n.endswith(".ckpt")}
-        assert ckpts == {T._checkpoint_path(str(tmp_path), e) for e in {best, 2}}
-        back = T.load_model(T._checkpoint_path(str(tmp_path), best),
+        assert ckpts == {epoch_file(tmp_path, e) for e in {best, 2}}
+        back = T.load_model(epoch_file(tmp_path, best),
                             corpus.static, corpus.contextual)
         assert isinstance(back, T.EdsModel)
         assert_same_arrays(model.params.state_dict(), back.params.state_dict())
@@ -857,7 +920,7 @@ def test_training_releases_gradients(split, corpus):
     for model in (res.model, tuned.model, converter):
         assert all(p.grad is None for p in model.params.tensors())
     for run in (res, tuned):
-        last = run.snapshots[len(run.history) - 1]
+        last = kept_state(run, len(run.history) - 1)
         for name, arr in run.model.params.state_dict().items():
             assert arr.tobytes() == last[name].tobytes(), name
 
