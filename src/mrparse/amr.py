@@ -890,18 +890,18 @@ def chu_liu_edmonds(scores, root=0):
     return parents
 
 
-def decode_graph(gen, pair_scores, edge_labels, gid, text,
+def decode_graph(gen, edge_probs, label_probs, edge_labels, gid, text,
                  records=None, sense_table=None):
-    """Arborescence over generated positions, labels by per-edge argmax,
-    then copy merging, sense restoration and entity expansion."""
+    """Arborescence over generated positions from (n, n) edge
+    probabilities, labels by per-edge argmax of the (n, n, classes) label
+    probabilities, then copy merging, sense restoration and entity
+    expansion."""
     n = len(gen.labels)
     if n == 0:
         node = G.MrpNode(0, label=UNK_LABEL)
         return G.MrpGraph(id=gid, flavor=2, framework="amr", input=text,
                           tops=(0,), nodes=(node,), edges=()), ("empty",)
-    probs = np.clip(pair_scores.edge_probs.data, 1e-9, None)
-    parents = chu_liu_edmonds(np.log(probs), root=0)
-    label_probs = pair_scores.label_probs()
+    parents = chu_liu_edmonds(np.log(np.clip(edge_probs, 1e-9, None)), root=0)
     chosen = [None] * n
     for j, p in enumerate(parents):
         if p >= 0:

@@ -722,15 +722,16 @@ class ParamSet:
     def read(path):
         """Read a checkpoint file into (state_dict, extra)."""
         try:
-            npz = np.load(path, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
-                raise ValueError
-            with npz:
-                meta = json.loads(npz[_META].tobytes().decode("utf-8"))
-                if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+            with open(path, "rb") as fh:
+                npz = np.load(fh, allow_pickle=False)
+                if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
                     raise ValueError
-                state = {name: npz[name] for name in npz.files if name != _META}
-                return state, meta["extra"]
+                with npz:
+                    meta = json.loads(npz[_META].tobytes().decode("utf-8"))
+                    if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+                        raise ValueError
+                    state = {name: npz[name] for name in npz.files if name != _META}
+                    return state, meta["extra"]
         except (EOFError, KeyError, ValueError, zipfile.BadZipFile):
             raise ValueError(f"{path}: not a format-{CHECKPOINT_FORMAT_VERSION} "
                              "checkpoint") from None

@@ -17,11 +17,12 @@ from .encoder import Mlp
 
 @dataclass
 class PairScores:
-    """All-pairs scores for one sentence.
+    """All-pairs scores for one sentence, as the losses read them.
 
     edge_probs[i, j] is the probability of an edge from position i to
     position j (sigmoid applied).  label_logits holds raw class scores
-    for the pair at flat index i * n + j.
+    for the pair at flat index i * n + j; a prediction keeps their
+    softmax (``label_probs``).
     """
     edge_probs: ad.Tensor    # (P, P)
     label_logits: ad.Tensor  # (P*P, C)
@@ -35,17 +36,14 @@ class PairScores:
 
     def label_probs(self):
         """(P, P, C) softmax over classes, as plain numpy."""
-        flat = self.label_logits.data
-        shifted = flat - flat.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=-1, keepdims=True)
         n = self.n_positions
-        return probs.reshape(n, n, len(self.labels))
+        return softmax_np(self.label_logits.data).reshape(n, n, len(self.labels))
 
-    def best_labels(self):
-        """(P, P) argmax class indices; ties go to the lowest index."""
-        n = self.n_positions
-        return self.label_logits.data.argmax(axis=-1).reshape(n, n)
+
+def softmax_np(x):
+    """Softmax over the last axis of a numpy array."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class BiaffineHead:
@@ -118,25 +116,26 @@ class Flavor0Decode:
     kept: list
 
 
-def decode_flavor0(scores):
-    """Threshold decoding for token-anchored graphs.
+def decode_flavor0(edge_probs, label_probs, labels):
+    """Threshold decoding for token-anchored graphs, from (P, P) edge and
+    (P, P, C) label probabilities over the classes ``labels``.
 
     An edge (i, j) between real positions is adopted iff its probability
-    strictly exceeds 0.5; row 0 marks top nodes (several allowed); real
+    strictly exceeds 0.5 and takes its most probable label (ties go to
+    the lowest index); row 0 marks top nodes (several allowed); real
     positions that are neither tops nor incident to an edge are dropped.
     """
-    p = scores.edge_probs.data
-    best = scores.best_labels()
-    n = scores.n_positions
+    best = label_probs.argmax(axis=-1)
+    n = edge_probs.shape[0]
     edges = []
     incident = set()
     for i in range(1, n):
         for j in range(1, n):
-            if p[i, j] > 0.5:
-                edges.append((i, j, scores.labels[best[i, j]]))
+            if edge_probs[i, j] > 0.5:
+                edges.append((i, j, labels[best[i, j]]))
                 incident.add(i)
                 incident.add(j)
-    tops = [j for j in range(1, n) if p[0, j] > 0.5]
+    tops = [j for j in range(1, n) if edge_probs[0, j] > 0.5]
     kept = sorted(incident | set(tops))
     return Flavor0Decode(edges=edges, tops=tops, kept=kept)
 

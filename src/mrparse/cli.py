@@ -145,6 +145,16 @@ def build_parser():
 # ---------------------------------------------------------------------------
 # shared loading
 
+def _load(path, kind, static, contextual):
+    """The model of the bundle at ``path``, refused unless it is a
+    ``kind``: ``T.MultiModel`` (a parser) or ``T.EdsModel`` (a converter)."""
+    model = T.load_model(path, static, contextual)
+    if not isinstance(model, kind):
+        what = "parser" if kind is T.MultiModel else "conversion"
+        raise ValueError(f"{path}: not a {what} bundle")
+    return model
+
+
 def _load_sentences(companion_path, mrp_paths):
     companion = G.load_companion(companion_path)
     return G.build_corpus(companion, [G.load_mrp(p) for p in mrp_paths])
@@ -282,9 +292,9 @@ def _resolve_split(args, sentences, seed):
                        val_ii=part("val_ii"))
 
 
-def _pseudo_result(model, path):
-    """Fine-tuning's start: the bundle at ``path``, loaded as ``model``."""
-    return T.TrainResult(model=model, history=[], best_values={}, checkpoints={0: path},
+def _pseudo_result(path):
+    """Fine-tuning's start: the bundle at ``path``."""
+    return T.TrainResult(model=None, history=[], best_values={}, checkpoints={0: path},
                          best_epochs={k: 0 for k in ("total", *T.TASKS)})
 
 
@@ -315,8 +325,7 @@ def cmd_train(args):
         result = T.train_multitask(split, cfg, static, contextual,
                                    run_dir=args.out)
     else:
-        base = T.load_model(args.from_model, static, contextual)
-        result = T.fine_tune(_pseudo_result(base, args.from_model), args.framework,
+        result = T.fine_tune(_pseudo_result(args.from_model), args.framework,
                              cfg, split, static, contextual, run_dir=args.out)
 
     for key in sorted(result.best_epochs):
@@ -358,7 +367,7 @@ def _eds_dm_source(args, sentences, static, contextual):
             raise ValueError(f"{args.dm_mrp}: no DM graph for: "
                              + ", ".join(missing))
         return lambda s: dm[s.id]
-    dm_models = [T.load_model(p, static, contextual) for p in args.dm_model]
+    dm_models = [_load(p, T.MultiModel, static, contextual) for p in args.dm_model]
     return lambda s: T.parse_ensemble(dm_models, s, "dm")
 
 
@@ -377,7 +386,7 @@ def _load_spec(args, static, contextual):
     if spec.framework != args.framework:
         raise ValueError(f"{args.spec}: spec is for {spec.framework}, "
                          f"not {args.framework}")
-    return [T.load_model(paths[i], static, contextual) for i in spec.members]
+    return [_load(paths[i], T.MultiModel, static, contextual) for i in spec.members]
 
 
 def cmd_parse(args):
@@ -385,15 +394,13 @@ def cmd_parse(args):
     _check_parse_flags(args)
     sentences = _load_sentences(args.companion, args.mrp)
     static, contextual = _load_embeddings(args)
+    kind = T.EdsModel if args.framework == "eds" else T.MultiModel
     models = (_load_spec(args, static, contextual) if args.spec
-              else [T.load_model(p, static, contextual) for p in args.model])
+              else [_load(p, kind, static, contextual) for p in args.model])
 
     if args.framework == "eds":
-        converter = models[0]
-        if not isinstance(converter, T.EdsModel):
-            raise ValueError(f"{args.model[0]} is not a conversion bundle")
         dm_of = _eds_dm_source(args, sentences, static, contextual)
-        graphs = [converter.parse(s, dm_of(s))[0] for s in sentences]
+        graphs = [models[0].parse(s, dm_of(s))[0] for s in sentences]
     else:
         graphs = [T.parse_ensemble(models, s, args.framework, beam=beam)
                   for s in sentences]
@@ -463,9 +470,7 @@ def cmd_convert(args):
         if not (args.static and args.contextual):
             raise UsageError("convert --model needs --static and --contextual")
         static, contextual = _load_embeddings(args)
-        converter = T.load_model(args.model, static, contextual)
-        if not isinstance(converter, T.EdsModel):
-            raise ValueError(f"{args.model} is not a conversion bundle")
+        converter = _load(args.model, T.EdsModel, static, contextual)
         if args.rules:
             converter.rules = E.ConversionRuleSet.load(args.rules)
         graphs = [converter.parse(s, s.graphs["dm"])[0] for s in sentences]
@@ -510,7 +515,7 @@ def cmd_ensemble(args):
         raise ValueError(f"{args.gold} holds no {args.framework} graphs "
                          f"for the companion sentences")
     static, contextual = _load_embeddings(args)
-    models = [T.load_model(p, static, contextual) for p in args.model]
+    models = [_load(p, T.MultiModel, static, contextual) for p in args.model]
     spec, score = T.build_ensemble(models, args.framework, usable, beam=beam)
     doc = dict(spec.to_json(), score=score, models=list(args.model))
     _write_json(doc, args.out)

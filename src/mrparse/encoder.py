@@ -7,6 +7,7 @@ layers, concatenated per token, with a <ROOT> position prepended so
 top nodes have something to attach to.
 """
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,27 +172,32 @@ class ContextualEmbeddings:
 
     @classmethod
     def load(cls, path):
-        raw = np.load(path)
-        if not isinstance(raw, np.lib.npyio.NpzFile):
-            raise ValueError(f"{path}: not an .npz archive of arrays")
+        with open(path, "rb") as fh:
+            try:
+                raw = np.load(fh)
+                if not isinstance(raw, np.lib.npyio.NpzFile):
+                    raise ValueError
+                with raw:
+                    members = {key: np.asarray(raw[key], dtype=np.int64 if key.endswith("__tok")
+                                               else np.float64) for key in raw.files}
+            except (EOFError, ValueError, zipfile.BadZipFile):  # empty, pickled, broken
+                raise ValueError(f"{path}: not an .npz archive of arrays") from None
         arrays = {}
-        with raw:
-            for key in raw.files:
-                if key.endswith("__tok"):
-                    continue
-                arr = np.asarray(raw[key], dtype=np.float64)
-                if arr.ndim != 3:
-                    raise ValueError(f"{path}: {key} has shape {arr.shape}, "
-                                     f"not (layers, tokens, width)")
-                first = next(iter(arrays.values()), arr)
-                if (arr.shape[0], arr.shape[2]) != (first.shape[0], first.shape[2]):
-                    raise ValueError(f"{path}: {key} has {arr.shape[0]} layers of "
-                                     f"width {arr.shape[2]}, the first array "
-                                     f"{first.shape[0]} of width {first.shape[2]}")
-                tok_key = key + "__tok"
-                if tok_key in raw.files:
-                    arr = _average_subwords(arr, np.asarray(raw[tok_key], dtype=np.int64))
-                arrays[key] = arr
+        for key, arr in members.items():
+            if key.endswith("__tok"):
+                continue
+            if arr.ndim != 3:
+                raise ValueError(f"{path}: {key} has shape {arr.shape}, "
+                                 f"not (layers, tokens, width)")
+            first = next(iter(arrays.values()), arr)
+            if (arr.shape[0], arr.shape[2]) != (first.shape[0], first.shape[2]):
+                raise ValueError(f"{path}: {key} has {arr.shape[0]} layers of "
+                                 f"width {arr.shape[2]}, the first array "
+                                 f"{first.shape[0]} of width {first.shape[2]}")
+            tok_key = key + "__tok"
+            if tok_key in members:
+                arr = _average_subwords(arr, members[tok_key])
+            arrays[key] = arr
         if not arrays:
             raise ValueError(f"{path}: no contextual arrays")
         return cls(arrays)
@@ -275,9 +281,6 @@ def additive_attention(h, keys, w_dec, v):
     return ad.reshape(ad.matmul(ad.reshape(mixed, (k * n, att)), v), (k, n))
 
 
-GATE_ORDER = "ifgo"  # input, forget, cell candidate, output
-
-
 class LstmCell:
     """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`
     over a whole sequence or, k rows at a time, one step; the encoder
@@ -286,6 +289,7 @@ class LstmCell:
     def __init__(self, params, name, in_dim, hidden, rng):
         self.hidden = hidden
         scale = 1.0 / np.sqrt(hidden)
+        # gate columns: input, forget, cell candidate, output
         self.wx = params.new(f"{name}.wx", (in_dim, 4 * hidden), rng, scale=scale)
         self.wh = params.new(f"{name}.wh", (hidden, 4 * hidden), rng, scale=scale)
         bias = np.zeros(4 * hidden)

@@ -336,8 +336,8 @@ def validate_graph(g):
         problems.append(f"duplicate node ids {dupes}")
     if g.framework not in FRAMEWORKS:
         problems.append(f"unknown framework {g.framework!r}")
-    if g.flavor not in (0, 1, 2):
-        problems.append(f"flavor {g.flavor} outside 0..2")
+    if g.framework in FLAVOR and g.flavor != FLAVOR[g.framework]:
+        problems.append(f"flavor {g.flavor} is not {g.framework}'s {FLAVOR[g.framework]}")
     for t in g.tops:
         if t not in id_set:
             problems.append(f"top {t} is not a node")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .biaffine import decode_flavor0
+from .biaffine import decode_flavor0, softmax_np
 from .encoder import Classifier
 
 NONE_ARG = "<NONE>"
@@ -80,22 +80,16 @@ class FrameLexicon:
 
 @dataclass
 class FramePrediction:
-    """Per-node frame distributions: one type head, four argument heads."""
+    """Per-node frame logits, one type head and four argument heads, as
+    the loss reads them; a prediction keeps their softmaxes."""
     type_logits: ad.Tensor   # (P, n_types)
     arg_logits: list         # N_ARG_HEADS tensors (P, n_arg_classes)
-    types: list
-    arg_classes: list
 
     def type_probs(self):
-        return _softmax_np(self.type_logits.data)
+        return softmax_np(self.type_logits.data)
 
     def arg_probs(self, k):
-        return _softmax_np(self.arg_logits[k].data)
-
-
-def _softmax_np(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        return softmax_np(self.arg_logits[k].data)
 
 
 class FrameClassifier:
@@ -117,8 +111,6 @@ class FrameClassifier:
             type_logits=self.type_head(states, drop=self.drop, rng=rng, train=train),
             arg_logits=[h(states, drop=self.drop, rng=rng, train=train)
                         for h in self.arg_heads],
-            types=self.types,
-            arg_classes=self.arg_classes,
         )
 
     def frame_targets(self, frame):
@@ -254,14 +246,13 @@ def gold_targets(graph, tokens, label_index):
     return edges, tops, frames
 
 
-def dm_frame_rule(pred, lexicon, tokens):
-    """``frame_of`` of a DM graph: the lexicon frame the classifier's
-    distributions ``pred`` make most likely (``reconstruct_dm_frame``)."""
-    type_probs = pred.type_probs()
-    arg_probs = [pred.arg_probs(k) for k in range(N_ARG_HEADS)]
+def dm_frame_rule(type_probs, arg_probs, types, arg_classes, lexicon, tokens):
+    """``frame_of`` of a DM graph: the lexicon frame that the classifier's
+    (P, types) type and N_ARG_HEADS (P, arg_classes) argument
+    probabilities make most likely (``reconstruct_dm_frame``)."""
     return lambda i, _: reconstruct_dm_frame(
         type_probs[i + 1], [p[i + 1] for p in arg_probs], tokens[i].lemma,
-        lexicon, pred.types, pred.arg_classes)
+        lexicon, types, arg_classes)
 
 
 def psd_frame_rule(lexicon, tokens):
@@ -271,10 +262,12 @@ def psd_frame_rule(lexicon, tokens):
                                                    labels, lexicon)
 
 
-def build_graph(framework, sid, tokens, text, scores, frame_of):
-    """Decode pair scores into a complete flavor-0 graph; a node's frame
-    is ``frame_of(token index, outgoing labels)``, None for no frame."""
-    decoded = decode_flavor0(scores)
+def build_graph(framework, sid, tokens, text, edge_probs, label_probs, edge_labels,
+                frame_of):
+    """Decode edge and label probabilities (``decode_flavor0``) into a
+    complete flavor-0 graph; a node's frame is ``frame_of(token index,
+    outgoing labels)``, None for no frame."""
+    decoded = decode_flavor0(edge_probs, label_probs, edge_labels)
     token_ids = [p - 1 for p in decoded.kept]
     labels = assign_node_labels(token_ids, tokens)
 

@@ -281,19 +281,28 @@ class MultiModel:
 def load_model(path, static, contextual):
     """Build a saved MultiModel or EdsModel from its checkpoint; a
     bundle whose content does not fit raises a ValueError naming it."""
+    return _load_bundle(path, static, contextual)
+
+
+def _load_bundle(path, static, contextual, settings=None):
+    """``load_model``; with ``settings``, a parser built from them and its ``ARCH_FIELDS``."""
     state, extra = ad.ParamSet.read(path)
     kind = extra.get("kind")
     if kind not in ("multi", "eds"):
         raise ValueError(f"{path}: not a model bundle (kind={kind!r})")
+    if settings is not None and kind != "multi":
+        raise ValueError(f"{path}: not a parser bundle")
     try:
         cfg = TrainConfig.from_json(extra["config"])
         vocab = Vocabulary.from_json(extra["vocab"])
-        if kind == "multi":
-            return MultiModel(cfg, vocab, Inventories.from_json(extra["inventories"]),
-                              static, contextual, state=state)
-        return EdsModel(cfg, vocab, E.ConversionRuleSet.from_dict(extra["rules"]),
-                        static, contextual, extra["anchor_labels"],
-                        abstract_meta=extra["abstract_meta"], state=state)
+        if kind == "eds":
+            return EdsModel(cfg, vocab, E.ConversionRuleSet.from_dict(extra["rules"]),
+                            static, contextual, extra["anchor_labels"],
+                            abstract_meta=extra["abstract_meta"], state=state)
+        if settings is not None:
+            cfg = replace(settings, **{f: getattr(cfg, f) for f in ARCH_FIELDS})
+        return MultiModel(cfg, vocab, Inventories.from_json(extra["inventories"]),
+                          static, contextual, state=state)
     except (KeyError, ValueError) as err:
         raise ValueError(f"{path}: {err.args[0]}") from None
 
@@ -328,12 +337,12 @@ class Task:
     model under construction (none when its inventory is empty);
     ``prepare`` turns a sentence's gold into the targets ``terms`` reads,
     or raises ValueError or KeyError; ``terms`` gives the loss pieces,
-    keyed "name.part"; ``predict`` the arrays a graph is decoded from;
-    ``decode`` a graph from one prediction per model, combining several
-    by ``rule``; ``validator`` the metric a single-framework run
-    early-stops on, in ``mode``.  Fine-tuning restarts from the joint
-    run's best epoch of ``start_key`` and trains the frameworks of
-    ``group``.
+    keyed "name.part"; ``predict`` the numpy probability arrays a graph
+    is decoded from; ``decode`` a graph from one prediction per model,
+    combining several by ``rule``; ``validator`` the metric a
+    single-framework run early-stops on, in ``mode``.  Fine-tuning
+    restarts from the joint run's best epoch of ``start_key`` and trains
+    the frameworks of ``group``.
     """
     part = "decoder"  # what a model that cannot serve the framework lacks
     mode = "max"
@@ -348,8 +357,8 @@ class SdpTask(Task):
     """DM or PSD: a biaffine head over the encoder's top layer and a
     frame lexicon.  ``frames`` marks DM, whose frames come from a frame
     classifier and the lexicon; PSD's from the lexicon and each node's
-    outgoing labels.  Ensembles average probabilities.  The pair
-    fine-tunes jointly, from the epoch of the lowest total joint loss."""
+    outgoing labels.  Ensembles average each probability array.  The
+    pair fine-tunes jointly, from the epoch of the lowest total joint loss."""
     part = "head"
     rule = "average"
 
@@ -407,20 +416,30 @@ class SdpTask(Task):
         return out
 
     def predict(self, model, sent, enc_out, beam):
-        """(pair scores, frames or None)."""
+        """(edge probabilities, label probabilities), then for DM the
+        frame type probabilities and those of each argument head."""
         scores = model.heads[self.name].score(enc_out.top)
-        frames = model.frame_clf.predict(enc_out.top) if self.frames else None
-        return scores, frames
+        pred = (scores.edge_probs.data, scores.label_probs())
+        if self.frames:
+            frames = model.frame_clf.predict(enc_out.top)
+            pred += (frames.type_probs(), *map(frames.arg_probs, range(S.N_ARG_HEADS)))
+        return pred
 
     def decode(self, models, sent, preds, text):
-        scores, frames = preds[0]
-        if len(preds) > 1:
-            scores = combine_pair_scores([s for s, _ in preds])
-            frames = combine_frames([f for _, f in preds]) if self.frames else None
+        labels = _require_same_labels([m.heads[self.name].labels for m in models],
+                                      "edge labels")
+        if self.frames:
+            clfs = [m.frame_clf for m in models]
+            types = _require_same_labels([c.types for c in clfs], "frame types")
+            args = _require_same_labels([c.arg_classes for c in clfs], "frame arguments")
+        edge, label, *frames = (preds[0] if len(preds) == 1 else
+                                [np.mean(arrays, axis=0) for arrays in zip(*preds)])
         lexicon = models[0].lexicons[self.name]
-        frame_of = (S.dm_frame_rule(frames, lexicon, sent.tokens) if self.frames
+        frame_of = (S.dm_frame_rule(frames[0], frames[1:], types, args, lexicon,
+                                    sent.tokens) if self.frames
                     else S.psd_frame_rule(lexicon, sent.tokens))
-        return S.build_graph(self.name, sent.id, sent.tokens, text, scores, frame_of)
+        return S.build_graph(self.name, sent.id, sent.tokens, text, edge, label,
+                             labels, frame_of)
 
     def validator(self, model, cfg, val):
         """Mean labeled F1."""
@@ -584,18 +603,20 @@ class AmrTask(Task):
                 "amr.label": label}
 
     def predict(self, model, sent, enc_out, beam):
-        """(generation, pair scores or None)."""
+        """(generation, edge probabilities, label probabilities), the
+        probabilities None for an empty generation."""
         gen = A.beam_search(model.amr_context(sent, enc_out), width=beam)
         if not gen.labels:
-            return gen, None
-        return gen, model.heads["amr"].score(ad.concat(list(gen.states), axis=0))
+            return gen, None, None
+        scores = model.heads["amr"].score(ad.concat(list(gen.states), axis=0))
+        return gen, scores.edge_probs.data, scores.label_probs()
 
     def decode(self, models, sent, preds, text):
         if len(preds) > 1:
             raise ValueError("amr is served by its single best model, not combined")
-        model, (gen, scores) = models[0], preds[0]
+        model = models[0]
         records = A.records_from_ne(sent.tokens, model.inv.ne_map)
-        graph, _ = A.decode_graph(gen, scores, model.heads["amr"].labels,
+        graph, _ = A.decode_graph(*preds[0], model.heads["amr"].labels,
                                   sent.id, text, records=records,
                                   sense_table=model.inv.sense_table)
         return graph
@@ -917,20 +938,19 @@ def fine_tune(mtl_result, framework, config, split, static, contextual,
 
     DM and PSD restart from the bundle of the epoch with the lowest
     total joint validation loss; UCCA and AMR from the bundle of their
-    own framework-best epoch.  The other frameworks' modules stay in the
-    model but receive no gradient.
+    own framework-best epoch.  Only ``best_epochs`` and ``checkpoints``
+    of ``mtl_result`` are read: the architecture fields, vocabulary and
+    inventories come from the start bundle.  The other frameworks'
+    modules stay in the model but receive no gradient.
     """
     task = TASKS.get(framework)
     if task is None:
         raise ValueError(f"fine-tuning is defined for {'/'.join(TASKS)}, "
                          f"not {framework!r}")
-    base = mtl_result.model
     start_key = task.start_key if task.start_key in mtl_result.best_epochs else framework
-    arch = {f: getattr(base.config, f) for f in ARCH_FIELDS}
-    merged = replace(config, **arch)
-    state, _ = ad.ParamSet.read(mtl_result.checkpoints[mtl_result.best_epochs[start_key]])
-    model = MultiModel(merged, base.vocab, base.inv, static, contextual, state=state)
-    return _train_frameworks(model, merged, split, task.group, run_dir)
+    model = _load_bundle(mtl_result.checkpoints[mtl_result.best_epochs[start_key]],
+                         static, contextual, settings=config)
+    return _train_frameworks(model, model.config, split, task.group, run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,9 +1140,9 @@ def _token_span(node, tokens):
 # parsing
 
 def predict(model, sent, framework, beam=A.BEAM_WIDTH):
-    """One model's prediction for one sentence, the arrays its graph is
-    decoded from (``Task.predict``), from one pass of the encoder.  A
-    model without the framework's head or decoder raises a ValueError."""
+    """One model's prediction for one sentence (``Task.predict``), the
+    probability arrays its graph is decoded from, from one encoder pass.
+    A model without the framework's head or decoder raises a ValueError."""
     task = TASKS.get(framework)
     if task is None:
         raise ValueError(f"cannot parse framework {framework!r} with this model")
@@ -1134,8 +1154,9 @@ def predict(model, sent, framework, beam=A.BEAM_WIDTH):
 def decode_predictions(models, sent, framework, preds):
     """One sentence's graph from ``preds[i] = predict(models[i], ...)``.
     A single prediction decodes as it stands; several are combined first
-    by the framework's rule: DM and PSD average their probabilities, UCCA
-    votes, and AMR refuses (it is served by its single best model)."""
+    by the framework's rule: DM and PSD decode from the mean of each
+    probability array, UCCA votes, and AMR refuses (it is served by its
+    single best model)."""
     return TASKS[framework].decode(models, sent, preds, companion_text(sent.tokens))
 
 
@@ -1176,34 +1197,6 @@ def _require_same_labels(label_lists, what):
     return first
 
 
-def combine_pair_scores(scores_list):
-    """Mean edge probabilities; label distributions averaged in
-    probability space and re-expressed as log-prob logits."""
-    labels = _require_same_labels([s.labels for s in scores_list], "edge labels")
-    n = scores_list[0].n_positions
-    edge = np.mean([s.edge_probs.data for s in scores_list], axis=0)
-    probs = np.mean([s.label_probs() for s in scores_list], axis=0)
-    logits = np.log(np.clip(probs, 1e-12, None)).reshape(n * n, len(labels))
-    return B.PairScores(edge_probs=ad.Tensor(edge),
-                        label_logits=ad.Tensor(logits),
-                        n_positions=n, labels=labels)
-
-
-def combine_frames(preds):
-    """Probability-space average of the frame classifier heads."""
-    types = _require_same_labels([p.types for p in preds], "frame types")
-    args = _require_same_labels([p.arg_classes for p in preds], "frame arguments")
-
-    def log_avg(mats):
-        return ad.Tensor(np.log(np.clip(np.mean(mats, axis=0), 1e-12, None)))
-
-    type_logits = log_avg([p.type_probs() for p in preds])
-    arg_logits = [log_avg([p.arg_probs(k) for p in preds])
-                  for k in range(S.N_ARG_HEADS)]
-    return S.FramePrediction(type_logits=type_logits, arg_logits=arg_logits,
-                             types=types, arg_classes=args)
-
-
 def greedy_ensemble(candidates, score_fn):
     """Forward selection: order by solo score, then add members while the
     score strictly improves; the first non-improvement stops the scan."""
@@ -1228,9 +1221,10 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
     """Pick members on the ensembling carve-out by held-out F1.
 
     The framework's rule decides: AMR keeps its single best model; DM
-    and PSD average scores; UCCA votes.  Each model predicts each sentence once: for k models and n
-    sentences the cache holds k × n predictions, each the arrays one
-    parse already builds (``predict``), and every subset the scan tries
+    and PSD average probabilities; UCCA votes.  Each model predicts each
+    sentence once: for k models and n sentences the cache holds k × n
+    predictions, each the probability arrays one parse already builds
+    (``predict``), softmaxes included, and every subset the scan tries
     is scored by decoding its members' cached predictions.
     """
     golds = [s.graphs[framework] for s in sentences]

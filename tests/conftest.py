@@ -21,7 +21,7 @@ from mrparse import scoring as S
 from mrparse import sdp
 from mrparse import training as T
 from mrparse import ucca
-from mrparse.biaffine import decode_flavor0
+from mrparse import biaffine
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -526,6 +526,74 @@ def write_corpus(corpus, dirpath):
 # each framework's handling moved onto a task object, so that the oracle
 # shares no code with the path it checks.
 
+def reference_decode_flavor0(scores):
+    """``biaffine.decode_flavor0`` as it was, on pair scores: labels by
+    the argmax of the label logits."""
+    p = scores.edge_probs.data
+    n = scores.n_positions
+    best = scores.label_logits.data.argmax(axis=-1).reshape(n, n)
+    edges = []
+    incident = set()
+    for i in range(1, n):
+        for j in range(1, n):
+            if p[i, j] > 0.5:
+                edges.append((i, j, scores.labels[best[i, j]]))
+                incident.add(i)
+                incident.add(j)
+    tops = [j for j in range(1, n) if p[0, j] > 0.5]
+    kept = sorted(incident | set(tops))
+    return biaffine.Flavor0Decode(edges=edges, tops=tops, kept=kept)
+
+
+def reference_combine_pair_scores(scores_list):
+    """Mean edge probabilities; label distributions averaged in
+    probability space and re-expressed as log-prob logits."""
+    labels = T._require_same_labels([s.labels for s in scores_list], "edge labels")
+    n = scores_list[0].n_positions
+    edge = np.mean([s.edge_probs.data for s in scores_list], axis=0)
+    probs = np.mean([s.label_probs() for s in scores_list], axis=0)
+    logits = np.log(np.clip(probs, 1e-12, None)).reshape(n * n, len(labels))
+    return biaffine.PairScores(edge_probs=ad.Tensor(edge),
+                               label_logits=ad.Tensor(logits),
+                               n_positions=n, labels=labels)
+
+
+def reference_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@dataclass
+class ReferenceFrames:
+    """``sdp.FramePrediction`` as it was: the frame classifier's logits
+    with its inventories."""
+    type_logits: ad.Tensor
+    arg_logits: list
+    types: list
+    arg_classes: list
+
+    def type_probs(self):
+        return reference_softmax(self.type_logits.data)
+
+    def arg_probs(self, k):
+        return reference_softmax(self.arg_logits[k].data)
+
+
+def reference_combine_frames(preds):
+    """Probability-space average of the frame classifier heads."""
+    types = T._require_same_labels([p.types for p in preds], "frame types")
+    args = T._require_same_labels([p.arg_classes for p in preds], "frame arguments")
+
+    def log_avg(mats):
+        return ad.Tensor(np.log(np.clip(np.mean(mats, axis=0), 1e-12, None)))
+
+    type_logits = log_avg([p.type_probs() for p in preds])
+    arg_logits = [log_avg([p.arg_probs(k) for p in preds])
+                  for k in range(sdp.N_ARG_HEADS)]
+    return ReferenceFrames(type_logits=type_logits, arg_logits=arg_logits,
+                           types=types, arg_classes=args)
+
+
 def reference_lexicon(rows):
     if not rows:
         return None
@@ -538,7 +606,7 @@ def reference_sdp_graph(model, framework, sid, tokens, text, scores, frame_pred)
     picked by a lexicon built from the model's inventory rows."""
     dm_lexicon = reference_lexicon(model.inv.dm_lexicon_rows)
     psd_lexicon = reference_lexicon(model.inv.psd_lexicon_rows)
-    decoded = decode_flavor0(scores)
+    decoded = reference_decode_flavor0(scores)
     token_ids = [p - 1 for p in decoded.kept]
     node_id_of = {tok: idx for idx, tok in enumerate(token_ids)}
     out_edges_of = {}
@@ -575,8 +643,12 @@ def reference_sdp_graph(model, framework, sid, tokens, text, scores, frame_pred)
 def reference_sdp_prediction(model, sent, fw):
     enc_out = model.encode(sent)
     scores = model.heads[fw].score(enc_out.top)
-    frames = model.frame_clf.predict(enc_out.top) if fw == "dm" else None
-    return scores, frames
+    if fw != "dm":
+        return scores, None
+    clf = model.frame_clf
+    pred = clf.predict(enc_out.top)
+    return scores, ReferenceFrames(pred.type_logits, pred.arg_logits,
+                                   clf.types, clf.arg_classes)
 
 
 def reference_ucca_prediction(model, sent):
@@ -593,14 +665,16 @@ def reference_ucca_prediction(model, sent):
 
 
 def reference_amr_prediction(model, sent, beam):
-    """(generation, pair scores or None) for one sentence."""
+    """(generation, edge probabilities, label probabilities) for one
+    sentence, the probabilities None for an empty generation."""
     enc_out = model.encode(sent)
     ctx = model.amr_context(sent, enc_out)
     gen = amr.beam_search(ctx, width=beam)
     if not gen.labels:
-        return gen, None
+        return gen, None, None
     states = ad.concat(list(gen.states), axis=0)
-    return gen, model.heads["amr"].score(states)
+    scores = model.heads["amr"].score(states)
+    return gen, scores.edge_probs.data, scores.label_probs()
 
 
 @ad.no_grad()
@@ -622,9 +696,9 @@ def reference_parse_sentence(model, sent, framework, beam=5):
     if framework == "amr":
         if model.amr_decoder is None:
             raise ValueError("model has no amr decoder")
-        gen, scores = reference_amr_prediction(model, sent, beam=beam)
+        gen, edge, label = reference_amr_prediction(model, sent, beam=beam)
         records = amr.records_from_ne(sent.tokens, model.inv.ne_map)
-        graph, _ = amr.decode_graph(gen, scores, model.heads["amr"].labels,
+        graph, _ = amr.decode_graph(gen, edge, label, model.heads["amr"].labels,
                                     sent.id, text, records=records,
                                     sense_table=model.inv.sense_table)
         return graph
@@ -639,10 +713,10 @@ def reference_parse_ensemble(models, sent, framework, beam=5):
     text = T.companion_text(sent.tokens)
     if framework in ("dm", "psd"):
         pairs = [reference_sdp_prediction(m, sent, framework) for m in models]
-        scores = T.combine_pair_scores([s for s, _ in pairs])
+        scores = reference_combine_pair_scores([s for s, _ in pairs])
         frames = None
         if framework == "dm" and all(f is not None for _, f in pairs):
-            frames = T.combine_frames([f for _, f in pairs])
+            frames = reference_combine_frames([f for _, f in pairs])
         return reference_sdp_graph(models[0], framework, sent.id, sent.tokens,
                                    text, scores, frames)
     if framework == "ucca":

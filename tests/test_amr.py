@@ -1015,15 +1015,16 @@ class TestFullRoundTrip:
 
 
 class TestDecodeGraph:
-    def scores_for(self, n, parent_of, labels=("ARG0", "ARG1")):
+    LABELS = ["ARG0", "ARG1"]
+
+    def probs_for(self, n, parent_of):
+        """(edge probabilities, label probabilities) of a prediction."""
         probs = np.full((n, n), 0.01)
-        logits = np.zeros((n * n, len(labels)))
+        label_probs = np.full((n, n, len(self.LABELS)), 1 / len(self.LABELS))
         for j, (p, lab) in parent_of.items():
             probs[p, j] = 0.99
-            logits[p * n + j, labels.index(lab)] = 9.0
-        return PairScores(edge_probs=ad.Tensor(probs),
-                          label_logits=ad.Tensor(logits),
-                          n_positions=n, labels=list(labels))
+            label_probs[p, j] = [0.9 if c == lab else 0.1 for c in self.LABELS]
+        return probs, label_probs
 
     def gen(self, labels, copy_of=None, src=None):
         n = len(labels)
@@ -1032,8 +1033,8 @@ class TestDecodeGraph:
 
     def test_arborescence_and_labels(self):
         gen = self.gen(["see", "dog", "cat"])
-        scores = self.scores_for(3, {1: (0, "ARG0"), 2: (0, "ARG1")})
-        g, flags = amr.decode_graph(gen, scores, scores.labels, "d1", "t")
+        probs = self.probs_for(3, {1: (0, "ARG0"), 2: (0, "ARG1")})
+        g, flags = amr.decode_graph(gen, *probs, self.LABELS, "d1", "t")
         assert flags == ()
         assert g.tops == (0,)
         got = {(e.source, e.target, e.label) for e in g.edges}
@@ -1041,15 +1042,15 @@ class TestDecodeGraph:
 
     def test_decoder_copy_merges_in_decode(self):
         gen = self.gen(["see", "dog", "dog"], copy_of=[None, None, 1])
-        scores = self.scores_for(3, {1: (0, "ARG0"), 2: (0, "ARG1")})
-        g, _ = amr.decode_graph(gen, scores, scores.labels, "d2", "t")
+        probs = self.probs_for(3, {1: (0, "ARG0"), 2: (0, "ARG1")})
+        g, _ = amr.decode_graph(gen, *probs, self.LABELS, "d2", "t")
         assert len(g.nodes) == 2
         got = {(e.source, e.target, e.label) for e in g.edges}
         assert got == {(0, 1, "ARG0"), (0, 1, "ARG1")}
 
     def test_empty_generation_yields_placeholder(self):
         gen = self.gen([])
-        scores = self.scores_for(1, {})
-        g, flags = amr.decode_graph(gen, scores, scores.labels, "d3", "t")
+        probs = self.probs_for(1, {})
+        g, flags = amr.decode_graph(gen, *probs, self.LABELS, "d3", "t")
         assert flags == ("empty",)
         assert len(g.nodes) == 1 and g.tops == (0,)

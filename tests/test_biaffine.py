@@ -24,6 +24,12 @@ def mk_scores(edge_probs, label_logits, labels):
                          n_positions=n, labels=list(labels))
 
 
+def decode(edge_probs, label_logits, labels):
+    """``decode_flavor0`` of hand-set edge probabilities and label logits."""
+    probs = mk_scores(edge_probs, label_logits, labels).label_probs()
+    return bf.decode_flavor0(edge_probs, probs, list(labels))
+
+
 class TestScoring:
     def test_zero_parameters_give_half_everywhere(self):
         head, _ = mk_head()
@@ -107,20 +113,20 @@ class TestDecode:
         p[1, 2] = 0.6
         logits = np.zeros((3, 3, 2))
         logits[1, 2, 1] = 5.0
-        out = bf.decode_flavor0(mk_scores(p, logits, ["A", "B"]))
+        out = decode(p, logits, ["A", "B"])
         assert out.edges == [(1, 2, "B")]
         assert out.kept == [1, 2]
 
     def test_tie_at_half_not_adopted(self):
         p = np.full((3, 3), 0.5)
-        out = bf.decode_flavor0(mk_scores(p, np.zeros((3, 3, 1)), ["A"]))
+        out = decode(p, np.zeros((3, 3, 1)), ["A"])
         assert out.edges == [] and out.tops == []
 
     def test_multiple_tops(self):
         p = np.full((4, 4), 0.2)
         p[0, 1] = 0.7
         p[0, 3] = 0.8
-        out = bf.decode_flavor0(mk_scores(p, np.zeros((4, 4, 1)), ["A"]))
+        out = decode(p, np.zeros((4, 4, 1)), ["A"])
         assert out.tops == [1, 3]
         assert out.kept == [1, 3]
 
@@ -128,30 +134,30 @@ class TestDecode:
         p = np.full((4, 4), 0.1)
         p[0, 1] = 0.9   # top
         p[1, 2] = 0.9   # edge 1->2
-        out = bf.decode_flavor0(mk_scores(p, np.zeros((4, 4, 1)), ["A"]))
+        out = decode(p, np.zeros((4, 4, 1)), ["A"])
         assert 3 not in out.kept
         assert out.kept == [1, 2]
 
     def test_top_with_no_edges_is_kept(self):
         p = np.full((3, 3), 0.1)
         p[0, 2] = 0.9
-        out = bf.decode_flavor0(mk_scores(p, np.zeros((3, 3, 1)), ["A"]))
+        out = decode(p, np.zeros((3, 3, 1)), ["A"])
         assert out.kept == [2] and out.edges == []
 
     def test_invariant_under_crossing_preserving_recalibration(self):
         rng = np.random.default_rng(9)
         p = rng.random((5, 5))
         logits = rng.normal(size=(5, 5, 3))
-        a = bf.decode_flavor0(mk_scores(p, logits, ["A", "B", "C"]))
+        a = decode(p, logits, ["A", "B", "C"])
         squeezed = 0.5 + (p - 0.5) / 4  # strictly monotone, same 0.5 crossings
-        b = bf.decode_flavor0(mk_scores(squeezed, logits, ["A", "B", "C"]))
+        b = decode(squeezed, logits, ["A", "B", "C"])
         assert a == b
 
     def test_label_tie_breaks_to_lowest_index(self):
         p = np.full((3, 3), 0.1)
         p[1, 2] = 0.9
         logits = np.zeros((3, 3, 3))  # all classes tie
-        out = bf.decode_flavor0(mk_scores(p, logits, ["A", "B", "C"]))
+        out = decode(p, logits, ["A", "B", "C"])
         assert out.edges == [(1, 2, "A")]
 
 
@@ -230,6 +236,8 @@ class TestOverfit:
         target[0, 1] = 1.0
         assert p[target == 1.0].min() > 0.9
         assert p[target == 0.0].max() < 0.1
-        decoded = bf.decode_flavor0(head.score(states))
+        scores = head.score(states)
+        decoded = bf.decode_flavor0(scores.edge_probs.data, scores.label_probs(),
+                                    scores.labels)
         assert sorted((i, j) for i, j, _ in decoded.edges) == sorted((i, j) for i, j, _ in gold)
         assert decoded.tops == tops

@@ -8,6 +8,7 @@ at the artifacts.
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import mrparse.autodiff as ad
 import mrparse.graphs as G
 from mrparse import cli, datagen
+from mrparse import training as T
 from mrparse.cli import run
 
 from conftest import write_corpus
@@ -66,10 +68,10 @@ def test_train_single_artifacts(ws):
     names = set(os.listdir(ws["single"]))
     assert {"config.json", "metrics.jsonl",
             "model-dm.bundle", "model-psd.bundle"} <= names
-    cfg = json.loads(open(os.path.join(ws["single"], "config.json")).read())
+    cfg = json.loads(Path(ws["single"], "config.json").read_text())
     assert cfg["frameworks"] == ["dm", "psd"]
     rows = [json.loads(l) for l in
-            open(os.path.join(ws["single"], "metrics.jsonl"))]
+            Path(ws["single"], "metrics.jsonl").read_text().splitlines()]
     assert [r["epoch"] for r in rows] == [0, 1]
 
 
@@ -87,7 +89,7 @@ def test_fine_tune_and_eds_artifacts(ws):
 def test_train_bundles_are_copies_of_the_kept_epochs(ws):
     for run in ("single", "mtl", "ft"):
         rows = [json.loads(line) for line in
-                open(os.path.join(ws[run], "metrics.jsonl"))]
+                Path(ws[run], "metrics.jsonl").read_text().splitlines()]
         for key, epoch in rows[-1]["best"].items():
             epoch = len(rows) - 1 if epoch is None else epoch
             with open(os.path.join(ws[run], f"model-{key}.bundle"), "rb") as fh:
@@ -113,7 +115,7 @@ def test_config_file_and_flag_precedence(ws, tmp_path):
     for fw in ("dm", "psd", "ucca", "amr"):
         argv += ["--mrp", ws[fw]]
     assert run(argv) == 0
-    cfg = json.loads(open(os.path.join(out, "config.json")).read())
+    cfg = json.loads(Path(out, "config.json").read_text())
     assert cfg["lam_label"] == 0.5   # file beats preset
     assert cfg["epochs"] == 1        # flag beats file
 
@@ -125,6 +127,26 @@ def test_train_rejects_unknown_config_keys(ws, tmp_path):
             "--regime", "multitask", "--out", str(tmp_path / "x"),
             "--config", str(override), "--mrp", ws["dm"]]
     assert run(argv) == 1
+
+
+def test_cli_fine_tuning_loads_no_model(ws, tmp_path, monkeypatch):
+    # the fixture's fine-tune run again, with every model load counted:
+    # fine-tuning reads its start bundle's header and parameters itself
+    loads = []
+    load = T.load_model
+    monkeypatch.setattr(T, "load_model", lambda *args: loads.append(args) or load(*args))
+    out = tmp_path / "ft"
+    argv = ["train", "--companion", ws["companion"], *embed_args(ws),
+            "--regime", "fine-tune", "--out", str(out), "--batch-size", "4",
+            "--seed", "3", "--framework", "ucca", "--epochs", "1",
+            "--from-model", ws["mtl_bundle"]]
+    for fw in G.FRAMEWORKS:
+        argv += ["--mrp", ws[fw]]
+    assert run(argv) == 0
+    assert loads == []
+    assert sorted(os.listdir(out)) == sorted(os.listdir(ws["ft"]))
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == Path(ws["ft"], name).read_bytes(), name
 
 
 @pytest.mark.parametrize("where", ["config", "bundle"])
@@ -294,7 +316,7 @@ def test_parse_is_deterministic(ws, tmp_path):
         assert run(["parse", "--companion", ws["companion"], *embed_args(ws),
                     "--model", os.path.join(ws["single"], "model-dm.bundle"),
                     "--framework", "dm", "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -355,6 +377,48 @@ def test_parse_bad_bundle_is_one_line_error(ws, tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {path}: not a format-2 checkpoint"]
     assert "Traceback" not in err
+
+
+def wrong_kind_argv(ws, case, out):
+    """(argv, the bundle of the wrong kind, the kind the command wants)."""
+    eds = os.path.join(ws["eds_run"], "model-eds.bundle")
+    corpus = ["--companion", ws["companion"], *embed_args(ws)]
+    return {
+        "fine-tune-from-converter": (
+            ["train", *corpus, "--regime", "fine-tune", "--framework", "ucca",
+             "--from-model", eds, "--epochs", "1", "--mrp", ws["ucca"],
+             "--out", out], eds, "parser"),
+        "parse-dm-with-converter": (
+            ["parse", *corpus, "--framework", "dm", "--model", eds, "--out", out],
+            eds, "parser"),
+        "ensemble-dm-with-converter": (
+            ["ensemble", *corpus, "--gold", ws["dm"], "--framework", "dm",
+             "--model", eds, "--out", out], eds, "parser"),
+        "parse-eds-from-converter-dm": (
+            ["parse", *corpus, "--framework", "eds", "--model", eds,
+             "--dm-model", eds, "--out", out], eds, "parser"),
+        "parse-eds-with-parser": (
+            ["parse", *corpus, "--framework", "eds", "--model", ws["mtl_bundle"],
+             "--dm-mrp", ws["dm"], "--out", out], ws["mtl_bundle"], "conversion"),
+        "convert-with-parser": (
+            ["convert", "--companion", ws["companion"], "--mrp", ws["dm"],
+             *embed_args(ws), "--model", ws["mtl_bundle"], "--out", out],
+            ws["mtl_bundle"], "conversion"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "fine-tune-from-converter", "parse-dm-with-converter",
+    "ensemble-dm-with-converter", "parse-eds-from-converter-dm",
+    "parse-eds-with-parser", "convert-with-parser"])
+def test_a_bundle_of_the_wrong_kind_is_one_line_error(ws, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv, bundle, kind = wrong_kind_argv(ws, case, str(out))
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {bundle}: not a {kind} bundle"]
+    assert not out.exists() or not any(out.iterdir())  # train makes --out first
 
 
 @pytest.mark.parametrize("fault", ["missing", "shape"])
@@ -422,7 +486,7 @@ def test_evaluate_gold_against_itself(ws, tmp_path, capsys):
     code = run(["evaluate", "--gold", ws["dm"], "--pred", ws["dm"],
                 "--out", report])
     assert code == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["dm"]["all"]["f1"] == pytest.approx(1.0)
     assert "dm" in capsys.readouterr().out  # the table went to stdout
 
@@ -436,7 +500,7 @@ def test_evaluate_missing_prediction_scores_empty(ws, tmp_path, capsys):
                 "--out", report])
     assert code == 0
     assert "no prediction" in capsys.readouterr().err
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["dm"]["all"]["f1"] < 1.0
 
 
@@ -491,7 +555,7 @@ def test_convert_with_model(ws, tmp_path):
 
 
 def test_convert_rules_override_the_embedded_rules(ws, tmp_path):
-    doc = json.loads(open(ws["rules"], encoding="utf-8").read())
+    doc = json.loads(Path(ws["rules"]).read_text(encoding="utf-8"))
     assert doc["surface"]
     for rule in doc["surface"]:
         rule["template"] = "over_" + rule["template"]
@@ -512,7 +576,7 @@ def test_convert_rules_override_the_embedded_rules(ws, tmp_path):
                                         ("detect_on_nodes", False)])
 def test_convert_rejects_a_detector_switch_in_one_line(ws, tmp_path, capsys,
                                                        key, value):
-    doc = json.loads(open(ws["rules"], encoding="utf-8").read())
+    doc = json.loads(Path(ws["rules"]).read_text(encoding="utf-8"))
     doc[key] = value
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps(doc))
@@ -551,7 +615,7 @@ def test_split_writes_disjoint_id_lists(ws, tmp_path):
     for fw in G.FRAMEWORKS:
         argv += ["--mrp", ws[fw]]
     assert run(argv) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert set(doc) == {"train", "val_i", "val_ii"}
     for fw in G.FRAMEWORKS:
         parts = [set(doc[name][fw]) for name in ("train", "val_i", "val_ii")]
@@ -578,7 +642,7 @@ def test_split_feeds_train(ws, tmp_path):
 @pytest.mark.parametrize("where", ["companion", "mrp"])
 def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
     companion, mrps = ws["companion"], [ws["dm"]]
-    text = open(companion, encoding="utf-8").read()
+    text = Path(companion).read_text(encoding="utf-8")
     first = text[:text.index("\n#")]  # the first sentence's block
     sid = first.splitlines()[0][1:]
     if where == "companion":
@@ -645,6 +709,9 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
                               '"nodes": [{"id": 0, "label": ["a"]}]}'),
     "mrp-repeated-top": ("mrp", '{"id": "s", "framework": "dm", "tops": [0, 0], '
                                 '"nodes": [{"id": 0}]}'),
+    "mrp-dm-flavor-2": ("mrp", '{"id": "s", "framework": "dm", "flavor": 2, '
+                               '"nodes": [{"id": 0}]}'),
+    "contextual-truncated-zip": ("contextual", "PK\x03\x04 truncated"),
 }
 
 
@@ -694,7 +761,7 @@ def test_ensemble_selection(ws, tmp_path):
                 "--model", os.path.join(ws["mtl"], "model-psd.bundle"),
                 "--out", out])
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["framework"] == "psd" and doc["rule"] == "average"
     assert doc["members"] and 0.0 <= doc["score"] <= 1.0
     assert len(doc["models"]) == 2
@@ -722,7 +789,7 @@ def test_parse_with_ensemble_spec(ws, tmp_path, fw, gold, bundle):
                 "--gold", ws[gold], "--framework", fw,
                 *[a for m in models for a in ("--model", m)],
                 "--out", spec]) == 0
-    doc = json.loads(open(spec).read())
+    doc = json.loads(Path(spec).read_text())
     chosen = [doc["models"][i] for i in doc["members"]]
     common = ["parse", "--companion", ws["companion"], *embed_args(ws),
               "--framework", fw, *(["--beam", "2"] if fw == "amr" else [])]
@@ -730,7 +797,7 @@ def test_parse_with_ensemble_spec(ws, tmp_path, fw, gold, bundle):
     assert run(common + ["--spec", spec, "--out", by_spec]) == 0
     assert run(common + [a for m in chosen for a in ("--model", m)]
                + ["--out", by_model]) == 0
-    assert open(by_spec, "rb").read() == open(by_model, "rb").read()
+    assert Path(by_spec).read_bytes() == Path(by_model).read_bytes()
 
 
 def test_parse_spec_of_another_framework_is_one_line_error(ws, tmp_path, capsys):

@@ -176,6 +176,16 @@ class TestContextualEmbeddings:
         np.testing.assert_allclose(arr[:, 1], sub[:, 2])
         np.testing.assert_allclose(arr[:, 2], sub[:, 3:].mean(axis=1))
 
+    def test_a_member_failing_its_checksum_is_value_error_naming_path(self, tmp_path):
+        path = tmp_path / "ctx.npz"
+        np.savez(path, s1=np.full((2, 3, 4), 1.5))
+        data = bytearray(path.read_bytes())
+        data[data.index(np.float64(1.5).tobytes())] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as err:
+            enc.ContextualEmbeddings.load(path)
+        assert str(err.value) == f"{path}: not an .npz archive of arrays"
+
 
 def train_vocab_for(words):
     sents = [mk_sentence(f"s{k}", list(words)) for k in range(4)]

@@ -24,7 +24,7 @@ ALLOWED = {
         "VAL_SIZES",      # the carve-out sizes, one row per framework
         "split_dataset",  # the sharing rule between frameworks
         # the DM -> EDS converter and the bundle kinds
-        "EdsModel", "_anchor_items", "train_eds", "load_model",
+        "EdsModel", "_anchor_items", "train_eds", "_load_bundle",
     },
     "sdp.py": set(),
 }

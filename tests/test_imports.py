@@ -7,8 +7,9 @@ in its module.  Re-exports are exempt: the package's ``__init__.py``,
 and an import line marked ``# noqa: F401`` (``graphs`` re-exports
 ``dataclasses.replace``).
 
-A public function or class of the package must be read somewhere in
-``src/`` or ``bench/``: as an attribute of a name bound to its module,
+A public function, class or module-level constant of the package must
+be read somewhere in ``src/`` or ``bench/``: as an attribute of a name
+bound to its module,
 by a ``from`` import out of its module, or inside its module by a name
 that no enclosing function binds for itself.  A public method must be
 read as an attribute of any name; a public classmethod or staticmethod
@@ -89,10 +90,14 @@ def is_classlevel(fn):
 
 def public_definitions(tree):
     """(qualified name, name, classmethod or staticmethod) of each public
-    module-level function and class of ``tree``, and of each public
-    method of its classes."""
+    module-level function, class and constant of ``tree``, and of each
+    public method of its classes."""
     out = []
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((n.id, n.id, False) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and not n.id.startswith("_"))
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
@@ -282,6 +287,17 @@ def test_scan_flags_an_unread_public_name():
     }
     assert unread_public_names(sources, ["a"]) == \
         ["a.K", "a.K.m", "a.dead", "a.shadowed"]
+
+
+def test_scan_flags_an_unread_constant():
+    sources = {
+        "a": ("USED = 1\nIMPORTED = 2\nVIA_ALIAS = 3\nUNREAD = 4\n"
+              "PAIR, LEFT = 5, 6\nTYPED: int = 7\n_PRIVATE = 8\n\n"
+              "def f():\n    return USED + PAIR\n"),
+        "b": ("from .a import IMPORTED\nfrom . import a as x\n\n"
+              "print(IMPORTED, x.VIA_ALIAS, x.f)\n"),
+    }
+    assert unread_public_names(sources, ["a"]) == ["a.LEFT", "a.TYPED", "a.UNREAD"]
 
 
 def test_scan_reads_a_classmethod_only_through_its_class():

@@ -275,8 +275,9 @@ class TestGoldAndBuild:
         p[0, 3] = 0.9    # top: slept
         logits = np.zeros((5, 5, 2))
         logits[3, 2, 1] = 9.0
-        scores = mk_scores(p, logits, ["ARG1", "ARG2"])
-        g = sdp.build_graph("psd", "s7", toks, "the cat slept x", scores,
+        label_probs = mk_scores(p, logits, ["ARG1", "ARG2"]).label_probs()
+        g = sdp.build_graph("psd", "s7", toks, "the cat slept x", p, label_probs,
+                            ["ARG1", "ARG2"],
                             sdp.psd_frame_rule(sdp.FrameLexicon([]), toks))
         assert G.validate_graph(g) == []
         assert [n.label for n in g.nodes] == ["cat", "slept"]
@@ -290,17 +291,17 @@ class TestGoldAndBuild:
         toks = mk_tokens(["parse"], lemmas=["parse"])
         p = np.full((2, 2), 0.01)
         p[0, 1] = 0.9
-        scores = mk_scores(p, np.zeros((2, 2, 1)), ["A"])
         types = ["<UNK>", "n", "v"]
         args = ["<NONE>", "x", "e", "i", "p"]
         t_logits = np.zeros((2, len(types)))
         t_logits[1, types.index("v")] = 8.0
         pred = sdp.FramePrediction(
             type_logits=ad.Tensor(t_logits),
-            arg_logits=[ad.Tensor(np.zeros((2, len(args)))) for _ in range(4)],
-            types=types, arg_classes=args)
-        g = sdp.build_graph("dm", "s8", toks, "parse", scores,
-                            sdp.dm_frame_rule(pred, PARSE_LEXICON, toks))
+            arg_logits=[ad.Tensor(np.zeros((2, len(args)))) for _ in range(4)])
+        arg_probs = [pred.arg_probs(k) for k in range(4)]
+        g = sdp.build_graph("dm", "s8", toks, "parse", p, np.ones((2, 2, 1)), ["A"],
+                            sdp.dm_frame_rule(pred.type_probs(), arg_probs, types,
+                                              args, PARSE_LEXICON, toks))
         assert g.nodes[0].property_map()["frame"] == "v:e-i-p"
 
     def test_collect_inventories(self):
