@@ -285,7 +285,7 @@ def load_model(path, static, contextual):
 
 
 def _load_bundle(path, static, contextual, settings=None):
-    """``load_model``; with ``settings``, a parser built from them and its ``ARCH_FIELDS``."""
+    """``load_model``, or a parser built with ``settings`` but the bundle's ``ARCH_FIELDS``."""
     state, extra = ad.ParamSet.read(path)
     kind = extra.get("kind")
     if kind not in ("multi", "eds"):

@@ -9,13 +9,12 @@ and an import line marked ``# noqa: F401`` (``graphs`` re-exports
 
 A public function, class or module-level constant of the package must
 be read somewhere in ``src/`` or ``bench/``: as an attribute of a name
-bound to its module,
-by a ``from`` import out of its module, or inside its module by a name
-that no enclosing function binds for itself.  A public method must be
-read as an attribute of any name; a public classmethod or staticmethod
-only through its class: ``Class.m`` outside the class, ``cls.m`` or
-``self.m`` inside it.  Code that only the tests call belongs in the
-tests.
+bound to its module, by a ``from`` import out of its module, or inside
+its module by a name that no enclosing function binds for itself.  A
+public method must be read as an attribute of any name; a public
+classmethod or staticmethod only through its class: ``Class.m`` outside
+the class, ``cls.m`` or ``self.m`` inside it.  Code that only the tests
+call belongs in the tests.
 
 A defaulted parameter of a module-level function, a method or a
 constructor (``__init__``; other dunder methods aside) of the package
