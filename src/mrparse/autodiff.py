@@ -31,13 +31,19 @@ Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
 alone writes and reads checkpoints: deterministic, uncompressed zips of
 exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
+Their reader, :func:`read_npz`, takes each member whole through one
+``zipfile.ZipFile`` and parses its ``.npy`` header through a memo, for
+a bundle repeats few distinct headers.
 A model is built from saved values by handing them to its container
 as ``state``: the parameters copy them and no initializer draws.
 """
 
 import contextlib
+import functools
+import io
 import json
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -661,8 +667,9 @@ class ParamSet:
     and ``extra`` as a uint8 array; ``np.load(path, allow_pickle=False)``
     opens it.  ``save`` writes atomically with a fixed member date, so
     identical parameters give identical bytes.  ``read`` is the format's
-    only reader: an empty, truncated or foreign file, or another format
-    version, raises one ``ValueError`` naming the path.
+    only reader, through :func:`read_npz`; ``_add`` copies its views once.
+    An empty, truncated, corrupted or foreign file, an object array, or
+    another format version raises one ``ValueError`` naming the path.
     """
 
     def __init__(self, state=None):
@@ -721,17 +728,46 @@ class ParamSet:
     @staticmethod
     def read(path):
         """Read a checkpoint file into (state_dict, extra)."""
-        try:
-            with open(path, "rb") as fh:
-                npz = np.load(fh, allow_pickle=False)
-                if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+        with open(path, "rb") as fh:
+            try:
+                state = read_npz(fh)
+                meta = json.loads(state.pop(_META).tobytes().decode("utf-8"))
+                if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
                     raise ValueError
-                with npz:
-                    meta = json.loads(npz[_META].tobytes().decode("utf-8"))
-                    if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
-                        raise ValueError
-                    state = {name: npz[name] for name in npz.files if name != _META}
-                    return state, meta["extra"]
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            raise ValueError(f"{path}: not a format-{CHECKPOINT_FORMAT_VERSION} "
-                             "checkpoint") from None
+                return state, meta["extra"]
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{path}: not a format-{CHECKPOINT_FORMAT_VERSION} "
+                                 "checkpoint") from None
+
+
+_NPY_HEADER = {(1, 0): np.lib.format.read_array_header_1_0,
+               (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def read_npz(fh):
+    """The arrays of the ``.npz`` archive open as ``fh`` by member name, as
+    views of its bytes; a malformed archive or object array is a ValueError."""
+    try:
+        with zipfile.ZipFile(fh) as zf:
+            return {info.filename.removesuffix(".npy"): _npy_array(zf.read(info))
+                    for info in zf.infolist()}
+    except (EOFError, KeyError, OSError, RuntimeError,  # KeyError: an unknown .npy version
+            zipfile.BadZipFile, zlib.error) as err:
+        raise ValueError(f"malformed .npz archive: {err!r}") from None
+
+
+def _npy_array(data):
+    width = 2 if data[6:7] == b"\x01" else 4  # of the header length, by .npy version
+    end = 8 + width + int.from_bytes(data[8:8 + width], "little")
+    shape, fortran_order, dtype = _npy_header(data[:end])
+    arr = np.frombuffer(data, dtype, offset=end)  # the rest is the array's, exactly
+    return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
+
+
+@functools.lru_cache(maxsize=1024)  # process-wide: bundles repeat few headers
+def _npy_header(header):
+    fh = io.BytesIO(header)
+    shape, fortran_order, dtype = _NPY_HEADER[np.lib.format.read_magic(fh)](fh)
+    if dtype.hasobject or min(shape, default=0) < 0:
+        raise ValueError(f"not a plain array: {dtype}, {shape}")
+    return shape, fortran_order, dtype

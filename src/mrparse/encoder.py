@@ -7,7 +7,6 @@ layers, concatenated per token, with a <ROOT> position prepended so
 top nodes have something to attach to.
 """
 
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +173,9 @@ class ContextualEmbeddings:
     def load(cls, path):
         with open(path, "rb") as fh:
             try:
-                raw = np.load(fh)
-                if not isinstance(raw, np.lib.npyio.NpzFile):
-                    raise ValueError
-                with raw:
-                    members = {key: np.asarray(raw[key], dtype=np.int64 if key.endswith("__tok")
-                                               else np.float64) for key in raw.files}
-            except (EOFError, ValueError, zipfile.BadZipFile):  # empty, pickled, broken
+                members = {key: np.asarray(arr, np.int64 if key.endswith("__tok") else np.float64)
+                           for key, arr in ad.read_npz(fh).items()}
+            except ValueError:  # empty, pickled, broken
                 raise ValueError(f"{path}: not an .npz archive of arrays") from None
         arrays = {}
         for key, arr in members.items():

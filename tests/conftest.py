@@ -7,6 +7,7 @@ modules get to use it.
 """
 
 import itertools
+import json
 import os
 from dataclasses import dataclass
 
@@ -955,3 +956,39 @@ def reference_train_abstract_models(models, all_examples):
             total = ad.add(total, l)
         total.backward()
         opt.step()
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+def reference_read_checkpoint(path):
+    """``ParamSet.read`` through ``np.load``: (state, extra) of a bundle."""
+    with np.load(path, allow_pickle=False) as npz:
+        meta = json.loads(npz["__meta__"].tobytes().decode("utf-8"))
+        assert meta["format_version"] == ad.CHECKPOINT_FORMAT_VERSION
+        return ({name: npz[name] for name in npz.files if name != "__meta__"},
+                meta["extra"])
+
+
+def assert_same_arrays(want, got):
+    """Two state dicts hold the same names, in order, and the same
+    arrays in bits, dtype and shape."""
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape), name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
+def byte_flips(path):
+    """Rewrite ``path`` with each of its bytes flipped in turn, by XOR
+    0x01 and by XOR 0xFF, yielding (offset, mask) after each rewrite;
+    the original bytes come back at the end."""
+    clean = path.read_bytes()
+    try:
+        for offset, mask in itertools.product(range(len(clean)), (0x01, 0xFF)):
+            data = bytearray(clean)
+            data[offset] ^= mask
+            path.write_bytes(bytes(data))
+            yield offset, mask
+    finally:
+        path.write_bytes(clean)

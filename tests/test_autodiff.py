@@ -16,7 +16,8 @@ from scipy.special import softmax as sp_softmax
 
 from mrparse import autodiff as ad
 
-from conftest import bilinear, bilinear_label, check_gradients, scalarize
+from conftest import (assert_same_arrays, bilinear, bilinear_label, byte_flips,
+                      check_gradients, scalarize)
 
 N_TRIALS = 24
 
@@ -578,18 +579,61 @@ class TestParamSet:
         ps.new("w", (3, 5), rng)
         ps.new_from("b_edge", np.array(rng.normal()))  # 0-d
         ps.new_from("empty", np.zeros((0, 4)))
+        ps.new_from("f", np.asfortranarray(rng.normal(size=(4, 3))))
         path = tmp_path / "m.bundle"
         ps.save(path, extra={"kind": "multi", "lr": 0.1})
         assert os.listdir(tmp_path) == ["m.bundle"]  # no .npz suffix, no .tmp
         with np.load(path, allow_pickle=False) as npz:
-            assert npz.files == ["w", "b_edge", "empty", "__meta__"]
+            assert npz.files == ["w", "b_edge", "empty", "f", "__meta__"]
+        with zipfile.ZipFile(path) as zf:
+            assert b"'fortran_order': True" in zf.read("f.npy")
         state, extra = ad.ParamSet.read(path)
         assert extra == {"kind": "multi", "lr": 0.1}
-        assert list(state) == ["w", "b_edge", "empty"]
-        for name, want in ps.state_dict().items():
-            assert state[name].dtype == want.dtype, name
-            assert state[name].shape == want.shape, name
-            assert state[name].tobytes() == want.tobytes(), name
+        assert_same_arrays(ps.state_dict(), state)
+        assert state["f"].flags.f_contiguous and not state["f"].flags.c_contiguous
+        # an object array is refused, as np.load(allow_pickle=False) refuses it
+        with zipfile.ZipFile(path, "a") as zf, zf.open("o.npy", "w") as fh:
+            np.lib.format.write_array(fh, np.array([1, None], dtype=object),
+                                      allow_pickle=True)
+        with pytest.raises(ValueError, match="m.bundle: not a format-2 checkpoint"):
+            ad.ParamSet.read(path)
+
+    def test_deflated_bundle_reads_the_same(self, tmp_path):
+        ps = ad.ParamSet()
+        ps.new("w", (30, 20), np.random.default_rng(25))
+        ps.new_from("b", np.zeros(20))
+        path, deflated = tmp_path / "m.ckpt", tmp_path / "deflated.ckpt"
+        ps.save(path, extra={"epoch": 2})
+        with zipfile.ZipFile(path) as src, \
+                zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as dst:
+            for info in src.infolist():
+                dst.writestr(info.filename, src.read(info))
+        with zipfile.ZipFile(deflated) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        state, extra = ad.ParamSet.read(deflated)
+        assert extra == {"epoch": 2}
+        assert_same_arrays(ps.state_dict(), state)
+
+    def test_corrupted_byte_reads_the_same_or_is_value_error_naming_path(self, tmp_path):
+        """Every byte of a bundle flipped in turn: the read gives the
+        saved arrays back or the one ValueError, never another error."""
+        ps = ad.ParamSet()
+        ps.new("w", (2, 3), np.random.default_rng(26))
+        ps.new("b", (3,), np.random.default_rng(27))
+        path = tmp_path / "m.ckpt"
+        ps.save(path, extra={"epoch": 1})
+        want = ps.state_dict()
+        refused = 0
+        for offset, mask in byte_flips(path):
+            try:
+                state, extra = ad.ParamSet.read(path)
+            except ValueError as err:
+                assert str(err) == f"{path}: not a format-2 checkpoint", (offset, mask)
+                refused += 1
+                continue
+            assert extra == {"epoch": 1}, (offset, mask)
+            assert_same_arrays(want, state)
+        assert refused > 0
 
     @pytest.mark.parametrize("content", [
         b"",

@@ -11,6 +11,8 @@ from mrparse import encoder as enc
 from mrparse import graphs as G
 from mrparse.config import TrainConfig
 
+from conftest import byte_flips
+
 
 def mk_tokens(words, lemmas=None, upos=None, ne=None):
     lemmas = lemmas or words
@@ -185,6 +187,22 @@ class TestContextualEmbeddings:
         with pytest.raises(ValueError) as err:
             enc.ContextualEmbeddings.load(path)
         assert str(err.value) == f"{path}: not an .npz archive of arrays"
+
+
+    def test_corrupted_byte_loads_the_same_or_is_value_error_naming_path(self, tmp_path):
+        """Every byte of an ``np.savez`` file flipped in turn: the load
+        gives the saved arrays back or a ValueError naming the file."""
+        path = tmp_path / "ctx.npz"
+        np.savez(path, s1=np.arange(24.0).reshape(2, 3, 4))
+        want = enc.ContextualEmbeddings.load(path).arrays
+        for offset, mask in byte_flips(path):
+            try:
+                got = enc.ContextualEmbeddings.load(path).arrays
+            except ValueError as err:
+                assert str(err).startswith(f"{path}: "), (offset, mask)
+                continue
+            assert list(got) == list(want), (offset, mask)
+            assert got["s1"].tobytes() == want["s1"].tobytes(), (offset, mask)
 
 
 def train_vocab_for(words):

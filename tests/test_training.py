@@ -26,9 +26,10 @@ import mrparse.training as T
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
 
-from conftest import (BEAM_TOL, assert_same_generation, count_decoder_steps,
-                      per_framework_loss, reference_beam_search,
-                      reference_build_ensemble, reference_parse_ensemble)
+from conftest import (BEAM_TOL, assert_same_arrays, assert_same_generation,
+                      count_decoder_steps, per_framework_loss,
+                      reference_beam_search, reference_build_ensemble,
+                      reference_parse_ensemble, reference_read_checkpoint)
 
 FWS = ("dm", "psd", "ucca", "amr")
 
@@ -591,15 +592,6 @@ class TestTrainLoop:
 # ---------------------------------------------------------------------------
 # bundles
 
-def assert_same_arrays(want, got):
-    """Two state dicts hold the same names, in order, and the same
-    arrays in bits, dtype and shape."""
-    assert list(got) == list(want)
-    for name, arr in want.items():
-        assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape), name
-        assert got[name].tobytes() == arr.tobytes(), name
-
-
 class TestBundles:
     def test_multi_round_trip(self, mtl, corpus, tmp_path):
         path = str(tmp_path / "joint.bundle")
@@ -615,6 +607,23 @@ class TestBundles:
             a = G.graph_to_json(T.parse_ensemble([model], sent, fw, beam=2))
             b = G.graph_to_json(T.parse_ensemble([back], sent, fw, beam=2))
             assert a == b, fw
+
+    def test_pipeline_size_bundle_reads_as_np_load_does(self, tmp_path):
+        """The multitask model of the benchmark's recipe, 148 arrays at
+        width 0.05, reads member by member as ``np.load`` reads it."""
+        treebank = datagen.build_corpus(n=48, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # validation sizes shrunk to fit
+            split = T.split_dataset(treebank.sentences, seed=7)
+        cfg = replace(multitask_config(), scale=0.05, batch_size=4,
+                      encoder_dropout=0.1, word_drop=0.0).scaled()
+        model = T.MultiModel.derive(cfg, split, treebank.static, treebank.contextual)
+        path = str(tmp_path / "multitask.bundle")
+        model.save(path)
+        want, want_extra = reference_read_checkpoint(path)
+        got, extra = ad.ParamSet.read(path)
+        assert len(got) == 148 and extra == want_extra
+        assert_same_arrays(want, got)
 
     def test_not_a_bundle(self, tmp_path):
         ps = ad.ParamSet()

@@ -1,0 +1,70 @@
+"""The BENCH trajectory's aggregation, fed canned ``bench/run.py``
+output: no subprocess starts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "trajectory.py"
+_spec = importlib.util.spec_from_file_location("trajectory", SCRIPT)
+trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trajectory)
+
+MACHINE = {"python": "3.11.7", "numpy": "2.4.6", "blas": "openblas 0.3",
+           "nproc": 2, "threads": {"OPENBLAS_NUM_THREADS": "1"}}
+
+
+def canned_stdout(workload, seed, slowdown, metrics, attempted=10, failed=0,
+                  commit="abc123"):
+    """What ``bench/run.py --trace 0`` prints: progress, bench-info, result."""
+    info = dict(MACHINE, workload=workload, seed=seed, slowdown=slowdown,
+                git_commit=commit, src_lines=7000, rounds=3, measured_s=20.5)
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
+              "metrics": {name: {"value": value, "unit": "s"}
+                          for name, value in metrics.items()}}
+    return (f"a progress line\nbench-info {json.dumps(info, sort_keys=True)}\n"
+            f"{json.dumps(result)}\n")
+
+
+def test_medians_quartiles_and_counts_per_workload():
+    pipeline = [(1, 1.2, 0.030), (2, 1.0, 0.010), (3, 1.1, 0.020),
+                (4, 1.4, 0.040), (5, 0.9, 0.050)]
+    runs = {
+        "pipeline": [trajectory.parse_run(canned_stdout(
+            "pipeline", seed, slowdown, {"ckpt_load_s": load, "ckpt_mb": 2.6},
+            failed=int(seed == 4)))
+            for seed, slowdown, load in pipeline],
+        "score": [trajectory.parse_run(canned_stdout(
+            "score", 1, 1.3, {"ckpt_load_s": 0.007, "ckpt_mb": 2.6}))],
+    }
+    record = trajectory.aggregate(runs)
+    assert record["git_commit"] == "abc123" and record["src_lines"] == 7000
+    # the median slowdown over all six runs
+    assert record["machine"] == dict(MACHINE, slowdown=pytest.approx(1.15))
+    load = record["workloads"]["pipeline"]["metrics"]["ckpt_load_s"]
+    assert load["values"] == [0.030, 0.010, 0.020, 0.040, 0.050]
+    assert (load["q1"], load["median"], load["q3"]) == pytest.approx((0.02, 0.03, 0.04))
+    assert load["unit"] == "s"
+    assert record["workloads"]["pipeline"]["seeds"] == [1, 2, 3, 4, 5]
+    assert record["workloads"]["pipeline"]["attempted"] == 50
+    assert record["workloads"]["pipeline"]["failed"] == 1
+    single = record["workloads"]["score"]["metrics"]["ckpt_load_s"]
+    assert (single["q1"], single["median"], single["q3"]) == (0.007, 0.007, 0.007)
+    assert set(record["workloads"]["score"]["metrics"]) == {"ckpt_load_s", "ckpt_mb"}
+    json.dumps(record)  # all of it serializes
+
+
+def test_runs_of_different_commits_are_refused():
+    runs = {"score": [trajectory.parse_run(canned_stdout("score", seed, 1.0,
+                                                         {"ckpt_mb": 2.6},
+                                                         commit=commit))
+                      for seed, commit in ((1, "abc123"), (2, "def456"))]}
+    with pytest.raises(ValueError, match="runs differ in git_commit"):
+        trajectory.aggregate(runs)
+
+
+def test_output_without_bench_info_is_refused():
+    with pytest.raises(ValueError, match="no bench-info line"):
+        trajectory.parse_run('a progress line\n{"correct": true}\n')
