@@ -42,6 +42,7 @@ import contextlib
 import functools
 import io
 import json
+import lzma
 import zipfile
 import zlib
 
@@ -732,16 +733,13 @@ class ParamSet:
             try:
                 state = read_npz(fh)
                 meta = json.loads(state.pop(_META).tobytes().decode("utf-8"))
-                if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
+                if (meta["format_version"] != CHECKPOINT_FORMAT_VERSION
+                        or not isinstance(meta["extra"], dict)):
                     raise ValueError
                 return state, meta["extra"]
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"{path}: not a format-{CHECKPOINT_FORMAT_VERSION} "
                                  "checkpoint") from None
-
-
-_NPY_HEADER = {(1, 0): np.lib.format.read_array_header_1_0,
-               (2, 0): np.lib.format.read_array_header_2_0}
 
 
 def read_npz(fh):
@@ -752,7 +750,7 @@ def read_npz(fh):
             return {info.filename.removesuffix(".npy"): _npy_array(zf.read(info))
                     for info in zf.infolist()}
     except (EOFError, KeyError, OSError, RuntimeError,  # KeyError: an unknown .npy version
-            zipfile.BadZipFile, zlib.error) as err:
+            zipfile.BadZipFile, zlib.error, lzma.LZMAError) as err:
         raise ValueError(f"malformed .npz archive: {err!r}") from None
 
 
@@ -767,7 +765,9 @@ def _npy_array(data):
 @functools.lru_cache(maxsize=1024)  # process-wide: bundles repeat few headers
 def _npy_header(header):
     fh = io.BytesIO(header)
-    shape, fortran_order, dtype = _NPY_HEADER[np.lib.format.read_magic(fh)](fh)
+    read = {(1, 0): np.lib.format.read_array_header_1_0,
+            (2, 0): np.lib.format.read_array_header_2_0}[np.lib.format.read_magic(fh)]
+    shape, fortran_order, dtype = read(fh)
     if dtype.hasobject or min(shape, default=0) < 0:
         raise ValueError(f"not a plain array: {dtype}, {shape}")
     return shape, fortran_order, dtype

@@ -550,6 +550,19 @@ class TestOptimizer:
         np.testing.assert_array_equal(a.grad, [0.3, 0.4])
 
 
+COMPRESSED = [zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA]
+COMPRESSED_IDS = ["deflated", "bzip2", "lzma"]
+
+
+def rezip(path, compression):
+    """Rewrite the zip at ``path`` with every member compressed."""
+    with zipfile.ZipFile(path) as zf:
+        members = [(info.filename, zf.read(info)) for info in zf.infolist()]
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name, data in members:
+            zf.writestr(name, data)
+
+
 class TestParamSet:
     def test_checkpoint_roundtrip_bytes_identical(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -598,30 +611,34 @@ class TestParamSet:
         with pytest.raises(ValueError, match="m.bundle: not a format-2 checkpoint"):
             ad.ParamSet.read(path)
 
-    def test_deflated_bundle_reads_the_same(self, tmp_path):
+    @pytest.mark.parametrize("compression", COMPRESSED, ids=COMPRESSED_IDS)
+    def test_compressed_bundle_reads_the_same(self, tmp_path, compression):
         ps = ad.ParamSet()
         ps.new("w", (30, 20), np.random.default_rng(25))
         ps.new_from("b", np.zeros(20))
-        path, deflated = tmp_path / "m.ckpt", tmp_path / "deflated.ckpt"
+        path = tmp_path / "m.ckpt"
         ps.save(path, extra={"epoch": 2})
-        with zipfile.ZipFile(path) as src, \
-                zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as dst:
-            for info in src.infolist():
-                dst.writestr(info.filename, src.read(info))
-        with zipfile.ZipFile(deflated) as zf:
-            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
-        state, extra = ad.ParamSet.read(deflated)
+        rezip(path, compression)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {compression}
+        state, extra = ad.ParamSet.read(path)
         assert extra == {"epoch": 2}
         assert_same_arrays(ps.state_dict(), state)
 
-    def test_corrupted_byte_reads_the_same_or_is_value_error_naming_path(self, tmp_path):
-        """Every byte of a bundle flipped in turn: the read gives the
-        saved arrays back or the one ValueError, never another error."""
+    @pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, *COMPRESSED],
+                             ids=["stored", *COMPRESSED_IDS])
+    def test_corrupted_byte_reads_the_same_or_is_value_error_naming_path(
+            self, tmp_path, compression):
+        """Every byte of a bundle, as saved or re-zipped compressed, flipped
+        in turn: the read gives the saved arrays back or the one
+        ValueError, never another error."""
         ps = ad.ParamSet()
         ps.new("w", (2, 3), np.random.default_rng(26))
         ps.new("b", (3,), np.random.default_rng(27))
         path = tmp_path / "m.ckpt"
         ps.save(path, extra={"epoch": 1})
+        if compression != zipfile.ZIP_STORED:
+            rezip(path, compression)
         want = ps.state_dict()
         refused = 0
         for offset, mask in byte_flips(path):
@@ -654,7 +671,9 @@ class TestParamSet:
         with zipfile.ZipFile(path) as zf:
             members = {i.filename: zf.read(i) for i in zf.infolist()}
         for name, meta in [("future.ckpt", {"format_version": 3, "extra": {}}),
-                           ("nometa.ckpt", None)]:
+                           ("nometa.ckpt", None),
+                           ("listmeta.ckpt", [2]),
+                           ("listextra.ckpt", {"format_version": 2, "extra": [1]})]:
             with zipfile.ZipFile(tmp_path / name, "w") as zf:
                 zf.writestr("w.npy", members["w.npy"])
                 if meta is not None:
