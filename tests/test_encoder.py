@@ -188,7 +188,6 @@ class TestContextualEmbeddings:
             enc.ContextualEmbeddings.load(path)
         assert str(err.value) == f"{path}: not an .npz archive of arrays"
 
-
     def test_corrupted_byte_loads_the_same_or_is_value_error_naming_path(self, tmp_path):
         """Every byte of an ``np.savez`` file flipped in turn: the load
         gives the saved arrays back or a ValueError naming the file."""

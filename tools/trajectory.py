@@ -1,8 +1,8 @@
 """Run the benchmark over fixed seeds and write one BENCH_<pr>.json file.
 
-    python3 tools/trajectory.py --out BENCH_26.json --seeds 10
-    python3 tools/trajectory.py --checkout ../parent --out BENCH_25.json \\
-        --seeds 10 --workload pipeline
+    python3 tools/trajectory.py --out BENCH_<pr>.json --seeds 10
+    python3 tools/trajectory.py --checkout ../other-clone --out other.json \\
+        --seeds 3 --workload pipeline
 
 For each workload (all that ``BENCHMARK.json`` declares unless
 ``--workload`` names some) and each seed 1..N, it runs
