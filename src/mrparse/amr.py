@@ -550,7 +550,7 @@ def gold_sequence(tree, ctx):
                         tuple(targets))
 
 
-def run_teacher_forced(ctx, gold, train=False, rng=None):
+def run_teacher_forced(ctx, gold, rng=None):
     """Mixture rows, source attentions and node states under gold inputs.
 
     Every input is known before the first step (the initial input, then
@@ -563,17 +563,18 @@ def run_teacher_forced(ctx, gold, train=False, rng=None):
     (:func:`decoder_loss` maps the gold indices), the (n + 1, L) source
     attentions and the (n, H) top-layer node states.
 
-    Inter-layer dropout masks come from one draw in the step-major
-    order of a step-by-step run, so they are the same masks; loss terms
-    and gradients agree with stepping :meth:`AmrDecoder.step` one node
-    at a time to about 1e-10 relative, not bit for bit.
+    Given ``rng``, inter-layer dropout masks come from one draw in the
+    step-major order of a step-by-step run, so they are the same masks
+    (hence no ``ad.dropout``); loss terms and gradients agree with
+    stepping :meth:`AmrDecoder.step` one node at a time to about 1e-10
+    relative, not bit for bit.
     """
     dec = ctx.decoder
     n, hsz, layers = len(gold.labels), dec.hidden, dec.n_layers
     x0, h0, c0 = dec.initial(ctx.finals)
     poses = [None if j is None else ctx.xpos[j] for j in gold.src_token]
     cur = ad.concat([x0, node_features(ctx.encoder, gold.labels, poses)], axis=0)
-    drop = train and dec.dropout > 0.0 and layers > 1
+    drop = rng is not None and dec.dropout > 0.0 and layers > 1
     if drop:
         draws = rng.random((n + 1, layers - 1, hsz))
     for l, cell in enumerate(dec.cells):

@@ -15,6 +15,10 @@ alive.  Parsing (``training.parse_ensemble``, which
 (``training._val_loss``) and EDS conversion
 (``training.EdsModel.parse``) run under it.
 
+Training mode is the dropout generator: :func:`dropout` draws a mask
+from the ``rng`` it is handed, and with ``rng=None`` (inference) it
+draws nothing and returns its input.
+
 One fused op carries every LSTM recurrence: :func:`lstm_sequence` runs
 B equal-length sequences together, from a zero state or from given
 (B, H) initial states ``h0, c0``, and returns their ``[h_t | c_t]``
@@ -417,9 +421,11 @@ def reduce_sum(a, axis=None):
 
 
 def dropout(a, p, rng):
-    """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p)."""
+    """Inverted dropout: zero with probability ``p``, scale survivors by
+    1/(1-p).  ``rng=None`` is inference: ``a`` comes back untouched and
+    nothing is drawn, as when ``p <= 0``."""
     a = as_tensor(a)
-    if p <= 0.0:
+    if rng is None or p <= 0.0:
         return a
     if p >= 1.0:
         return mul(a, 0.0)

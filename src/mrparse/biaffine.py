@@ -70,21 +70,13 @@ class BiaffineHead:
         self.w_label = params.new(f"{name}.w_label", (c, 1, label_mlp), rng)
         self._edge_width = edge_mlp
 
-    def score(self, states, train=False, rng=None):
+    def score(self, states, rng=None):
         """Score all ordered pairs of positions; returns :class:`PairScores`."""
-        if train and self.input_dropout > 0.0:
-            states = ad.dropout(states, self.input_dropout, rng)
-
-        ef = self.edge_from(states)
-        et = self.edge_to(states)
-        lf = self.label_from(states)
-        lt = self.label_to(states)
-        if train and self.edge_dropout > 0.0:
-            ef = ad.dropout(ef, self.edge_dropout, rng)
-            et = ad.dropout(et, self.edge_dropout, rng)
-        if train and self.label_dropout > 0.0:
-            lf = ad.dropout(lf, self.label_dropout, rng)
-            lt = ad.dropout(lt, self.label_dropout, rng)
+        states = ad.dropout(states, self.input_dropout, rng)
+        ef = ad.dropout(self.edge_from(states), self.edge_dropout, rng)
+        et = ad.dropout(self.edge_to(states), self.edge_dropout, rng)
+        lf = ad.dropout(self.label_from(states), self.label_dropout, rng)
+        lt = ad.dropout(self.label_to(states), self.label_dropout, rng)
 
         n = states.shape[0]
 

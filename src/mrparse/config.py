@@ -82,10 +82,15 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("word_drop", "pos_drop", "lemma_drop", "encoder_dropout",
                      "biaffine_input_dropout", "edge_dropout", "label_dropout",
-                     "frame_dropout", "decoder_dropout"):
+                     "frame_dropout", "decoder_dropout", "beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
+        for name in WIDTH_FIELDS + ("layers", "decoder_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.clip <= 0.0:
+            raise ValueError(f"clip must be positive, got {self.clip}")
         for name in ("lam_label", "lam_frame", "lam_biaf", "lam_cov",
                      "lam_dec_ucca", "lam_dec_amr", "lam_remote"):
             if getattr(self, name) < 0.0:

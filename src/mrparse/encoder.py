@@ -252,17 +252,16 @@ class Linear:
 
 
 class Classifier:
-    """MLP feature layer followed by a linear head over classes."""
+    """MLP feature layer, dropout at rate ``drop``, then a linear head
+    over classes."""
 
-    def __init__(self, params, name, in_dim, hidden, n_classes, rng):
+    def __init__(self, params, name, in_dim, hidden, n_classes, rng, drop=0.0):
         self.mlp = Mlp(params, f"{name}.mlp", in_dim, hidden, rng)
         self.head = Linear(params, f"{name}.out", hidden, n_classes, rng)
+        self.drop = drop
 
-    def __call__(self, x, drop=0.0, rng=None, train=False):
-        h = self.mlp(x)
-        if train and drop > 0.0:
-            h = ad.dropout(h, drop, rng)
-        return self.head(h)
+    def __call__(self, x, rng=None):
+        return self.head(ad.dropout(self.mlp(x), self.drop, rng))
 
 
 def additive_attention(h, keys, w_dec, v):
@@ -342,13 +341,12 @@ class BiLstm:
             self.dirs.append((fwd, bwd))
             width = 2 * hidden
 
-    def run(self, h0, train=False, rng=None):
+    def run(self, h0, rng=None):
         layers = [h0]
         finals = []
         current = h0
         for fwd, bwd in self.dirs:
-            if train and self.input_dropout > 0.0:
-                current = ad.dropout(current, self.input_dropout, rng)
+            current = ad.dropout(current, self.input_dropout, rng)
             f_h, f_c = fwd.sequence(current)
             b_h, b_c = bwd.sequence(current, reverse=True)
             last = [current.shape[0] - 1]
@@ -394,7 +392,7 @@ class Encoder:
         weights = ad.reshape(ad.softmax(self.mix_scores, axis=-1), (const.shape[0], 1, 1))
         return ad.reduce_sum(ad.mul(weights, const), axis=0)
 
-    def featurize(self, tokens, ctx_array, train=False, rng=None):
+    def featurize(self, tokens, ctx_array, rng=None):
         v = self.vocab
         surf_ids = [v.surface[ROOT]] + [v.surface_id(t.surface) for t in tokens]
         lemma_ids = [v.lemma[ROOT]] + [v.lemma_id(t.lemma) for t in tokens]
@@ -412,9 +410,8 @@ class Encoder:
         ctx_h = self.ctx_mlp(self.mix_contextual(ctx_array))
 
         h0 = ad.concat([surf, lemma, pos, ne, static_h, ctx_h], axis=1)
-        if train:
-            h0 = self._group_drop(h0, rng)
-        return h0
+        # _group_drop draws three numbers per token whatever the rates
+        return h0 if rng is None else self._group_drop(h0, rng)
 
     def _group_drop(self, h0, rng):
         """Zero whole feature groups per token: lemma / POS / the rest."""
@@ -434,6 +431,5 @@ class Encoder:
                 mask[i, lo_ne:] = 0.0
         return ad.mul(h0, ad.Tensor(mask))
 
-    def run(self, tokens, ctx_array, train=False, rng=None):
-        h0 = self.featurize(tokens, ctx_array, train=train, rng=rng)
-        return self.bilstm.run(h0, train=train, rng=rng)
+    def run(self, tokens, ctx_array, rng=None):
+        return self.bilstm.run(self.featurize(tokens, ctx_array, rng), rng)

@@ -99,19 +99,15 @@ class FrameClassifier:
             raise ValueError(f"argument inventory must contain {NONE_ARG}")
         self.types = list(types)
         self.arg_classes = list(arg_classes)
-        self.drop = drop
         self.type_head = Classifier(params, f"{name}.type", in_dim, hidden,
-                                    len(self.types), rng)
+                                    len(self.types), rng, drop)
         self.arg_heads = [Classifier(params, f"{name}.arg{k + 2}", in_dim, hidden,
-                                     len(self.arg_classes), rng)
+                                     len(self.arg_classes), rng, drop)
                           for k in range(N_ARG_HEADS)]
 
-    def predict(self, states, train=False, rng=None):
-        return FramePrediction(
-            type_logits=self.type_head(states, drop=self.drop, rng=rng, train=train),
-            arg_logits=[h(states, drop=self.drop, rng=rng, train=train)
-                        for h in self.arg_heads],
-        )
+    def predict(self, states, rng=None):
+        return FramePrediction(type_logits=self.type_head(states, rng),
+                               arg_logits=[h(states, rng) for h in self.arg_heads])
 
     def frame_targets(self, frame):
         """(type index, four argument class indices) for a gold frame string."""

@@ -19,6 +19,9 @@ There is one objective, per-regime coefficients: single-framework,
 multi-task and fine-tuning runs all build each sentence's loss with
 ``multitask_loss`` over ``framework_terms``, and a regime differs only
 in the frameworks it trains and the ``lam_*`` fields of its config.
+A forward pass trains if and only if it is handed a generator: every
+dropout site below ``framework_terms`` draws from its one ``rng``, and
+``rng=None`` is inference.
 """
 
 import json
@@ -45,8 +48,6 @@ from . import scoring
 from .atomic import atomic_open
 from .config import ARCH_FIELDS, SDP_PAIR, TrainConfig
 from .encoder import PARAM_PREFIX, Encoder, BiLstm, Vocabulary
-
-PE_DIM = 16  # positional-encoding width of the slot-state biLSTM input
 
 # validation carve-out sizes at full corpus scale: (tuning, ensembling)
 VAL_SIZES = {
@@ -256,9 +257,9 @@ class MultiModel:
             input_dropout=cfg.biaffine_input_dropout,
             edge_dropout=cfg.edge_dropout, label_dropout=cfg.label_dropout)
 
-    def encode(self, sent, train=False, rng=None):
+    def encode(self, sent, rng=None):
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
-        return self.encoder.run(sent.tokens, ctx, train=train, rng=rng)
+        return self.encoder.run(sent.tokens, ctx, rng)
 
     def amr_context(self, sent, enc_out):
         n = enc_out.n_positions
@@ -401,13 +402,13 @@ class SdpTask(Task):
         return S.gold_targets(sent.graphs[self.name], sent.tokens,
                               {lab: k for k, lab in enumerate(labels)})
 
-    def terms(self, model, sent, enc_out, tgt, train, rng):
+    def terms(self, model, sent, enc_out, tgt, rng):
         name, (edges, tops, frames) = self.name, tgt
-        scores = model.heads[name].score(enc_out.top, train=train, rng=rng)
+        scores = model.heads[name].score(enc_out.top, rng)
         edge, label = B.edge_and_label_loss(scores, edges, tops)
         out = {f"{name}.edge": edge, f"{name}.label": label}
         if self.frames and frames:
-            pred = model.frame_clf.predict(enc_out.top, train=train, rng=rng)
+            pred = model.frame_clf.predict(enc_out.top, rng)
             positions = sorted(frames)
             out[f"{name}.frame"] = S.frame_loss(
                 pred, positions, [frames[p] for p in positions], model.frame_clf)
@@ -480,7 +481,7 @@ class UccaTask(Task):
                                            enc_hidden=cfg.hidden,
                                            use_layers=cfg.layers, rng=rng)
         model.ucca_extra = BiLstm(model.params, "ucca.extra",
-                                  2 * cfg.hidden + PE_DIM, cfg.hidden, 1, rng,
+                                  2 * cfg.hidden + U.PE_DIM, cfg.hidden, 1, rng,
                                   input_dropout=cfg.decoder_dropout)
         model.heads["ucca"] = model.biaffine_head("ucca", inv.ucca_labels, rng)
         model.remote_head = model.biaffine_head("ucca.remote", ["remote"], rng)
@@ -492,16 +493,15 @@ class UccaTask(Task):
         return (ser.pointers, [(i, j, labels.index(lab)) for i, j, lab in ser.edges],
                 list(ser.tops), [(i, j, 0) for i, j in ser.remotes])
 
-    def terms(self, model, sent, enc_out, tgt, train, rng):
+    def terms(self, model, sent, enc_out, tgt, rng):
         pointers, cells, tops, remote_cells = tgt
         dec = U.pointer_decode(enc_out, model.ucca_decoder, gold_pointers=pointers)
         pointer = U.pointer_loss(dec.logits, pointers)
         ns = U.build_node_states(enc_out, pointers, model.ucca_decoder,
-                                 model.ucca_extra, pe_dim=PE_DIM,
-                                 train=train, rng=rng)
-        scores = model.heads["ucca"].score(ns.states, train=train, rng=rng)
+                                 model.ucca_extra, rng)
+        scores = model.heads["ucca"].score(ns.states, rng)
         edge, label = B.edge_and_label_loss(scores, cells, tops)
-        rscores = model.remote_head.score(ns.states, train=train, rng=rng)
+        rscores = model.remote_head.score(ns.states, rng)
         remote, _ = B.edge_and_label_loss(rscores, remote_cells, [])
         return {"ucca.dec": pointer, "ucca.edge": edge, "ucca.label": label,
                 "ucca.remote": remote}
@@ -510,7 +510,7 @@ class UccaTask(Task):
         """A ``UccaPrediction``."""
         dec = U.pointer_decode(enc_out, model.ucca_decoder)
         ns = U.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
-                                 model.ucca_extra, pe_dim=PE_DIM)
+                                 model.ucca_extra)
         scores = model.heads["ucca"].score(ns.states)
         remote = model.remote_head.score(ns.states)
         return U.UccaPrediction(pointers=dec.pointers,
@@ -591,13 +591,13 @@ class AmrTask(Task):
                               vocab=model.amr_vocab)
         return tree, A.gold_sequence(tree, ctx)
 
-    def terms(self, model, sent, enc_out, tgt, train, rng):
+    def terms(self, model, sent, enc_out, tgt, rng):
         tree, gold = tgt
         ctx = model.amr_context(sent, enc_out)
-        p, attns, states = A.run_teacher_forced(ctx, gold, train=train, rng=rng)
+        p, attns, states = A.run_teacher_forced(ctx, gold, rng)
         dec = A.decoder_loss(p, gold.targets, len(ctx.lemmas))
         cov = A.coverage_loss(attns)
-        scores = model.heads["amr"].score(states, train=train, rng=rng)
+        scores = model.heads["amr"].score(states, rng)
         edge, label = A.amr_edge_loss(scores, tree)
         return {"amr.dec": dec, "amr.cov": cov, "amr.edge": edge,
                 "amr.label": label}
@@ -663,8 +663,9 @@ def _train_preps(model, split, frameworks):
 # ---------------------------------------------------------------------------
 # loss terms
 
-def framework_terms(model, prep, frameworks, train=False, rng=None):
-    """Per-framework loss pieces for one sentence, keyed "fw.part".
+def framework_terms(model, prep, frameworks, rng=None):
+    """Per-framework loss pieces for one sentence, keyed "fw.part";
+    training ones, dropout drawn from ``rng``, when it is given.
 
     Frameworks without prepared gold contribute no keys at all, so their
     parameters stay entirely off the backward graph.
@@ -672,11 +673,11 @@ def framework_terms(model, prep, frameworks, train=False, rng=None):
     want = [TASKS[name] for name in frameworks if name in prep.targets]
     if not want:
         return {}
-    enc_out = model.encode(prep.sent, train=train, rng=rng)
+    enc_out = model.encode(prep.sent, rng)
     terms = {}
     for task in want:
         terms.update(task.terms(model, prep.sent, enc_out,
-                                prep.targets[task.name], train, rng))
+                                prep.targets[task.name], rng))
     return terms
 
 
@@ -712,10 +713,12 @@ def multitask_loss(cfg, terms):
     return reduce(ad.add, pieces)
 
 
-def sentence_loss(model, cfg, prep, frameworks, train=False, rng=None):
+def sentence_loss(model, cfg, prep, frameworks, rng=None):
     """The joint objective over one sentence's ``frameworks``; None when
     the sentence carries none of their gold."""
-    terms = framework_terms(model, prep, frameworks, train=train, rng=rng)
+    # positional: the benchmark's tracer files a framework_terms call
+    # under training or validation by its fourth positional argument
+    terms = framework_terms(model, prep, frameworks, rng)
     if not terms:
         return None
     return multitask_loss(cfg, terms)
@@ -894,8 +897,7 @@ def _train_frameworks(model, cfg, split, frameworks, run_dir):
         if val and name in model.heads:
             modes[name] = TASKS[name].mode
             fns[name] = TASKS[name].validator(model, cfg, val)
-    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, frameworks,
-                                              train=True, rng=rng)
+    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, frameworks, rng)
     return _train_loop(model, cfg, preps, loss_fn, modes,
                        lambda m: {name: fn(m) for name, fn in fns.items()},
                        run_dir=run_dir)
@@ -913,8 +915,7 @@ def train_multitask(split, config, static, contextual, run_dir=None):
     cfg = config
     model = MultiModel.derive(cfg, split, static, contextual)
     preps = _train_preps(model, split, cfg.frameworks)
-    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, cfg.frameworks,
-                                              train=True, rng=rng)
+    loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, cfg.frameworks, rng)
     val_preps = {fw: prepare_sentences(model, split.val_i.get(fw, []), (fw,))
                  for fw in cfg.frameworks}
     scored = [fw for fw in cfg.frameworks if val_preps[fw]]

@@ -22,6 +22,7 @@ CT_LABEL = "CT"
 REMOTE_ATTR = "remote"
 ATT_DIM = 64     # width of the pointer's attention keys
 BULLET_DIM = 32  # width of the learned vector behind non-terminal slots
+PE_DIM = 16      # positional-encoding width of the slot-state biLSTM input
 
 
 def is_remote(edge):
@@ -320,8 +321,7 @@ class NodeStates:
     states: ad.Tensor          # after positional encoding + extra biLSTM
 
 
-def build_node_states(enc_out, pointers, decoder, extra_lstm, pe_dim=16,
-                      train=False, rng=None):
+def build_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
     states = enc_out.top
     slots = build_slots(pointers, states.shape[0] - 1)
     bullet = decoder.bullet()
@@ -334,9 +334,9 @@ def build_node_states(enc_out, pointers, decoder, extra_lstm, pe_dim=16,
         else:
             rows.append(ad.rows(states, [0]))
     pre = ad.concat(rows, axis=0)
-    pe = ad.Tensor(sinusoidal_positions(len(slots), pe_dim))
+    pe = ad.Tensor(sinusoidal_positions(len(slots), PE_DIM))
     with_pos = ad.concat([pre, pe], axis=1)
-    out = extra_lstm.run(with_pos, train=train, rng=rng)
+    out = extra_lstm.run(with_pos, rng)
     return NodeStates(slots=tuple(slots), pre_positional=pre, states=out.top)
 
 

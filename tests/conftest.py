@@ -656,7 +656,7 @@ def reference_ucca_prediction(model, sent):
     enc_out = model.encode(sent)
     dec = ucca.pointer_decode(enc_out, model.ucca_decoder)
     ns = ucca.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
-                                model.ucca_extra, pe_dim=T.PE_DIM)
+                                model.ucca_extra)
     scores = model.heads["ucca"].score(ns.states)
     remote = model.remote_head.score(ns.states)
     return ucca.UccaPrediction(pointers=dec.pointers,

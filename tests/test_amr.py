@@ -569,8 +569,8 @@ class TestBatchedStep:
                 t.zero_grad()
             rng = np.random.default_rng(46)
             if batched:
-                p, attns, states = amr.run_teacher_forced(ctx, gold, train=train,
-                                                          rng=rng)
+                p, attns, states = amr.run_teacher_forced(ctx, gold,
+                                                          rng if train else None)
                 terms = (amr.decoder_loss(p, gold.targets, L),
                          amr.coverage_loss(attns))
                 rows = p.data

@@ -675,6 +675,7 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
                                                 "b": np.zeros((2, 3, 5))}),
     "config-array": ("config", "[1, 2]"),
     "config-string-width": ("config", '{"hidden": "big"}'),
+    "config-negative-clip": ("config", '{"clip": -5.0}'),
     "split-array": ("split", "[]"),
     "split-integer-ids": ("split", '{"train": {"dm": [1]}, "val_i": {}, '
                                    '"val_ii": {}}'),

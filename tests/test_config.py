@@ -122,6 +122,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="encoder_dropout"):
             C.TrainConfig(encoder_dropout=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("clip", -5.0),     # trains by gradient ascent
+        ("clip", 0.0),      # zeroes every step
+        ("beta1", 1.0),     # diverges
+        ("beta1", -0.1),
+        ("beta2", 1.5),
+        *[(name, 0) for name in C.WIDTH_FIELDS + ("layers", "decoder_layers")]])
+    def test_values_that_train_wrongly_or_crash(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            C.TrainConfig(**{name: value})
+
     def test_negative_coefficient(self):
         with pytest.raises(ValueError, match="lam_frame"):
             C.TrainConfig(lam_frame=-0.1)

@@ -262,13 +262,13 @@ class TestFeaturize:
 
     def test_group_drop_identity_at_zero_probability(self):
         rng = np.random.default_rng(0)
-        h0 = self.enc.featurize(self.tokens, self.ctx, train=True, rng=rng)
-        h1 = self.enc.featurize(self.tokens, self.ctx, train=False)
+        h0 = self.enc.featurize(self.tokens, self.ctx, rng=rng)
+        h1 = self.enc.featurize(self.tokens, self.ctx)
         np.testing.assert_array_equal(h0.data, h1.data)
 
     def test_group_drop_probability_one_zeroes_lemma(self):
         e = certain_drop(mk_encoder(self.vocab, self.words)[0], lemma_drop=1.0)
-        h0 = e.featurize(self.tokens, self.ctx, train=True, rng=np.random.default_rng(0))
+        h0 = e.featurize(self.tokens, self.ctx, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(h0.data[:, 6:11], 0.0)
         assert np.abs(h0.data[:, :6]).sum() > 0  # surface group untouched
 
@@ -288,7 +288,7 @@ class TestFeaturize:
 
     def test_word_group_covers_rest(self):
         e = certain_drop(mk_encoder(self.vocab, self.words)[0], word_drop=1.0)
-        h0 = e.featurize(self.tokens, self.ctx, train=True, rng=np.random.default_rng(0))
+        h0 = e.featurize(self.tokens, self.ctx, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(h0.data[:, :6], 0.0)    # surface
         np.testing.assert_array_equal(h0.data[:, 15:], 0.0)   # ne + projections
         assert np.abs(h0.data[:, 6:11]).sum() > 0             # lemma survives

@@ -288,7 +288,7 @@ def _terms_and_grads(model, prep):
     for p in params:
         p.zero_grad()
     terms = T.framework_terms(model, prep, ("dm", "psd", "ucca", "amr"),
-                              train=True, rng=np.random.default_rng(9))
+                              np.random.default_rng(9))
     total = None
     for t in terms.values():
         total = t if total is None else ad.add(total, t)

@@ -508,20 +508,26 @@ class TestTrainLoop:
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
     def test_multitask_validates_once_per_epoch(self, split, corpus, monkeypatch):
-        scored = []
+        """Training calls of ``framework_terms`` pass a generator as the
+        fourth positional argument, validation calls None or nothing: the
+        benchmark's tracer tells the two apart by that argument alone."""
+        calls = []
         terms = T.framework_terms
 
-        def counting(model, prep, frameworks, train=False, rng=None):
-            if not train:
-                scored.append(prep.sent.id)
-            return terms(model, prep, frameworks, train=train, rng=rng)
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return terms(*args, **kwargs)
 
-        monkeypatch.setattr(T, "framework_terms", counting)
+        monkeypatch.setattr(T, "framework_terms", spy)
         cfg = tiny(multitask_config(), epochs=1, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = T.train_multitask(split, cfg, corpus.static, corpus.contextual)
-        assert len(scored) == sum(len(split.val_i[fw]) for fw in cfg.frameworks)
+        assert all(not kwargs and len(args) in (3, 4) for args, kwargs in calls)
+        rngs = [args[3] if len(args) > 3 else None for args, _ in calls]
+        trained = [r for r in rngs if r is not None]
+        assert trained and all(isinstance(r, np.random.Generator) for r in trained)
+        assert rngs.count(None) == sum(len(split.val_i[fw]) for fw in cfg.frameworks)
         val = res.history[0]["val"]
         assert val["total"] == float(np.sum([val[fw] for fw in cfg.frameworks]))
 
@@ -553,8 +559,7 @@ class TestTrainLoop:
         model.params._params["encoder.surface_emb"].data[:] = np.nan
         preps = T.prepare_sentences(model, corpus.sentences[:2], ("dm",))
         cfg = replace(mtl.model.config, epochs=1)
-        loss_fn = lambda m, p, rng: T.sentence_loss(
-            m, cfg, p, ("dm", "psd"), train=True, rng=rng)
+        loss_fn = lambda m, p, rng: T.sentence_loss(m, cfg, p, ("dm", "psd"), rng)
         with pytest.raises(T.TrainingDiverged) as err:
             T._train_loop(model, cfg, preps, loss_fn, {}, lambda m: {})
         assert err.value.epoch == 0

@@ -68,3 +68,49 @@ def test_runs_of_different_commits_are_refused():
 def test_output_without_bench_info_is_refused():
     with pytest.raises(ValueError, match="no bench-info line"):
         trajectory.parse_run('a progress line\n{"correct": true}\n')
+
+
+def fake_checkout(root):
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 20, "workloads": [{"name": "score"}]}))
+    return str(root)
+
+
+def canned_run(checkout, workload, seed, seconds):
+    return trajectory.parse_run(canned_stdout(workload, seed, 1.0, {"ckpt_mb": 2.6}))
+
+
+def no_run(*args):
+    raise AssertionError("a benchmark run started")
+
+
+@pytest.mark.parametrize("status, want", [
+    ([" M src/mrparse/training.py", "?? bench/extra.py"],
+     "differ from the commit: src/mrparse/training.py, bench/extra.py"),
+    (None, "git cannot read this checkout"),
+], ids=["edited", "unreadable"])
+def test_a_checkout_off_its_commit_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                             status, want):
+    monkeypatch.setattr(trajectory, "git_status", lambda checkout: status)
+    monkeypatch.setattr(trajectory, "run_once", no_run)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit, match=want):
+        trajectory.main(["--checkout", fake_checkout(tmp_path), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_out_is_replaced_whole_or_left_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(trajectory, "git_status", lambda checkout: [])
+    monkeypatch.setattr(trajectory, "run_once", canned_run)
+    out = tmp_path / "out.json"
+    out.write_text("old\n")
+    argv = ["--checkout", fake_checkout(tmp_path), "--out", str(out), "--seeds", "2"]
+    assert trajectory.main(argv) == 0
+    assert json.loads(out.read_text())["workloads"]["score"]["seeds"] == [1, 2]
+    # a record that fails to serialize keeps the old file, and no temporary one
+    out.write_text("old\n")
+    monkeypatch.setattr(trajectory, "aggregate", lambda runs: {"bad": object()})
+    with pytest.raises(TypeError):
+        trajectory.main(argv)
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", "out.json"]

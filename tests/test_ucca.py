@@ -332,18 +332,18 @@ class TestPointerDecoder:
 
 
 class TestNodeStates:
-    def make_parts(self, hidden=4, pe_dim=6, extra_hidden=3, seed=0):
+    def make_parts(self, hidden=4, extra_hidden=3, seed=0):
         params = ad.ParamSet()
         rng = np.random.default_rng(seed)
         dec = ucca.UccaDecoder(params, "dec", hidden, 1, rng)
-        extra = BiLstm(params, "extra", 2 * hidden + pe_dim, extra_hidden, 1, rng)
+        extra = BiLstm(params, "extra", 2 * hidden + ucca.PE_DIM, extra_hidden, 1, rng)
         return dec, extra, params
 
     def test_no_pointers_keeps_token_order(self):
         rng = np.random.default_rng(1)
         enc = fake_encoder_output(rng, 4, 4)
         dec, extra, _ = self.make_parts()
-        ns = ucca.build_node_states(enc, (0,), dec, extra, pe_dim=6)
+        ns = ucca.build_node_states(enc, (0,), dec, extra)
         assert ns.slots == (("root",), ("tok", 0), ("tok", 1), ("tok", 2))
         np.testing.assert_array_equal(ns.pre_positional.data, enc.top.data)
 
@@ -351,7 +351,7 @@ class TestNodeStates:
         rng = np.random.default_rng(2)
         enc = fake_encoder_output(rng, 5, 4)  # ROOT + 4 tokens
         dec, extra, _ = self.make_parts()
-        ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra, pe_dim=6)
+        ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
         assert len(ns.slots) == 7
         assert ns.states.shape == (7, 6)  # 2 * extra hidden
 
@@ -359,7 +359,7 @@ class TestNodeStates:
         rng = np.random.default_rng(3)
         enc = fake_encoder_output(rng, 5, 4)
         dec, extra, _ = self.make_parts()
-        ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra, pe_dim=6)
+        ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
         nt_rows = [i for i, s in enumerate(ns.slots) if s[0] == "nt"]
         a, b = nt_rows
         np.testing.assert_array_equal(ns.pre_positional.data[a],

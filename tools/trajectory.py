@@ -13,13 +13,20 @@ attempted and failed operations, and the machine line of ``bench-info``
 with the median of the clock's ``slowdown``; and once, the checkout's
 commit and ``src/`` line count.  A run that exits non-zero stops the
 script.
+
+``bench/run.py`` reads the commit from ``.git`` but counts the lines of
+the working tree, so the script refuses, before the first run, a
+checkout whose ``src/`` or ``bench/`` differ from its commit, or that
+git cannot read.  ``--out`` is written whole or not at all.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +77,42 @@ def aggregate(runs):
             "machine": machine, "workloads": workloads}
 
 
+def git_status(checkout):
+    """``git status --porcelain`` lines of the checkout's ``src/`` and
+    ``bench/`` (ignored files are not listed); None when git cannot read it."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain",
+                               "--", "src", "bench"], capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.splitlines() if proc.returncode == 0 else None
+
+
+def require_clean(checkout):
+    """Exit naming the edited files unless ``src/`` and ``bench/`` are
+    the checkout's commit."""
+    lines = git_status(checkout)
+    if lines is None:
+        raise SystemExit(f"{checkout}: git cannot read this checkout")
+    if lines:
+        raise SystemExit(f"{checkout}: src/ or bench/ differ from the commit: "
+                         + ", ".join(line[3:] for line in lines))
+
+
+def write_atomically(path, record):
+    """Write ``record`` as JSON to a temporary file beside ``path``, then
+    rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=Path(path).resolve().parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
@@ -97,12 +140,10 @@ def main(argv=None):
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     names = args.workload or [w["name"] for w in spec["workloads"]]
+    require_clean(args.checkout)
     runs = {name: [run_once(args.checkout, name, seed, seconds)
                    for seed in range(1, args.seeds + 1)] for name in names}
-    record = dict(aggregate(runs), seconds=seconds)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_atomically(args.out, dict(aggregate(runs), seconds=seconds))
     return 0
 
 
