@@ -664,8 +664,8 @@ def _train_preps(model, split, frameworks):
 # loss terms
 
 def framework_terms(model, prep, frameworks, rng=None):
-    """Per-framework loss pieces for one sentence, keyed "fw.part";
-    training ones, dropout drawn from ``rng``, when it is given.
+    """Per-framework loss pieces for one sentence, keyed "fw.part", of a
+    training pass (dropout drawn from ``rng``) when ``rng`` is given.
 
     Frameworks without prepared gold contribute no keys at all, so their
     parameters stay entirely off the backward graph.

@@ -22,14 +22,15 @@ git cannot read.  ``--out`` is written whole or not at all.
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from mrparse.atomic import atomic_open  # noqa: E402
+
 MACHINE = ("python", "numpy", "blas", "nproc", "threads")
 
 
@@ -99,20 +100,6 @@ def require_clean(checkout):
                          + ", ".join(line[3:] for line in lines))
 
 
-def write_atomically(path, record):
-    """Write ``record`` as JSON to a temporary file beside ``path``, then
-    rename it over ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=Path(path).resolve().parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
 def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
@@ -143,7 +130,9 @@ def main(argv=None):
     require_clean(args.checkout)
     runs = {name: [run_once(args.checkout, name, seed, seconds)
                    for seed in range(1, args.seeds + 1)] for name in names}
-    write_atomically(args.out, dict(aggregate(runs), seconds=seconds))
+    with atomic_open(args.out) as fh:
+        json.dump(dict(aggregate(runs), seconds=seconds), fh, indent=1, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
