@@ -56,7 +56,6 @@ def build_slots(pointers, n_tokens):
 @dataclass(frozen=True)
 class UccaSerialization:
     pointers: tuple        # token positions, 1-based, trailing 0 terminator
-    slots: tuple
     slot_of_node: tuple    # (node id, slot index) pairs
     edges: tuple           # (parent slot, child slot, label) incl CT
     tops: tuple            # slot indices
@@ -138,7 +137,7 @@ def serialize_ucca(g, tokens):
     remotes = tuple((slot_of[e.source], slot_of[e.target])
                     for e in g.edges if is_remote(e))
     return UccaSerialization(
-        pointers=pointers, slots=tuple(slots),
+        pointers=pointers,
         slot_of_node=tuple(sorted(slot_of.items())),
         edges=tuple(edges), tops=tuple(slot_of[t] for t in g.tops),
         remotes=remotes)
@@ -316,7 +315,6 @@ def pointer_loss(logits, gold_pointers):
 
 @dataclass
 class NodeStates:
-    slots: tuple
     pre_positional: ad.Tensor  # interleaved encoder/pointer rows
     states: ad.Tensor          # after positional encoding + extra biLSTM
 
@@ -337,7 +335,7 @@ def build_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
     pe = ad.Tensor(sinusoidal_positions(len(slots), PE_DIM))
     with_pos = ad.concat([pre, pe], axis=1)
     out = extra_lstm.run(with_pos, rng)
-    return NodeStates(slots=tuple(slots), pre_positional=pre, states=out.top)
+    return NodeStates(pre_positional=pre, states=out.top)
 
 
 # ---------------------------------------------------------------------------

@@ -104,12 +104,19 @@ def bilinear_label(x, y, u_classes, w_classes):
     return ad.add(quad, lin)
 
 
+def reference_sigmoid(x):
+    """The two-branch logistic that ``ad._sigmoid`` must equal byte for
+    byte."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def reference_lstm_step(x, h, c, wx, wh, b):
     """One LSTM step composed from elementary ops; returns (h', c').
 
     This per-step composition is the oracle for ``ad.lstm_sequence``:
-    its forward must equal it bit for bit, step by step over the rows of
-    every sequence it runs.
+    its forward must stay within 1e-12 of it, step by step over the rows
+    of every sequence it runs, and its gradients within 1e-10 relative.
     """
     hsz = wh.shape[0]
     z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)

@@ -17,7 +17,7 @@ from scipy.special import softmax as sp_softmax
 from mrparse import autodiff as ad
 
 from conftest import (assert_same_arrays, bilinear, bilinear_label, byte_flips,
-                      check_gradients, scalarize)
+                      check_gradients, reference_sigmoid, scalarize)
 
 N_TRIALS = 24
 
@@ -39,6 +39,13 @@ class TestForward:
         got = ad.sigmoid(ad.Tensor(x)).data
         np.testing.assert_allclose(got, expit(x), atol=1e-12)
         assert np.all(np.isfinite(got))
+
+    def test_sigmoid_is_bytewise_the_two_branch_formula(self):
+        rng = np.random.default_rng(12)
+        draws = [rng.normal(scale=s, size=200_000) for s in (0.1, 1.0, 10.0, 100.0, 400.0)]
+        edges = [v * s for v in (0.0, np.inf, 1e-320, 710.0, 745.0) for s in (1.0, -1.0)]
+        x = np.concatenate(draws + [edges])
+        assert ad._sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
 
     def test_elu_values(self):
         x = np.array([-2.0, -0.5, 0.5, 3.0])

@@ -27,9 +27,12 @@ own caller counts once that parameter is itself passed, and
 ``**kwargs`` forwarding counts not at all: a value only the tests set
 is a constant, and a test that needs another one monkeypatches it.
 
-A field of a dataclass of the package must be read as an attribute,
-of any name, somewhere in ``src/`` or ``bench/``.  A result field that
-only the tests read is work done for the tests.
+A field of a dataclass of the package must be read as an attribute
+somewhere in ``src/`` or ``bench/``: of any name, except that a
+method's ``self.<name>`` (or ``cls.<name>``) reads its own class's
+attribute, which is the field only in the dataclass and the classes
+derived from it.  A result field that only the tests read is work done
+for the tests.
 """
 
 import ast
@@ -515,18 +518,50 @@ def is_dataclass(cls):
     return False
 
 
+def attribute_reads(node, owner=None, receiver=None):
+    """(owner, name) of each attribute read under ``node``: ``owner`` is
+    the class whose method reads it through its first parameter
+    (``self``, or ``cls`` in a classmethod), None for any other
+    receiver."""
+    if isinstance(node, ast.ClassDef):
+        reads = set()
+        for item in node.body:
+            method = (isinstance(item, ast.FunctionDef) and item.args.args
+                      and not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in item.decorator_list))
+            reads |= (attribute_reads(item, node.name, item.args.args[0].arg)
+                      if method else attribute_reads(item))
+        return reads
+    reads = set()
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        mine = isinstance(node.value, ast.Name) and node.value.id == receiver
+        reads.add((owner if mine else None, node.attr))
+    for child in ast.iter_child_nodes(node):
+        reads |= attribute_reads(child, owner, receiver)
+    return reads
+
+
 def unread_fields(sources, scope):
     """"module.Class.field" of each dataclass field of the modules
     ``scope`` that no source of ``sources`` ({module: text}) reads as an
-    attribute."""
+    attribute.  A method reading ``self.<field>`` reads the field only
+    when its class is the dataclass or derives from it by name; in
+    another class it reads that class's own attribute."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    reads = set().union(*map(attribute_reads, trees.values()))
+    derived = {}  # class name -> names of the classes deriving from it
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for base in cls.bases:
+                    name = getattr(base, "id", getattr(base, "attr", None))
+                    derived.setdefault(name, set()).add(cls.name)
     return sorted(f"{module}.{cls.name}.{field.target.id}"
                   for module in scope for cls in trees[module].body
                   if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
                   for field in cls.body if isinstance(field, ast.AnnAssign)
-                  and field.target.id not in read)
+                  and not any((owner, field.target.id) in reads for owner in
+                              {None, cls.name} | derived.get(cls.name, set())))
 
 
 def test_every_dataclass_field_has_a_reader_outside_the_tests():
@@ -546,3 +581,25 @@ def test_scan_flags_an_unread_field():
         "b": "def g(x):\n    return x.other.read\n",
     }
     assert unread_fields(sources, ["a"]) == ["a.P.written", "a.Q.unread"]
+
+
+def test_scan_flags_a_field_shadowed_by_another_class():
+    """``self.<name>`` in another class's method reads that class's own
+    attribute; the dataclass's own methods (closures included), its
+    subclasses, and any other receiver (a staticmethod's first
+    parameter included) read the field."""
+    sources = {
+        "a": ("from dataclasses import dataclass\n\n"
+              "@dataclass\nclass P:\n    shadowed: int\n    own: int\n"
+              "    inherited: int\n    by_cls: int\n    by_closure: int\n"
+              "    by_static: int\n\n"
+              "    def total(self):\n        return self.own\n\n"
+              "    @classmethod\n    def make(cls):\n        return cls.by_cls\n\n"
+              "    def later(self):\n        return lambda: self.by_closure\n\n"
+              "@dataclass\nclass Q:\n    unread: int\n\n"
+              "class K:\n    def __init__(self):\n        self.shadowed = 1\n\n"
+              "    def get(self):\n        return self.shadowed\n\n"
+              "    @staticmethod\n    def peek(self):\n        return self.by_static\n\n"
+              "class Sub(P):\n    def get(self):\n        return self.inherited\n"),
+    }
+    assert unread_fields(sources, ["a"]) == ["a.P.shadowed", "a.Q.unread"]

