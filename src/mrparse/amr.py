@@ -415,12 +415,13 @@ class AmrDecoder:
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
     switch; the decoder-copy segment is masked while empty.  The LSTM
-    state is two lists, ``h`` and ``c``, of one (k, H) tensor per layer,
-    bottom first; the mixture reads the top layer, ``h[-1]``.  Decoding
-    advances k hypotheses of equal length together, one row each, as k
-    LSTM sequences of length 1 (:meth:`step`); teacher forcing runs the
-    whole gold sequence at once (:func:`run_teacher_forced`).  Both run
-    :func:`autodiff.lstm_sequence`.
+    state is two lists, ``h`` and ``c``, of one tensor per layer, bottom
+    first.  Decoding advances k hypotheses of equal length together, one
+    row each, as k LSTM sequences of length 1 (:meth:`step`), so a
+    layer's state is kept in the (k, 1, H) layout
+    :func:`autodiff.lstm_sequence` returns, except the top layer's
+    ``h[-1]``, (k, H), which the mixture reads; teacher forcing runs the
+    whole gold sequence at once (:func:`run_teacher_forced`).
     """
 
     def __init__(self, params, name, enc_hidden, feat_width, hidden, n_vocab,
@@ -463,19 +464,22 @@ class AmrDecoder:
         """Advance k hypotheses of equal length s by one node; returns
         (h, c, p), p being the (k, L + s + V) mixture.
 
-        ``x`` is (k, F); ``h`` and ``c`` are lists of one (k, H) tensor
-        per layer, as :meth:`initial` gives them and as returned; the
-        mixture reads only the top layer.  ``src_keys`` is
+        ``x`` is (k, F); ``h`` and ``c`` are lists of one tensor per
+        layer, (k, H) or (k, 1, H), as :meth:`initial` gives them and as
+        returned: (k, 1, H) but for the top layer's ``h``, (k, H), the
+        only state the mixture reads.  ``src_keys`` is
         :meth:`source_keys` (L, att) of the token states without the
         <ROOT> row, shared by all rows.  ``hist_keys`` is (k, s, att), row
         i holding the keys of hypothesis i's previous top-layer states,
         each ``h[-1] @ hist.enc``; None while s = 0.
         """
-        cur, h2, c2 = x, [], []
+        k = x.shape[0]
+        cur, h2, c2 = ad.reshape(x, (k, 1, self.feat_width)), [], []
         for cell, h_in, c_in in zip(self.cells, h, c):
-            cur, c_out = cell.step(cur, h_in, c_in)
+            cur, c_out = cell.sequence(cur, h0=h_in, c0=c_in)
             h2.append(cur)
             c2.append(c_out)
+        cur = h2[-1] = ad.reshape(cur, (k, self.hidden))
         p, _ = self._mixture(cur, src_keys, hist_keys,
                              gate_bias=_NO_HISTORY if hist_keys is None else None)
         return h2, c2, p

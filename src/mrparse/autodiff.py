@@ -21,16 +21,20 @@ draws nothing and returns its input.
 
 One fused op carries every LSTM recurrence: :func:`lstm_sequence` runs
 B equal-length sequences together, from a zero state or from given
-(B, H) initial states ``h0, c0``, and returns their ``[h_t | c_t]``
-rows; a (T, D) input is the one-sequence case.  The encoder runs
-sequences from zero, the teacher-forced decoders from their initial
-states, and free-running decoders advance their k rows as k sequences
-of length 1.  One GEMM projects every step's input, and each step takes
-its four gates from one tanh.  Its forward is within 1e-12 of composing
-the elementary ops per step, its hand-written backward
-(backpropagation through time, reaching the initial state) within 1e-10
-relative of the composition's gradients, and its buffers take the input
-dtype.  It creates one graph node however long the sequences.
+initial states ``h0, c0``, (B, H) or (B, 1, H), and returns their
+``[h_t | c_t]`` rows; a (T, D) input is the one-sequence case.  The
+encoder runs sequences from zero, the teacher-forced decoders from their
+initial states, and free-running decoders advance their k rows as k
+sequences of length 1, the AMR decoder keeping its states in the
+(k, 1, H) layout the op returns.  One GEMM projects every step's input,
+and each step takes its four gates from one tanh.  Its forward is within
+1e-12 of composing the elementary ops per step, its hand-written
+backward (backpropagation through time, reaching the initial state)
+within 1e-10 relative of the composition's gradients, and its buffers
+take the input dtype.  It creates one graph node however long the
+sequences.  So does each loss (:func:`binary_cross_entropy`,
+:func:`cross_entropy_logits`, :func:`nll_of_probs`), whatever its
+number of terms.
 
 Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
@@ -211,15 +215,6 @@ def mul(a, b):
     return _make(out_data, (a, b), rule)
 
 
-def neg(a):
-    a = as_tensor(a)
-
-    def rule(g):
-        a.accumulate(-g)
-
-    return _make(-a.data, (a,), rule)
-
-
 def minimum(a, b):
     """Elementwise min; ties send the gradient to ``a``."""
     a, b = as_tensor(a), as_tensor(b)
@@ -331,21 +326,6 @@ def rows(table, indices):
     return _make(table.data[indices], (table,), rule)
 
 
-def pick(a, indices):
-    """Per-row gather: ``a[i, indices[i]]`` for a 2-D tensor."""
-    a = as_tensor(a)
-    indices = np.asarray(indices, dtype=np.int64)
-    n = a.data.shape[0]
-    arange = np.arange(n)
-
-    def rule(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (arange, indices), g)
-
-    return _make(a.data[arange, indices], (a,), rule)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -374,15 +354,6 @@ def sigmoid(a):
         a.accumulate(g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), rule)
-
-
-def log(a):
-    a = as_tensor(a)
-
-    def rule(g):
-        a.accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), rule)
 
 
 def elu(a):
@@ -466,10 +437,10 @@ def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
     the rows ``[h_t | c_t]`` at ``[:, t]``.  A (T, D) input is one
     sequence and returns (T, 2H).  Backward is backpropagation through time.
 
-    The state starts from ``h0`` and ``c0``, each (B, H), when given (a
-    decoder's initial state, or k beam rows advanced one step as k
-    sequences of length 1), and from zero otherwise; the backward sends
-    their gradients to them.
+    The state starts from ``h0`` and ``c0``, each (B, H) or (B, 1, H),
+    when given (a decoder's initial state, or k beam rows advanced one
+    step as k sequences of length 1), and from zero otherwise; the
+    backward sends their gradients to them in their own shapes.
 
     One GEMM projects every step's input, the bias added once; a step
     then adds ``h @ wh`` and takes its four gates from one tanh, whose
@@ -485,7 +456,7 @@ def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
     dtype = x.data.dtype
     scale, shift, slope = _gate_rows(hsz, dtype)
     init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
-    h, c = start = ((init[0].data, init[1].data) if init
+    h, c = start = (tuple(t.data.reshape(bsz, hsz) for t in init) if init
                     else (np.zeros((bsz, hsz), dtype=dtype),) * 2)
     # pre-activations, which each step turns into its tanh values
     ys = xs.reshape(bsz * n, dim) @ wx.data
@@ -543,7 +514,7 @@ def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
         # dh and dc now hold the gradients of the initial state
         for t, d in zip(init, (dh, dc)):
             if t.requires_grad:
-                t.accumulate(d)
+                t.accumulate(d.reshape(t.data.shape))
 
     return _make(out if x.data.ndim == 3 else out[0], (x, wx, wh, b, *init), rule)
 
@@ -594,20 +565,22 @@ def cross_entropy_logits(logits, targets):
 
 
 def nll_of_probs(probs, targets):
-    """Summed -log p[target] over rows of an already-normalized 2-D matrix."""
-    picked = pick(probs, targets)
-    clipped = _clip_low(picked)
-    return neg(reduce_sum(log(clipped)))
-
-
-def _clip_low(a):
-    a = as_tensor(a)
-    clipped = np.maximum(a.data, _CLIP)
+    """Summed -log p[target] over rows of an already-normalized 2-D
+    matrix, each picked probability clipped below at 1e-9; a clipped
+    entry gets no gradient."""
+    probs = as_tensor(probs)
+    idx = (np.arange(probs.data.shape[0]), np.asarray(targets, dtype=np.int64))
+    picked = probs.data[idx]
+    clipped = np.maximum(picked, _CLIP)
+    out_data = -np.log(clipped).sum()
 
     def rule(g):
-        a.accumulate(g * (a.data >= _CLIP))
+        if probs.grad is None:
+            probs.grad = np.zeros_like(probs.data)
+        np.add.at(probs.grad, idx,
+                  np.broadcast_to(-g, picked.shape).copy() / clipped * (picked >= _CLIP))
 
-    return _make(clipped, (a,), rule)
+    return _make(out_data, (probs,), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,9 @@ def additive_attention(h, keys, w_dec, v):
 
 class LstmCell:
     """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`
-    over a whole sequence or, k rows at a time, one step; the encoder
-    and every decoder use it."""
+    through :meth:`sequence`; the encoder and every decoder use it.  A
+    decoder advances k rows one step as k sequences of length 1: (k, 1,
+    D) inputs and states (k, 1, H) or (k, H), giving (k, 1, H) states."""
 
     def __init__(self, params, name, in_dim, hidden, rng):
         self.hidden = hidden
@@ -291,19 +292,12 @@ class LstmCell:
         self.b = params.new_from(f"{name}.b", bias)
 
     def sequence(self, xs, reverse=False, h0=None, c0=None):
-        """(h, c) as (T, H) tensors over the rows of ``xs`` from the (1,
-        H) state ``(h0, c0)``, or from zero when it is not given."""
+        """(h, c) over ``xs``, (T, H) tensors for (T, D) rows and (B, T,
+        H) for B sequences (B, T, D), from the state ``(h0, c0)``, or from
+        zero when it is not given."""
         out = ad.lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse,
                                h0=h0, c0=c0)
-        return ad.split(out, [self.hidden] * 2, axis=1)
-
-    def step(self, x, h, c):
-        """Advance k rows one step from ``(h, c)``, each (k, H), on input
-        rows ``x`` (k, D), as k sequences of length 1; returns (h', c')."""
-        k = x.shape[0]
-        out = ad.lstm_sequence(ad.reshape(x, (k, 1, -1)), self.wx, self.wh, self.b,
-                               h0=h, c0=c)
-        return ad.split(ad.reshape(out, (k, -1)), [self.hidden] * 2, axis=1)
+        return ad.split(out, [self.hidden] * 2, axis=-1)
 
 
 @dataclass
@@ -414,21 +408,19 @@ class Encoder:
         return h0 if rng is None else self._group_drop(h0, rng)
 
     def _group_drop(self, h0, rng):
-        """Zero whole feature groups per token: lemma / POS / the rest."""
+        """Zero whole feature groups per token: lemma / POS / the rest,
+        from one (n, 3) draw, token by token in that order."""
         cfg = self.config
-        n = h0.shape[0]
+        lemma, pos, word = (rng.random((h0.shape[0], 3))
+                            < (cfg.lemma_drop, cfg.pos_drop, cfg.word_drop)).T
         mask = np.ones(h0.shape)
         lo_lemma = cfg.surface_dim
         lo_pos = lo_lemma + cfg.lemma_dim
         lo_ne = lo_pos + cfg.pos_dim
-        for i in range(n):
-            if rng.random() < cfg.lemma_drop:
-                mask[i, lo_lemma:lo_pos] = 0.0
-            if rng.random() < cfg.pos_drop:
-                mask[i, lo_pos:lo_ne] = 0.0
-            if rng.random() < cfg.word_drop:
-                mask[i, :lo_lemma] = 0.0
-                mask[i, lo_ne:] = 0.0
+        mask[lemma, lo_lemma:lo_pos] = 0.0
+        mask[pos, lo_pos:lo_ne] = 0.0
+        mask[word, :lo_lemma] = 0.0
+        mask[word, lo_ne:] = 0.0
         return ad.mul(h0, ad.Tensor(mask))
 
     def run(self, tokens, ctx_array, rng=None):

@@ -497,11 +497,11 @@ class UccaTask(Task):
         pointers, cells, tops, remote_cells = tgt
         dec = U.pointer_decode(enc_out, model.ucca_decoder, gold_pointers=pointers)
         pointer = U.pointer_loss(dec.logits, pointers)
-        ns = U.build_node_states(enc_out, pointers, model.ucca_decoder,
-                                 model.ucca_extra, rng)
-        scores = model.heads["ucca"].score(ns.states, rng)
+        states = U.build_node_states(enc_out, pointers, model.ucca_decoder,
+                                     model.ucca_extra, rng)
+        scores = model.heads["ucca"].score(states, rng)
         edge, label = B.edge_and_label_loss(scores, cells, tops)
-        rscores = model.remote_head.score(ns.states, rng)
+        rscores = model.remote_head.score(states, rng)
         remote, _ = B.edge_and_label_loss(rscores, remote_cells, [])
         return {"ucca.dec": pointer, "ucca.edge": edge, "ucca.label": label,
                 "ucca.remote": remote}
@@ -509,10 +509,10 @@ class UccaTask(Task):
     def predict(self, model, sent, enc_out, beam):
         """A ``UccaPrediction``."""
         dec = U.pointer_decode(enc_out, model.ucca_decoder)
-        ns = U.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
-                                 model.ucca_extra)
-        scores = model.heads["ucca"].score(ns.states)
-        remote = model.remote_head.score(ns.states)
+        states = U.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
+                                     model.ucca_extra)
+        scores = model.heads["ucca"].score(states)
+        remote = model.remote_head.score(states)
         return U.UccaPrediction(pointers=dec.pointers,
                                 edge_probs=scores.edge_probs.data,
                                 label_probs=scores.label_probs(),

@@ -313,13 +313,10 @@ def pointer_loss(logits, gold_pointers):
 # ---------------------------------------------------------------------------
 # node states
 
-@dataclass
-class NodeStates:
-    pre_positional: ad.Tensor  # interleaved encoder/pointer rows
-    states: ad.Tensor          # after positional encoding + extra biLSTM
-
-
 def build_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
+    """The (slots, 2 * extra hidden) states of the serialization's slots:
+    encoder rows for tokens and <ROOT>, the decoder's bullet for each
+    nonterminal, with sinusoidal positions, through ``extra_lstm``."""
     states = enc_out.top
     slots = build_slots(pointers, states.shape[0] - 1)
     bullet = decoder.bullet()
@@ -334,8 +331,7 @@ def build_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
     pre = ad.concat(rows, axis=0)
     pe = ad.Tensor(sinusoidal_positions(len(slots), PE_DIM))
     with_pos = ad.concat([pre, pe], axis=1)
-    out = extra_lstm.run(with_pos, rng)
-    return NodeStates(pre_positional=pre, states=out.top)
+    return extra_lstm.run(with_pos, rng).top
 
 
 # ---------------------------------------------------------------------------

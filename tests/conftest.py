@@ -111,6 +111,44 @@ def reference_sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def reference_group_drop_mask(cfg, shape, rng):
+    """The per-token loop ``Encoder._group_drop`` ran before one (n, 3)
+    draw replaced it: three scalar draws per token (lemma, POS, the
+    rest), each zeroing its feature group."""
+    mask = np.ones(shape)
+    lo_lemma = cfg.surface_dim
+    lo_pos = lo_lemma + cfg.lemma_dim
+    lo_ne = lo_pos + cfg.pos_dim
+    for i in range(shape[0]):
+        if rng.random() < cfg.lemma_drop:
+            mask[i, lo_lemma:lo_pos] = 0.0
+        if rng.random() < cfg.pos_drop:
+            mask[i, lo_pos:lo_ne] = 0.0
+        if rng.random() < cfg.word_drop:
+            mask[i, :lo_lemma] = 0.0
+            mask[i, lo_ne:] = 0.0
+    return mask
+
+
+def reference_nll_of_probs(probs, targets, g):
+    """Value and gradient, under the upstream gradient ``g``, of the
+    five ops ``ad.nll_of_probs`` once composed, each rule in numpy as it
+    ran: neg(reduce_sum(log(clip_low(pick(probs, targets))))), the
+    clip at 1e-9 passing the gradient only where p >= 1e-9.  The fused
+    op must equal both byte for byte."""
+    idx = (np.arange(probs.shape[0]), np.asarray(targets, dtype=np.int64))
+    picked = probs[idx]
+    clipped = np.maximum(picked, 1e-9)
+    value = -np.log(clipped).sum()
+    g_sum = -np.asarray(g)                                  # neg
+    g_log = np.broadcast_to(g_sum, picked.shape).copy()     # reduce_sum
+    g_clip = g_log / clipped                                # log
+    g_pick = g_clip * (picked >= 1e-9)                      # clip_low
+    grad = np.zeros_like(probs)
+    np.add.at(grad, idx, g_pick)                            # pick
+    return value, grad
+
+
 def reference_lstm_step(x, h, c, wx, wh, b):
     """One LSTM step composed from elementary ops; returns (h', c').
 
@@ -225,7 +263,7 @@ def reference_pointer_decode(enc_out, decoder, gold_pointers=None):
     h, c = decoder.init_state(enc_out.finals)
     x_pos, rows, pointers = 0, [], []
     while True:
-        h, c = decoder.cell.step(ad.rows(states, [x_pos]), h, c)
+        h, c = decoder.cell.sequence(ad.rows(states, [x_pos]), h0=h, c0=c)
         mixed = ad.tanh(ad.add(ad.matmul(h, decoder.w_dec),
                                ad.matmul(states, decoder.w_enc)))
         rows.append(ad.transpose(ad.matmul(mixed, decoder.v)))
@@ -310,7 +348,7 @@ def reference_amr_step(dec, x, h, c, token_states, history, train=False,
     for l, cell in enumerate(dec.cells):
         if l > 0 and train:
             cur = ad.dropout(cur, dec.dropout, rng)
-        hl, cl = cell.step(cur, h[l], c[l])
+        hl, cl = cell.sequence(cur, h0=h[l], c0=c[l])
         new_h.append(hl)
         new_c.append(cl)
         cur = hl
@@ -662,10 +700,10 @@ def reference_sdp_prediction(model, sent, fw):
 def reference_ucca_prediction(model, sent):
     enc_out = model.encode(sent)
     dec = ucca.pointer_decode(enc_out, model.ucca_decoder)
-    ns = ucca.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
-                                model.ucca_extra)
-    scores = model.heads["ucca"].score(ns.states)
-    remote = model.remote_head.score(ns.states)
+    states = ucca.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
+                                    model.ucca_extra)
+    scores = model.heads["ucca"].score(states)
+    remote = model.remote_head.score(states)
     return ucca.UccaPrediction(pointers=dec.pointers,
                                edge_probs=scores.edge_probs.data,
                                label_probs=scores.label_probs(),

@@ -3,6 +3,7 @@ three-way generation mixture, beam search, arborescence decoding and
 graph reassembly."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -461,7 +462,8 @@ class TestDecoderMixture:
 
 class TestBatchedStep:
     """``AmrDecoder.step`` on k rows at once: (k, F) inputs, one (k, H)
-    state per layer, shared source keys and per-row history keys."""
+    or (k, 1, H) state per layer, shared source keys and per-row history
+    keys."""
 
     def batch(self, ctx, k, s, seed):
         rng = np.random.default_rng(seed)
@@ -484,13 +486,16 @@ class TestBatchedStep:
         x, h, c, hist = self.batch(ctx, k, s, seed=41)
         rng = np.random.default_rng(42)
         width = 3 + s + len(ctx.vocab)
+        state = (k, 1, dec.hidden)  # the top layer's h is (k, H)
         proj = [rng.normal(size=shape) for shape in
-                [(k, dec.hidden)] * (2 * dec.n_layers) + [(k, width)]]
+                [state] * (dec.n_layers - 1) + [(k, dec.hidden)]
+                + [state] * dec.n_layers + [(k, width)]]
 
         def build():
             h2, c2, p = dec.step(x, h, c, dec.source_keys(ctx.token_states), hist)
             total = ad.Tensor(0.0)
             for out, w in zip(h2 + c2 + [p], proj):
+                assert out.shape == w.shape
                 total = ad.add(total, scalarize(out, w))
             return total
 
@@ -519,33 +524,44 @@ class TestBatchedStep:
                 np.testing.assert_allclose(b.data[j:j + 1], o.data,
                                            rtol=0.0, atol=1e-12)
 
-    def test_each_layer_adds_one_cell_step(self, monkeypatch):
-        """Going from 1 to 3 layers adds to a step exactly the tensors of
-        two more ``LstmCell.step`` calls: no state is split or joined."""
-        counted = []
-        init = ad.Tensor.__init__
+    def test_a_step_makes_two_reshapes_whatever_its_depth(self, monkeypatch):
+        """Outside the attentions a step reshapes twice, its input to (k,
+        1, F) and the top layer's state to (k, H), at 1 and at 3 layers;
+        going from 1 to 3 layers adds exactly the tensors of two more
+        ``LstmCell.sequence`` calls: no state is split or joined."""
+        counted, reshapes = [], []
+        init, reshape = ad.Tensor.__init__, ad.reshape
 
         def counting(self, *args, **kwargs):
             init(self, *args, **kwargs)
             counted.append(1)
 
-        def tensors(fn, *args):
+        def recording(a, shape):
+            if sys._getframe(1).f_code is not enc.additive_attention.__code__:
+                reshapes.append(shape)
+            return reshape(a, shape)
+
+        def tensors(fn, *args, **kwargs):
             monkeypatch.setattr(ad.Tensor, "__init__", counting)
-            fn(*args)
+            fn(*args, **kwargs)
             monkeypatch.setattr(ad.Tensor, "__init__", init)
             n = len(counted)
             counted.clear()
             return n
 
+        monkeypatch.setattr(ad, "reshape", recording)
         built = {}
         for layers in (1, 3):
             ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=47,
                               dec_hidden=4, dec_layers=layers)
             dec = ctx.decoder
             x, h, c, hist = self.batch(ctx, 3, 2, seed=48)
-            built[layers] = tensors(dec.step, x, h, c,
-                                    dec.source_keys(ctx.token_states), hist)
-        cell = tensors(dec.cells[1].step, h[0], h[1], c[1])
+            keys = dec.source_keys(ctx.token_states)
+            built[layers] = tensors(dec.step, x, h, c, keys, hist)
+            assert reshapes == [(3, 1, dec.feat_width), (3, dec.hidden)]
+            reshapes.clear()
+        lower = ad.Tensor(np.zeros((3, 1, dec.hidden)))
+        cell = tensors(dec.cells[1].sequence, lower, h0=h[1], c0=c[1])
         assert built[3] - built[1] == 2 * cell
 
     @pytest.mark.parametrize("train", [False, True])

@@ -11,7 +11,7 @@ from mrparse import encoder as enc
 from mrparse import graphs as G
 from mrparse.config import TrainConfig
 
-from conftest import byte_flips
+from conftest import byte_flips, reference_group_drop_mask
 
 
 def mk_tokens(words, lemmas=None, upos=None, ne=None):
@@ -285,6 +285,21 @@ class TestFeaturize:
         assert abs(lemma_rate - 0.3) < 0.02
         assert abs(pos_rate - 0.2) < 0.02
         assert abs(word_rate - 0.1) < 0.02
+
+    @pytest.mark.parametrize("rates", [(0.3, 0.2, 0.1), (0.0, 0.5, 0.0),
+                                       (0.9, 0.9, 0.9)])
+    def test_group_drop_is_the_per_token_loop(self, rates):
+        """One (n, 3) draw gives the masks of three scalar draws per
+        token and leaves the generator where the loop left it."""
+        lemma, pos, word = rates
+        e, _ = mk_encoder(self.vocab, self.words, lemma_drop=lemma, pos_drop=pos,
+                          word_drop=word)
+        h0 = ad.Tensor(np.random.default_rng(5).normal(size=(40, e.in_dim)))
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = e._group_drop(h0, rng).data
+        want = h0.data * reference_group_drop_mask(e.config, h0.shape, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_word_group_covers_rest(self):
         e = certain_drop(mk_encoder(self.vocab, self.words)[0], word_drop=1.0)

@@ -49,8 +49,7 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 # argparse calls it; no file names it
 CALLED_BY_LIBRARIES = {"cli._Parser.error"}
 # intermediate structure the tests inspect
-READ_BY_TESTS = {"ucca.UccaSerialization.slot_of_node",
-                 "ucca.NodeStates.pre_positional"}
+READ_BY_TESTS = {"ucca.UccaSerialization.slot_of_node"}
 
 
 def unused_imports(source):

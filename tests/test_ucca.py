@@ -333,40 +333,51 @@ class TestPointerDecoder:
         assert free.pointers == gold and not free.truncated
 
 
+class RecordingBiLstm:
+    """The extra biLSTM, keeping the interleaved slot rows it is run on
+    (its input without the positional columns)."""
+
+    def __init__(self, lstm, width):
+        self.lstm, self.width, self.inputs = lstm, width, []
+
+    def run(self, rows, rng=None):
+        self.inputs.append(rows.data[:, :self.width])
+        return self.lstm.run(rows, rng)
+
+
 class TestNodeStates:
     def make_parts(self, hidden=4, extra_hidden=3, seed=0):
         params = ad.ParamSet()
         rng = np.random.default_rng(seed)
         dec = ucca.UccaDecoder(params, "dec", hidden, 1, rng)
         extra = BiLstm(params, "extra", 2 * hidden + ucca.PE_DIM, extra_hidden, 1, rng)
-        return dec, extra, params
+        return dec, RecordingBiLstm(extra, 2 * hidden), params
 
     def test_no_pointers_keeps_token_order(self):
         rng = np.random.default_rng(1)
         enc = fake_encoder_output(rng, 4, 4)
         dec, extra, _ = self.make_parts()
-        ns = ucca.build_node_states(enc, (0,), dec, extra)
-        np.testing.assert_array_equal(ns.pre_positional.data, enc.top.data)
+        ucca.build_node_states(enc, (0,), dec, extra)
+        np.testing.assert_array_equal(extra.inputs[0], enc.top.data)
 
     def test_example_has_seven_states(self):
         rng = np.random.default_rng(2)
         enc = fake_encoder_output(rng, 5, 4)  # ROOT + 4 tokens
         dec, extra, _ = self.make_parts()
-        ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
-        assert ns.pre_positional.shape[0] == 7
-        assert ns.states.shape == (7, 6)  # 2 * extra hidden
+        states = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
+        assert extra.inputs[0].shape[0] == 7
+        assert states.shape == (7, 6)  # 2 * extra hidden
 
     def test_pointer_rows_identical_before_positions_only(self):
         rng = np.random.default_rng(3)
         enc = fake_encoder_output(rng, 5, 4)
         dec, extra, _ = self.make_parts()
-        ns = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
+        states = ucca.build_node_states(enc, (1, 2, 0), dec, extra)
         slots = ucca.build_slots((1, 2, 0), 4)
         nt_rows = [i for i, s in enumerate(slots) if s[0] == "nt"]
         a, b = nt_rows
-        np.testing.assert_array_equal(ns.pre_positional.data[a],
-                                      ns.pre_positional.data[b])
-        assert not np.array_equal(ns.states.data[a], ns.states.data[b])
+        np.testing.assert_array_equal(extra.inputs[0][a], extra.inputs[0][b])
+        assert not np.array_equal(states.data[a], states.data[b])
 
 
 UCCA_PARTS = ("ucca.edge", "ucca.label", "ucca.remote", "ucca.dec")
