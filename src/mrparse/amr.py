@@ -449,9 +449,8 @@ class AmrDecoder:
     def initial(self, finals):
         """Initial input ``x0`` (1, F) and per-layer state lists ``h`` and
         ``c`` of (1, H) tensors, all sliced by one split from one MLP
-        over the encoder's top-layer boundary states."""
-        f = finals[-1]
-        packed = self.init_mlp(ad.concat([f.h_fwd, f.h_bwd, f.c_fwd, f.c_bwd], axis=1))
+        over the encoder's top-layer final states ``finals`` (1, 4H)."""
+        packed = self.init_mlp(finals)
         n = self.n_layers
         parts = ad.split(packed, [self.feat_width] + [self.hidden] * (2 * n), axis=1)
         return parts[0], parts[1:n + 1], parts[n + 1:]
@@ -515,7 +514,7 @@ class AmrContext:
     decoder: AmrDecoder
     vocab: DecoderVocab
     token_states: ad.Tensor   # (L, 2H), token rows of the encoder output
-    finals: list
+    finals: ad.Tensor         # (1, 4H), the encoder's EncoderOutput.finals(1)
     lemmas: tuple
     xpos: tuple
 

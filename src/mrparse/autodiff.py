@@ -22,12 +22,15 @@ draws nothing and returns its input.
 One fused op carries every LSTM recurrence: :func:`lstm_sequence` runs
 B equal-length sequences together, from a zero state or from given
 initial states ``h0, c0``, (B, H) or (B, 1, H), and returns their
-``[h_t | c_t]`` rows; a (T, D) input is the one-sequence case.  The
-encoder runs sequences from zero, the teacher-forced decoders from their
-initial states, and free-running decoders advance their k rows as k
-sequences of length 1, the AMR decoder keeping its states in the
-(k, 1, H) layout the op returns.  One GEMM projects every step's input,
-and each step takes its four gates from one tanh.  Its forward is within
+``[h_t | c_t]`` rows; a (T, D) input is the one-sequence case.  Given
+``(forward, backward)`` weight pairs it runs a biLSTM layer, both
+directions in one step loop, and returns ``[h_fwd | h_bwd | c_fwd |
+c_bwd]`` rows.  The encoder runs each layer that way from zero, the
+teacher-forced decoders one direction from their initial states, and
+free-running decoders advance their k rows as k sequences of length 1,
+the AMR decoder keeping its states in the (k, 1, H) layout the op
+returns.  One GEMM per direction projects every step's input, and each
+step takes its four gates from one tanh.  Its forward is within
 1e-12 of composing the elementary ops per step, its hand-written
 backward (backpropagation through time, reaching the initial state)
 within 1e-10 relative of the composition's gradients, and its buffers
@@ -416,107 +419,136 @@ def dropout(a, p, rng):
 # Gate columns are ordered input, forget, cell candidate, output.  Every
 # step takes its four gates from one tanh, a sigmoid gate being
 # ½·tanh(z/2) + ½; the backward is written by hand and builds no graph
-# nodes.
+# nodes.  Inside the kernel the arrays are step-major, (T, …, nd, B, H)
+# with nd directions, a gate or state being one contiguous block.
 
 @functools.lru_cache(maxsize=64)
-def _gate_rows(hsz, dtype):
-    """Read-only (4H,) rows ``(scale, shift, slope)`` of the gate
-    columns: with ``y = tanh(z * scale)`` a gate is ``y * scale +
-    shift`` and its derivative ``slope * (1 - y * y)``."""
-    scale = np.full(4 * hsz, 0.5, dtype=dtype)
-    scale[2 * hsz:3 * hsz] = 1.0
-    rows = (scale, 1.0 - scale, scale * scale)
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+def _gate_blocks(hsz, nd, bsz, dtype):
+    """Read-only (4, nd, B, H) blocks ``(scale, shift, slope)`` of the
+    gates: with ``y = tanh(z * scale)`` a gate is ``y * scale + shift``
+    and its derivative ``slope * (1 - y * y)``."""
+    scale = np.full((4, nd, bsz, hsz), 0.5, dtype=dtype)
+    scale[2] = 1.0
+    blocks = (scale, 1.0 - scale, scale * scale)
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
-def lstm_sequence(x, wx, wh, b, reverse=False, h0=None, c0=None):
+def _flip(a, axis):
+    """``a`` (T, …) with the steps of the second direction on ``axis``
+    reversed: from time order to that direction's step order, last step
+    first, and back."""
+    if a.shape[axis] == 1:
+        return a
+    at = (slice(None),) * axis
+    return np.concatenate([a[at + (slice(1),)], a[::-1][at + (slice(1, 2),)]], axis=axis)
+
+
+def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
     """Run an LSTM over ``x`` (B, T, D), B sequences of length T side by
-    side, each last step first when ``reverse``; returns (B, T, 2H) with
-    the rows ``[h_t | c_t]`` at ``[:, t]``.  A (T, D) input is one
-    sequence and returns (T, 2H).  Backward is backpropagation through time.
+    side; returns (B, T, 2H) with the rows ``[h_t | c_t]`` at ``[:, t]``.
+    A (T, D) input is one sequence and returns (T, 2H).  Backward is
+    backpropagation through time.
+
+    Given ``(forward, backward)`` pairs of ``wx``, ``wh`` and ``b``, it is
+    a biLSTM layer: the backward direction runs over the same input, last
+    step first, in the same step loop, which advances both with one
+    batched ``h @ wh`` and each gate op once.  The rows are then ``[h_fwd
+    | h_bwd | c_fwd | c_bwd]``, (B, T, 4H): their h half is the layer's
+    output.
 
     The state starts from ``h0`` and ``c0``, each (B, H) or (B, 1, H),
-    when given (a decoder's initial state, or k beam rows advanced one
-    step as k sequences of length 1), and from zero otherwise; the
-    backward sends their gradients to them in their own shapes.
+    (B, 2H) or (B, 1, 2H) for two directions, laid out like the h or c
+    half of the rows, when given (a decoder's initial state, or k beam
+    rows advanced one step as k sequences of length 1), and from zero
+    otherwise; the backward sends their gradients to them in their own
+    shapes.
 
-    One GEMM projects every step's input, the bias added once; a step
-    then adds ``h @ wh`` and takes its four gates from one tanh, whose
-    values it keeps.  The backward forms every step's local gate
-    derivatives from them before its loop.  The forward is within 1e-12
-    of composing the elementary ops per step, whose sigmoid rounds
+    One GEMM per direction projects every step's input, the bias added
+    once; a step then adds ``h @ wh`` and takes its four gates from one
+    tanh, whose values it keeps.  The backward forms every step's local
+    gate derivatives from them before its loop.  Each direction's values
+    are those of running it alone (the backward one's, of the forward
+    recurrence over the rows last first), and its weight gradients sum
+    over the steps in time order.  The forward is within 1e-12 of
+    composing the elementary ops per step, whose sigmoid rounds
     differently, and the gradients within 1e-10 relative of the
     composition's.
     """
-    x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
+    x = as_tensor(x)
+    wxs, whs, bs = (tuple(map(as_tensor, w)) if isinstance(w, tuple) else (as_tensor(w),)
+                    for w in (wx, wh, b))
     xs = x.data if x.data.ndim == 3 else x.data[None]
-    (bsz, n, dim), hsz = xs.shape, wh.data.shape[0]
+    (bsz, n, dim), nd, hsz = xs.shape, len(wxs), whs[0].data.shape[0]
     dtype = x.data.dtype
-    scale, shift, slope = _gate_rows(hsz, dtype)
+    scale, shift, slope = _gate_blocks(hsz, nd, bsz, dtype)
     init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
-    h, c = start = (tuple(t.data.reshape(bsz, hsz) for t in init) if init
-                    else (np.zeros((bsz, hsz), dtype=dtype),) * 2)
-    # pre-activations, which each step turns into its tanh values
-    ys = xs.reshape(bsz * n, dim) @ wx.data
-    ys += b.data
-    ys = ys.reshape(bsz, n, 4 * hsz)
-    out = np.empty((bsz, n, 2 * hsz), dtype=dtype)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        y = ys[:, t]
-        y += h @ wh.data
+    h, c = start = ([t.data.reshape(bsz, nd, hsz).swapaxes(0, 1) for t in init] if init
+                    else [np.zeros((nd, bsz, hsz), dtype=dtype)] * 2)
+    flat = xs.reshape(bsz * n, dim)
+    # pre-activations (T, 4, nd, B, H), which each step turns into its tanh values
+    ys = [(flat @ w.data + bias.data).reshape(bsz, n, 4, 1, hsz).transpose(1, 2, 3, 0, 4)
+          for w, bias in zip(wxs, bs)]
+    ys = _flip(np.concatenate(ys, axis=2), 2) if nd == 2 else np.ascontiguousarray(ys[0])
+    # one direction's weights are not copied: a decoder's can be large
+    wh_all = np.concatenate([w.data[None] for w in whs]) if nd == 2 else whs[0].data[None]
+    steps = np.empty((n, 2, nd, bsz, hsz), dtype=dtype)  # their (h, c)
+    for s in range(n):
+        y = ys[s]
+        y += (h @ wh_all).reshape(nd, bsz, 4, hsz).transpose(2, 0, 1, 3)
         y *= scale
         np.tanh(y, out=y)
         a = y * scale
         a += shift
-        c = np.multiply(a[:, hsz:2 * hsz], c, out=out[:, t, hsz:])
-        c += a[:, :hsz] * a[:, 2 * hsz:3 * hsz]
-        h = np.tanh(c, out=out[:, t, :hsz])
-        h *= a[:, 3 * hsz:]
+        c = np.multiply(a[1], c, out=steps[s, 1])
+        c += a[0] * a[2]
+        h = np.tanh(c, out=steps[s, 0])
+        h *= a[3]
+    out = _flip(steps, 2).transpose(3, 0, 1, 2, 4).reshape(bsz, n, 2 * nd * hsz)
 
     def rule(g):
-        g = g.reshape(out.shape)
-        # the [h | c] each step started from
-        first = np.concatenate(start, axis=1, dtype=dtype)[:, None]
-        prev = np.concatenate([out[:, 1:], first] if reverse else [first, out[:, :-1]],
-                              axis=1)
+        g = _flip(np.ascontiguousarray(g.reshape(bsz, n, 2, nd, hsz).transpose(1, 2, 3, 0, 4)), 2)
+        # the (h, c) each step started from
+        prev = np.concatenate([np.array(start, dtype=dtype)[None], steps[:-1]])
         gates = ys * scale + shift
-        tc = np.tanh(out[..., hsz:])
-        dcell = gates[..., 3 * hsz:] * (1.0 - tc * tc)  # o·(1 − tanh²c): dh into dc
+        tc = np.tanh(steps[:, 1])
+        dcell = gates[:, 3] * (1.0 - tc * tc)  # o·(1 − tanh²c): dh into dc
         # slope·(1 − y²) times what dc (i, f, g) or dh (o) meets in each
-        # gate's column: dz once the loop scales the rows
+        # gate: dz once the loop scales the blocks
         dz = slope * (1.0 - ys * ys)
-        dz[..., :hsz] *= gates[..., 2 * hsz:3 * hsz]
-        dz[..., hsz:2 * hsz] *= prev[..., hsz:]
-        dz[..., 2 * hsz:3 * hsz] *= gates[..., :hsz]
-        dz[..., 3 * hsz:] *= tc
-        blocks = dz.reshape(bsz, n, 4, hsz)
-        forget = gates[..., hsz:2 * hsz]
+        dz[:, 0] *= gates[:, 2]
+        dz[:, 1] *= prev[:, 1]
+        dz[:, 2] *= gates[:, 0]
+        dz[:, 3] *= tc
+        forget = gates[:, 1]
+        wh_t = np.swapaxes(wh_all, 1, 2)
         dh = dc = 0.0
-        for t in reversed(order):
-            dh = dh + g[:, t, :hsz]
-            dc = dc + g[:, t, hsz:] + dh * dcell[:, t]
-            blocks[:, t, :3] *= dc[:, None]
-            blocks[:, t, 3] *= dh
-            dc = dc * forget[:, t]
-            dh = dz[:, t] @ wh.data.T
-        dz = dz.reshape(bsz * n, 4 * hsz)  # (B, T) folded into rows
-        if x.requires_grad:
-            x.accumulate((dz @ wx.data.T).reshape(x.data.shape))
-        if wx.requires_grad:
-            wx.accumulate(xs.reshape(bsz * n, -1).T @ dz)
-        if wh.requires_grad:
-            wh.accumulate(prev[..., :hsz].reshape(bsz * n, hsz).T @ dz)
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(dz, b.data.shape))
+        for s in range(n - 1, -1, -1):
+            dh = dh + g[s, 0]
+            dc = dc + g[s, 1] + dh * dcell[s]
+            dz[s, :3] *= dc
+            dz[s, 3] *= dh
+            dc = dc * forget[s]
+            dh = dz[s].transpose(1, 2, 0, 3).reshape(nd, bsz, 4 * hsz) @ wh_t
+        # each direction in time order, (B, T) folded into rows
+        dz, prev = _flip(dz, 2), _flip(prev, 2)
+        for d, (w_x, w_h, bias) in enumerate(zip(wxs, whs, bs)):
+            dzd = dz[:, :, d].transpose(2, 0, 1, 3).reshape(bsz * n, 4 * hsz)
+            if x.requires_grad:
+                x.accumulate((dzd @ w_x.data.T).reshape(x.data.shape))
+            if w_x.requires_grad:
+                w_x.accumulate(flat.T @ dzd)
+            if w_h.requires_grad:
+                w_h.accumulate(prev[:, 0, d].swapaxes(0, 1).reshape(bsz * n, hsz).T @ dzd)
+            if bias.requires_grad:
+                bias.accumulate(_unbroadcast(dzd, bias.data.shape))
         # dh and dc now hold the gradients of the initial state
         for t, d in zip(init, (dh, dc)):
             if t.requires_grad:
-                t.accumulate(d.reshape(t.data.shape))
+                t.accumulate(d.swapaxes(0, 1).reshape(t.data.shape))
 
-    return _make(out if x.data.ndim == 3 else out[0], (x, wx, wh, b, *init), rule)
+    return _make(out if x.data.ndim == 3 else out[0], (x, *wxs, *whs, *bs, *init), rule)
 
 
 # ---------------------------------------------------------------------------

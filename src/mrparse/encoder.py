@@ -276,10 +276,11 @@ def additive_attention(h, keys, w_dec, v):
 
 
 class LstmCell:
-    """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`
-    through :meth:`sequence`; the encoder and every decoder use it.  A
-    decoder advances k rows one step as k sequences of length 1: (k, 1,
-    D) inputs and states (k, 1, H) or (k, H), giving (k, 1, H) states."""
+    """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`:
+    a decoder's through :meth:`sequence`, advancing k rows one step as k
+    sequences of length 1 ((k, 1, D) inputs and states (k, 1, H) or (k,
+    H), giving (k, 1, H) states), and a :class:`BiLstm` layer's two
+    directions together."""
 
     def __init__(self, params, name, in_dim, hidden, rng):
         self.hidden = hidden
@@ -291,28 +292,22 @@ class LstmCell:
         bias[hidden:2 * hidden] = 1.0  # forget gate open at init
         self.b = params.new_from(f"{name}.b", bias)
 
-    def sequence(self, xs, reverse=False, h0=None, c0=None):
+    def sequence(self, xs, h0=None, c0=None):
         """(h, c) over ``xs``, (T, H) tensors for (T, D) rows and (B, T,
         H) for B sequences (B, T, D), from the state ``(h0, c0)``, or from
         zero when it is not given."""
-        out = ad.lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse,
-                               h0=h0, c0=c0)
+        out = ad.lstm_sequence(xs, self.wx, self.wh, self.b, h0=h0, c0=c0)
         return ad.split(out, [self.hidden] * 2, axis=-1)
 
 
 @dataclass
-class LayerFinalState:
-    h_fwd: ad.Tensor
-    c_fwd: ad.Tensor
-    h_bwd: ad.Tensor
-    c_bwd: ad.Tensor
-
-
-@dataclass
 class EncoderOutput:
-    """Per-layer position matrices; layers[0] is the featurized input."""
+    """Per-layer position matrices, layers[0] being the featurized input,
+    and per biLSTM layer its :func:`autodiff.lstm_sequence` rows ``[h_fwd |
+    h_bwd | c_fwd | c_bwd]``, (T, 4H), whose h half is the next entry of
+    ``layers``."""
     layers: list
-    finals: list  # LayerFinalState per biLSTM layer
+    lstm_out: list
 
     @property
     def top(self):
@@ -322,10 +317,27 @@ class EncoderOutput:
     def n_positions(self):
         return self.layers[-1].shape[0]
 
+    def finals(self, n):
+        """The final states of the top ``n`` biLSTM layers as one (1, 4nH)
+        row: h_fwd of each layer in turn, then h_bwd, c_fwd and c_bwd.  The
+        forward direction ends at the last position, the backward one at
+        <ROOT>.  Only a decoder's initial state reads them."""
+        runs = ad.concat(self.lstm_out[-n:], axis=1)  # (T, 4nH)
+        t, width = runs.shape
+        hsz = width // (4 * n)
+        # row 4n·i + 4l + k of the (4nT, H) view holds position i of layer l's
+        # piece k: h_fwd, h_bwd, c_fwd, c_bwd
+        last = 4 * n * (t - 1)
+        picks = [(0 if k % 2 else last) + 4 * l + k for k in range(4) for l in range(n)]
+        return ad.reshape(ad.rows(ad.reshape(runs, (4 * n * t, hsz)), picks), (1, width))
+
 
 class BiLstm:
+    """Stacked biLSTM layers, each one :func:`autodiff.lstm_sequence` over
+    the forward and backward :class:`LstmCell` of the layer, whose
+    parameters keep their own names (``<name>.l<l>.fwd.wx``, ...)."""
+
     def __init__(self, params, name, in_dim, hidden, n_layers, rng, input_dropout=0.0):
-        self.n_layers = n_layers
         self.input_dropout = input_dropout
         self.dirs = []
         width = in_dim
@@ -336,19 +348,16 @@ class BiLstm:
             width = 2 * hidden
 
     def run(self, h0, rng=None):
-        layers = [h0]
-        finals = []
+        layers, lstm_out = [h0], []
         current = h0
         for fwd, bwd in self.dirs:
             current = ad.dropout(current, self.input_dropout, rng)
-            f_h, f_c = fwd.sequence(current)
-            b_h, b_c = bwd.sequence(current, reverse=True)
-            last = [current.shape[0] - 1]
-            current = ad.concat([f_h, b_h], axis=1)
+            out = ad.lstm_sequence(current, (fwd.wx, bwd.wx), (fwd.wh, bwd.wh),
+                                   (fwd.b, bwd.b))
+            current = ad.split(out, [2 * fwd.hidden] * 2, axis=1)[0]
             layers.append(current)
-            finals.append(LayerFinalState(ad.rows(f_h, last), ad.rows(f_c, last),
-                                          ad.rows(b_h, [0]), ad.rows(b_c, [0])))
-        return EncoderOutput(layers=layers, finals=finals)
+            lstm_out.append(out)
+        return EncoderOutput(layers=layers, lstm_out=lstm_out)
 
 
 class Encoder:

@@ -266,7 +266,7 @@ class MultiModel:
         return A.AmrContext(
             encoder=self.encoder, decoder=self.amr_decoder, vocab=self.amr_vocab,
             token_states=ad.rows(enc_out.top, list(range(1, n))),
-            finals=enc_out.finals,
+            finals=enc_out.finals(1),
             lemmas=tuple(t.lemma for t in sent.tokens),
             xpos=tuple(t.xpos for t in sent.tokens))
 

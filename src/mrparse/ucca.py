@@ -56,7 +56,6 @@ def build_slots(pointers, n_tokens):
 @dataclass(frozen=True)
 class UccaSerialization:
     pointers: tuple        # token positions, 1-based, trailing 0 terminator
-    slot_of_node: tuple    # (node id, slot index) pairs
     edges: tuple           # (parent slot, child slot, label) incl CT
     tops: tuple            # slot indices
     remotes: tuple         # (parent slot, child slot)
@@ -137,9 +136,7 @@ def serialize_ucca(g, tokens):
     remotes = tuple((slot_of[e.source], slot_of[e.target])
                     for e in g.edges if is_remote(e))
     return UccaSerialization(
-        pointers=pointers,
-        slot_of_node=tuple(sorted(slot_of.items())),
-        edges=tuple(edges), tops=tuple(slot_of[t] for t in g.tops),
+        pointers=pointers, edges=tuple(edges), tops=tuple(slot_of[t] for t in g.tops),
         remotes=remotes)
 
 
@@ -241,11 +238,10 @@ class UccaDecoder:
         self.r = params.new(f"{name}.r", (1, BULLET_DIM), rng)
         self.bullet_mlp = Mlp(params, f"{name}.bullet", BULLET_DIM, 2 * enc_hidden, rng)
 
-    def init_state(self, finals):
-        use = finals[-self.use_layers:]
-        h = ad.concat([f.h_fwd for f in use] + [f.h_bwd for f in use], axis=1)
-        c = ad.concat([f.c_fwd for f in use] + [f.c_bwd for f in use], axis=1)
-        return h, c
+    def init_state(self, enc_out):
+        """(h, c) from the final states of the top ``use_layers`` encoder
+        layers, :meth:`encoder.EncoderOutput.finals`."""
+        return ad.split(enc_out.finals(self.use_layers), [self.hidden] * 2, axis=1)
 
     def keys(self, states):
         """Projected attention keys of the encoder positions, (n, att)."""
@@ -284,7 +280,7 @@ def pointer_decode(enc_out, decoder, gold_pointers=None):
     """
     states = enc_out.top
     keys = decoder.keys(states)
-    h, c = decoder.init_state(enc_out.finals)
+    h, c = decoder.init_state(enc_out)
     if gold_pointers is not None:
         fed = (0,) + tuple(gold_pointers[:-1])
         hs, _ = decoder.cell.sequence(ad.rows(states, fed), h0=h, c0=c)

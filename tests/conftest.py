@@ -255,12 +255,24 @@ def per_framework_loss(cfg, terms):
 # forcing agrees with it to 1e-10 relative; free-running decoding, which
 # projects the keys once, reproduces it bit for bit.
 
+def ucca_slot_of_node(g, ser):
+    """Node id -> slot index of the gold UCCA graph ``g`` under its
+    serialization ``ser``: ``ucca.serialize_ucca`` writes the tops and
+    the primary edges of ``g``, in graph order, as the slots of
+    ``ser.tops`` and the slot pairs that open ``ser.edges``."""
+    primary = [e for e in g.edges if not ucca.is_remote(e) and e.label != ucca.CT_LABEL]
+    slot = dict(zip(g.tops, ser.tops))
+    for e, (source, target, _) in zip(primary, ser.edges):
+        slot[e.source], slot[e.target] = source, target
+    return slot
+
+
 def reference_pointer_decode(enc_out, decoder, gold_pointers=None):
     """Counterpart of ``ucca.pointer_decode``: (pointers, list of (1, n)
     score rows, truncated)."""
     states = enc_out.top
     cap = max(1, 2 * (states.shape[0] - 1))
-    h, c = decoder.init_state(enc_out.finals)
+    h, c = decoder.init_state(enc_out)
     x_pos, rows, pointers = 0, [], []
     while True:
         h, c = decoder.cell.sequence(ad.rows(states, [x_pos]), h0=h, c0=c)

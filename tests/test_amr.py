@@ -14,7 +14,6 @@ from mrparse import encoder as enc
 from mrparse import graphs as G
 from mrparse.biaffine import PairScores
 from mrparse.config import TrainConfig, single_config
-from mrparse.encoder import LayerFinalState
 from mrparse.training import multitask_loss
 
 from conftest import (BEAM_TOL, arborescence_score, assert_same_generation,
@@ -321,11 +320,9 @@ def make_ctx(lemmas, extra_labels=(), seed=0, enc_hidden=4, dec_hidden=6,
     L = len(lemmas)
     token_states = ad.Tensor(rng.normal(size=(L, 2 * enc_hidden)),
                              requires_grad=grad)
-    finals = [LayerFinalState(
-        h_fwd=ad.Tensor(rng.normal(size=(1, enc_hidden)), requires_grad=grad),
-        c_fwd=ad.Tensor(rng.normal(size=(1, enc_hidden)), requires_grad=grad),
-        h_bwd=ad.Tensor(rng.normal(size=(1, enc_hidden)), requires_grad=grad),
-        c_bwd=ad.Tensor(rng.normal(size=(1, enc_hidden)), requires_grad=grad))]
+    h_fwd, c_fwd, h_bwd, c_bwd = (rng.normal(size=(1, enc_hidden)) for _ in range(4))
+    finals = ad.Tensor(np.concatenate([h_fwd, h_bwd, c_fwd, c_bwd], axis=1),
+                       requires_grad=grad)
     ctx = amr.AmrContext(encoder, decoder, dvocab, token_states, finals,
                          tuple(lemmas), tuple("XX" for _ in lemmas))
     return ctx, params

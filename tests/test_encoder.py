@@ -322,7 +322,7 @@ class TestBiLstm:
         assert out.n_positions == 5  # 4 tokens + root
         assert out.top.shape == (5, 12)
         assert len(out.layers) == 3  # input + 2 biLSTM layers
-        assert len(out.finals) == 2
+        assert len(out.lstm_out) == 2
 
     def test_deterministic_without_dropout(self):
         a = self.enc.run(self.tokens, self.ctx).top.data
@@ -382,3 +382,45 @@ class TestBiLstm:
                 correct += int((p > 0.5) == (w == "pos"))
                 total_toks += 1
         assert correct == total_toks
+
+
+class TestNodeCount:
+    """One biLSTM layer is one ``ad.lstm_sequence`` node, whose h half a
+    split gives the layer: no concat, and final states only on demand."""
+
+    def setup_method(self):
+        self.words = ["a", "b", "c", "d"]
+        self.vocab = train_vocab_for(self.words)
+        self.tokens = mk_tokens(self.words)
+        self.ctx = np.random.default_rng(4).normal(size=(2, 5, 5))
+
+    def test_one_lstm_op_per_layer(self, monkeypatch):
+        e, _ = mk_encoder(self.vocab, self.words, layers=3, hidden=6)
+        calls, op = [], ad.lstm_sequence
+
+        def spy(x, wx, wh, b, **kw):
+            calls.append((wx, wh, b))
+            return op(x, wx, wh, b, **kw)
+
+        monkeypatch.setattr(ad, "lstm_sequence", spy)
+        e.bilstm.run(e.featurize(self.tokens, self.ctx))
+        assert [tuple(map(len, c)) for c in calls] == [(2, 2, 2)] * 3
+        for (wx, wh, b), (fwd, bwd) in zip(calls, e.bilstm.dirs):
+            assert wx == (fwd.wx, bwd.wx) and wh == (fwd.wh, bwd.wh) and b == (fwd.b, bwd.b)
+
+    def test_tensors_of_a_training_run(self, monkeypatch):
+        """21 for featurizing (five lookups, the POS sum, the static
+        vectors and their MLP's three, the contextual mix's five and its
+        MLP's three, the concat, the group-drop mask and product), then
+        per layer a dropout, the LSTM op and the split's two chunks."""
+        e, _ = mk_encoder(self.vocab, self.words, layers=3, hidden=6,
+                          encoder_dropout=0.25, word_drop=0.1)
+        made, init = [], ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting)
+        e.run(self.tokens, self.ctx, rng=np.random.default_rng(0))
+        assert len(made) == 21 + 3 * 4

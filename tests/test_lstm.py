@@ -4,8 +4,10 @@
 (``conftest.reference_lstm_*``) within 1e-12, pass the finite-difference
 gradcheck, and give gradients within 1e-10 of the composition: on one
 sequence, on B sequences from a given state, on the k rows of a
-decoder's step (T = 1), on saturated gates, and through a whole
-multitask model.
+decoder's step (T = 1), on saturated gates, on both directions of a
+biLSTM layer, and through a whole multitask model.  A case with
+``reverse`` checks the backward half of a two-direction run, the
+composition's ``reverse=True``.
 """
 
 import warnings
@@ -18,7 +20,6 @@ import mrparse.autodiff as ad
 import mrparse.training as T
 from mrparse import datagen
 from mrparse.config import multitask_config
-from mrparse.encoder import LstmCell
 
 from conftest import (check_gradients, reference_lstm_sequence,
                       reference_lstm_step, scalarize)
@@ -36,6 +37,47 @@ def weights(rng, d=D, h=H):
 def initial_state(rng, h=H):
     return [ad.Tensor(rng.uniform(-1.0, 1.0, size=(1, h)), requires_grad=True)
             for _ in range(2)]
+
+
+def partner(d, h):
+    """Constant forward-direction weights to run beside the backward
+    direction under test, from a generator of their own so that no
+    test's draws move."""
+    rng = np.random.default_rng(1000)
+    return [ad.Tensor(rng.uniform(-1.0, 1.0, size=shape))
+            for shape in ((d, 4 * h), (h, 4 * h), (4 * h,))]
+
+
+def lstm(x, wx, wh, b, reverse=False, h0=None, c0=None):
+    """One direction's ``[h | c]`` rows from ``ad.lstm_sequence``: a
+    one-direction run, or with ``reverse`` the backward half of a
+    two-direction run beside :func:`partner`, which starts from zero."""
+    if not reverse:
+        return ad.lstm_sequence(x, wx, wh, b, h0=h0, c0=c0)
+    hsz = wh.shape[0]
+    fwd = partner(wx.shape[0], hsz)
+    init = {}
+    if h0 is not None:
+        zero = np.zeros(h0.shape)
+        init = {"h0": ad.concat([zero, h0], axis=-1), "c0": ad.concat([zero, c0], axis=-1)}
+    out = ad.lstm_sequence(x, *zip(fwd, (wx, wh, b)), **init)
+    _, h_bwd, _, c_bwd = ad.split(out, [hsz] * 4, axis=-1)
+    return ad.concat([h_bwd, c_bwd], axis=-1)
+
+
+def reference_bilstm(x, fwd, bwd):
+    """Composed oracle of a two-direction run over ``x``, (T, D) or (B,
+    T, D): per sequence, ``reference_lstm_sequence`` with the ``fwd``
+    weights and with the ``bwd`` ones and ``reverse=True``, as rows
+    ``[h_fwd | h_bwd | c_fwd | c_bwd]``."""
+    if x.data.ndim == 3:
+        bsz, n, d = x.shape
+        return ad.concat([ad.reshape(reference_bilstm(ad.reshape(s, (n, d)), fwd, bwd),
+                                     (1, n, -1))
+                          for s in ad.split(x, [1] * bsz, axis=0)], axis=0)
+    (h_fwd, c_fwd), (h_bwd, c_bwd) = (reference_lstm_sequence(x, *fwd),
+                                      reference_lstm_sequence(x, *bwd, reverse=True))
+    return ad.concat([h_fwd, h_bwd, c_fwd, c_bwd], axis=1)
 
 
 def assert_forward_close(got, want):
@@ -57,7 +99,7 @@ class TestLstmSequence:
         wx, wh, b = weights(rng)
         proj = rng.normal(size=(n, 2 * H))
         check_gradients(
-            lambda: scalarize(ad.lstm_sequence(x, wx, wh, b, reverse=reverse), proj),
+            lambda: scalarize(lstm(x, wx, wh, b, reverse=reverse), proj),
             [x, wx, wh, b])
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -70,8 +112,7 @@ class TestLstmSequence:
         h0, c0 = initial_state(rng)
         proj = rng.normal(size=(n, 2 * H))
         check_gradients(
-            lambda: scalarize(ad.lstm_sequence(x, wx, wh, b, reverse=reverse,
-                                               h0=h0, c0=c0), proj),
+            lambda: scalarize(lstm(x, wx, wh, b, reverse=reverse, h0=h0, c0=c0), proj),
             [x, wx, wh, b, h0, c0])
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -81,7 +122,7 @@ class TestLstmSequence:
         x = rng.normal(size=(n, D))
         wx, wh, b = weights(rng)
         for h0, c0 in ((None, None), initial_state(rng)):
-            out = ad.lstm_sequence(x, wx, wh, b, reverse=reverse, h0=h0, c0=c0).data
+            out = lstm(x, wx, wh, b, reverse=reverse, h0=h0, c0=c0).data
             ref_h, ref_c = reference_lstm_sequence(x, wx, wh, b, reverse=reverse,
                                                    h0=h0, c0=c0)
             assert_forward_close(out[:, :H], ref_h.data)
@@ -98,7 +139,7 @@ class TestLstmSequence:
             start = dict(zip(("h0", "c0"), init))
             for p in leaves:
                 p.zero_grad()
-            out = ad.lstm_sequence(x, wx, wh, b, reverse=reverse, **start)
+            out = lstm(x, wx, wh, b, reverse=reverse, **start)
             ad.reduce_sum(ad.mul(out, proj)).backward()
             fused = [p.grad.copy() for p in leaves]
             for p in leaves:
@@ -109,10 +150,12 @@ class TestLstmSequence:
             assert_grads_close(fused, [p.grad for p in leaves])
 
     def test_reverse_runs_last_row_first(self):
+        """The backward half is, bit for bit, the forward run over the
+        rows last first."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, D))
         wx, wh, b = weights(rng)
-        back = ad.lstm_sequence(x, wx, wh, b, reverse=True).data
+        back = lstm(x, wx, wh, b, reverse=True).data
         flipped = ad.lstm_sequence(x[::-1].copy(), wx, wh, b).data
         np.testing.assert_array_equal(back, flipped[::-1])
 
@@ -135,6 +178,75 @@ class TestLstmSequence:
         out = ad.lstm_sequence(rng.normal(size=(3, D)), rng.normal(size=(D, 4 * H)),
                                rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H))
         assert not out.requires_grad and out.parents == ()
+
+
+class TestTwoDirections:
+    """``ad.lstm_sequence`` on ``(forward, backward)`` weight pairs, a
+    biLSTM layer: B = 1 is one (T, D) sequence, as the encoder runs it."""
+
+    @staticmethod
+    def inputs(seed, n, bsz):
+        rng = np.random.default_rng(seed)
+        shape = (n, D) if bsz == 1 else (bsz, n, D)
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        fwd, bwd = weights(rng), weights(rng)
+        proj = rng.normal(size=shape[:-1] + (4 * H,))
+        return x, fwd, bwd, proj
+
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_gradcheck(self, n, bsz):
+        x, fwd, bwd, proj = self.inputs(60 + n + 10 * bsz, n, bsz)
+        check_gradients(
+            lambda: scalarize(ad.lstm_sequence(x, *zip(fwd, bwd)), proj),
+            [x, *fwd, *bwd])
+
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_forward_and_gradients_close_to_composition(self, n, bsz):
+        x, fwd, bwd, proj = self.inputs(70 + n + 10 * bsz, n, bsz)
+        leaves = [x, *fwd, *bwd]
+        out = ad.lstm_sequence(x, *zip(fwd, bwd))
+        ref = reference_bilstm(x, fwd, bwd)
+        assert out.shape == ref.shape
+        assert_forward_close(out.data, ref.data)
+        ad.reduce_sum(ad.mul(out, proj)).backward()
+        fused = [p.grad.copy() for p in leaves]
+        for p in leaves:
+            p.zero_grad()
+        ad.reduce_sum(ad.mul(ref, proj)).backward()
+        assert_grads_close(fused, [p.grad for p in leaves])
+
+    def test_forward_direction_keeps_the_bits_of_its_run_alone(self):
+        """Values and gradients, whatever the backward direction beside
+        it; the backward half's values are those of a forward run over
+        the rows last first (``test_reverse_runs_last_row_first``)."""
+        x, fwd, bwd, proj = self.inputs(80, 6, 1)
+        both = ad.lstm_sequence(x, *zip(fwd, bwd))
+        h_fwd, _, c_fwd, _ = ad.split(both, [H] * 4, axis=1)
+        ad.reduce_sum(ad.mul(ad.concat([h_fwd, c_fwd], axis=1), proj[:, :2 * H])).backward()
+        fused = [p.grad.copy() for p in fwd]
+        for p in fwd:
+            p.zero_grad()
+        alone = ad.lstm_sequence(x, *fwd)
+        ad.reduce_sum(ad.mul(alone, proj[:, :2 * H])).backward()
+        assert np.concatenate([h_fwd.data, c_fwd.data], axis=1).tobytes() == alone.data.tobytes()
+        assert all(a.tobytes() == p.grad.tobytes() for a, p in zip(fused, fwd))
+
+    def test_gradcheck_from_initial_states(self):
+        """Each direction starts from its part of ``h0`` and ``c0``,
+        laid out like the h and c halves of the rows."""
+        x, fwd, bwd, proj = self.inputs(90, 4, 3)
+        rng = np.random.default_rng(91)
+        h0, c0 = (ad.Tensor(rng.uniform(-1.0, 1.0, size=(3, 2 * H)), requires_grad=True)
+                  for _ in range(2))
+        check_gradients(
+            lambda: scalarize(ad.lstm_sequence(x, *zip(fwd, bwd), h0=h0, c0=c0), proj),
+            [x, *fwd, *bwd, h0, c0])
+        h_bwd, c_bwd = (ad.Tensor(t.data[:, H:]) for t in (h0, c0))
+        back = lstm(x, *bwd, reverse=True, h0=h_bwd, c0=c_bwd).data
+        both = ad.lstm_sequence(x, *zip(fwd, bwd), h0=h0, c0=c0).data
+        assert both[..., H:2 * H].tobytes() == back[..., :H].tobytes()
 
 
 STEP_INPUTS = ("x", "h", "c", "wx", "wh", "b")
@@ -169,8 +281,8 @@ class TestLstmStep:
 
     @staticmethod
     def run(t, reverse=False):
-        return ad.lstm_sequence(t["x"], t["wx"], t["wh"], t["b"], reverse=reverse,
-                                h0=t["h"], c0=t["c"])
+        return lstm(t["x"], t["wx"], t["wh"], t["b"], reverse=reverse,
+                    h0=t["h"], c0=t["c"])
 
     @pytest.mark.parametrize("frozen", [None] + list(STEP_INPUTS))
     def test_gradcheck_with_each_input_frozen(self, frozen):
@@ -225,8 +337,7 @@ class TestLstmStep:
         t = self.inputs(29, steps=5)
         batched = self.run(t, reverse=True)
         x2 = ad.Tensor(t["x"].data[0])
-        one = ad.lstm_sequence(x2, t["wx"], t["wh"], t["b"], reverse=True,
-                               h0=t["h"], c0=t["c"])
+        one = lstm(x2, t["wx"], t["wh"], t["b"], reverse=True, h0=t["h"], c0=t["c"])
         assert one.shape == (5, 2 * H)
         assert one.data.tobytes() == batched.data[0].tobytes()
 
@@ -280,7 +391,7 @@ class TestSaturatedGates:
     @staticmethod
     def run(leaves, reverse):
         init = dict(zip(("h0", "c0"), leaves[4:]))
-        return ad.lstm_sequence(*leaves[:4], reverse=reverse, **init)
+        return lstm(*leaves[:4], reverse=reverse, **init)
 
 
 # per gate: the gates saturated to exactly 1 (pre-activation 40) and the
@@ -323,11 +434,21 @@ def test_kernel_gates_match_sigmoid_and_tanh(hsz, k):
 
 
 # ---------------------------------------------------------------------------
-# a whole multitask model: fused cells against the composed oracle
+# a whole multitask model: the fused op against the composed oracle
 
-def _reference_sequence(self, xs, reverse=False, h0=None, c0=None):
-    return reference_lstm_sequence(xs, self.wx, self.wh, self.b, reverse=reverse,
-                                   h0=h0, c0=c0)
+def composed_op(x, wx, wh, b, h0=None, c0=None):
+    """``ad.lstm_sequence`` composed from elementary ops, on the calls a
+    model makes: a biLSTM layer's (T, D) rows, or one direction from a
+    given state or zero."""
+    if isinstance(wx, tuple):
+        return reference_bilstm(ad.as_tensor(x), *zip(wx, wh, b))
+    x = ad.as_tensor(x)
+    xs = x if x.data.ndim == 3 else ad.reshape(x, (1,) + x.shape)
+    state = (xs.shape[0], wh.shape[0])
+    if h0 is None:
+        h0 = c0 = np.zeros(state)
+    out = composed(xs, ad.reshape(h0, state), ad.reshape(c0, state), wx, wh, b)
+    return out if x.data.ndim == 3 else ad.reshape(out, out.shape[1:])
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +483,7 @@ def _terms_and_grads(model, prep):
 def test_framework_terms_match_composed_cells(tiny_model, monkeypatch):
     model, prep = tiny_model
     fused_losses, fused_grads = _terms_and_grads(model, prep)
-    monkeypatch.setattr(LstmCell, "sequence", _reference_sequence)
+    monkeypatch.setattr(ad, "lstm_sequence", composed_op)
     ref_losses, ref_grads = _terms_and_grads(model, prep)
     assert {k for k in fused_losses if k.startswith(("ucca.", "amr."))}
     assert fused_losses.keys() == ref_losses.keys()

@@ -18,7 +18,8 @@ MACHINE = {"python": "3.11.7", "numpy": "2.4.6", "blas": "openblas 0.3",
 
 def canned_stdout(workload, seed, slowdown, metrics, attempted=10, failed=0,
                   commit="abc123"):
-    """What ``bench/run.py --trace 0`` prints: progress, bench-info, result."""
+    """What ``bench/run.py`` prints: progress, bench-info, result; the
+    metrics are end-to-end (``--trace 0``) or per-layer (``--trace 1``)."""
     info = dict(MACHINE, workload=workload, seed=seed, slowdown=slowdown,
                 git_commit=commit, src_lines=7000, rounds=3, measured_s=20.5)
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
@@ -26,6 +27,13 @@ def canned_stdout(workload, seed, slowdown, metrics, attempted=10, failed=0,
                           for name, value in metrics.items()}}
     return (f"a progress line\nbench-info {json.dumps(info, sort_keys=True)}\n"
             f"{json.dumps(result)}\n")
+
+
+LAYERS = {"encoder.bilstm_s": 0.4, "autodiff.tensors_per_parse_sent": 170.5}
+
+
+def canned_traced(workload, commit="abc123"):
+    return trajectory.parse_run(canned_stdout(workload, 1, 1.2, LAYERS, commit=commit))
 
 
 def test_medians_quartiles_and_counts_per_workload():
@@ -39,10 +47,10 @@ def test_medians_quartiles_and_counts_per_workload():
         "score": [trajectory.parse_run(canned_stdout(
             "score", 1, 1.3, {"ckpt_load_s": 0.007, "ckpt_mb": 2.6}))],
     }
-    record = trajectory.aggregate(runs)
+    record = trajectory.aggregate(runs, {w: canned_traced(w) for w in runs})
     assert record["git_commit"] == "abc123" and record["src_lines"] == 7000
-    # the median slowdown over all six runs
-    assert record["machine"] == dict(MACHINE, slowdown=pytest.approx(1.15))
+    # the median slowdown over all eight runs, the traced ones included
+    assert record["machine"] == dict(MACHINE, slowdown=pytest.approx(1.2))
     load = record["workloads"]["pipeline"]["metrics"]["ckpt_load_s"]
     assert load["values"] == [0.030, 0.010, 0.020, 0.040, 0.050]
     assert (load["q1"], load["median"], load["q3"]) == pytest.approx((0.02, 0.03, 0.04))
@@ -53,6 +61,10 @@ def test_medians_quartiles_and_counts_per_workload():
     single = record["workloads"]["score"]["metrics"]["ckpt_load_s"]
     assert (single["q1"], single["median"], single["q3"]) == (0.007, 0.007, 0.007)
     assert set(record["workloads"]["score"]["metrics"]) == {"ckpt_load_s", "ckpt_mb"}
+    for name in runs:
+        layers = record["workloads"][name]["per_layer"]
+        assert layers["seed"] == 1
+        assert layers["metrics"] == {k: {"value": v, "unit": "s"} for k, v in LAYERS.items()}
     json.dumps(record)  # all of it serializes
 
 
@@ -62,7 +74,13 @@ def test_runs_of_different_commits_are_refused():
                                                          commit=commit))
                       for seed, commit in ((1, "abc123"), (2, "def456"))]}
     with pytest.raises(ValueError, match="runs differ in git_commit"):
-        trajectory.aggregate(runs)
+        trajectory.aggregate(runs, {"score": canned_traced("score")})
+
+
+def test_a_traced_run_of_another_commit_is_refused():
+    runs = {"score": [trajectory.parse_run(canned_stdout("score", 1, 1.0, {"ckpt_mb": 2.6}))]}
+    with pytest.raises(ValueError, match="runs differ in git_commit"):
+        trajectory.aggregate(runs, {"score": canned_traced("score", commit="def456")})
 
 
 def test_output_without_bench_info_is_refused():
@@ -76,7 +94,9 @@ def fake_checkout(root):
     return str(root)
 
 
-def canned_run(checkout, workload, seed, seconds):
+def canned_run(checkout, workload, seed, seconds, trace=0):
+    if trace:
+        return canned_traced(workload)
     return trajectory.parse_run(canned_stdout(workload, seed, 1.0, {"ckpt_mb": 2.6}))
 
 
@@ -101,15 +121,21 @@ def test_a_checkout_off_its_commit_is_refused_before_any_run(tmp_path, monkeypat
 
 def test_out_is_replaced_whole_or_left_alone(tmp_path, monkeypatch):
     monkeypatch.setattr(trajectory, "git_status", lambda checkout: [])
-    monkeypatch.setattr(trajectory, "run_once", canned_run)
+    calls = []
+    monkeypatch.setattr(trajectory, "run_once", lambda *args, **kwargs: (
+        calls.append(args[1:3] + (kwargs.get("trace", 0),)), canned_run(*args, **kwargs))[1])
     out = tmp_path / "out.json"
     out.write_text("old\n")
     argv = ["--checkout", fake_checkout(tmp_path), "--out", str(out), "--seeds", "2"]
     assert trajectory.main(argv) == 0
-    assert json.loads(out.read_text())["workloads"]["score"]["seeds"] == [1, 2]
+    # the seeds untraced, then one traced run at seed 1
+    assert calls == [("score", 1, 0), ("score", 2, 0), ("score", 1, 1)]
+    record = json.loads(out.read_text())["workloads"]["score"]
+    assert record["seeds"] == [1, 2]
+    assert set(record["per_layer"]["metrics"]) == set(LAYERS)
     # a record that fails to serialize keeps the old file, and no temporary one
     out.write_text("old\n")
-    monkeypatch.setattr(trajectory, "aggregate", lambda runs: {"bad": object()})
+    monkeypatch.setattr(trajectory, "aggregate", lambda runs, traced: {"bad": object()})
     with pytest.raises(TypeError):
         trajectory.main(argv)
     assert out.read_text() == "old\n"

@@ -4,11 +4,11 @@ import pytest
 import mrparse.autodiff as ad
 import mrparse.ucca as ucca
 from mrparse.config import TrainConfig, single_config
-from mrparse.encoder import BiLstm, LayerFinalState, EncoderOutput
+from mrparse.encoder import BiLstm, EncoderOutput
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
 from mrparse.training import multitask_loss
 
-from conftest import reference_pointer_decode, reference_pointer_loss
+from conftest import reference_pointer_decode, reference_pointer_loss, ucca_slot_of_node
 
 
 def toks(words):
@@ -84,9 +84,10 @@ class TestSerialize:
                  term(3, tokens, 1, 1), term(4, tokens, 2, 2)]
         edges = [MrpEdge(0, 1, "H"), MrpEdge(1, 2, "C"), MrpEdge(1, 3, "C"),
                  MrpEdge(0, 4, "U")]
-        ser = ucca.serialize_ucca(ugraph(nodes, edges, (0,), tokens), tokens)
+        g = ugraph(nodes, edges, (0,), tokens)
+        ser = ucca.serialize_ucca(g, tokens)
         assert ser.pointers == (1, 1, 0)
-        smap = dict(ser.slot_of_node)
+        smap = ucca_slot_of_node(g, ser)
         assert smap[0] < smap[1] < ucca.build_slots(ser.pointers, 3).index(("tok", 0))
 
     def test_misaligned_anchor_is_discrepant(self):
@@ -106,11 +107,11 @@ class TestSerialize:
     def test_remote_edges_do_not_break_tree(self):
         g, tokens = gave_example()
         edges = g.edges + (MrpEdge(2, 1, None, attributes=(("remote", True),)),)
-        ser = ucca.serialize_ucca(MrpGraph(id=g.id, flavor=1, framework="ucca",
-                                           input=g.input, tops=g.tops,
-                                           nodes=g.nodes, edges=edges), tokens)
+        g = MrpGraph(id=g.id, flavor=1, framework="ucca", input=g.input, tops=g.tops,
+                     nodes=g.nodes, edges=edges)
+        ser = ucca.serialize_ucca(g, tokens)
         assert ser is not None
-        smap = dict(ser.slot_of_node)
+        smap = ucca_slot_of_node(g, ser)
         assert ser.remotes == ((smap[2], smap[1]),)
 
     def test_pointer_out_of_range_rejected(self):
@@ -120,7 +121,7 @@ class TestSerialize:
 
 def expected_after_round_trip(g, ser):
     """Gold graph with ids renumbered to slot order, as deserialize emits."""
-    smap = dict(ser.slot_of_node)
+    smap = ucca_slot_of_node(g, ser)
     kept = sorted(smap.values())
     rank = {s: k for k, s in enumerate(kept)}
     m = {nid: rank[s] for nid, s in smap.items()}
@@ -196,13 +197,15 @@ class TestPositionalEncoding:
 
 
 def fake_encoder_output(rng, n_pos, hidden, requires_grad=False):
+    """One layer of random top states, and random final states in the
+    rows of its biLSTM output that hold them: the forward direction's at
+    the last position, the backward one's at <ROOT>; zero elsewhere."""
     states = ad.Tensor(rng.normal(size=(n_pos, 2 * hidden)), requires_grad=requires_grad)
-    f = LayerFinalState(
-        h_fwd=ad.Tensor(rng.normal(size=(1, hidden)), requires_grad=requires_grad),
-        c_fwd=ad.Tensor(rng.normal(size=(1, hidden)), requires_grad=requires_grad),
-        h_bwd=ad.Tensor(rng.normal(size=(1, hidden)), requires_grad=requires_grad),
-        c_bwd=ad.Tensor(rng.normal(size=(1, hidden)), requires_grad=requires_grad))
-    return EncoderOutput(layers=[states], finals=[f])
+    h_fwd, c_fwd, h_bwd, c_bwd = (rng.normal(size=hidden) for _ in range(4))
+    out = np.zeros((n_pos, 4, hidden))
+    out[-1, 0], out[0, 1], out[-1, 2], out[0, 3] = h_fwd, h_bwd, c_fwd, c_bwd
+    out = ad.Tensor(out.reshape(n_pos, 4 * hidden), requires_grad=requires_grad)
+    return EncoderOutput(layers=[states], lstm_out=[out])
 
 
 def make_decoder(hidden, seed=0, att_dim=ucca.ATT_DIM, bullet_dim=ucca.BULLET_DIM):
@@ -234,7 +237,7 @@ class TestPointerDecoder:
         assert out.pointers == gold
         # step t reads the <ROOT> state, then gold pointer t - 1
         fed = ad.rows(enc.top, (0,) + gold[:-1])
-        h, c = dec.init_state(enc.finals)
+        h, c = dec.init_state(enc)
         hs, _ = dec.cell.sequence(fed, h0=h, c0=c)
         want = dec.attend(hs, dec.keys(enc.top))
         assert out.logits.data.tobytes() == want.data.tobytes()
@@ -266,9 +269,8 @@ class TestPointerDecoder:
         rng = np.random.default_rng(5)
         enc = fake_encoder_output(rng, 4, 3, requires_grad=True)
         dec, params = make_decoder(3, att_dim=4, bullet_dim=3)
-        f = enc.finals[0]
-        leaves = [enc.layers[0], f.h_fwd, f.c_fwd, f.h_bwd, f.c_bwd,
-                  dec.cell.wx, dec.cell.wh, dec.cell.b, dec.w_dec, dec.w_enc, dec.v]
+        leaves = [enc.layers[0], enc.lstm_out[0], dec.cell.wx, dec.cell.wh, dec.cell.b,
+                  dec.w_dec, dec.w_enc, dec.v]
 
         def build():
             out = ucca.pointer_decode(enc, dec, gold_pointers=(2, 1, 0))
@@ -283,9 +285,7 @@ class TestPointerDecoder:
         rng = np.random.default_rng(8)
         enc = fake_encoder_output(rng, 6, 4, requires_grad=True)
         dec, params = make_decoder(4, seed=9)
-        f = enc.finals[0]
-        leaves = params.tensors() + [enc.layers[0], f.h_fwd, f.c_fwd,
-                                     f.h_bwd, f.c_bwd]
+        leaves = params.tensors() + [enc.layers[0], enc.lstm_out[0]]
         runs = []
         for run in ("batched", "reference"):
             for t in leaves:

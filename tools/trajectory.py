@@ -7,12 +7,13 @@
 For each workload (all that ``BENCHMARK.json`` declares unless
 ``--workload`` names some) and each seed 1..N, it runs
 ``bench/run.py --trace 0`` of the given checkout as a subprocess, in
-turn.  The file records, per workload, the median and quartiles of
-every end-to-end metric over the seeds, with each seed's value, the
-attempted and failed operations, and the machine line of ``bench-info``
-with the median of the clock's ``slowdown``; and once, the checkout's
-commit and ``src/`` line count.  A run that exits non-zero stops the
-script.
+turn, and then one ``bench/run.py --trace 1`` at seed 1.  The file
+records, per workload, the median and quartiles of every end-to-end
+metric over the seeds, with each seed's value, the attempted and failed
+operations, and the per-layer metrics of the traced run; the machine
+line of ``bench-info`` with the median of the clock's ``slowdown``; and
+once, the checkout's commit and ``src/`` line count.  A run that exits
+non-zero stops the script.
 
 ``bench/run.py`` reads the commit from ``.git`` but counts the lines of
 the working tree, so the script refuses, before the first run, a
@@ -50,10 +51,12 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def aggregate(runs):
-    """The trajectory record of ``runs``: per workload, a list of
-    (bench-info, result) pairs in seed order."""
+def aggregate(runs, traced):
+    """The trajectory record of ``runs``, per workload a list of
+    (bench-info, result) pairs in seed order, and of ``traced``, per
+    workload the (bench-info, result) pair of its traced run."""
     infos = [info for pairs in runs.values() for info, _ in pairs]
+    infos += [info for info, _ in traced.values()]
     for key in ("git_commit", "src_lines", *MACHINE):
         if len({json.dumps(info[key]) for info in infos}) != 1:
             raise ValueError(f"runs differ in {key}")
@@ -71,6 +74,8 @@ def aggregate(runs):
             "attempted": sum(result["attempted"] for _, result in pairs),
             "failed": sum(result["failed"] for _, result in pairs),
             "metrics": metrics,
+            "per_layer": {"seed": traced[name][0]["seed"],
+                          "metrics": traced[name][1]["metrics"]},
         }
     machine = {key: first[key] for key in MACHINE}
     machine["slowdown"] = statistics.median(info["slowdown"] for info in infos)
@@ -100,15 +105,15 @@ def require_clean(checkout):
                          + ", ".join(line[3:] for line in lines))
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench/run.py --workload {workload} --seed {seed} "
-                         f"exited with {proc.returncode}")
+                         f"--trace {trace} exited with {proc.returncode}")
     return parse_run(proc.stdout)
 
 
@@ -130,8 +135,10 @@ def main(argv=None):
     require_clean(args.checkout)
     runs = {name: [run_once(args.checkout, name, seed, seconds)
                    for seed in range(1, args.seeds + 1)] for name in names}
+    traced = {name: run_once(args.checkout, name, 1, seconds, trace=1) for name in names}
     with atomic_open(args.out) as fh:
-        json.dump(dict(aggregate(runs), seconds=seconds), fh, indent=1, sort_keys=True)
+        json.dump(dict(aggregate(runs, traced), seconds=seconds), fh, indent=1,
+                  sort_keys=True)
         fh.write("\n")
     return 0
 
