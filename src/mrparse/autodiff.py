@@ -39,6 +39,13 @@ sequences.  So does each loss (:func:`binary_cross_entropy`,
 :func:`cross_entropy_logits`, :func:`nll_of_probs`), whatever its
 number of terms.
 
+Three more fused ops carry the layers every framework head is made of,
+each one node with the value of its composition bit for bit:
+:func:`mlp`, K same-width affine layers with their rectifier and
+dropout, and the two biaffine scorers over a pair of such layers,
+:func:`biaffine_edge` (edge probabilities) and :func:`biaffine_label`
+(per-class label logits).
+
 Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
 alone writes and reads checkpoints: deterministic, uncompressed zips of
@@ -256,15 +263,6 @@ def matmul(a, b):
     return _make(out_data, (a, b), rule)
 
 
-def transpose(a):
-    a = as_tensor(a)
-
-    def rule(g):
-        a.accumulate(np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.data, -1, -2), (a,), rule)
-
-
 def reshape(a, shape):
     a = as_tensor(a)
     old_shape = a.data.shape
@@ -359,18 +357,6 @@ def sigmoid(a):
     return _make(out_data, (a,), rule)
 
 
-def elu(a):
-    """Smooth rectifier used inside the MLPs: x for x>0, exp(x)-1 below."""
-    a = as_tensor(a)
-    neg_part = np.exp(np.minimum(a.data, 0.0)) - 1.0
-    out_data = np.where(a.data > 0, a.data, neg_part)
-
-    def rule(g):
-        a.accumulate(g * np.where(a.data > 0, 1.0, neg_part + 1.0))
-
-    return _make(out_data, (a,), rule)
-
-
 def softmax(a, axis=-1):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -411,6 +397,123 @@ def dropout(a, p, rng):
         a.accumulate(g * mask)
 
     return _make(a.data * mask, (a,), rule)
+
+
+# ---------------------------------------------------------------------------
+# fused layers
+#
+# Each is one graph node where composing the elementary ops builds
+# several.  A forward runs the numpy operations of that composition in
+# its order, so its values keep every bit; the backward is written by
+# hand and matches the composition's gradients to rounding.
+
+def mlp(x, w, b, p=0.0, rng=None, elu=True):
+    """K same-width layers ``elu(x @ w_k + b_k)`` over the rows of ``x``
+    (n, D), then inverted dropout at rate ``p`` when handed an ``rng``;
+    returns (n, K·M), layer k in columns k·M to (k+1)·M.  ``w`` and
+    ``b`` are K-tuples of (D, M) and (M,) tensors, or one of each.
+    ``elu=False`` leaves the rectifier out: an affine layer.
+
+    Each layer is its own (n, D) @ (D, M) GEMM and the K masks are one
+    ``rng.random((K, n, M))`` draw, the stream of K draws of (n, M), so
+    values and draws are those of composing matmul, add, the rectifier
+    (x above 0, exp(x) - 1 below) and :func:`dropout` layer by layer.
+    As there, nothing is drawn unless 0 < p < 1, and p >= 1 zeroes
+    every layer.
+    """
+    x = as_tensor(x)
+    ws, bs = ((tuple(map(as_tensor, w)), tuple(map(as_tensor, b))) if isinstance(w, tuple)
+              else ((as_tensor(w),), (as_tensor(b),)))
+    (n, _), k, m = x.data.shape, len(ws), ws[0].data.shape[1]
+    z = (x.data @ ws[0].data + bs[0].data if k == 1 else
+         np.concatenate([x.data @ wk.data + bk.data for wk, bk in zip(ws, bs)], axis=1))
+    out = z
+    if elu:
+        neg = np.minimum(z, 0.0)
+        np.exp(neg, out=neg)
+        neg -= 1.0
+        out = np.where(z > 0, z, neg)
+    mask = None
+    if rng is not None and p > 0.0:
+        mask = 0.0 if p >= 1.0 else ((rng.random((k, n, m)) >= p) / (1.0 - p)).transpose(
+            1, 0, 2).reshape(n, k * m)
+        out = out * mask
+
+    def rule(g):
+        if mask is not None:
+            g = g * mask
+        if elu:
+            g = g * np.where(z > 0, 1.0, neg + 1.0)
+        for lo, wk, bk in zip(range(0, k * m, m), ws, bs):
+            gk = g[:, lo:lo + m]
+            if x.requires_grad:
+                x.accumulate(gk @ wk.data.T)
+            if wk.requires_grad:
+                wk.accumulate(x.data.T @ gk)
+            if bk.requires_grad:
+                bk.accumulate(gk.sum(axis=0))
+
+    return _make(out, (x, *ws, *bs), rule)
+
+
+def biaffine_edge(pair, u, w, b):
+    """Edge probabilities (n, n) over the rows of ``pair`` (n, 2M), ``[x |
+    y]`` as two :func:`mlp` layers give them: ``sigmoid(x_i' U y_j +
+    W[x_i; y_j] + b)`` at (i, j), for ``u`` (M, M), ``w`` (2M, 1) and a
+    scalar ``b``.  The value is the composition's ``sigmoid((x @ U) @ y'
+    + (x @ W_x + (y @ W_y)') + b)``."""
+    pair, u, w, b = (as_tensor(t) for t in (pair, u, w, b))
+    m = u.data.shape[0]
+    x, y = pair.data[:, :m], pair.data[:, m:]
+    xu = x @ u.data
+    probs = _sigmoid(xu @ y.T + (x @ w.data[:m] + (y @ w.data[m:]).T) + b.data)
+
+    def rule(g):
+        ds = g * probs * (1.0 - probs)
+        d_x = ds.sum(axis=1, keepdims=True)    # (n, 1), of x_i·W_x
+        d_y = ds.sum(axis=0, keepdims=True).T  # (n, 1), of y_j·W_y
+        d_xu = ds @ y
+        if pair.requires_grad:
+            pair.accumulate(np.concatenate([d_xu @ u.data.T + d_x @ w.data[:m].T,
+                                            (xu.T @ ds).T + d_y @ w.data[m:].T], axis=1))
+        if u.requires_grad:
+            u.accumulate(x.T @ d_xu)
+        if w.requires_grad:
+            w.accumulate(np.concatenate([x.T @ d_x, y.T @ d_y]))
+        if b.requires_grad:
+            b.accumulate(ds.sum(axis=(0, 1)))
+
+    return _make(probs, (pair, u, w, b), rule)
+
+
+def biaffine_label(pair, u, w):
+    """Label logits (n·n, C) over the rows of ``pair`` (n, 2M), ``[x |
+    y]``: ``x_i' U_c y_j + W_c y_j`` for class c, no bias, in row i·n + j,
+    for ``u`` (C, M, M) and ``w`` (C, 1, M).  The value is the
+    composition's ``(x @ U) @ y' + W @ y'`` over (C, n, n), transposed
+    from its (C, n·n) layout."""
+    pair, u, w = (as_tensor(t) for t in (pair, u, w))
+    c, m = u.data.shape[:2]
+    n = pair.data.shape[0]
+    x = pair.data[:, :m].reshape(1, n, m)
+    yt = pair.data[:, m:].T.reshape(1, m, n)
+    xu = x @ u.data  # (C, n, M)
+    scores = xu @ yt + w.data @ yt
+
+    def rule(g):
+        ds = g.T.reshape(c, n, n)
+        d_lin = ds.sum(axis=1, keepdims=True)  # (C, 1, n), of W_c y_j
+        d_xu = ds @ yt.swapaxes(1, 2)
+        if pair.requires_grad:
+            d_yt = (xu.swapaxes(1, 2) @ ds).sum(axis=0) + (w.data.swapaxes(1, 2) @ d_lin).sum(axis=0)
+            pair.accumulate(np.concatenate([(d_xu @ u.data.swapaxes(1, 2)).sum(axis=0), d_yt.T],
+                                           axis=1))
+        if u.requires_grad:
+            u.accumulate(x.swapaxes(1, 2) @ d_xu)
+        if w.requires_grad:
+            w.accumulate(d_lin @ yt.swapaxes(1, 2))
+
+    return _make(scores.reshape(c, n * n).T, (pair, u, w), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +744,13 @@ def clip_gradients(params, max_norm):
 class Adam:
     """Adam with bias correction.  A parameter's slot pair (moments) is
     allocated at its first gradient; steps without one never touch the
-    slots, so updates equal those of slots zeroed up front."""
+    slots, so updates equal those of slots zeroed up front.
+
+    A step runs the textbook arithmetic in its order, ``m = b1·m + (1 -
+    b1)·g``, ``v = b2·v + (1 - b2)·g·g``, then ``lr·m̂ / (√v̂ + eps)`` with
+    ``m̂ = m / (1 - b1^t)`` and ``v̂ = v / (1 - b2^t)``, in place: every
+    temporary goes to one scratch pair sized to the largest parameter.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999):
         self.params = list(params)
@@ -650,6 +759,8 @@ class Adam:
         self.beta2 = beta2
         self.t = 0
         self.slots = {}  # parameter index -> (m, v)
+        size = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grad(self):
         for p in self.params:
@@ -658,6 +769,7 @@ class Adam:
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for k, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -665,13 +777,20 @@ class Adam:
             if k not in self.slots:
                 self.slots[k] = (np.zeros_like(p.data), np.zeros_like(p.data))
             m, v = self.slots[k]
+            s, r = (a[:g.size].reshape(g.shape) for a in self._scratch)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=s)
             v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            np.multiply(1 - b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)  # m̂
+            np.divide(v, c2, out=r)  # v̂
+            np.sqrt(r, out=r)
+            r += ADAM_EPS
+            s *= self.lr
+            s /= r
+            p.data -= s
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ states through four small MLPs, score all ordered position pairs with a
 bilinear-plus-linear form for edge existence, and with per-class
 bilinear forms for edge labels.  Position 0 is <ROOT>; a directed edge
 from it marks a top node.
+
+A head's score is five autodiff nodes in training and four in
+inference: the input dropout, one :func:`autodiff.mlp` for the edge MLP
+pair and one for the label pair, then :func:`autodiff.biaffine_edge`
+and :func:`autodiff.biaffine_label`.
 """
 
 from dataclasses import dataclass
@@ -20,8 +25,10 @@ class PairScores:
     """All-pairs scores for one sentence, as the losses read them.
 
     edge_probs[i, j] is the probability of an edge from position i to
-    position j (sigmoid applied).  label_logits holds raw class scores
-    for the pair at flat index i * n + j; a prediction keeps their
+    position j (sigmoid applied), the output of one
+    :func:`autodiff.biaffine_edge` node.  label_logits holds raw class
+    scores for the pair at flat index i * n + j, the output of one
+    :func:`autodiff.biaffine_label` node; a prediction keeps their
     softmax (``label_probs``).
     """
     edge_probs: ad.Tensor    # (P, P)
@@ -47,7 +54,12 @@ def softmax_np(x):
 
 
 class BiaffineHead:
-    """Edge and label scorer over a node-state sequence."""
+    """Edge and label scorer over a node-state sequence.
+
+    The four MLPs keep their own parameters (``<name>.edge_from.w``, ...);
+    ``score`` runs each same-width pair as one :func:`autodiff.mlp`, so
+    edge and label widths may differ.
+    """
 
     def __init__(self, params, name, in_dim, labels, rng,
                  edge_mlp=600, label_mlp=600,
@@ -68,36 +80,21 @@ class BiaffineHead:
         c = len(self.labels)
         self.u_label = params.new(f"{name}.u_label", (c, label_mlp, label_mlp), rng)
         self.w_label = params.new(f"{name}.w_label", (c, 1, label_mlp), rng)
-        self._edge_width = edge_mlp
 
     def score(self, states, rng=None):
-        """Score all ordered pairs of positions; returns :class:`PairScores`."""
+        """Score all ordered pairs of positions; returns :class:`PairScores`.
+
+        Dropout masks are drawn in the order input, edge_from, edge_to,
+        label_from, label_to."""
         states = ad.dropout(states, self.input_dropout, rng)
-        ef = ad.dropout(self.edge_from(states), self.edge_dropout, rng)
-        et = ad.dropout(self.edge_to(states), self.edge_dropout, rng)
-        lf = ad.dropout(self.label_from(states), self.label_dropout, rng)
-        lt = ad.dropout(self.label_to(states), self.label_dropout, rng)
-
-        n = states.shape[0]
-
-        # edge: x'Uy + W[x;y] + b over all pairs at once
-        quad = ad.matmul(ad.matmul(ef, self.u_edge), ad.transpose(et))
-        w_from, w_to = ad.split(self.w_edge, [self._edge_width] * 2, axis=0)
-        lin = ad.add(ad.matmul(ef, w_from), ad.transpose(ad.matmul(et, w_to)))
-        edge_probs = ad.sigmoid(ad.add(ad.add(quad, lin), self.b_edge))
-
-        # labels: per class x'U_c y + W_c y (no bias, no x term)
-        c = len(self.labels)
-        width = lf.shape[1]
-        lf3 = ad.reshape(lf, (1, n, width))
-        tt3 = ad.reshape(ad.transpose(lt), (1, width, n))
-        quad_l = ad.matmul(ad.matmul(lf3, self.u_label), tt3)   # (C, n, n)
-        lin_l = ad.matmul(self.w_label, tt3)                    # (C, 1, n)
-        scores = ad.add(quad_l, lin_l)
-        label_logits = ad.transpose(ad.reshape(scores, (c, n * n)))
-
-        return PairScores(edge_probs=edge_probs, label_logits=label_logits,
-                          n_positions=n, labels=self.labels)
+        edge = ad.mlp(states, (self.edge_from.w, self.edge_to.w),
+                      (self.edge_from.b, self.edge_to.b), self.edge_dropout, rng)
+        label = ad.mlp(states, (self.label_from.w, self.label_to.w),
+                       (self.label_from.b, self.label_to.b), self.label_dropout, rng)
+        return PairScores(
+            edge_probs=ad.biaffine_edge(edge, self.u_edge, self.w_edge, self.b_edge),
+            label_logits=ad.biaffine_label(label, self.u_label, self.w_label),
+            n_positions=states.shape[0], labels=self.labels)
 
 
 @dataclass

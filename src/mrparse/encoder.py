@@ -232,36 +232,27 @@ def _average_subwords(arr, token_index):
 
 
 class Mlp:
-    """Single affine layer with the smooth rectifier; output = hidden size."""
+    """Single affine layer with the smooth rectifier; output = hidden size.
+    A call is one :func:`autodiff.mlp` node."""
 
     def __init__(self, params, name, in_dim, out_dim, rng):
         self.w = params.new(f"{name}.w", (in_dim, out_dim), rng)
         self.b = params.new_from(f"{name}.b", np.zeros(out_dim))
 
     def __call__(self, x):
-        return ad.elu(ad.add(ad.matmul(x, self.w), self.b))
+        return ad.mlp(x, self.w, self.b)
 
 
 class Linear:
+    """Affine layer, ``x @ w + b``: one :func:`autodiff.mlp` node without
+    the rectifier."""
+
     def __init__(self, params, name, in_dim, out_dim, rng):
         self.w = params.new(f"{name}.w", (in_dim, out_dim), rng)
         self.b = params.new_from(f"{name}.b", np.zeros(out_dim))
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.w), self.b)
-
-
-class Classifier:
-    """MLP feature layer, dropout at rate ``drop``, then a linear head
-    over classes."""
-
-    def __init__(self, params, name, in_dim, hidden, n_classes, rng, drop=0.0):
-        self.mlp = Mlp(params, f"{name}.mlp", in_dim, hidden, rng)
-        self.head = Linear(params, f"{name}.out", hidden, n_classes, rng)
-        self.drop = drop
-
-    def __call__(self, x, rng=None):
-        return self.head(ad.dropout(self.mlp(x), self.drop, rng))
+        return ad.mlp(x, self.w, self.b, elu=False)
 
 
 def additive_attention(h, keys, w_dec, v):

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import graphs as G
 from .biaffine import decode_flavor0, softmax_np
-from .encoder import Classifier
+from .encoder import Linear, Mlp
 
 NONE_ARG = "<NONE>"
 UNK_SYM = "<UNK>"
@@ -93,21 +93,33 @@ class FramePrediction:
 
 
 class FrameClassifier:
+    """A type head and N_ARG_HEADS argument heads over node states, each
+    an MLP, dropout at rate ``drop`` and a linear layer over its classes.
+    The five MLPs run as one :func:`autodiff.mlp`; their parameters keep
+    their own names (``<name>.type.mlp.w``, ``<name>.arg2.out.b``, ...)."""
+
     def __init__(self, params, name, in_dim, types, arg_classes, rng,
                  hidden=600, drop=0.0):
         if NONE_ARG not in arg_classes:
             raise ValueError(f"argument inventory must contain {NONE_ARG}")
         self.types = list(types)
         self.arg_classes = list(arg_classes)
-        self.type_head = Classifier(params, f"{name}.type", in_dim, hidden,
-                                    len(self.types), rng, drop)
-        self.arg_heads = [Classifier(params, f"{name}.arg{k + 2}", in_dim, hidden,
-                                     len(self.arg_classes), rng, drop)
-                          for k in range(N_ARG_HEADS)]
+        self.hidden = hidden
+        self.drop = drop
+        self.mlps, self.outs = [], []
+        for head, n_classes in ([("type", len(self.types))]
+                                + [(f"arg{k + 2}", len(self.arg_classes))
+                                   for k in range(N_ARG_HEADS)]):
+            self.mlps.append(Mlp(params, f"{name}.{head}.mlp", in_dim, hidden, rng))
+            self.outs.append(Linear(params, f"{name}.{head}.out", hidden, n_classes, rng))
 
     def predict(self, states, rng=None):
-        return FramePrediction(type_logits=self.type_head(states, rng),
-                               arg_logits=[h(states, rng) for h in self.arg_heads])
+        """Dropout masks are drawn head by head, the type head first."""
+        feats = ad.mlp(states, tuple(m.w for m in self.mlps), tuple(m.b for m in self.mlps),
+                       self.drop, rng)
+        logits = [out(f) for out, f in
+                  zip(self.outs, ad.split(feats, [self.hidden] * len(self.outs), axis=1))]
+        return FramePrediction(type_logits=logits[0], arg_logits=logits[1:])
 
     def frame_targets(self, frame):
         """(type index, four argument class indices) for a gold frame string."""

@@ -104,6 +104,71 @@ def bilinear_label(x, y, u_classes, w_classes):
     return ad.add(quad, lin)
 
 
+# ---------------------------------------------------------------------------
+# the biaffine head and the frame classifier as the elementary ops built
+# them before ``ad.mlp``, ``ad.biaffine_edge`` and ``ad.biaffine_label``:
+# three nodes and a dropout per MLP, the scorers out of matmul,
+# transpose, reshape, split and add.  The fused forwards must equal them
+# byte for byte, the fused gradients within 1e-10 relative, dropout on,
+# and leave the generator where they leave it.
+
+def reference_elu(a):
+    """The rectifier op of the composed MLPs: x above 0, exp(x) - 1 below."""
+    a = ad.as_tensor(a)
+    neg_part = np.exp(np.minimum(a.data, 0.0)) - 1.0
+
+    def rule(g):
+        a.accumulate(g * np.where(a.data > 0, 1.0, neg_part + 1.0))
+
+    return ad._make(np.where(a.data > 0, a.data, neg_part), (a,), rule)
+
+
+def reference_transpose(a):
+    """Swap the last two axes."""
+    a = ad.as_tensor(a)
+
+    def rule(g):
+        a.accumulate(np.swapaxes(g, -1, -2))
+
+    return ad._make(np.swapaxes(a.data, -1, -2), (a,), rule)
+
+
+def reference_mlp(mlp, x, p=0.0, rng=None):
+    """An ``encoder.Mlp`` composed, then dropout."""
+    return ad.dropout(reference_elu(ad.add(ad.matmul(x, mlp.w), mlp.b)), p, rng)
+
+
+def reference_head_score(head, states, rng=None):
+    """``biaffine.BiaffineHead.score`` composed: the same ``PairScores``."""
+    states = ad.dropout(states, head.input_dropout, rng)
+    ef = reference_mlp(head.edge_from, states, head.edge_dropout, rng)
+    et = reference_mlp(head.edge_to, states, head.edge_dropout, rng)
+    lf = reference_mlp(head.label_from, states, head.label_dropout, rng)
+    lt = reference_mlp(head.label_to, states, head.label_dropout, rng)
+    n, width = states.shape[0], head.u_edge.shape[0]
+    # edge: x'Uy + W[x;y] + b over all pairs at once
+    quad = ad.matmul(ad.matmul(ef, head.u_edge), reference_transpose(et))
+    w_from, w_to = ad.split(head.w_edge, [width] * 2, axis=0)
+    lin = ad.add(ad.matmul(ef, w_from), reference_transpose(ad.matmul(et, w_to)))
+    edge_probs = ad.sigmoid(ad.add(ad.add(quad, lin), head.b_edge))
+    # labels: per class x'U_c y + W_c y (no bias, no x term)
+    c, width = len(head.labels), lf.shape[1]
+    lf3 = ad.reshape(lf, (1, n, width))
+    tt3 = ad.reshape(reference_transpose(lt), (1, width, n))
+    scores = ad.add(ad.matmul(ad.matmul(lf3, head.u_label), tt3),
+                    ad.matmul(head.w_label, tt3))
+    label_logits = reference_transpose(ad.reshape(scores, (c, n * n)))
+    return biaffine.PairScores(edge_probs=edge_probs, label_logits=label_logits,
+                               n_positions=n, labels=head.labels)
+
+
+def reference_frame_predict(clf, states, rng=None):
+    """``sdp.FrameClassifier.predict`` composed, head by head."""
+    logits = [ad.add(ad.matmul(reference_mlp(mlp, states, clf.drop, rng), out.w), out.b)
+              for mlp, out in zip(clf.mlps, clf.outs)]
+    return sdp.FramePrediction(type_logits=logits[0], arg_logits=logits[1:])
+
+
 def reference_sigmoid(x):
     """The two-branch logistic that ``ad._sigmoid`` must equal byte for
     byte."""
@@ -278,7 +343,7 @@ def reference_pointer_decode(enc_out, decoder, gold_pointers=None):
         h, c = decoder.cell.sequence(ad.rows(states, [x_pos]), h0=h, c0=c)
         mixed = ad.tanh(ad.add(ad.matmul(h, decoder.w_dec),
                                ad.matmul(states, decoder.w_enc)))
-        rows.append(ad.transpose(ad.matmul(mixed, decoder.v)))
+        rows.append(ad.reshape(ad.matmul(mixed, decoder.v), (1, states.shape[0])))
         if gold_pointers is not None:
             x_pos = gold_pointers[len(pointers)]
         else:
@@ -347,7 +412,7 @@ def reference_node_feature(encoder, label, pos=None):
 
 def _reference_attend(h, keys, w_dec, w_enc, v):
     mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), ad.matmul(keys, w_enc)))
-    return ad.transpose(ad.matmul(mixed, v))  # (1, n_keys)
+    return ad.reshape(ad.matmul(mixed, v), (1, keys.shape[0]))  # (1, n_keys)
 
 
 def reference_amr_step(dec, x, h, c, token_states, history, train=False,

@@ -5,8 +5,11 @@ import pytest
 
 from mrparse import autodiff as ad
 from mrparse import biaffine as bf
+from mrparse import encoder as enc
+from mrparse import sdp
 
-from conftest import bilinear, bilinear_label, check_gradients
+from conftest import (bilinear, bilinear_label, check_gradients, reference_frame_predict,
+                      reference_head_score)
 
 
 def mk_head(in_dim=6, labels=("A", "B", "C"), seed=0, **kw):
@@ -105,6 +108,159 @@ class TestScoring:
             leaves = [states, head.u_edge, head.w_edge, head.b_edge,
                       head.u_label, head.w_label, head.edge_from.w, head.label_to.w]
             check_gradients(build, leaves)
+
+
+# width-0.05 shapes of the paper recipe: states 2·26 wide, MLPs of 30
+# (the UCCA recipe's 500/400 give 25 and 20), a DM-sized label inventory
+WIDTH_005 = dict(in_dim=52, n_labels=12, edge_mlp=30, label_mlp=30)
+UCCA_005 = dict(in_dim=52, n_labels=8, edge_mlp=25, label_mlp=20)
+RATES = dict(input_dropout=0.45, edge_dropout=0.25, label_dropout=0.33)
+
+
+def paper_head(in_dim, n_labels, edge_mlp, label_mlp, seed=0, **kw):
+    params = ad.ParamSet()
+    head = bf.BiaffineHead(params, "h", in_dim, [f"L{c}" for c in range(n_labels)],
+                           np.random.default_rng(seed), edge_mlp=edge_mlp,
+                           label_mlp=label_mlp, **kw)
+    return head, params
+
+
+def head_loss(scores, n, seed):
+    """Edge and label loss of random gold over ``n`` positions."""
+    rng = np.random.default_rng(seed)
+    gold = [(i, j, int(rng.integers(len(scores.labels))))
+            for i in range(1, n) for j in range(1, n) if i != j and rng.random() < 0.3]
+    edge, label = bf.edge_and_label_loss(scores, gold, [1])
+    return ad.add(edge, label)
+
+
+def gradients(build, params, states):
+    for t in params.tensors() + [states]:
+        t.zero_grad()
+    build().backward()
+    return [t.grad for t in params.tensors() + [states]]
+
+
+def assert_close_gradients(got, want, rtol=1e-10):
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            scale = max(1.0, float(np.abs(w).max()))
+            assert np.abs(g - w).max() <= rtol * scale
+
+
+SHAPES = pytest.mark.parametrize("shape", [WIDTH_005, UCCA_005], ids=["dm", "ucca"])
+
+
+class TestAgainstComposedOracle:
+    """The fused head against ``conftest.reference_head_score``: the
+    elementary ops as they composed it."""
+
+    @SHAPES
+    @pytest.mark.parametrize("n", [1, 2, 9, 17])
+    def test_inference_forward_is_bytewise_the_oracle(self, shape, n):
+        head, _ = paper_head(**shape, **RATES)
+        states = ad.Tensor(np.random.default_rng(n).normal(size=(n, shape["in_dim"])))
+        got, want = head.score(states), reference_head_score(head, states)
+        assert got.edge_probs.data.tobytes() == want.edge_probs.data.tobytes()
+        assert got.label_logits.data.tobytes() == want.label_logits.data.tobytes()
+        assert got.label_logits.data.strides == want.label_logits.data.strides
+        assert got.label_probs().tobytes() == want.label_probs().tobytes()
+
+    @SHAPES
+    def test_training_forward_and_gradients_match_the_oracle(self, shape):
+        head, params = paper_head(**shape, **RATES)
+        states = ad.Tensor(np.random.default_rng(3).normal(size=(11, shape["in_dim"])),
+                           requires_grad=True)
+
+        def build(score):
+            return lambda: head_loss(score(head, states, np.random.default_rng(5)), 11, 6)
+
+        fused = lambda h, x, rng: h.score(x, rng)
+        assert build(fused)().data.tobytes() == build(reference_head_score)().data.tobytes()
+        got = gradients(build(fused), params, states)
+        want = gradients(build(reference_head_score), params, states)
+        assert sum(g is not None for g in got) == len(got)
+        assert_close_gradients(got, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25, 1.0])
+    def test_generator_ends_where_the_oracle_leaves_it(self, rate):
+        head, _ = paper_head(**UCCA_005, input_dropout=rate, edge_dropout=rate,
+                             label_dropout=rate)
+        states = ad.Tensor(np.random.default_rng(8).normal(size=(7, 52)))
+        rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+        got = head.score(states, rngs[0])
+        want = reference_head_score(head, states, rngs[1])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert got.edge_probs.data.tobytes() == want.edge_probs.data.tobytes()
+        assert got.label_logits.data.tobytes() == want.label_logits.data.tobytes()
+
+    def test_frame_classifier_matches_the_oracle(self):
+        params = ad.ParamSet()
+        clf = sdp.FrameClassifier(params, "fc", 52, [f"t{i}" for i in range(9)],
+                                  ["<NONE>"] + [f"a{i}" for i in range(6)],
+                                  np.random.default_rng(1), hidden=30, drop=0.55)
+        states = ad.Tensor(np.random.default_rng(2).normal(size=(10, 52)), requires_grad=True)
+        got, want = clf.predict(states), reference_frame_predict(clf, states)
+        for g, w in zip([got.type_logits] + got.arg_logits, [want.type_logits] + want.arg_logits):
+            assert g.data.tobytes() == w.data.tobytes()
+        frames = ["t1:a1-a2", "t3:a0", "t2:a4-a5-a1-a3-a2", "t8:a1"]
+        positions = [1, 4, 5, 9]
+
+        def build(predict):
+            pred = predict(clf, states, np.random.default_rng(4))
+            return lambda: sdp.frame_loss(pred, positions, frames, clf)
+
+        fused = lambda c, x, rng: c.predict(x, rng)
+        assert build(fused)().data.tobytes() == build(reference_frame_predict)().data.tobytes()
+        assert_close_gradients(gradients(lambda: build(fused)(), params, states),
+                               gradients(lambda: build(reference_frame_predict)(), params,
+                                         states))
+        rngs = [np.random.default_rng(7), np.random.default_rng(7)]
+        clf.predict(states, rngs[0])
+        reference_frame_predict(clf, states, rngs[1])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def count_tensors(monkeypatch, call):
+    """Tensors constructed while ``call()`` runs."""
+    made, init = [], ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    call()
+    monkeypatch.setattr(ad.Tensor, "__init__", init)
+    return len(made)
+
+
+class TestTensorCounts:
+    """A head's score is five nodes in training (input dropout, the two
+    MLP pairs, the edge and label scorers) and four in inference."""
+
+    def test_head_score(self, monkeypatch):
+        head, _ = paper_head(**WIDTH_005, **RATES)
+        states = ad.Tensor(np.random.default_rng(0).normal(size=(6, 52)))
+        rng = np.random.default_rng(1)
+        assert count_tensors(monkeypatch, lambda: head.score(states, rng)) == 5
+        with ad.no_grad():
+            assert count_tensors(monkeypatch, lambda: head.score(states)) == 4
+
+    def test_frame_classifier(self, monkeypatch):
+        """One MLP node, its five chunks and five linear layers."""
+        params = ad.ParamSet()
+        clf = sdp.FrameClassifier(params, "fc", 52, ["t0", "t1"], ["<NONE>", "a"],
+                                  np.random.default_rng(1), hidden=30, drop=0.55)
+        states = ad.Tensor(np.random.default_rng(0).normal(size=(6, 52)))
+        rng = np.random.default_rng(1)
+        assert count_tensors(monkeypatch, lambda: clf.predict(states, rng)) == 11
+
+    def test_mlp_call(self, monkeypatch):
+        mlp = enc.Mlp(ad.ParamSet(), "m", 4, 3, np.random.default_rng(0))
+        x = ad.Tensor(np.ones((2, 4)))
+        assert count_tensors(monkeypatch, lambda: mlp(x)) == 1
 
 
 class TestDecode:

@@ -409,10 +409,10 @@ class TestNodeCount:
             assert wx == (fwd.wx, bwd.wx) and wh == (fwd.wh, bwd.wh) and b == (fwd.b, bwd.b)
 
     def test_tensors_of_a_training_run(self, monkeypatch):
-        """21 for featurizing (five lookups, the POS sum, the static
-        vectors and their MLP's three, the contextual mix's five and its
-        MLP's three, the concat, the group-drop mask and product), then
-        per layer a dropout, the LSTM op and the split's two chunks."""
+        """17 for featurizing (five lookups, the POS sum, the static
+        vectors and their MLP, the contextual mix's five and its MLP, the
+        concat, the group-drop mask and product), then per layer a
+        dropout, the LSTM op and the split's two chunks."""
         e, _ = mk_encoder(self.vocab, self.words, layers=3, hidden=6,
                           encoder_dropout=0.25, word_drop=0.1)
         made, init = [], ad.Tensor.__init__
@@ -423,4 +423,4 @@ class TestNodeCount:
 
         monkeypatch.setattr(ad.Tensor, "__init__", counting)
         e.run(self.tokens, self.ctx, rng=np.random.default_rng(0))
-        assert len(made) == 21 + 3 * 4
+        assert len(made) == 17 + 3 * 4

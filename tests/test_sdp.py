@@ -170,7 +170,9 @@ class TestFrameClassifier:
 
     def test_four_argument_heads(self):
         clf, _ = self.mk()
-        assert len(clf.arg_heads) == 4
+        pred = clf.predict(ad.Tensor(np.random.default_rng(1).normal(size=(4, 5))))
+        assert pred.type_logits.shape == (4, len(self.TYPES))
+        assert [a.shape for a in pred.arg_logits] == [(4, len(self.ARGS))] * 4
 
     def test_distributions_sum_to_one(self):
         clf, _ = self.mk()

@@ -245,6 +245,21 @@ class TestMultitaskLoss:
         assert any(model.params._params[n].grad is not None
                    for n in model.params._params if n.startswith("encoder."))
 
+    def test_remote_label_branch_gets_no_gradient(self, model, prep, mtl):
+        """UCCA discards the remote head's label loss, so its label MLPs
+        and scorer end a training backward without a gradient."""
+        for p in model.params.tensors():
+            p.zero_grad()
+        terms = T.framework_terms(model, prep, ("ucca",), np.random.default_rng(0))
+        T.multitask_loss(mtl.model.config, terms).backward()
+        head = model.remote_head
+        dead = [head.label_from.w, head.label_from.b, head.label_to.w, head.label_to.b,
+                head.u_label, head.w_label]
+        assert all(p.grad is None for p in dead)
+        assert head.edge_from.w.grad is not None and head.u_edge.grad is not None
+        for p in model.params.tensors():
+            p.zero_grad()
+
     def test_empty_terms_is_zero(self, mtl):
         loss = T.multitask_loss(mtl.model.config, {})
         assert float(loss.data) == 0.0
