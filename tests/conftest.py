@@ -133,7 +133,7 @@ def reference_transpose(a):
     return ad._make(np.swapaxes(a.data, -1, -2), (a,), rule)
 
 
-def reference_mlp(mlp, x, p=0.0, rng=None):
+def reference_mlp(mlp, x, p, rng):
     """An ``encoder.Mlp`` composed, then dropout."""
     return ad.dropout(reference_elu(ad.add(ad.matmul(x, mlp.w), mlp.b)), p, rng)
 
