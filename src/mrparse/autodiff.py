@@ -50,9 +50,17 @@ Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
 alone writes and reads checkpoints: deterministic, uncompressed zips of
 exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
-Their reader, :func:`read_npz`, takes each member whole through one
-``zipfile.ZipFile`` and parses its ``.npy`` header through a memo, for
-a bundle repeats few distinct headers.
+Their writer, ``_write_npz``, writes a bundle in one pass: each
+member's zip and ``.npy`` headers packed directly, the ``.npy`` header
+through a memo, and the array's own buffer, CRC'd as it goes.  Its
+bytes are those of ``zipfile`` (``force_zip64=True``) and
+``np.lib.format.write_array`` on Python 3.11 and later on POSIX, so
+the format is unchanged; they no longer depend on the interpreter's
+``zipfile``, so a bundle saved on Python 3.10 or Windows differs once
+from before, and both load the same.  Their reader, :func:`read_npz`,
+takes each member whole through one ``zipfile.ZipFile`` and parses its
+``.npy`` header through a memo, for a bundle repeats few distinct
+headers; it also reads bundles re-zipped compressed.
 A model is built from saved values by handing them to its container
 as ``state``: the parameters copy them and no initializer draws.
 """
@@ -62,6 +70,7 @@ import functools
 import io
 import json
 import lzma
+import struct
 import zipfile
 import zlib
 
@@ -812,9 +821,11 @@ class ParamSet:
     per parameter, holding its exact array (dtype and 0-d shape kept),
     and a ``__meta__.npy`` member, the UTF-8 JSON of the format version
     and ``extra`` as a uint8 array; ``np.load(path, allow_pickle=False)``
-    opens it.  ``save`` writes atomically with a fixed member date, so
-    identical parameters give identical bytes.  ``read`` is the format's
-    only reader, through :func:`read_npz`; ``_add`` copies its views once.
+    opens it.  ``save`` writes atomically, in one pass through
+    ``_write_npz``, with a fixed member date, so identical parameters give
+    identical bytes, the same as ``zipfile`` and ``np.lib.format`` write
+    on Python 3.11 and later.  ``read`` is the format's only reader,
+    through :func:`read_npz`; ``_add`` copies its views once.
     An empty, truncated, corrupted or foreign file, an object array, or
     another format version raises one ``ValueError`` naming the path.
     """
@@ -865,12 +876,8 @@ class ParamSet:
                            "extra": extra or {}}).encode("utf-8")
         members = [(name, p.data) for name, p in self._params.items()]
         members.append((_META, np.frombuffer(meta, dtype=np.uint8)))
-        with atomic_open(path, "wb") as fh, \
-                zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-            for name, arr in members:
-                info = zipfile.ZipInfo(f"{name}.npy", date_time=ZIP_DATE_TIME)
-                with zf.open(info, "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, arr, allow_pickle=False)
+        with atomic_open(path, "wb") as fh:
+            _write_npz(fh, members)
 
     @staticmethod
     def read(path):
@@ -886,6 +893,103 @@ class ParamSet:
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"{path}: not a format-{CHECKPOINT_FORMAT_VERSION} "
                                  "checkpoint") from None
+
+
+# the zip records _write_npz writes, in zipfile's layout; _ZIP64_SIZES is
+# a local header's zip64 extra, holding both sizes
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_ZIP64_SIZES = struct.Struct("<HHQQ")
+_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
+_ZIP64_END = struct.Struct("<4sQ2H2L4Q")
+_ZIP64_LOCATOR = struct.Struct("<4sLQL")
+_END = struct.Struct("<4s4H2LH")
+_ZIP64_VERSION = 45  # needed to extract and made by, as force_zip64 sets them
+_UNIX = 3  # the creator's system
+_UTF8_NAME = 0x800  # flag of a member name that is not ASCII
+_IN_ZIP64 = 0xFFFFFFFF  # a 32-bit size or offset that a zip64 record holds
+
+
+def _write_npz(fh, members):
+    """Write the (name, array) pairs ``members`` to the binary file ``fh``
+    as an uncompressed ``.npz`` archive of ``<name>.npy`` members, in one
+    pass: the bytes that ``zipfile`` of Python 3.11+ on POSIX writes, each
+    member opened with ``force_zip64=True`` and filled by
+    ``np.lib.format.write_array``.  A member's data is its array's own
+    buffer: a Fortran-ordered array is written as its transpose, and only
+    an array neither C- nor F-contiguous is copied.  zip64 central extras
+    and end records appear where ``zipfile`` writes them, by its limits
+    at call time."""
+    year, month, day, hour, minute, second = ZIP_DATE_TIME
+    dosdate = (year - 1980) << 9 | month << 5 | day
+    dostime = hour << 11 | minute << 5 | second // 2
+    size_limit, count_limit = zipfile.ZIP64_LIMIT, zipfile.ZIP_FILECOUNT_LIMIT
+    offset = 0
+    central = []
+    for name, arr in members:
+        flags = arr.flags
+        fortran = flags.f_contiguous and not flags.c_contiguous
+        header = _npy_header_bytes(arr.dtype, fortran, arr.shape)
+        if fortran:
+            arr = arr.T
+        elif not flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
+        filename = f"{name}.npy"
+        try:
+            filename, flag = filename.encode("ascii"), 0
+        except UnicodeEncodeError:
+            filename, flag = filename.encode("utf-8"), _UTF8_NAME
+        size = len(header) + arr.nbytes
+        crc = zlib.crc32(arr, zlib.crc32(header))
+        fh.write(b"".join((
+            _LOCAL_HEADER.pack(b"PK\x03\x04", _ZIP64_VERSION, 0, flag, zipfile.ZIP_STORED,
+                               dostime, dosdate, crc, _IN_ZIP64, _IN_ZIP64,
+                               len(filename), _ZIP64_SIZES.size),
+            filename, _ZIP64_SIZES.pack(1, 16, size, size), header)))
+        fh.write(arr)
+        central.append((filename, flag, crc, size, offset))
+        offset += _LOCAL_HEADER.size + len(filename) + _ZIP64_SIZES.size + size
+
+    records = []
+    for filename, flag, crc, size, header_offset in central:
+        zip64 = []  # the fields past 32 bits, in the zip64 extra's order
+        if size > size_limit:
+            zip64 += [size, size]
+            size = _IN_ZIP64
+        if header_offset > size_limit:
+            zip64.append(header_offset)
+            header_offset = _IN_ZIP64
+        extra = (struct.pack(f"<HH{len(zip64)}Q", 1, 8 * len(zip64), *zip64)
+                 if zip64 else b"")
+        records += (
+            _CENTRAL_HEADER.pack(
+                b"PK\x01\x02", _ZIP64_VERSION, _UNIX, _ZIP64_VERSION, 0, flag,
+                zipfile.ZIP_STORED, dostime, dosdate, crc, size, size,
+                len(filename), len(extra), 0, 0, 0, 0o600 << 16,  # ?rw-------
+                header_offset),
+            filename, extra)
+    directory = b"".join(records)
+    count, start, length = len(central), offset, len(directory)
+    if count > count_limit or start > size_limit or length > size_limit:
+        directory += (_ZIP64_END.pack(b"PK\x06\x06", 44, _ZIP64_VERSION, _ZIP64_VERSION,
+                                      0, 0, count, count, length, start)
+                      + _ZIP64_LOCATOR.pack(b"PK\x06\x07", 0, start + length, 1))
+        count, length, start = (min(count, 0xFFFF), min(length, _IN_ZIP64),
+                                min(start, _IN_ZIP64))
+    fh.write(directory + _END.pack(b"PK\x05\x06", 0, 0, count, count, length, start, 0))
+
+
+@functools.lru_cache(maxsize=1024)  # process-wide: bundles repeat few headers
+def _npy_header_bytes(dtype, fortran_order, shape):
+    """The ``.npy`` header ``np.lib.format.write_array`` writes before an
+    array of this dtype, order and shape: version 1.0, or 2.0 past 64 KiB."""
+    fh = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(dtype),
+              "fortran_order": fortran_order, "shape": shape}
+    try:
+        np.lib.format.write_array_header_1_0(fh, header)
+    except ValueError:  # too long for version 1.0's 16-bit length
+        np.lib.format.write_array_header_2_0(fh, header)
+    return fh.getvalue()
 
 
 def read_npz(fh):

@@ -9,6 +9,7 @@ modules get to use it.
 import itertools
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -1082,6 +1083,21 @@ def reference_train_abstract_models(models, all_examples):
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+def reference_save(ps, path, extra=None):
+    """``ps.save(path, extra)`` through ``zipfile`` and
+    ``np.lib.format.write_array``, a member at a time: on Python 3.11 and
+    later, the bytes the one-pass writer must give."""
+    meta = json.dumps({"format_version": ad.CHECKPOINT_FORMAT_VERSION,
+                       "extra": extra or {}}).encode("utf-8")
+    members = [(name, p.data) for name, p in ps._params.items()]
+    members.append(("__meta__", np.frombuffer(meta, dtype=np.uint8)))
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in members:
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=ad.ZIP_DATE_TIME)
+            with zf.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
+
 
 def reference_read_checkpoint(path):
     """``ParamSet.read`` through ``np.load``: (state, extra) of a bundle."""

@@ -4,6 +4,7 @@ against finite differences, optimizer against a hand-rolled reference."""
 import ast
 import json
 import os
+import sys
 import weakref
 import zipfile
 from pathlib import Path
@@ -18,7 +19,8 @@ from mrparse import autodiff as ad
 
 from conftest import (assert_same_arrays, bilinear, bilinear_label, byte_flips,
                       check_gradients, reference_elu, reference_nll_of_probs,
-                      reference_sigmoid, reference_transpose, scalarize)
+                      reference_save, reference_sigmoid, reference_transpose,
+                      scalarize)
 
 N_TRIALS = 24
 
@@ -816,6 +818,107 @@ class TestParamSet:
             with pytest.raises(ValueError,
                                match=r"shape mismatch for w: \(3,\) vs \(2,\)"):
                 build(ad.ParamSet({"w": np.zeros(3)}))
+
+
+def param_set(arrays):
+    """A ParamSet holding ``arrays`` as they are: dtype and layout kept,
+    where a parameter built from them would be float64."""
+    ps = ad.ParamSet()
+    for name, arr in arrays.items():
+        ps.new_from(name, arr).data = arr
+    return ps
+
+
+def bundle_cases():
+    rng = np.random.default_rng(30)
+    return {
+        "float64": ({"w": rng.normal(size=(3, 5))}, None),
+        "fortran": ({"f": np.asfortranarray(rng.normal(size=(4, 3))),
+                     "f1": np.asfortranarray(rng.normal(size=(1, 2, 3)))}, None),
+        "strided": ({"s": rng.normal(size=(4, 6))[:, ::2]}, None),
+        "0-d": ({"b": np.array(rng.normal())}, None),
+        "empty": ({"e": np.zeros((0, 4)),
+                   "ef": np.asfortranarray(np.zeros((4, 0, 2)))}, None),
+        "int64": ({"i": np.arange(12, dtype=np.int64).reshape(3, 4)}, None),
+        "float32": ({"h": rng.normal(size=(2, 7)).astype(np.float32)}, None),
+        "many": ({f"layer{k}.w": rng.normal(size=(k % 5, 3)) for k in range(160)},
+                 {"epoch": 4}),
+        "non-ascii": ({"wört.ü": rng.normal(size=3), "ω": np.ones(2)}, None),
+        "nested extra": ({"w": np.ones(2)},
+                         {"config": {"widths": [1, 2, {"deep": None}], "name": "ü"},
+                          "lr": 0.1, "flag": True}),
+    }
+
+
+CASES = bundle_cases()
+
+
+def assert_saves_like_reference(ps, tmp_path, extra=None):
+    """``ps.save`` gives a bundle that zipfile checks clean and np.load and
+    ParamSet.read give back exactly, and, on Python 3.11 and later, the
+    bytes of ``reference_save``."""
+    path, want = tmp_path / "one-pass.bundle", tmp_path / "zipfile.bundle"
+    ps.save(path, extra)
+    reference_save(ps, want, extra)
+    if sys.version_info >= (3, 11):
+        assert path.read_bytes() == want.read_bytes()
+    # else: Python 3.10's zipfile rewrites each local header with extract
+    # version 20 and the real sizes, so its bytes differ; both load the same
+    with zipfile.ZipFile(path) as zf:
+        assert zf.testzip() is None
+    arrays = {name: p.data for name, p in ps._params.items()}
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == [*arrays, "__meta__"]
+        assert_same_arrays(arrays, {name: npz[name] for name in arrays})
+    state, got_extra = ad.ParamSet.read(path)
+    assert_same_arrays(arrays, state)
+    assert got_extra == (extra or {})
+    for name, arr in arrays.items():
+        assert state[name].flags.f_contiguous == arr.flags.f_contiguous, name
+
+
+class TestOnePassWriter:
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_equal_zipfile_and_write_array(self, tmp_path, case):
+        arrays, extra = CASES[case]
+        assert_saves_like_reference(param_set(arrays), tmp_path, extra)
+
+    @pytest.mark.parametrize("size_limit, count_limit", [
+        (300, zipfile.ZIP_FILECOUNT_LIMIT),  # sizes, offsets and the directory
+        (zipfile.ZIP64_LIMIT, 3),            # the member count only
+        (300, 3),
+    ], ids=["sizes", "count", "both"])
+    def test_zip64_records_where_zipfile_writes_them(
+            self, tmp_path, monkeypatch, size_limit, count_limit):
+        """Limits patched low, as a bundle past 2 GiB or 65,535 members
+        meets them, drive both writers through their zip64 records."""
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", size_limit)
+        monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", count_limit)
+        rng = np.random.default_rng(31)
+        ps = param_set({"small": rng.normal(size=2), "large": rng.normal(size=(8, 9)),
+                        "b": np.array(0.5), "f": np.asfortranarray(rng.normal(size=(5, 4))),
+                        "tiny": np.zeros(1)})
+        assert_saves_like_reference(ps, tmp_path, {"epoch": 2})
+        path = tmp_path / "one-pass.bundle"
+        assert path.read_bytes()[-42:-38] == b"PK\x06\x07"  # the zip64 locator
+        with zipfile.ZipFile(path) as zf:
+            central_zip64 = [info.extra[:2] == b"\x01\x00" for info in zf.infolist()]
+        assert any(central_zip64) == (size_limit == 300)
+
+    def test_member_count_past_16_bits(self, tmp_path):
+        """65,537 members, unpatched: the end record's count saturates at
+        0xFFFF and the zip64 end record holds the real one."""
+        ps = ad.ParamSet()
+        for k in range(65536):
+            ps.new_from(str(k), np.zeros(0))
+        path, want = tmp_path / "one-pass.bundle", tmp_path / "zipfile.bundle"
+        ps.save(path)
+        reference_save(ps, want)
+        if sys.version_info >= (3, 11):  # see assert_saves_like_reference
+            assert path.read_bytes() == want.read_bytes()
+        assert path.read_bytes()[-12:-10] == b"\xff\xff"  # the end record's count
+        with zipfile.ZipFile(path) as zf:
+            assert len(zf.infolist()) == 65537
 
 
 # ---------------------------------------------------------------------------
