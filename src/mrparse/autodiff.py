@@ -58,13 +58,17 @@ bytes are those of ``zipfile`` (``force_zip64=True``) and
 the format is unchanged; they no longer depend on the interpreter's
 ``zipfile``, so a bundle saved on Python 3.10 or Windows differs once
 from before, and both load the same.  Their reader, :func:`read_npz`,
-takes each member whole through one ``zipfile.ZipFile`` and parses its
-``.npy`` header through a memo, for a bundle repeats few distinct
-headers; it also reads bundles re-zipped compressed.
+reads the file once and parses its end record and central directory
+directly, with the checks of ``zipfile``'s reader, and checks each
+member's size and CRC-32.  A stored member's array is a view of that
+one buffer; DEFLATE, BZIP2 and LZMA members, as in a bundle re-zipped
+compressed, are decompressed.  It parses each ``.npy`` header through
+a memo, for a bundle repeats few distinct headers.
 A model is built from saved values by handing them to its container
 as ``state``: the parameters copy them and no initializer draws.
 """
 
+import bz2
 import contextlib
 import functools
 import io
@@ -825,7 +829,8 @@ class ParamSet:
     ``_write_npz``, with a fixed member date, so identical parameters give
     identical bytes, the same as ``zipfile`` and ``np.lib.format`` write
     on Python 3.11 and later.  ``read`` is the format's only reader,
-    through :func:`read_npz`; ``_add`` copies its views once.
+    through :func:`read_npz`: one read of the file, whose arrays are
+    read-only views of that one buffer; ``_add`` copies them once.
     An empty, truncated, corrupted or foreign file, an object array, or
     another format version raises one ``ValueError`` naming the path.
     """
@@ -895,8 +900,8 @@ class ParamSet:
                                  "checkpoint") from None
 
 
-# the zip records _write_npz writes, in zipfile's layout; _ZIP64_SIZES is
-# a local header's zip64 extra, holding both sizes
+# the zip records _write_npz writes and _zip_members reads, in zipfile's
+# layout; _ZIP64_SIZES is a local header's zip64 extra, holding both sizes
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _ZIP64_SIZES = struct.Struct("<HHQQ")
 _CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
@@ -993,21 +998,120 @@ def _npy_header_bytes(dtype, fortran_order, shape):
 
 
 def read_npz(fh):
-    """The arrays of the ``.npz`` archive open as ``fh`` by member name, as
-    views of its bytes; a malformed archive or object array is a ValueError."""
+    """The arrays of the ``.npz`` archive open as ``fh`` by member name, in
+    directory order.  The file is read once and its zip records parsed
+    directly, with the checks of ``zipfile``'s reader; each member's size
+    and CRC-32 are checked.  A stored member's array is a read-only view
+    of the one file buffer; a DEFLATE, BZIP2 or LZMA member's is a view
+    of its decompressed bytes.  A malformed archive or object array is a
+    ValueError."""
+    buf = fh.read()
     try:
-        with zipfile.ZipFile(fh) as zf:
-            return {info.filename.removesuffix(".npy"): _npy_array(zf.read(info))
-                    for info in zf.infolist()}
-    except (EOFError, KeyError, OSError, RuntimeError,  # KeyError: an unknown .npy version
-            zipfile.BadZipFile, zlib.error, lzma.LZMAError) as err:
+        return {name.removesuffix(".npy"): _npy_array(data) for name, data in _zip_members(buf)}
+    except (IndexError, struct.error,  # a record cut off by the end of the file
+            KeyError,  # an unknown .npy version
+            EOFError, OSError, zlib.error, lzma.LZMAError) as err:  # bad compressed data
         raise ValueError(f"malformed .npz archive: {err!r}") from None
 
 
+_ENCRYPTED = 0x1 | 0x20 | 0x40  # flags of encrypted, patched and strongly encrypted data
+_MAX_VERSION = 63  # the newest zip version needed to extract that zipfile reads
+
+
+def _zip_members(buf):
+    """Yield the (name, data) of each member of the zip archive ``buf``,
+    as ``zipfile`` reads it: the end record found behind any comment, the
+    zip64 end record where its locator precedes the end record, header
+    offsets shifted by bytes before the archive, and a local header that
+    must name its entry.  The entries must fill the directory exactly,
+    and each member's data must have its recorded size and CRC-32."""
+    end = len(buf) - _END.size
+    if end < 0 or buf[end:end + 4] != b"PK\x05\x06" or buf[-2:] != b"\0\0":
+        end = buf.rfind(b"PK\x05\x06", max(end - 0x10000, 0))
+    if end < 0:
+        raise ValueError("no end of central directory record")
+    *_, count, size, offset, _ = _END.unpack_from(buf, end)
+    locator = end - _ZIP64_LOCATOR.size
+    if locator >= 0 and buf.startswith(b"PK\x06\x07", locator):
+        _, disk, _, disks = _ZIP64_LOCATOR.unpack_from(buf, locator)
+        if disk != 0 or disks > 1 or locator < _ZIP64_END.size:
+            raise ValueError("zip64 locator of a split or truncated archive")
+        if buf.startswith(b"PK\x06\x06", locator - _ZIP64_END.size):
+            end = locator - _ZIP64_END.size
+            *_, count, size, offset = _ZIP64_END.unpack_from(buf, end)
+    pos = end - size  # where the central directory starts
+    shift = pos - offset  # bytes before the archive, which move every member
+    if pos < 0:
+        raise ValueError("central directory before the file")
+    view = memoryview(buf)
+    for _ in range(count):
+        (sig, _, _, version, _, flag, method, _, _, crc, csize, fsize,
+         name_len, extra_len, comment_len, _, _, _, header) = _CENTRAL_HEADER.unpack_from(buf, pos)
+        pos += _CENTRAL_HEADER.size
+        name = buf[pos:pos + name_len].decode("utf-8" if flag & _UTF8_NAME else "cp437")
+        extra = buf[pos + name_len:pos + name_len + extra_len]
+        fsize, csize, header = _zip64_fields([fsize, csize, header], extra)
+        pos += name_len + extra_len + comment_len
+        header += shift
+        if (sig != b"PK\x01\x02" or version > _MAX_VERSION or flag & _ENCRYPTED
+                or not 0 <= header < len(buf)):
+            raise ValueError(f"bad directory entry of {name!r}")
+        sig, _, _, local_flag, *_, name_len, extra_len = _LOCAL_HEADER.unpack_from(buf, header)
+        start = header + _LOCAL_HEADER.size
+        local_name = buf[start:start + name_len]
+        start += name_len + extra_len
+        data = view[start:start + csize]
+        if (sig != b"PK\x03\x04" or len(data) != csize or local_name.decode(
+                "utf-8" if local_flag & _UTF8_NAME else "cp437") != name):
+            raise ValueError(f"bad local header of {name!r}")
+        data = _decompress(data, method)
+        if len(data) != fsize or zlib.crc32(data) != crc:
+            raise ValueError(f"bad size or CRC-32 of {name!r}")
+        yield name, data
+    if pos != end:
+        raise ValueError("central directory not filled by its entries")
+
+
+def _zip64_fields(fields, extra):
+    """A directory entry's [file size, compressed size, header offset]
+    with each 0xFFFFFFFF read, in that order, from the zip64 extras among
+    its ``extra`` records."""
+    while len(extra) >= 4:
+        tag, length = struct.unpack_from("<HH", extra)
+        data, extra = extra[4:4 + length], extra[4 + length:]
+        if len(data) < length:
+            raise ValueError("extra record past its field")
+        if tag == 1:
+            for k, field in enumerate(fields):
+                if field == _IN_ZIP64:
+                    (fields[k],), data = struct.unpack_from("<Q", data), data[8:]
+    return fields
+
+
+def _decompress(data, method):
+    """The bytes of member ``data`` stored or compressed by zip ``method``."""
+    if method == zipfile.ZIP_STORED:
+        return data
+    if method == zipfile.ZIP_DEFLATED:
+        return zlib.decompressobj(-15).decompress(data)
+    if method == zipfile.ZIP_BZIP2:
+        return bz2.BZ2Decompressor().decompress(data)
+    if method == zipfile.ZIP_LZMA and data[2:4] == b"\x05\x00":
+        # a 2-byte version, the properties' length 5, then LZMA1's
+        # properties: (pb * 5 + lp) * 9 + lc in one byte, the dictionary
+        # size in four; liblzma refuses values out of range
+        pb, lclp = divmod(data[4], 45)
+        lp, lc = divmod(lclp, 9)
+        lzma1 = {"id": lzma.FILTER_LZMA1, "lc": lc, "lp": lp, "pb": pb,
+                 "dict_size": int.from_bytes(data[5:9], "little")}
+        return lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[lzma1]).decompress(data[9:])
+    raise ValueError(f"unsupported zip compression method {method}")
+
+
 def _npy_array(data):
-    width = 2 if data[6:7] == b"\x01" else 4  # of the header length, by .npy version
+    width = 2 if data[6] == 1 else 4  # of the header length, by .npy version
     end = 8 + width + int.from_bytes(data[8:8 + width], "little")
-    shape, fortran_order, dtype = _npy_header(data[:end])
+    shape, fortran_order, dtype = _npy_header(bytes(data[:end]))
     arr = np.frombuffer(data, dtype, offset=end)  # the rest is the array's, exactly
     return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
 

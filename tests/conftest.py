@@ -8,8 +8,10 @@ modules get to use it.
 
 import itertools
 import json
+import lzma
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -1097,6 +1099,19 @@ def reference_save(ps, path, extra=None):
             info = zipfile.ZipInfo(f"{name}.npy", date_time=ad.ZIP_DATE_TIME)
             with zf.open(info, "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, arr, allow_pickle=False)
+
+
+def reference_read_npz(fh):
+    """``ad.read_npz(fh)`` through ``zipfile``, a member at a time: the
+    arrays the one-pass reader must give, and the archives it must
+    refuse."""
+    try:
+        with zipfile.ZipFile(fh) as zf:
+            return {info.filename.removesuffix(".npy"): ad._npy_array(zf.read(info))
+                    for info in zf.infolist()}
+    except (EOFError, KeyError, OSError, RuntimeError,  # KeyError: an unknown .npy version
+            zipfile.BadZipFile, zlib.error, lzma.LZMAError) as err:
+        raise ValueError(f"malformed .npz archive: {err!r}") from None
 
 
 def reference_read_checkpoint(path):

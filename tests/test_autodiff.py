@@ -2,6 +2,7 @@
 against finite differences, optimizer against a hand-rolled reference."""
 
 import ast
+import io
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ from mrparse import autodiff as ad
 
 from conftest import (assert_same_arrays, bilinear, bilinear_label, byte_flips,
                       check_gradients, reference_elu, reference_nll_of_probs,
-                      reference_save, reference_sigmoid, reference_transpose,
-                      scalarize)
+                      reference_read_npz, reference_save, reference_sigmoid,
+                      reference_transpose, scalarize)
 
 N_TRIALS = 24
 
@@ -919,6 +920,201 @@ class TestOnePassWriter:
         assert path.read_bytes()[-12:-10] == b"\xff\xff"  # the end record's count
         with zipfile.ZipFile(path) as zf:
             assert len(zf.infolist()) == 65537
+
+
+def read_outcome(read, path):
+    """The arrays ``read`` gives of the archive at ``path``, or None where
+    it refuses the archive with a ValueError."""
+    with open(path, "rb") as fh:
+        try:
+            return read(fh)
+        except ValueError:
+            return None
+
+
+def assert_reads_like_zipfile(path):
+    """``read_npz`` gives the names, order, dtypes, shapes, layouts and
+    bits that ``reference_read_npz`` gives of the archive at ``path``."""
+    want, got = read_outcome(reference_read_npz, path), read_outcome(ad.read_npz, path)
+    assert want is not None and got is not None
+    assert_same_arrays(want, got)
+    for name, arr in want.items():
+        assert got[name].flags.f_contiguous == arr.flags.f_contiguous, name
+
+
+def npy_bytes(arr):
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, arr)
+    return fh.getvalue()
+
+
+class Unseekable:
+    """A write-only stream that cannot tell or seek, so ``zipfile``
+    writes each member's sizes and CRC-32 after its data."""
+
+    def __init__(self, fh):
+        self.write, self.flush = fh.write, fh.flush
+
+
+def foreign_archive(kind, path):
+    """Write to ``path`` an archive of the kind ``kind`` that another
+    writer than ``ParamSet.save`` makes."""
+    rng = np.random.default_rng(32)
+    arrays = {"w": rng.normal(size=(3, 5)), "f": np.asfortranarray(rng.normal(size=(4, 3))),
+              "i": np.arange(6, dtype=np.int32), "ü": np.array(2.5)}
+    if kind == "savez":
+        np.savez(path, **arrays)
+    elif kind == "savez_compressed":
+        np.savez_compressed(path, **arrays)
+    elif kind == "comment":
+        param_set(arrays).save(path)
+        with zipfile.ZipFile(path, "a") as zf:
+            zf.comment = b"an archive comment"
+    elif kind == "unseekable":  # as np.savez writes, to a stream
+        with open(path, "wb") as fh, zipfile.ZipFile(Unseekable(fh), "w") as zf:
+            for name, arr in arrays.items():
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, arr)
+        with zipfile.ZipFile(path) as zf:
+            assert all(info.flag_bits & 0x08 for info in zf.infolist())  # data descriptors
+    elif kind == "writestr":  # local headers without a zip64 extra
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, arr in arrays.items():
+                zf.writestr(f"{name}.npy", npy_bytes(arr))
+        assert path.read_bytes()[28:30] == b"\x00\x00"  # the first local extra's length
+
+
+FOREIGN = ["savez", "savez_compressed", "comment", "unseekable", "writestr"]
+
+
+def zip64_bundle(path, monkeypatch):
+    """Save to ``path``, under zip64 limits patched low, a bundle with
+    zip64 extras in its local and central headers, a zip64 end record and
+    its locator; return its parameters."""
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 300)
+    monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 3)
+    rng = np.random.default_rng(33)
+    ps = param_set({"small": rng.normal(size=2), "large": rng.normal(size=(6, 5)),
+                    "f": np.asfortranarray(rng.normal(size=(3, 2))), "b": np.array(0.5)})
+    ps.save(path, extra={"epoch": 3})
+    monkeypatch.undo()
+    return ps
+
+
+def non_ascii_bundle(path, monkeypatch):
+    """Save to ``path`` a bundle whose first member's name is not ASCII."""
+    ps = param_set({"wört": np.random.default_rng(34).normal(size=3), "b": np.ones(2)})
+    ps.save(path, extra={"epoch": 3})
+    return ps
+
+
+class TestOnePassReader:
+    @pytest.mark.parametrize("case", CASES)
+    def test_reads_like_zipfile(self, tmp_path, case):
+        arrays, extra = CASES[case]
+        path = tmp_path / "m.bundle"
+        param_set(arrays).save(path, extra)
+        assert_reads_like_zipfile(path)
+
+    @pytest.mark.parametrize("size_limit, count_limit", [
+        (300, zipfile.ZIP_FILECOUNT_LIMIT), (zipfile.ZIP64_LIMIT, 3), (300, 3),
+    ], ids=["sizes", "count", "both"])
+    def test_zip64_records_read_like_zipfile(
+            self, tmp_path, monkeypatch, size_limit, count_limit):
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", size_limit)
+        monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", count_limit)
+        arrays, extra = CASES["many"]
+        path = tmp_path / "m.bundle"
+        param_set(arrays).save(path, extra)
+        assert_reads_like_zipfile(path)
+
+    @pytest.mark.parametrize("kind", FOREIGN)
+    def test_other_writers_read_like_zipfile(self, tmp_path, kind):
+        path = tmp_path / "m.npz"
+        foreign_archive(kind, path)
+        assert_reads_like_zipfile(path)
+
+    def test_stored_arrays_are_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "m.bundle"
+        param_set({"w": np.ones((2, 3)), "b": np.zeros(3)}).save(path)
+        with open(path, "rb") as fh:
+            state = ad.read_npz(fh)
+        owners = set()
+        for arr in state.values():
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            owners.add(arr.obj)  # what the memoryview views
+        assert owners == {path.read_bytes()} and type(owners.pop()) is bytes
+
+    @pytest.mark.parametrize("field", ["count", "comment length"])
+    def test_directory_not_filled_by_its_entries_is_refused(self, tmp_path, field):
+        """zipfile walks the directory by its size alone and reads past a
+        last entry that overruns it; the one-pass reader refuses both."""
+        path = tmp_path / "m.ckpt"
+        param_set({"w": np.ones(2), "b": np.zeros(3)}).save(path)
+        data = bytearray(path.read_bytes())
+        end = len(data) - 22  # the end record, behind the last entry, __meta__.npy's
+        if field == "count":  # of the entries on this disk and in all
+            data[end + 8] -= 1
+            data[end + 10] -= 1
+        else:
+            data[end - len(b"__meta__.npy") - 46 + 32] += 1
+        path.write_bytes(bytes(data))
+        assert read_outcome(reference_read_npz, path) is not None
+        assert read_outcome(ad.read_npz, path) is None
+
+    def test_every_lzma_properties_byte_reads_like_zipfile(self, tmp_path):
+        """The first LZMA1 property byte packs lc, lp and pb; a value out
+        of their range is refused as zipfile refuses it."""
+        path = tmp_path / "m.ckpt"
+        param_set({"w": np.arange(6.0)}).save(path)
+        rezip(path, zipfile.ZIP_LZMA)
+        clean = path.read_bytes()
+        props = 30 + len(b"w.npy") + 4  # the local header, its name, zipfile's prefix
+        assert clean[props - 2:props] == b"\x05\x00"  # the properties' length
+        for value in range(256):
+            data = bytearray(clean)
+            data[props] = value
+            path.write_bytes(bytes(data))
+            want = read_outcome(reference_read_npz, path)
+            got = read_outcome(ad.read_npz, path)
+            assert (got is None) == (want is None), value
+            if want is not None:
+                assert_same_arrays(want, got)
+
+    @pytest.mark.parametrize("build", [zip64_bundle, non_ascii_bundle],
+                             ids=["zip64", "non-ascii"])
+    def test_corrupted_byte_is_refused_where_zipfile_refuses(
+            self, tmp_path, monkeypatch, build):
+        """Every byte flipped in turn, zip64 records and a UTF-8 name
+        included: the read gives the saved arrays back or the one
+        ValueError, and always the ValueError where zipfile refuses."""
+        path = tmp_path / "m.ckpt"
+        want = build(path, monkeypatch).state_dict()
+        refused = 0
+        for offset, mask in byte_flips(path):
+            try:
+                state, extra = ad.ParamSet.read(path)
+            except ValueError as err:
+                assert str(err) == f"{path}: not a format-2 checkpoint", (offset, mask)
+                refused += 1
+                continue
+            assert read_outcome(reference_read_npz, path) is not None, (offset, mask)
+            assert extra == {"epoch": 3}, (offset, mask)
+            assert_same_arrays(want, state)
+        assert refused > 0
+
+    @pytest.mark.parametrize("build", [zip64_bundle, non_ascii_bundle],
+                             ids=["zip64", "non-ascii"])
+    def test_truncated_bundle_is_value_error_naming_path(self, tmp_path, monkeypatch, build):
+        path = tmp_path / "m.ckpt"
+        build(path, monkeypatch)
+        clean = path.read_bytes()
+        for length in range(len(clean)):
+            path.write_bytes(clean[:length])
+            with pytest.raises(ValueError) as err:
+                ad.ParamSet.read(path)
+            assert str(err.value) == f"{path}: not a format-2 checkpoint", length
 
 
 # ---------------------------------------------------------------------------
