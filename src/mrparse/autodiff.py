@@ -50,30 +50,27 @@ Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
 alone writes and reads checkpoints: deterministic, uncompressed zips of
 exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
-Their writer, ``_write_npz``, writes a bundle in one pass: each
-member's zip and ``.npy`` headers packed directly, the ``.npy`` header
-through a memo, and the array's own buffer, CRC'd as it goes.  Its
-bytes are those of ``zipfile`` (``force_zip64=True``) and
-``np.lib.format.write_array`` on Python 3.11 and later on POSIX, so
-the format is unchanged; they no longer depend on the interpreter's
-``zipfile``, so a bundle saved on Python 3.10 or Windows differs once
-from before, and both load the same.  Their reader, :func:`read_npz`,
-reads the file once and parses its end record and central directory
-directly, with the checks of ``zipfile``'s reader, and checks each
-member's size and CRC-32.  A stored member's array is a view of that
-one buffer; DEFLATE, BZIP2 and LZMA members, as in a bundle re-zipped
-compressed, are decompressed.  It parses each ``.npy`` header through
+Their writer, ``_write_npz``, writes a bundle in one pass, the bytes of
+``zipfile`` (``force_zip64=True``) and ``np.lib.format.write_array`` on
+Python 3.11 and later on POSIX: each member's zip and ``.npy`` headers
+packed directly, the ``.npy`` header through a memo, and the array's own
+buffer, CRC'd as it goes.  Their reader, :func:`read_npz`, also reads
+the contextual vectors' files, so it takes the archives of ``np.savez``
+and ``np.savez_compressed`` too.  It reads the file once and parses its
+end record and central directory directly, with the checks of
+``zipfile``'s reader, and checks each member's size and CRC-32.  A
+stored member's array is a view of that one buffer; a DEFLATE member is
+decompressed; any other compression, an archive comment and bytes
+before the archive are refused.  It parses each ``.npy`` header through
 a memo, for a bundle repeats few distinct headers.
 A model is built from saved values by handing them to its container
 as ``state``: the parameters copy them and no initializer draws.
 """
 
-import bz2
 import contextlib
 import functools
 import io
 import json
-import lzma
 import struct
 import zipfile
 import zlib
@@ -830,9 +827,11 @@ class ParamSet:
     identical bytes, the same as ``zipfile`` and ``np.lib.format`` write
     on Python 3.11 and later.  ``read`` is the format's only reader,
     through :func:`read_npz`: one read of the file, whose arrays are
-    read-only views of that one buffer; ``_add`` copies them once.
-    An empty, truncated, corrupted or foreign file, an object array, or
-    another format version raises one ``ValueError`` naming the path.
+    read-only views of that one buffer; ``_add`` copies them once.  A
+    bundle re-zipped with DEFLATE reads the same.  An empty, truncated,
+    corrupted or foreign file (other compression, an archive comment or
+    bytes before the archive included), an object array, or another
+    format version raises one ``ValueError`` naming the path.
     """
 
     def __init__(self, state=None):
@@ -1000,17 +999,16 @@ def _npy_header_bytes(dtype, fortran_order, shape):
 def read_npz(fh):
     """The arrays of the ``.npz`` archive open as ``fh`` by member name, in
     directory order.  The file is read once and its zip records parsed
-    directly, with the checks of ``zipfile``'s reader; each member's size
-    and CRC-32 are checked.  A stored member's array is a read-only view
-    of the one file buffer; a DEFLATE, BZIP2 or LZMA member's is a view
-    of its decompressed bytes.  A malformed archive or object array is a
-    ValueError."""
+    directly (see :func:`_zip_members`).  A stored member's array is a
+    read-only view of the one file buffer; a DEFLATE member's is a view of
+    its decompressed bytes.  A malformed or unsupported archive, or an
+    object array, is a ValueError."""
     buf = fh.read()
     try:
         return {name.removesuffix(".npy"): _npy_array(data) for name, data in _zip_members(buf)}
     except (IndexError, struct.error,  # a record cut off by the end of the file
             KeyError,  # an unknown .npy version
-            EOFError, OSError, zlib.error, lzma.LZMAError) as err:  # bad compressed data
+            zlib.error) as err:  # bad DEFLATE data
         raise ValueError(f"malformed .npz archive: {err!r}") from None
 
 
@@ -1020,16 +1018,16 @@ _MAX_VERSION = 63  # the newest zip version needed to extract that zipfile reads
 
 def _zip_members(buf):
     """Yield the (name, data) of each member of the zip archive ``buf``,
-    as ``zipfile`` reads it: the end record found behind any comment, the
-    zip64 end record where its locator precedes the end record, header
-    offsets shifted by bytes before the archive, and a local header that
-    must name its entry.  The entries must fill the directory exactly,
-    and each member's data must have its recorded size and CRC-32."""
+    read as ``zipfile`` reads the archives that ``ParamSet.save``,
+    ``np.savez`` and ``np.savez_compressed`` write: the end record in the
+    last 22 bytes, with no comment; the zip64 end record where its locator
+    precedes the end record; the central directory at the offset its end
+    record gives, filled exactly by its entries; and a local header that
+    must name its entry.  Each member must be stored or DEFLATE
+    compressed, and its data must have its recorded size and CRC-32."""
     end = len(buf) - _END.size
-    if end < 0 or buf[end:end + 4] != b"PK\x05\x06" or buf[-2:] != b"\0\0":
-        end = buf.rfind(b"PK\x05\x06", max(end - 0x10000, 0))
-    if end < 0:
-        raise ValueError("no end of central directory record")
+    if end < 0 or not buf.startswith(b"PK\x05\x06", end) or buf[-2:] != b"\0\0":
+        raise ValueError("no end of central directory record, or a comment after it")
     *_, count, size, offset, _ = _END.unpack_from(buf, end)
     locator = end - _ZIP64_LOCATOR.size
     if locator >= 0 and buf.startswith(b"PK\x06\x07", locator):
@@ -1039,10 +1037,9 @@ def _zip_members(buf):
         if buf.startswith(b"PK\x06\x06", locator - _ZIP64_END.size):
             end = locator - _ZIP64_END.size
             *_, count, size, offset = _ZIP64_END.unpack_from(buf, end)
-    pos = end - size  # where the central directory starts
-    shift = pos - offset  # bytes before the archive, which move every member
-    if pos < 0:
-        raise ValueError("central directory before the file")
+    if offset + size != end:
+        raise ValueError("central directory not where its end record puts it")
+    pos = offset
     view = memoryview(buf)
     for _ in range(count):
         (sig, _, _, version, _, flag, method, _, _, crc, csize, fsize,
@@ -1052,10 +1049,10 @@ def _zip_members(buf):
         extra = buf[pos + name_len:pos + name_len + extra_len]
         fsize, csize, header = _zip64_fields([fsize, csize, header], extra)
         pos += name_len + extra_len + comment_len
-        header += shift
         if (sig != b"PK\x01\x02" or version > _MAX_VERSION or flag & _ENCRYPTED
-                or not 0 <= header < len(buf)):
-            raise ValueError(f"bad directory entry of {name!r}")
+                or method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+                or header >= len(buf)):
+            raise ValueError(f"bad or unsupported directory entry of {name!r}")
         sig, _, _, local_flag, *_, name_len, extra_len = _LOCAL_HEADER.unpack_from(buf, header)
         start = header + _LOCAL_HEADER.size
         local_name = buf[start:start + name_len]
@@ -1064,7 +1061,8 @@ def _zip_members(buf):
         if (sig != b"PK\x03\x04" or len(data) != csize or local_name.decode(
                 "utf-8" if local_flag & _UTF8_NAME else "cp437") != name):
             raise ValueError(f"bad local header of {name!r}")
-        data = _decompress(data, method)
+        if method == zipfile.ZIP_DEFLATED:
+            data = zlib.decompressobj(-15).decompress(data)
         if len(data) != fsize or zlib.crc32(data) != crc:
             raise ValueError(f"bad size or CRC-32 of {name!r}")
         yield name, data
@@ -1086,26 +1084,6 @@ def _zip64_fields(fields, extra):
                 if field == _IN_ZIP64:
                     (fields[k],), data = struct.unpack_from("<Q", data), data[8:]
     return fields
-
-
-def _decompress(data, method):
-    """The bytes of member ``data`` stored or compressed by zip ``method``."""
-    if method == zipfile.ZIP_STORED:
-        return data
-    if method == zipfile.ZIP_DEFLATED:
-        return zlib.decompressobj(-15).decompress(data)
-    if method == zipfile.ZIP_BZIP2:
-        return bz2.BZ2Decompressor().decompress(data)
-    if method == zipfile.ZIP_LZMA and data[2:4] == b"\x05\x00":
-        # a 2-byte version, the properties' length 5, then LZMA1's
-        # properties: (pb * 5 + lp) * 9 + lc in one byte, the dictionary
-        # size in four; liblzma refuses values out of range
-        pb, lclp = divmod(data[4], 45)
-        lp, lc = divmod(lclp, 9)
-        lzma1 = {"id": lzma.FILTER_LZMA1, "lc": lc, "lp": lp, "pb": pb,
-                 "dict_size": int.from_bytes(data[5:9], "little")}
-        return lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[lzma1]).decompress(data[9:])
-    raise ValueError(f"unsupported zip compression method {method}")
 
 
 def _npy_array(data):

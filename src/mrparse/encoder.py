@@ -173,7 +173,8 @@ class ContextualEmbeddings:
     def load(cls, path):
         with open(path, "rb") as fh:
             try:
-                members = {key: np.asarray(arr, np.int64 if key.endswith("__tok") else np.float64)
+                # each kept array a copy, so none keeps the file's buffer alive
+                members = {key: arr if key.endswith("__tok") else np.array(arr, np.float64)
                            for key, arr in ad.read_npz(fh).items()}
             except ValueError:  # empty, pickled, broken
                 raise ValueError(f"{path}: not an .npz archive of arrays") from None
@@ -191,7 +192,10 @@ class ContextualEmbeddings:
                                  f"{first.shape[0]} of width {first.shape[2]}")
             tok_key = key + "__tok"
             if tok_key in members:
-                arr = _average_subwords(arr, members[tok_key])
+                try:
+                    arr = _average_subwords(arr, members[tok_key])
+                except ValueError as err:
+                    raise ValueError(f"{path}: {tok_key}: {err}") from None
             arrays[key] = arr
         if not arrays:
             raise ValueError(f"{path}: no contextual arrays")
@@ -217,17 +221,22 @@ class ContextualEmbeddings:
         return np.concatenate([root, arr], axis=1)
 
 
-def _average_subwords(arr, token_index):
-    if token_index.size != arr.shape[1]:
-        raise ValueError("subword index length does not match rows")
-    n_tokens = int(token_index.max()) + 1 if token_index.size else 0
-    out = np.zeros((arr.shape[0], n_tokens, arr.shape[2]))
-    counts = np.zeros(n_tokens)
-    for row, tok in enumerate(token_index):
-        out[:, tok, :] += arr[:, row, :]
-        counts[tok] += 1
-    if (counts == 0).any():
+def _average_subwords(arr, index):
+    """The (layers, subwords, width) rows of ``arr`` averaged into tokens
+    by ``index``, each row's token: a 1-D integer array, one entry per
+    row, in which every token from 0 to the last has a row."""
+    if index.dtype.kind not in "iu" or index.shape != arr.shape[1:2]:
+        raise ValueError(f"{index.dtype} index of shape {index.shape}, "
+                         f"not one integer per row of {arr.shape[1]}")
+    index = index.astype(np.int64)  # a uint64 past int64 turns negative
+    if index.size and not 0 <= index.min() <= index.max() < index.size:
+        raise ValueError(f"tokens {index.min()}..{index.max()} not within 0..{index.size - 1}")
+    counts = np.bincount(index)
+    if not counts.all():
         raise ValueError("token with no subword rows")
+    out = np.zeros((arr.shape[0], counts.size, arr.shape[2]))
+    for row, tok in enumerate(index):
+        out[:, tok, :] += arr[:, row, :]
     return out / counts[None, :, None]
 
 

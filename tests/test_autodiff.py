@@ -632,10 +632,6 @@ class TestOptimizer:
         np.testing.assert_array_equal(a.grad, [0.3, 0.4])
 
 
-COMPRESSED = [zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA]
-COMPRESSED_IDS = ["deflated", "bzip2", "lzma"]
-
-
 def rezip(path, compression):
     """Rewrite the zip at ``path`` with every member compressed."""
     with zipfile.ZipFile(path) as zf:
@@ -693,7 +689,7 @@ class TestParamSet:
         with pytest.raises(ValueError, match="m.bundle: not a format-2 checkpoint"):
             ad.ParamSet.read(path)
 
-    @pytest.mark.parametrize("compression", COMPRESSED, ids=COMPRESSED_IDS)
+    @pytest.mark.parametrize("compression", [zipfile.ZIP_DEFLATED], ids=["deflated"])
     def test_compressed_bundle_reads_the_same(self, tmp_path, compression):
         ps = ad.ParamSet()
         ps.new("w", (30, 20), np.random.default_rng(25))
@@ -707,11 +703,11 @@ class TestParamSet:
         assert extra == {"epoch": 2}
         assert_same_arrays(ps.state_dict(), state)
 
-    @pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, *COMPRESSED],
-                             ids=["stored", *COMPRESSED_IDS])
+    @pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED],
+                             ids=["stored", "deflated"])
     def test_corrupted_byte_reads_the_same_or_is_value_error_naming_path(
             self, tmp_path, compression):
-        """Every byte of a bundle, as saved or re-zipped compressed, flipped
+        """Every byte of a bundle, as saved or re-zipped with DEFLATE, flipped
         in turn: the read gives the saved arrays back or the one
         ValueError, never another error."""
         ps = ad.ParamSet()
@@ -733,6 +729,25 @@ class TestParamSet:
             assert extra == {"epoch": 1}, (offset, mask)
             assert_same_arrays(want, state)
         assert refused > 0
+
+    @pytest.mark.parametrize("kind", ["bzip2", "lzma", "comment", "prepended"])
+    def test_bzip2_lzma_comment_or_prefix_is_value_error_naming_path(self, tmp_path, kind):
+        """zipfile reads a bundle re-zipped with BZIP2 or LZMA, given an
+        archive comment, or behind other bytes; ``ParamSet.read`` refuses
+        each, as neither it nor ``np.savez`` writes them."""
+        path = tmp_path / "m.ckpt"
+        param_set({"w": np.arange(6.0), "b": np.zeros(2)}).save(path)
+        if kind in ("bzip2", "lzma"):
+            rezip(path, getattr(zipfile, f"ZIP_{kind.upper()}"))
+        elif kind == "comment":
+            with zipfile.ZipFile(path, "a") as zf:
+                zf.comment = b"an archive comment"
+        else:
+            path.write_bytes(b"#!/bin/sh\n" + path.read_bytes())
+        assert read_outcome(reference_read_npz, path) is not None
+        with pytest.raises(ValueError) as err:
+            ad.ParamSet.read(path)
+        assert str(err.value) == f"{path}: not a format-2 checkpoint"
 
     @pytest.mark.parametrize("content", [
         b"",
@@ -966,10 +981,6 @@ def foreign_archive(kind, path):
         np.savez(path, **arrays)
     elif kind == "savez_compressed":
         np.savez_compressed(path, **arrays)
-    elif kind == "comment":
-        param_set(arrays).save(path)
-        with zipfile.ZipFile(path, "a") as zf:
-            zf.comment = b"an archive comment"
     elif kind == "unseekable":  # as np.savez writes, to a stream
         with open(path, "wb") as fh, zipfile.ZipFile(Unseekable(fh), "w") as zf:
             for name, arr in arrays.items():
@@ -984,7 +995,7 @@ def foreign_archive(kind, path):
         assert path.read_bytes()[28:30] == b"\x00\x00"  # the first local extra's length
 
 
-FOREIGN = ["savez", "savez_compressed", "comment", "unseekable", "writestr"]
+FOREIGN = ["savez", "savez_compressed", "unseekable", "writestr"]
 
 
 def zip64_bundle(path, monkeypatch):
@@ -1062,25 +1073,6 @@ class TestOnePassReader:
         path.write_bytes(bytes(data))
         assert read_outcome(reference_read_npz, path) is not None
         assert read_outcome(ad.read_npz, path) is None
-
-    def test_every_lzma_properties_byte_reads_like_zipfile(self, tmp_path):
-        """The first LZMA1 property byte packs lc, lp and pb; a value out
-        of their range is refused as zipfile refuses it."""
-        path = tmp_path / "m.ckpt"
-        param_set({"w": np.arange(6.0)}).save(path)
-        rezip(path, zipfile.ZIP_LZMA)
-        clean = path.read_bytes()
-        props = 30 + len(b"w.npy") + 4  # the local header, its name, zipfile's prefix
-        assert clean[props - 2:props] == b"\x05\x00"  # the properties' length
-        for value in range(256):
-            data = bytearray(clean)
-            data[props] = value
-            path.write_bytes(bytes(data))
-            want = read_outcome(reference_read_npz, path)
-            got = read_outcome(ad.read_npz, path)
-            assert (got is None) == (want is None), value
-            if want is not None:
-                assert_same_arrays(want, got)
 
     @pytest.mark.parametrize("build", [zip64_bundle, non_ascii_bundle],
                              ids=["zip64", "non-ascii"])

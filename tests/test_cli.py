@@ -5,8 +5,13 @@ epochs; the chained fixture trains once per module and the tests poke
 at the artifacts.
 """
 
+import io
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -665,6 +670,17 @@ def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
 # ---------------------------------------------------------------------------
 # malformed input files: exit 1 with one line, before anything is written
 
+def zipped_npz(compression, arrays):
+    """The bytes of an ``.npz`` archive of ``arrays``, every member
+    compressed by ``compression``, as neither numpy nor mrparse writes."""
+    fh = io.BytesIO()
+    with zipfile.ZipFile(fh, "w", compression) as zf:
+        for name, arr in arrays.items():
+            with zf.open(f"{name}.npy", "w") as member:
+                np.lib.format.write_array(member, arr)
+    return fh.getvalue()
+
+
 MALFORMED = {  # case -> (the file it stands in for, its content)
     "contextual-without-arrays": ("contextual", {}),
     "contextual-npy": ("contextual", np.zeros((2, 3, 4))),
@@ -713,6 +729,15 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
     "mrp-dm-flavor-2": ("mrp", '{"id": "s", "framework": "dm", "flavor": 2, '
                                '"nodes": [{"id": 0}]}'),
     "contextual-truncated-zip": ("contextual", "PK\x03\x04 truncated"),
+    "contextual-bzip2": ("contextual", zipped_npz(zipfile.ZIP_BZIP2,
+                                                  {"s": np.zeros((2, 3, 4))})),
+    "contextual-lzma": ("contextual", zipped_npz(zipfile.ZIP_LZMA, {"s": np.zeros((2, 3, 4))})),
+    "contextual-negative-subword-index": ("contextual", {"s": np.zeros((2, 3, 4)),
+                                                         "s__tok": np.array([0, -1, 1])}),
+    "contextual-float-subword-index": ("contextual", {"s": np.zeros((2, 3, 4)),
+                                                      "s__tok": np.array([0.2, 0.9, 1.5])}),
+    "contextual-2d-subword-index": ("contextual", {"s": np.zeros((2, 3, 4)),
+                                                   "s__tok": np.array([[0], [1], [2]])}),
 }
 
 
@@ -725,6 +750,8 @@ def test_a_malformed_input_file_is_one_line_error(ws, tmp_path, capsys, case):
             np.savez(fh, **content)
         elif isinstance(content, np.ndarray):
             np.save(fh, content)
+        elif isinstance(content, bytes):
+            fh.write(content)
         else:
             fh.write(content.encode("utf-8") + b"\n")
     out = tmp_path / "out"
@@ -746,9 +773,35 @@ def test_a_malformed_input_file_is_one_line_error(ws, tmp_path, capsys, case):
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    if kind in ("rules", "mrp"):
+    if kind in ("rules", "mrp", "contextual"):
         assert str(path) in err[0], err
     assert not out.exists()
+
+
+def test_runs_without_bz2_or_lzma(tmp_path):
+    """numpy needs neither optional module, so mrparse must not: with
+    both blocked, the CLI imports, a bundle saves and reads, and an
+    ``np.savez_compressed`` contextual file loads."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["bz2"] = sys.modules["lzma"] = None
+        import numpy as np
+        import mrparse.cli
+        from mrparse import autodiff as ad, encoder as enc
+        ps = ad.ParamSet()
+        ps.new_from("w", np.arange(6.0))
+        ps.save("m.bundle", extra={"epoch": 1})
+        state, extra = ad.ParamSet.read("m.bundle")
+        assert state["w"].tolist() == list(range(6)) and extra == {"epoch": 1}
+        np.savez_compressed("ctx.npz", s=np.ones((2, 3, 4)))
+        assert enc.ContextualEmbeddings.load("ctx.npz").width == 4
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,34 @@ class TestContextualEmbeddings:
         np.testing.assert_allclose(arr[:, 1], sub[:, 2])
         np.testing.assert_allclose(arr[:, 2], sub[:, 3:].mean(axis=1))
 
+    def test_kept_arrays_hold_no_view_of_the_file(self, tmp_path):
+        path = tmp_path / "ctx.npz"
+        np.savez(path, s1=np.ones((2, 3, 4)), s2=np.ones((2, 5, 4)),
+                 s2__tok=np.array([0, 0, 1, 2, 2]),
+                 s3=np.arange(24, dtype=np.int32).reshape(2, 3, 4))
+        arrays = enc.ContextualEmbeddings.load(path).arrays
+        assert list(arrays) == ["s1", "s2", "s3"]
+        for key, arr in arrays.items():
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            assert arr is None, key  # not the file's buffer
+
+    @pytest.mark.parametrize("index", [
+        [0, -1, 1],          # -1 would wrap to the last token
+        [0.2, 0.9, 1.5],     # would truncate to [0, 0, 1]
+        [[0, 1, 2]],
+        [0, 1],
+        [0, 2, 2],           # token 1 has no row
+        [True, False, True],
+        np.array([0, 2**64 - 1, 1], dtype=np.uint64),
+    ], ids=["negative", "float", "2-d", "short", "gap", "bool", "uint64"])
+    def test_bad_subword_index_is_value_error_naming_path_and_key(self, tmp_path, index):
+        path = tmp_path / "ctx.npz"
+        np.savez(path, s1=np.ones((2, 3, 4)), s1__tok=np.array(index))
+        with pytest.raises(ValueError) as err:
+            enc.ContextualEmbeddings.load(path)
+        assert str(err.value).startswith(f"{path}: s1__tok: "), err.value
+
     def test_a_member_failing_its_checksum_is_value_error_naming_path(self, tmp_path):
         path = tmp_path / "ctx.npz"
         np.savez(path, s1=np.full((2, 3, 4), 1.5))
