@@ -558,7 +558,7 @@ def _flip(a, axis):
     return np.concatenate([a[at + (slice(1),)], a[::-1][at + (slice(1, 2),)]], axis=axis)
 
 
-def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
+def lstm_sequence(x, wx, wh, b, h0=None, c0=None, lengths=None):
     """Run an LSTM over ``x`` (B, T, D), B sequences of length T side by
     side; returns (B, T, 2H) with the rows ``[h_t | c_t]`` at ``[:, t]``.
     A (T, D) input is one sequence and returns (T, 2H).  Backward is
@@ -577,6 +577,13 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
     rows advanced one step as k sequences of length 1), and from zero
     otherwise; the backward sends their gradients to them in their own
     shapes.
+
+    ``lengths``, one per sequence, makes B ragged sequences of a padded
+    (B, T, D) batch: a row's state passes unchanged through the steps
+    past its length (for the backward direction, its leading steps), its
+    rows there are zero, and the backward sends nothing through them, so
+    each row's values are those of running it alone.  Without it every
+    step is a sequence's own.
 
     One GEMM per direction projects every step's input, the bias added
     once; a step then adds ``h @ wh`` and takes its four gates from one
@@ -607,6 +614,10 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
     # one direction's weights are not copied: a decoder's can be large
     wh_all = np.concatenate([w.data[None] for w in whs]) if nd == 2 else whs[0].data[None]
     steps = np.empty((n, 2, nd, bsz, hsz), dtype=dtype)  # their (h, c)
+    if lengths is not None:
+        live = np.arange(n) < np.asarray(lengths)[:, None]  # (B, T)
+        pad = _flip(np.repeat(~live.T[:, None], nd, axis=1), 1)  # (T, nd, B) in step order
+        held = np.array(start, dtype=dtype)
     for s in range(n):
         y = ys[s]
         y += (h @ wh_all).reshape(nd, bsz, 4, hsz).transpose(2, 0, 1, 3)
@@ -618,9 +629,16 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
         c += a[0] * a[2]
         h = np.tanh(c, out=steps[s, 0])
         h *= a[3]
+        if lengths is not None:  # h and c are views of steps[s]
+            np.copyto(steps[s], held, where=pad[s, :, :, None])
+            held = steps[s]
     out = _flip(steps, 2).transpose(3, 0, 1, 2, 4).reshape(bsz, n, 2 * nd * hsz)
+    if lengths is not None:
+        out = np.where(live[:, :, None], out, 0.0)
 
     def rule(g):
+        if lengths is not None:  # the rows past a length are constant
+            g = np.where(live[:, :, None], g.reshape(bsz, n, -1), 0.0)
         g = _flip(np.ascontiguousarray(g.reshape(bsz, n, 2, nd, hsz).transpose(1, 2, 3, 0, 4)), 2)
         # the (h, c) each step started from
         prev = np.concatenate([np.array(start, dtype=dtype)[None], steps[:-1]])
@@ -635,6 +653,10 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
         dz[:, 2] *= gates[:, 0]
         dz[:, 3] *= tc
         forget = gates[:, 1]
+        if lengths is not None:  # a padded step passes dh and dc through
+            dz *= ~pad[:, None, :, :, None]
+            dcell *= ~pad[..., None]
+            forget = np.where(pad[..., None], 1.0, forget)
         wh_t = np.swapaxes(wh_all, 1, 2)
         dh = dc = 0.0
         for s in range(n - 1, -1, -1):
@@ -643,7 +665,10 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None):
             dz[s, :3] *= dc
             dz[s, 3] *= dh
             dc = dc * forget[s]
-            dh = dz[s].transpose(1, 2, 0, 3).reshape(nd, bsz, 4 * hsz) @ wh_t
+            back = dz[s].transpose(1, 2, 0, 3).reshape(nd, bsz, 4 * hsz) @ wh_t
+            if lengths is not None:
+                np.copyto(back, dh, where=pad[s, :, :, None])
+            dh = back
         # each direction in time order, (B, T) folded into rows
         dz, prev = _flip(dz, 2), _flip(prev, 2)
         for d, (w_x, w_h, bias) in enumerate(zip(wxs, whs, bs)):

@@ -359,16 +359,17 @@ def _check_parse_flags(args):
         raise UsageError("amr is served by one bundle; pass a single --model")
 
 
-def _eds_dm_source(args, sentences, static, contextual):
+def _eds_dm_graphs(args, sentences, static, contextual):
+    """The DM graph of each sentence: read from ``--dm-mrp`` or parsed."""
     if args.dm_mrp:
         dm = {g.id: g for g in G.load_mrp(args.dm_mrp)}
         missing = [s.id for s in sentences if s.id not in dm]
         if missing:
             raise ValueError(f"{args.dm_mrp}: no DM graph for: "
                              + ", ".join(missing))
-        return lambda s: dm[s.id]
+        return [dm[s.id] for s in sentences]
     dm_models = [_load(p, T.MultiModel, static, contextual) for p in args.dm_model]
-    return lambda s: T.parse_ensemble(dm_models, s, "dm")
+    return T.parse_corpus(dm_models, sentences, "dm")
 
 
 def _load_spec(args, static, contextual):
@@ -399,11 +400,10 @@ def cmd_parse(args):
               else [_load(p, kind, static, contextual) for p in args.model])
 
     if args.framework == "eds":
-        dm_of = _eds_dm_source(args, sentences, static, contextual)
-        graphs = [models[0].parse(s, dm_of(s))[0] for s in sentences]
+        dm = _eds_dm_graphs(args, sentences, static, contextual)
+        graphs = [models[0].parse(s, g)[0] for s, g in zip(sentences, dm)]
     else:
-        graphs = [T.parse_ensemble(models, s, args.framework, beam=beam)
-                  for s in sentences]
+        graphs = T.parse_corpus(models, sentences, args.framework, beam=beam)
 
     if not _validate_or_fail(graphs):
         return 1

@@ -173,15 +173,17 @@ class ContextualEmbeddings:
     def load(cls, path):
         with open(path, "rb") as fh:
             try:
-                # each kept array a copy, so none keeps the file's buffer alive
-                members = {key: arr if key.endswith("__tok") else np.array(arr, np.float64)
-                           for key, arr in ad.read_npz(fh).items()}
+                members = ad.read_npz(fh)
             except ValueError:  # empty, pickled, broken
                 raise ValueError(f"{path}: not an .npz archive of arrays") from None
         arrays = {}
         for key, arr in members.items():
             if key.endswith("__tok"):
                 continue
+            if arr.dtype.kind not in "fiu":  # complex, bool, dates, records
+                raise ValueError(f"{path}: {key} holds {arr.dtype} values, "
+                                 f"not floats or integers")
+            arr = np.array(arr, np.float64)  # a copy: none keeps the file's buffer alive
             if arr.ndim != 3:
                 raise ValueError(f"{path}: {key} has shape {arr.shape}, "
                                  f"not (layers, tokens, width)")
@@ -302,10 +304,11 @@ class LstmCell:
 
 @dataclass
 class EncoderOutput:
-    """Per-layer position matrices, layers[0] being the featurized input,
-    and per biLSTM layer its :func:`autodiff.lstm_sequence` rows ``[h_fwd |
-    h_bwd | c_fwd | c_bwd]``, (T, 4H), whose h half is the next entry of
-    ``layers``."""
+    """One sentence's per-layer position matrices, layers[0] being the
+    featurized input, and per biLSTM layer its
+    :func:`autodiff.lstm_sequence` rows ``[h_fwd | h_bwd | c_fwd |
+    c_bwd]``, (T, 4H), whose h half is the next entry of ``layers``; from
+    :meth:`BiLstm.run` on a padded batch, (B, T, ·) rows."""
     layers: list
     lstm_out: list
 
@@ -347,27 +350,40 @@ class BiLstm:
             self.dirs.append((fwd, bwd))
             width = 2 * hidden
 
-    def run(self, h0, rng=None):
+    def run(self, h0, rng=None, lengths=None):
+        """The layers over the (T, D) rows ``h0``, or over a (B, T, D)
+        batch padded past each sequence's ``lengths``."""
         layers, lstm_out = [h0], []
         current = h0
         for fwd, bwd in self.dirs:
             current = ad.dropout(current, self.input_dropout, rng)
             out = ad.lstm_sequence(current, (fwd.wx, bwd.wx), (fwd.wh, bwd.wh),
-                                   (fwd.b, bwd.b))
-            current = ad.split(out, [2 * fwd.hidden] * 2, axis=1)[0]
+                                   (fwd.b, bwd.b), lengths=lengths)
+            current = ad.split(out, [2 * fwd.hidden] * 2, axis=-1)[0]
             layers.append(current)
             lstm_out.append(out)
         return EncoderOutput(layers=layers, lstm_out=lstm_out)
 
 
-class Encoder:
-    """Featurizer plus contextualizer over one sentence.
+def _unpad(t, lengths):
+    """The rows of each sequence of the padded (B, T, W) ``t``, one (n,
+    W) tensor per sequence of ``lengths``."""
+    bsz, n, width = t.shape
+    keep = np.concatenate([np.arange(k * n, k * n + m) for k, m in enumerate(lengths)])
+    return ad.split(ad.rows(ad.reshape(t, (bsz * n, width)), keep), lengths)
 
-    ``run`` takes companion TokenRows and the sentence's contextual
-    array and returns an :class:`EncoderOutput` whose position 0 is the
-    prepended <ROOT>.  ``config`` is a ``TrainConfig``; the encoder
-    reads its embedding and MLP widths, ``layers``, ``hidden``, the
-    three feature-group drop rates and ``encoder_dropout``.
+
+class Encoder:
+    """Featurizer plus contextualizer over a batch of sentences.
+
+    ``run`` takes (companion TokenRows, contextual array) pairs and
+    returns one :class:`EncoderOutput` per sentence, whose position 0 is
+    the prepended <ROOT>, from one featurize pass over the concatenated
+    rows and one length-masked call per biLSTM layer over them padded to
+    (B, T, D).  A batch of one is one sentence's rows, unpadded.
+    ``config`` is a ``TrainConfig``; the encoder reads its embedding and
+    MLP widths, ``layers``, ``hidden``, the three feature-group drop
+    rates and ``encoder_dropout``.
     """
 
     def __init__(self, params, vocab, config, static, ctx_layers, ctx_width, rng):
@@ -395,22 +411,27 @@ class Encoder:
         weights = ad.reshape(ad.softmax(self.mix_scores, axis=-1), (const.shape[0], 1, 1))
         return ad.reduce_sum(ad.mul(weights, const), axis=0)
 
-    def featurize(self, tokens, ctx_array, rng=None):
+    def featurize(self, batch, rng=None):
+        """The rows of every sentence of ``batch``, <ROOT> first, one
+        after another."""
         v = self.vocab
-        surf_ids = [v.surface[ROOT]] + [v.surface_id(t.surface) for t in tokens]
-        lemma_ids = [v.lemma[ROOT]] + [v.lemma_id(t.lemma) for t in tokens]
-        upos_ids = [v.pos[ROOT]] + [v.pos_id(t.upos) for t in tokens]
-        xpos_ids = [v.pos[ROOT]] + [v.pos_id(t.xpos) for t in tokens]
-        ne_ids = [v.ne[ROOT]] + [v.ne_id(t.ne) for t in tokens]
+        surf_ids, lemma_ids, upos_ids, xpos_ids, ne_ids, surfaces = ([] for _ in range(6))
+        for tokens, _ in batch:
+            surf_ids += [v.surface[ROOT]] + [v.surface_id(t.surface) for t in tokens]
+            lemma_ids += [v.lemma[ROOT]] + [v.lemma_id(t.lemma) for t in tokens]
+            upos_ids += [v.pos[ROOT]] + [v.pos_id(t.upos) for t in tokens]
+            xpos_ids += [v.pos[ROOT]] + [v.pos_id(t.xpos) for t in tokens]
+            ne_ids += [v.ne[ROOT]] + [v.ne_id(t.ne) for t in tokens]
+            surfaces += [ROOT] + [t.surface for t in tokens]
 
         surf = ad.rows(self.surface_emb, surf_ids)
         lemma = ad.rows(self.lemma_emb, lemma_ids)
         pos = ad.add(ad.rows(self.pos_emb, upos_ids), ad.rows(self.pos_emb, xpos_ids))
         ne = ad.rows(self.ne_emb, ne_ids)
 
-        static_raw = ad.Tensor(self.static.matrix([ROOT] + [t.surface for t in tokens]))
-        static_h = self.static_mlp(static_raw)
-        ctx_h = self.ctx_mlp(self.mix_contextual(ctx_array))
+        static_h = self.static_mlp(ad.Tensor(self.static.matrix(surfaces)))
+        ctx = np.concatenate([arr for _, arr in batch], axis=1)
+        ctx_h = self.ctx_mlp(self.mix_contextual(ctx))
 
         h0 = ad.concat([surf, lemma, pos, ne, static_h, ctx_h], axis=1)
         # _group_drop draws three numbers per token whatever the rates
@@ -432,5 +453,19 @@ class Encoder:
         mask[word, lo_ne:] = 0.0
         return ad.mul(h0, ad.Tensor(mask))
 
-    def run(self, tokens, ctx_array, rng=None):
-        return self.bilstm.run(self.featurize(tokens, ctx_array, rng), rng)
+    def run(self, batch, rng=None):
+        if not batch:
+            return []
+        h0 = self.featurize(batch, rng)
+        if len(batch) == 1:
+            return [self.bilstm.run(h0, rng)]
+        lengths = [len(tokens) + 1 for tokens, _ in batch]
+        starts = np.cumsum([0] + lengths[:-1])
+        # a padded position repeats its sentence's last row: the mask ignores it
+        pick = starts[:, None] + np.minimum(np.arange(max(lengths)),
+                                            np.array(lengths)[:, None] - 1)
+        out = self.bilstm.run(ad.rows(h0, pick), rng, lengths)
+        layers = [ad.split(h0, lengths)] + [_unpad(t, lengths) for t in out.layers[1:]]
+        lstm_out = [_unpad(t, lengths) for t in out.lstm_out]
+        return [EncoderOutput(layers=list(ls), lstm_out=list(outs))
+                for ls, outs in zip(zip(*layers), zip(*lstm_out))]

@@ -257,9 +257,10 @@ class MultiModel:
             input_dropout=cfg.biaffine_input_dropout,
             edge_dropout=cfg.edge_dropout, label_dropout=cfg.label_dropout)
 
-    def encode(self, sent, rng=None):
-        ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
-        return self.encoder.run(sent.tokens, ctx, rng)
+    def encode(self, sentences, rng=None):
+        """One ``EncoderOutput`` per sentence, from one encoder pass."""
+        return self.encoder.run([(s.tokens, self.contextual.for_sentence(s.id, len(s.tokens)))
+                                 for s in sentences], rng)
 
     def amr_context(self, sent, enc_out):
         n = enc_out.n_positions
@@ -604,8 +605,10 @@ class AmrTask(Task):
 
     def predict(self, model, sent, enc_out, beam):
         """(generation, edge probabilities, label probabilities), the
-        probabilities None for an empty generation."""
-        gen = A.beam_search(model.amr_context(sent, enc_out), width=beam)
+        probabilities None for an empty generation, which a sentence
+        without tokens gets: the mixture has no source to copy from."""
+        gen = (A.beam_search(model.amr_context(sent, enc_out), width=beam) if sent.tokens
+               else A.AmrGeneration((), (), (), (), 0.0))
         if not gen.labels:
             return gen, None, None
         scores = model.heads["amr"].score(ad.concat(list(gen.states), axis=0))
@@ -673,7 +676,7 @@ def framework_terms(model, prep, frameworks, rng=None):
     want = [TASKS[name] for name in frameworks if name in prep.targets]
     if not want:
         return {}
-    enc_out = model.encode(prep.sent, rng)
+    [enc_out] = model.encode([prep.sent], rng)
     terms = {}
     for task in want:
         terms.update(task.terms(model, prep.sent, enc_out,
@@ -996,7 +999,8 @@ class EdsModel:
         """Encoder states of the tokens (the root row dropped); a
         constant, since the encoder is frozen."""
         ctx = self.contextual.for_sentence(sent.id, len(sent.tokens))
-        return ad.Tensor(self.encoder.run(sent.tokens, ctx).top.data[1:])
+        [enc_out] = self.encoder.run([(sent.tokens, ctx)])
+        return ad.Tensor(enc_out.top.data[1:])
 
     @ad.no_grad()
     def parse(self, sent, dm_graph):
@@ -1140,16 +1144,18 @@ def _token_span(node, tokens):
 # ---------------------------------------------------------------------------
 # parsing
 
-def predict(model, sent, framework, beam=A.BEAM_WIDTH):
-    """One model's prediction for one sentence (``Task.predict``), the
-    probability arrays its graph is decoded from, from one encoder pass.
-    A model without the framework's head or decoder raises a ValueError."""
+def predict(model, sentences, framework, beam=A.BEAM_WIDTH):
+    """One model's prediction for each of ``sentences`` (``Task.predict``),
+    the probability arrays its graph is decoded from, from one encoder
+    pass over all of them; the heads and decoders run per sentence.  A
+    model without the framework's head or decoder raises a ValueError."""
     task = TASKS.get(framework)
     if task is None:
         raise ValueError(f"cannot parse framework {framework!r} with this model")
     if task.name not in model.heads:
         raise ValueError(f"model has no {task.name} {task.part}")
-    return task.predict(model, sent, model.encode(sent), beam)
+    return [task.predict(model, s, enc_out, beam)
+            for s, enc_out in zip(sentences, model.encode(sentences))]
 
 
 def decode_predictions(models, sent, framework, preds):
@@ -1161,11 +1167,28 @@ def decode_predictions(models, sent, framework, preds):
     return TASKS[framework].decode(models, sent, preds, companion_text(sent.tokens))
 
 
-@ad.no_grad()
-def parse_ensemble(models, sent, framework, beam=A.BEAM_WIDTH):
+def parse_ensemble(models, sent, framework):
     """Predict with each model, then combine and decode."""
-    preds = [predict(m, sent, framework, beam=beam) for m in models]
-    return decode_predictions(models, sent, framework, preds)
+    return parse_corpus(models, [sent], framework)[0]
+
+
+PARSE_BATCH = 32  # sentences per encoder pass of parse_corpus
+
+
+@ad.no_grad()
+def parse_corpus(models, sentences, framework, beam=A.BEAM_WIDTH):
+    """``parse_ensemble`` of each sentence, in order, each model encoding
+    ``PARSE_BATCH`` sentences of near length per pass."""
+    order = sorted(range(len(sentences)), key=lambda k: len(sentences[k].tokens))
+    graphs = [None] * len(sentences)
+    for lo in range(0, len(order), PARSE_BATCH):
+        chunk = order[lo:lo + PARSE_BATCH]
+        sents = [sentences[k] for k in chunk]
+        preds = [predict(m, sents, framework, beam=beam) for m in models]
+        for j, k in enumerate(chunk):
+            graphs[k] = decode_predictions(models, sentences[k], framework,
+                                           [p[j] for p in preds])
+    return graphs
 
 
 def parse_sentence(model, sent, framework):
@@ -1223,14 +1246,14 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
 
     The framework's rule decides: AMR keeps its single best model; DM
     and PSD average probabilities; UCCA votes.  Each model predicts each
-    sentence once: for k models and n sentences the cache holds k × n
-    predictions, each the probability arrays one parse already builds
-    (``predict``), softmaxes included, and every subset the scan tries
-    is scored by decoding its members' cached predictions.
+    sentence once, with one encoder pass per member over all of them:
+    for k models and n sentences the cache holds k × n predictions, each
+    the probability arrays one parse already builds (``predict``),
+    softmaxes included, and every subset the scan tries is scored by
+    decoding its members' cached predictions.
     """
     golds = [s.graphs[framework] for s in sentences]
-    cache = [[predict(m, s, framework, beam=beam) for s in sentences]
-             for m in models]
+    cache = [predict(m, sentences, framework, beam=beam) for m in models]
 
     def score_fn(member_ids):
         subset = [models[i] for i in member_ids]

@@ -8,7 +8,6 @@ modules get to use it.
 
 import itertools
 import json
-import lzma
 import os
 import zipfile
 import zlib
@@ -26,6 +25,11 @@ from mrparse import sdp
 from mrparse import training as T
 from mrparse import ucca
 from mrparse import biaffine
+
+try:  # reference_read_npz's; the suite also collects without the module
+    from lzma import LZMAError
+except ImportError:
+    LZMAError = zlib.error  # caught already: nothing more to catch
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -767,7 +771,7 @@ def reference_sdp_graph(model, framework, sid, tokens, text, scores, frame_pred)
 
 
 def reference_sdp_prediction(model, sent, fw):
-    enc_out = model.encode(sent)
+    [enc_out] = model.encode([sent])
     scores = model.heads[fw].score(enc_out.top)
     if fw != "dm":
         return scores, None
@@ -778,7 +782,7 @@ def reference_sdp_prediction(model, sent, fw):
 
 
 def reference_ucca_prediction(model, sent):
-    enc_out = model.encode(sent)
+    [enc_out] = model.encode([sent])
     dec = ucca.pointer_decode(enc_out, model.ucca_decoder)
     states = ucca.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
                                     model.ucca_extra)
@@ -793,7 +797,7 @@ def reference_ucca_prediction(model, sent):
 def reference_amr_prediction(model, sent, beam):
     """(generation, edge probabilities, label probabilities) for one
     sentence, the probabilities None for an empty generation."""
-    enc_out = model.encode(sent)
+    [enc_out] = model.encode([sent])
     ctx = model.amr_context(sent, enc_out)
     gen = amr.beam_search(ctx, width=beam)
     if not gen.labels:
@@ -1110,7 +1114,7 @@ def reference_read_npz(fh):
             return {info.filename.removesuffix(".npy"): ad._npy_array(zf.read(info))
                     for info in zf.infolist()}
     except (EOFError, KeyError, OSError, RuntimeError,  # KeyError: an unknown .npy version
-            zipfile.BadZipFile, zlib.error, lzma.LZMAError) as err:
+            zipfile.BadZipFile, zlib.error, LZMAError) as err:
         raise ValueError(f"malformed .npz archive: {err!r}") from None
 
 

@@ -738,6 +738,10 @@ MALFORMED = {  # case -> (the file it stands in for, its content)
                                                       "s__tok": np.array([0.2, 0.9, 1.5])}),
     "contextual-2d-subword-index": ("contextual", {"s": np.zeros((2, 3, 4)),
                                                    "s__tok": np.array([[0], [1], [2]])}),
+    "contextual-complex": ("contextual", {"s": np.ones((1, 1, 2), complex)}),
+    "contextual-bool": ("contextual", {"s": np.ones((1, 1, 2), bool)}),
+    "contextual-datetime": ("contextual", {"s": np.full((1, 1, 2), np.datetime64("2020-01-01"))}),
+    "contextual-structured": ("contextual", {"s": np.ones((1, 1, 2), [("x", float)])}),
 }
 
 

@@ -280,23 +280,23 @@ class TestFeaturize:
         self.ctx = np.random.default_rng(3).normal(size=(2, 4, 5))  # includes root row
 
     def test_width_is_sum_of_parts(self):
-        h0 = self.enc.featurize(self.tokens, self.ctx)
+        h0 = self.enc.featurize([(self.tokens, self.ctx)])
         assert h0.shape == (4, 6 + 5 + 4 + 3 + 7 + 8)
 
     def test_root_prepended_shifts_positions(self):
-        h0_full = self.enc.featurize(self.tokens, self.ctx)
-        root_only = self.enc.featurize([], self.ctx[:, :1, :])
+        h0_full = self.enc.featurize([(self.tokens, self.ctx)])
+        root_only = self.enc.featurize([([], self.ctx[:, :1, :])])
         np.testing.assert_allclose(h0_full.data[0, :28], root_only.data[0, :28])
 
     def test_group_drop_identity_at_zero_probability(self):
         rng = np.random.default_rng(0)
-        h0 = self.enc.featurize(self.tokens, self.ctx, rng=rng)
-        h1 = self.enc.featurize(self.tokens, self.ctx)
+        h0 = self.enc.featurize([(self.tokens, self.ctx)], rng=rng)
+        h1 = self.enc.featurize([(self.tokens, self.ctx)])
         np.testing.assert_array_equal(h0.data, h1.data)
 
     def test_group_drop_probability_one_zeroes_lemma(self):
         e = certain_drop(mk_encoder(self.vocab, self.words)[0], lemma_drop=1.0)
-        h0 = e.featurize(self.tokens, self.ctx, rng=np.random.default_rng(0))
+        h0 = e.featurize([(self.tokens, self.ctx)], rng=np.random.default_rng(0))
         np.testing.assert_array_equal(h0.data[:, 6:11], 0.0)
         assert np.abs(h0.data[:, :6]).sum() > 0  # surface group untouched
 
@@ -331,7 +331,7 @@ class TestFeaturize:
 
     def test_word_group_covers_rest(self):
         e = certain_drop(mk_encoder(self.vocab, self.words)[0], word_drop=1.0)
-        h0 = e.featurize(self.tokens, self.ctx, rng=np.random.default_rng(0))
+        h0 = e.featurize([(self.tokens, self.ctx)], rng=np.random.default_rng(0))
         np.testing.assert_array_equal(h0.data[:, :6], 0.0)    # surface
         np.testing.assert_array_equal(h0.data[:, 15:], 0.0)   # ne + projections
         assert np.abs(h0.data[:, 6:11]).sum() > 0             # lemma survives
@@ -346,26 +346,26 @@ class TestBiLstm:
         self.ctx = np.random.default_rng(4).normal(size=(2, 5, 5))
 
     def test_output_shape(self):
-        out = self.enc.run(self.tokens, self.ctx)
+        out = self.enc.run([(self.tokens, self.ctx)])[0]
         assert out.n_positions == 5  # 4 tokens + root
         assert out.top.shape == (5, 12)
         assert len(out.layers) == 3  # input + 2 biLSTM layers
         assert len(out.lstm_out) == 2
 
     def test_deterministic_without_dropout(self):
-        a = self.enc.run(self.tokens, self.ctx).top.data
-        b = self.enc.run(self.tokens, self.ctx).top.data
+        a = self.enc.run([(self.tokens, self.ctx)])[0].top.data
+        b = self.enc.run([(self.tokens, self.ctx)])[0].top.data
         np.testing.assert_array_equal(a, b)
 
     def test_backward_direction_sees_future(self):
-        out1 = self.enc.run(self.tokens, self.ctx).top.data
+        out1 = self.enc.run([(self.tokens, self.ctx)])[0].top.data
         other = mk_tokens(["a", "b", "c", "a"])
-        out2 = self.enc.run(other, self.ctx).top.data
+        out2 = self.enc.run([(other, self.ctx)])[0].top.data
         # changing the last token changes position 0 through the backward pass
         assert np.abs(out1[0] - out2[0]).max() > 1e-12
 
     def test_gradients_reach_embeddings(self):
-        out = self.enc.run(self.tokens, self.ctx)
+        out = self.enc.run([(self.tokens, self.ctx)])[0]
         ad.reduce_sum(ad.mul(out.top, out.top)).backward()
         assert self.enc.surface_emb.grad is not None
         assert np.abs(self.enc.surface_emb.grad).sum() > 0
@@ -392,7 +392,7 @@ class TestBiLstm:
             opt.zero_grad()
             losses = []
             for ws, ctx in zip(sents, ctxs):
-                out = e.run(mk_tokens(ws), ctx)
+                out = e.run([(mk_tokens(ws), ctx)])[0]
                 logits = head(out.top)
                 tgt = np.array([[0.0]] + [[1.0 if w == "pos" else 0.0] for w in ws])
                 losses.append(ad.binary_cross_entropy(ad.sigmoid(logits), tgt))
@@ -404,12 +404,55 @@ class TestBiLstm:
         correct = 0
         total_toks = 0
         for ws, ctx in zip(sents, ctxs):
-            out = e.run(mk_tokens(ws), ctx)
+            out = e.run([(mk_tokens(ws), ctx)])[0]
             probs = ad.sigmoid(head(out.top)).data[1:, 0]
             for w, p in zip(ws, probs):
                 correct += int((p > 0.5) == (w == "pos"))
                 total_toks += 1
         assert correct == total_toks
+
+
+class TestBatch:
+    """A batch of sentences is one featurize pass and one length-masked
+    call per biLSTM layer; each sentence's output is within 1e-12 of
+    encoding it alone, a <ROOT>-only sentence included."""
+
+    def setup_method(self):
+        self.words = ["a", "b", "c", "d"]
+        self.vocab = train_vocab_for(self.words)
+        self.enc, _ = mk_encoder(self.vocab, self.words, layers=2, hidden=6)
+        rng = np.random.default_rng(8)
+        self.batch = [(mk_tokens(ws), rng.normal(size=(2, len(ws) + 1, 5)))
+                      for ws in (["a", "b", "c", "d"], [], ["d", "a"])]
+
+    def test_each_sentence_as_encoded_alone(self):
+        for out, pair in zip(self.enc.run(self.batch), self.batch):
+            [alone] = self.enc.run([pair])
+            got = out.layers + out.lstm_out + [out.finals(2)]
+            want = alone.layers + alone.lstm_out + [alone.finals(2)]
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a.data, b.data, rtol=0.0, atol=1e-12)
+
+    def test_one_featurize_and_one_lstm_call_per_layer(self, monkeypatch):
+        calls, op, featurize = [], ad.lstm_sequence, self.enc.featurize
+
+        def spy(x, *args, **kw):
+            calls.append((x.shape, kw["lengths"]))
+            return op(x, *args, **kw)
+
+        def counted(batch, rng=None):
+            calls.append(len(batch))
+            return featurize(batch, rng)
+
+        monkeypatch.setattr(ad, "lstm_sequence", spy)
+        monkeypatch.setattr(self.enc, "featurize", counted)
+        self.enc.run(self.batch)
+        assert calls == [3] + [((3, 5, self.enc.in_dim), [5, 1, 3]),
+                               ((3, 5, 12), [5, 1, 3])]
+
+    def test_empty_batch(self):
+        assert self.enc.run([]) == []
 
 
 class TestNodeCount:
@@ -431,7 +474,7 @@ class TestNodeCount:
             return op(x, wx, wh, b, **kw)
 
         monkeypatch.setattr(ad, "lstm_sequence", spy)
-        e.bilstm.run(e.featurize(self.tokens, self.ctx))
+        e.bilstm.run(e.featurize([(self.tokens, self.ctx)]))
         assert [tuple(map(len, c)) for c in calls] == [(2, 2, 2)] * 3
         for (wx, wh, b), (fwd, bwd) in zip(calls, e.bilstm.dirs):
             assert wx == (fwd.wx, bwd.wx) and wh == (fwd.wh, bwd.wh) and b == (fwd.b, bwd.b)
@@ -450,5 +493,5 @@ class TestNodeCount:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ad.Tensor, "__init__", counting)
-        e.run(self.tokens, self.ctx, rng=np.random.default_rng(0))
+        e.run([(self.tokens, self.ctx)], rng=np.random.default_rng(0))[0]
         assert len(made) == 17 + 3 * 4

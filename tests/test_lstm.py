@@ -434,12 +434,92 @@ def test_kernel_gates_match_sigmoid_and_tanh(hsz, k):
 
 
 # ---------------------------------------------------------------------------
+# ragged batches: each row of a padded (B, T, D) batch its own length
+
+class TestRaggedLengths:
+    """``lengths`` runs each row of a padded batch as the sequence of its
+    own length, in one direction or two, from zero or from a given
+    state; the row of length 1 is a <ROOT>-only sentence."""
+
+    LENGTHS = (5, 1, 3)
+
+    @staticmethod
+    def inputs(seed, nd, start):
+        rng = np.random.default_rng(seed)
+        x = ad.Tensor(rng.normal(size=(3, 5, D)), requires_grad=True)
+        wx, wh, b = (w if nd == 2 else w[0] for w in zip(*(weights(rng) for _ in range(nd))))
+        init = {k: ad.Tensor(rng.uniform(-1.0, 1.0, size=(3, nd * H)), requires_grad=True)
+                for k in ("h0", "c0") if start}
+        return x, wx, wh, b, init
+
+    @staticmethod
+    def leaves(x, wx, wh, b, init):
+        return [x] + [w for ws in (wx, wh, b)
+                      for w in (ws if isinstance(ws, tuple) else (ws,))] + list(init.values())
+
+    @pytest.mark.parametrize("start", [False, True])
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_gradcheck(self, nd, start):
+        x, wx, wh, b, init = args = self.inputs(60 + 2 * nd + start, nd, start)
+        proj = np.random.default_rng(61).normal(size=(3, 5, 2 * nd * H))
+        check_gradients(lambda: scalarize(
+            ad.lstm_sequence(x, wx, wh, b, lengths=self.LENGTHS, **init), proj),
+            self.leaves(*args))
+
+    @pytest.mark.parametrize("start", [False, True])
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_each_row_is_its_own_run(self, nd, start):
+        """Rows within 1e-12 of running each alone and zero past their
+        length; gradients within 1e-10 of the alone runs', summed over
+        the rows for the weights, and zero at the padding."""
+        x, wx, wh, b, init = args = self.inputs(70 + 2 * nd + start, nd, start)
+        leaves = self.leaves(*args)
+        nw = len(leaves) - len(init)  # x and the weights come first
+        proj = np.random.default_rng(71).normal(size=(3, 5, 2 * nd * H))
+        out = ad.lstm_sequence(x, wx, wh, b, lengths=self.LENGTHS, **init)
+        ad.reduce_sum(ad.mul(out, proj)).backward()
+        batched = [t.grad.copy() for t in leaves]
+        want = [np.zeros_like(t.data) for t in leaves]
+        for k, n in enumerate(self.LENGTHS):
+            for t in leaves:
+                t.zero_grad()
+            row = ad.Tensor(x.data[k, :n], requires_grad=True)
+            state = {key: ad.Tensor(t.data[k:k + 1], requires_grad=True)
+                     for key, t in init.items()}
+            alone = ad.lstm_sequence(row, wx, wh, b, **state)
+            assert_forward_close(out.data[k, :n], alone.data)
+            assert not out.data[k, n:].any()
+            ad.reduce_sum(ad.mul(alone, proj[k, :n])).backward()
+            want[0][k, :n] = row.grad
+            for w, t in zip(want[1:nw], leaves[1:nw]):
+                w += t.grad
+            for w, t in zip(want[nw:], state.values()):
+                w[k] = t.grad[0]
+        assert_grads_close(batched, want)
+
+    @pytest.mark.parametrize("nd", [1, 2])
+    def test_full_lengths_keep_every_bit(self, nd):
+        x, wx, wh, b, init = args = self.inputs(80 + nd, nd, True)
+        leaves = self.leaves(*args)
+        proj = np.random.default_rng(81).normal(size=(3, 5, 2 * nd * H))
+        runs = []
+        for lengths in (None, (5, 5, 5)):
+            for t in leaves:
+                t.zero_grad()
+            out = ad.lstm_sequence(x, wx, wh, b, lengths=lengths, **init)
+            ad.reduce_sum(ad.mul(out, proj)).backward()
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
 # a whole multitask model: the fused op against the composed oracle
 
-def composed_op(x, wx, wh, b, h0=None, c0=None):
+def composed_op(x, wx, wh, b, h0=None, c0=None, lengths=None):
     """``ad.lstm_sequence`` composed from elementary ops, on the calls a
-    model makes: a biLSTM layer's (T, D) rows, or one direction from a
-    given state or zero."""
+    model's training makes: a biLSTM layer's (T, D) rows, or one
+    direction from a given state or zero."""
+    assert lengths is None  # a training sentence is a batch of one
     if isinstance(wx, tuple):
         return reference_bilstm(ad.as_tensor(x), *zip(wx, wh, b))
     x = ad.as_tensor(x)

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +23,7 @@ import mrparse.autodiff as ad
 import mrparse.eds as E
 import mrparse.graphs as G
 import mrparse.training as T
+import mrparse.ucca as U
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
 
@@ -624,8 +625,8 @@ class TestBundles:
         assert any(arr.ndim == 0 for arr in saved.values())  # the *.b_edge scalars
         sent = corpus.sentences[9]
         for fw in FWS:
-            a = G.graph_to_json(T.parse_ensemble([model], sent, fw, beam=2))
-            b = G.graph_to_json(T.parse_ensemble([back], sent, fw, beam=2))
+            a = G.graph_to_json(T.parse_corpus([model], [sent], fw, beam=2)[0])
+            b = G.graph_to_json(T.parse_corpus([back], [sent], fw, beam=2)[0])
             assert a == b, fw
 
     def test_pipeline_size_bundle_reads_as_np_load_does(self, tmp_path):
@@ -930,7 +931,7 @@ class TestEds:
         assert all(p.grad is None for p in converter.params.tensors())
         sent = corpus.sentences[8]
         ctx = converter.contextual.for_sentence(sent.id, len(sent.tokens))
-        enc = converter.encoder.run(sent.tokens, ctx)
+        [enc] = converter.encoder.run([(sent.tokens, ctx)])
         assert np.array_equal(states.data, enc.top.data[1:])
         assert recorded  # the spy sees the taped encoder pass
 
@@ -992,7 +993,7 @@ class TestEnsembles:
         """Make a member subset score ``table[member ids]``: each model is
         its own index, its prediction the same, and a decode the tuple
         of the predictions it combines."""
-        monkeypatch.setattr(T, "predict", lambda m, s, fw, beam: m)
+        monkeypatch.setattr(T, "predict", lambda m, sents, fw, beam: [m] * len(sents))
         monkeypatch.setattr(T, "decode_predictions",
                             lambda models, s, fw, preds: tuple(preds))
         monkeypatch.setattr(T, "corpus_report", lambda golds, graphs: SimpleNamespace(
@@ -1052,7 +1053,7 @@ class TestInferenceFastPath:
         for cap in (A.default_cap, lambda n_tokens: 2):
             monkeypatch.setattr(A, "default_cap", cap)
             for sent in corpus.sentences[HELD]:
-                ctx = model.amr_context(sent, model.encode(sent))
+                ctx = model.amr_context(sent, *model.encode([sent]))
                 want = reference_beam_search(ctx, width=width)
                 taped = A.beam_search(ctx, width=width)
                 assert_same_generation(want, taped, tol=BEAM_TOL)
@@ -1066,11 +1067,9 @@ class TestInferenceFastPath:
     def test_amr_graphs_match_reference(self, model, corpus, width,
                                         monkeypatch):
         sents = corpus.sentences[HELD]
-        got = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
-               for s in sents]
+        got = [G.graph_to_json(g) for g in T.parse_corpus([model], sents, "amr", beam=width)]
         monkeypatch.setattr(A, "beam_search", reference_beam_search)
-        want = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
-                for s in sents]
+        want = [G.graph_to_json(g) for g in T.parse_corpus([model], sents, "amr", beam=width)]
         assert got == want
 
     @pytest.mark.parametrize("width", [2, 5])
@@ -1087,7 +1086,7 @@ class TestInferenceFastPath:
         for data in (bias.data, raised):
             monkeypatch.setattr(bias, "data", data)
             for sent in corpus.sentences[HELD]:
-                ctx = model.amr_context(sent, model.encode(sent))
+                ctx = model.amr_context(sent, *model.encode([sent]))
                 steps.clear()
                 with ad.no_grad():
                     got = A.beam_search(ctx, width=width)
@@ -1099,7 +1098,7 @@ class TestInferenceFastPath:
     @pytest.mark.parametrize("fw", FWS)
     def test_parse_sentence_same_with_and_without_no_grad(self, model, corpus, fw):
         for sent in corpus.sentences[HELD]:
-            taped = T.parse_ensemble.__wrapped__([model], sent, fw)
+            taped = T.parse_corpus.__wrapped__([model], [sent], fw)[0]
             fast = T.parse_sentence(model, sent, fw)
             assert G.graph_to_json(fast) == G.graph_to_json(taped)
 
@@ -1214,6 +1213,77 @@ def test_training_pinned(run, mtl, split, corpus):
 
 
 # ---------------------------------------------------------------------------
+# batched inference: one encoder pass per model over a ragged batch gives
+# each sentence the predictions and the graph it gets alone
+
+EMPTY = G.Sentence(id="empty", tokens=(), graphs={})
+
+
+@pytest.fixture
+def with_empty(corpus, monkeypatch):
+    """Contextual rows for EMPTY, a sentence without tokens."""
+    ctx = corpus.contextual
+    monkeypatch.setitem(ctx.arrays, EMPTY.id, np.zeros((ctx.n_layers, 0, ctx.width)))
+    held = list(corpus.sentences[HELD])
+    return held[:2] + [EMPTY] + held[2:]
+
+
+def assert_same_prediction(got, want):
+    """Arrays and floats within 1e-12, all else equal: a DM or PSD tuple,
+    a ``UccaPrediction`` or AMR's (generation, edge, label)."""
+    if isinstance(got, ad.Tensor):
+        got, want = got.data, want.data
+    if isinstance(got, (np.ndarray, float)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    elif isinstance(got, (A.AmrGeneration, U.UccaPrediction)):
+        for f in fields(got):
+            assert_same_prediction(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_prediction(a, b)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("fw", FWS)
+def test_batched_predictions_are_each_sentences_own(model, with_empty, fw):
+    with ad.no_grad():
+        batched = T.predict(model, with_empty, fw, beam=2)
+        for sent, pred in zip(with_empty, batched):
+            [alone] = T.predict(model, [sent], fw, beam=2)
+            assert_same_prediction(pred, alone)
+            graphs = [T.decode_predictions([model], sent, fw, [p]) for p in (pred, alone)]
+            assert G.graph_to_json(graphs[0]) == G.graph_to_json(graphs[1])
+
+
+@pytest.mark.parametrize("fw", FWS)
+def test_parse_corpus_keeps_the_order(model, with_empty, fw, monkeypatch):
+    """Chunks of two sentences, taken in length order, give each sentence
+    its own graph, in the input's order."""
+    monkeypatch.setattr(T, "PARSE_BATCH", 2)
+    got = T.parse_corpus([model], with_empty, fw, beam=2)
+    want = [T.parse_corpus([model], [s], fw, beam=2)[0] for s in with_empty]
+    assert [G.graph_to_json(g) for g in got] == [G.graph_to_json(g) for g in want]
+
+
+@pytest.mark.parametrize("fw", FWS + ("eds",))
+def test_a_sentence_without_tokens_parses_alone_and_in_a_batch(fixed_models,
+                                                              with_empty, fw):
+    """Every framework parses it to a valid graph, AMR to the graph of an
+    empty generation and the others to no nodes at all."""
+    model, converter = fixed_models
+    if fw == "eds":
+        dm = T.parse_corpus([model], with_empty, "dm")[2]
+        graphs = [converter.parse(EMPTY, g)[0] for g in (dm, T.parse_sentence(model, EMPTY, "dm"))]
+    else:
+        graphs = [T.parse_corpus([model], with_empty, fw)[2], T.parse_sentence(model, EMPTY, fw)]
+    assert G.graph_to_json(graphs[0]) == G.graph_to_json(graphs[1])
+    assert G.validate_graph(graphs[0]) == []
+    assert len(graphs[0].nodes) == (fw == "amr")
+
+
+# ---------------------------------------------------------------------------
 # ensemble selection from cached predictions: the spec and F1 of
 # re-parsing every tried subset, the graphs of parse_ensemble for every
 # tried subset, and one prediction per member and sentence
@@ -1273,15 +1343,16 @@ class TestCachedSelection:
         encodes = []
         encode = T.MultiModel.encode
 
-        def counted_encode(self, sent, **kwargs):
-            encodes.append(sent.id)
-            return encode(self, sent, **kwargs)
+        def counted_encode(self, sentences, **kwargs):
+            encodes.append([s.id for s in sentences])
+            return encode(self, sentences, **kwargs)
 
         monkeypatch.setattr(T.MultiModel, "encode", counted_encode)
         T.build_ensemble(members, fw, sents, beam=2)
-        assert len(calls) == len(members) * len(sents)
+        assert [(args[0], list(args[1])) for args in calls] == [(m, sents) for m in members]
         assert {args[2] for args in calls} == {fw}
-        assert len(encodes) == len(calls)  # one encoder pass per prediction
+        # one encoder pass per member, over every sentence
+        assert encodes == [[s.id for s in sents]] * len(members)
         assert parses == []
 
     def test_member_without_the_decoder_raises_as_before(self, split, corpus):
