@@ -359,17 +359,16 @@ def _check_parse_flags(args):
         raise UsageError("amr is served by one bundle; pass a single --model")
 
 
-def _eds_dm_graphs(args, sentences, static, contextual):
-    """The DM graph of each sentence: read from ``--dm-mrp`` or parsed."""
+def _eds_dm_source(args, sentences, static, contextual):
     if args.dm_mrp:
         dm = {g.id: g for g in G.load_mrp(args.dm_mrp)}
         missing = [s.id for s in sentences if s.id not in dm]
         if missing:
             raise ValueError(f"{args.dm_mrp}: no DM graph for: "
                              + ", ".join(missing))
-        return [dm[s.id] for s in sentences]
+        return lambda s: dm[s.id]
     dm_models = [_load(p, T.MultiModel, static, contextual) for p in args.dm_model]
-    return T.parse_corpus(dm_models, sentences, "dm")
+    return lambda s: T.parse_ensemble(dm_models, s, "dm")
 
 
 def _load_spec(args, static, contextual):
@@ -400,10 +399,11 @@ def cmd_parse(args):
               else [_load(p, kind, static, contextual) for p in args.model])
 
     if args.framework == "eds":
-        dm = _eds_dm_graphs(args, sentences, static, contextual)
-        graphs = [models[0].parse(s, g)[0] for s, g in zip(sentences, dm)]
+        dm_of = _eds_dm_source(args, sentences, static, contextual)
+        graphs = [models[0].parse(s, dm_of(s))[0] for s in sentences]
     else:
-        graphs = T.parse_corpus(models, sentences, args.framework, beam=beam)
+        graphs = [T.parse_ensemble(models, s, args.framework, beam=beam)
+                  for s in sentences]
 
     if not _validate_or_fail(graphs):
         return 1

@@ -1167,28 +1167,11 @@ def decode_predictions(models, sent, framework, preds):
     return TASKS[framework].decode(models, sent, preds, companion_text(sent.tokens))
 
 
-def parse_ensemble(models, sent, framework):
-    """Predict with each model, then combine and decode."""
-    return parse_corpus(models, [sent], framework)[0]
-
-
-PARSE_BATCH = 32  # sentences per encoder pass of parse_corpus
-
-
 @ad.no_grad()
-def parse_corpus(models, sentences, framework, beam=A.BEAM_WIDTH):
-    """``parse_ensemble`` of each sentence, in order, each model encoding
-    ``PARSE_BATCH`` sentences of near length per pass."""
-    order = sorted(range(len(sentences)), key=lambda k: len(sentences[k].tokens))
-    graphs = [None] * len(sentences)
-    for lo in range(0, len(order), PARSE_BATCH):
-        chunk = order[lo:lo + PARSE_BATCH]
-        sents = [sentences[k] for k in chunk]
-        preds = [predict(m, sents, framework, beam=beam) for m in models]
-        for j, k in enumerate(chunk):
-            graphs[k] = decode_predictions(models, sentences[k], framework,
-                                           [p[j] for p in preds])
-    return graphs
+def parse_ensemble(models, sent, framework, beam=A.BEAM_WIDTH):
+    """Predict with each model, then combine and decode."""
+    preds = [predict(m, [sent], framework, beam=beam)[0] for m in models]
+    return decode_predictions(models, sent, framework, preds)
 
 
 def parse_sentence(model, sent, framework):
@@ -1250,7 +1233,9 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
     for k models and n sentences the cache holds k × n predictions, each
     the probability arrays one parse already builds (``predict``),
     softmaxes included, and every subset the scan tries is scored by
-    decoding its members' cached predictions.
+    decoding its members' cached predictions.  A batched prediction is
+    within 1e-12 of the sentence's own (``parse_ensemble``): the padded
+    GEMMs run over more rows, so the last bits of a sum may differ.
     """
     golds = [s.graphs[framework] for s in sentences]
     cache = [predict(m, sentences, framework, beam=beam) for m in models]

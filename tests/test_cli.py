@@ -14,6 +14,7 @@ import textwrap
 import zipfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +293,22 @@ def test_parse_each_framework(ws, tmp_path):
         graphs = G.load_mrp(out)
         assert len(graphs) == 10
         assert all(g.framework == fw for g in graphs)
+
+
+@pytest.mark.parametrize("fw,bundle_dir", [("dm", "single"), ("psd", "single"),
+                                           ("ucca", "mtl"), ("amr", "mtl")])
+def test_parse_writes_each_sentences_own_graph(ws, tmp_path, fw, bundle_dir):
+    """The file `mrparse parse` writes holds, byte for byte, the graphs of
+    ``parse_sentence`` on each sentence alone."""
+    bundle = os.path.join(ws[bundle_dir], f"model-{fw}.bundle")
+    out = tmp_path / "cli.mrp"
+    assert run(["parse", "--companion", ws["companion"], *embed_args(ws),
+                "--model", bundle, "--framework", fw, "--out", str(out)]) == 0
+    args = SimpleNamespace(static=ws["static"], contextual=ws["contextual"])
+    model = cli._load(bundle, T.MultiModel, *cli._load_embeddings(args))
+    sentences = cli._load_sentences(ws["companion"], [])
+    G.save_mrp([T.parse_sentence(model, s, fw) for s in sentences], str(tmp_path / "alone.mrp"))
+    assert out.read_bytes() == (tmp_path / "alone.mrp").read_bytes()
 
 
 def test_parse_eds_from_gold_dm(ws, tmp_path):

@@ -625,8 +625,8 @@ class TestBundles:
         assert any(arr.ndim == 0 for arr in saved.values())  # the *.b_edge scalars
         sent = corpus.sentences[9]
         for fw in FWS:
-            a = G.graph_to_json(T.parse_corpus([model], [sent], fw, beam=2)[0])
-            b = G.graph_to_json(T.parse_corpus([back], [sent], fw, beam=2)[0])
+            a = G.graph_to_json(T.parse_ensemble([model], sent, fw, beam=2))
+            b = G.graph_to_json(T.parse_ensemble([back], sent, fw, beam=2))
             assert a == b, fw
 
     def test_pipeline_size_bundle_reads_as_np_load_does(self, tmp_path):
@@ -1067,9 +1067,11 @@ class TestInferenceFastPath:
     def test_amr_graphs_match_reference(self, model, corpus, width,
                                         monkeypatch):
         sents = corpus.sentences[HELD]
-        got = [G.graph_to_json(g) for g in T.parse_corpus([model], sents, "amr", beam=width)]
+        got = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
+               for s in sents]
         monkeypatch.setattr(A, "beam_search", reference_beam_search)
-        want = [G.graph_to_json(g) for g in T.parse_corpus([model], sents, "amr", beam=width)]
+        want = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
+                for s in sents]
         assert got == want
 
     @pytest.mark.parametrize("width", [2, 5])
@@ -1098,7 +1100,7 @@ class TestInferenceFastPath:
     @pytest.mark.parametrize("fw", FWS)
     def test_parse_sentence_same_with_and_without_no_grad(self, model, corpus, fw):
         for sent in corpus.sentences[HELD]:
-            taped = T.parse_corpus.__wrapped__([model], [sent], fw)[0]
+            taped = T.parse_ensemble.__wrapped__([model], sent, fw)
             fast = T.parse_sentence(model, sent, fw)
             assert G.graph_to_json(fast) == G.graph_to_json(taped)
 
@@ -1257,27 +1259,19 @@ def test_batched_predictions_are_each_sentences_own(model, with_empty, fw):
             assert G.graph_to_json(graphs[0]) == G.graph_to_json(graphs[1])
 
 
-@pytest.mark.parametrize("fw", FWS)
-def test_parse_corpus_keeps_the_order(model, with_empty, fw, monkeypatch):
-    """Chunks of two sentences, taken in length order, give each sentence
-    its own graph, in the input's order."""
-    monkeypatch.setattr(T, "PARSE_BATCH", 2)
-    got = T.parse_corpus([model], with_empty, fw, beam=2)
-    want = [T.parse_corpus([model], [s], fw, beam=2)[0] for s in with_empty]
-    assert [G.graph_to_json(g) for g in got] == [G.graph_to_json(g) for g in want]
-
-
 @pytest.mark.parametrize("fw", FWS + ("eds",))
 def test_a_sentence_without_tokens_parses_alone_and_in_a_batch(fixed_models,
                                                               with_empty, fw):
     """Every framework parses it to a valid graph, AMR to the graph of an
     empty generation and the others to no nodes at all."""
     model, converter = fixed_models
+    source = "dm" if fw == "eds" else fw
+    with ad.no_grad():
+        pred = T.predict(model, with_empty, source)[2]
+        graphs = [T.decode_predictions([model], EMPTY, source, [pred]),
+                  T.parse_sentence(model, EMPTY, source)]
     if fw == "eds":
-        dm = T.parse_corpus([model], with_empty, "dm")[2]
-        graphs = [converter.parse(EMPTY, g)[0] for g in (dm, T.parse_sentence(model, EMPTY, "dm"))]
-    else:
-        graphs = [T.parse_corpus([model], with_empty, fw)[2], T.parse_sentence(model, EMPTY, fw)]
+        graphs = [converter.parse(EMPTY, g)[0] for g in graphs]
     assert G.graph_to_json(graphs[0]) == G.graph_to_json(graphs[1])
     assert G.validate_graph(graphs[0]) == []
     assert len(graphs[0].nodes) == (fw == "amr")
