@@ -415,7 +415,7 @@ class Encoder:
         """The rows of every sentence of ``batch``, <ROOT> first, one
         after another."""
         v = self.vocab
-        surf_ids, lemma_ids, upos_ids, xpos_ids, ne_ids, surfaces = ([] for _ in range(6))
+        surf_ids, lemma_ids, upos_ids, xpos_ids, ne_ids, surfaces = [], [], [], [], [], []
         for tokens, _ in batch:
             surf_ids += [v.surface[ROOT]] + [v.surface_id(t.surface) for t in tokens]
             lemma_ids += [v.lemma[ROOT]] + [v.lemma_id(t.lemma) for t in tokens]
