@@ -87,14 +87,20 @@ class BiaffineHead:
         Dropout masks are drawn in the order input, edge_from, edge_to,
         label_from, label_to."""
         states = ad.dropout(states, self.input_dropout, rng)
-        edge = ad.mlp(states, (self.edge_from.w, self.edge_to.w),
-                      (self.edge_from.b, self.edge_to.b), self.edge_dropout, rng)
+        edge_probs = self.edge_probs(states, rng)
         label = ad.mlp(states, (self.label_from.w, self.label_to.w),
                        (self.label_from.b, self.label_to.b), self.label_dropout, rng)
         return PairScores(
-            edge_probs=ad.biaffine_edge(edge, self.u_edge, self.w_edge, self.b_edge),
+            edge_probs=edge_probs,
             label_logits=ad.biaffine_label(label, self.u_label, self.w_label),
             n_positions=states.shape[0], labels=self.labels)
+
+    def edge_probs(self, states, rng=None):
+        """``score``'s (P, P) edge probabilities alone, two nodes, from
+        states after the input dropout (at inference, the states)."""
+        edge = ad.mlp(states, (self.edge_from.w, self.edge_to.w),
+                      (self.edge_from.b, self.edge_to.b), self.edge_dropout, rng)
+        return ad.biaffine_edge(edge, self.u_edge, self.w_edge, self.b_edge)
 
 
 @dataclass

@@ -365,6 +365,24 @@ class BiLstm:
         return EncoderOutput(layers=layers, lstm_out=lstm_out)
 
 
+def run_ragged(bilstm, rows, lengths, rng=None):
+    """``bilstm`` over the sequences of ``lengths`` laid one after another
+    in ``rows``: one :class:`EncoderOutput` per sequence, from one
+    length-masked run over them padded to (B, T, D).  A single sequence
+    runs unpadded."""
+    if len(lengths) == 1:
+        return [bilstm.run(rows, rng)]
+    starts = np.cumsum([0] + lengths[:-1])
+    # a padded position repeats its sequence's last row: the mask ignores it
+    pick = starts[:, None] + np.minimum(np.arange(max(lengths)),
+                                        np.array(lengths)[:, None] - 1)
+    out = bilstm.run(ad.rows(rows, pick), rng, lengths)
+    layers = [ad.split(rows, lengths)] + [_unpad(t, lengths) for t in out.layers[1:]]
+    lstm_out = [_unpad(t, lengths) for t in out.lstm_out]
+    return [EncoderOutput(layers=list(ls), lstm_out=list(outs))
+            for ls, outs in zip(zip(*layers), zip(*lstm_out))]
+
+
 def _unpad(t, lengths):
     """The rows of each sequence of the padded (B, T, W) ``t``, one (n,
     W) tensor per sequence of ``lengths``."""
@@ -454,18 +472,5 @@ class Encoder:
         return ad.mul(h0, ad.Tensor(mask))
 
     def run(self, batch, rng=None):
-        if not batch:
-            return []
-        h0 = self.featurize(batch, rng)
-        if len(batch) == 1:
-            return [self.bilstm.run(h0, rng)]
-        lengths = [len(tokens) + 1 for tokens, _ in batch]
-        starts = np.cumsum([0] + lengths[:-1])
-        # a padded position repeats its sentence's last row: the mask ignores it
-        pick = starts[:, None] + np.minimum(np.arange(max(lengths)),
-                                            np.array(lengths)[:, None] - 1)
-        out = self.bilstm.run(ad.rows(h0, pick), rng, lengths)
-        layers = [ad.split(h0, lengths)] + [_unpad(t, lengths) for t in out.layers[1:]]
-        lstm_out = [_unpad(t, lengths) for t in out.lstm_out]
-        return [EncoderOutput(layers=list(ls), lstm_out=list(outs))
-                for ls, outs in zip(zip(*layers), zip(*lstm_out))]
+        return run_ragged(self.bilstm, self.featurize(batch, rng),
+                          [len(tokens) + 1 for tokens, _ in batch], rng) if batch else []

@@ -339,12 +339,13 @@ class Task:
     model under construction (none when its inventory is empty);
     ``prepare`` turns a sentence's gold into the targets ``terms`` reads,
     or raises ValueError or KeyError; ``terms`` gives the loss pieces,
-    keyed "name.part"; ``predict`` the numpy probability arrays a graph
-    is decoded from; ``decode`` a graph from one prediction per model,
-    combining several by ``rule``; ``validator`` the metric a
-    single-framework run early-stops on, in ``mode``.  Fine-tuning
-    restarts from the joint run's best epoch of ``start_key`` and trains
-    the frameworks of ``group``.
+    keyed "name.part"; ``predict``, given sentences and their encoder
+    outputs, the numpy probability arrays each graph is decoded from
+    (``predict_one`` of each, unless batched); ``decode`` a graph from
+    one prediction per model, combining several by ``rule``;
+    ``validator`` the metric a single-framework run early-stops on, in
+    ``mode``.  Fine-tuning restarts from the joint run's best epoch of
+    ``start_key`` and trains the frameworks of ``group``.
     """
     part = "decoder"  # what a model that cannot serve the framework lacks
     mode = "max"
@@ -353,6 +354,9 @@ class Task:
         self.name = name
         self.start_key = name
         self.group = (name,)
+
+    def predict(self, model, sents, enc_outs, beam):
+        return [self.predict_one(model, s, e, beam) for s, e in zip(sents, enc_outs)]
 
 
 class SdpTask(Task):
@@ -417,7 +421,7 @@ class SdpTask(Task):
             out[f"{name}.frame"] = ad.Tensor(0.0)
         return out
 
-    def predict(self, model, sent, enc_out, beam):
+    def predict_one(self, model, sent, enc_out, beam):
         """(edge probabilities, label probabilities), then for DM the
         frame type probabilities and those of each argument head."""
         scores = model.heads[self.name].score(enc_out.top)
@@ -507,17 +511,25 @@ class UccaTask(Task):
         return {"ucca.dec": pointer, "ucca.edge": edge, "ucca.label": label,
                 "ucca.remote": remote}
 
-    def predict(self, model, sent, enc_out, beam):
-        """A ``UccaPrediction``."""
-        dec = U.pointer_decode(enc_out, model.ucca_decoder)
-        states = U.build_node_states(enc_out, dec.pointers, model.ucca_decoder,
-                                     model.ucca_extra)
-        scores = model.heads["ucca"].score(states)
-        remote = model.remote_head.score(states)
-        return U.UccaPrediction(pointers=dec.pointers,
-                                edge_probs=scores.edge_probs.data,
-                                label_probs=scores.label_probs(),
-                                remote_probs=remote.edge_probs.data)
+    def predict(self, model, sents, enc_outs, beam):
+        """A ``UccaPrediction`` per sentence, the remote head's edges only.
+        A lone sentence takes ``U.pointer_decode`` and
+        ``U.build_node_states``; a batch decodes in lockstep and runs the
+        slot-state biLSTM once (their batch forms)."""
+        dec, extra = model.ucca_decoder, model.ucca_extra
+        if len(enc_outs) == 1:
+            runs = [U.pointer_decode(enc_outs[0], dec)]
+            states = [U.build_node_states(enc_outs[0], runs[0].pointers, dec, extra)]
+        else:
+            runs = U.pointer_decode_batch(enc_outs, dec)
+            states = U.node_states_batch(enc_outs, [r.pointers for r in runs], dec, extra)
+        preds = []
+        for run, slot_states in zip(runs, states):
+            scores = model.heads["ucca"].score(slot_states)
+            remote = model.remote_head.edge_probs(slot_states).data
+            preds.append(U.UccaPrediction(run.pointers, scores.edge_probs.data,
+                                          scores.label_probs(), remote))
+        return preds
 
     def decode(self, models, sent, preds, text):
         labels = _require_same_labels([m.heads["ucca"].labels for m in models],
@@ -603,7 +615,7 @@ class AmrTask(Task):
         return {"amr.dec": dec, "amr.cov": cov, "amr.edge": edge,
                 "amr.label": label}
 
-    def predict(self, model, sent, enc_out, beam):
+    def predict_one(self, model, sent, enc_out, beam):
         """(generation, edge probabilities, label probabilities), the
         probabilities None for an empty generation, which a sentence
         without tokens gets: the mixture has no source to copy from."""
@@ -1147,15 +1159,15 @@ def _token_span(node, tokens):
 def predict(model, sentences, framework, beam=A.BEAM_WIDTH):
     """One model's prediction for each of ``sentences`` (``Task.predict``),
     the probability arrays its graph is decoded from, from one encoder
-    pass over all of them; the heads and decoders run per sentence.  A
+    pass over all of them.  UCCA decodes the batch in lockstep; the
+    heads, the frame classifier and the AMR beam run per sentence.  A
     model without the framework's head or decoder raises a ValueError."""
     task = TASKS.get(framework)
     if task is None:
         raise ValueError(f"cannot parse framework {framework!r} with this model")
     if task.name not in model.heads:
         raise ValueError(f"model has no {task.name} {task.part}")
-    return [task.predict(model, s, enc_out, beam)
-            for s, enc_out in zip(sentences, model.encode(sentences))]
+    return task.predict(model, sentences, model.encode(sentences), beam) if sentences else []
 
 
 def decode_predictions(models, sent, framework, preds):
@@ -1229,13 +1241,13 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
 
     The framework's rule decides: AMR keeps its single best model; DM
     and PSD average probabilities; UCCA votes.  Each model predicts each
-    sentence once, with one encoder pass per member over all of them:
-    for k models and n sentences the cache holds k × n predictions, each
-    the probability arrays one parse already builds (``predict``),
-    softmaxes included, and every subset the scan tries is scored by
-    decoding its members' cached predictions.  A batched prediction is
-    within 1e-12 of the sentence's own (``parse_ensemble``): the padded
-    GEMMs run over more rows, so the last bits of a sum may differ.
+    sentence once, in one ``predict`` per member over all of them (one
+    encoder pass; UCCA decodes in lockstep): for k models and n sentences
+    the cache holds k × n predictions, each the probability arrays one
+    parse builds, softmaxes included, and every subset the scan tries is
+    scored by decoding its members' cached predictions.  A batched
+    prediction is within 1e-12 of the sentence's own (``parse_ensemble``):
+    the padded GEMMs run over more rows, so a sum's last bits may differ.
     """
     golds = [s.graphs[framework] for s in sentences]
     cache = [predict(m, sentences, framework, beam=beam) for m in models]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import LstmCell, Mlp, additive_attention
+from .encoder import LstmCell, Mlp, additive_attention, run_ragged
 
 CT_LABEL = "CT"
 REMOTE_ATTR = "remote"
@@ -272,32 +272,64 @@ def pointer_decode(enc_out, decoder, gold_pointers=None):
     attention.  Its loss and gradients agree with a step-by-step run to
     about 1e-10 relative, not bit for bit.
 
-    Free-running mode feeds each pointed-at state as a sequence of one
-    row from the last state.  It stops on <ROOT> or after twice as many
-    steps as there are tokens (at least one); hitting that cap sets the
-    truncated flag.
-    The keys are projected once per sentence.
+    Free-running mode is :func:`pointer_decode_batch` of this one
+    sentence.
     """
+    if gold_pointers is None:
+        return pointer_decode_batch([enc_out], decoder)[0]
     states = enc_out.top
     keys = decoder.keys(states)
     h, c = decoder.init_state(enc_out)
-    if gold_pointers is not None:
-        fed = (0,) + tuple(gold_pointers[:-1])
-        hs, _ = decoder.cell.sequence(ad.rows(states, fed), h0=h, c0=c)
-        return PointerDecode(tuple(gold_pointers), decoder.attend(hs, keys))
-    cap = max(1, 2 * (states.shape[0] - 1))
-    x_pos = 0  # first input is the <ROOT> encoder state
-    logits, pointers = [], []
-    while True:
-        h, c = decoder.cell.sequence(ad.rows(states, [x_pos]), h0=h, c0=c)
-        a = decoder.attend(h, keys)
-        logits.append(a)
-        p = int(np.argmax(a.data[0]))
-        pointers.append(p)
-        if p == 0 or len(pointers) >= cap:
-            return PointerDecode(tuple(pointers), ad.concat(logits, axis=0),
-                                 truncated=p != 0)
-        x_pos = p
+    fed = (0,) + tuple(gold_pointers[:-1])
+    hs, _ = decoder.cell.sequence(ad.rows(states, fed), h0=h, c0=c)
+    return PointerDecode(tuple(gold_pointers), decoder.attend(hs, keys))
+
+
+def pointer_decode_batch(enc_outs, decoder):
+    """Free-running decodes of a batch in lockstep, one PointerDecode per
+    sentence.  Each step runs every live row, fed the state it last
+    pointed at (<ROOT> first), in one :func:`autodiff.lstm_sequence` call
+    and one attention over each row's keys, padded to the longest
+    sentence and blocked there.  A row retires on <ROOT> or after twice
+    as many steps as its sentence has tokens (at least one), which sets
+    its truncated flag.  A batch of one attends to its (n, att) keys
+    unpadded; in a larger one a row's scores are within 1e-12 of its
+    lone decode's."""
+    tops = [e.top for e in enc_outs]
+    sizes = [t.shape[0] for t in tops]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    if len(tops) == 1:
+        flat, keys, blocked = tops[0], decoder.keys(tops[0]), None
+        h, c = decoder.init_state(enc_outs[0])
+    else:
+        flat, lengths = ad.concat(tops, axis=0), np.array(sizes)[:, None]
+        # a padded position repeats its sentence's last key
+        pick = np.array(starts)[:, None] + np.minimum(np.arange(max(sizes)), lengths - 1)
+        keys = ad.rows(decoder.keys(flat), pick)  # (B, N, att)
+        blocked = np.arange(max(sizes)) >= lengths
+        h, c = ad.split(ad.concat([e.finals(decoder.use_layers) for e in enc_outs], axis=0),
+                        [decoder.hidden] * 2, axis=1)
+    live = list(range(len(tops)))  # the rows still decoding, in batch order
+    fed = [0] * len(tops)          # each row's next input position
+    pointers, scores = [[] for _ in tops], [[] for _ in tops]
+    while live:
+        x = ad.rows(flat, [[starts[i] + fed[i]] for i in live])  # (live, 1, D)
+        h, c = decoder.cell.sequence(x, h0=h, c0=c)
+        a = decoder.attend(h, keys).data
+        best = (a if blocked is None else np.where(blocked, -np.inf, a)).argmax(axis=1)
+        keep = []
+        for j, i in enumerate(live):
+            p = fed[i] = int(best[j])
+            pointers[i].append(p)
+            scores[i].append(a[j, :sizes[i]])
+            if p != 0 and len(pointers[i]) < max(1, 2 * (sizes[i] - 1)):
+                keep.append(j)
+        if 0 < len(keep) < len(live):
+            h, c, keys = (ad.rows(t, keep) for t in (h, c, keys))
+            blocked = blocked[keep]
+        live = [live[j] for j in keep]
+    return [PointerDecode(tuple(p), ad.Tensor(np.array(s)), truncated=p[-1] != 0)
+            for p, s in zip(pointers, scores)]
 
 
 def pointer_loss(logits, gold_pointers):
@@ -313,21 +345,26 @@ def build_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
     """The (slots, 2 * extra hidden) states of the serialization's slots:
     encoder rows for tokens and <ROOT>, the decoder's bullet for each
     nonterminal, with sinusoidal positions, through ``extra_lstm``."""
-    states = enc_out.top
-    slots = build_slots(pointers, states.shape[0] - 1)
+    return node_states_batch([enc_out], [pointers], decoder, extra_lstm, rng)[0]
+
+
+def node_states_batch(enc_outs, pointer_seqs, decoder, extra_lstm, rng=None):
+    """:func:`build_node_states` of each sentence of a batch, from one
+    ``extra_lstm`` run over their slot rows padded to the longest
+    (:func:`encoder.run_ragged`), each within 1e-12 of its own; a batch
+    of one unpadded."""
     bullet = decoder.bullet()
     rows = []
-    for slot in slots:
-        if slot[0] == "nt":
-            rows.append(bullet)
-        elif slot[0] == "tok":
-            rows.append(ad.rows(states, [slot[1] + 1]))
-        else:
-            rows.append(ad.rows(states, [0]))
-    pre = ad.concat(rows, axis=0)
-    pe = ad.Tensor(sinusoidal_positions(len(slots), PE_DIM))
-    with_pos = ad.concat([pre, pe], axis=1)
-    return extra_lstm.run(with_pos, rng).top
+    for enc_out, pointers in zip(enc_outs, pointer_seqs):
+        states = enc_out.top
+        slots = build_slots(pointers, states.shape[0] - 1)
+        pre = ad.concat([bullet if slot[0] == "nt" else
+                         ad.rows(states, [slot[1] + 1 if slot[0] == "tok" else 0])
+                         for slot in slots], axis=0)
+        pe = ad.Tensor(sinusoidal_positions(len(slots), PE_DIM))
+        rows.append(ad.concat([pre, pe], axis=1))
+    flat = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    return [out.top for out in run_ragged(extra_lstm, flat, [r.shape[0] for r in rows], rng)]
 
 
 # ---------------------------------------------------------------------------

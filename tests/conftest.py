@@ -555,6 +555,13 @@ def assert_same_generation(want, got, tol=0.0):
             np.testing.assert_allclose(g.data, w.data, rtol=0.0, atol=tol)
 
 
+def spy(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.name`` from now on."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
 def count_decoder_steps(monkeypatch):
     """A list that grows by one entry per ``amr.AmrDecoder.step`` call."""
     steps = []

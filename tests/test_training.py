@@ -26,11 +26,12 @@ import mrparse.training as T
 import mrparse.ucca as U
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
+from mrparse.encoder import BiLstm
 
 from conftest import (BEAM_TOL, assert_same_arrays, assert_same_generation,
                       count_decoder_steps, per_framework_loss,
                       reference_beam_search, reference_build_ensemble,
-                      reference_parse_ensemble, reference_read_checkpoint)
+                      reference_parse_ensemble, reference_read_checkpoint, spy)
 
 FWS = ("dm", "psd", "ucca", "amr")
 
@@ -1257,6 +1258,38 @@ def test_batched_predictions_are_each_sentences_own(model, with_empty, fw):
             assert_same_prediction(pred, alone)
             graphs = [T.decode_predictions([model], sent, fw, [p]) for p in (pred, alone)]
             assert G.graph_to_json(graphs[0]) == G.graph_to_json(graphs[1])
+
+
+def test_ucca_decodes_a_batch_in_lockstep(model, with_empty, monkeypatch):
+    """One LSTM call per encoder layer, per lockstep step (as many as the
+    longest lone decode takes) and for all the slot states: one
+    ``BiLstm.run`` for the encoder and one for the slot states."""
+    with ad.no_grad():
+        steps = [len(T.predict(model, [s], "ucca")[0].pointers) for s in with_empty]
+        lstm = spy(monkeypatch, ad, "lstm_sequence")
+        runs = spy(monkeypatch, BiLstm, "run")
+        T.predict(model, with_empty, "ucca")
+    assert len(runs) == 2
+    assert len(lstm) == model.config.layers + max(steps) + 1 < sum(steps)
+
+
+def test_ucca_remote_head_scores_edges_only(model, with_empty):
+    """Nothing reads its labels, so ``predict`` builds no label scores for
+    it; its edge probabilities are its full score's, bit for bit."""
+    head, dec, extra = model.remote_head, model.ucca_decoder, model.ucca_extra
+    with ad.no_grad():
+        with pytest.MonkeyPatch.context() as mp:
+            labels = spy(mp, ad, "biaffine_label")
+            batched = T.predict(model, with_empty, "ucca")
+            [alone] = T.predict(model, with_empty[:1], "ucca")
+        [enc] = model.encode(with_empty[:1])
+        states = (U.node_states_batch(model.encode(with_empty),
+                                      [p.pointers for p in batched], dec, extra)
+                  + [U.build_node_states(enc, alone.pointers, dec, extra)])
+    assert len(labels) == len(states)
+    assert all(args[1] is model.heads["ucca"].u_label for args in labels)
+    for pred, slot_states in zip(batched + [alone], states):
+        assert pred.remote_probs.tobytes() == head.score(slot_states).edge_probs.data.tobytes()
 
 
 @pytest.mark.parametrize("fw", FWS + ("eds",))

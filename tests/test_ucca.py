@@ -8,7 +8,8 @@ from mrparse.encoder import BiLstm, EncoderOutput
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
 from mrparse.training import multitask_loss
 
-from conftest import reference_pointer_decode, reference_pointer_loss, ucca_slot_of_node
+from conftest import (reference_pointer_decode, reference_pointer_loss, spy,
+                      ucca_slot_of_node)
 
 
 def toks(words):
@@ -378,6 +379,80 @@ class TestNodeStates:
         a, b = nt_rows
         np.testing.assert_array_equal(extra.inputs[0][a], extra.inputs[0][b])
         assert not np.array_equal(states.data[a], states.data[b])
+
+
+def pinned_encoder_output(rng, n_pos, hidden, dec, position):
+    """``fake_encoder_output`` whose key at ``position`` saturates every
+    tanh toward the sign of ``dec.v``: that position scores highest at
+    every step, whatever the decoder state."""
+    enc = fake_encoder_output(rng, n_pos, hidden)
+    target = 50.0 * np.sign(dec.v.data[:, 0])
+    enc.top.data[position] = np.linalg.lstsq(dec.w_enc.data.T, target, rcond=None)[0]
+    return enc
+
+
+class TestLockstep:
+    """A batch decodes in lockstep, each row as it decodes alone: one
+    LSTM call per step over the live rows, each row retiring on <ROOT> or
+    at its own cap, and one extra-biLSTM run for all the slot states."""
+
+    def parts(self):
+        dec, params = make_decoder(4, seed=3, att_dim=4)
+        rng = np.random.default_rng(30)
+        encs = [pinned_encoder_output(rng, 6, 4, dec, 0),  # <ROOT> at step 1
+                pinned_encoder_output(rng, 5, 4, dec, 3),  # token 3 up to its cap, 8
+                fake_encoder_output(rng, 1, 4),            # <ROOT> only: cap 1
+                fake_encoder_output(rng, 7, 4)]            # as it decodes alone
+        extra = BiLstm(params, "extra", 8 + ucca.PE_DIM, 3, 1, np.random.default_rng(1))
+        return dec, extra, encs
+
+    def test_each_row_is_its_lone_decode(self, monkeypatch):
+        dec, _, encs = self.parts()
+        with ad.no_grad():
+            alone = [ucca.pointer_decode(e, dec) for e in encs]
+            calls = spy(monkeypatch, ad, "lstm_sequence")
+            batch = ucca.pointer_decode_batch(encs, dec)
+        assert [(d.pointers, d.truncated) for d in alone[:3]] == [
+            ((0,), False), ((3,) * 8, True), ((0,), False)]
+        steps = [len(d.pointers) for d in alone]
+        assert len(set(steps)) == 3 and len(calls) == max(steps) < sum(steps)
+        for got, want in zip(batch, alone):
+            assert (got.pointers, got.truncated) == (want.pointers, want.truncated)
+            assert got.logits.shape == want.logits.shape
+            np.testing.assert_allclose(got.logits.data, want.logits.data, rtol=0.0, atol=1e-12)
+
+    def test_padded_positions_are_never_pointed_at(self):
+        class Rightmost(ucca.UccaDecoder):
+            def attend(self, h_dec, keys):  # the last position scores highest
+                a = super().attend(h_dec, keys)
+                return ad.Tensor(a.data + 100.0 * np.arange(a.shape[1]))
+
+        dec = Rightmost(ad.ParamSet(), "d", 4, 1, np.random.default_rng(0))
+        rng = np.random.default_rng(31)
+        encs = [fake_encoder_output(rng, n, 4) for n in (3, 6, 4)]
+        with ad.no_grad():
+            batch = ucca.pointer_decode_batch(encs, dec)
+        assert [d.pointers for d in batch] == [(2,) * 4, (5,) * 10, (3,) * 6]
+
+    def test_a_batch_of_one_is_the_lone_decode(self):
+        dec, _, encs = self.parts()
+        with ad.no_grad():
+            [got] = ucca.pointer_decode_batch(encs[3:], dec)
+            pointers, rows, truncated = reference_pointer_decode(encs[3], dec)
+        assert (got.pointers, got.truncated) == (pointers, truncated)
+        assert got.logits.data.tobytes() == ad.concat(rows, axis=0).data.tobytes()
+
+    def test_node_states_from_one_run(self, monkeypatch):
+        dec, extra, encs = self.parts()
+        with ad.no_grad():
+            pointers = [d.pointers for d in ucca.pointer_decode_batch(encs, dec)]
+            alone = [ucca.build_node_states(e, p, dec, extra) for e, p in zip(encs, pointers)]
+            runs = spy(monkeypatch, BiLstm, "run")
+            batch = ucca.node_states_batch(encs, pointers, dec, extra)
+        assert len(runs) == 1
+        for got, want in zip(batch, alone):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got.data, want.data, rtol=0.0, atol=1e-12)
 
 
 UCCA_PARTS = ("ucca.edge", "ucca.label", "ucca.remote", "ucca.dec")
