@@ -297,11 +297,11 @@ def pointer_decode_batch(enc_outs, decoder):
     lone decode's."""
     tops = [e.top for e in enc_outs]
     sizes = [t.shape[0] for t in tops]
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
     if len(tops) == 1:
-        flat, keys, blocked = tops[0], decoder.keys(tops[0]), None
+        flat, keys, blocked, starts = tops[0], decoder.keys(tops[0]), None, [0]
         h, c = decoder.init_state(enc_outs[0])
     else:
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
         flat, lengths = ad.concat(tops, axis=0), np.array(sizes)[:, None]
         # a padded position repeats its sentence's last key
         pick = np.array(starts)[:, None] + np.minimum(np.arange(max(sizes)), lengths - 1)

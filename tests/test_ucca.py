@@ -434,14 +434,6 @@ class TestLockstep:
             batch = ucca.pointer_decode_batch(encs, dec)
         assert [d.pointers for d in batch] == [(2,) * 4, (5,) * 10, (3,) * 6]
 
-    def test_a_batch_of_one_is_the_lone_decode(self):
-        dec, _, encs = self.parts()
-        with ad.no_grad():
-            [got] = ucca.pointer_decode_batch(encs[3:], dec)
-            pointers, rows, truncated = reference_pointer_decode(encs[3], dec)
-        assert (got.pointers, got.truncated) == (pointers, truncated)
-        assert got.logits.data.tobytes() == ad.concat(rows, axis=0).data.tobytes()
-
     def test_node_states_from_one_run(self, monkeypatch):
         dec, extra, encs = self.parts()
         with ad.no_grad():
