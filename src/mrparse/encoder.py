@@ -365,6 +365,13 @@ class BiLstm:
         return EncoderOutput(layers=layers, lstm_out=lstm_out)
 
 
+def pad_index(lengths):
+    """(B, T) indices into B sequences of ``lengths`` laid one after
+    another, padded to the longest by repeating each one's last row."""
+    starts = np.cumsum([0] + lengths[:-1])
+    return starts[:, None] + np.minimum(np.arange(max(lengths)), np.array(lengths)[:, None] - 1)
+
+
 def run_ragged(bilstm, rows, lengths, rng=None):
     """``bilstm`` over the sequences of ``lengths`` laid one after another
     in ``rows``: one :class:`EncoderOutput` per sequence, from one
@@ -372,11 +379,7 @@ def run_ragged(bilstm, rows, lengths, rng=None):
     runs unpadded."""
     if len(lengths) == 1:
         return [bilstm.run(rows, rng)]
-    starts = np.cumsum([0] + lengths[:-1])
-    # a padded position repeats its sequence's last row: the mask ignores it
-    pick = starts[:, None] + np.minimum(np.arange(max(lengths)),
-                                        np.array(lengths)[:, None] - 1)
-    out = bilstm.run(ad.rows(rows, pick), rng, lengths)
+    out = bilstm.run(ad.rows(rows, pad_index(lengths)), rng, lengths)
     layers = [ad.split(rows, lengths)] + [_unpad(t, lengths) for t in out.layers[1:]]
     lstm_out = [_unpad(t, lengths) for t in out.lstm_out]
     return [EncoderOutput(layers=list(ls), lstm_out=list(outs))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import LstmCell, Mlp, additive_attention, run_ragged
+from .encoder import LstmCell, Mlp, additive_attention, pad_index, run_ragged
 
 CT_LABEL = "CT"
 REMOTE_ATTR = "remote"
@@ -301,12 +301,9 @@ def pointer_decode_batch(enc_outs, decoder):
         flat, keys, blocked, starts = tops[0], decoder.keys(tops[0]), None, [0]
         h, c = decoder.init_state(enc_outs[0])
     else:
-        starts = np.cumsum([0] + sizes[:-1]).tolist()
-        flat, lengths = ad.concat(tops, axis=0), np.array(sizes)[:, None]
-        # a padded position repeats its sentence's last key
-        pick = np.array(starts)[:, None] + np.minimum(np.arange(max(sizes)), lengths - 1)
+        flat, pick = ad.concat(tops, axis=0), pad_index(sizes)
         keys = ad.rows(decoder.keys(flat), pick)  # (B, N, att)
-        blocked = np.arange(max(sizes)) >= lengths
+        starts, blocked = pick[:, 0].tolist(), np.arange(max(sizes)) >= np.array(sizes)[:, None]
         h, c = ad.split(ad.concat([e.finals(decoder.use_layers) for e in enc_outs], axis=0),
                         [decoder.hidden] * 2, axis=1)
     live = list(range(len(tops)))  # the rows still decoding, in batch order
