@@ -341,10 +341,11 @@ class Task:
     or raises ValueError or KeyError; ``terms`` gives the loss pieces,
     keyed "name.part"; ``predict``, given sentences and their encoder
     outputs, the numpy probability arrays each graph is decoded from
-    (``predict_one`` of each, unless batched); ``decode`` a graph from
-    one prediction per model, combining several by ``rule``;
-    ``validator`` the metric a single-framework run early-stops on, in
-    ``mode``.  Fine-tuning restarts from the joint run's best epoch of
+    (``predict_one`` of each, unless each head runs once over the
+    batch, ``BiaffineHead.predict``); ``decode`` a graph from one
+    prediction per model, combining several by ``rule``; ``validator``
+    the metric a single-framework run early-stops on, in ``mode``.
+    Fine-tuning restarts from the joint run's best epoch of
     ``start_key`` and trains the frameworks of ``group``.
     """
     part = "decoder"  # what a model that cannot serve the framework lacks
@@ -421,15 +422,23 @@ class SdpTask(Task):
             out[f"{name}.frame"] = ad.Tensor(0.0)
         return out
 
-    def predict_one(self, model, sent, enc_out, beam):
-        """(edge probabilities, label probabilities), then for DM the
-        frame type probabilities and those of each argument head."""
-        scores = model.heads[self.name].score(enc_out.top)
-        pred = (scores.edge_probs.data, scores.label_probs())
-        if self.frames:
-            frames = model.frame_clf.predict(enc_out.top)
-            pred += (frames.type_probs(), *map(frames.arg_probs, range(S.N_ARG_HEADS)))
-        return pred
+    def predict(self, model, sents, enc_outs, beam):
+        """Per sentence, (edge probabilities, label probabilities), then
+        for DM the frame type probabilities and those of each argument
+        head.  The frame classifier runs once over the batch's rows (a
+        lone sentence's own), and its softmaxes are split per sentence."""
+        tops = [e.top for e in enc_outs]
+        preds = [(p.edge_probs.data, p.label_probs())
+                 for p in model.heads[self.name].predict(tops)]
+        if not self.frames:
+            return preds
+        frames = model.frame_clf.predict(tops[0] if len(tops) == 1 else ad.concat(tops, axis=0))
+        probs = [frames.type_probs(), *map(frames.arg_probs, range(S.N_ARG_HEADS))]
+        if len(tops) == 1:
+            return [preds[0] + tuple(probs)]
+        ends = np.cumsum([t.shape[0] for t in tops]).tolist()
+        return [pred + tuple(p[end - t.shape[0]:end] for p in probs)
+                for pred, t, end in zip(preds, tops, ends)]
 
     def decode(self, models, sent, preds, text):
         labels = _require_same_labels([m.heads[self.name].labels for m in models],
@@ -515,7 +524,8 @@ class UccaTask(Task):
         """A ``UccaPrediction`` per sentence, the remote head's edges only.
         A lone sentence takes ``U.pointer_decode`` and
         ``U.build_node_states``; a batch decodes in lockstep and runs the
-        slot-state biLSTM once (their batch forms)."""
+        slot-state biLSTM once (their batch forms).  Each head runs once
+        over the batch's slot states."""
         dec, extra = model.ucca_decoder, model.ucca_extra
         if len(enc_outs) == 1:
             runs = [U.pointer_decode(enc_outs[0], dec)]
@@ -523,13 +533,11 @@ class UccaTask(Task):
         else:
             runs = U.pointer_decode_batch(enc_outs, dec)
             states = U.node_states_batch(enc_outs, [r.pointers for r in runs], dec, extra)
-        preds = []
-        for run, slot_states in zip(runs, states):
-            scores = model.heads["ucca"].score(slot_states)
-            remote = model.remote_head.edge_probs(slot_states).data
-            preds.append(U.UccaPrediction(run.pointers, scores.edge_probs.data,
-                                          scores.label_probs(), remote))
-        return preds
+        primary = model.heads["ucca"].predict(states)
+        remote = model.remote_head.predict(states, edges_only=True)
+        return [U.UccaPrediction(run.pointers, p.edge_probs.data, p.label_probs(),
+                                 r.edge_probs.data)
+                for run, p, r in zip(runs, primary, remote)]
 
     def decode(self, models, sent, preds, text):
         labels = _require_same_labels([m.heads["ucca"].labels for m in models],
@@ -623,7 +631,7 @@ class AmrTask(Task):
                else A.AmrGeneration((), (), (), (), 0.0))
         if not gen.labels:
             return gen, None, None
-        scores = model.heads["amr"].score(ad.concat(list(gen.states), axis=0))
+        [scores] = model.heads["amr"].predict([ad.concat(list(gen.states), axis=0)])
         return gen, scores.edge_probs.data, scores.label_probs()
 
     def decode(self, models, sent, preds, text):
@@ -742,10 +750,16 @@ def sentence_loss(model, cfg, prep, frameworks, rng=None):
 # ---------------------------------------------------------------------------
 # validation metrics
 
-def corpus_report(golds, preds):
+def corpus_report(golds, preds, scored=None):
+    """The summed ``mrp_f1`` counts of each gold and predicted graph,
+    read first from ``scored``, which keeps them by (index, predicted
+    graph), so an equal graph at its index is not scored again."""
+    scored = {} if scored is None else scored
     rep = scoring.ScoreReport()
-    for g, p in zip(golds, preds):
-        rep.add(g.framework, scoring.mrp_f1(g, p))
+    for k, (g, p) in enumerate(zip(golds, preds)):
+        if (k, p) not in scored:
+            scored[k, p] = scoring.mrp_f1(g, p)
+        rep.add(g.framework, scored[k, p])
     return rep
 
 
@@ -1160,8 +1174,9 @@ def predict(model, sentences, framework, beam=A.BEAM_WIDTH):
     """One model's prediction for each of ``sentences`` (``Task.predict``),
     the probability arrays its graph is decoded from, from one encoder
     pass over all of them.  UCCA decodes the batch in lockstep; the
-    heads, the frame classifier and the AMR beam run per sentence.  A
-    model without the framework's head or decoder raises a ValueError."""
+    biaffine heads and the frame classifier run once over the batch,
+    and the AMR beam per sentence.  A model without the framework's head
+    or decoder raises a ValueError."""
     task = TASKS.get(framework)
     if task is None:
         raise ValueError(f"cannot parse framework {framework!r} with this model")
@@ -1242,22 +1257,29 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
     The framework's rule decides: AMR keeps its single best model; DM
     and PSD average probabilities; UCCA votes.  Each model predicts each
     sentence once, in one ``predict`` per member over all of them (one
-    encoder pass; UCCA decodes in lockstep): for k models and n sentences
-    the cache holds k × n predictions, each the probability arrays one
-    parse builds, softmaxes included, and every subset the scan tries is
-    scored by decoding its members' cached predictions.  A batched
-    prediction is within 1e-12 of the sentence's own (``parse_ensemble``):
-    the padded GEMMs run over more rows, so a sum's last bits may differ.
+    encoder pass, each head once; UCCA decodes in lockstep): for k models
+    and n sentences the cache holds k × n predictions, each the
+    probability arrays one parse builds, softmaxes included, and every
+    subset the scan tries is scored by decoding its members' cached
+    predictions.  A graph that an earlier subset decoded for the same
+    sentence keeps its ``mrp_f1`` counts, so each distinct graph of a
+    sentence is scored once.  A batched prediction is within 1e-12 of
+    the sentence's own (``parse_ensemble``): the padded GEMMs run over
+    more rows, so a sum's last bits may differ.  An empty carve-out
+    raises a ValueError.
     """
+    if not sentences:
+        raise ValueError(f"build_ensemble needs at least one {framework} sentence")
     golds = [s.graphs[framework] for s in sentences]
     cache = [predict(m, sentences, framework, beam=beam) for m in models]
+    scored = {}
 
     def score_fn(member_ids):
         subset = [models[i] for i in member_ids]
         graphs = [decode_predictions(subset, s, framework,
                                      [cache[i][k] for i in member_ids])
                   for k, s in enumerate(sentences)]
-        return corpus_report(golds, graphs).framework_f1(framework)
+        return corpus_report(golds, graphs, scored).framework_f1(framework)
 
     candidates = list(range(len(models)))
     rule = TASKS[framework].rule

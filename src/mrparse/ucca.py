@@ -346,22 +346,23 @@ def build_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
 
 
 def node_states_batch(enc_outs, pointer_seqs, decoder, extra_lstm, rng=None):
-    """:func:`build_node_states` of each sentence of a batch, from one
-    ``extra_lstm`` run over their slot rows padded to the longest
-    (:func:`encoder.run_ragged`), each within 1e-12 of its own; a batch
-    of one unpadded."""
-    bullet = decoder.bullet()
-    rows = []
-    for enc_out, pointers in zip(enc_outs, pointer_seqs):
-        states = enc_out.top
-        slots = build_slots(pointers, states.shape[0] - 1)
-        pre = ad.concat([bullet if slot[0] == "nt" else
-                         ad.rows(states, [slot[1] + 1 if slot[0] == "tok" else 0])
-                         for slot in slots], axis=0)
-        pe = ad.Tensor(sinusoidal_positions(len(slots), PE_DIM))
-        rows.append(ad.concat([pre, pe], axis=1))
-    flat = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
-    return [out.top for out in run_ragged(extra_lstm, flat, [r.shape[0] for r in rows], rng)]
+    """:func:`build_node_states` of each sentence of a batch.  One
+    ``ad.rows`` gathers every slot row of the batch from its encoder
+    rows and the bullet (when a slot reads it), laid one after another,
+    and one ``extra_lstm`` run reads them padded to the longest
+    (:func:`encoder.run_ragged`), each sentence within 1e-12 of its own;
+    a batch of one unpadded."""
+    tops = [e.top for e in enc_outs]
+    starts = np.cumsum([0] + [t.shape[0] for t in tops]).tolist()  # the last: the bullet
+    slots = [build_slots(p, t.shape[0] - 1) for t, p in zip(tops, pointer_seqs)]
+    pick = [starts[-1] if slot[0] == "nt" else start + (slot[1] + 1 if slot[0] == "tok" else 0)
+            for start, own in zip(starts, slots) for slot in own]
+    sizes = [len(own) for own in slots]
+    bullet = [decoder.bullet()] if starts[-1] in pick else []  # no gradient unless read
+    pre = ad.rows(ad.concat(tops + bullet, axis=0), pick)
+    pe = np.concatenate([sinusoidal_positions(n, PE_DIM) for n in sizes])
+    return [out.top for out in run_ragged(extra_lstm, ad.concat([pre, ad.Tensor(pe)], axis=1),
+                                          sizes, rng)]
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,21 @@ def reference_pointer_loss(rows, gold_pointers):
     return total
 
 
+def reference_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
+    """``ucca.build_node_states`` as it was before one gather took every
+    slot row: each slot row its own ``ad.rows`` of the encoder states (the
+    bullet for a non-terminal), concatenated, then the positions, through
+    ``extra_lstm``."""
+    bullet = decoder.bullet()
+    states = enc_out.top
+    slots = ucca.build_slots(pointers, states.shape[0] - 1)
+    pre = ad.concat([bullet if slot[0] == "nt" else
+                     ad.rows(states, [slot[1] + 1 if slot[0] == "tok" else 0])
+                     for slot in slots], axis=0)
+    pe = ad.Tensor(ucca.sinusoidal_positions(len(slots), ucca.PE_DIM))
+    return extra_lstm.run(ad.concat([pre, pe], axis=1), rng).top
+
+
 # ---------------------------------------------------------------------------
 # the AMR decoder as it was before the inference fast path, the batched
 # beam and whole-sequence teacher forcing: one row per step, source and

@@ -22,6 +22,7 @@ import mrparse.amr as A
 import mrparse.autodiff as ad
 import mrparse.eds as E
 import mrparse.graphs as G
+import mrparse.sdp as S
 import mrparse.training as T
 import mrparse.ucca as U
 from mrparse import datagen
@@ -997,7 +998,7 @@ class TestEnsembles:
         monkeypatch.setattr(T, "predict", lambda m, sents, fw, beam: [m] * len(sents))
         monkeypatch.setattr(T, "decode_predictions",
                             lambda models, s, fw, preds: tuple(preds))
-        monkeypatch.setattr(T, "corpus_report", lambda golds, graphs: SimpleNamespace(
+        monkeypatch.setattr(T, "corpus_report", lambda golds, graphs, scored: SimpleNamespace(
             framework_f1=lambda fw: table[graphs[0]]))
 
     def test_build_ensemble_amr_takes_single_best(self, corpus, monkeypatch):
@@ -1292,6 +1293,26 @@ def test_ucca_remote_head_scores_edges_only(model, with_empty):
         assert pred.remote_probs.tobytes() == head.score(slot_states).edge_probs.data.tobytes()
 
 
+@pytest.mark.parametrize("fw", ("dm", "psd", "ucca"))
+def test_heads_run_once_per_batch(model, with_empty, fw, monkeypatch):
+    """Each MLP pair of a head runs once over the batch's rows, and the
+    frame classifier once; then each sentence gets one ``biaffine_edge``
+    per head and one ``biaffine_label`` per head but the remote one."""
+    heads = [model.heads[fw]] + ([model.remote_head] if fw == "ucca" else [])
+    with ad.no_grad():
+        mlps, edges, labels = (spy(monkeypatch, ad, name)
+                               for name in ("mlp", "biaffine_edge", "biaffine_label"))
+        frames = spy(monkeypatch, S.FrameClassifier, "predict")
+        T.predict(model, with_empty, fw)
+    for head in heads:
+        n_labels = 0 if head is model.remote_head else 1
+        assert [sum(isinstance(args[1], tuple) and args[1][0] is first.w for args in mlps)
+                for first in (head.edge_from, head.label_from)] == [1, n_labels]
+        assert sum(args[1] is head.u_edge for args in edges) == len(with_empty)
+        assert sum(args[1] is head.u_label for args in labels) == n_labels * len(with_empty)
+    assert len(frames) == (fw == "dm")
+
+
 @pytest.mark.parametrize("fw", FWS + ("eds",))
 def test_a_sentence_without_tokens_parses_alone_and_in_a_batch(fixed_models,
                                                               with_empty, fw):
@@ -1381,6 +1402,31 @@ class TestCachedSelection:
         # one encoder pass per member, over every sentence
         assert encodes == [[s.id for s in sents]] * len(members)
         assert parses == []
+
+    @pytest.mark.parametrize("fw", FWS)
+    def test_each_distinct_graph_is_scored_once(self, members, corpus, fw, monkeypatch):
+        decoded = []
+        decode = T.decode_predictions
+
+        def recorded(models, sent, framework, preds):
+            graph = decode(models, sent, framework, preds)
+            decoded.append((sent.id, graph))
+            return graph
+
+        monkeypatch.setattr(T, "decode_predictions", recorded)
+        scored = spy(monkeypatch, T.scoring, "mrp_f1")
+        T.build_ensemble(members, fw, corpus.sentences[HELD], beam=2)
+        assert len(scored) == len(set(decoded))
+        assert {(gold.id, graph) for gold, graph in scored} == set(decoded)
+        if fw != "amr":  # members and subsets often decode the same graph
+            assert len(scored) < len(decoded)
+
+    @pytest.mark.parametrize("fw", ("dm", "ucca", "amr"))
+    def test_an_empty_carve_out_raises_before_predicting(self, members, fw, monkeypatch):
+        calls = count_calls(monkeypatch, "predict")
+        with pytest.raises(ValueError, match=f"^build_ensemble needs at least one {fw} sentence$"):
+            T.build_ensemble(members, fw, [])
+        assert calls == []
 
     def test_member_without_the_decoder_raises_as_before(self, split, corpus):
         sents = corpus.sentences[HELD]

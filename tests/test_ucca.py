@@ -8,7 +8,8 @@ from mrparse.encoder import BiLstm, EncoderOutput
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
 from mrparse.training import multitask_loss
 
-from conftest import (reference_pointer_decode, reference_pointer_loss, spy,
+from conftest import (reference_node_states, reference_pointer_decode,
+                      reference_pointer_loss, spy,
                       ucca_slot_of_node)
 
 
@@ -439,12 +440,45 @@ class TestLockstep:
         with ad.no_grad():
             pointers = [d.pointers for d in ucca.pointer_decode_batch(encs, dec)]
             alone = [ucca.build_node_states(e, p, dec, extra) for e, p in zip(encs, pointers)]
-            runs = spy(monkeypatch, BiLstm, "run")
+            runs, gathers = spy(monkeypatch, BiLstm, "run"), spy(monkeypatch, ad, "rows")
             batch = ucca.node_states_batch(encs, pointers, dec, extra)
         assert len(runs) == 1
+        # one gather takes every slot row from the encoder rows and the bullet
+        tops = [e.top for e in encs]
+        table = sum(t.shape[0] for t in tops) + 1
+        assert [len(args[1]) for args in gathers if args[0].shape[0] == table] == [
+            sum(s.shape[0] for s in batch)]
+        assert not any(args[0] is t for args in gathers for t in tops)
         for got, want in zip(batch, alone):
             assert got.shape == want.shape
             np.testing.assert_allclose(got.data, want.data, rtol=0.0, atol=1e-12)
+
+
+class TestSlotGather:
+    """A lone sentence's slot rows come from one ``ad.rows`` over its
+    encoder rows and the bullet, with the states and the gradients of one
+    ``ad.rows`` per slot, bit for bit."""
+
+    @pytest.mark.parametrize("pointers", [(0,), (1, 0), (1, 1, 4, 2, 5, 3, 0)])
+    def test_lone_sentence_matches_per_slot_rows(self, pointers):
+        dec, params = make_decoder(4, seed=40)
+        rng = np.random.default_rng(40)
+        extra = BiLstm(params, "extra", 8 + ucca.PE_DIM, 3, 1, rng, input_dropout=0.3)
+        enc = fake_encoder_output(rng, 6, 4, requires_grad=True)
+        leaves = params.tensors() + [enc.top]
+        runs = []
+        for build in (ucca.build_node_states, reference_node_states):
+            for t in leaves:
+                t.zero_grad()
+            states = build(enc, pointers, dec, extra, np.random.default_rng(3))
+            weights = np.random.default_rng(4).normal(size=states.shape)
+            ad.reduce_sum(ad.mul(states, weights)).backward()
+            runs.append([states.data] + [t.grad for t in leaves])
+        got, want = runs
+        # without a non-terminal, the bullet is not read and gets no gradient
+        assert got[-1] is not None and (dec.r.grad is None) == (pointers == (0,))
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 UCCA_PARTS = ("ucca.edge", "ucca.label", "ucca.remote", "ucca.dec")
