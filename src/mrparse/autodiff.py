@@ -324,6 +324,16 @@ def split(a, sizes, axis=0):
     return [chunk(idx) for idx in idxs]
 
 
+def stack_rows(mats):
+    """The (n_k, d) matrices ``mats`` one after another; a lone one itself."""
+    return mats[0] if len(mats) == 1 else concat(mats, axis=0)
+
+
+def unstack_rows(a, sizes):
+    """Inverse of :func:`stack_rows`: row blocks of ``sizes``; one: ``[a]``."""
+    return [a] if len(sizes) == 1 else split(a, sizes)
+
+
 def rows(table, indices):
     """Row lookup ``table[indices]`` with scatter-add backward (embeddings)."""
     table = as_tensor(table)

@@ -9,8 +9,9 @@ from it marks a top node.
 A head's training score is five autodiff nodes: the input dropout, one
 :func:`autodiff.mlp` for the edge MLP pair and one for the label pair,
 then :func:`autodiff.biaffine_edge` and :func:`autodiff.biaffine_label`.
-An inference batch is a concat of its rows (none for one sentence), one
-mlp per pair, then the two biaffine nodes per sentence.
+Inference draws no dropout; a batch of several concatenates their rows,
+runs one mlp per pair and splits it, then the two biaffine nodes per
+sentence, and a lone sentence runs the four nodes alone.
 """
 
 from dataclasses import dataclass
@@ -83,39 +84,30 @@ class BiaffineHead:
         self.w_label = params.new(f"{name}.w_label", (c, 1, label_mlp), rng)
 
     def score(self, states, rng=None):
-        """Score all ordered pairs of positions; returns :class:`PairScores`.
+        """:meth:`predict` of one (P, d) state matrix: all ordered pairs
+        of its positions scored, as training reads them."""
+        return self.predict([states], rng)[0]
 
-        Dropout masks are drawn in the order input, edge_from, edge_to,
-        label_from, label_to."""
-        states = ad.dropout(states, self.input_dropout, rng)
-        edge = ad.mlp(states, (self.edge_from.w, self.edge_to.w),
-                      (self.edge_from.b, self.edge_to.b), self.edge_dropout, rng)
-        label = ad.mlp(states, (self.label_from.w, self.label_to.w),
-                       (self.label_from.b, self.label_to.b), self.label_dropout, rng)
-        return PairScores(
-            edge_probs=ad.biaffine_edge(edge, self.u_edge, self.w_edge, self.b_edge),
-            label_logits=ad.biaffine_label(label, self.u_label, self.w_label),
-            n_positions=states.shape[0], labels=self.labels)
-
-    def predict(self, batch, edges_only=False):
-        """Inference :class:`PairScores` of each (n, d) state matrix of a
-        batch, without label logits when ``edges_only``.  Each MLP pair
-        runs once over the batch's rows, then ``biaffine_edge`` and
-        ``biaffine_label`` per matrix.  A batch of one runs ``score``'s
-        operations, with no concat or split, and gives its bits; in a
-        larger one each matrix is within 1e-12 of its own."""
+    def predict(self, batch, rng=None, edges_only=False):
+        """:class:`PairScores` of each (n, d) state matrix of a batch,
+        without label logits when ``edges_only``.  Each MLP pair runs once
+        over the batch's rows (:func:`autodiff.stack_rows`), then
+        ``biaffine_edge`` and ``biaffine_label`` per matrix; a batch of
+        one runs no concat or split, and in a larger one each matrix is
+        within 1e-12 of its own.  Dropout masks are drawn in the order
+        input, edge_from, edge_to, label_from, label_to."""
         sizes = [s.shape[0] for s in batch]
-        rows = batch[0] if len(batch) == 1 else ad.concat(batch, axis=0)
+        rows = ad.dropout(ad.stack_rows(batch), self.input_dropout, rng)
 
-        def specialized(first, second):
-            out = ad.mlp(rows, (first.w, second.w), (first.b, second.b))
-            return [out] if len(batch) == 1 else ad.split(out, sizes)
+        def specialized(first, second, p):
+            return ad.unstack_rows(ad.mlp(rows, (first.w, second.w), (first.b, second.b),
+                                          p, rng), sizes)
 
         edges = [ad.biaffine_edge(e, self.u_edge, self.w_edge, self.b_edge)
-                 for e in specialized(self.edge_from, self.edge_to)]
+                 for e in specialized(self.edge_from, self.edge_to, self.edge_dropout)]
         logits = ([None] * len(batch) if edges_only else
                   [ad.biaffine_label(x, self.u_label, self.w_label)
-                   for x in specialized(self.label_from, self.label_to)])
+                   for x in specialized(self.label_from, self.label_to, self.label_dropout)])
         return [PairScores(e, x, n, self.labels) for e, x, n in zip(edges, logits, sizes)]
 
 

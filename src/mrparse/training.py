@@ -340,13 +340,12 @@ class Task:
     ``prepare`` turns a sentence's gold into the targets ``terms`` reads,
     or raises ValueError or KeyError; ``terms`` gives the loss pieces,
     keyed "name.part"; ``predict``, given sentences and their encoder
-    outputs, the numpy probability arrays each graph is decoded from
-    (``predict_one`` of each, unless each head runs once over the
-    batch, ``BiaffineHead.predict``); ``decode`` a graph from one
-    prediction per model, combining several by ``rule``; ``validator``
-    the metric a single-framework run early-stops on, in ``mode``.
-    Fine-tuning restarts from the joint run's best epoch of
-    ``start_key`` and trains the frameworks of ``group``.
+    outputs, the numpy probability arrays each graph is decoded from;
+    ``decode`` a graph from one prediction per model, combining several
+    by ``rule``; ``validator`` the metric a single-framework run
+    early-stops on, in ``mode``.  Fine-tuning restarts from the joint
+    run's best epoch of ``start_key`` and trains the frameworks of
+    ``group``.
     """
     part = "decoder"  # what a model that cannot serve the framework lacks
     mode = "max"
@@ -355,9 +354,6 @@ class Task:
         self.name = name
         self.start_key = name
         self.group = (name,)
-
-    def predict(self, model, sents, enc_outs, beam):
-        return [self.predict_one(model, s, e, beam) for s, e in zip(sents, enc_outs)]
 
 
 class SdpTask(Task):
@@ -426,19 +422,18 @@ class SdpTask(Task):
         """Per sentence, (edge probabilities, label probabilities), then
         for DM the frame type probabilities and those of each argument
         head.  The frame classifier runs once over the batch's rows (a
-        lone sentence's own), and its softmaxes are split per sentence."""
+        lone sentence's own), and its logits are split per sentence."""
         tops = [e.top for e in enc_outs]
         preds = [(p.edge_probs.data, p.label_probs())
                  for p in model.heads[self.name].predict(tops)]
         if not self.frames:
             return preds
-        frames = model.frame_clf.predict(tops[0] if len(tops) == 1 else ad.concat(tops, axis=0))
-        probs = [frames.type_probs(), *map(frames.arg_probs, range(S.N_ARG_HEADS))]
-        if len(tops) == 1:
-            return [preds[0] + tuple(probs)]
-        ends = np.cumsum([t.shape[0] for t in tops]).tolist()
-        return [pred + tuple(p[end - t.shape[0]:end] for p in probs)
-                for pred, t, end in zip(preds, tops, ends)]
+        frames = model.frame_clf.predict(ad.stack_rows(tops))
+        logits = [ad.unstack_rows(x, [t.shape[0] for t in tops])
+                  for x in (frames.type_logits, *frames.arg_logits)]
+        own = [S.FramePrediction(t, args) for t, *args in zip(*logits)]
+        return [pred + (f.type_probs(), *map(f.arg_probs, range(S.N_ARG_HEADS)))
+                for pred, f in zip(preds, own)]
 
     def decode(self, models, sent, preds, text):
         labels = _require_same_labels([m.heads[self.name].labels for m in models],
@@ -623,7 +618,11 @@ class AmrTask(Task):
         return {"amr.dec": dec, "amr.cov": cov, "amr.edge": edge,
                 "amr.label": label}
 
-    def predict_one(self, model, sent, enc_out, beam):
+    def predict(self, model, sents, enc_outs, beam):
+        """``_predict_one`` of each sentence, from its own beam search."""
+        return [self._predict_one(model, s, e, beam) for s, e in zip(sents, enc_outs)]
+
+    def _predict_one(self, model, sent, enc_out, beam):
         """(generation, edge probabilities, label probabilities), the
         probabilities None for an empty generation, which a sentence
         without tokens gets: the mixture has no source to copy from."""

@@ -359,7 +359,7 @@ def node_states_batch(enc_outs, pointer_seqs, decoder, extra_lstm, rng=None):
             for start, own in zip(starts, slots) for slot in own]
     sizes = [len(own) for own in slots]
     bullet = [decoder.bullet()] if starts[-1] in pick else []  # no gradient unless read
-    pre = ad.rows(ad.concat(tops + bullet, axis=0), pick)
+    pre = ad.rows(ad.stack_rows(tops + bullet), pick)
     pe = np.concatenate([sinusoidal_positions(n, PE_DIM) for n in sizes])
     return [out.top for out in run_ragged(extra_lstm, ad.concat([pre, ad.Tensor(pe)], axis=1),
                                           sizes, rng)]
