@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import Linear, LstmCell, Mlp, additive_attention
+from .encoder import Linear, LstmCell, Mlp
 
 END_LABEL = "<END>"
 UNK_LABEL = "<UNK>"
@@ -422,6 +422,14 @@ class AmrDecoder:
     :func:`autodiff.lstm_sequence` returns, except the top layer's
     ``h[-1]``, (k, H), which the mixture reads; teacher forcing runs the
     whole gold sequence at once (:func:`run_teacher_forced`).
+
+    The mixture of a step is six graph nodes over the top-layer states
+    whatever k, five while there is no history: the source attention and
+    its softmax, the history attention (each one
+    :func:`autodiff.additive_attention`), the vocabulary and
+    switch logits (two :class:`encoder.Linear` calls), and one
+    :func:`autodiff.pointer_mixture` for the switch softmax, the history
+    and vocabulary softmaxes, the weighting and the concatenation.
     """
 
     def __init__(self, params, name, enc_hidden, feat_width, hidden, n_vocab,
@@ -485,26 +493,20 @@ class AmrDecoder:
 
     def _mixture(self, hx, src_keys, hist_keys, hist_bias=None, gate_bias=None):
         """Mixture rows (k, L + n + V) and source attentions (k, L) of
-        the top-layer states ``hx`` (k, H).  ``hist_keys`` are shared
-        (n, att) or per row (k, n, att), None while there is no history;
-        ``hist_bias`` (k, n) and ``gate_bias`` (k, 3) are added to the
-        history scores and the switch logits, -1e30 masking a cell."""
-        a_src = ad.softmax(additive_attention(hx, src_keys, self.src_dec, self.src_v),
+        the top-layer states ``hx`` (k, H): the two attentions, the
+        vocabulary and switch logits, and one :func:`autodiff.pointer_mixture`.
+        ``hist_keys`` are shared (n, att) or per row (k, n, att), None
+        while there is no history; ``hist_bias`` (k, n) and ``gate_bias``
+        (k, 3) are added to the history scores and the switch logits,
+        -1e30 masking a cell.  The source attentions stay their own
+        softmax node, which the coverage loss reads."""
+        a_src = ad.softmax(ad.additive_attention(hx, src_keys, self.src_dec, self.src_v),
                            axis=-1)
-        vocab_p = ad.softmax(self.vocab_head(hx), axis=-1)
-        gate_logits = self.switch(hx)
-        if gate_bias is not None:
-            gate_logits = ad.add(gate_logits, gate_bias)
-        gate = ad.softmax(gate_logits, axis=-1)
-        g_src, g_hist, g_voc = ad.split(gate, [1, 1, 1], axis=1)
-        parts = [ad.mul(a_src, g_src)]
-        if hist_keys is not None:
-            scores = additive_attention(hx, hist_keys, self.hist_dec, self.hist_v)
-            if hist_bias is not None:
-                scores = ad.add(scores, hist_bias)
-            parts.append(ad.mul(ad.softmax(scores, axis=-1), g_hist))
-        parts.append(ad.mul(vocab_p, g_voc))
-        return ad.concat(parts, axis=1), a_src
+        hist = (None if hist_keys is None else
+                ad.additive_attention(hx, hist_keys, self.hist_dec, self.hist_v))
+        p = ad.pointer_mixture(a_src, hist, self.vocab_head(hx), self.switch(hx),
+                               hist_bias, gate_bias)
+        return p, a_src
 
 
 @dataclass
@@ -560,8 +562,11 @@ def run_teacher_forced(ctx, gold, rng=None):
     the gold nodes), so the n + 1 steps run as whole-sequence ops: one
     :func:`node_features` batch, one :func:`autodiff.lstm_sequence` per
     layer from its initial state, one source attention and one history
-    attention over the top layer's ``h[:n] @ hist.enc``, masked so that
-    step i sees the nodes before it.  Returns the (n + 1, L + n + V)
+    attention over the top layer's ``h[:n] @ hist.enc``, and one
+    :func:`autodiff.pointer_mixture` whose history bias masks step i to
+    the nodes before it and whose switch bias shuts row 0's history
+    column.  The source attentions stay a softmax node of their own,
+    which :func:`coverage_loss` reads.  Returns the (n + 1, L + n + V)
     mixture rows, whose vocabulary segment starts at L + n on every row
     (:func:`decoder_loss` maps the gold indices), the (n + 1, L) source
     attentions and the (n, H) top-layer node states.
@@ -680,15 +685,22 @@ def _grow(ctx, hyp, idx, logp, top, row):
                          hyp.src_token + (src,), hyp.states + ((top, row),), logp)
 
 
-def _next_inputs(ctx, hyps, parents, h, c, hist_keys):
+def _next_inputs(ctx, hyps, parents, h, c, hist_keys, features):
     """Batched decoder inputs for ``hyps``, hypothesis i grown from row
     ``parents[i]`` of the last step: its parent's rows of every layer's
     (h, c), the feature of its new node, and its parent's history keys
     plus the key of the new node, ``h[-1] @ hist.enc`` for all rows in
-    one product."""
-    poses = [None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]]
-             for hyp in hyps]
-    x = node_features(ctx.encoder, [hyp.labels[-1] for hyp in hyps], poses)
+    one product.  ``features`` maps each (label, POS) of the decode so
+    far to its (1, F) :func:`node_features` row; the keys not in it yet
+    are built in one call and added."""
+    keys = [(hyp.labels[-1],
+             None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]])
+            for hyp in hyps]
+    new = list(dict.fromkeys(key for key in keys if key not in features))
+    if new:
+        built = node_features(ctx.encoder, [lab for lab, _ in new], [pos for _, pos in new])
+        features.update(zip(new, ad.unstack_rows(built, [1] * len(new))))
+    x = ad.stack_rows([features[key] for key in keys])
     new_keys = ad.matmul(ad.rows(h[-1], parents), ctx.decoder.hist_enc)
     new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
     if hist_keys is not None:
@@ -713,7 +725,7 @@ def greedy_decode(ctx):
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, h, c = dec.initial(ctx.finals)
-    hist_keys = None
+    hist_keys, features = None, {}
     hyp = AmrGeneration((), (), (), (), 0.0)
     for step in range(cap + 1):
         h, c, p = dec.step(x, h, c, keys, hist_keys)
@@ -728,10 +740,35 @@ def greedy_decode(ctx):
             hyp.log_prob = logp
             break
         hyp = _grow(ctx, hyp, idx, logp, h[-1], 0)
-        x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, hist_keys)
+        x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, hist_keys, features)
     else:
         hyp.truncated = True
     return replace(hyp, states=tuple(ad.rows(t, [j]) for t, j in hyp.states))
+
+
+def _expand(p, beams, end_at, width, can_finish):
+    """The ``width`` best candidates of a beam step and its finishes.
+
+    Row j of the mixture ``p`` (k, ·) extends ``beams[j]``; its ``width
+    + 1`` largest entries, in a stable descending argsort, are taken in
+    row order, each at its hypothesis's log-probability plus the log of
+    the entry (floored at 1e-12), all logs from one array.  A
+    candidate is (log prob, row, mixture index); the survivors are the
+    first ``width`` of a stable sort on the log-probability, best first.
+    An entry at ``end_at``, END, is no candidate: when ``can_finish`` it
+    finishes its row's hypothesis, listed as (log prob, row) in row
+    order, and otherwise it is dropped."""
+    orders = np.argsort(-p, axis=1, kind="stable")[:, : width + 1]
+    logps = np.log(np.maximum(np.take_along_axis(p, orders, 1), 1e-12))
+    candidates, finishes = [], []
+    for j, (hyp, idxs, lps) in enumerate(zip(beams, orders.tolist(), logps.tolist())):
+        for idx, lp in zip(idxs, lps):
+            logp = hyp.log_prob + lp
+            if idx != end_at:
+                candidates.append((logp, j, idx))
+            elif can_finish:
+                finishes.append((logp, j))
+    return sorted(candidates, key=lambda cand: -cand[0])[:width], finishes
 
 
 def beam_search(ctx, width=BEAM_WIDTH):
@@ -749,11 +786,13 @@ def beam_search(ctx, width=BEAM_WIDTH):
 
     Every live hypothesis at step s holds s nodes, so the whole beam
     advances in one (k, ·) call of :meth:`AmrDecoder.step`.  A candidate
-    is only its parent row, mixture index and log-probability; node
-    features and history keys are built in one batch for the ``width``
-    candidates that survive the cut, each hypothesis carrying its own
-    history-key rows.  Hypotheses are :class:`AmrGeneration` records;
-    only the winner's state rows are sliced out.
+    is only its parent row, mixture index and log-probability, ranked
+    from arrays (:func:`_expand`); history keys are built in one batch
+    for the ``width`` candidates that survive the cut, each hypothesis
+    carrying its own history-key rows, and each distinct (label, POS)
+    node feature once per decode, when it first appears.  Hypotheses
+    are :class:`AmrGeneration` records; only the winner's state rows are
+    sliced out.
 
     Candidates are enumerated and ranked as by one step per hypothesis:
     beams in order, a stable argsort per row, a stable sort on the
@@ -770,35 +809,26 @@ def beam_search(ctx, width=BEAM_WIDTH):
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, h, c = dec.initial(ctx.finals)
-    hist_keys = None
+    hist_keys, features = None, {}
     beams = [AmrGeneration((), (), (), (), 0.0)]
     best = None  # (rank, hypothesis, log prob) of the first best finish
     def rank(logp, labels):  # per step, then the shorter, then by labels
         return logp / (len(labels) + 1), -len(labels), labels
     for step in range(cap + 1):
         h, c, p = dec.step(x, h, c, keys, hist_keys)
-        end_at = L + step + ctx.vocab.end_index
-        orders = np.argsort(-p.data, axis=1, kind="stable")[:, : width + 1]
-        candidates = []  # (log prob, parent row, mixture index)
-        for j, hyp in enumerate(beams):
-            row = p.data[j]
-            for idx in orders[j]:
-                idx = int(idx)
-                logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
-                if idx != end_at:
-                    candidates.append((logp, j, idx))
-                elif step:  # empty graphs are not a thing
-                    key = rank(logp, hyp.labels)
-                    if best is None or key > best[0]:
-                        best = (key, hyp, logp)
-        survivors = sorted(candidates, key=lambda cand: -cand[0])[:width]
+        survivors, finishes = _expand(p.data, beams, L + step + ctx.vocab.end_index, width,
+                                      can_finish=step > 0)  # empty graphs are not a thing
+        for logp, j in finishes:
+            key = rank(logp, beams[j].labels)
+            if best is None or key > best[0]:
+                best = (key, beams[j], logp)
         parents = [j for _, j, _ in survivors]
         beams = [_grow(ctx, beams[j], idx, logp, h[-1], j)
                  for logp, j, idx in survivors]
         if not beams or best is not None and all(  # best[0][0]: its score
                 b.log_prob / (cap + 1) < best[0][0] for b in beams):
             break
-        x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, hist_keys)
+        x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, hist_keys, features)
     if best is None:
         for hyp in beams:
             hyp.truncated = True

@@ -44,7 +44,10 @@ each one node with the value of its composition bit for bit:
 :func:`mlp`, K same-width affine layers with their rectifier and
 dropout, and the two biaffine scorers over a pair of such layers,
 :func:`biaffine_edge` (edge probabilities) and :func:`biaffine_label`
-(per-class label logits).
+(per-class label logits).  Two more carry the decoders' steps the same
+way: :func:`additive_attention`, the scores of the UCCA pointer and of
+the AMR source and history attentions, and :func:`pointer_mixture`, the
+AMR decoder's switch-weighted concatenation of its three distributions.
 
 Also home to the optimizer (:class:`Adam`), global-norm gradient
 clipping and :class:`ParamSet`, the named parameter container that
@@ -350,16 +353,6 @@ def rows(table, indices):
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def tanh(a):
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def rule(g):
-        a.accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), rule)
-
-
 def _sigmoid(x):
     """Logistic function on an array, stable in both tails: 1/(1 + e)
     for x >= 0 and e/(1 + e) below, with e = exp(-|x|)."""
@@ -377,15 +370,23 @@ def sigmoid(a):
     return _make(out_data, (a,), rule)
 
 
+def _softmax(x, axis=-1):
+    """Softmax of an array along ``axis``, shifted by its maximum."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(probs, g, axis=-1):
+    """Gradient into the logits of a softmax with output ``probs``."""
+    return probs * (g - (g * probs).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1):
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def rule(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        a.accumulate(out_data * (g - inner))
+        a.accumulate(_softmax_grad(out_data, g, axis))
 
     return _make(out_data, (a,), rule)
 
@@ -534,6 +535,79 @@ def biaffine_label(pair, u, w):
             w.accumulate(d_lin @ yt.swapaxes(1, 2))
 
     return _make(scores.reshape(c, n * n).T, (pair, u, w), rule)
+
+
+def additive_attention(h, keys, w_dec, v):
+    """Additive attention scores (k, n), ``v . tanh(h_i w_dec + key_j)``
+    (Bahdanau et al., ICLR 2015), of the k rows of ``h``, (k, H) or (k,
+    1, H), over projected ``keys``, shared (n, att) or per row (k, n,
+    att), for ``w_dec`` (H, att) and ``v`` (att, 1).  The value is the
+    composition's: ``h @ w_dec`` reshaped to (k, 1, att), plus ``keys``,
+    tanh, reshaped to (k·n, att), ``@ v``, reshaped to (k, n)."""
+    h, keys, w_dec, v = (as_tensor(t) for t in (h, keys, w_dec, v))
+    k, att = h.data.shape[0], w_dec.data.shape[1]
+    query = h.data @ w_dec.data
+    mixed = np.tanh(query.reshape(k, 1, att) + keys.data)  # (k, n, att)
+    n = mixed.shape[1]
+    flat = mixed.reshape(k * n, att)
+    scores = (flat @ v.data).reshape(k, n)
+
+    def rule(g):
+        g = g.reshape(k * n, 1)
+        if v.requires_grad:
+            v.accumulate(flat.T @ g)
+        if not (h.requires_grad or w_dec.requires_grad or keys.requires_grad):
+            return
+        d_mixed = (g @ v.data.T).reshape(k, n, att) * (1.0 - mixed * mixed)
+        if keys.requires_grad:
+            keys.accumulate(_unbroadcast(d_mixed, keys.data.shape))
+        d_query = _unbroadcast(d_mixed, (k, 1, att)).reshape(query.shape)
+        if h.requires_grad:
+            h.accumulate(_unbroadcast(d_query @ w_dec.data.T, h.data.shape))
+        if w_dec.requires_grad:
+            w_dec.accumulate(_unbroadcast(np.swapaxes(h.data, -1, -2) @ d_query,
+                                          w_dec.data.shape))
+
+    return _make(scores, (h, keys, w_dec, v), rule)
+
+
+def pointer_mixture(a_src, hist_scores, vocab_logits, gate_logits, hist_bias, gate_bias):
+    """Pointer-generator mixture rows (k, L + n + V) (See et al., ACL
+    2017): the source attentions ``a_src`` (k, L), the softmax of the
+    history scores (k, n) and the softmax of the vocabulary logits (k, V),
+    weighted by the three columns of the switch, the softmax of
+    ``gate_logits`` (k, 3).  ``hist_scores`` is None while there is no
+    history, which leaves its segment out; ``hist_bias`` (k, n) and
+    ``gate_bias`` (k, 3), unless None, are added to the history scores
+    and the switch logits, -1e30 masking a cell.  The value is the
+    composition's: the switch softmax split in three columns, each
+    multiplying its segment, the segments concatenated."""
+    segments = [as_tensor(a_src)] + ([] if hist_scores is None else [as_tensor(hist_scores)])
+    vocab_logits, gate_logits = as_tensor(vocab_logits), as_tensor(gate_logits)
+    gate = _softmax(gate_logits.data if gate_bias is None else gate_logits.data + gate_bias)
+    probs = [segments[0].data]
+    if hist_scores is not None:
+        probs.append(_softmax(hist_scores.data if hist_bias is None
+                              else hist_scores.data + hist_bias))
+    probs.append(_softmax(vocab_logits.data))
+    cols = [0, 1, 2] if hist_scores is not None else [0, 2]  # each segment's switch column
+    out = np.concatenate([q * gate[:, c:c + 1] for q, c in zip(probs, cols)], axis=1)
+
+    def rule(g):
+        d_gate = np.zeros_like(gate)
+        lo = 0
+        for i, (q, c, t) in enumerate(zip(probs, cols, segments + [vocab_logits])):
+            g_seg = g[:, lo:lo + q.shape[1]]
+            lo += q.shape[1]
+            if t.requires_grad:  # a_src is given as probabilities, the others as logits
+                d_q = g_seg * gate[:, c:c + 1]
+                t.accumulate(d_q if i == 0 else _softmax_grad(q, d_q))
+            if gate_logits.requires_grad:
+                d_gate[:, c:c + 1] += _unbroadcast(g_seg * q, (q.shape[0], 1))
+        if gate_logits.requires_grad:
+            gate_logits.accumulate(_softmax_grad(gate, d_gate))
+
+    return _make(out, (*segments, vocab_logits, gate_logits), rule)
 
 
 # ---------------------------------------------------------------------------

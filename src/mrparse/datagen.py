@@ -289,13 +289,16 @@ def conversion_rules():
     return ConversionRuleSet.from_dict(doc)
 
 
+_GOLD_RULES = conversion_rules()  # read-only; gold_eds runs once per sentence
+
+
 def gold_eds(dm, rows):
     """Reference EDS: rewritten surface plus anchored abstract nodes.
 
     Abstract ids continue after the surface ids in implication order
     first, then detector sites, mirroring the generation pass.
     """
-    rules = conversion_rules()
+    rules = _GOLD_RULES
     surface = dm_to_eds_surface(dm, rules)
     nodes = list(surface.nodes)
     edges = list(surface.edges)

@@ -266,17 +266,6 @@ class Linear:
         return ad.mlp(x, self.w, self.b, elu=False)
 
 
-def additive_attention(h, keys, w_dec, v):
-    """Additive attention scores (k, n), ``v . tanh(h_i w_dec + key_j)``,
-    of the k rows of ``h`` over projected ``keys``, shared (n, att) or
-    per row (k, n, att)."""
-    k, att = h.shape[0], w_dec.shape[1]
-    query = ad.reshape(ad.matmul(h, w_dec), (k, 1, att))
-    mixed = ad.tanh(ad.add(query, keys))  # (k, n, att)
-    n = mixed.shape[1]
-    return ad.reshape(ad.matmul(ad.reshape(mixed, (k * n, att)), v), (k, n))
-
-
 class LstmCell:
     """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`:
     a decoder's through :meth:`sequence`, advancing k rows one step as k

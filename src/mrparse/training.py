@@ -168,7 +168,8 @@ class Inventories:
     psd_lexicon_rows: list = field(default_factory=list)
 
     def to_json(self):
-        return asdict(self)
+        """The fields by name, their lists and dicts shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, doc):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .encoder import LstmCell, Mlp, additive_attention, pad_index, run_ragged
+from .encoder import LstmCell, Mlp, pad_index, run_ragged
 
 CT_LABEL = "CT"
 REMOTE_ATTR = "remote"
@@ -250,7 +250,7 @@ class UccaDecoder:
     def attend(self, h_dec, keys):
         """Scores (k, n) of the k decoder rows ``h_dec`` over the
         projected ``keys`` of :meth:`keys`."""
-        return additive_attention(h_dec, keys, self.w_dec, self.v)
+        return ad.additive_attention(h_dec, keys, self.w_dec, self.v)
 
     def bullet(self):
         return self.bullet_mlp(self.r)

@@ -130,6 +130,18 @@ def reference_elu(a):
     return ad._make(np.where(a.data > 0, a.data, neg_part), (a,), rule)
 
 
+def reference_tanh(a):
+    """Elementwise tanh as one node: the op the library had before
+    ``ad.additive_attention`` took its last caller."""
+    a = ad.as_tensor(a)
+    out = np.tanh(a.data)
+
+    def rule(g):
+        a.accumulate(g * (1.0 - out * out))
+
+    return ad._make(out, (a,), rule)
+
+
 def reference_transpose(a):
     """Swap the last two axes."""
     a = ad.as_tensor(a)
@@ -231,8 +243,8 @@ def reference_lstm_step(x, h, c, wx, wh, b):
     hsz = wh.shape[0]
     z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
     gi, gf, gg, go = ad.split(z, [hsz] * 4, axis=1)
-    c2 = ad.add(ad.mul(ad.sigmoid(gf), c), ad.mul(ad.sigmoid(gi), ad.tanh(gg)))
-    h2 = ad.mul(ad.sigmoid(go), ad.tanh(c2))
+    c2 = ad.add(ad.mul(ad.sigmoid(gf), c), ad.mul(ad.sigmoid(gi), reference_tanh(gg)))
+    h2 = ad.mul(ad.sigmoid(go), reference_tanh(c2))
     return h2, c2
 
 
@@ -348,7 +360,7 @@ def reference_pointer_decode(enc_out, decoder, gold_pointers=None):
     x_pos, rows, pointers = 0, [], []
     while True:
         h, c = decoder.cell.sequence(ad.rows(states, [x_pos]), h0=h, c0=c)
-        mixed = ad.tanh(ad.add(ad.matmul(h, decoder.w_dec),
+        mixed = reference_tanh(ad.add(ad.matmul(h, decoder.w_dec),
                                ad.matmul(states, decoder.w_enc)))
         rows.append(ad.reshape(ad.matmul(mixed, decoder.v), (1, states.shape[0])))
         if gold_pointers is not None:
@@ -383,6 +395,40 @@ def reference_node_states(enc_out, pointers, decoder, extra_lstm, rng=None):
                      for slot in slots], axis=0)
     pe = ad.Tensor(ucca.sinusoidal_positions(len(slots), ucca.PE_DIM))
     return extra_lstm.run(ad.concat([pre, pe], axis=1), rng).top
+
+
+# ---------------------------------------------------------------------------
+# the decoders' attention and the AMR pointer-generator mixture as the
+# elementary ops built them before ``ad.additive_attention`` and
+# ``ad.pointer_mixture``.  The fused forwards and gradients must equal
+# them byte for byte.
+
+def reference_additive_attention(h, keys, w_dec, v):
+    """``ad.additive_attention`` composed: matmul, reshape, add, tanh,
+    reshape, matmul, reshape."""
+    k, att = h.shape[0], w_dec.shape[1]
+    query = ad.reshape(ad.matmul(h, w_dec), (k, 1, att))
+    mixed = reference_tanh(ad.add(query, keys))  # (k, n, att)
+    n = mixed.shape[1]
+    return ad.reshape(ad.matmul(ad.reshape(mixed, (k * n, att)), v), (k, n))
+
+
+def reference_pointer_mixture(a_src, hist_scores, vocab_logits, gate_logits,
+                              hist_bias, gate_bias):
+    """``ad.pointer_mixture`` composed: the switch softmax split in three,
+    the history and vocabulary softmaxes, three products and a concat."""
+    vocab_p = ad.softmax(vocab_logits, axis=-1)
+    if gate_bias is not None:
+        gate_logits = ad.add(gate_logits, gate_bias)
+    gate = ad.softmax(gate_logits, axis=-1)
+    g_src, g_hist, g_voc = ad.split(gate, [1, 1, 1], axis=1)
+    parts = [ad.mul(a_src, g_src)]
+    if hist_scores is not None:
+        if hist_bias is not None:
+            hist_scores = ad.add(hist_scores, hist_bias)
+        parts.append(ad.mul(ad.softmax(hist_scores, axis=-1), g_hist))
+    parts.append(ad.mul(vocab_p, g_voc))
+    return ad.concat(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +479,7 @@ def reference_node_feature(encoder, label, pos=None):
 
 
 def _reference_attend(h, keys, w_dec, w_enc, v):
-    mixed = ad.tanh(ad.add(ad.matmul(h, w_dec), ad.matmul(keys, w_enc)))
+    mixed = reference_tanh(ad.add(ad.matmul(h, w_dec), ad.matmul(keys, w_enc)))
     return ad.reshape(ad.matmul(mixed, v), (1, keys.shape[0]))  # (1, n_keys)
 
 
@@ -631,6 +677,37 @@ def reference_beam_search(ctx, width=5):
     return _ref_generation(max(
         done, key=lambda h: (normalized_score(_ref_generation(h)),
                              -len(h.labels), tuple(h.labels))))
+
+
+def reference_expand(p, beams, end_at, width, can_finish):
+    """Counterpart of ``amr._expand``: the scalar loop it replaced, one
+    ``np.log`` per candidate."""
+    orders = np.argsort(-p, axis=1, kind="stable")[:, : width + 1]
+    candidates, finishes = [], []
+    for j, hyp in enumerate(beams):
+        row = p[j]
+        for idx in orders[j]:
+            idx = int(idx)
+            logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
+            if idx != end_at:
+                candidates.append((logp, j, idx))
+            elif can_finish:
+                finishes.append((logp, j))
+    return sorted(candidates, key=lambda cand: -cand[0])[:width], finishes
+
+
+def reference_next_inputs(ctx, hyps, parents, h, c, hist_keys, features):
+    """Counterpart of ``amr._next_inputs`` that leaves ``features`` alone
+    and builds every hypothesis's node feature at every step."""
+    poses = [None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]]
+             for hyp in hyps]
+    x = amr.node_features(ctx.encoder, [hyp.labels[-1] for hyp in hyps], poses)
+    new_keys = ad.matmul(ad.rows(h[-1], parents), ctx.decoder.hist_enc)
+    new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
+    if hist_keys is not None:
+        new_keys = ad.concat([ad.rows(hist_keys, parents), new_keys], axis=1)
+    return (x, [ad.rows(t, parents) for t in h], [ad.rows(t, parents) for t in c],
+            new_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ three-way generation mixture, beam search, arborescence decoding and
 graph reassembly."""
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -19,8 +18,9 @@ from mrparse.training import multitask_loss
 from conftest import (BEAM_TOL, arborescence_score, assert_same_generation,
                       check_gradients, count_decoder_steps, normalized_score,
                       reference_beam_search, reference_coverage_loss,
-                      reference_decoder_loss, reference_teacher_forced,
-                      replication_count, scalarize, tree_round_trip)
+                      reference_decoder_loss, reference_expand,
+                      reference_next_inputs, reference_teacher_forced,
+                      replication_count, scalarize, spy, tree_round_trip)
 
 
 def mk_tokens(words, lemmas=None, ne=None):
@@ -522,8 +522,9 @@ class TestBatchedStep:
                                            rtol=0.0, atol=1e-12)
 
     def test_a_step_makes_two_reshapes_whatever_its_depth(self, monkeypatch):
-        """Outside the attentions a step reshapes twice, its input to (k,
-        1, F) and the top layer's state to (k, H), at 1 and at 3 layers;
+        """A step reshapes twice, its input to (k, 1, F) and the top
+        layer's state to (k, H), at 1 and at 3 layers (the attentions are
+        one node each and reshape inside it);
         going from 1 to 3 layers adds exactly the tensors of two more
         ``LstmCell.sequence`` calls: no state is split or joined."""
         counted, reshapes = [], []
@@ -534,8 +535,7 @@ class TestBatchedStep:
             counted.append(1)
 
         def recording(a, shape):
-            if sys._getframe(1).f_code is not enc.additive_attention.__code__:
-                reshapes.append(shape)
+            reshapes.append(shape)
             return reshape(a, shape)
 
         def tensors(fn, *args, **kwargs):
@@ -862,6 +862,66 @@ class TestBeamSearch:
         assert got.truncated and len(got.labels) == 5 and len(steps) == 5
         assert_same_generation(reference_beam_search(ctx, width=3), got,
                                tol=BEAM_TOL)
+
+
+class TestBeamRanking:
+    """``amr._expand`` ranks a step's candidates from arrays, and the beam
+    builds each node feature once per decode."""
+
+    @pytest.mark.parametrize("can_finish", [False, True])
+    @pytest.mark.parametrize("end_rank", [0, 2, None])  # None: END ranks below the cut
+    def test_expand_ranks_as_the_scalar_loop(self, can_finish, end_rank):
+        """Ties within and across rows, entries below the 1e-12 floor,
+        and END first, in the cut or below it, at step 0 (no finish) and
+        later."""
+        rng = np.random.default_rng(17 + (end_rank or 0))
+        width, end_at = 3, 4
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(9), size=3)
+            p[:, 1] = p[:, 6]          # a tie within each row
+            p[2] = p[0]                # and one across rows
+            p[1, 7:] = 0.0             # below the floor
+            order = np.argsort(-p[0], kind="stable")
+            if end_rank is None:
+                p[:, end_at] = 0.0
+            else:
+                p[:, [end_at, order[end_rank]]] = p[:, [order[end_rank], end_at]]
+            beams = [amr.AmrGeneration((), (), (), (), float(lp))
+                     for lp in (0.0, -rng.random(), 0.0)]
+            got = amr._expand(p, beams, end_at, width, can_finish)
+            assert got == reference_expand(p, beams, end_at, width, can_finish)
+            assert len(got[0]) == width
+            assert bool(got[1]) == (can_finish and end_rank is not None)
+
+    def test_node_features_built_once_per_distinct_key(self, monkeypatch):
+        built = spy(monkeypatch, amr, "node_features")
+        fed = spy(monkeypatch, amr, "_next_inputs")
+        fix_cap(monkeypatch, 6)
+        reused = 0
+        for seed, width in itertools.product(range(4), (1, 3, 5)):
+            ctx, _ = make_ctx(["a", "b", "a"], extra_labels=("dog", "run"), seed=seed + 60)
+            amr.beam_search(ctx, width=width)
+            keys = [key for _, labels, poses in built for key in zip(labels, poses)]
+            assert keys and len(keys) == len(set(keys))
+            reused += sum(len(args[1]) for args in fed) - len(keys)
+            built.clear()
+            fed.clear()
+        assert reused > 0  # the decodes did meet a (label, POS) again
+
+    def test_log_probs_match_features_built_per_step(self, monkeypatch):
+        """The feature rows, built over fewer rows, move the beam's
+        log-probabilities within 1e-12 relative of building every
+        hypothesis's feature at every step; the decodes are the same."""
+        fix_cap(monkeypatch, 6)
+        for seed, width in itertools.product(range(6), (1, 2, 5)):
+            ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog", "run"), seed=seed + 70)
+            got = amr.beam_search(ctx, width=width)
+            with monkeypatch.context() as mp:
+                mp.setattr(amr, "_next_inputs", reference_next_inputs)
+                want = amr.beam_search(ctx, width=width)
+            assert (got.labels, got.copy_of, got.src_token, got.truncated) == \
+                (want.labels, want.copy_of, want.src_token, want.truncated)
+            assert got.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0.0)
 
 
 def brute_force_arborescence(scores, root=0):

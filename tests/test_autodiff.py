@@ -19,15 +19,48 @@ from scipy.special import softmax as sp_softmax
 from mrparse import autodiff as ad
 
 from conftest import (assert_same_arrays, bilinear, bilinear_label, byte_flips,
-                      check_gradients, reference_elu, reference_nll_of_probs,
+                      check_gradients, reference_additive_attention, reference_elu,
+                      reference_nll_of_probs, reference_pointer_mixture,
                       reference_read_npz, reference_save, reference_sigmoid,
-                      reference_transpose, scalarize)
+                      reference_tanh, reference_transpose, scalarize)
 
 N_TRIALS = 24
 
 
 def leaf(rng, shape, lo=-2.0, hi=2.0):
     return ad.Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
+
+
+# (k rows, n keys, keys shared by the rows, rows given as (k, 1, H))
+ATTENTION_CASES = [(1, 4, True, False), (3, 4, True, False), (3, 4, False, False),
+                   (1, 1, False, False), (3, 2, False, True)]
+
+# (k rows, n history columns, masked as teacher forcing masks them)
+MIXTURE_CASES = [(1, 0, False), (3, 0, False), (1, 2, False), (3, 2, False), (4, 3, True)]
+
+
+def attention_inputs(rng, k, n, shared, three_d):
+    """Leaves ``(h, keys, w_dec, v)`` of ``ad.additive_attention``."""
+    h = leaf(rng, (k, 1, 3) if three_d else (k, 3))
+    keys = leaf(rng, (n, 4) if shared else (k, n, 4))
+    return h, keys, leaf(rng, (3, 4)), leaf(rng, (4, 1))
+
+
+def mixture_inputs(rng, k, n, masked):
+    """``ad.pointer_mixture``'s tensors (source attentions, history scores
+    or None, vocabulary and switch logits) and biases (history, switch):
+    without history the decoder step's switch bias, masked the
+    teacher-forced rows' strict lower triangle of history and no history
+    switch on row 0."""
+    hist = leaf(rng, (k, n)) if n else None
+    tensors = (leaf(rng, (k, 4), 0.0, 1.0), hist, leaf(rng, (k, 5)), leaf(rng, (k, 3)))
+    if not n:
+        return tensors, (None, np.array([[0.0, -1e30, 0.0]]))
+    if not masked:
+        return tensors, (None, None)
+    gate_bias = np.zeros((k, 3))
+    gate_bias[0, 1] = -1e30
+    return tensors, (np.triu(np.full((k, n), -1e30)), gate_bias)
 
 
 class TestForward:
@@ -208,7 +241,7 @@ class TestGradients:
             rng = np.random.default_rng(500 + trial)
             a = leaf(rng, (4, 3))
             proj = rng.normal(size=(4, 3))
-            check_gradients(lambda: scalarize(ad.tanh(a), proj), [a])
+            check_gradients(lambda: scalarize(reference_tanh(a), proj), [a])
             check_gradients(lambda: scalarize(ad.sigmoid(a), proj), [a])
 
     def test_elu(self):
@@ -255,6 +288,24 @@ class TestGradients:
             proj = rng.normal(size=(9, 5))
             check_gradients(lambda: scalarize(ad.biaffine_label(pair, u, w), proj),
                             [pair, u, w])
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_additive_attention(self, case):
+        for trial in range(N_TRIALS // 4):
+            rng = np.random.default_rng(1300 + trial)
+            h, keys, w_dec, v = attention_inputs(rng, *case)
+            proj = rng.normal(size=(h.shape[0], keys.shape[-2]))
+            check_gradients(lambda: scalarize(ad.additive_attention(h, keys, w_dec, v), proj),
+                            [h, keys, w_dec, v])
+
+    @pytest.mark.parametrize("case", MIXTURE_CASES)
+    def test_pointer_mixture(self, case):
+        for trial in range(N_TRIALS // 4):
+            rng = np.random.default_rng(1400 + trial)
+            tensors, biases = mixture_inputs(rng, *case)
+            proj = rng.normal(size=ad.pointer_mixture(*tensors, *biases).shape)
+            check_gradients(lambda: scalarize(ad.pointer_mixture(*tensors, *biases), proj),
+                            [t for t in tensors if t is not None])
 
     def test_softmax_both_axes(self):
         for trial in range(N_TRIALS):
@@ -359,6 +410,36 @@ class TestGradients:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+class TestDecoderOps:
+    """The decoders' two fused ops against the compositions they
+    replaced: one node over the inputs, whose value and gradients are
+    the composition's byte for byte."""
+
+    @staticmethod
+    def run(build, leaves):
+        for t in leaves:
+            t.zero_grad()
+        out = build()
+        proj = np.random.default_rng(7).normal(size=out.shape)
+        scalarize(out, proj).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_additive_attention_is_bytewise_the_composition(self, case):
+        leaves = attention_inputs(np.random.default_rng(1500), *case)
+        assert ad.additive_attention(*leaves).parents == leaves
+        assert (self.run(lambda: ad.additive_attention(*leaves), leaves)
+                == self.run(lambda: reference_additive_attention(*leaves), leaves))
+
+    @pytest.mark.parametrize("case", MIXTURE_CASES)
+    def test_pointer_mixture_is_bytewise_the_composition(self, case):
+        tensors, biases = mixture_inputs(np.random.default_rng(1600), *case)
+        leaves = tuple(t for t in tensors if t is not None)
+        assert ad.pointer_mixture(*tensors, *biases).parents == leaves
+        assert (self.run(lambda: ad.pointer_mixture(*tensors, *biases), leaves)
+                == self.run(lambda: reference_pointer_mixture(*tensors, *biases), leaves))
+
+
 class TestGraph:
     def test_diamond_accumulates_both_paths(self):
         x = ad.Tensor(3.0, requires_grad=True)
@@ -429,7 +510,7 @@ class TestNoGrad:
     def test_ops_on_parameters_record_nothing(self):
         w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
         with ad.no_grad():
-            out = ad.tanh(ad.matmul(ad.Tensor(np.ones((1, 2))), w))
+            out = reference_tanh(ad.matmul(ad.Tensor(np.ones((1, 2))), w))
             fused = ad.lstm_sequence(np.ones((1, 1, 1)), np.ones((1, 4)), np.ones((1, 4)),
                                      ad.Tensor(np.zeros(4), requires_grad=True),
                                      h0=np.zeros((1, 1)), c0=np.zeros((1, 1)))
@@ -486,7 +567,7 @@ class TestNoGrad:
         with ad.no_grad():
             ad.matmul(a, b)
         proj = rng.normal(size=(2, 2))
-        check_gradients(lambda: scalarize(ad.tanh(ad.matmul(a, b)), proj), [a, b])
+        check_gradients(lambda: scalarize(reference_tanh(ad.matmul(a, b)), proj), [a, b])
 
 
 class TestOptimizer:

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +169,12 @@ class TestInventories:
         doc = json.loads(json.dumps(inv.to_json()))
         back = T.Inventories.from_json(doc)
         assert back == inv
+
+    def test_json_is_the_dataclass_dump(self, inv):
+        """The shallow document dumps to the bytes of ``asdict``'s deep
+        copy, key order included, as the checkpoint writer dumps it."""
+        assert inv.dm_lexicon_rows and inv.sense_table
+        assert json.dumps(inv.to_json()) == json.dumps(asdict(inv))
 
     def test_lexicons_hold_only_rows_a_bundle_can_carry(self, corpus, inv):
         """A framed node without a label, or with a POS that is not a
