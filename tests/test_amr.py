@@ -876,18 +876,19 @@ class TestBeamRanking:
         later."""
         rng = np.random.default_rng(17 + (end_rank or 0))
         width, end_at = 3, 4
-        for _ in range(20):
+        for trial in range(20):
             p = rng.dirichlet(np.ones(9), size=3)
             p[:, 1] = p[:, 6]          # a tie within each row
             p[2] = p[0]                # and one across rows
-            p[1, 7:] = 0.0             # below the floor
+            p[1, np.argsort(-p[1])[2:]] = 0.0  # below the floor, and in the cut
             order = np.argsort(-p[0], kind="stable")
             if end_rank is None:
                 p[:, end_at] = 0.0
             else:
                 p[:, [end_at, order[end_rank]]] = p[:, [order[end_rank], end_at]]
+            lead = 0.0 if trial % 2 else -30.0  # -30: row 1's floored entries survive
             beams = [amr.AmrGeneration((), (), (), (), float(lp))
-                     for lp in (0.0, -rng.random(), 0.0)]
+                     for lp in (lead, -rng.random(), lead)]
             got = amr._expand(p, beams, end_at, width, can_finish)
             assert got == reference_expand(p, beams, end_at, width, can_finish)
             assert len(got[0]) == width
