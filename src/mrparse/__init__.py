@@ -13,7 +13,7 @@ Subpackage map:
 * ``autodiff``  -- tensors, backprop, Adam, gradient clipping, checkpoints
 * ``atomic``    -- atomic file writes (temporary file plus rename)
 * ``encoder``   -- vocabularies, feature extraction, biLSTM stack
-* ``biaffine``  -- edge/label scoring and flavor-0 decoding
+* ``biaffine``  -- edge/label scoring, the edge loss and threshold decoding of every head
 * ``sdp``       -- DM/PSD frame prediction and postprocessing
 * ``eds``       -- DM-to-EDS conversion and anchor prediction
 * ``ucca``      -- pointer-based constituent generation

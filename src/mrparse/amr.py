@@ -33,15 +33,20 @@ def strip_sense(label):
     return m.group(1) if m else label
 
 
-def build_sense_table(labels):
-    """Most frequent full form per stripped base; ties go alphabetically."""
+def _most_frequent(pairs):
+    """Key -> its most frequent value, from (key, value) pairs; ties go
+    alphabetically, keys in first-seen order."""
     counts = {}
-    for lab in labels:
-        base = strip_sense(lab)
-        if base != lab:
-            counts.setdefault(base, {})
-            counts[base][lab] = counts[base].get(lab, 0) + 1
-    return {base: min(c, key=lambda k: (-c[k], k)) for base, c in counts.items()}
+    for key, value in pairs:
+        c = counts.setdefault(key, {})
+        c[value] = c.get(value, 0) + 1
+    return {key: min(c, key=lambda v: (-c[v], v)) for key, c in counts.items()}
+
+
+def build_sense_table(labels):
+    """Most frequent full form per stripped base."""
+    pairs = ((strip_sense(lab), lab) for lab in labels)
+    return _most_frequent((base, lab) for base, lab in pairs if base != lab)
 
 
 def restore_sense(label, table):
@@ -182,11 +187,7 @@ def anonymize(g, tokens):
 
 def build_ne_map(observations):
     """NE tag -> most frequent entity head label, from (tag, head) pairs."""
-    counts = {}
-    for tag, head in observations:
-        counts.setdefault(tag, {})
-        counts[tag][head] = counts[tag].get(head, 0) + 1
-    return {tag: min(c, key=lambda k: (-c[k], k)) for tag, c in counts.items()}
+    return _most_frequent(observations)
 
 
 def records_from_ne(tokens, ne_map):
@@ -619,35 +620,6 @@ def coverage_loss(attentions):
     t = attentions.shape[0]
     cov = ad.matmul(np.tril(np.ones((t, t)), -1), attentions)
     return ad.reduce_sum(ad.minimum(attentions, cov))
-
-
-def amr_edge_targets(tree):
-    """Biaffine targets over generated positions; no top row, the first
-    position is the root by construction."""
-    n = len(tree.nodes)
-    target = np.zeros((n, n))
-    labeled = []
-    for node in tree.nodes:
-        if node.parent >= 0:
-            target[node.parent, node.index] = 1.0
-            labeled.append((node.parent, node.index, node.edge_label))
-    return target, labeled
-
-
-def amr_edge_loss(scores, tree):
-    """(edge BCE, label CE) over generated positions.
-
-    Unlike the token frameworks there is no top row to charge: the
-    first generated position is the root by construction.
-    """
-    target, labeled = amr_edge_targets(tree)
-    edge = ad.binary_cross_entropy(scores.edge_probs, target)
-    if not labeled:
-        return edge, ad.Tensor(0.0)
-    pairs = [(p, j) for p, j, _ in labeled]
-    classes = [scores.labels.index(lab) for _, _, lab in labeled]
-    label = ad.cross_entropy_logits(scores.label_logits_at(pairs), classes)
-    return edge, label
 
 
 # ---------------------------------------------------------------------------

@@ -370,8 +370,9 @@ def sigmoid(a):
     return _make(out_data, (a,), rule)
 
 
-def _softmax(x, axis=-1):
-    """Softmax of an array along ``axis``, shifted by its maximum."""
+def softmax_array(x, axis=-1):
+    """Softmax of a numpy array along ``axis``, shifted by its maximum:
+    :func:`softmax`'s forward, and the probabilities a prediction keeps."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -383,7 +384,7 @@ def _softmax_grad(probs, g, axis=-1):
 
 def softmax(a, axis=-1):
     a = as_tensor(a)
-    out_data = _softmax(a.data, axis)
+    out_data = softmax_array(a.data, axis)
 
     def rule(g):
         a.accumulate(_softmax_grad(out_data, g, axis))
@@ -584,12 +585,12 @@ def pointer_mixture(a_src, hist_scores, vocab_logits, gate_logits, hist_bias, ga
     multiplying its segment, the segments concatenated."""
     segments = [as_tensor(a_src)] + ([] if hist_scores is None else [as_tensor(hist_scores)])
     vocab_logits, gate_logits = as_tensor(vocab_logits), as_tensor(gate_logits)
-    gate = _softmax(gate_logits.data if gate_bias is None else gate_logits.data + gate_bias)
+    gate = softmax_array(gate_logits.data if gate_bias is None else gate_logits.data + gate_bias)
     probs = [segments[0].data]
     if hist_scores is not None:
-        probs.append(_softmax(hist_scores.data if hist_bias is None
-                              else hist_scores.data + hist_bias))
-    probs.append(_softmax(vocab_logits.data))
+        probs.append(softmax_array(hist_scores.data if hist_bias is None
+                                   else hist_scores.data + hist_bias))
+    probs.append(softmax_array(vocab_logits.data))
     cols = [0, 1, 2] if hist_scores is not None else [0, 2]  # each segment's switch column
     out = np.concatenate([q * gate[:, c:c + 1] for q, c in zip(probs, cols)], axis=1)
 

@@ -1,10 +1,11 @@
-"""Biaffine edge/label scoring and threshold decoding.
+"""Biaffine edge/label scoring, the edge loss and threshold decoding.
 
 The same head design serves every framework: specialize the encoder
 states through four small MLPs, score all ordered position pairs with a
 bilinear-plus-linear form for edge existence, and with per-class
 bilinear forms for edge labels.  Position 0 is <ROOT>; a directed edge
-from it marks a top node.
+from it marks a top node.  Every head trains on
+:func:`edge_and_label_loss`; DM, PSD and UCCA decode by :func:`decode_flavor0`.
 
 A head's training score is five autodiff nodes: the input dropout, one
 :func:`autodiff.mlp` for the edge MLP pair and one for the label pair,
@@ -46,13 +47,7 @@ class PairScores:
     def label_probs(self):
         """(P, P, C) softmax over classes, as plain numpy."""
         n = self.n_positions
-        return softmax_np(self.label_logits.data).reshape(n, n, len(self.labels))
-
-
-def softmax_np(x):
-    """Softmax over the last axis of a numpy array."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        return ad.softmax_array(self.label_logits.data).reshape(n, n, len(self.labels))
 
 
 class BiaffineHead:
@@ -119,27 +114,27 @@ class Flavor0Decode:
     kept: list
 
 
+def threshold_pairs(probs):
+    """The (i, j) cells of a (P, P) probability matrix between distinct
+    real positions (<ROOT> excluded) whose probability strictly exceeds
+    0.5, in row-major order, as Python ints."""
+    rows, cols = (probs[1:, 1:] > 0.5).nonzero()
+    return [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()) if i != j]
+
+
 def decode_flavor0(edge_probs, label_probs, labels):
     """Threshold decoding for token-anchored graphs, from (P, P) edge and
     (P, P, C) label probabilities over the classes ``labels``.
 
-    An edge (i, j) between real positions is adopted iff its probability
-    strictly exceeds 0.5 and takes its most probable label (ties go to
-    the lowest index); row 0 marks top nodes (several allowed); real
+    The edges are :func:`threshold_pairs` of ``edge_probs`` (no
+    self-loops), each with its most probable label (ties go to the
+    lowest index); row 0 marks top nodes (several allowed); real
     positions that are neither tops nor incident to an edge are dropped.
     """
     best = label_probs.argmax(axis=-1)
-    n = edge_probs.shape[0]
-    edges = []
-    incident = set()
-    for i in range(1, n):
-        for j in range(1, n):
-            if edge_probs[i, j] > 0.5:
-                edges.append((i, j, labels[best[i, j]]))
-                incident.add(i)
-                incident.add(j)
-    tops = [j for j in range(1, n) if edge_probs[0, j] > 0.5]
-    kept = sorted(incident | set(tops))
+    edges = [(i, j, labels[best[i, j]]) for i, j in threshold_pairs(edge_probs)]
+    tops = [j for j in range(1, edge_probs.shape[0]) if edge_probs[0, j] > 0.5]
+    kept = sorted({k for i, j, _ in edges for k in (i, j)} | set(tops))
     return Flavor0Decode(edges=edges, tops=tops, kept=kept)
 
 
@@ -148,6 +143,7 @@ def edge_and_label_loss(scores, gold_edges, gold_tops):
 
     ``gold_edges`` are (from, to, class index) in position space (root
     row excluded); ``gold_tops`` are positions j, charged via cell (0, j).
+    AMR passes no tops: its first generated position is the root.
     """
     n = scores.n_positions
     target = np.zeros((n, n))

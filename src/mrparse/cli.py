@@ -43,11 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _add_corpus_args(p, graphs_required=True):
+def _add_corpus_args(p):
     p.add_argument("--companion", required=True,
                    help="tokenized sentences with lemma/POS/NE columns")
-    p.add_argument("--mrp", action="append", default=[],
-                   required=graphs_required,
+    p.add_argument("--mrp", action="append", required=True,
                    help="gold graph file; repeat for several frameworks")
 
 
@@ -86,7 +85,7 @@ def build_parser():
     p.set_defaults(entry=cmd_train)
 
     p = sub.add_parser("parse", help="decode graphs")
-    _add_corpus_args(p, graphs_required=False)
+    p.add_argument("--companion", required=True, help="tokenized sentences to parse")
     _add_embedding_args(p)
     members = p.add_mutually_exclusive_group(required=True)
     members.add_argument("--model", action="append", default=[],
@@ -392,7 +391,7 @@ def _load_spec(args, static, contextual):
 def cmd_parse(args):
     beam = _beam(args)
     _check_parse_flags(args)
-    sentences = _load_sentences(args.companion, args.mrp)
+    sentences = _load_sentences(args.companion, [])
     static, contextual = _load_embeddings(args)
     kind = T.EdsModel if args.framework == "eds" else T.MultiModel
     models = (_load_spec(args, static, contextual) if args.spec

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
-from .biaffine import decode_flavor0, softmax_np
+from .biaffine import decode_flavor0
 from .encoder import Linear, Mlp
 
 NONE_ARG = "<NONE>"
@@ -86,10 +86,10 @@ class FramePrediction:
     arg_logits: list         # N_ARG_HEADS tensors (P, n_arg_classes)
 
     def type_probs(self):
-        return softmax_np(self.type_logits.data)
+        return ad.softmax_array(self.type_logits.data)
 
     def arg_probs(self, k):
-        return softmax_np(self.arg_logits[k].data)
+        return ad.softmax_array(self.arg_logits[k].data)
 
 
 class FrameClassifier:

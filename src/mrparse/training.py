@@ -506,7 +506,7 @@ class UccaTask(Task):
     def terms(self, model, sent, enc_out, tgt, rng):
         pointers, cells, tops, remote_cells = tgt
         dec = U.pointer_decode(enc_out, model.ucca_decoder, gold_pointers=pointers)
-        pointer = U.pointer_loss(dec.logits, pointers)
+        pointer = ad.cross_entropy_logits(dec.logits, pointers)
         states = U.build_node_states(enc_out, pointers, model.ucca_decoder,
                                      model.ucca_extra, rng)
         scores = model.heads["ucca"].score(states, rng)
@@ -598,24 +598,26 @@ class AmrTask(Task):
                                                  in_dim=cfg.decoder_hidden)
 
     def prepare(self, model, sent):
-        """(tree, gold sequence)."""
+        """(edge cells, gold sequence): the tree's (parent, node, label
+        index) cells in tree-node order."""
         _, tree = self._tree(sent)
-        known = set(model.heads["amr"].labels)
+        index = {lab: k for k, lab in enumerate(model.heads["amr"].labels)}
         for n in tree.nodes:
-            if n.parent >= 0 and n.edge_label not in known:
+            if n.parent >= 0 and n.edge_label not in index:
                 raise ValueError(f"edge label {n.edge_label!r} not in inventory")
+        cells = [(n.parent, n.index, index[n.edge_label]) for n in tree.nodes if n.parent >= 0]
         ctx = SimpleNamespace(lemmas=tuple(t.lemma for t in sent.tokens),
                               vocab=model.amr_vocab)
-        return tree, A.gold_sequence(tree, ctx)
+        return cells, A.gold_sequence(tree, ctx)
 
     def terms(self, model, sent, enc_out, tgt, rng):
-        tree, gold = tgt
+        cells, gold = tgt
         ctx = model.amr_context(sent, enc_out)
         p, attns, states = A.run_teacher_forced(ctx, gold, rng)
         dec = A.decoder_loss(p, gold.targets, len(ctx.lemmas))
         cov = A.coverage_loss(attns)
         scores = model.heads["amr"].score(states, rng)
-        edge, label = A.amr_edge_loss(scores, tree)
+        edge, label = B.edge_and_label_loss(scores, cells, [])
         return {"amr.dec": dec, "amr.cov": cov, "amr.edge": edge,
                 "amr.label": label}
 

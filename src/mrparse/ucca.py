@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphs as G
+from .biaffine import decode_flavor0, threshold_pairs
 from .encoder import LstmCell, Mlp, pad_index, run_ragged
 
 CT_LABEL = "CT"
@@ -329,12 +330,6 @@ def pointer_decode_batch(enc_outs, decoder):
             for p, s in zip(pointers, scores)]
 
 
-def pointer_loss(logits, gold_pointers):
-    """Summed cross-entropy of the (T, n) attention rows against the
-    gold pointers."""
-    return ad.cross_entropy_logits(logits, gold_pointers)
-
-
 # ---------------------------------------------------------------------------
 # node states
 
@@ -377,22 +372,14 @@ class UccaPrediction:
 
 
 def decode_graph(pred, labels, tokens, text, gid):
-    """Threshold the matrices and rebuild the graph.
-
-    Primary edges are strictly above 0.5 off the diagonal, row 0 marks
-    tops; the remote matrix is thresholded independently and cannot add
-    or remove primary structure.
-    """
-    n = pred.edge_probs.shape[0]
-    edges = []
-    for i in range(1, n):
-        for j in range(1, n):
-            if i != j and pred.edge_probs[i, j] > 0.5:
-                edges.append((i, j, labels[int(np.argmax(pred.label_probs[i, j]))]))
-    tops = [j for j in range(1, n) if pred.edge_probs[0, j] > 0.5]
-    remotes = [(i, j) for i in range(1, n) for j in range(1, n)
-               if i != j and pred.remote_probs[i, j] > 0.5]
-    return deserialize_ucca(pred.pointers, edges, tops, remotes, tokens, text, gid)
+    """Threshold the matrices and rebuild the graph: primary edges and
+    tops by :func:`biaffine.decode_flavor0`; the remote matrix
+    independently by :func:`biaffine.threshold_pairs`, so it cannot add
+    or remove primary structure."""
+    primary = decode_flavor0(pred.edge_probs, pred.label_probs, labels)
+    remotes = threshold_pairs(pred.remote_probs)
+    return deserialize_ucca(pred.pointers, primary.edges, primary.tops, remotes,
+                            tokens, text, gid)
 
 
 def voting_ensemble(members):

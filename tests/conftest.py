@@ -375,7 +375,8 @@ def reference_pointer_decode(enc_out, decoder, gold_pointers=None):
 
 
 def reference_pointer_loss(rows, gold_pointers):
-    """Counterpart of ``ucca.pointer_loss``: one term per row."""
+    """The pointer loss, ``ad.cross_entropy_logits`` of the (T, n)
+    attention rows, as one term per row."""
     total = ad.Tensor(0.0)
     for row, p in zip(rows, gold_pointers):
         total = ad.add(total, ad.cross_entropy_logits(row, [p]))
@@ -756,8 +757,8 @@ def write_corpus(corpus, dirpath):
 # shares no code with the path it checks.
 
 def reference_decode_flavor0(scores):
-    """``biaffine.decode_flavor0`` as it was, on pair scores: labels by
-    the argmax of the label logits."""
+    """``biaffine.decode_flavor0`` as scalar loops, on pair scores: no
+    self-loops, labels by the argmax of the label logits."""
     p = scores.edge_probs.data
     n = scores.n_positions
     best = scores.label_logits.data.argmax(axis=-1).reshape(n, n)
@@ -765,7 +766,7 @@ def reference_decode_flavor0(scores):
     incident = set()
     for i in range(1, n):
         for j in range(1, n):
-            if p[i, j] > 0.5:
+            if i != j and p[i, j] > 0.5:
                 edges.append((i, j, scores.labels[best[i, j]]))
                 incident.add(i)
                 incident.add(j)

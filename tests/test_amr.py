@@ -3,6 +3,7 @@ three-way generation mixture, beam search, arborescence decoding and
 graph reassembly."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from mrparse import amr
 from mrparse import autodiff as ad
 from mrparse import encoder as enc
 from mrparse import graphs as G
-from mrparse.biaffine import PairScores
+from mrparse.biaffine import PairScores, edge_and_label_loss
 from mrparse.config import TrainConfig, single_config
-from mrparse.training import multitask_loss
+from mrparse.training import TASKS, multitask_loss
 
 from conftest import (BEAM_TOL, arborescence_score, assert_same_generation,
                       check_gradients, count_decoder_steps, normalized_score,
@@ -656,25 +657,33 @@ class TestAmrLoss:
         with pytest.raises(ValueError):
             TrainConfig(lam_biaf=-0.1)
 
+    LABELS = ["ARG0", "ARG1"]
+
+    def prepared_cells(self):
+        """``AmrTask.prepare``'s edge cells for the reentrant graph."""
+        model = SimpleNamespace(heads={"amr": SimpleNamespace(labels=self.LABELS)},
+                                amr_vocab=amr.DecoderVocab(("want", "believe")))
+        sent = G.Sentence(id="g0", tokens=mk_tokens(["boy", "wants"]),
+                          graphs={"amr": reentrant_graph()})
+        cells, _ = TASKS["amr"].prepare(model, sent)
+        return cells
+
     def test_edge_loss_has_no_top_row(self):
-        tree = amr.dag_to_tree(reentrant_graph())
-        target, labeled = amr.amr_edge_targets(tree)
-        assert target.shape == (4, 4)
-        assert target[:, 0].sum() == 0          # nothing points at the root
-        assert {(p, j) for p, j, _ in labeled} == {(0, 1), (0, 2), (2, 3)}
+        cells = self.prepared_cells()
+        assert all(j != 0 for _, j, _ in cells)  # nothing points at the root
+        assert cells == [(0, 1, 0), (0, 2, 1), (2, 3, 0)]  # tree-node order
 
     def test_edge_loss_perfect_scores_near_zero(self):
-        tree = amr.dag_to_tree(reentrant_graph())
-        target, labeled = amr.amr_edge_targets(tree)
-        probs = np.clip(target, 1e-15, 1 - 1e-15)
+        cells = self.prepared_cells()
+        target = np.zeros((4, 4))
         logits = np.full((16, 2), -80.0)
-        classes = ["ARG0", "ARG1"]
-        for p, j, lab in labeled:
-            logits[p * 4 + j, classes.index(lab)] = 80.0
-        scores = PairScores(edge_probs=ad.Tensor(probs),
+        for p, j, c in cells:
+            target[p, j] = 1.0
+            logits[p * 4 + j, c] = 80.0
+        scores = PairScores(edge_probs=ad.Tensor(np.clip(target, 1e-15, 1 - 1e-15)),
                             label_logits=ad.Tensor(logits),
-                            n_positions=4, labels=classes)
-        e, l = amr.amr_edge_loss(scores, tree)
+                            n_positions=4, labels=self.LABELS)
+        e, l = edge_and_label_loss(scores, cells, [])
         # the probability clip floors the edge term around n*n * 1e-9
         assert float(e.data) == pytest.approx(0.0, abs=1e-6)
         assert float(l.data) == pytest.approx(0.0, abs=1e-10)

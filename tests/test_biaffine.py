@@ -316,6 +316,25 @@ class TestDecode:
         out = decode(p, logits, ["A", "B", "C"])
         assert out.edges == [(1, 2, "A")]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorized_threshold_equals_scalar_loops(self, seed):
+        """Off the diagonal, strictly above 0.5, row-major, tops from row
+        0, as Python ints; cells at exactly 0.5 stay out."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        p = rng.choice([0.1, 0.5, np.nextafter(0.5, 1.0), 0.9], size=(n, n))
+        label_probs = rng.random((n, n, 3))
+        labels = ["A", "B", "C"]
+        edges = [(i, j, labels[int(np.argmax(label_probs[i, j]))])
+                 for i in range(1, n) for j in range(1, n) if i != j and p[i, j] > 0.5]
+        tops = [j for j in range(1, n) if p[0, j] > 0.5]
+        kept = sorted({k for i, j, _ in edges for k in (i, j)} | set(tops))
+        assert bf.threshold_pairs(p) == [(i, j) for i, j, _ in edges]
+        out = bf.decode_flavor0(p, label_probs, labels)
+        assert (out.edges, out.tops, out.kept) == (edges, tops, kept)
+        assert all(type(k) is int for i, j, _ in out.edges for k in (i, j))
+        assert all(type(k) is int for k in out.tops + out.kept)
+
 
 class TestLoss:
     def test_perfect_predictions_near_zero(self):

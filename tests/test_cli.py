@@ -279,6 +279,17 @@ def test_a_flag_the_framework_ignores_is_usage_error(tmp_path, capsys, cmd, flag
     assert not out.exists()
 
 
+def test_parse_takes_no_gold_graphs(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["parse", "--companion", str(tmp_path / "c"),
+                "--static", str(tmp_path / "s"), "--contextual", str(tmp_path / "x"),
+                "--model", "m", "--framework", "dm", "--out", str(out), "--mrp", "x"])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "unrecognized arguments: --mrp x" in line
+    assert not out.exists()
+
+
 def test_parse_each_framework(ws, tmp_path):
     for fw, bundle_dir, key in (("dm", "single", "dm"),
                                 ("psd", "single", "psd"),

@@ -1150,9 +1150,10 @@ class TestInferenceFastPath:
 
 # First 16 hex digits of the sha256 of the graph JSON lines (sorted keys)
 # that parsing held-out sentences with ``fixed_models`` gives, recorded
-# at the commit before teacher forcing ran whole sequences.  The models
-# do not depend on decoder training, so parsing must keep these bytes.
-PARSE_DIGESTS = {"dm": "ca6ee6e36063c49e", "psd": "10b0823d057616a4",
+# at the commit before teacher forcing ran whole sequences (DM and PSD
+# when threshold decoding stopped adopting self-loops).  The models do
+# not depend on decoder training, so parsing must keep these bytes.
+PARSE_DIGESTS = {"dm": "8cf433fb38c4f077", "psd": "38520552ce112cd7",
                  "ucca": "916736e0c28d8596", "amr": "848f6445bb6f980d",
                  "eds": "26eac471af564bea"}
 
@@ -1180,15 +1181,23 @@ def test_parse_output_pinned(fixed_models, corpus, fw):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PARSE_DIGESTS[fw]
 
 
+@pytest.mark.parametrize("fw", ("dm", "psd", "ucca"))
+def test_parsed_graphs_have_no_self_loops(fixed_models, corpus, fw):
+    graphs = [T.parse_sentence(fixed_models[0], s, fw) for s in corpus.sentences[HELD]]
+    assert all(e.source != e.target for g in graphs for e in g.edges)
+
+
 # First 16 hex digits of the sha256 of a run's trained parameters (in
 # name order) and its history JSON (wall time dropped), recorded when
-# the LSTM op became a whole-sequence kernel.  Every regime must keep
-# its parameter draws, dropout draws and summation order.
+# the LSTM op became a whole-sequence kernel (single-psd, fine-tune-dm and
+# fine-tune-psd, whose F1 validators parse, when threshold decoding
+# stopped adopting self-loops).  Every regime must keep its parameter
+# draws, dropout draws and summation order.
 TRAINING_DIGESTS = {
     "multitask": "3634c57cab856766",
-    "single-dm": "b23ebab1f4c70383", "single-psd": "4d9ac7a289785ae0",
+    "single-dm": "b23ebab1f4c70383", "single-psd": "e96ac77a02b7a6a0",
     "single-ucca": "82eb76b3079a2fa5", "single-amr": "1ab293024f959be0",
-    "fine-tune-dm": "f52638e278d127df", "fine-tune-psd": "b38903b979a109bf",
+    "fine-tune-dm": "f6a76dbc79c7d548", "fine-tune-psd": "80383f1d9ad834b6",
     "fine-tune-ucca": "6749d53ee56dc167", "fine-tune-amr": "b2f3d8800ddd4132",
 }
 

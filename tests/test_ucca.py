@@ -276,7 +276,7 @@ class TestPointerDecoder:
 
         def build():
             out = ucca.pointer_decode(enc, dec, gold_pointers=(2, 1, 0))
-            return ucca.pointer_loss(out.logits, (2, 1, 0))
+            return ad.cross_entropy_logits(out.logits, (2, 1, 0))
 
         gradcheck(build, leaves)
 
@@ -294,7 +294,7 @@ class TestPointerDecoder:
                 t.zero_grad()
             if run == "batched":
                 out = ucca.pointer_decode(enc, dec, gold_pointers=gold)
-                loss = ucca.pointer_loss(out.logits, gold)
+                loss = ad.cross_entropy_logits(out.logits, gold)
             else:
                 _, rows, _ = reference_pointer_decode(enc, dec, gold_pointers=gold)
                 loss = reference_pointer_loss(rows, gold)
@@ -329,7 +329,7 @@ class TestPointerDecoder:
         for _ in range(250):
             opt.zero_grad()
             out = ucca.pointer_decode(enc, dec, gold_pointers=gold)
-            ucca.pointer_loss(out.logits, gold).backward()
+            ad.cross_entropy_logits(out.logits, gold).backward()
             opt.step()
         free = ucca.pointer_decode(enc, dec)
         assert free.pointers == gold and not free.truncated
