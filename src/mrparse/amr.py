@@ -415,14 +415,15 @@ class AmrDecoder:
 
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
-    switch; the decoder-copy segment is masked while empty.  The LSTM
-    state is two lists, ``h`` and ``c``, of one tensor per layer, bottom
-    first.  Decoding advances k hypotheses of equal length together, one
-    row each, as k LSTM sequences of length 1 (:meth:`step`), so a
-    layer's state is kept in the (k, 1, H) layout
-    :func:`autodiff.lstm_sequence` returns, except the top layer's
-    ``h[-1]``, (k, H), which the mixture reads; teacher forcing runs the
-    whole gold sequence at once (:func:`run_teacher_forced`).
+    switch; the decoder-copy segment is masked while empty.  Its L layers
+    run as one stack in one :func:`autodiff.lstm_sequence` call
+    (:meth:`_layers`), and the LSTM state of k rows is one packed
+    tensor, (k, 2LH) or (k, 1, 2LH), the rows ``[h_0 | … | h_{L-1} | c_0 |
+    … | c_{L-1}]`` the stack returns, bottom layer first; the mixture
+    reads only the top layer's h.  Decoding advances k hypotheses of
+    equal length together, one row each, as k LSTM sequences of length 1
+    (:meth:`step`); teacher forcing runs the whole gold sequence at once
+    (:func:`run_teacher_forced`).
 
     The mixture of a step is six graph nodes over the top-layer states
     whatever k, five while there is no history: the source attention and
@@ -446,6 +447,8 @@ class AmrDecoder:
         for l in range(layers):
             self.cells.append(LstmCell(params, f"{name}.cell{l}", width, hidden, rng))
             width = hidden
+        # the stack's per-layer (wx, wh, b) lists, bottom first
+        self.stack = tuple([getattr(cell, w) for cell in self.cells] for w in ("wx", "wh", "b"))
         self.src_dec = params.new(f"{name}.src.dec", (hidden, ATT_DIM), rng)
         self.src_enc = params.new(f"{name}.src.enc", (2 * enc_hidden, ATT_DIM), rng)
         self.src_v = params.new(f"{name}.src.v", (ATT_DIM, 1), rng)
@@ -456,41 +459,47 @@ class AmrDecoder:
         self.switch = Linear(params, f"{name}.switch", hidden, 3, rng)
 
     def initial(self, finals):
-        """Initial input ``x0`` (1, F) and per-layer state lists ``h`` and
-        ``c`` of (1, H) tensors, all sliced by one split from one MLP
-        over the encoder's top-layer final states ``finals`` (1, 4H)."""
-        packed = self.init_mlp(finals)
-        n = self.n_layers
-        parts = ad.split(packed, [self.feat_width] + [self.hidden] * (2 * n), axis=1)
-        return parts[0], parts[1:n + 1], parts[n + 1:]
+        """Initial input ``x0`` (1, F) and packed state (1, 2LH), sliced
+        by one split from one MLP over the encoder's top-layer final
+        states ``finals`` (1, 4H)."""
+        x0, state = ad.split(self.init_mlp(finals),
+                             [self.feat_width, 2 * self.n_layers * self.hidden], axis=1)
+        return x0, state
+
+    def _layers(self, x, state, masks=None):
+        """Every layer over the inputs ``x`` from the packed ``state`` in
+        one stacked :func:`autodiff.lstm_sequence` call, ``masks`` scaling
+        the upper layers' inputs; returns its packed rows and the top
+        layer's h rows."""
+        out = ad.lstm_sequence(x, *self.stack, state=state, masks=masks)
+        below, hsz = (self.n_layers - 1) * self.hidden, self.hidden
+        parts = ad.split(out, [below, hsz, self.n_layers * hsz] if below else [hsz, hsz],
+                         axis=-1)
+        return out, parts[-2]
 
     def source_keys(self, token_states):
         """Projected attention keys of the source tokens, (L, ATT_DIM)."""
         return ad.matmul(token_states, self.src_enc)
 
-    def step(self, x, h, c, src_keys, hist_keys):
+    def step(self, x, state, src_keys, hist_keys):
         """Advance k hypotheses of equal length s by one node; returns
-        (h, c, p), p being the (k, L + s + V) mixture.
+        (state, h, p): the packed state after the step, (k, 1, 2LH), the
+        top layer's h, (k, H), the only state the mixture reads, and p,
+        the (k, L + s + V) mixture.
 
-        ``x`` is (k, F); ``h`` and ``c`` are lists of one tensor per
-        layer, (k, H) or (k, 1, H), as :meth:`initial` gives them and as
-        returned: (k, 1, H) but for the top layer's ``h``, (k, H), the
-        only state the mixture reads.  ``src_keys`` is
+        ``x`` is (k, F); ``state`` is packed, (k, 2LH) as :meth:`initial`
+        gives it or (k, 1, 2LH) as returned.  ``src_keys`` is
         :meth:`source_keys` (L, att) of the token states without the
         <ROOT> row, shared by all rows.  ``hist_keys`` is (k, s, att), row
         i holding the keys of hypothesis i's previous top-layer states,
-        each ``h[-1] @ hist.enc``; None while s = 0.
+        each ``h @ hist.enc``; None while s = 0.
         """
         k = x.shape[0]
-        cur, h2, c2 = ad.reshape(x, (k, 1, self.feat_width)), [], []
-        for cell, h_in, c_in in zip(self.cells, h, c):
-            cur, c_out = cell.sequence(cur, h0=h_in, c0=c_in)
-            h2.append(cur)
-            c2.append(c_out)
-        cur = h2[-1] = ad.reshape(cur, (k, self.hidden))
-        p, _ = self._mixture(cur, src_keys, hist_keys,
+        state, h = self._layers(ad.reshape(x, (k, 1, self.feat_width)), state)
+        h = ad.reshape(h, (k, self.hidden))
+        p, _ = self._mixture(h, src_keys, hist_keys,
                              gate_bias=_NO_HISTORY if hist_keys is None else None)
-        return h2, c2, p
+        return state, h, p
 
     def _mixture(self, hx, src_keys, hist_keys, hist_bias=None, gate_bias=None):
         """Mixture rows (k, L + n + V) and source attentions (k, L) of
@@ -561,8 +570,8 @@ def run_teacher_forced(ctx, gold, rng=None):
 
     Every input is known before the first step (the initial input, then
     the gold nodes), so the n + 1 steps run as whole-sequence ops: one
-    :func:`node_features` batch, one :func:`autodiff.lstm_sequence` per
-    layer from its initial state, one source attention and one history
+    :func:`node_features` batch, one stacked :func:`autodiff.lstm_sequence`
+    from the packed initial state, one source attention and one history
     attention over the top layer's ``h[:n] @ hist.enc``, and one
     :func:`autodiff.pointer_mixture` whose history bias masks step i to
     the nodes before it and whose switch bias shuts row 0's history
@@ -574,22 +583,20 @@ def run_teacher_forced(ctx, gold, rng=None):
 
     Given ``rng``, inter-layer dropout masks come from one draw in the
     step-major order of a step-by-step run, so they are the same masks
-    (hence no ``ad.dropout``); loss terms and gradients agree with
+    (hence no ``ad.dropout``), and the stack scales its upper layers'
+    inputs by them; loss terms and gradients agree with
     stepping :meth:`AmrDecoder.step` one node at a time to about 1e-10
     relative, not bit for bit.
     """
     dec = ctx.decoder
     n, hsz, layers = len(gold.labels), dec.hidden, dec.n_layers
-    x0, h0, c0 = dec.initial(ctx.finals)
+    x0, state = dec.initial(ctx.finals)
     poses = [None if j is None else ctx.xpos[j] for j in gold.src_token]
     cur = ad.concat([x0, node_features(ctx.encoder, gold.labels, poses)], axis=0)
-    drop = rng is not None and dec.dropout > 0.0 and layers > 1
-    if drop:
-        draws = rng.random((n + 1, layers - 1, hsz))
-    for l, cell in enumerate(dec.cells):
-        if l > 0 and drop:
-            cur = ad.mul(cur, (draws[:, l - 1] >= dec.dropout) / (1.0 - dec.dropout))
-        cur, _ = cell.sequence(cur, h0=h0[l], c0=c0[l])
+    masks = None
+    if rng is not None and dec.dropout > 0.0 and layers > 1:
+        masks = (rng.random((n + 1, layers - 1, hsz)) >= dec.dropout) / (1.0 - dec.dropout)
+    _, cur = dec._layers(cur, state, masks)
     states = ad.split(cur, [n, 1], axis=0)[0]
     gate_bias = np.zeros((n + 1, 3))
     gate_bias[0, 1] = -1e30  # step 0 has no history to copy from
@@ -657,12 +664,12 @@ def _grow(ctx, hyp, idx, logp, top, row):
                          hyp.src_token + (src,), hyp.states + ((top, row),), logp)
 
 
-def _next_inputs(ctx, hyps, parents, h, c, hist_keys, features):
+def _next_inputs(ctx, hyps, parents, state, h, hist_keys, features):
     """Batched decoder inputs for ``hyps``, hypothesis i grown from row
-    ``parents[i]`` of the last step: its parent's rows of every layer's
-    (h, c), the feature of its new node, and its parent's history keys
-    plus the key of the new node, ``h[-1] @ hist.enc`` for all rows in
-    one product.  ``features`` maps each (label, POS) of the decode so
+    ``parents[i]`` of the last step: the feature of its new node, its
+    parent's row of the packed ``state``, every layer's (h, c) in one
+    gather, and its parent's history keys plus the key of the new node,
+    the top-layer ``h @ hist.enc`` for all rows in one product.  ``features`` maps each (label, POS) of the decode so
     far to its (1, F) :func:`node_features` row; the keys not in it yet
     are built in one call and added."""
     keys = [(hyp.labels[-1],
@@ -673,12 +680,11 @@ def _next_inputs(ctx, hyps, parents, h, c, hist_keys, features):
         built = node_features(ctx.encoder, [lab for lab, _ in new], [pos for _, pos in new])
         features.update(zip(new, ad.unstack_rows(built, [1] * len(new))))
     x = ad.stack_rows([features[key] for key in keys])
-    new_keys = ad.matmul(ad.rows(h[-1], parents), ctx.decoder.hist_enc)
+    new_keys = ad.matmul(ad.rows(h, parents), ctx.decoder.hist_enc)
     new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
     if hist_keys is not None:
         new_keys = ad.concat([ad.rows(hist_keys, parents), new_keys], axis=1)
-    return (x, [ad.rows(t, parents) for t in h], [ad.rows(t, parents) for t in c],
-            new_keys)
+    return x, ad.rows(state, parents), new_keys
 
 
 def default_cap(n_tokens):
@@ -696,11 +702,11 @@ def greedy_decode(ctx):
     cap = default_cap(L)
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
-    x, h, c = dec.initial(ctx.finals)
+    x, state = dec.initial(ctx.finals)
     hist_keys, features = None, {}
     hyp = AmrGeneration((), (), (), (), 0.0)
     for step in range(cap + 1):
-        h, c, p = dec.step(x, h, c, keys, hist_keys)
+        state, h, p = dec.step(x, state, keys, hist_keys)
         row = p.data[0]
         end_at = L + len(hyp.labels) + ctx.vocab.end_index
         order = np.argsort(-row, kind="stable")
@@ -711,8 +717,8 @@ def greedy_decode(ctx):
         if idx == end_at:
             hyp.log_prob = logp
             break
-        hyp = _grow(ctx, hyp, idx, logp, h[-1], 0)
-        x, h, c, hist_keys = _next_inputs(ctx, [hyp], [0], h, c, hist_keys, features)
+        hyp = _grow(ctx, hyp, idx, logp, h, 0)
+        x, state, hist_keys = _next_inputs(ctx, [hyp], [0], state, h, hist_keys, features)
     else:
         hyp.truncated = True
     return replace(hyp, states=tuple(ad.rows(t, [j]) for t, j in hyp.states))
@@ -757,7 +763,9 @@ def beam_search(ctx, width=BEAM_WIDTH):
     hypothesis, ``truncated``.
 
     Every live hypothesis at step s holds s nodes, so the whole beam
-    advances in one (k, ·) call of :meth:`AmrDecoder.step`.  A candidate
+    advances in one (k, ·) call of :meth:`AmrDecoder.step`, its LSTM
+    state carried as one packed (k, 1, 2LH) tensor that
+    :func:`_next_inputs` reorders with one gather.  A candidate
     is only its parent row, mixture index and log-probability, ranked
     from arrays (:func:`_expand`); history keys are built in one batch
     for the ``width`` candidates that survive the cut, each hypothesis
@@ -780,14 +788,14 @@ def beam_search(ctx, width=BEAM_WIDTH):
     cap = default_cap(L)
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
-    x, h, c = dec.initial(ctx.finals)
+    x, state = dec.initial(ctx.finals)
     hist_keys, features = None, {}
     beams = [AmrGeneration((), (), (), (), 0.0)]
     best = None  # (rank, hypothesis, log prob) of the first best finish
     def rank(logp, labels):  # per step, then the shorter, then by labels
         return logp / (len(labels) + 1), -len(labels), labels
     for step in range(cap + 1):
-        h, c, p = dec.step(x, h, c, keys, hist_keys)
+        state, h, p = dec.step(x, state, keys, hist_keys)
         survivors, finishes = _expand(p.data, beams, L + step + ctx.vocab.end_index, width,
                                       can_finish=step > 0)  # empty graphs are not a thing
         for logp, j in finishes:
@@ -795,12 +803,12 @@ def beam_search(ctx, width=BEAM_WIDTH):
             if best is None or key > best[0]:
                 best = (key, beams[j], logp)
         parents = [j for _, j, _ in survivors]
-        beams = [_grow(ctx, beams[j], idx, logp, h[-1], j)
+        beams = [_grow(ctx, beams[j], idx, logp, h, j)
                  for logp, j, idx in survivors]
         if not beams or best is not None and all(  # best[0][0]: its score
                 b.log_prob / (cap + 1) < best[0][0] for b in beams):
             break
-        x, h, c, hist_keys = _next_inputs(ctx, beams, parents, h, c, hist_keys, features)
+        x, state, hist_keys = _next_inputs(ctx, beams, parents, state, h, hist_keys, features)
     if best is None:
         for hyp in beams:
             hyp.truncated = True

@@ -10,6 +10,7 @@ encodings and an extra biLSTM feed the shared biaffine scorers (primary
 edges + labels, and an independent remote-edge scorer).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,13 +211,16 @@ def deserialize_ucca(pointers, edges, tops, remotes, tokens, text, gid):
 # ---------------------------------------------------------------------------
 # pointer network
 
+@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(n, dim):
     """The standard fixed position signal: sin/cos pairs over geometric
-    wavelengths."""
+    wavelengths, (n, dim).  Computed once per ``(n, dim)`` and returned
+    read-only, since every call shares it."""
     pos = np.arange(n)[:, None]
     idx = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, 2 * (idx // 2) / dim)
     enc = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
+    enc.flags.writeable = False
     return enc
 
 

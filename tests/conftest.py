@@ -484,11 +484,21 @@ def _reference_attend(h, keys, w_dec, w_enc, v):
     return ad.reshape(ad.matmul(mixed, v), (1, keys.shape[0]))  # (1, n_keys)
 
 
+def reference_initial(dec, finals):
+    """``amr.AmrDecoder.initial`` with its packed state cut into lists
+    ``h`` and ``c`` of one (1, H) tensor per layer, bottom first."""
+    x, state = dec.initial(finals)
+    parts = ad.split(state, [dec.hidden] * (2 * dec.n_layers), axis=1)
+    return x, parts[:dec.n_layers], parts[dec.n_layers:]
+
+
 def reference_amr_step(dec, x, h, c, token_states, history, train=False,
                        rng=None):
-    """``amr.AmrDecoder.step`` of ``dec`` on raw token states, plus the
-    source attention that teacher forcing's coverage loss reads; with
-    ``train``, inter-layer dropout draws its mask from ``rng``."""
+    """``amr.AmrDecoder.step`` of ``dec`` on raw token states, one
+    ``LstmCell.sequence`` per layer over the per-layer states ``h`` and
+    ``c`` of :func:`reference_initial`, plus the source attention that
+    teacher forcing's coverage loss reads; with ``train``, inter-layer
+    dropout draws its mask from ``rng``."""
     cur = x
     new_h, new_c = [], []
     for l, cell in enumerate(dec.cells):
@@ -524,7 +534,7 @@ def reference_teacher_forced(ctx, gold, train=False, rng=None):
     """Counterpart of ``amr.run_teacher_forced``: per-step lists of
     mixture rows (row i is L + i + V wide), source attentions and
     top-layer node states."""
-    x, h, c = ctx.decoder.initial(ctx.finals)
+    x, h, c = reference_initial(ctx.decoder, ctx.finals)
     ps, attns, states = [], [], []
     n = len(gold.labels)
     for i in range(n + 1):
@@ -565,7 +575,7 @@ def reference_greedy_decode(ctx):
     """Counterpart of ``amr.greedy_decode``."""
     L = len(ctx.lemmas)
     cap = amr.default_cap(L)
-    x, h, c = ctx.decoder.initial(ctx.finals)
+    x, h, c = reference_initial(ctx.decoder, ctx.finals)
     hyp = RefHyp(h=h, c=c, x=x)
     for step in range(cap + 1):
         h, c, p, _ = reference_amr_step(ctx.decoder, hyp.x, hyp.h, hyp.c,
@@ -641,7 +651,7 @@ def reference_beam_search(ctx, width=5):
         return reference_greedy_decode(ctx)
     L = len(ctx.lemmas)
     cap = amr.default_cap(L)
-    x0, h0, c0 = ctx.decoder.initial(ctx.finals)
+    x0, h0, c0 = reference_initial(ctx.decoder, ctx.finals)
     beams = [RefHyp(h=h0, c=c0, x=x0)]
     done = []
     for step in range(cap + 1):
@@ -697,18 +707,17 @@ def reference_expand(p, beams, end_at, width, can_finish):
     return sorted(candidates, key=lambda cand: -cand[0])[:width], finishes
 
 
-def reference_next_inputs(ctx, hyps, parents, h, c, hist_keys, features):
+def reference_next_inputs(ctx, hyps, parents, state, h, hist_keys, features):
     """Counterpart of ``amr._next_inputs`` that leaves ``features`` alone
     and builds every hypothesis's node feature at every step."""
     poses = [None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]]
              for hyp in hyps]
     x = amr.node_features(ctx.encoder, [hyp.labels[-1] for hyp in hyps], poses)
-    new_keys = ad.matmul(ad.rows(h[-1], parents), ctx.decoder.hist_enc)
+    new_keys = ad.matmul(ad.rows(h, parents), ctx.decoder.hist_enc)
     new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
     if hist_keys is not None:
         new_keys = ad.concat([ad.rows(hist_keys, parents), new_keys], axis=1)
-    return (x, [ad.rows(t, parents) for t in h], [ad.rows(t, parents) for t in c],
-            new_keys)
+    return x, ad.rows(state, parents), new_keys
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,8 @@ class TestDecoderMixture:
     def test_stacked_decoder_keeps_state_per_layer(self):
         ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("want", "dog"),
                           seed=3, dec_hidden=5, dec_layers=3)
-        x, h, c = ctx.decoder.initial(ctx.finals)
-        assert [t.shape for t in h + c] == [(1, 5)] * 6
+        x, state = ctx.decoder.initial(ctx.finals)
+        assert state.shape == (1, 2 * 3 * 5)  # [h | c] of each of 3 layers
         tree = amr.dag_to_tree(reentrant_graph())
         gold = amr.gold_sequence(tree, ctx)
         p, attns, states = amr.run_teacher_forced(ctx, gold)
@@ -411,9 +411,9 @@ class TestDecoderMixture:
 
     def test_first_step_has_no_history_segment(self):
         ctx, _ = make_ctx(["tok"], extra_labels=("x",), seed=4)
-        x, h, c = ctx.decoder.initial(ctx.finals)
+        x, state = ctx.decoder.initial(ctx.finals)
         _, _, p = ctx.decoder.step(
-            x, h, c, ctx.decoder.source_keys(ctx.token_states), None)
+            x, state, ctx.decoder.source_keys(ctx.token_states), None)
         assert p.data.shape == (1, 1 + len(ctx.vocab))
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-9)
 
@@ -459,21 +459,20 @@ class TestDecoderMixture:
 
 
 class TestBatchedStep:
-    """``AmrDecoder.step`` on k rows at once: (k, F) inputs, one (k, H)
-    or (k, 1, H) state per layer, shared source keys and per-row history
-    keys."""
+    """``AmrDecoder.step`` on k rows at once: (k, F) inputs, one packed
+    (k, 2LH) state, shared source keys and per-row history keys."""
 
     def batch(self, ctx, k, s, seed):
         rng = np.random.default_rng(seed)
         dec = ctx.decoder
         x = ad.Tensor(rng.normal(size=(k, dec.feat_width)), requires_grad=True)
-        h, c = ([ad.Tensor(rng.normal(size=(k, dec.hidden)), requires_grad=True)
-                 for _ in dec.cells] for _ in range(2))
+        state = ad.Tensor(rng.normal(size=(k, 2 * dec.n_layers * dec.hidden)),
+                          requires_grad=True)
         hist = None
         if s:
             hist = ad.Tensor(rng.normal(size=(k, s, dec.hist_enc.shape[1])),
                              requires_grad=True)
-        return x, h, c, hist
+        return x, state, hist
 
     @pytest.mark.parametrize("s", [0, 2])
     @pytest.mark.parametrize("k", [1, 3])
@@ -481,18 +480,16 @@ class TestBatchedStep:
         ctx, params = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=40,
                                dec_hidden=3, dec_layers=2, grad=True)
         dec = ctx.decoder
-        x, h, c, hist = self.batch(ctx, k, s, seed=41)
+        x, state, hist = self.batch(ctx, k, s, seed=41)
         rng = np.random.default_rng(42)
         width = 3 + s + len(ctx.vocab)
-        state = (k, 1, dec.hidden)  # the top layer's h is (k, H)
         proj = [rng.normal(size=shape) for shape in
-                [state] * (dec.n_layers - 1) + [(k, dec.hidden)]
-                + [state] * dec.n_layers + [(k, width)]]
+                [(k, 1, 2 * dec.n_layers * dec.hidden), (k, dec.hidden), (k, width)]]
 
         def build():
-            h2, c2, p = dec.step(x, h, c, dec.source_keys(ctx.token_states), hist)
             total = ad.Tensor(0.0)
-            for out, w in zip(h2 + c2 + [p], proj):
+            for out, w in zip(dec.step(x, state, dec.source_keys(ctx.token_states), hist),
+                              proj):
                 assert out.shape == w.shape
                 total = ad.add(total, scalarize(out, w))
             return total
@@ -500,7 +497,7 @@ class TestBatchedStep:
         decoder_params = [params[name] for name in params.state_dict()
                           if name.startswith("amr.")
                           and not name.startswith("amr.init")]
-        leaves = [x, *h, *c, ctx.token_states] + decoder_params
+        leaves = [x, state, ctx.token_states] + decoder_params
         if hist is not None:
             leaves.append(hist)
         check_gradients(build, leaves)
@@ -512,22 +509,22 @@ class TestBatchedStep:
                           seed=43, dec_hidden=4, dec_layers=2)
         dec = ctx.decoder
         keys = dec.source_keys(ctx.token_states)
-        x, h, c, hist = self.batch(ctx, 3, 2, seed=44)
-        h2, c2, p = dec.step(x, h, c, keys, hist)
+        x, state, hist = self.batch(ctx, 3, 2, seed=44)
+        batched = dec.step(x, state, keys, hist)
         for j in range(3):
-            oh, oc, op = dec.step(ad.rows(x, [j]), [ad.rows(t, [j]) for t in h],
-                                  [ad.rows(t, [j]) for t in c], keys,
-                                  ad.rows(hist, [j]))
-            for b, o in zip(h2 + c2 + [p], oh + oc + [op]):
+            alone = dec.step(ad.rows(x, [j]), ad.rows(state, [j]), keys,
+                             ad.rows(hist, [j]))
+            for b, o in zip(batched, alone):
                 np.testing.assert_allclose(b.data[j:j + 1], o.data,
                                            rtol=0.0, atol=1e-12)
 
     def test_a_step_makes_two_reshapes_whatever_its_depth(self, monkeypatch):
         """A step reshapes twice, its input to (k, 1, F) and the top
         layer's state to (k, H), at 1 and at 3 layers (the attentions are
-        one node each and reshape inside it);
-        going from 1 to 3 layers adds exactly the tensors of two more
-        ``LstmCell.sequence`` calls: no state is split or joined."""
+        one node each and reshape inside it); it makes one
+        ``lstm_sequence`` call whatever its depth, and going from 1 to 3
+        layers adds one tensor: the third slice of the split that takes
+        the top layer's h out of the packed rows."""
         counted, reshapes = [], []
         init, reshape = ad.Tensor.__init__, ad.reshape
 
@@ -539,28 +536,25 @@ class TestBatchedStep:
             reshapes.append(shape)
             return reshape(a, shape)
 
-        def tensors(fn, *args, **kwargs):
-            monkeypatch.setattr(ad.Tensor, "__init__", counting)
-            fn(*args, **kwargs)
-            monkeypatch.setattr(ad.Tensor, "__init__", init)
-            n = len(counted)
-            counted.clear()
-            return n
-
         monkeypatch.setattr(ad, "reshape", recording)
+        calls = spy(monkeypatch, ad, "lstm_sequence")
         built = {}
         for layers in (1, 3):
             ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=47,
                               dec_hidden=4, dec_layers=layers)
             dec = ctx.decoder
-            x, h, c, hist = self.batch(ctx, 3, 2, seed=48)
+            x, state, hist = self.batch(ctx, 3, 2, seed=48)
             keys = dec.source_keys(ctx.token_states)
-            built[layers] = tensors(dec.step, x, h, c, keys, hist)
+            calls.clear()
+            monkeypatch.setattr(ad.Tensor, "__init__", counting)
+            dec.step(x, state, keys, hist)
+            monkeypatch.setattr(ad.Tensor, "__init__", init)
+            built[layers] = len(counted)
+            counted.clear()
             assert reshapes == [(3, 1, dec.feat_width), (3, dec.hidden)]
+            assert len(calls) == 1
             reshapes.clear()
-        lower = ad.Tensor(np.zeros((3, 1, dec.hidden)))
-        cell = tensors(dec.cells[1].sequence, lower, h0=h[1], c0=c[1])
-        assert built[3] - built[1] == 2 * cell
+        assert built[3] - built[1] == 1
 
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])
@@ -697,12 +691,12 @@ def fix_cap(monkeypatch, cap):
 class TestBeamSearch:
     def greedy(self, ctx, cap):
         """Independent argmax rollout with the same END convention."""
-        x, h, c = ctx.decoder.initial(ctx.finals)
+        x, state = ctx.decoder.initial(ctx.finals)
         labels, states, logp = [], [], 0.0
         L = len(ctx.lemmas)
         for step in range(cap + 1):
-            h, c, p = ctx.decoder.step(
-                x, h, c, ctx.decoder.source_keys(ctx.token_states),
+            state, h, p = ctx.decoder.step(
+                x, state, ctx.decoder.source_keys(ctx.token_states),
                 history_keys(ctx.decoder, states))
             row = p.data[0].copy()
             if step == 0:
@@ -718,7 +712,7 @@ class TestBeamSearch:
             else:
                 lab, pos = ctx.vocab.labels[idx - L - len(labels)], None
             labels.append(lab)
-            states.append(h[-1])
+            states.append(h)
             x = amr.node_features(ctx.encoder, [lab], [pos if idx < L else None])
         return tuple(labels), logp, False
 
@@ -744,12 +738,12 @@ class TestBeamSearch:
     def exhaustive_best(self, ctx, max_nodes):
         """Enumerate every finished sequence of at most max_nodes nodes."""
         L = len(ctx.lemmas)
-        x0, h0, c0 = ctx.decoder.initial(ctx.finals)
+        x0, state0 = ctx.decoder.initial(ctx.finals)
         best = [None]
 
-        def recurse(x, h, c, labels, states, logp):
-            h2, c2, p = ctx.decoder.step(
-                x, h, c, ctx.decoder.source_keys(ctx.token_states),
+        def recurse(x, state, labels, states, logp):
+            state2, h2, p = ctx.decoder.step(
+                x, state, ctx.decoder.source_keys(ctx.token_states),
                 history_keys(ctx.decoder, states))
             row = p.data[0]
             n = len(labels)
@@ -771,10 +765,10 @@ class TestBeamSearch:
                     lab, pos = ctx.vocab.labels[idx - L - n], None
                 recurse(amr.node_features(ctx.encoder, [lab],
                                           [pos if idx < L else None]),
-                        h2, c2, labels + (lab,), states + (h2[-1],),
+                        state2, labels + (lab,), states + (h2,),
                         logp + float(np.log(row[idx])))
 
-        recurse(x0, h0, c0, (), (), 0.0)
+        recurse(x0, state0, (), (), 0.0)
         return best[0]
 
     def test_wide_beam_is_exhaustive_on_a_toy(self, monkeypatch):
@@ -845,8 +839,8 @@ class TestBeamSearch:
         calls = []
         step = amr.AmrDecoder.step
 
-        def planned(self, x, h, c, keys, hist_keys):
-            h, c, p = step(self, x, h, c, keys, hist_keys)
+        def planned(self, x, state, keys, hist_keys):
+            state, h, p = step(self, x, state, keys, hist_keys)
             s = len(calls)
             calls.append(s)
             rows = np.zeros(p.shape)
@@ -855,7 +849,7 @@ class TestBeamSearch:
                     col = (0 if label == "a"
                            else len(ctx.lemmas) + s + ctx.vocab.index(label))
                     rows[j, col] = prob
-            return h, c, ad.Tensor(rows)
+            return state, h, ad.Tensor(rows)
 
         monkeypatch.setattr(amr.AmrDecoder, "step", planned)
         got = amr.beam_search(ctx, width=2)

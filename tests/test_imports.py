@@ -30,8 +30,9 @@ is a constant, and a test that needs another one monkeypatches it.
 A field of a dataclass of the package must be read as an attribute
 somewhere in ``src/`` or ``bench/``: of any name, except that a
 method's ``self.<name>`` (or ``cls.<name>``) reads its own class's
-attribute, which is the field only in the dataclass and the classes
-derived from it.  A result field that only the tests read is work done
+attribute, and so does ``k.<name>`` where the function binds ``k``
+only to ``K(...)`` calls of one class: that attribute is the field only
+in the dataclass and the classes derived from it.  A result field that only the tests read is work done
 for the tests.
 """
 
@@ -515,37 +516,85 @@ def is_dataclass(cls):
     return False
 
 
-def attribute_reads(node, owner=None, receiver=None):
+def constructed_locals(fn, classes):
+    """{name: class} of the locals that the function ``fn`` binds only
+    by assignments ``name = C(...)`` of one class ``C`` of ``classes``;
+    a parameter, or a name also bound otherwise, has no class."""
+    bindings = {}  # name -> the classes of its bindings, None for any other
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bindings.setdefault(node.name, set()).add(None)
+            continue
+        if isinstance(node, SCOPES):
+            continue
+        target = node.targets[0] if isinstance(node, ast.Assign) and len(node.targets) == 1 else None
+        if isinstance(target, ast.Name) and isinstance(node.value, ast.Call):
+            callee = node.value.func
+            cls = getattr(callee, "id", getattr(callee, "attr", None))
+            if cls in classes:
+                bindings.setdefault(target.id, set()).add(cls)
+                todo.append(node.value)
+                continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bindings.setdefault(node.id, set()).add(None)
+        todo.extend(ast.iter_child_nodes(node))
+    a = fn.args
+    params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    local = local_names(fn) - params  # a global or nonlocal name is not the function's
+    return {name: next(iter(found)) for name, found in bindings.items()
+            if len(found) == 1 and None not in found and name in local}
+
+
+def attribute_reads(node, classes=frozenset(), owners=None):
     """(owner, name) of each attribute read under ``node``: ``owner`` is
-    the class whose method reads it through its first parameter
-    (``self``, or ``cls`` in a classmethod), None for any other
-    receiver."""
+    the class of the receiver where the scan knows it, None for any
+    other receiver.  It knows two: a method's first parameter (``self``,
+    or ``cls`` in a classmethod) is the method's class, and a local name
+    that a function binds only to calls of one class of ``classes``
+    (``k = K()``) is that class, in the function and the scopes inside
+    it that do not bind the name themselves."""
+    owners = owners or {}
     if isinstance(node, ast.ClassDef):
         reads = set()
         for item in node.body:
             method = (isinstance(item, ast.FunctionDef) and item.args.args
                       and not any(getattr(d, "id", None) == "staticmethod"
                                   for d in item.decorator_list))
-            reads |= (attribute_reads(item, node.name, item.args.args[0].arg)
-                      if method else attribute_reads(item))
+            if method:
+                mine = {item.args.args[0].arg: node.name,
+                        **constructed_locals(item, classes)}
+                for child in ast.iter_child_nodes(item):
+                    reads |= attribute_reads(child, classes, mine)
+            else:
+                reads |= attribute_reads(item, classes)
         return reads
+    if isinstance(node, SCOPES):
+        bound = local_names(node)
+        owners = {name: cls for name, cls in owners.items() if name not in bound}
+        if isinstance(node, ast.FunctionDef):
+            owners.update(constructed_locals(node, classes))
     reads = set()
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        mine = isinstance(node.value, ast.Name) and node.value.id == receiver
-        reads.add((owner if mine else None, node.attr))
+        receiver = node.value.id if isinstance(node.value, ast.Name) else None
+        reads.add((owners.get(receiver), node.attr))
     for child in ast.iter_child_nodes(node):
-        reads |= attribute_reads(child, owner, receiver)
+        reads |= attribute_reads(child, classes, owners)
     return reads
 
 
 def unread_fields(sources, scope):
     """"module.Class.field" of each dataclass field of the modules
     ``scope`` that no source of ``sources`` ({module: text}) reads as an
-    attribute.  A method reading ``self.<field>`` reads the field only
-    when its class is the dataclass or derives from it by name; in
-    another class it reads that class's own attribute."""
+    attribute.  A read through a receiver of known class (a method's
+    ``self.<field>``, or ``k.<field>`` after ``k = K(...)``) reads the
+    field only when that class is the dataclass or derives from it by
+    name; otherwise it reads that class's own attribute."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    reads = set().union(*map(attribute_reads, trees.values()))
+    classes = {cls.name for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)}
+    reads = set().union(*(attribute_reads(tree, classes) for tree in trees.values()))
     derived = {}  # class name -> names of the classes deriving from it
     for tree in trees.values():
         for cls in ast.walk(tree):
@@ -598,3 +647,27 @@ def test_scan_flags_a_field_shadowed_by_another_class():
               "class Sub(P):\n    def get(self):\n        return self.inherited\n"),
     }
     assert unread_fields(sources, ["a"]) == ["a.P.shadowed", "a.Q.unread"]
+
+
+def test_scan_reads_a_constructed_local_as_its_class():
+    """``k = K(); k.types`` reads K's own attribute, not the field of
+    that name of another class, also from a closure; the dataclass, a
+    class derived from it, a call of a function, a name bound otherwise
+    too, and a parameter, of the function or of a scope inside it,
+    leave a read of the field."""
+    sources = {
+        "a": ("from dataclasses import dataclass\n\n"
+              "@dataclass\nclass P:\n    types: int\n    closure: int\n"
+              "    own: int\n    inherited: int\n    by_func: int\n"
+              "    rebound: int\n    by_param: int\n    by_inner: int\n\n"
+              "class K:\n    pass\n\n"
+              "class Sub(P):\n    pass\n\n"
+              "def make():\n    return K()\n\n"
+              "def f(b):\n    k = K()\n    p = P(1, 2, 3, 4, 5, 6, 7, 8)\n"
+              "    s = Sub()\n    m = make()\n    j = K()\n    j = make()\n"
+              "    b = K()\n"
+              "    def inner(k):\n        return k.by_inner\n"
+              "    return (k.types, lambda: k.closure, p.own, s.inherited,\n"
+              "            m.by_func, j.rebound, b.by_param, inner)\n"),
+    }
+    assert unread_fields(sources, ["a"]) == ["a.P.closure", "a.P.types"]

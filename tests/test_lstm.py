@@ -7,7 +7,8 @@ sequence, on B sequences from a given state, on the k rows of a
 decoder's step (T = 1), on saturated gates, on both directions of a
 biLSTM layer, and through a whole multitask model.  A case with
 ``reverse`` checks the backward half of a two-direction run, the
-composition's ``reverse=True``.
+composition's ``reverse=True``.  A stack of layers must give the bits
+of one single-layer call per layer, and their gradients within 1e-10.
 """
 
 import warnings
@@ -512,14 +513,151 @@ class TestRaggedLengths:
         assert runs[0] == runs[1]
 
 
+class TestStack:
+    """``ad.lstm_sequence`` on lists of per-layer weights: a
+    unidirectional stack of L layers from a packed state, the upper
+    layers' inputs scaled by masks, against L chained single-layer
+    calls."""
+
+    LAYERS = 3
+
+    @classmethod
+    def inputs(cls, seed, n, bsz, masked=True):
+        rng = np.random.default_rng(seed)
+        lead = (n,) if bsz == 1 else (bsz, n)
+        x = ad.Tensor(rng.normal(size=lead + (D,)), requires_grad=True)
+        layers = [weights(rng, d=D if l == 0 else H) for l in range(cls.LAYERS)]
+        state = ad.Tensor(rng.uniform(-1.0, 1.0, size=(bsz, 2 * cls.LAYERS * H)),
+                          requires_grad=True)
+        masks = (rng.random(lead + (cls.LAYERS - 1, H)) >= 0.3) / 0.7 if masked else None
+        proj = rng.normal(size=lead + (2 * cls.LAYERS * H,))
+        return x, layers, state, masks, proj
+
+    @staticmethod
+    def stacked(x, layers, state, masks):
+        return ad.lstm_sequence(x, *(list(w) for w in zip(*layers)), state=state,
+                                masks=masks)
+
+    @staticmethod
+    def chained(x, layers, state, masks):
+        """The stack as one single-layer call per layer, each upper
+        layer's input multiplied by its mask, as rows ``[h_0 | … | h_{L-1}
+        | c_0 | … | c_{L-1}]``."""
+        n_layers = len(layers)
+        init = ad.split(state, [H] * (2 * n_layers), axis=-1)
+        cur, hs, cs = x, [], []
+        for l, (wx, wh, b) in enumerate(layers):
+            if l and masks is not None:
+                cur = ad.mul(cur, masks[..., l - 1, :])
+            out = ad.lstm_sequence(cur, wx, wh, b, h0=init[l], c0=init[n_layers + l])
+            cur, c = ad.split(out, [H, H], axis=-1)
+            hs.append(cur)
+            cs.append(c)
+        return ad.concat(hs + cs, axis=-1)
+
+    def leaves(self, x, layers, state):
+        return [x, *(w for layer in layers for w in layer), state]
+
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_gradcheck(self, n, bsz):
+        x, layers, state, masks, proj = self.inputs(200 + n + 10 * bsz, n, bsz)
+        check_gradients(lambda: scalarize(self.stacked(x, layers, state, masks), proj),
+                        self.leaves(x, layers, state))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_forward_is_chained_calls_bit_for_bit(self, n, bsz, masked):
+        x, layers, state, masks, _ = self.inputs(220 + n + 10 * bsz, n, bsz, masked)
+        got = self.stacked(x, layers, state, masks)
+        want = self.chained(x, layers, state, masks)
+        assert got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_gradients_match_chained_calls(self, n, bsz, masked):
+        x, layers, state, masks, proj = self.inputs(240 + n + 10 * bsz, n, bsz, masked)
+        leaves = self.leaves(x, layers, state)
+        runs = []
+        for run in (self.stacked, self.chained):
+            for t in leaves:
+                t.zero_grad()
+            ad.reduce_sum(ad.mul(run(x, layers, state, masks), proj)).backward()
+            runs.append([t.grad.copy() for t in leaves])
+        assert_grads_close(*runs)
+
+    def test_only_the_top_layer_read(self):
+        """Each lower layer's gradient comes from the layer above alone,
+        as when a decoder reads only the top layer's h."""
+        x, layers, state, masks, proj = self.inputs(260, 6, 1)
+        leaves = self.leaves(x, layers, state)
+        runs = []
+        for run in (self.stacked, self.chained):
+            for t in leaves:
+                t.zero_grad()
+            top = ad.split(run(x, layers, state, masks), [2 * H, H, 3 * H], axis=-1)[1]
+            ad.reduce_sum(ad.mul(top, proj[:, :H])).backward()
+            runs.append([t.grad.copy() for t in leaves])
+        assert_grads_close(*runs)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_packed_state_is_h0_and_c0(self, stack):
+        """``state`` and the ``(h0, c0)`` halves it packs give the same
+        bits, for a stack and for the two directions of a biLSTM layer
+        (made of the upper layers' weights, which read H-wide rows)."""
+        x, layers, state, masks, proj = self.inputs(270, 4, 3)
+        if stack:
+            weights_ = [list(w) for w in zip(*layers)]
+        else:
+            weights_ = list(zip(*layers[1:]))
+            x = ad.Tensor(np.random.default_rng(271).normal(size=(3, 4, H)))
+            state = ad.Tensor(state.data[:, :4 * H], requires_grad=True)
+            masks, proj = None, proj[..., :4 * H]
+        half = state.shape[1] // 2
+        h0, c0 = (ad.Tensor(part, requires_grad=True)
+                  for part in (state.data[:, :half], state.data[:, half:]))
+        runs = []
+        for init, leaves in (({"state": state}, [state]), ({"h0": h0, "c0": c0}, [h0, c0])):
+            out = ad.lstm_sequence(x, *weights_, masks=masks, **init)
+            ad.reduce_sum(ad.mul(out, proj)).backward()
+            grads = np.concatenate([t.grad for t in leaves], axis=1)
+            runs.append((out.data.tobytes(), grads.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_refuses_lengths_and_unstacked_masks(self):
+        x, layers, state, masks, _ = self.inputs(280, 4, 3)
+        with pytest.raises(ValueError):
+            ad.lstm_sequence(x, *(list(w) for w in zip(*layers)), state=state,
+                             lengths=[4, 2, 1])
+        with pytest.raises(ValueError):
+            ad.lstm_sequence(x, *layers[0], masks=masks)
+
+
 # ---------------------------------------------------------------------------
 # a whole multitask model: the fused op against the composed oracle
 
-def composed_op(x, wx, wh, b, h0=None, c0=None, lengths=None):
+def composed_op(x, wx, wh, b, h0=None, c0=None, lengths=None, state=None,
+                masks=None):
     """``ad.lstm_sequence`` composed from elementary ops, on the calls a
-    model's training makes: a biLSTM layer's (T, D) rows, or one
-    direction from a given state or zero."""
+    model's training makes: a biLSTM layer's (T, D) rows, one direction
+    from a given state or zero, or a stack of layers from a packed state,
+    chained one layer at a time with each upper layer's input masked."""
     assert lengths is None  # a training sentence is a batch of one
+    if isinstance(wx, list):
+        hsz, n = wh[0].shape[0], len(wx)
+        init = ad.split(state, [hsz] * (2 * n), axis=-1)
+        cur, hs, cs = x, [], []
+        for l in range(n):
+            if l and masks is not None:
+                cur = ad.mul(cur, masks[..., l - 1, :])
+            out = composed_op(cur, wx[l], wh[l], b[l], h0=init[l], c0=init[n + l])
+            cur, c = ad.split(out, [hsz, hsz], axis=-1)
+            hs.append(cur)
+            cs.append(c)
+        return ad.concat(hs + cs, axis=-1)
     if isinstance(wx, tuple):
         return reference_bilstm(ad.as_tensor(x), *zip(wx, wh, b))
     x = ad.as_tensor(x)

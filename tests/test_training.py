@@ -1181,6 +1181,31 @@ def test_parse_output_pinned(fixed_models, corpus, fw):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PARSE_DIGESTS[fw]
 
 
+# First 16 hex digits of the sha256 of every field of the AMR decodes of
+# the held-out sentences with ``fixed_models``: labels, copies, source
+# tokens, the log-probability's bytes and each node state's bytes.
+# ``PARSE_DIGESTS["amr"]`` hashes graph text, which survives a change in
+# the last bit of a state; this pins the decoder's floats themselves.
+# Recorded before the decoder's layers ran as one stacked LSTM call.
+AMR_DECODE_DIGESTS = {"beam": "dd3c0db693988ab0", "greedy": "8bda7e5b691f7cda"}
+
+
+@pytest.mark.parametrize("search", sorted(AMR_DECODE_DIGESTS))
+def test_amr_decode_pinned(fixed_models, corpus, search):
+    model = fixed_models[0]
+    h = hashlib.sha256()
+    for sent in corpus.sentences[HELD]:
+        ctx = model.amr_context(sent, *model.encode([sent]))
+        with ad.no_grad():
+            gen = A.greedy_decode(ctx) if search == "greedy" else A.beam_search(ctx)
+        h.update(json.dumps([gen.labels, gen.copy_of, gen.src_token,
+                             gen.truncated]).encode())
+        h.update(np.float64(gen.log_prob).tobytes())
+        for state in gen.states:
+            h.update(state.data.tobytes())
+    assert h.hexdigest()[:16] == AMR_DECODE_DIGESTS[search]
+
+
 @pytest.mark.parametrize("fw", ("dm", "psd", "ucca"))
 def test_parsed_graphs_have_no_self_loops(fixed_models, corpus, fw):
     graphs = [T.parse_sentence(fixed_models[0], s, fw) for s in corpus.sentences[HELD]]

@@ -197,6 +197,19 @@ class TestPositionalEncoding:
         assert np.all(np.abs(pe) <= 1.0)
         assert len({tuple(np.round(r, 9)) for r in pe}) == 50
 
+    def test_shared_read_only_and_equal_to_the_formula(self):
+        pe = ucca.sinusoidal_positions(7, 6)
+        assert ucca.sinusoidal_positions(7, 6) is pe
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+        assert pe.tobytes() == ucca.sinusoidal_positions.__wrapped__(7, 6).tobytes()
+        for p in range(7):
+            for i in range(6):
+                angle = p / 10000.0 ** (2 * (i // 2) / 6)
+                want = np.sin(angle) if i % 2 == 0 else np.cos(angle)
+                assert pe[p, i] == pytest.approx(want, rel=0.0, abs=1e-15)
+
 
 def fake_encoder_output(rng, n_pos, hidden, requires_grad=False):
     """One layer of random top states, and random final states in the
