@@ -12,7 +12,7 @@ everything.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -470,12 +470,15 @@ class AmrDecoder:
         """Every layer over the inputs ``x`` from the packed ``state`` in
         one stacked :func:`autodiff.lstm_sequence` call, ``masks`` scaling
         the upper layers' inputs; returns its packed rows and the top
-        layer's h rows."""
+        layer's h rows, (k, H) for (k, 1, F) inputs and (T, H) for
+        (T, F)."""
         out = ad.lstm_sequence(x, *self.stack, state=state, masks=masks)
-        below, hsz = (self.n_layers - 1) * self.hidden, self.hidden
-        parts = ad.split(out, [below, hsz, self.n_layers * hsz] if below else [hsz, hsz],
-                         axis=-1)
-        return out, parts[-2]
+        # each packed row is 2L blocks of H, the top layer's h block L - 1
+        blocks = 2 * self.n_layers
+        rows = out.data.size // (blocks * self.hidden)
+        top = ad.rows(ad.reshape(out, (rows * blocks, self.hidden)),
+                      np.arange(rows) * blocks + self.n_layers - 1)
+        return out, top
 
     def source_keys(self, token_states):
         """Projected attention keys of the source tokens, (L, ATT_DIM)."""
@@ -494,9 +497,7 @@ class AmrDecoder:
         i holding the keys of hypothesis i's previous top-layer states,
         each ``h @ hist.enc``; None while s = 0.
         """
-        k = x.shape[0]
-        state, h = self._layers(ad.reshape(x, (k, 1, self.feat_width)), state)
-        h = ad.reshape(h, (k, self.hidden))
+        state, h = self._layers(ad.reshape(x, (x.shape[0], 1, self.feat_width)), state)
         p, _ = self._mixture(h, src_keys, hist_keys,
                              gate_bias=_NO_HISTORY if hist_keys is None else None)
         return state, h, p
@@ -664,22 +665,33 @@ def _grow(ctx, hyp, idx, logp, top, row):
                          hyp.src_token + (src,), hyp.states + ((top, row),), logp)
 
 
+@dataclass
+class _NodeFeatures:
+    """The node features of one decode: row ``row[key]`` of ``table``,
+    (m, F), is the :func:`node_features` row of the (label, POS) ``key``."""
+    table: ad.Tensor = None
+    row: dict = field(default_factory=dict)
+
+
 def _next_inputs(ctx, hyps, parents, state, h, hist_keys, features):
     """Batched decoder inputs for ``hyps``, hypothesis i grown from row
     ``parents[i]`` of the last step: the feature of its new node, its
     parent's row of the packed ``state``, every layer's (h, c) in one
     gather, and its parent's history keys plus the key of the new node,
-    the top-layer ``h @ hist.enc`` for all rows in one product.  ``features`` maps each (label, POS) of the decode so
-    far to its (1, F) :func:`node_features` row; the keys not in it yet
-    are built in one call and added."""
+    the top-layer ``h @ hist.enc`` for all rows in one product.  The
+    features are gathered from the decode's :class:`_NodeFeatures`; the
+    keys not in it yet are built in one call and appended to it."""
     keys = [(hyp.labels[-1],
              None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]])
             for hyp in hyps]
-    new = list(dict.fromkeys(key for key in keys if key not in features))
+    new = list(dict.fromkeys(key for key in keys if key not in features.row))
     if new:
         built = node_features(ctx.encoder, [lab for lab, _ in new], [pos for _, pos in new])
-        features.update(zip(new, ad.unstack_rows(built, [1] * len(new))))
-    x = ad.stack_rows([features[key] for key in keys])
+        base = len(features.row)
+        features.row.update((key, base + i) for i, key in enumerate(new))
+        features.table = (built if features.table is None
+                          else ad.concat([features.table, built], axis=0))
+    x = ad.rows(features.table, [features.row[key] for key in keys])
     new_keys = ad.matmul(ad.rows(h, parents), ctx.decoder.hist_enc)
     new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
     if hist_keys is not None:
@@ -703,7 +715,7 @@ def greedy_decode(ctx):
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, state = dec.initial(ctx.finals)
-    hist_keys, features = None, {}
+    hist_keys, features = None, _NodeFeatures()
     hyp = AmrGeneration((), (), (), (), 0.0)
     for step in range(cap + 1):
         state, h, p = dec.step(x, state, keys, hist_keys)
@@ -789,7 +801,7 @@ def beam_search(ctx, width=BEAM_WIDTH):
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, state = dec.initial(ctx.finals)
-    hist_keys, features = None, {}
+    hist_keys, features = None, _NodeFeatures()
     beams = [AmrGeneration((), (), (), (), 0.0)]
     best = None  # (rank, hypothesis, log prob) of the first best finish
     def rank(logp, labels):  # per step, then the shorter, then by labels

@@ -519,12 +519,11 @@ class TestBatchedStep:
                                            rtol=0.0, atol=1e-12)
 
     def test_a_step_makes_two_reshapes_whatever_its_depth(self, monkeypatch):
-        """A step reshapes twice, its input to (k, 1, F) and the top
-        layer's state to (k, H), at 1 and at 3 layers (the attentions are
-        one node each and reshape inside it); it makes one
-        ``lstm_sequence`` call whatever its depth, and going from 1 to 3
-        layers adds one tensor: the third slice of the split that takes
-        the top layer's h out of the packed rows."""
+        """A step reshapes twice, its input to (k, 1, F) and the packed
+        rows to (k·2L, H) blocks, whose top-layer h rows one gather takes,
+        at 1 and at 3 layers (the attentions are one node each and
+        reshape inside it); it makes one ``lstm_sequence`` call and as
+        many tensors whatever its depth."""
         counted, reshapes = [], []
         init, reshape = ad.Tensor.__init__, ad.reshape
 
@@ -551,10 +550,10 @@ class TestBatchedStep:
             monkeypatch.setattr(ad.Tensor, "__init__", init)
             built[layers] = len(counted)
             counted.clear()
-            assert reshapes == [(3, 1, dec.feat_width), (3, dec.hidden)]
+            assert reshapes == [(3, 1, dec.feat_width), (3 * 2 * layers, dec.hidden)]
             assert len(calls) == 1
             reshapes.clear()
-        assert built[3] - built[1] == 1
+        assert built[3] == built[1]
 
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("layers", [1, 3])
