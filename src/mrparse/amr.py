@@ -12,7 +12,7 @@ everything.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -416,7 +416,7 @@ class AmrDecoder:
     The mixture concatenates (source-copy over tokens, decoder-copy
     over generated nodes, vocabulary) weighted by a masked softmax
     switch; the decoder-copy segment is masked while empty.  Its L layers
-    run as one stack in one :func:`autodiff.lstm_sequence` call
+    run as one stack in one :func:`autodiff.lstm_stack` call
     (:meth:`_layers`), and the LSTM state of k rows is one packed
     tensor, (k, 2LH) or (k, 1, 2LH), the rows ``[h_0 | … | h_{L-1} | c_0 |
     … | c_{L-1}]`` the stack returns, bottom layer first; the mixture
@@ -468,11 +468,10 @@ class AmrDecoder:
 
     def _layers(self, x, state, masks=None):
         """Every layer over the inputs ``x`` from the packed ``state`` in
-        one stacked :func:`autodiff.lstm_sequence` call, ``masks`` scaling
-        the upper layers' inputs; returns its packed rows and the top
-        layer's h rows, (k, H) for (k, 1, F) inputs and (T, H) for
-        (T, F)."""
-        out = ad.lstm_sequence(x, *self.stack, state=state, masks=masks)
+        one :func:`autodiff.lstm_stack` call, ``masks`` scaling the upper
+        layers' inputs; returns its packed rows and the top layer's h
+        rows, (k, H) for (k, 1, F) inputs and (T, H) for (T, F)."""
+        out = ad.lstm_stack(x, *self.stack, state=state, masks=masks)
         # each packed row is 2L blocks of H, the top layer's h block L - 1
         blocks = 2 * self.n_layers
         rows = out.data.size // (blocks * self.hidden)
@@ -571,8 +570,8 @@ def run_teacher_forced(ctx, gold, rng=None):
 
     Every input is known before the first step (the initial input, then
     the gold nodes), so the n + 1 steps run as whole-sequence ops: one
-    :func:`node_features` batch, one stacked :func:`autodiff.lstm_sequence`
-    from the packed initial state, one source attention and one history
+    :func:`node_features` batch, one :func:`autodiff.lstm_stack` from
+    the packed initial state, one source attention and one history
     attention over the top layer's ``h[:n] @ hist.enc``, and one
     :func:`autodiff.pointer_mixture` whose history bias masks step i to
     the nodes before it and whose switch bias shuts row 0's history
@@ -665,33 +664,23 @@ def _grow(ctx, hyp, idx, logp, top, row):
                          hyp.src_token + (src,), hyp.states + ((top, row),), logp)
 
 
-@dataclass
-class _NodeFeatures:
-    """The node features of one decode: row ``row[key]`` of ``table``,
-    (m, F), is the :func:`node_features` row of the (label, POS) ``key``."""
-    table: ad.Tensor = None
-    row: dict = field(default_factory=dict)
-
-
 def _next_inputs(ctx, hyps, parents, state, h, hist_keys, features):
     """Batched decoder inputs for ``hyps``, hypothesis i grown from row
     ``parents[i]`` of the last step: the feature of its new node, its
     parent's row of the packed ``state``, every layer's (h, c) in one
     gather, and its parent's history keys plus the key of the new node,
-    the top-layer ``h @ hist.enc`` for all rows in one product.  The
-    features are gathered from the decode's :class:`_NodeFeatures`; the
-    keys not in it yet are built in one call and appended to it."""
+    the top-layer ``h @ hist.enc`` for all rows in one product.
+    ``features`` maps each (label, POS) of the decode so far to its (1, F)
+    :func:`node_features` row; the keys not in it yet are built in one
+    call and added."""
     keys = [(hyp.labels[-1],
              None if hyp.src_token[-1] is None else ctx.xpos[hyp.src_token[-1]])
             for hyp in hyps]
-    new = list(dict.fromkeys(key for key in keys if key not in features.row))
+    new = list(dict.fromkeys(key for key in keys if key not in features))
     if new:
         built = node_features(ctx.encoder, [lab for lab, _ in new], [pos for _, pos in new])
-        base = len(features.row)
-        features.row.update((key, base + i) for i, key in enumerate(new))
-        features.table = (built if features.table is None
-                          else ad.concat([features.table, built], axis=0))
-    x = ad.rows(features.table, [features.row[key] for key in keys])
+        features.update(zip(new, ad.unstack_rows(built, [1] * len(new))))
+    x = ad.stack_rows([features[key] for key in keys])
     new_keys = ad.matmul(ad.rows(h, parents), ctx.decoder.hist_enc)
     new_keys = ad.reshape(new_keys, (len(hyps), 1, new_keys.shape[1]))
     if hist_keys is not None:
@@ -715,7 +704,7 @@ def greedy_decode(ctx):
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, state = dec.initial(ctx.finals)
-    hist_keys, features = None, _NodeFeatures()
+    hist_keys, features = None, {}
     hyp = AmrGeneration((), (), (), (), 0.0)
     for step in range(cap + 1):
         state, h, p = dec.step(x, state, keys, hist_keys)
@@ -801,7 +790,7 @@ def beam_search(ctx, width=BEAM_WIDTH):
     dec = ctx.decoder
     keys = dec.source_keys(ctx.token_states)
     x, state = dec.initial(ctx.finals)
-    hist_keys, features = None, _NodeFeatures()
+    hist_keys, features = None, {}
     beams = [AmrGeneration((), (), (), (), 0.0)]
     best = None  # (rank, hypothesis, log prob) of the first best finish
     def rank(logp, labels):  # per step, then the shorter, then by labels

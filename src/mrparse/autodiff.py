@@ -21,29 +21,29 @@ draws nothing and returns its input.
 
 One fused op carries every LSTM recurrence: :func:`lstm_sequence` runs
 B equal-length sequences together, from a zero state or from given
-initial states, ``h0, c0`` (B, H) or (B, 1, H) or both packed as one
-``state`` (B, 2H), and returns their ``[h_t | c_t]`` rows; a (T, D)
-input is the one-sequence case.  Given ``(forward, backward)`` weight
-pairs it runs a biLSTM layer, both directions in one step loop, and
-returns ``[h_fwd | h_bwd | c_fwd | c_bwd]`` rows.  Given lists of
-per-layer weights it runs a unidirectional stack of L layers, each
-layer over every step in turn, the upper layers' inputs optionally
-scaled by dropout ``masks``, and returns every layer's rows, ``[h_0 |
-… | h_{L-1} | c_0 | … | c_{L-1}]``; its backward runs the layers'
-BPTT top first.  The encoder runs each layer as a biLSTM from zero;
-the UCCA decoder one direction from its initial state, teacher-forced
-or advancing its k rows as k sequences of length 1; and the AMR
+initial states ``h0, c0``, (B, H) or (B, 1, H), and returns their
+``[h_t | c_t]`` rows; a (T, D) input is the one-sequence case.  Given
+``(forward, backward)`` weight pairs it runs a biLSTM layer, both
+directions in one step loop, and returns ``[h_fwd | h_bwd | c_fwd |
+c_bwd]`` rows.  Its stack form, :func:`lstm_stack`, runs L
+unidirectional layers on the same kernel, one pass per layer, the
+upper layers' inputs optionally scaled by dropout masks, from every
+layer's state packed as one ``state`` row, and returns every layer's
+rows, ``[h_0 | … | h_{L-1} | c_0 | … | c_{L-1}]``; its backward runs
+the layers' BPTT top first.  The encoder runs each layer as a biLSTM
+from zero; the UCCA decoder one direction from its initial state,
+teacher-forced or advancing its k rows as k sequences of length 1,
+keeping its states in the (k, 1, H) layout the op returns; and the AMR
 decoder all its layers as one stack, teacher-forced or stepping k beam
-rows, its state one packed (k, 2LH) tensor of the layout the stack
-returns.  One GEMM per direction or layer projects every step's
-input, and each step takes its four gates from one tanh.  Its forward is within
-1e-12 of composing the elementary ops per step, its hand-written
-backward (backpropagation through time, reaching the initial state)
-within 1e-10 relative of the composition's gradients, and its buffers
-take the input dtype.  It creates one graph node however long the
-sequences.  So does each loss (:func:`binary_cross_entropy`,
-:func:`cross_entropy_logits`, :func:`nll_of_probs`), whatever its
-number of terms.
+rows, its state one packed (k, 2LH) tensor.  One GEMM per direction or
+layer projects every step's input, and each step takes its four gates
+from one tanh.  Its forward is within 1e-12 of composing the
+elementary ops per step, its hand-written backward (backpropagation
+through time, reaching the initial state) within 1e-10 relative of the
+composition's gradients, and its buffers take the input dtype.  It
+creates one graph node however long the sequences.  So does each loss
+(:func:`binary_cross_entropy`, :func:`cross_entropy_logits`,
+:func:`nll_of_probs`), whatever its number of terms.
 
 Three more fused ops carry the layers every framework head is made of,
 each one node with the value of its composition bit for bit:
@@ -649,7 +649,101 @@ def _flip(a, axis):
     return np.concatenate([a[at + (slice(1),)], a[::-1][at + (slice(1, 2),)]], axis=axis)
 
 
-def lstm_sequence(x, wx, wh, b, h0=None, c0=None, lengths=None, state=None, masks=None):
+def _lstm_pass(flat, shape, wxs, whs, bs, h, c, steps, pad=None):
+    """Project ``flat``, B·T input rows in (B, T) order (``shape``), by each
+    direction's ``wx`` and ``b``, and run the T steps of those directions
+    together from the state ``(h, c)``, each (nd, B, H), writing every
+    step's (h, c) into ``steps`` (T, 2, nd, B, H), in step order.  A
+    ``pad`` (T, nd, B) step holds its row's state.  Returns the steps'
+    tanh values (T, 4, nd, B, H) and the (nd, H, 4H) recurrent weights,
+    which the backward reads."""
+    (bsz, n), nd, hsz = shape, len(wxs), whs[0].data.shape[0]
+    scale, shift, _ = _gate_blocks(hsz, nd, bsz, steps.dtype)
+    # pre-activations (T, 4, nd, B, H), which each step turns into its tanh values
+    ys = [(flat @ w.data + bias.data).reshape(bsz, n, 4, 1, hsz).transpose(1, 2, 3, 0, 4)
+          for w, bias in zip(wxs, bs)]
+    ys = _flip(np.concatenate(ys, axis=2), 2) if nd == 2 else np.ascontiguousarray(ys[0])
+    # one direction's weights are not copied: a decoder's can be large
+    wh_all = np.concatenate([w.data[None] for w in whs]) if nd == 2 else whs[0].data[None]
+    if pad is not None:
+        held = np.array((h, c), dtype=steps.dtype)
+    for s in range(n):
+        y = ys[s]
+        y += (h @ wh_all).reshape(nd, bsz, 4, hsz).transpose(2, 0, 1, 3)
+        y *= scale
+        np.tanh(y, out=y)
+        a = y * scale
+        a += shift
+        c = np.multiply(a[1], c, out=steps[s, 1])
+        c += a[0] * a[2]
+        h = np.tanh(c, out=steps[s, 0])
+        h *= a[3]
+        if pad is not None:  # h and c are views of steps[s]
+            np.copyto(steps[s], held, where=pad[s, :, :, None])
+            held = steps[s]
+    return ys, wh_all
+
+
+def _lstm_bptt(g, ys, wh_all, steps, start, pad=None):
+    """Backpropagation through the steps of one :func:`_lstm_pass`, from
+    ``g`` (T, 2, nd, B, H), the gradients of every step's (h, c) in step
+    order.  Returns the pre-activations' gradients ``dz`` (T, 4, nd, B,
+    H) and the (h, c) each step started from, both in time order, and
+    the gradients ``dh`` and ``dc`` of the initial state ``start``."""
+    n, _, nd, bsz, hsz = steps.shape
+    scale, shift, slope = _gate_blocks(hsz, nd, bsz, steps.dtype)
+    # the (h, c) each step started from
+    prev = np.concatenate([np.array(start, dtype=steps.dtype)[None], steps[:-1]])
+    gates = ys * scale + shift
+    tc = np.tanh(steps[:, 1])
+    dcell = gates[:, 3] * (1.0 - tc * tc)  # o·(1 − tanh²c): dh into dc
+    # slope·(1 − y²) times what dc (i, f, g) or dh (o) meets in each
+    # gate: dz once the loop scales the blocks
+    dz = slope * (1.0 - ys * ys)
+    dz[:, 0] *= gates[:, 2]
+    dz[:, 1] *= prev[:, 1]
+    dz[:, 2] *= gates[:, 0]
+    dz[:, 3] *= tc
+    forget = gates[:, 1]
+    if pad is not None:  # a padded step passes dh and dc through
+        dz *= ~pad[:, None, :, :, None]
+        dcell *= ~pad[..., None]
+        forget = np.where(pad[..., None], 1.0, forget)
+    wh_t = np.swapaxes(wh_all, 1, 2)
+    dh = dc = 0.0
+    for s in range(n - 1, -1, -1):
+        dh = dh + g[s, 0]
+        dc = dc + g[s, 1] + dh * dcell[s]
+        dz[s, :3] *= dc
+        dz[s, 3] *= dh
+        dc = dc * forget[s]
+        back = dz[s].transpose(1, 2, 0, 3).reshape(nd, bsz, 4 * hsz) @ wh_t
+        if pad is not None:
+            np.copyto(back, dh, where=pad[s, :, :, None])
+        dh = back
+    return _flip(dz, 2), _flip(prev, 2), dh, dc
+
+
+def _lstm_weight_grads(dz, prev, flat, wxs, whs, bs):
+    """Accumulate each direction's ``wx``, ``wh`` and ``b`` gradients from
+    the time-ordered ``dz`` and ``prev`` of :func:`_lstm_bptt` and the
+    pass's input rows ``flat``; returns each direction's ``dz`` as B·T
+    rows (B, T order), (B·T, 4H), for its input gradient."""
+    n, _, _, bsz, hsz = dz.shape
+    rows = []
+    for d, (w_x, w_h, bias) in enumerate(zip(wxs, whs, bs)):
+        dzd = dz[:, :, d].transpose(2, 0, 1, 3).reshape(bsz * n, 4 * hsz)
+        if w_x.requires_grad:
+            w_x.accumulate(flat.T @ dzd)
+        if w_h.requires_grad:
+            w_h.accumulate(prev[:, 0, d].swapaxes(0, 1).reshape(bsz * n, hsz).T @ dzd)
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(dzd, bias.data.shape))
+        rows.append(dzd)
+    return rows
+
+
+def lstm_sequence(x, wx, wh, b, h0=None, c0=None, lengths=None):
     """Run an LSTM over ``x`` (B, T, D), B sequences of length T side by
     side; returns (B, T, 2H) with the rows ``[h_t | c_t]`` at ``[:, t]``.
     A (T, D) input is one sequence and returns (T, 2H).  Backward is
@@ -660,187 +754,143 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None, lengths=None, state=None, mask
     step first, in the same step loop, which advances both with one
     batched ``h @ wh`` and each gate op once.  The rows are then ``[h_fwd
     | h_bwd | c_fwd | c_bwd]``, (B, T, 4H): their h half is the layer's
-    output.
+    output.  Lists of per-layer weights are a stack, :func:`lstm_stack`'s
+    input, and are refused.
 
-    Given lists of L per-layer ``wx``, ``wh`` and ``b``, bottom first, it
-    is a unidirectional stack of L layers, layer l > 0 reading layer l -
-    1's h rows.  It runs the layers one after another, each over every
-    step, and its rows are every layer's ``[h_0 | … | h_{L-1} | c_0 | … |
-    c_{L-1}]``, (B, T, 2LH), the top layer's h being the stack's output.
-    ``masks``, (B, T, L - 1, H) or (T, L - 1, H) for a (T, D) input,
-    scale the rows layer l reads by ``masks[..., l - 1, :]``: inter-layer
-    dropout drawn by the caller.  Its values are those of L chained
-    single-layer calls, each layer's input multiplied by its mask, bit
-    for bit, and its gradients within 1e-10 relative of theirs; its
-    backward runs each layer's BPTT, top layer first.
-
-    The state starts from ``h0`` and ``c0``, each laid out like the h or
-    c half of one step's rows, (B, H) or (B, 1, H), (B, 2H) or (B, 1, 2H)
-    for two directions, (B, LH) or (B, 1, LH) for L layers; or from
-    ``state``, both halves packed as one step's rows, (B, 2H), (B, 4H) or
-    (B, 2LH), with an optional middle axis of 1: a decoder's initial
-    state, or k beam rows advanced one step as k sequences of length 1.
-    Without either it starts from zero.  The backward sends their
-    gradients to them in their own shapes.
+    The state starts from ``h0`` and ``c0``, each (B, H) or (B, 1, H),
+    (B, 2H) or (B, 1, 2H) for two directions, laid out like the h or c
+    half of the rows, when given (a decoder's initial state, or k beam
+    rows advanced one step as k sequences of length 1), and from zero
+    otherwise; the backward sends their gradients to them in their own
+    shapes.
 
     ``lengths``, one per sequence, makes B ragged sequences of a padded
     (B, T, D) batch: a row's state passes unchanged through the steps
     past its length (for the backward direction, its leading steps), its
     rows there are zero, and the backward sends nothing through them, so
     each row's values are those of running it alone.  Without it every
-    step is a sequence's own.  A stack takes no ``lengths``.
+    step is a sequence's own.
 
-    One GEMM per direction or layer projects every step's input, the
-    bias added once; a step then adds ``h @ wh`` and takes its four gates
-    from one tanh, whose values it keeps.  The backward forms every
-    step's local gate derivatives from them before its loop.  Each
-    direction's values are those of running it alone (the backward
-    one's, of the forward recurrence over the rows last first), and its
-    weight gradients sum over the steps in time order.  The forward is
-    within 1e-12 of composing the elementary ops per step, whose sigmoid
-    rounds differently, and the gradients within 1e-10 relative of the
+    One GEMM per direction projects every step's input, the bias added
+    once; a step then adds ``h @ wh`` and takes its four gates from one
+    tanh, whose values it keeps.  The backward forms every step's local
+    gate derivatives from them before its loop.  Each direction's values
+    are those of running it alone (the backward one's, of the forward
+    recurrence over the rows last first), and its weight gradients sum
+    over the steps in time order.  The forward is within 1e-12 of
+    composing the elementary ops per step, whose sigmoid rounds
+    differently, and the gradients within 1e-10 relative of the
     composition's.
     """
+    if isinstance(wx, list):
+        raise ValueError("lists of per-layer weights are a stack: run them with lstm_stack")
     x = as_tensor(x)
-    stack = isinstance(wx, list)
-    wxs, whs, bs = (tuple(map(as_tensor, w)) if isinstance(w, (tuple, list)) else (as_tensor(w),)
+    wxs, whs, bs = (tuple(map(as_tensor, w)) if isinstance(w, tuple) else (as_tensor(w),)
                     for w in (wx, wh, b))
-    if stack and lengths is not None:
-        raise ValueError("a stack of layers takes no lengths")
-    if masks is not None and not stack:
-        raise ValueError("masks scale the inputs of a stack's upper layers")
     xs = x.data if x.data.ndim == 3 else x.data[None]
-    # nd: the state blocks, directions or layers; a pass runs `width` of them together
     (bsz, n, dim), nd, hsz = xs.shape, len(wxs), whs[0].data.shape[0]
-    width = 1 if stack else nd
-    flip = _flip if width == 2 else (lambda a, axis: a)
     dtype = x.data.dtype
-    scale, shift, slope = _gate_blocks(hsz, width, bsz, dtype)
-    init = ((as_tensor(state),) if state is not None
-            else () if h0 is None else (as_tensor(h0), as_tensor(c0)))
-    # the initial (h, c), each (nd, B, H); a stack's as one (2, L, B, H)
-    # array whose layer blocks are contiguous, as a step's product wants them
-    if state is not None:
-        start = np.ascontiguousarray(init[0].data.reshape(bsz, 2, nd, hsz).transpose(1, 2, 0, 3),
-                                     dtype=dtype)
-    elif init:
-        start = [t.data.reshape(bsz, nd, hsz).swapaxes(0, 1) for t in init]
-        if stack:
-            start = np.array(start, dtype=dtype)
-    else:
-        start = np.zeros((2, nd, bsz, hsz), dtype=dtype)
-    if masks is not None:
-        masks = np.asarray(masks).reshape(bsz, n, nd - 1, hsz)
-    # one pass per layer of a stack, one for the directions otherwise: the
-    # slice of the weights and of the state blocks it runs
-    passes = [slice(l, l + 1) for l in range(nd)] if stack else [slice(None)]
+    init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
+    start = ([t.data.reshape(bsz, nd, hsz).swapaxes(0, 1) for t in init] if init
+             else [np.zeros((nd, bsz, hsz), dtype=dtype)] * 2)
+    flat = xs.reshape(bsz * n, dim)
     steps = np.empty((n, 2, nd, bsz, hsz), dtype=dtype)  # every step's (h, c)
+    pad = None
     if lengths is not None:
         live = np.arange(n) < np.asarray(lengths)[:, None]  # (B, T)
         pad = _flip(np.repeat(~live.T[:, None], nd, axis=1), 1)  # (T, nd, B) in step order
-    kept = []  # each pass's input rows, pre-activations, recurrent weights and initial state
-    for l, at in enumerate(passes):
-        if l == 0:
-            flat = xs.reshape(bsz * n, dim)
-        else:
-            flat = steps[:, 0, l - 1].swapaxes(0, 1).reshape(bsz * n, hsz)
-            if masks is not None:
-                flat = flat * masks[:, :, l - 1].reshape(bsz * n, hsz)
-        # pre-activations (T, 4, width, B, H), which each step turns into its tanh values
-        ys = [(flat @ w.data + bias.data).reshape(bsz, n, 4, 1, hsz).transpose(1, 2, 3, 0, 4)
-              for w, bias in zip(wxs[at], bs[at])]
-        ys = _flip(np.concatenate(ys, axis=2), 2) if width == 2 else np.ascontiguousarray(ys[0])
-        # one direction's weights are not copied: a decoder's can be large
-        wh_all = (np.concatenate([w.data[None] for w in whs]) if width == 2
-                  else whs[at][0].data[None])
-        h, c = startl = start[:, at] if stack else start
-        if lengths is not None:
-            held = np.array(startl, dtype=dtype)
-        out_steps = steps[:, :, at]
-        for s in range(n):
-            y = ys[s]
-            y += (h @ wh_all).reshape(width, bsz, 4, hsz).transpose(2, 0, 1, 3)
-            y *= scale
-            np.tanh(y, out=y)
-            a = y * scale
-            a += shift
-            c = np.multiply(a[1], c, out=out_steps[s, 1])
-            c += a[0] * a[2]
-            h = np.tanh(c, out=out_steps[s, 0])
-            h *= a[3]
-            if lengths is not None:  # h and c are views of steps[s]
-                np.copyto(out_steps[s], held, where=pad[s, :, :, None])
-                held = out_steps[s]
-        kept.append((flat, ys, wh_all, startl))
-    out = flip(steps, 2).transpose(3, 0, 1, 2, 4).reshape(bsz, n, 2 * nd * hsz)
+    ys, wh_all = _lstm_pass(flat, (bsz, n), wxs, whs, bs, *start, steps, pad=pad)
+    out = _flip(steps, 2).transpose(3, 0, 1, 2, 4).reshape(bsz, n, 2 * nd * hsz)
     if lengths is not None:
         out = np.where(live[:, :, None], out, 0.0)
 
     def rule(g):
         if lengths is not None:  # the rows past a length are constant
             g = np.where(live[:, :, None], g.reshape(bsz, n, -1), 0.0)
-        # a copy, which a stack adds the gradients of its upper layers' inputs to
-        g = flip(np.array(g.reshape(bsz, n, 2, nd, hsz).transpose(1, 2, 3, 0, 4)), 2)
-        d_start = np.empty((2, nd, bsz, hsz), dtype=dtype)
-        for l in range(len(passes) - 1, -1, -1):
-            at, (flat, ys, wh_all, startl) = passes[l], kept[l]
-            gl, stepsl = g[:, :, at], steps[:, :, at]
-            # the (h, c) each step started from
-            prev = np.concatenate([np.array(startl, dtype=dtype)[None], stepsl[:-1]])
-            gates = ys * scale + shift
-            tc = np.tanh(stepsl[:, 1])
-            dcell = gates[:, 3] * (1.0 - tc * tc)  # o·(1 − tanh²c): dh into dc
-            # slope·(1 − y²) times what dc (i, f, g) or dh (o) meets in each
-            # gate: dz once the loop scales the blocks
-            dz = slope * (1.0 - ys * ys)
-            dz[:, 0] *= gates[:, 2]
-            dz[:, 1] *= prev[:, 1]
-            dz[:, 2] *= gates[:, 0]
-            dz[:, 3] *= tc
-            forget = gates[:, 1]
-            if lengths is not None:  # a padded step passes dh and dc through
-                dz *= ~pad[:, None, :, :, None]
-                dcell *= ~pad[..., None]
-                forget = np.where(pad[..., None], 1.0, forget)
-            wh_t = np.swapaxes(wh_all, 1, 2)
-            dh = dc = 0.0
-            for s in range(n - 1, -1, -1):
-                dh = dh + gl[s, 0]
-                dc = dc + gl[s, 1] + dh * dcell[s]
-                dz[s, :3] *= dc
-                dz[s, 3] *= dh
-                dc = dc * forget[s]
-                back = dz[s].transpose(1, 2, 0, 3).reshape(width, bsz, 4 * hsz) @ wh_t
-                if lengths is not None:
-                    np.copyto(back, dh, where=pad[s, :, :, None])
-                dh = back
-            d_start[0, at], d_start[1, at] = dh, dc  # the gradients of the initial state
-            # each direction in time order, (B, T) folded into rows
-            dz, prev = flip(dz, 2), flip(prev, 2)
-            for d, (w_x, w_h, bias) in enumerate(zip(wxs[at], whs[at], bs[at])):
-                dzd = dz[:, :, d].transpose(2, 0, 1, 3).reshape(bsz * n, 4 * hsz)
-                if l > 0:  # into the h rows the layer read
-                    dx = dzd @ w_x.data.T
-                    if masks is not None:
-                        dx = dx * masks[:, :, l - 1].reshape(bsz * n, hsz)
-                    g[:, 0, l - 1] += dx.reshape(bsz, n, hsz).swapaxes(0, 1)
-                elif x.requires_grad:
-                    x.accumulate((dzd @ w_x.data.T).reshape(x.data.shape))
-                if w_x.requires_grad:
-                    w_x.accumulate(flat.T @ dzd)
-                if w_h.requires_grad:
-                    w_h.accumulate(prev[:, 0, d].swapaxes(0, 1).reshape(bsz * n, hsz).T @ dzd)
-                if bias.requires_grad:
-                    bias.accumulate(_unbroadcast(dzd, bias.data.shape))
-        if state is not None:
-            if init[0].requires_grad:
-                init[0].accumulate(d_start.transpose(2, 0, 1, 3).reshape(init[0].data.shape))
-        else:
-            for t, d in zip(init, d_start):
-                if t.requires_grad:
-                    t.accumulate(d.swapaxes(0, 1).reshape(t.data.shape))
+        g = _flip(np.ascontiguousarray(g.reshape(bsz, n, 2, nd, hsz).transpose(1, 2, 3, 0, 4)), 2)
+        dz, prev, dh, dc = _lstm_bptt(g, ys, wh_all, steps, start, pad)
+        for dzd, w_x in zip(_lstm_weight_grads(dz, prev, flat, wxs, whs, bs), wxs):
+            if x.requires_grad:
+                x.accumulate((dzd @ w_x.data.T).reshape(x.data.shape))
+        # dh and dc are the gradients of the initial state
+        for t, d in zip(init, (dh, dc)):
+            if t.requires_grad:
+                t.accumulate(d.swapaxes(0, 1).reshape(t.data.shape))
 
     return _make(out if x.data.ndim == 3 else out[0], (x, *wxs, *whs, *bs, *init), rule)
+
+
+def lstm_stack(x, wx, wh, b, state, masks=None):
+    """Run a unidirectional stack of L LSTM layers over ``x`` (B, T, D),
+    or one (T, D) sequence, in one op.  ``wx``, ``wh`` and ``b`` are lists
+    of the L layers' weights, bottom first, layer l > 0 reading layer l -
+    1's h rows.  Returns every layer's rows ``[h_0 | … | h_{L-1} | c_0 |
+    … | c_{L-1}]``, (B, T, 2LH) or (T, 2LH), the top layer's h being the
+    stack's output.
+
+    ``state`` is the initial state of every layer packed in that layout,
+    one step's rows, (B, 2LH) or (B, 1, 2LH): a decoder's initial state,
+    or k beam rows advanced one step as k sequences of length 1; the
+    backward sends its gradient to it in its own shape.  ``masks``, (B, T,
+    L - 1, H) or (T, L - 1, H) for a (T, D) input, scale the rows layer l
+    reads by ``masks[..., l - 1, :]``: inter-layer dropout drawn by the
+    caller.
+
+    Each layer is one pass of :func:`lstm_sequence`'s kernel over every
+    step in turn, so the values are those of L chained
+    :func:`lstm_sequence` calls, each upper layer's input multiplied by
+    its mask, bit for bit.  The backward runs each layer's
+    backpropagation through time, top layer first, adding each layer's
+    input gradient (times its mask) to the h gradient of the layer below;
+    its gradients are within 1e-10 relative of the chained calls'.
+    """
+    if not (isinstance(wx, (list, tuple)) and len(wx) == len(wh) == len(b) > 0):
+        raise ValueError("a stack takes equal, non-empty lists of per-layer wx, wh and b")
+    x = as_tensor(x)
+    wxs, whs, bs = (tuple(map(as_tensor, w)) for w in (wx, wh, b))
+    xs = x.data if x.data.ndim == 3 else x.data[None]
+    (bsz, n, dim), layers, hsz = xs.shape, len(wxs), whs[0].data.shape[0]
+    dtype = x.data.dtype
+    state = as_tensor(state)
+    # every layer's initial (h, c), (2, L, B, H), one contiguous (B, H) block each
+    start = np.ascontiguousarray(state.data.reshape(bsz, 2, layers, hsz).transpose(1, 2, 0, 3),
+                                 dtype=dtype)
+    if masks is not None:
+        masks = np.asarray(masks).reshape(bsz * n, layers - 1, hsz)
+    steps = np.empty((n, 2, layers, bsz, hsz), dtype=dtype)  # every step's (h, c)
+    flats, passes = [], []  # each layer's input rows, and its pass's tanh values and wh
+    flat = xs.reshape(bsz * n, dim)
+    for l in range(layers):
+        if l:
+            flat = steps[:, 0, l - 1].swapaxes(0, 1).reshape(bsz * n, hsz)
+            if masks is not None:
+                flat = flat * masks[:, l - 1]
+        at = slice(l, l + 1)
+        flats.append(flat)
+        passes.append(_lstm_pass(flat, (bsz, n), wxs[at], whs[at], bs[at], *start[:, at],
+                                 steps[:, :, at]))
+    out = steps.transpose(3, 0, 1, 2, 4).reshape(bsz, n, 2 * layers * hsz)
+
+    def rule(g):
+        # a copy, to which each layer adds the gradient of its input rows
+        g = np.array(g.reshape(bsz, n, 2, layers, hsz).transpose(1, 2, 3, 0, 4))
+        d_start = np.empty_like(start)
+        for l in range(layers - 1, -1, -1):
+            at = slice(l, l + 1)
+            dz, prev, d_start[0, at], d_start[1, at] = _lstm_bptt(
+                g[:, :, at], *passes[l], steps[:, :, at], start[:, at])
+            dzd, = _lstm_weight_grads(dz, prev, flats[l], wxs[at], whs[at], bs[at])
+            if l:  # into the h rows the layer read
+                dx = dzd @ wxs[l].data.T
+                if masks is not None:
+                    dx = dx * masks[:, l - 1]
+                g[:, 0, l - 1] += dx.reshape(bsz, n, hsz).swapaxes(0, 1)
+            elif x.requires_grad:
+                x.accumulate((dzd @ wxs[0].data.T).reshape(x.data.shape))
+        if state.requires_grad:
+            state.accumulate(d_start.transpose(2, 0, 1, 3).reshape(state.data.shape))
+
+    return _make(out if x.data.ndim == 3 else out[0], (x, *wxs, *whs, *bs, state), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,9 @@ class LstmCell:
     """Weights of one LSTM direction, run by :func:`autodiff.lstm_sequence`:
     the UCCA decoder's through :meth:`sequence`, advancing k rows one
     step as k sequences of length 1 ((k, 1, D) inputs and states (k, 1,
-    H) or (k, H), giving (k, 1, H) states), a :class:`BiLstm` layer's two
-    directions together, and the AMR decoder's layers as one stack."""
+    H) or (k, H), giving (k, 1, H) states), and a :class:`BiLstm` layer's
+    two directions together; the AMR decoder's layers run as one
+    :func:`autodiff.lstm_stack`."""
 
     def __init__(self, params, name, in_dim, hidden, rng):
         self.hidden = hidden

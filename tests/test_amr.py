@@ -522,8 +522,8 @@ class TestBatchedStep:
         """A step reshapes twice, its input to (k, 1, F) and the packed
         rows to (k·2L, H) blocks, whose top-layer h rows one gather takes,
         at 1 and at 3 layers (the attentions are one node each and
-        reshape inside it); it makes one ``lstm_sequence`` call and as
-        many tensors whatever its depth."""
+        reshape inside it); it makes one ``lstm_stack`` call, no
+        ``lstm_sequence`` call, and as many tensors whatever its depth."""
         counted, reshapes = [], []
         init, reshape = ad.Tensor.__init__, ad.reshape
 
@@ -536,7 +536,8 @@ class TestBatchedStep:
             return reshape(a, shape)
 
         monkeypatch.setattr(ad, "reshape", recording)
-        calls = spy(monkeypatch, ad, "lstm_sequence")
+        calls = spy(monkeypatch, ad, "lstm_stack")
+        layer_calls = spy(monkeypatch, ad, "lstm_sequence")
         built = {}
         for layers in (1, 3):
             ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=47,
@@ -551,7 +552,7 @@ class TestBatchedStep:
             built[layers] = len(counted)
             counted.clear()
             assert reshapes == [(3, 1, dec.feat_width), (3 * 2 * layers, dec.hidden)]
-            assert len(calls) == 1
+            assert len(calls) == 1 and not layer_calls
             reshapes.clear()
         assert built[3] == built[1]
 

@@ -514,10 +514,9 @@ class TestRaggedLengths:
 
 
 class TestStack:
-    """``ad.lstm_sequence`` on lists of per-layer weights: a
-    unidirectional stack of L layers from a packed state, the upper
-    layers' inputs scaled by masks, against L chained single-layer
-    calls."""
+    """``ad.lstm_stack``: a unidirectional stack of L layers from a
+    packed state, the upper layers' inputs scaled by masks, against L
+    chained single-layer ``ad.lstm_sequence`` calls."""
 
     LAYERS = 3
 
@@ -535,25 +534,12 @@ class TestStack:
 
     @staticmethod
     def stacked(x, layers, state, masks):
-        return ad.lstm_sequence(x, *(list(w) for w in zip(*layers)), state=state,
-                                masks=masks)
+        return ad.lstm_stack(x, *(list(w) for w in zip(*layers)), state=state, masks=masks)
 
     @staticmethod
     def chained(x, layers, state, masks):
-        """The stack as one single-layer call per layer, each upper
-        layer's input multiplied by its mask, as rows ``[h_0 | … | h_{L-1}
-        | c_0 | … | c_{L-1}]``."""
-        n_layers = len(layers)
-        init = ad.split(state, [H] * (2 * n_layers), axis=-1)
-        cur, hs, cs = x, [], []
-        for l, (wx, wh, b) in enumerate(layers):
-            if l and masks is not None:
-                cur = ad.mul(cur, masks[..., l - 1, :])
-            out = ad.lstm_sequence(cur, wx, wh, b, h0=init[l], c0=init[n_layers + l])
-            cur, c = ad.split(out, [H, H], axis=-1)
-            hs.append(cur)
-            cs.append(c)
-        return ad.concat(hs + cs, axis=-1)
+        return chained_layers(ad.lstm_sequence, x, *(list(w) for w in zip(*layers)),
+                              state=state, masks=masks)
 
     def leaves(self, x, layers, state):
         return [x, *(w for layer in layers for w in layer), state]
@@ -562,7 +548,9 @@ class TestStack:
     @pytest.mark.parametrize("n", [1, 4])
     def test_gradcheck(self, n, bsz):
         x, layers, state, masks, proj = self.inputs(200 + n + 10 * bsz, n, bsz)
-        check_gradients(lambda: scalarize(self.stacked(x, layers, state, masks), proj),
+        stack = [list(w) for w in zip(*layers)]
+        check_gradients(lambda: scalarize(ad.lstm_stack(x, *stack, state=state, masks=masks),
+                                          proj),
                         self.leaves(x, layers, state))
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -603,61 +591,48 @@ class TestStack:
             runs.append([t.grad.copy() for t in leaves])
         assert_grads_close(*runs)
 
-    @pytest.mark.parametrize("stack", [False, True])
-    def test_packed_state_is_h0_and_c0(self, stack):
-        """``state`` and the ``(h0, c0)`` halves it packs give the same
-        bits, for a stack and for the two directions of a biLSTM layer
-        (made of the upper layers' weights, which read H-wide rows)."""
-        x, layers, state, masks, proj = self.inputs(270, 4, 3)
-        if stack:
-            weights_ = [list(w) for w in zip(*layers)]
-        else:
-            weights_ = list(zip(*layers[1:]))
-            x = ad.Tensor(np.random.default_rng(271).normal(size=(3, 4, H)))
-            state = ad.Tensor(state.data[:, :4 * H], requires_grad=True)
-            masks, proj = None, proj[..., :4 * H]
-        half = state.shape[1] // 2
-        h0, c0 = (ad.Tensor(part, requires_grad=True)
-                  for part in (state.data[:, :half], state.data[:, half:]))
-        runs = []
-        for init, leaves in (({"state": state}, [state]), ({"h0": h0, "c0": c0}, [h0, c0])):
-            out = ad.lstm_sequence(x, *weights_, masks=masks, **init)
-            ad.reduce_sum(ad.mul(out, proj)).backward()
-            grads = np.concatenate([t.grad for t in leaves], axis=1)
-            runs.append((out.data.tobytes(), grads.tobytes()))
-        assert runs[0] == runs[1]
-
-    def test_refuses_lengths_and_unstacked_masks(self):
+    def test_a_stack_and_a_layer_refuse_each_others_weights(self):
+        """The form is chosen by the function called, never by the
+        container: a stack needs equal lists of per-layer weights, and
+        ``lstm_sequence`` refuses such lists."""
         x, layers, state, masks, _ = self.inputs(280, 4, 3)
+        stacked = [list(w) for w in zip(*layers)]
         with pytest.raises(ValueError):
-            ad.lstm_sequence(x, *(list(w) for w in zip(*layers)), state=state,
-                             lengths=[4, 2, 1])
+            ad.lstm_sequence(x, *stacked)
         with pytest.raises(ValueError):
-            ad.lstm_sequence(x, *layers[0], masks=masks)
+            ad.lstm_stack(x, *layers[0], state=state)
+        with pytest.raises(ValueError):
+            ad.lstm_stack(x, stacked[0], stacked[1][:2], stacked[2], state=state)
+        with pytest.raises(ValueError):
+            ad.lstm_stack(x, [], [], [], state=state)
 
 
 # ---------------------------------------------------------------------------
 # a whole multitask model: the fused op against the composed oracle
 
-def composed_op(x, wx, wh, b, h0=None, c0=None, lengths=None, state=None,
-                masks=None):
+def chained_layers(single, x, wx, wh, b, state, masks=None):
+    """A stack of layers as one ``single`` call per layer (the signature
+    of ``ad.lstm_sequence``), each from its part of the packed ``state``
+    and each upper layer's input multiplied by its mask, as rows ``[h_0 |
+    … | h_{L-1} | c_0 | … | c_{L-1}]``."""
+    hsz, n = ad.as_tensor(wh[0]).shape[0], len(wx)
+    init = ad.split(state, [hsz] * (2 * n), axis=-1)
+    cur, hs, cs = x, [], []
+    for l in range(n):
+        if l and masks is not None:
+            cur = ad.mul(cur, masks[..., l - 1, :])
+        out = single(cur, wx[l], wh[l], b[l], h0=init[l], c0=init[n + l])
+        cur, c = ad.split(out, [hsz, hsz], axis=-1)
+        hs.append(cur)
+        cs.append(c)
+    return ad.concat(hs + cs, axis=-1)
+
+
+def composed_op(x, wx, wh, b, h0=None, c0=None, lengths=None):
     """``ad.lstm_sequence`` composed from elementary ops, on the calls a
-    model's training makes: a biLSTM layer's (T, D) rows, one direction
-    from a given state or zero, or a stack of layers from a packed state,
-    chained one layer at a time with each upper layer's input masked."""
+    model's training makes: a biLSTM layer's (T, D) rows, or one
+    direction from a given state or zero."""
     assert lengths is None  # a training sentence is a batch of one
-    if isinstance(wx, list):
-        hsz, n = wh[0].shape[0], len(wx)
-        init = ad.split(state, [hsz] * (2 * n), axis=-1)
-        cur, hs, cs = x, [], []
-        for l in range(n):
-            if l and masks is not None:
-                cur = ad.mul(cur, masks[..., l - 1, :])
-            out = composed_op(cur, wx[l], wh[l], b[l], h0=init[l], c0=init[n + l])
-            cur, c = ad.split(out, [hsz, hsz], axis=-1)
-            hs.append(cur)
-            cs.append(c)
-        return ad.concat(hs + cs, axis=-1)
     if isinstance(wx, tuple):
         return reference_bilstm(ad.as_tensor(x), *zip(wx, wh, b))
     x = ad.as_tensor(x)
@@ -702,6 +677,8 @@ def test_framework_terms_match_composed_cells(tiny_model, monkeypatch):
     model, prep = tiny_model
     fused_losses, fused_grads = _terms_and_grads(model, prep)
     monkeypatch.setattr(ad, "lstm_sequence", composed_op)
+    monkeypatch.setattr(ad, "lstm_stack", lambda x, *weights, **init:
+                        chained_layers(composed_op, x, *weights, **init))
     ref_losses, ref_grads = _terms_and_grads(model, prep)
     assert {k for k in fused_losses if k.startswith(("ucca.", "amr."))}
     assert fused_losses.keys() == ref_losses.keys()
