@@ -56,9 +56,17 @@ the AMR source and history attentions, and :func:`pointer_mixture`, the
 AMR decoder's switch-weighted concatenation of its three distributions.
 
 Also home to the optimizer (:class:`Adam`), global-norm gradient
-clipping and :class:`ParamSet`, the named parameter container that
-alone writes and reads checkpoints: deterministic, uncompressed zips of
-exact ``.npy`` arrays that ``np.load(path, allow_pickle=False)`` opens.
+clipping and :class:`ParamSet`.  The optimizer keeps the values,
+gradients and moments of the parameters that have had a gradient in
+one flat store, in parameter order: each such parameter's ``data`` is a
+view of its value slot, and its first gradient of a backward pass is
+written into its gradient slot (``Tensor.grad_home``) by the one path
+that allocates a first gradient, so a step runs the textbook update
+over runs of adjacent slots in cache-sized blocks, each parameter
+getting the bits of stepping it alone.  ``ParamSet`` is the named
+parameter container that alone writes and reads checkpoints:
+deterministic, uncompressed zips of exact ``.npy`` arrays that
+``np.load(path, allow_pickle=False)`` opens.
 Their writer, ``_write_npz``, writes a bundle in one pass, the bytes of
 ``zipfile`` (``force_zip64=True``) and ``np.lib.format.write_array`` on
 Python 3.11 and later on POSIX: each member's zip and ``.npy`` headers
@@ -94,6 +102,7 @@ CHECKPOINT_FORMAT_VERSION = 2
 _META = "__meta__"
 ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)  # of every checkpoint member
 ADAM_EPS = 1e-8  # added to Adam's root second moment
+ADAM_BLOCK = 32768  # values per pass of an Adam step: its operands stay in cache
 
 
 @contextlib.contextmanager
@@ -114,16 +123,19 @@ class Tensor:
 
     ``parents`` and ``backward_rule`` are set by the ops below; user
     code only constructs leaves.  ``grad`` is lazily allocated and
-    accumulated into, never overwritten.
+    accumulated into, never overwritten.  ``grad_home`` is where a
+    parameter's first gradient goes while an :class:`Adam` holds it in
+    its store: a view of its slot there, laid out like ``data``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule")
+    __slots__ = ("data", "grad", "grad_home", "requires_grad", "parents", "backward_rule")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_rule=None):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.grad_home = None
         self.requires_grad = requires_grad
         self.parents = parents if requires_grad else ()
         self.backward_rule = backward_rule if requires_grad else None
@@ -134,19 +146,33 @@ class Tensor:
 
     def accumulate(self, g):
         """Add ``g`` into ``grad``.  The first gradient of the same shape
-        and dtype is copied into a buffer laid out like ``data``: the
-        values of adding it to zeros, except that a -0.0 stays -0.0, and
-        the buffer aliases no other array.  Any other first gradient is
-        broadcast or cast by adding it to zeros."""
+        and dtype is copied into the gradient's buffer: the values of
+        adding it to zeros, except that a -0.0 stays -0.0.  Any other
+        first gradient is broadcast or cast by adding it to zeros.  The
+        buffer is ``grad_home`` when the tensor has one, else a new array
+        laid out like ``data``; either way it aliases no other gradient
+        and no value."""
         if self.grad is not None:
             self.grad += g
         elif (isinstance(g, np.ndarray) and g.shape == self.data.shape
                 and g.dtype == self.data.dtype):
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+            self._new_grad()[...] = g
         else:
-            self.grad = np.zeros_like(self.data)
+            self.grad_buffer()
             self.grad += g
+
+    def _new_grad(self):
+        """Make the gradient's buffer ``grad``, its values not yet set."""
+        self.grad = np.empty_like(self.data) if self.grad_home is None else self.grad_home
+        return self.grad
+
+    def grad_buffer(self):
+        """``grad``, first set to zeros in the gradient's buffer when
+        there is none: the rules that scatter into part of a gradient
+        (:func:`split`, :func:`rows`, :func:`nll_of_probs`) add into it."""
+        if self.grad is None:
+            self._new_grad()[...] = 0.0
+        return self.grad
 
     def zero_grad(self):
         self.grad = None
@@ -324,9 +350,7 @@ def split(a, sizes, axis=0):
 
     def chunk(idx):
         def rule(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+            a.grad_buffer()[idx] += g
 
         return _make(a.data[idx], (a,), rule)
 
@@ -349,9 +373,7 @@ def rows(table, indices):
     indices = np.asarray(indices, dtype=np.int64)
 
     def rule(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, indices, g)
+        np.add.at(table.grad_buffer(), indices, g)
 
     return _make(table.data[indices], (table,), rule)
 
@@ -791,7 +813,8 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None, lengths=None):
     (bsz, n, dim), nd, hsz = xs.shape, len(wxs), whs[0].data.shape[0]
     dtype = x.data.dtype
     init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
-    start = ([t.data.reshape(bsz, nd, hsz).swapaxes(0, 1) for t in init] if init
+    # one contiguous (h, c) block, so the first step's ``h @ wh`` reads packed rows
+    start = (np.array([t.data.reshape(bsz, nd, hsz).swapaxes(0, 1) for t in init]) if init
              else [np.zeros((nd, bsz, hsz), dtype=dtype)] * 2)
     flat = xs.reshape(bsz * n, dim)
     steps = np.empty((n, 2, nd, bsz, hsz), dtype=dtype)  # every step's (h, c)
@@ -949,9 +972,7 @@ def nll_of_probs(probs, targets):
     out_data = -np.log(clipped).sum()
 
     def rule(g):
-        if probs.grad is None:
-            probs.grad = np.zeros_like(probs.data)
-        np.add.at(probs.grad, idx,
+        np.add.at(probs.grad_buffer(), idx,
                   np.broadcast_to(-g, picked.shape).copy() / clipped * (picked >= _CLIP))
 
     return _make(out_data, (probs,), rule)
@@ -963,8 +984,12 @@ def nll_of_probs(probs, targets):
 def clip_gradients(params, max_norm):
     """Scale all gradients uniformly so their global L2 norm is <= max_norm.
 
-    Returns ``(factor, norm)``: the factor applied (1.0 when already
-    within the bound) and the global norm before clipping.
+    The norm adds each gradient's own sum of squares in the order of
+    ``params``, so it rounds the same whatever store holds the
+    gradients; each gradient is scaled in place, a stored parameter's in
+    its slot of :class:`Adam`'s store.  Returns ``(factor, norm)``: the
+    factor applied (1.0 when already within the bound) and the global
+    norm before clipping.
     """
     total = 0.0
     for p in params:
@@ -981,14 +1006,31 @@ def clip_gradients(params, max_norm):
 
 
 class Adam:
-    """Adam with bias correction.  A parameter's slot pair (moments) is
-    allocated at its first gradient; steps without one never touch the
-    slots, so updates equal those of slots zeroed up front.
+    """Adam with bias correction, stepping every parameter from one flat
+    store.
+
+    The store holds, in parameter order, one slot per parameter that has
+    had a gradient, in four float64 arrays: values, gradients and the
+    two moments.  It is laid out at the first step from the parameters
+    graded then, and laid out once more, in the same order, when a
+    parameter gets its first gradient later; that parameter's moments
+    start at zero.  A stored parameter's ``data`` is a view of its value
+    slot and its ``grad_home`` a view of its gradient slot, so the
+    backward pass writes its gradients in place; a gradient set from
+    outside is copied in.  A parameter never graded has no slot and no
+    moments, and a step in which a stored parameter has no gradient
+    leaves its slot as it was: the updates are those of moments zeroed
+    up front.  A parameter is in one optimizer's store at a time.
+    :meth:`release` ends training: the parameters keep their values and
+    lose their gradients and homes.
 
     A step runs the textbook arithmetic in its order, ``m = b1·m + (1 -
     b1)·g``, ``v = b2·v + (1 - b2)·g·g``, then ``lr·m̂ / (√v̂ + eps)`` with
-    ``m̂ = m / (1 - b1^t)`` and ``v̂ = v / (1 - b2^t)``, in place: every
-    temporary goes to one scratch pair sized to the largest parameter.
+    ``m̂ = m / (1 - b1^t)`` and ``v̂ = v / (1 - b2^t)``, in place, over
+    each run of adjacent slots graded in the step, ``ADAM_BLOCK`` values
+    at a time through one scratch pair, so its operands stay in cache.
+    Every operation is elementwise, so each parameter gets the bits of
+    stepping it alone.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999):
@@ -997,39 +1039,81 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.t = 0
-        self.slots = {}  # parameter index -> (m, v)
-        size = max((p.data.size for p in self.params), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._slots = []  # (parameter, lo, hi, gradient home) in parameter order
+        self._unstored = self.params  # the parameters without a slot
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
+    def _lay_out(self):
+        """Lay the store out anew over the stored parameters and those
+        with a gradient now, copying values, gradients and moments over."""
+        old = {id(p): (lo, hi) for p, lo, hi, _ in self._slots}
+        members = [p for p in self.params if id(p) in old or p.grad is not None]
+        size = sum(p.data.size for p in members)
+        values, grads, moments = np.empty(size), np.empty(size), np.zeros((2, size))
+        self._slots, lo = [], 0
+        for p in members:
+            hi, shape = lo + p.data.size, p.data.shape
+            if id(p) in old:
+                moments[:, lo:hi] = self._moments[:, slice(*old[id(p)])]
+            values[lo:hi] = p.data.reshape(-1)
+            p.data = values[lo:hi].reshape(shape)
+            p.grad_home = grads[lo:hi].reshape(shape)
+            if p.grad is not None:
+                p.grad_home[...] = p.grad
+                p.grad = p.grad_home
+            self._slots.append((p, lo, hi, p.grad_home))
+            lo = hi
+        self._values, self._grads, self._moments = values, grads, moments
+        self._scratch = np.empty((2, min(size, ADAM_BLOCK)))
+        self._unstored = [p for p in self.params if p.grad is None and id(p) not in old]
+
     def step(self):
         self.t += 1
+        if any(p.grad is not None for p in self._unstored):
+            self._lay_out()
+        runs = []  # [lo, hi) of adjacent slots graded in this step
+        for p, lo, hi, home in self._slots:
+            if p.grad is None:
+                continue
+            if p.grad is not home:  # a gradient set from outside
+                home[...] = p.grad
+                p.grad = home
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for k, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if k not in self.slots:
-                self.slots[k] = (np.zeros_like(p.data), np.zeros_like(p.data))
-            m, v = self.slots[k]
-            s, r = (a[:g.size].reshape(g.shape) for a in self._scratch)
-            m *= b1
-            m += np.multiply(1 - b1, g, out=s)
-            v *= b2
-            np.multiply(1 - b2, g, out=s)
-            s *= g
-            v += s
-            np.divide(m, c1, out=s)  # m̂
-            np.divide(v, c2, out=r)  # v̂
-            np.sqrt(r, out=r)
-            r += ADAM_EPS
-            s *= self.lr
-            s /= r
-            p.data -= s
+        for run_lo, run_hi in runs:
+            for lo in range(run_lo, run_hi, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, run_hi)
+                w, g, m, v = self._values[lo:hi], self._grads[lo:hi], *self._moments[:, lo:hi]
+                s, r = self._scratch[:, :hi - lo]
+                m *= b1
+                m += np.multiply(1 - b1, g, out=s)
+                v *= b2
+                np.multiply(1 - b2, g, out=s)
+                s *= g
+                v += s
+                np.divide(m, c1, out=s)  # m̂
+                np.divide(v, c2, out=r)  # v̂
+                np.sqrt(r, out=r)
+                r += ADAM_EPS
+                s *= self.lr
+                s /= r
+                w -= s
+
+    def release(self):
+        """End training: every parameter drops its gradient and its
+        gradient home, and the optimizer its gradients and moments; the
+        parameters keep their values."""
+        for p in self.params:
+            p.grad = p.grad_home = None
+        self._slots, self._unstored = [], self.params
+        self._grads = self._moments = None
 
 
 # ---------------------------------------------------------------------------

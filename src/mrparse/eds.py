@@ -391,6 +391,7 @@ def train_abstract_models(models, all_examples):
             total = ad.add(total, ad.cross_entropy_logits(scores(elab, x_fired), edge_idx))
         total.backward()
         opt.step()
+    opt.release()
 
 
 # ---------------------------------------------------------------------------

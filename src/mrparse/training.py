@@ -905,7 +905,7 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None):
         if store != run_dir:
             shutil.rmtree(store, ignore_errors=True)
         raise
-    opt.zero_grad()  # the last minibatch's gradients would outlive training
+    opt.release()  # the gradient store would outlive training
     last = cfg.epochs - 1
     best_epochs = {key: (st.best_epoch if st.best_epoch is not None else last)
                    for key, st in stoppers.items()}

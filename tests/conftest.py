@@ -1197,6 +1197,51 @@ def reference_train_abstract_models(models, all_examples):
 
 
 # ---------------------------------------------------------------------------
+# the optimizer as it stepped each parameter alone, before the flat store:
+# ``ad.Adam`` must give every parameter the same bytes
+
+def reference_adam(params, lr=1e-3, beta1=0.9, beta2=0.999):
+    """Counterpart of ``ad.Adam``: returns ``step``, which steps every
+    parameter of ``params`` that has a gradient by the per-array loop,
+    its moments (``step.slots``, parameter index -> (m, v)) allocated at
+    its first gradient."""
+    params = list(params)
+    size = max((p.data.size for p in params), default=0)
+    scratch = (np.empty(size), np.empty(size))
+    slots = {}
+
+    def step():
+        step.t += 1
+        b1, b2 = beta1, beta2
+        c1, c2 = 1 - b1 ** step.t, 1 - b2 ** step.t
+        for k, p in enumerate(params):
+            g = p.grad
+            if g is None:
+                continue
+            if k not in slots:
+                slots[k] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            m, v = slots[k]
+            s, r = (a[:g.size].reshape(g.shape) for a in scratch)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            np.multiply(1 - b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)  # m̂
+            np.divide(v, c2, out=r)  # v̂
+            np.sqrt(r, out=r)
+            r += ad.ADAM_EPS
+            s *= lr
+            s /= r
+            p.data -= s
+
+    step.t = 0
+    step.slots = slots
+    return step
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 def reference_save(ps, path, extra=None):

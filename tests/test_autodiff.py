@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 import weakref
 import zipfile
 from pathlib import Path
@@ -19,8 +20,8 @@ from scipy.special import softmax as sp_softmax
 from mrparse import autodiff as ad
 
 from conftest import (assert_same_arrays, bilinear, bilinear_label, byte_flips,
-                      check_gradients, reference_additive_attention, reference_elu,
-                      reference_nll_of_probs, reference_pointer_mixture,
+                      check_gradients, reference_adam, reference_additive_attention,
+                      reference_elu, reference_nll_of_probs, reference_pointer_mixture,
                       reference_read_npz, reference_save, reference_sigmoid,
                       reference_tanh, reference_transpose, scalarize)
 
@@ -570,6 +571,21 @@ class TestNoGrad:
         check_gradients(lambda: scalarize(reference_tanh(ad.matmul(a, b)), proj), [a, b])
 
 
+def give_gradients(params, grads, deliver):
+    """Set each parameter's gradient (None: none): ``backward`` from one
+    graph whose gradients are exactly ``grads``, ``assigned`` directly."""
+    if deliver == "assigned":
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        return
+    terms = [ad.reduce_sum(ad.mul(p, g)) for p, g in zip(params, grads) if g is not None]
+    if terms:
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        total.backward()
+
+
 class TestOptimizer:
     def test_adam_first_step_is_scaled_sign(self):
         rng = np.random.default_rng(10)
@@ -625,14 +641,26 @@ class TestOptimizer:
         np.testing.assert_allclose(w.data, target, atol=1e-3)
 
     def test_adam_never_graded_tensor_has_no_slots(self):
+        """A parameter never graded gets no slot in the store: its values
+        stay its own array, it has no gradient home, and the optimizer
+        keeps less memory than its two moments would take."""
         rng = np.random.default_rng(12)
         used = ad.Tensor(rng.normal(size=3), requires_grad=True)
         idle = ad.Tensor(rng.normal(size=(40, 40)), requires_grad=True)
-        opt = ad.Adam([idle, used], lr=0.1)
-        for _ in range(3):
-            used.grad = rng.normal(size=3)
-            opt.step()
-        assert list(opt.slots) == [1]
+        idle_values = idle.data
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt = ad.Adam([idle, used], lr=0.1)
+            for _ in range(3):
+                used.grad = rng.normal(size=3)
+                opt.step()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert idle.grad_home is None and idle.data is idle_values
+        assert used.grad_home is not None and used.grad is used.grad_home
+        assert kept < idle.data.nbytes
 
     def test_adam_late_first_gradient_matches_eager_slots(self):
         # first graded at step 3: the same update as with slots zeroed at
@@ -659,9 +687,9 @@ class TestOptimizer:
         assert np.array_equal(w.data, ref)
 
     def test_adam_steps_bytewise_as_the_textbook_formula(self):
-        """In place through the scratch pair, the same bits as fresh
-        temporaries; a parameter without a gradient in a step does not
-        move and its slots stay as they were."""
+        """In place through the store, the same bits as fresh temporaries;
+        a parameter without a gradient in a step does not move, and its
+        moments stay as they were, or its later steps would differ."""
         rng = np.random.default_rng(14)
         shapes = [(3, 5), (), (7,), (2, 2, 2)]
         inits = [rng.normal(size=s) for s in shapes]
@@ -673,7 +701,6 @@ class TestOptimizer:
         for t in range(1, 9):
             grads = [None if (t + k) % 3 == 0 else rng.normal(size=s)
                      for k, s in enumerate(shapes)]
-            before = {k: (m.copy(), v.copy()) for k, (m, v) in opt.slots.items()}
             moved = [p.data.copy() for p in params]
             for p, g in zip(params, grads):
                 p.grad = None if g is None else g.copy()
@@ -681,9 +708,6 @@ class TestOptimizer:
             for k, g in enumerate(grads):
                 if g is None:
                     assert params[k].data.tobytes() == moved[k].tobytes()
-                    if k in before:
-                        assert all(a.tobytes() == b.tobytes()
-                                   for a, b in zip(opt.slots[k], before[k]))
                     continue
                 if slots[k] is None:
                     slots[k] = (np.zeros(shapes[k]), np.zeros(shapes[k]))
@@ -694,6 +718,107 @@ class TestOptimizer:
                 ref[k] = ref[k] - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             for p, want in zip(params, ref):
                 assert p.data.tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("deliver", ["backward", "assigned"])
+    @pytest.mark.parametrize("block", [None, 4], ids=["block", "block4"])
+    def test_store_steps_bytewise_as_the_per_array_loop(self, monkeypatch, block, deliver):
+        """Eight steps of every pattern of grading against the oracle:
+        always graded, missing on some steps, a late first gradient, graded
+        once and then rarely, never graded; a 0-d parameter, and one that
+        spans blocks (or, at 4 values a block, blocks that span
+        parameters).  Gradients come from a backward pass, so they land in
+        their gradient homes, or are set from outside."""
+        if block is not None:
+            monkeypatch.setattr(ad, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(15)
+        shapes = [(3, 5), (), (7,), (2, 2, 2), (4,), (6, 3), (181, 200)]
+        graded = [lambda t: True, lambda t: t % 3 != 0, lambda t: (t + 2) % 3 != 0,
+                  lambda t: t >= 5, lambda t: t in (1, 7), lambda t: False,
+                  lambda t: t != 4]
+        inits = [rng.normal(size=s) for s in shapes]
+        store = [ad.Tensor(a.copy(), requires_grad=True) for a in inits]
+        oracle = [ad.Tensor(a.copy(), requires_grad=True) for a in inits]
+        opt = ad.Adam(store, lr=0.03, beta1=0.8, beta2=0.99)
+        ref_step = reference_adam(oracle, lr=0.03, beta1=0.8, beta2=0.99)
+        for t in range(1, 9):
+            grads = [rng.normal(size=s) if graded[k](t) else None
+                     for k, s in enumerate(shapes)]
+            for params, step in ((store, opt.step), (oracle, ref_step)):
+                for p in params:
+                    p.zero_grad()
+                give_gradients(params, grads, deliver)
+                step()
+            for p, q in zip(store, oracle):
+                assert p.data.tobytes() == q.data.tobytes()
+        assert store[5].grad_home is None and store[5].data.base is None
+        assert all(p.grad_home is not None for k, p in enumerate(store) if k != 5)
+
+    def test_store_over_part_of_a_param_set(self):
+        """``eds.train_abstract_models``'s pattern: an optimizer over some
+        parameters of a set steps them as the oracle does; the rest keep
+        their values and their gradients, outside the store."""
+        rng = np.random.default_rng(16)
+        spec = [("enc.w", (4, 3)), ("det.w", (3, 2)), ("enc.b", (3,)),
+                ("det.b", (2,)), ("lab.w", (3, 5))]
+        store, oracle = ad.ParamSet(), None
+        for name, shape in spec:
+            store.new(name, shape, rng)
+        oracle = ad.ParamSet(store.state_dict())
+        for name, shape in spec:
+            oracle.new(name, shape, rng)
+        fitted = ("det.w", "det.b", "lab.w")
+        opt = ad.Adam([store[n] for n in fitted], lr=0.05)
+        ref_step = reference_adam([oracle[n] for n in fitted], lr=0.05)
+        frozen = {n: store[n].data.copy() for n, _ in spec if n not in fitted}
+        for t in range(1, 9):
+            grads = [None if name == "lab.w" and t % 2 else rng.normal(size=shape)
+                     for name, shape in spec]
+            for params, step in ((store, opt.step), (oracle, ref_step)):
+                params = params.tensors()
+                for p in params:
+                    p.zero_grad()
+                give_gradients(params, grads, "backward")
+                step()
+            for name, _ in spec:
+                assert store[name].data.tobytes() == oracle[name].data.tobytes()
+            for name, before in frozen.items():
+                assert store[name].data.tobytes() == before.tobytes()
+                assert store[name].grad_home is None and store[name].grad is not None
+
+    @pytest.mark.parametrize("op", ["rows", "split", "nll_of_probs"])
+    def test_a_scattered_gradient_lands_in_the_store(self, op):
+        """A table graded only through an op that scatters into part of
+        its gradient: once the table has a slot, the gradient is written
+        there, and the table steps to the oracle's bytes."""
+        rng = np.random.default_rng(17)
+        inits = [rng.normal(size=3), rng.uniform(0.5, 1.0, size=(6, 4))]
+        store = [ad.Tensor(a.copy(), requires_grad=True) for a in inits]
+        oracle = [ad.Tensor(a.copy(), requires_grad=True) for a in inits]
+        opt = ad.Adam(store, lr=0.01)
+        ref_step = reference_adam(oracle, lr=0.01)
+
+        def loss(params, t, proj, g):
+            other, table = params
+            if op == "rows":
+                picked = ad.rows(table, [t % 6, 2, 2])
+            elif op == "split":
+                picked = ad.split(table, [2, 3, 1])[t % 3]
+            else:
+                picked = ad.nll_of_probs(table, [t % 4, 1, 1, 3, 0, 2])
+            term = ad.reduce_sum(ad.mul(picked, proj[:picked.data.size].reshape(picked.shape)))
+            return ad.add(term, ad.reduce_sum(ad.mul(other, g)))
+
+        for t in range(1, 9):
+            proj, g = rng.normal(size=12), rng.normal(size=3)
+            for params, step in ((store, opt.step), (oracle, ref_step)):
+                for p in params:
+                    p.zero_grad()
+                loss(params, t, proj, g).backward()
+                if params is store and t > 1:
+                    assert params[1].grad is params[1].grad_home
+                step()
+            for p, q in zip(store, oracle):
+                assert p.data.tobytes() == q.data.tobytes()
 
     def test_clip_rescales_to_bound(self):
         a = ad.Tensor(np.zeros(2), requires_grad=True)

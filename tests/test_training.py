@@ -27,7 +27,7 @@ import mrparse.training as T
 import mrparse.ucca as U
 from mrparse import datagen
 from mrparse.config import fine_tune_config, multitask_config, single_config
-from mrparse.encoder import BiLstm
+from mrparse.encoder import PARAM_PREFIX, BiLstm
 
 from conftest import (BEAM_TOL, assert_same_arrays, assert_same_generation,
                       count_decoder_steps, per_framework_loss,
@@ -944,19 +944,33 @@ class TestEds:
         assert recorded  # the spy sees the taped encoder pass
 
 
-def test_training_releases_gradients(split, corpus):
+def test_training_releases_gradients(split, corpus, monkeypatch):
     """Every regime returns a model without the last minibatch's
-    gradients; the release leaves the trained weights as they were."""
+    gradients and without a view of the optimizer's gradient store; the
+    release leaves the trained weights as they were.  The frozen EDS
+    encoder never gets a slot in the store, so no moments."""
     cfg = tiny(multitask_config(), epochs=1, seed=3)
     emb = (corpus.static, corpus.contextual)
+    step = ad.Adam.step
+    stored = set()  # ids of the parameters with a slot after an EDS step
+
+    def spy(self):
+        step(self)
+        stored.update(id(p) for p in self.params if p.grad_home is not None)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = T.train_multitask(split, cfg, *emb)
         tuned = T.fine_tune(res, "ucca", replace(cfg, seed=12), split, *emb)
+        monkeypatch.setattr(ad.Adam, "step", spy)
         converter, _ = T.train_eds(split, cfg, *emb, corpus.rules,
                                    encoder_from=res.model)
     for model in (res.model, tuned.model, converter):
-        assert all(p.grad is None for p in model.params.tensors())
+        assert all(p.grad is None and p.grad_home is None
+                   for p in model.params.tensors())
+    encoder = [converter.params[name] for name in converter.params.state_dict()
+               if name.startswith(f"{PARAM_PREFIX}.")]
+    assert encoder and stored and not stored & {id(p) for p in encoder}
     for run in (res, tuned):
         last = kept_state(run, len(run.history) - 1)
         for name, arr in run.model.params.state_dict().items():
