@@ -140,3 +140,108 @@ def test_out_is_replaced_whole_or_left_alone(tmp_path, monkeypatch):
         trajectory.main(argv)
     assert out.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", "out.json"]
+
+
+# ---------------------------------------------------------------------------
+# paired mode: a change against its parent
+
+SPEC = {"run_seconds": 20, "workloads": [{"name": "pipeline"}],
+        "end_to_end": [{"name": "train_sents_per_s", "better": "higher"},
+                       {"name": "ckpt_save_s", "better": "lower"}]}
+
+
+def paired_checkouts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    return str(parent), str(change)
+
+
+def fake_pairs(monkeypatch, parent, values):
+    """Route ``run_once`` to canned runs: ``values[checkout is parent]``
+    (rate, save) per seed; returns the list of (side, seed, trace) calls."""
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        side = "parent" if checkout == parent else "change"
+        calls.append((side, seed, trace))
+        rate, save = values[side][seed]
+        return trajectory.parse_run(canned_stdout(
+            workload, seed, 1.0, {"train_sents_per_s": rate, "ckpt_save_s": save,
+                                  "unranked": 1.0},
+            commit=side, attempted=5, failed=int(side == "change" and seed == 13)))
+
+    monkeypatch.setattr(trajectory, "git_status", lambda checkout: [])
+    monkeypatch.setattr(trajectory, "run_once", run)
+    return calls
+
+
+def test_pairs_alternate_and_show_a_gain(tmp_path, monkeypatch, capsys):
+    parent, change = paired_checkouts(tmp_path)
+    seeds = range(11, 21)
+    rates = {"parent": {s: 170.0 + s % 5 for s in seeds},
+             "change": {s: 180.0 + s % 5 - 20.0 * (s == 14) for s in seeds}}
+    values = {side: {s: (rates[side][s], 0.003 + (side == "change") * 0.0001)
+                     for s in seeds} for side in rates}
+    values["change"][15] = (values["change"][15][0], 0.003)  # a tie
+    calls = fake_pairs(monkeypatch, parent, values)
+    out = tmp_path / "pairs.json"
+    assert trajectory.main(["--checkout", change, "--against", parent, "--pairs", "10",
+                            "--first-seed", "11", "--out", str(out)]) == 0
+    # untraced runs only; the parent first in even pairs, the change in odd
+    assert [trace for _, _, trace in calls] == [0] * 20
+    assert calls[:4] == [("parent", 11, 0), ("change", 11, 0),
+                         ("change", 12, 0), ("parent", 12, 0)]
+    record = json.loads(out.read_text())["workloads"]["pipeline"]
+    assert record["seeds"] == list(seeds)
+    assert record["parent"]["git_commit"] == "parent"
+    assert (record["change"]["failed"], record["change"]["attempted"]) == (1, 50)
+    rate = record["metrics"]["train_sents_per_s"]
+    assert rate["parent"]["values"] == [rates["parent"][s] for s in seeds]
+    assert (rate["parent"]["q1"], rate["parent"]["median"], rate["parent"]["q3"]) == (
+        pytest.approx(171.0), pytest.approx(172.0), pytest.approx(173.0))
+    assert (rate["won"], rate["lost"]) == (9, 1)
+    assert rate["gap"] == pytest.approx(rate["change"]["median"] - 172.0)
+    assert rate["parent_spread"] == pytest.approx(2.0) and rate["gain_shown"]
+    save = record["metrics"]["ckpt_save_s"]  # lower is better: the change lost
+    assert (save["won"], save["lost"]) == (0, 9) and not save["gain_shown"]
+    assert record["metrics"]["unranked"]["better"] is None
+    assert "won" not in record["metrics"]["unranked"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pipeline: failed operations, parent 0 of 50, change 1 of 50"
+    assert any(line.startswith("pipeline train_sents_per_s: parent 172 [171, 173]")
+               and line.endswith("won 9 of 10, gap 9.5 against parent spread 2: gain shown")
+               for line in lines)
+
+
+@pytest.mark.parametrize("pairs, change_rate, want", [
+    (10, lambda s: 180.0 - 20.0 * (s in (3, 4)), False),  # 8 of 10 won
+    (10, lambda s: 170.0 + s % 5 + 1.0, False),  # 10 of 10, gap 1 within spread 2
+    (9, lambda s: 190.0, False),  # every pair won, but fewer than ten
+    (10, lambda s: 190.0, True),
+], ids=["eight-of-ten", "gap-within-spread", "nine-pairs", "shown"])
+def test_the_gain_rule(tmp_path, monkeypatch, pairs, change_rate, want):
+    parent, change = paired_checkouts(tmp_path)
+    seeds = range(1, pairs + 1)
+    values = {"parent": {s: (170.0 + s % 5, 0.003) for s in seeds},
+              "change": {s: (change_rate(s), 0.003) for s in seeds}}
+    fake_pairs(monkeypatch, parent, values)
+    out = tmp_path / "pairs.json"
+    trajectory.main(["--checkout", change, "--against", parent, "--pairs", str(pairs),
+                     "--out", str(out)])
+    rate = json.loads(out.read_text())["workloads"]["pipeline"]["metrics"]["train_sents_per_s"]
+    assert rate["gain_shown"] is want
+
+
+@pytest.mark.parametrize("dirty", ["parent", "change"])
+def test_pairs_refuse_a_dirty_checkout_before_any_run(tmp_path, monkeypatch, dirty):
+    parent, change = paired_checkouts(tmp_path)
+    bad = parent if dirty == "parent" else change
+    monkeypatch.setattr(trajectory, "git_status", lambda checkout: (
+        [" M src/mrparse/autodiff.py"] if checkout == bad else []))
+    monkeypatch.setattr(trajectory, "run_once", no_run)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit, match=f"^{bad}: src/ or bench/ differ"):
+        trajectory.main(["--checkout", change, "--against", parent, "--out", str(out)])
+    assert not out.exists()

@@ -15,6 +15,23 @@ line of ``bench-info`` with the median of the clock's ``slowdown``; and
 once, the checkout's commit and ``src/`` line count.  A run that exits
 non-zero stops the script.
 
+With ``--against``, it compares two checkouts instead:
+
+    python3 tools/trajectory.py --against ../parent-clone --pairs 10 \
+        --first-seed 11 --workload pipeline --out pairs.json
+
+For each workload and each of ``--pairs`` seeds from ``--first-seed``
+on, it runs ``bench/run.py --trace 0`` of both checkouts in turn, the
+``--against`` (parent) checkout first in the first pair and the two
+alternating after that.  The file records, per workload and end-to-end
+metric, each side's median and quartiles with every value, the pairs
+the change (``--checkout``) won, lost and tied by the direction
+``BENCHMARK.json`` gives the metric, and whether a gain is shown: at
+least ten pairs, at least nine tenths of them won (a tie counts for
+neither side), and a gap between the medians, in the better direction,
+larger than the distance between the parent's quartiles.  One line per
+metric goes to stdout.
+
 ``bench/run.py`` reads the commit from ``.git`` but counts the lines of
 the working tree, so the script refuses, before the first run, a
 checkout whose ``src/`` or ``bench/`` differ from its commit, or that
@@ -117,9 +134,78 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     return parse_run(proc.stdout)
 
 
+def spread(values):
+    """{q1, median, q3, values} of one side's runs."""
+    q1, median, q3 = quartiles(values)
+    return {"q1": q1, "median": median, "q3": q3, "values": values}
+
+
+def compare(pairs, better):
+    """The paired record of one workload's ``pairs``, (parent, change)
+    (bench-info, result) pairs in run order; ``better`` maps each metric
+    with a direction to ``"higher"`` or ``"lower"``."""
+    for side in (0, 1):
+        infos = [pair[side][0] for pair in pairs]
+        for key in ("git_commit", "src_lines", *MACHINE):
+            if len({json.dumps(info[key]) for info in infos}) != 1:
+                raise ValueError(f"runs differ in {key}")
+    record = {"seeds": [parent[0]["seed"] for parent, _ in pairs], "metrics": {}}
+    for name, side in (("parent", 0), ("change", 1)):
+        record[name] = {"git_commit": pairs[0][side][0]["git_commit"],
+                        "src_lines": pairs[0][side][0]["src_lines"],
+                        "attempted": sum(pair[side][1]["attempted"] for pair in pairs),
+                        "failed": sum(pair[side][1]["failed"] for pair in pairs)}
+    for metric, entry in pairs[0][1][1]["metrics"].items():
+        values = [[pair[side][1]["metrics"][metric]["value"] for pair in pairs]
+                  for side in (0, 1)]
+        row = {"unit": entry["unit"], "better": better.get(metric),
+               "parent": spread(values[0]), "change": spread(values[1])}
+        if row["better"] is not None:
+            sign = 1.0 if row["better"] == "higher" else -1.0
+            gains = [sign * (c - p) for p, c in zip(*values)]
+            row["won"] = sum(g > 0 for g in gains)
+            row["lost"] = sum(g < 0 for g in gains)
+            row["gap"] = sign * (row["change"]["median"] - row["parent"]["median"])
+            row["parent_spread"] = row["parent"]["q3"] - row["parent"]["q1"]
+            row["gain_shown"] = (len(pairs) >= 10 and 10 * row["won"] >= 9 * len(pairs)
+                                 and row["gap"] > row["parent_spread"])
+        record["metrics"][metric] = row
+    return record
+
+
+def summary(workload, metric, row, pairs):
+    """One stdout line of a compared metric."""
+    line = (f"{workload} {metric}: parent {row['parent']['median']:.6g} "
+            f"[{row['parent']['q1']:.6g}, {row['parent']['q3']:.6g}], change "
+            f"{row['change']['median']:.6g} [{row['change']['q1']:.6g}, "
+            f"{row['change']['q3']:.6g}]")
+    if row["better"] is None:
+        return line
+    return (line + f"; won {row['won']} of {pairs}, gap {row['gap']:.6g} against "
+            f"parent spread {row['parent_spread']:.6g}: gain "
+            + ("shown" if row["gain_shown"] else "not shown"))
+
+
+def run_pairs(parent, change, names, seeds, seconds):
+    """{workload: (parent, change) run pairs}, the parent first in even
+    pairs and the change first in odd ones."""
+    runs = {}
+    for name in names:
+        runs[name] = []
+        for k, seed in enumerate(seeds):
+            if k % 2 == 0:
+                first = run_once(parent, name, seed, seconds)
+                runs[name].append((first, run_once(change, name, seed, seconds)))
+            else:
+                first = run_once(change, name, seed, seconds)
+                runs[name].append((run_once(parent, name, seed, seconds), first))
+    return runs
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="tools/trajectory.py")
-    p.add_argument("--out", required=True, help="the BENCH_<pr>.json to write")
+    p.add_argument("--out", required=True,
+                   help="the BENCH_<pr>.json to write; with --against, the paired record")
     p.add_argument("--checkout", default=str(ROOT),
                    help="the repository whose bench/run.py runs (default: this one)")
     p.add_argument("--seeds", type=int, default=10, help="seeds 1..N per workload")
@@ -127,12 +213,34 @@ def main(argv=None):
                    help="--seconds of each run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--workload", action="append",
                    help="a workload to run; repeatable (default: all)")
+    p.add_argument("--against", help="a parent checkout to compare --checkout with, "
+                   "in alternating pairs of untraced runs")
+    p.add_argument("--pairs", type=int, default=10, help="pairs per workload (--against)")
+    p.add_argument("--first-seed", type=int, default=1,
+                   help="the seed of the first pair (--against)")
     args = p.parse_args(argv)
     with open(Path(args.checkout) / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     names = args.workload or [w["name"] for w in spec["workloads"]]
     require_clean(args.checkout)
+    if args.against is not None:
+        require_clean(args.against)
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        seeds = range(args.first_seed, args.first_seed + args.pairs)
+        runs = run_pairs(args.against, args.checkout, names, seeds, seconds)
+        record = {name: compare(pairs, better) for name, pairs in runs.items()}
+        with atomic_open(args.out) as fh:
+            json.dump({"seconds": seconds, "workloads": record}, fh, indent=1,
+                      sort_keys=True)
+            fh.write("\n")
+        for name, entry in record.items():
+            print(f"{name}: failed operations, parent {entry['parent']['failed']} of "
+                  f"{entry['parent']['attempted']}, change {entry['change']['failed']} of "
+                  f"{entry['change']['attempted']}")
+            for metric, row in entry["metrics"].items():
+                print(summary(name, metric, row, args.pairs))
+        return 0
     runs = {name: [run_once(args.checkout, name, seed, seconds)
                    for seed in range(1, args.seeds + 1)] for name in names}
     traced = {name: run_once(args.checkout, name, 1, seconds, trace=1) for name in names}
