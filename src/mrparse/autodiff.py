@@ -813,9 +813,9 @@ def lstm_sequence(x, wx, wh, b, h0=None, c0=None, lengths=None):
     (bsz, n, dim), nd, hsz = xs.shape, len(wxs), whs[0].data.shape[0]
     dtype = x.data.dtype
     init = () if h0 is None else (as_tensor(h0), as_tensor(c0))
-    # one contiguous (h, c) block, so the first step's ``h @ wh`` reads packed rows
-    start = (np.array([t.data.reshape(bsz, nd, hsz).swapaxes(0, 1) for t in init]) if init
-             else [np.zeros((nd, bsz, hsz), dtype=dtype)] * 2)
+    # contiguous, so the first step's ``h @ wh`` reads packed rows
+    start = ([np.ascontiguousarray(t.data.reshape(bsz, nd, hsz).swapaxes(0, 1)) for t in init]
+             if init else [np.zeros((nd, bsz, hsz), dtype=dtype)] * 2)
     flat = xs.reshape(bsz * n, dim)
     steps = np.empty((n, 2, nd, bsz, hsz), dtype=dtype)  # every step's (h, c)
     pad = None
