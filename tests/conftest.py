@@ -1203,8 +1203,7 @@ def reference_train_abstract_models(models, all_examples):
 def reference_adam(params, lr=1e-3, beta1=0.9, beta2=0.999):
     """Counterpart of ``ad.Adam``: returns ``step``, which steps every
     parameter of ``params`` that has a gradient by the per-array loop,
-    its moments (``step.slots``, parameter index -> (m, v)) allocated at
-    its first gradient."""
+    its moments allocated at its first gradient."""
     params = list(params)
     size = max((p.data.size for p in params), default=0)
     scratch = (np.empty(size), np.empty(size))
@@ -1237,7 +1236,6 @@ def reference_adam(params, lr=1e-3, beta1=0.9, beta2=0.999):
             p.data -= s
 
     step.t = 0
-    step.slots = slots
     return step
 
 

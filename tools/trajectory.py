@@ -68,24 +68,34 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def require_same(infos):
+    """Raise unless the bench-info dicts name one commit, source size
+    and machine."""
+    for key in ("git_commit", "src_lines", *MACHINE):
+        if len({json.dumps(info[key]) for info in infos}) != 1:
+            raise ValueError(f"runs differ in {key}")
+
+
+def spread(values):
+    """{q1, median, q3, values} of a metric's runs."""
+    q1, median, q3 = quartiles(values)
+    return {"q1": q1, "median": median, "q3": q3, "values": values}
+
+
 def aggregate(runs, traced):
     """The trajectory record of ``runs``, per workload a list of
     (bench-info, result) pairs in seed order, and of ``traced``, per
     workload the (bench-info, result) pair of its traced run."""
     infos = [info for pairs in runs.values() for info, _ in pairs]
     infos += [info for info, _ in traced.values()]
-    for key in ("git_commit", "src_lines", *MACHINE):
-        if len({json.dumps(info[key]) for info in infos}) != 1:
-            raise ValueError(f"runs differ in {key}")
+    require_same(infos)
     first = infos[0]
     workloads = {}
     for name, pairs in runs.items():
         metrics = {}
         for metric, entry in pairs[0][1]["metrics"].items():
             values = [result["metrics"][metric]["value"] for _, result in pairs]
-            q1, median, q3 = quartiles(values)
-            metrics[metric] = {"unit": entry["unit"], "median": median,
-                               "q1": q1, "q3": q3, "values": values}
+            metrics[metric] = {"unit": entry["unit"], **spread(values)}
         workloads[name] = {
             "seeds": [info["seed"] for info, _ in pairs],
             "attempted": sum(result["attempted"] for _, result in pairs),
@@ -134,21 +144,12 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     return parse_run(proc.stdout)
 
 
-def spread(values):
-    """{q1, median, q3, values} of one side's runs."""
-    q1, median, q3 = quartiles(values)
-    return {"q1": q1, "median": median, "q3": q3, "values": values}
-
-
 def compare(pairs, better):
     """The paired record of one workload's ``pairs``, (parent, change)
     (bench-info, result) pairs in run order; ``better`` maps each metric
     with a direction to ``"higher"`` or ``"lower"``."""
     for side in (0, 1):
-        infos = [pair[side][0] for pair in pairs]
-        for key in ("git_commit", "src_lines", *MACHINE):
-            if len({json.dumps(info[key]) for info in infos}) != 1:
-                raise ValueError(f"runs differ in {key}")
+        require_same([pair[side][0] for pair in pairs])
     record = {"seeds": [parent[0]["seed"] for parent, _ in pairs], "metrics": {}}
     for name, side in (("parent", 0), ("change", 1)):
         record[name] = {"git_commit": pairs[0][side][0]["git_commit"],
