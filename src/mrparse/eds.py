@@ -201,16 +201,10 @@ class LogRegModel:
         self.classes = list(classes)
         return self
 
-    def logits(self, feats):
-        x = ad.Tensor(hash_features(feats, self.n_buckets).reshape(1, -1))
-        return ad.add(ad.matmul(x, self.w), self.b)
-
-    def probability(self, feats):
-        """Binary-model probability of the positive class."""
-        return float(ad.sigmoid(self.logits(feats)).data[0, 0])
-
-    def best_class(self, feats):
-        return self.classes[int(np.argmax(self.logits(feats).data[0]))]
+    def logits(self, rows):
+        """(sites, n_classes) scores of the (sites, n_buckets) hashed
+        site rows, one product for all of them."""
+        return ad.add(ad.matmul(rows, self.w), self.b)
 
 
 def node_site_features(graph, node):
@@ -239,9 +233,12 @@ class AbstractModels:
 def generate_abstract_nodes(surface, rules, models=None):
     """Add rule-implied and detector-fired abstract nodes (unanchored).
 
-    A detector fires where its probability exceeds
-    ``DETECTION_THRESHOLD``.  With ``models`` None the result is a pure
-    function of the surface graph.
+    Each surface node's site is hashed once into one (sites, n_buckets)
+    matrix; the detector scores every row in one product and each
+    labeler the rows it fired on in one more.  The detector fires where
+    its probability exceeds ``DETECTION_THRESHOLD``.  Implied nodes come
+    first, then fired ones in surface order.  With ``models`` None the
+    result is a pure function of the surface graph.
     """
     nodes = list(surface.nodes)
     edges = list(surface.edges)
@@ -262,12 +259,17 @@ def generate_abstract_nodes(surface, rules, models=None):
             if n.label == imp.if_label:
                 attach(n.id, imp.add_label, imp.edge, imp.direction)
 
-    if models is not None:
-        for n in surface.nodes:
-            feats = node_site_features(surface, n)
-            if models.detector.probability(feats) > DETECTION_THRESHOLD:
-                attach(n.id, models.node_labeler.best_class(feats),
-                       models.edge_labeler.best_class(feats), "abstract_to_node")
+    if models is not None and surface.nodes:
+        x = np.stack([hash_features(node_site_features(surface, n), models.detector.n_buckets)
+                      for n in surface.nodes])
+        p = ad.sigmoid(models.detector.logits(x)).data[:, 0]
+        fired = np.flatnonzero(p > DETECTION_THRESHOLD)
+        if fired.size:
+            node_best = np.argmax(models.node_labeler.logits(x[fired]).data, axis=1)
+            edge_best = np.argmax(models.edge_labeler.logits(x[fired]).data, axis=1)
+            for k, nb, eb in zip(fired, node_best, edge_best):
+                attach(surface.nodes[k].id, models.node_labeler.classes[nb],
+                       models.edge_labeler.classes[eb], "abstract_to_node")
 
     return G.MrpGraph(id=surface.id, flavor=1, framework="eds", input=surface.input,
                       tops=surface.tops, nodes=tuple(nodes), edges=tuple(edges))
@@ -379,16 +381,13 @@ def train_abstract_models(models, all_examples):
     node_idx = [nlab.classes.index(all_examples[k][2]) for k in fired]
     edge_idx = [elab.classes.index(all_examples[k][3]) for k in fired]
 
-    def scores(m, rows):
-        return ad.add(ad.matmul(rows, m.w), m.b)
-
     opt = ad.Adam([t for m in (det, nlab, elab) for t in (m.w, m.b)], lr=ABSTRACT_LR)
     for _ in range(ABSTRACT_EPOCHS):
         opt.zero_grad()
-        total = ad.binary_cross_entropy(ad.sigmoid(scores(det, x_all)), targets)
+        total = ad.binary_cross_entropy(ad.sigmoid(det.logits(x_all)), targets)
         if fired:
-            total = ad.add(total, ad.cross_entropy_logits(scores(nlab, x_fired), node_idx))
-            total = ad.add(total, ad.cross_entropy_logits(scores(elab, x_fired), edge_idx))
+            total = ad.add(total, ad.cross_entropy_logits(nlab.logits(x_fired), node_idx))
+            total = ad.add(total, ad.cross_entropy_logits(elab.logits(x_fired), edge_idx))
         total.backward()
         opt.step()
     opt.release()
@@ -397,23 +396,28 @@ def train_abstract_models(models, all_examples):
 # ---------------------------------------------------------------------------
 # anchor span prediction
 
-def descendant_token_set(graph, node_id, token_of_node):
-    """Token indices of anchored descendants reached via outgoing edges."""
+def descendant_token_sets(graph, node_ids, token_of_node):
+    """Per node of ``node_ids``, the token indices of its anchored
+    descendants reached via outgoing edges; the graph's children map is
+    built once for all of them."""
     children = {}
     for e in graph.edges:
         children.setdefault(e.source, []).append(e.target)
-    seen = set()
-    stack = [node_id]
-    tokens = set()
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        if cur in token_of_node:
-            tokens.add(token_of_node[cur])
-        stack.extend(children.get(cur, []))
-    return tokens
+    sets = []
+    for node_id in node_ids:
+        seen = set()
+        stack = [node_id]
+        tokens = set()
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            if cur in token_of_node:
+                tokens.add(token_of_node[cur])
+            stack.extend(children.get(cur, []))
+        sets.append(tokens)
+    return sets
 
 
 class AnchorNet:
@@ -422,7 +426,10 @@ class AnchorNet:
     Per token j the input feature is the abstract node's label when j
     belongs to the node's descendant set, <UNK> otherwise; a biLSTM
     contextualizes the features and two MLP-backed dot products score
-    the from/to endpoints over tokens.
+    the from/to endpoints over tokens.  The k abstract nodes of a
+    sentence run as one (k, L) batch: one embedding gather, one biLSTM
+    run over k sequences of the sentence's L tokens, which need no
+    padding, and each token MLP once.
     """
 
     def __init__(self, params, name, label_inventory, encoder_width, rng,
@@ -436,24 +443,31 @@ class AnchorNet:
     def _label_id(self, label):
         return self.labels.index(label) if label in self.labels else 0
 
-    def endpoint_logits(self, label, token_set, token_states):
-        """(from_logits, to_logits), each (1, L) over tokens."""
+    def endpoint_logits(self, labels, token_sets, token_states):
+        """(from_logits, to_logits), each (k, L) over the L tokens, for
+        the k nodes of ``labels`` and their ``token_sets``.  A batch of
+        one runs the same rows and ops as a node alone, its products
+        broadcast over a leading axis of 1."""
         n_tokens = token_states.shape[0]
-        ids = [self._label_id(label) if j in token_set else 0 for j in range(n_tokens)]
-        feats = ad.rows(self.emb, ids)
-        h = self.lstm.run(feats).top                       # (L, 2*hidden)
-        from_scores = ad.reduce_sum(ad.mul(h, self.mlp_from(token_states)), axis=1)
-        to_scores = ad.reduce_sum(ad.mul(h, self.mlp_to(token_states)), axis=1)
-        return ad.reshape(from_scores, (1, n_tokens)), ad.reshape(to_scores, (1, n_tokens))
+        ids = []
+        for label, tset in zip(labels, token_sets):
+            lid = self._label_id(label)
+            ids.append([lid if j in tset else 0 for j in range(n_tokens)])
+        h = self.lstm.run(ad.rows(self.emb, ids)).top      # (k, L, 2*hidden)
+        from_scores = ad.reduce_sum(ad.mul(h, self.mlp_from(token_states)), axis=-1)
+        to_scores = ad.reduce_sum(ad.mul(h, self.mlp_to(token_states)), axis=-1)
+        return from_scores, to_scores
 
-    def predict_span(self, label, token_set, token_states):
-        """(from_token, to_token, swapped_flag) via the two argmaxes."""
-        f, t = self.endpoint_logits(label, token_set, token_states)
-        i = int(np.argmax(f.data[0]))
-        j = int(np.argmax(t.data[0]))
-        if i > j:
-            return j, i, True
-        return i, j, False
+    def predict_span(self, labels, token_sets, token_states):
+        """One (from_token, to_token, swapped_flag) per node, via the two
+        argmaxes of its row of :meth:`endpoint_logits`."""
+        if not labels:
+            return []
+        f, t = self.endpoint_logits(labels, token_sets, token_states)
+        spans = []
+        for i, j in zip(np.argmax(f.data, axis=1).tolist(), np.argmax(t.data, axis=1).tolist()):
+            spans.append((j, i, True) if i > j else (i, j, False))
+        return spans
 
 
 def anchor_loss(logit_pairs, gold_spans):
@@ -498,18 +512,21 @@ def token_of_anchored_node(graph, tokens):
 
 def convert(dm_graph, tokens, rules, models=None, anchor_net=None,
             token_states=None):
-    """Full DM -> EDS pipeline; returns (graph, diagnostics)."""
+    """Full DM -> EDS pipeline; returns (graph, diagnostics).
+
+    The learned parts run once per sentence: the detector and labelers
+    over all surface sites (:func:`generate_abstract_nodes`), then, with
+    ``anchor_net`` and ``token_states``, one :meth:`AnchorNet.predict_span`
+    over all unanchored nodes.
+    """
     surface = dm_to_eds_surface(dm_graph, rules)
     full = generate_abstract_nodes(surface, rules, models=models)
     diagnostics = {"swapped": 0}
     if anchor_net is not None and token_states is not None:
         token_of_node = token_of_anchored_node(full, tokens)
-        spans = {}
-        for n in full.nodes:
-            if n.anchors:
-                continue
-            tset = descendant_token_set(full, n.id, token_of_node)
-            i, j, swapped = anchor_net.predict_span(n.label, tset, token_states)
-            spans[n.id] = (i, j, swapped)
-        full, diagnostics = attach_anchor_spans(full, spans, tokens)
+        open_nodes = [n for n in full.nodes if not n.anchors]
+        tsets = descendant_token_sets(full, [n.id for n in open_nodes], token_of_node)
+        spans = anchor_net.predict_span([n.label for n in open_nodes], tsets, token_states)
+        full, diagnostics = attach_anchor_spans(
+            full, {n.id: span for n, span in zip(open_nodes, spans)}, tokens)
     return full, diagnostics

@@ -1062,21 +1062,21 @@ def _anchor_items(sent, surface):
     _, abstract_ids = E.split_surface_abstract(gold, surface)
     token_of_node = E.token_of_anchored_node(gold, sent.tokens)
     by_id = gold.node_by_id()
-    items = []
+    spanned = []
     for a in abstract_ids:
-        node = by_id[a]
-        span = _token_span(node, sent.tokens)
+        span = _token_span(by_id[a], sent.tokens)
         if span is None:
             warnings.warn(f"{sent.id}: abstract node {a} has no token span")
-            continue
-        tset = E.descendant_token_set(gold, a, token_of_node)
-        items.append((node.label, tset, span[0], span[1]))
-    return items
+        else:
+            spanned.append((a, span))
+    tsets = E.descendant_token_sets(gold, [a for a, _ in spanned], token_of_node)
+    return [(by_id[a].label, tset, i, j) for (a, (i, j)), tset in zip(spanned, tsets)]
 
 
 def _anchor_loss(model, token_states, items):
-    """Endpoint cross-entropies of one sentence's abstract nodes."""
-    pairs = [model.anchor.endpoint_logits(label, tset, token_states)
+    """Endpoint cross-entropies of one sentence's abstract nodes, each
+    node its own batch of one, so the gradients sum as they always have."""
+    pairs = [model.anchor.endpoint_logits([label], [tset], token_states)
              for label, tset, _, _ in items]
     return E.anchor_loss(pairs, [(i, j) for _, _, i, j in items])
 

@@ -1173,21 +1173,23 @@ def reference_correspondence(gold, pred):
 # parameters within rounding and make the same decisions.
 
 def reference_train_abstract_models(models, all_examples):
-    """Counterpart of ``eds.train_abstract_models`` (per-site graphs)."""
+    """Counterpart of ``eds.train_abstract_models`` (per-site graphs, each
+    site's hashed row its own (1, n_buckets) matrix)."""
     opt = ad.Adam([t for m in (models.detector, models.node_labeler, models.edge_labeler)
                    for t in (m.w, m.b)], lr=E.ABSTRACT_LR)
     for _ in range(E.ABSTRACT_EPOCHS):
         opt.zero_grad()
         losses = []
         for feats, fired, nlab, elab in all_examples:
-            p = ad.sigmoid(models.detector.logits(feats))
+            x = E.hash_features(feats, models.detector.n_buckets)[None]
+            p = ad.sigmoid(models.detector.logits(x))
             losses.append(ad.binary_cross_entropy(p, np.array([[float(fired)]])))
             if fired:
                 losses.append(ad.cross_entropy_logits(
-                    models.node_labeler.logits(feats),
+                    models.node_labeler.logits(x),
                     [models.node_labeler.classes.index(nlab)]))
                 losses.append(ad.cross_entropy_logits(
-                    models.edge_labeler.logits(feats),
+                    models.edge_labeler.logits(x),
                     [models.edge_labeler.classes.index(elab)]))
         total = losses[0]
         for l in losses[1:]:

@@ -8,6 +8,7 @@ import mrparse.autodiff as ad
 import mrparse.eds as eds
 import mrparse.graphs as G
 from mrparse import datagen
+from mrparse.encoder import BiLstm
 from mrparse.graphs import Anchor, MrpEdge, MrpGraph, MrpNode, TokenRow, validate_graph
 
 from conftest import reference_train_abstract_models
@@ -117,6 +118,20 @@ class TestSurfaceConversion:
         assert os.listdir(tmp_path) == ["rules.json"]
 
 
+def site_logits(model, feats):
+    """One site's (1, n_classes) scores, its hashed row a matrix of one."""
+    return model.logits(eds.hash_features(feats, model.n_buckets)[None])
+
+
+def probability(model, feats):
+    """A binary model's probability of the positive class at one site."""
+    return float(ad.sigmoid(site_logits(model, feats)).data[0, 0])
+
+
+def best_class(model, feats):
+    return model.classes[int(np.argmax(site_logits(model, feats).data[0]))]
+
+
 def constant_detector(p, node_label="udef_q", edge_label="BV"):
     # zero weights, bias fixed: fires with probability p at every site
     params = ad.ParamSet()
@@ -146,7 +161,7 @@ class TestAbstractNodes:
         g = dm_graph([dm_node(0, "chicken", frame="n:x")], [])
         surface = eds.dm_to_eds_surface(g, rules_fixture())
         models = constant_detector(0.9)
-        assert models.detector.probability(["anything"]) == pytest.approx(0.9)
+        assert probability(models.detector, ["anything"]) == pytest.approx(0.9)
         out = eds.generate_abstract_nodes(surface, rules_fixture(), models=models)
         by_label = {n.label: n for n in out.nodes}
         assert "_chicken_n_1" in by_label and "udef_q" in by_label
@@ -218,14 +233,14 @@ class TestHashedLogReg:
     def test_binary_probability_in_unit_interval(self):
         params = ad.ParamSet()
         m = eds.LogRegModel(params, "m", 1, 64, np.random.default_rng(3))
-        p = m.probability(["label=x", "pos=NN"])
+        p = probability(m, ["label=x", "pos=NN"])
         assert 0.0 < p < 1.0
 
     def test_multiclass_distribution(self):
         params = ad.ParamSet()
         m = eds.LogRegModel(params, "m", 3, 64, np.random.default_rng(3))
         m.attach_classes(["a", "b", "c"])
-        dist = ad.softmax(m.logits(["f1", "f2"]), axis=-1).data[0]
+        dist = ad.softmax(site_logits(m, ["f1", "f2"]), axis=-1).data[0]
         assert dist.shape == (3,)
         np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
 
@@ -242,10 +257,10 @@ class TestHashedLogReg:
                                            **eds.abstract_shape(examples))
         eds.train_abstract_models(models, examples)
         for feats, fired, nlab, elab in examples:
-            assert (models.detector.probability(feats) > 0.5) == bool(fired)
+            assert (probability(models.detector, feats) > 0.5) == bool(fired)
             if fired:
-                assert models.node_labeler.best_class(feats) == "udef_q"
-                assert models.edge_labeler.best_class(feats) == "BV"
+                assert best_class(models.node_labeler, feats) == "udef_q"
+                assert best_class(models.edge_labeler, feats) == "BV"
 
     def test_implied_labels_excluded_from_examples(self):
         rules = rules_fixture()
@@ -318,10 +333,10 @@ class TestAbstractFit:
             if not any(fired for _, fired, _, _ in examples) and name[:4] in ("nlab", "elab"):
                 assert arr.tobytes() == init[name].tobytes(), name
         for feats, _, _, _ in examples:
-            assert (models.detector.probability(feats) > eds.DETECTION_THRESHOLD) \
-                == (ref.detector.probability(feats) > eds.DETECTION_THRESHOLD)
-            assert models.node_labeler.best_class(feats) == ref.node_labeler.best_class(feats)
-            assert models.edge_labeler.best_class(feats) == ref.edge_labeler.best_class(feats)
+            assert (probability(models.detector, feats) > eds.DETECTION_THRESHOLD) \
+                == (probability(ref.detector, feats) > eds.DETECTION_THRESHOLD)
+            assert best_class(models.node_labeler, feats) == best_class(ref.node_labeler, feats)
+            assert best_class(models.edge_labeler, feats) == best_class(ref.edge_labeler, feats)
 
     def test_cases_cover_fired_and_class_counts(self):
         fired = {case: [f for _, f, _, _ in FIT_CASES[case]()] for case in FIT_CASES}
@@ -376,14 +391,14 @@ class TestDescendantTokens:
         toks = tokens_fixture(["a", "b"])
         mapping = eds.token_of_anchored_node(g, toks)
         assert mapping == {1: 0, 2: 1}
-        assert eds.descendant_token_set(g, 0, mapping) == {0, 1}
+        assert eds.descendant_token_sets(g, [0], mapping) == [{0, 1}]
 
     def test_cycle_terminates(self):
         nodes = (MrpNode(0, label="x"), MrpNode(1, label="y", anchors=(Anchor(0, 1),)))
         g = MrpGraph(id="g", flavor=1, framework="eds", input="a", tops=(0,),
                      nodes=nodes, edges=(MrpEdge(0, 1, "e"), MrpEdge(1, 0, "e")))
         mapping = {1: 0}
-        assert eds.descendant_token_set(g, 0, mapping) == {0}
+        assert eds.descendant_token_sets(g, [0], mapping) == [{0}]
 
 
 def make_anchor_net(labels, width, seed=0, **kw):
@@ -397,7 +412,7 @@ class TestAnchorNet:
     def test_endpoint_distributions_sum_to_one(self):
         net, _ = make_anchor_net(["_q"], width=6)
         states = ad.Tensor(np.random.default_rng(1).normal(size=(5, 6)))
-        f, t = net.endpoint_logits("_q", {1, 2}, states)
+        f, t = net.endpoint_logits(["_q"], [{1, 2}], states)
         for logits in (f, t):
             probs = ad.softmax(logits, axis=-1).data
             np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
@@ -406,11 +421,11 @@ class TestAnchorNet:
         # empty T_i: every position reads <UNK>, so the label cannot matter
         net, _ = make_anchor_net(["_q", "udef_q"], width=6)
         states = ad.Tensor(np.random.default_rng(2).normal(size=(4, 6)))
-        fa, ta = net.endpoint_logits("_q", set(), states)
-        fb, tb = net.endpoint_logits("udef_q", set(), states)
+        fa, ta = net.endpoint_logits(["_q"], [set()], states)
+        fb, tb = net.endpoint_logits(["udef_q"], [set()], states)
         np.testing.assert_array_equal(fa.data, fb.data)
         np.testing.assert_array_equal(ta.data, tb.data)
-        fc, _ = net.endpoint_logits("udef_q", {0}, states)
+        fc, _ = net.endpoint_logits(["udef_q"], [{0}], states)
         assert not np.array_equal(fb.data, fc.data)
 
     def test_unseen_label_falls_back_to_unk(self):
@@ -424,12 +439,12 @@ class TestAnchorNet:
         for _ in range(10):
             L = int(rng.integers(1, 7))
             states = ad.Tensor(rng.normal(size=(L, 6)))
-            i, j, _ = net.predict_span("_q", {0}, states)
+            [(i, j, _)] = net.predict_span(["_q"], [{0}], states)
             assert 0 <= i <= j < L
 
     def test_degenerate_span_swapped_and_flagged(self):
         class Pinned(eds.AnchorNet):
-            def endpoint_logits(self, label, token_set, token_states):
+            def endpoint_logits(self, labels, token_sets, token_states):
                 f = ad.Tensor(np.array([[0.0, 0.0, 9.0]]))
                 t = ad.Tensor(np.array([[9.0, 0.0, 0.0]]))
                 return f, t
@@ -437,7 +452,7 @@ class TestAnchorNet:
         params = ad.ParamSet()
         net = Pinned(params, "p", ["_q"], 6, np.random.default_rng(0))
         states = ad.Tensor(np.zeros((3, 6)))
-        i, j, swapped = net.predict_span("_q", {0}, states)
+        [(i, j, swapped)] = net.predict_span(["_q"], [{0}], states)
         assert (i, j, swapped) == (0, 2, True)
 
     def test_gradients_reach_all_parameters(self, gradcheck):
@@ -447,7 +462,7 @@ class TestAnchorNet:
         leaves = [states] + list(params.tensors())
 
         def build():
-            f, t = net.endpoint_logits("_q", {1}, states)
+            f, t = net.endpoint_logits(["_q"], [{1}], states)
             return eds.anchor_loss([(f, t)], [(1, 2)])
 
         gradcheck(build, leaves)
@@ -463,12 +478,13 @@ class TestAnchorNet:
             opt.zero_grad()
             pairs, golds = [], []
             for label, tset, span in cases:
-                pairs.append(net.endpoint_logits(label, tset, ad.Tensor(states_data)))
+                pairs.append(net.endpoint_logits([label], [tset], ad.Tensor(states_data)))
                 golds.append(span)
             eds.anchor_loss(pairs, golds).backward()
             opt.step()
-        for label, tset, span in cases:
-            i, j, swapped = net.predict_span(label, tset, ad.Tensor(states_data))
+        labels, tsets, spans = zip(*cases)
+        for (i, j, swapped), span in zip(net.predict_span(labels, tsets,
+                                                          ad.Tensor(states_data)), spans):
             assert (i, j) == span and not swapped
 
 
@@ -528,3 +544,83 @@ class TestFullConversion:
         assert G.graph_to_json(a) == G.graph_to_json(b)
         # rule nodes remain unanchored without an anchor net; surface ones keep theirs
         assert sum(1 for n in a.nodes if not n.anchors) == 1
+
+
+class TestOneLearnedPass:
+    """Conversion runs the detector, the labelers and the anchor net
+    once per sentence, with the decisions of one call per site or node."""
+
+    def converted(self):
+        # the detector fires at all three sites, the rule adds one _q: k = 4
+        g, toks = TestFullConversion().graph_and_tokens()
+        full = eds.generate_abstract_nodes(eds.dm_to_eds_surface(g, rules_fixture()),
+                                           rules_fixture(), models=constant_detector(0.9))
+        open_nodes = [n for n in full.nodes if not n.anchors]
+        tsets = eds.descendant_token_sets(full, [n.id for n in open_nodes],
+                                          eds.token_of_anchored_node(full, toks))
+        return g, toks, [n.label for n in open_nodes], tsets
+
+    def test_batched_anchors_agree_with_each_node_alone(self):
+        _, toks, labels, tsets = self.converted()
+        assert len(labels) >= 3 and len(set(map(frozenset, tsets))) >= 2
+        net, _ = make_anchor_net(["_q", "udef_q"], width=6)
+        states = ad.Tensor(np.random.default_rng(4).normal(size=(len(toks), 6)))
+        f, t = net.endpoint_logits(labels, tsets, states)
+        assert f.shape == t.shape == (len(labels), len(toks))
+        for k, (label, tset) in enumerate(zip(labels, tsets)):
+            f1, t1 = net.endpoint_logits([label], [tset], states)
+            np.testing.assert_allclose(f.data[k], f1.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t.data[k], t1.data[0], rtol=0, atol=1e-12)
+        assert net.predict_span(labels, tsets, states) == [
+            net.predict_span([label], [tset], states)[0] for label, tset in zip(labels, tsets)]
+
+    def test_a_sentence_runs_each_learned_part_once(self, monkeypatch):
+        g, toks, labels, _ = self.converted()
+        models = constant_detector(0.9)
+        net, _ = make_anchor_net(["_q", "udef_q"], width=6)
+        states = ad.Tensor(np.random.default_rng(4).normal(size=(len(toks), 6)))
+        calls = []
+        run, logits = BiLstm.run, eds.LogRegModel.logits
+
+        def counted_run(self, *args, **kwargs):
+            calls.append(self)
+            return run(self, *args, **kwargs)
+
+        def counted_logits(self, rows):
+            calls.append(self)
+            return logits(self, rows)
+
+        monkeypatch.setattr(BiLstm, "run", counted_run)
+        monkeypatch.setattr(eds.LogRegModel, "logits", counted_logits)
+        out, _ = eds.convert(g, toks, rules_fixture(), models=models, anchor_net=net,
+                             token_states=states)
+        assert len(labels) >= 3 and all(n.anchors for n in out.nodes)
+        for part in (net.lstm, models.detector, models.node_labeler, models.edge_labeler):
+            assert sum(c is part for c in calls) == 1
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("seed", [7, 19])
+    def test_batched_detector_decides_as_the_per_site_oracle(self, seed):
+        corpus = datagen.build_corpus(n=24, seed=seed)
+        examples = datagen_examples(seed)
+        _, models = built_models(examples, 0)
+        eds.train_abstract_models(models, examples)
+        fired = 0
+        for s in corpus.sentences:
+            surface = eds.dm_to_eds_surface(s.graphs["dm"], corpus.rules)
+            implied = eds.generate_abstract_nodes(surface, corpus.rules)
+            out = eds.generate_abstract_nodes(surface, corpus.rules, models=models)
+            want = []
+            for n in surface.nodes:
+                feats = eds.node_site_features(surface, n)
+                if probability(models.detector, feats) > eds.DETECTION_THRESHOLD:
+                    want.append((n.id, best_class(models.node_labeler, feats),
+                                 best_class(models.edge_labeler, feats)))
+            by_id = out.node_by_id()
+            got = [(e.target, by_id[e.source].label, e.label)
+                   for e in out.edges[len(implied.edges):]]
+            assert got == want
+            assert [n.id for n in out.nodes[len(implied.nodes):]] == [
+                e.source for e in out.edges[len(implied.edges):]]
+            fired += len(want)
+        assert 0 < fired < sum(len(s.graphs["dm"].nodes) for s in corpus.sentences)

@@ -32,8 +32,8 @@ def canned_stdout(workload, seed, slowdown, metrics, attempted=10, failed=0,
 LAYERS = {"encoder.bilstm_s": 0.4, "autodiff.tensors_per_parse_sent": 170.5}
 
 
-def canned_traced(workload, commit="abc123"):
-    return trajectory.parse_run(canned_stdout(workload, 1, 1.2, LAYERS, commit=commit))
+def canned_traced(workload, commit="abc123", layers=LAYERS):
+    return trajectory.parse_run(canned_stdout(workload, 1, 1.2, layers, commit=commit))
 
 
 def test_medians_quartiles_and_counts_per_workload():
@@ -47,9 +47,9 @@ def test_medians_quartiles_and_counts_per_workload():
         "score": [trajectory.parse_run(canned_stdout(
             "score", 1, 1.3, {"ckpt_load_s": 0.007, "ckpt_mb": 2.6}))],
     }
-    record = trajectory.aggregate(runs, {w: canned_traced(w) for w in runs})
+    record = trajectory.aggregate(runs, {w: [canned_traced(w)] * 3 for w in runs})
     assert record["git_commit"] == "abc123" and record["src_lines"] == 7000
-    # the median slowdown over all eight runs, the traced ones included
+    # the median slowdown over all twelve runs, the traced ones included
     assert record["machine"] == dict(MACHINE, slowdown=pytest.approx(1.2))
     load = record["workloads"]["pipeline"]["metrics"]["ckpt_load_s"]
     assert load["values"] == [0.030, 0.010, 0.020, 0.040, 0.050]
@@ -64,7 +64,8 @@ def test_medians_quartiles_and_counts_per_workload():
     for name in runs:
         layers = record["workloads"][name]["per_layer"]
         assert layers["seed"] == 1
-        assert layers["metrics"] == {k: {"value": v, "unit": "s"} for k, v in LAYERS.items()}
+        assert layers["metrics"] == {k: {"value": v, "values": [v] * 3, "unit": "s"}
+                                     for k, v in LAYERS.items()}
     json.dumps(record)  # all of it serializes
 
 
@@ -74,13 +75,14 @@ def test_runs_of_different_commits_are_refused():
                                                          commit=commit))
                       for seed, commit in ((1, "abc123"), (2, "def456"))]}
     with pytest.raises(ValueError, match="runs differ in git_commit"):
-        trajectory.aggregate(runs, {"score": canned_traced("score")})
+        trajectory.aggregate(runs, {"score": [canned_traced("score")]})
 
 
 def test_a_traced_run_of_another_commit_is_refused():
     runs = {"score": [trajectory.parse_run(canned_stdout("score", 1, 1.0, {"ckpt_mb": 2.6}))]}
     with pytest.raises(ValueError, match="runs differ in git_commit"):
-        trajectory.aggregate(runs, {"score": canned_traced("score", commit="def456")})
+        trajectory.aggregate(runs, {"score": [canned_traced("score"),
+                                              canned_traced("score", commit="def456")]})
 
 
 def test_output_without_bench_info_is_refused():
@@ -128,8 +130,8 @@ def test_out_is_replaced_whole_or_left_alone(tmp_path, monkeypatch):
     out.write_text("old\n")
     argv = ["--checkout", fake_checkout(tmp_path), "--out", str(out), "--seeds", "2"]
     assert trajectory.main(argv) == 0
-    # the seeds untraced, then one traced run at seed 1
-    assert calls == [("score", 1, 0), ("score", 2, 0), ("score", 1, 1)]
+    # the seeds untraced, then three traced runs at seed 1
+    assert calls == [("score", 1, 0), ("score", 2, 0)] + [("score", 1, 1)] * 3
     record = json.loads(out.read_text())["workloads"]["score"]
     assert record["seeds"] == [1, 2]
     assert set(record["per_layer"]["metrics"]) == set(LAYERS)
@@ -140,6 +142,31 @@ def test_out_is_replaced_whole_or_left_alone(tmp_path, monkeypatch):
         trajectory.main(argv)
     assert out.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", "out.json"]
+
+
+def test_per_layer_figures_are_the_median_of_three_traced_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(trajectory, "git_status", lambda checkout: [])
+    backward = iter([0.42, 0.73, 0.51])
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        calls.append((seed, trace))
+        if not trace:
+            return canned_run(checkout, workload, seed, seconds)
+        return canned_traced(workload, layers={"autodiff.backward_s": next(backward),
+                                               "encoder.bilstm_calls": 36})
+
+    monkeypatch.setattr(trajectory, "run_once", run)
+    out = tmp_path / "out.json"
+    assert trajectory.main(["--checkout", fake_checkout(tmp_path), "--out", str(out),
+                            "--seeds", "1"]) == 0
+    assert trajectory.TRACED_RUNS == 3 and calls == [(1, 0)] + [(1, 1)] * 3
+    layers = json.loads(out.read_text())["workloads"]["score"]["per_layer"]
+    assert layers["seed"] == 1
+    assert layers["metrics"]["autodiff.backward_s"] == {
+        "unit": "s", "value": 0.51, "values": [0.42, 0.73, 0.51]}
+    assert layers["metrics"]["encoder.bilstm_calls"] == {
+        "unit": "s", "value": 36, "values": [36, 36, 36]}
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@
 For each workload (all that ``BENCHMARK.json`` declares unless
 ``--workload`` names some) and each seed 1..N, it runs
 ``bench/run.py --trace 0`` of the given checkout as a subprocess, in
-turn, and then one ``bench/run.py --trace 1`` at seed 1.  The file
-records, per workload, the median and quartiles of every end-to-end
-metric over the seeds, with each seed's value, the attempted and failed
-operations, and the per-layer metrics of the traced run; the machine
+turn, and then ``TRACED_RUNS`` runs of ``bench/run.py --trace 1`` at
+seed 1.  The file records, per workload, the median and quartiles of
+every end-to-end metric over the seeds, with each seed's value, the
+attempted and failed operations, and per per-layer metric the median
+of the traced runs as its ``value`` and their ``values``; the machine
 line of ``bench-info`` with the median of the clock's ``slowdown``; and
 once, the checkout's commit and ``src/`` line count.  A run that exits
 non-zero stops the script.
@@ -50,6 +51,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from mrparse.atomic import atomic_open  # noqa: E402
 
 MACHINE = ("python", "numpy", "blas", "nproc", "threads")
+# traced runs per workload; one run's per-layer times move with the machine
+TRACED_RUNS = 3
 
 
 def parse_run(stdout):
@@ -82,12 +85,23 @@ def spread(values):
     return {"q1": q1, "median": median, "q3": q3, "values": values}
 
 
+def per_layer(traced):
+    """The per-layer record of one workload's ``traced`` (bench-info,
+    result) pairs: per metric its median ``value`` and the ``values``."""
+    metrics = {}
+    for metric, entry in traced[0][1]["metrics"].items():
+        values = [result["metrics"][metric]["value"] for _, result in traced]
+        metrics[metric] = {"unit": entry["unit"], "value": statistics.median(values),
+                           "values": values}
+    return {"seed": traced[0][0]["seed"], "metrics": metrics}
+
+
 def aggregate(runs, traced):
     """The trajectory record of ``runs``, per workload a list of
     (bench-info, result) pairs in seed order, and of ``traced``, per
-    workload the (bench-info, result) pair of its traced run."""
+    workload the (bench-info, result) pairs of its traced runs."""
     infos = [info for pairs in runs.values() for info, _ in pairs]
-    infos += [info for info, _ in traced.values()]
+    infos += [info for pairs in traced.values() for info, _ in pairs]
     require_same(infos)
     first = infos[0]
     workloads = {}
@@ -101,8 +115,7 @@ def aggregate(runs, traced):
             "attempted": sum(result["attempted"] for _, result in pairs),
             "failed": sum(result["failed"] for _, result in pairs),
             "metrics": metrics,
-            "per_layer": {"seed": traced[name][0]["seed"],
-                          "metrics": traced[name][1]["metrics"]},
+            "per_layer": per_layer(traced[name]),
         }
     machine = {key: first[key] for key in MACHINE}
     machine["slowdown"] = statistics.median(info["slowdown"] for info in infos)
@@ -244,7 +257,8 @@ def main(argv=None):
         return 0
     runs = {name: [run_once(args.checkout, name, seed, seconds)
                    for seed in range(1, args.seeds + 1)] for name in names}
-    traced = {name: run_once(args.checkout, name, 1, seconds, trace=1) for name in names}
+    traced = {name: [run_once(args.checkout, name, 1, seconds, trace=1)
+                     for _ in range(TRACED_RUNS)] for name in names}
     with atomic_open(args.out) as fh:
         json.dump(dict(aggregate(runs, traced), seconds=seconds), fh, indent=1,
                   sort_keys=True)
