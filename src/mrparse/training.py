@@ -1074,8 +1074,8 @@ def _anchor_items(sent, surface):
 
 
 def _anchor_loss(model, token_states, items):
-    """Endpoint cross-entropies of one sentence's abstract nodes, each
-    node its own batch of one, so the gradients sum as they always have."""
+    """Endpoint cross-entropies of one sentence's abstract nodes, each its own
+    batch of one: a batch of all would sum the gradients in another order."""
     pairs = [model.anchor.endpoint_logits([label], [tset], token_states)
              for label, tset, _, _ in items]
     return E.anchor_loss(pairs, [(i, j) for _, _, i, j in items])

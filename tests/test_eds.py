@@ -364,6 +364,32 @@ class TestAbstractFit:
             counted.clear()
         assert sizes[0] == sizes[1] <= 16 * eds.ABSTRACT_EPOCHS
 
+    @pytest.mark.parametrize("seed", [7, 19])
+    def test_batched_detector_decides_as_the_per_site_oracle(self, seed):
+        corpus = datagen.build_corpus(n=24, seed=seed)
+        examples = datagen_examples(seed)
+        _, models = built_models(examples, 0)
+        eds.train_abstract_models(models, examples)
+        fired = 0
+        for s in corpus.sentences:
+            surface = eds.dm_to_eds_surface(s.graphs["dm"], corpus.rules)
+            implied = eds.generate_abstract_nodes(surface, corpus.rules)
+            out = eds.generate_abstract_nodes(surface, corpus.rules, models=models)
+            want = []
+            for n in surface.nodes:
+                feats = eds.node_site_features(surface, n)
+                if probability(models.detector, feats) > eds.DETECTION_THRESHOLD:
+                    want.append((n.id, best_class(models.node_labeler, feats),
+                                 best_class(models.edge_labeler, feats)))
+            by_id = out.node_by_id()
+            got = [(e.target, by_id[e.source].label, e.label)
+                   for e in out.edges[len(implied.edges):]]
+            assert got == want
+            assert [n.id for n in out.nodes[len(implied.nodes):]] == [
+                e.source for e in out.edges[len(implied.edges):]]
+            fired += len(want)
+        assert 0 < fired < sum(len(s.graphs["dm"].nodes) for s in corpus.sentences)
+
     def test_no_site_warns_and_fits_nothing(self):
         params, models = built_models([], 0)
         init = params.state_dict()
@@ -545,14 +571,12 @@ class TestFullConversion:
         # rule nodes remain unanchored without an anchor net; surface ones keep theirs
         assert sum(1 for n in a.nodes if not n.anchors) == 1
 
-
-class TestOneLearnedPass:
-    """Conversion runs the detector, the labelers and the anchor net
-    once per sentence, with the decisions of one call per site or node."""
+    # conversion runs the detector, the labelers and the anchor net once
+    # per sentence, with the decisions of one call per site or node
 
     def converted(self):
         # the detector fires at all three sites, the rule adds one _q: k = 4
-        g, toks = TestFullConversion().graph_and_tokens()
+        g, toks = self.graph_and_tokens()
         full = eds.generate_abstract_nodes(eds.dm_to_eds_surface(g, rules_fixture()),
                                            rules_fixture(), models=constant_detector(0.9))
         open_nodes = [n for n in full.nodes if not n.anchors]
@@ -598,29 +622,3 @@ class TestOneLearnedPass:
         for part in (net.lstm, models.detector, models.node_labeler, models.edge_labeler):
             assert sum(c is part for c in calls) == 1
         assert len(calls) == 4
-
-    @pytest.mark.parametrize("seed", [7, 19])
-    def test_batched_detector_decides_as_the_per_site_oracle(self, seed):
-        corpus = datagen.build_corpus(n=24, seed=seed)
-        examples = datagen_examples(seed)
-        _, models = built_models(examples, 0)
-        eds.train_abstract_models(models, examples)
-        fired = 0
-        for s in corpus.sentences:
-            surface = eds.dm_to_eds_surface(s.graphs["dm"], corpus.rules)
-            implied = eds.generate_abstract_nodes(surface, corpus.rules)
-            out = eds.generate_abstract_nodes(surface, corpus.rules, models=models)
-            want = []
-            for n in surface.nodes:
-                feats = eds.node_site_features(surface, n)
-                if probability(models.detector, feats) > eds.DETECTION_THRESHOLD:
-                    want.append((n.id, best_class(models.node_labeler, feats),
-                                 best_class(models.edge_labeler, feats)))
-            by_id = out.node_by_id()
-            got = [(e.target, by_id[e.source].label, e.label)
-                   for e in out.edges[len(implied.edges):]]
-            assert got == want
-            assert [n.id for n in out.nodes[len(implied.nodes):]] == [
-                e.source for e in out.edges[len(implied.edges):]]
-            fired += len(want)
-        assert 0 < fired < sum(len(s.graphs["dm"].nodes) for s in corpus.sentences)
