@@ -22,7 +22,7 @@ from .encoder import Linear, LstmCell, Mlp
 
 END_LABEL = "<END>"
 UNK_LABEL = "<UNK>"
-BEAM_WIDTH = 5  # beam_search width unless a caller sets one
+BEAM_WIDTH = 5  # hypotheses beam_search keeps per step
 
 _ANON = re.compile(r"^[A-Z][A-Z_]*\.\d+$")
 _SENSE = re.compile(r"^(.*[^\d-])-(\d{2,3})$")
@@ -692,39 +692,6 @@ def default_cap(n_tokens):
     return max(8, 2 * n_tokens + 2)
 
 
-def greedy_decode(ctx):
-    """Argmax rollout, which ``beam_search`` runs at width 1: greedy
-    decoding, stopping at the first step whose argmax is END.  (The
-    batched beam with one slot would not be the same: it files that END
-    as finished and keeps extending the runner-up, so it can return a
-    longer hypothesis.)  It steps one row (k = 1) through the same
-    batched decoder step."""
-    L = len(ctx.lemmas)
-    cap = default_cap(L)
-    dec = ctx.decoder
-    keys = dec.source_keys(ctx.token_states)
-    x, state = dec.initial(ctx.finals)
-    hist_keys, features = None, {}
-    hyp = AmrGeneration((), (), (), (), 0.0)
-    for step in range(cap + 1):
-        state, h, p = dec.step(x, state, keys, hist_keys)
-        row = p.data[0]
-        end_at = L + len(hyp.labels) + ctx.vocab.end_index
-        order = np.argsort(-row, kind="stable")
-        idx = int(order[0])
-        if idx == end_at and step == 0:
-            idx = int(order[1])  # empty graphs are not a thing
-        logp = hyp.log_prob + float(np.log(max(row[idx], 1e-12)))
-        if idx == end_at:
-            hyp.log_prob = logp
-            break
-        hyp = _grow(ctx, hyp, idx, logp, h, 0)
-        x, state, hist_keys = _next_inputs(ctx, [hyp], [0], state, h, hist_keys, features)
-    else:
-        hyp.truncated = True
-    return replace(hyp, states=tuple(ad.rows(t, [j]) for t, j in hyp.states))
-
-
 def _expand(p, beams, end_at, width, can_finish):
     """The ``width`` best candidates of a beam step and its finishes.
 
@@ -750,8 +717,8 @@ def _expand(p, beams, end_at, width, can_finish):
     return sorted(candidates, key=lambda cand: -cand[0])[:width], finishes
 
 
-def beam_search(ctx, width=BEAM_WIDTH):
-    """Length-normalized beam over the mixture.
+def beam_search(ctx):
+    """Length-normalized beam of ``BEAM_WIDTH`` hypotheses over the mixture.
 
     Finished hypotheses never displace live ones; the first finish with
     the best log-probability per step, the closing step included, wins.
@@ -769,9 +736,9 @@ def beam_search(ctx, width=BEAM_WIDTH):
     :func:`_next_inputs` reorders with one gather.  A candidate
     is only its parent row, mixture index and log-probability, ranked
     from arrays (:func:`_expand`); history keys are built in one batch
-    for the ``width`` candidates that survive the cut, each hypothesis
-    carrying its own history-key rows, and each distinct (label, POS)
-    node feature once per decode, when it first appears.  Hypotheses
+    for the candidates that survive the cut, each hypothesis carrying
+    its own history-key rows, and each distinct (label, POS) node
+    feature once per decode, when it first appears.  Hypotheses
     are :class:`AmrGeneration` records; only the winner's state rows are
     sliced out.
 
@@ -781,10 +748,6 @@ def beam_search(ctx, width=BEAM_WIDTH):
     single rows, so log-probabilities and states agree with a
     per-hypothesis decode to about 1e-10, not bit for bit.
     """
-    if width < 1:
-        raise ValueError("beam width must be positive")
-    if width == 1:
-        return greedy_decode(ctx)
     L = len(ctx.lemmas)
     cap = default_cap(L)
     dec = ctx.decoder
@@ -797,7 +760,7 @@ def beam_search(ctx, width=BEAM_WIDTH):
         return logp / (len(labels) + 1), -len(labels), labels
     for step in range(cap + 1):
         state, h, p = dec.step(x, state, keys, hist_keys)
-        survivors, finishes = _expand(p.data, beams, L + step + ctx.vocab.end_index, width,
+        survivors, finishes = _expand(p.data, beams, L + step + ctx.vocab.end_index, BEAM_WIDTH,
                                       can_finish=step > 0)  # empty graphs are not a thing
         for logp, j in finishes:
             key = rank(logp, beams[j].labels)

@@ -27,7 +27,6 @@ from . import graphs as G
 from . import eds as E
 from . import scoring
 from . import training as T
-from .amr import BEAM_WIDTH
 from .atomic import atomic_open
 from .config import (ARCH_FIELDS, SDP_PAIR, TrainConfig, single_config,
                      multitask_config, fine_tune_config)
@@ -98,7 +97,6 @@ def build_parser():
                    help="DM bundle(s) feeding the EDS converter")
     p.add_argument("--dm-mrp", dest="dm_mrp",
                    help="DM graph file feeding the EDS converter")
-    p.add_argument("--beam", type=int, help="AMR beam width")
     p.add_argument("--out", required=True)
     p.set_defaults(entry=cmd_parse)
 
@@ -134,7 +132,6 @@ def build_parser():
     _add_embedding_args(p)
     p.add_argument("--model", action="append", required=True, default=[])
     p.add_argument("--framework", required=True, choices=list(T.TASKS))
-    p.add_argument("--beam", type=int, help="AMR beam width")
     p.add_argument("--out", required=True, help="member spec JSON file")
     p.set_defaults(entry=cmd_ensemble)
 
@@ -163,17 +160,6 @@ def _load_embeddings(args):
     static = StaticEmbeddings.load(args.static, np.random.default_rng(0))
     contextual = ContextualEmbeddings.load(args.contextual)
     return static, contextual
-
-
-def _beam(args):
-    """The AMR beam width; ``--beam`` below 1 or with another framework
-    is a usage error, so call this before loading anything."""
-    if args.beam is not None and args.framework != "amr":
-        raise UsageError(f"{args.cmd} --framework {args.framework} "
-                         f"does not use --beam")
-    if args.beam is not None and args.beam < 1:
-        raise UsageError(f"{args.cmd} --beam must be at least 1, not {args.beam}")
-    return BEAM_WIDTH if args.beam is None else args.beam
 
 
 def _write_json(doc, path):
@@ -389,7 +375,6 @@ def _load_spec(args, static, contextual):
 
 
 def cmd_parse(args):
-    beam = _beam(args)
     _check_parse_flags(args)
     sentences = _load_sentences(args.companion, [])
     static, contextual = _load_embeddings(args)
@@ -401,8 +386,7 @@ def cmd_parse(args):
         dm_of = _eds_dm_source(args, sentences, static, contextual)
         graphs = [models[0].parse(s, dm_of(s))[0] for s in sentences]
     else:
-        graphs = [T.parse_ensemble(models, s, args.framework, beam=beam)
-                  for s in sentences]
+        graphs = [T.parse_ensemble(models, s, args.framework) for s in sentences]
 
     if not _validate_or_fail(graphs):
         return 1
@@ -507,7 +491,6 @@ def cmd_split(args):
 # ensemble
 
 def cmd_ensemble(args):
-    beam = _beam(args)
     sentences = _load_sentences(args.companion, [args.gold])
     usable = [s for s in sentences if args.framework in s.graphs]
     if not usable:
@@ -515,7 +498,7 @@ def cmd_ensemble(args):
                          f"for the companion sentences")
     static, contextual = _load_embeddings(args)
     models = [_load(p, T.MultiModel, static, contextual) for p in args.model]
-    spec, score = T.build_ensemble(models, args.framework, usable, beam=beam)
+    spec, score = T.build_ensemble(models, args.framework, usable)
     doc = dict(spec.to_json(), score=score, models=list(args.model))
     _write_json(doc, args.out)
     chosen = ", ".join(args.model[i] for i in spec.members)

@@ -13,6 +13,7 @@ replays the faulty originals.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields, replace, asdict
 
 from .atomic import atomic_open
@@ -80,6 +81,10 @@ class TrainConfig:
     lam_remote: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         for name in ("word_drop", "pos_drop", "lemma_drop", "encoder_dropout",
                      "biaffine_input_dropout", "edge_dropout", "label_dropout",
                      "frame_dropout", "decoder_dropout", "beta1", "beta2"):
@@ -126,6 +131,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(f"configuration must be an object, not {type(doc).__name__}")
         known = {f.name: f.default for f in fields(cls)}
         unknown = set(doc) - set(known)
         if unknown:

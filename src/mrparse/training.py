@@ -419,7 +419,7 @@ class SdpTask(Task):
             out[f"{name}.frame"] = ad.Tensor(0.0)
         return out
 
-    def predict(self, model, sents, enc_outs, beam):
+    def predict(self, model, sents, enc_outs):
         """Per sentence, (edge probabilities, label probabilities), then
         for DM the frame type probabilities and those of each argument
         head.  The frame classifier runs once over the batch's rows (a
@@ -516,7 +516,7 @@ class UccaTask(Task):
         return {"ucca.dec": pointer, "ucca.edge": edge, "ucca.label": label,
                 "ucca.remote": remote}
 
-    def predict(self, model, sents, enc_outs, beam):
+    def predict(self, model, sents, enc_outs):
         """A ``UccaPrediction`` per sentence, the remote head's edges only.
         A lone sentence takes ``U.pointer_decode`` and
         ``U.build_node_states``; a batch decodes in lockstep and runs the
@@ -621,15 +621,15 @@ class AmrTask(Task):
         return {"amr.dec": dec, "amr.cov": cov, "amr.edge": edge,
                 "amr.label": label}
 
-    def predict(self, model, sents, enc_outs, beam):
+    def predict(self, model, sents, enc_outs):
         """``_predict_one`` of each sentence, from its own beam search."""
-        return [self._predict_one(model, s, e, beam) for s, e in zip(sents, enc_outs)]
+        return [self._predict_one(model, s, e) for s, e in zip(sents, enc_outs)]
 
-    def _predict_one(self, model, sent, enc_out, beam):
+    def _predict_one(self, model, sent, enc_out):
         """(generation, edge probabilities, label probabilities), the
         probabilities None for an empty generation, which a sentence
         without tokens gets: the mixture has no source to copy from."""
-        gen = (A.beam_search(model.amr_context(sent, enc_out), width=beam) if sent.tokens
+        gen = (A.beam_search(model.amr_context(sent, enc_out)) if sent.tokens
                else A.AmrGeneration((), (), (), (), 0.0))
         if not gen.labels:
             return gen, None, None
@@ -1172,19 +1172,19 @@ def _token_span(node, tokens):
 # ---------------------------------------------------------------------------
 # parsing
 
-def predict(model, sentences, framework, beam=A.BEAM_WIDTH):
+def predict(model, sentences, framework):
     """One model's prediction for each of ``sentences`` (``Task.predict``),
     the probability arrays its graph is decoded from, from one encoder
     pass over all of them.  UCCA decodes the batch in lockstep; the
     biaffine heads and the frame classifier run once over the batch,
-    and the AMR beam per sentence.  A model without the framework's head
-    or decoder raises a ValueError."""
+    and AMR's ``beam_search``, at ``amr.BEAM_WIDTH``, per sentence.  A
+    model without the framework's head or decoder raises a ValueError."""
     task = TASKS.get(framework)
     if task is None:
         raise ValueError(f"cannot parse framework {framework!r} with this model")
     if task.name not in model.heads:
         raise ValueError(f"model has no {task.name} {task.part}")
-    return task.predict(model, sentences, model.encode(sentences), beam) if sentences else []
+    return task.predict(model, sentences, model.encode(sentences)) if sentences else []
 
 
 def decode_predictions(models, sent, framework, preds):
@@ -1197,9 +1197,9 @@ def decode_predictions(models, sent, framework, preds):
 
 
 @ad.no_grad()
-def parse_ensemble(models, sent, framework, beam=A.BEAM_WIDTH):
+def parse_ensemble(models, sent, framework):
     """Predict with each model, then combine and decode."""
-    preds = [predict(m, [sent], framework, beam=beam)[0] for m in models]
+    preds = [predict(m, [sent], framework)[0] for m in models]
     return decode_predictions(models, sent, framework, preds)
 
 
@@ -1253,16 +1253,17 @@ def greedy_ensemble(candidates, score_fn):
 
 
 @ad.no_grad()
-def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
+def build_ensemble(models, framework, sentences):
     """Pick members on the ensembling carve-out by held-out F1.
 
-    The framework's rule decides: AMR keeps its single best model; DM
-    and PSD average probabilities; UCCA votes.  Each model predicts each
-    sentence once, in one ``predict`` per member over all of them (one
-    encoder pass, each head once; UCCA decodes in lockstep): for k models
-    and n sentences the cache holds k × n predictions, each the
-    probability arrays one parse builds, softmaxes included, and every
-    subset the scan tries is scored by decoding its members' cached
+    The framework's rule decides: AMR keeps its single best model, each
+    member decoding with the beam that parsing runs; DM and PSD average
+    probabilities; UCCA votes.  Each model predicts each sentence once,
+    in one ``predict`` per member over all of them (one encoder pass,
+    each head once; UCCA decodes in lockstep): for k models and n
+    sentences the cache holds k × n predictions, each the probability
+    arrays one parse builds, softmaxes included, and every subset the
+    scan tries is scored by decoding its members' cached
     predictions.  A graph that an earlier subset decoded for the same
     sentence keeps its ``mrp_f1`` counts, so each distinct graph of a
     sentence is scored once.  A batched prediction is within 1e-12 of
@@ -1273,7 +1274,7 @@ def build_ensemble(models, framework, sentences, beam=A.BEAM_WIDTH):
     if not sentences:
         raise ValueError(f"build_ensemble needs at least one {framework} sentence")
     golds = [s.graphs[framework] for s in sentences]
-    cache = [predict(m, sentences, framework, beam=beam) for m in models]
+    cache = [predict(m, sentences, framework) for m in models]
     scored = {}
 
     def score_fn(member_ids):

@@ -572,7 +572,10 @@ def reference_coverage_loss(attentions):
 
 
 def reference_greedy_decode(ctx):
-    """Counterpart of ``amr.greedy_decode``."""
+    """Argmax rollout, one row per step, stopping at the first step whose
+    argmax is END (at step 0 the runner-up is taken: no empty graphs).
+    Greedy decoding is no search of the package; it is the baseline that
+    ``amr.beam_search`` is tested never to score below."""
     L = len(ctx.lemmas)
     cap = amr.default_cap(L)
     x, h, c = reference_initial(ctx.decoder, ctx.finals)
@@ -643,12 +646,17 @@ def count_decoder_steps(monkeypatch):
     return steps
 
 
-def reference_beam_search(ctx, width=5):
-    """Counterpart of ``amr.beam_search`` that never stops early: every
-    search runs all ``cap + 1`` steps and keeps every finish, so it is the
-    run-to-cap oracle for the beam's early stop."""
-    if width == 1:
-        return reference_greedy_decode(ctx)
+def fix_width(monkeypatch, width):
+    """Keep ``width`` hypotheses per step in every AMR beam search."""
+    monkeypatch.setattr(amr, "BEAM_WIDTH", width)
+
+
+def reference_beam_search(ctx):
+    """Counterpart of ``amr.beam_search``, at ``amr.BEAM_WIDTH`` as it
+    stands when called, that never stops early: every search runs all
+    ``cap + 1`` steps and keeps every finish, so it is the run-to-cap
+    oracle for the beam's early stop."""
+    width = amr.BEAM_WIDTH
     L = len(ctx.lemmas)
     cap = amr.default_cap(L)
     x0, h0, c0 = reference_initial(ctx.decoder, ctx.finals)
@@ -903,12 +911,12 @@ def reference_ucca_prediction(model, sent):
                                remote_probs=remote.edge_probs.data)
 
 
-def reference_amr_prediction(model, sent, beam):
+def reference_amr_prediction(model, sent):
     """(generation, edge probabilities, label probabilities) for one
     sentence, the probabilities None for an empty generation."""
     [enc_out] = model.encode([sent])
     ctx = model.amr_context(sent, enc_out)
-    gen = amr.beam_search(ctx, width=beam)
+    gen = amr.beam_search(ctx)
     if not gen.labels:
         return gen, None, None
     states = ad.concat(list(gen.states), axis=0)
@@ -917,7 +925,7 @@ def reference_amr_prediction(model, sent, beam):
 
 
 @ad.no_grad()
-def reference_parse_sentence(model, sent, framework, beam=5):
+def reference_parse_sentence(model, sent, framework):
     """Counterpart of ``training.parse_sentence``."""
     text = T.companion_text(sent.tokens)
     if framework in ("dm", "psd"):
@@ -935,7 +943,7 @@ def reference_parse_sentence(model, sent, framework, beam=5):
     if framework == "amr":
         if model.amr_decoder is None:
             raise ValueError("model has no amr decoder")
-        gen, edge, label = reference_amr_prediction(model, sent, beam=beam)
+        gen, edge, label = reference_amr_prediction(model, sent)
         records = amr.records_from_ne(sent.tokens, model.inv.ne_map)
         graph, _ = amr.decode_graph(gen, edge, label, model.heads["amr"].labels,
                                     sent.id, text, records=records,
@@ -945,10 +953,10 @@ def reference_parse_sentence(model, sent, framework, beam=5):
 
 
 @ad.no_grad()
-def reference_parse_ensemble(models, sent, framework, beam=5):
+def reference_parse_ensemble(models, sent, framework):
     """Counterpart of ``training.parse_ensemble``."""
     if len(models) == 1:
-        return reference_parse_sentence(models[0], sent, framework, beam=beam)
+        return reference_parse_sentence(models[0], sent, framework)
     text = T.companion_text(sent.tokens)
     if framework in ("dm", "psd"):
         pairs = [reference_sdp_prediction(m, sent, framework) for m in models]
@@ -968,18 +976,17 @@ def reference_parse_ensemble(models, sent, framework, beam=5):
     raise ValueError(f"no ensemble rule for framework {framework!r}")
 
 
-def reference_build_ensemble(models, framework, sentences, beam=5):
+def reference_build_ensemble(models, framework, sentences):
     """Counterpart of ``training.build_ensemble``: (spec, F1)."""
     golds = [s.graphs[framework] for s in sentences]
 
     def score_fn(member_ids):
         if framework == "amr":
-            preds = [reference_parse_sentence(models[member_ids[0]], s, "amr",
-                                              beam=beam) for s in sentences]
+            preds = [reference_parse_sentence(models[member_ids[0]], s, "amr")
+                     for s in sentences]
         else:
             subset = [models[i] for i in member_ids]
-            preds = [reference_parse_ensemble(subset, s, framework, beam=beam)
-                     for s in sentences]
+            preds = [reference_parse_ensemble(subset, s, framework) for s in sentences]
         return T.corpus_report(golds, preds).framework_f1(framework)
 
     candidates = list(range(len(models)))

@@ -17,9 +17,10 @@ from mrparse.config import TrainConfig, single_config
 from mrparse.training import TASKS, multitask_loss
 
 from conftest import (BEAM_TOL, arborescence_score, assert_same_generation,
-                      check_gradients, count_decoder_steps, normalized_score,
-                      reference_beam_search, reference_coverage_loss,
-                      reference_decoder_loss, reference_expand,
+                      check_gradients, count_decoder_steps, fix_width,
+                      normalized_score, reference_beam_search,
+                      reference_coverage_loss, reference_decoder_loss,
+                      reference_expand, reference_greedy_decode,
                       reference_next_inputs, reference_teacher_forced,
                       replication_count, scalarize, spy, tree_round_trip)
 
@@ -452,7 +453,7 @@ class TestDecoderMixture:
         p, _, _ = amr.run_teacher_forced(ctx, gold)
         for i, t in enumerate(padded_targets(gold, 2)):
             assert p.data[i, t] > 0.9
-        gen = amr.beam_search(ctx, width=1)
+        gen = amr.beam_search(ctx)
         assert gen.labels == gold.labels
         assert gen.copy_of == gold.copy_of
         assert gen.src_token[1] is not None and gen.copy_of[3] is not None
@@ -689,51 +690,19 @@ def fix_cap(monkeypatch, cap):
 
 
 class TestBeamSearch:
-    def greedy(self, ctx, cap):
-        """Independent argmax rollout with the same END convention."""
-        x, state = ctx.decoder.initial(ctx.finals)
-        labels, states, logp = [], [], 0.0
-        L = len(ctx.lemmas)
-        for step in range(cap + 1):
-            state, h, p = ctx.decoder.step(
-                x, state, ctx.decoder.source_keys(ctx.token_states),
-                history_keys(ctx.decoder, states))
-            row = p.data[0].copy()
-            if step == 0:
-                row[L + len(labels) + ctx.vocab.end_index] = -1.0
-            idx = int(np.argmax(row))
-            logp += float(np.log(p.data[0, idx]))
-            if idx >= L + len(labels) and idx - L - len(labels) == 0:
-                return tuple(labels), logp, True
-            if idx < L:
-                lab, pos = ctx.lemmas[idx], ctx.xpos[idx]
-            elif idx < L + len(labels):
-                lab, pos = labels[idx - L], None
-            else:
-                lab, pos = ctx.vocab.labels[idx - L - len(labels)], None
-            labels.append(lab)
-            states.append(h)
-            x = amr.node_features(ctx.encoder, [lab], [pos if idx < L else None])
-        return tuple(labels), logp, False
-
-    def test_width_one_matches_greedy(self, monkeypatch):
-        fix_cap(monkeypatch, 6)
-        for seed in range(6):
-            ctx, _ = make_ctx(["a", "b"], extra_labels=("dog", "run"), seed=seed)
-            gen = amr.beam_search(ctx, width=1)
-            labels, logp, finished = self.greedy(ctx, cap=6)
-            if finished:
-                assert gen.labels == labels
-                assert gen.log_prob == pytest.approx(logp, abs=1e-9)
-
     def test_wider_beam_never_scores_worse(self, monkeypatch):
         fix_cap(monkeypatch, 5)
+        wins = 0
         for seed in range(10):
             ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog",), seed=seed)
-            g1 = amr.beam_search(ctx, width=1)
-            g5 = amr.beam_search(ctx, width=5)
-            if not g1.truncated and not g5.truncated:
-                assert normalized_score(g5) >= normalized_score(g1) - 1e-12
+            # a raised END lets greedy finish inside the cap
+            ctx.decoder.vocab_head.b.data[ctx.vocab.end_index] = 3.0
+            g1 = reference_greedy_decode(ctx)
+            g5 = amr.beam_search(ctx)
+            assert not g1.truncated and not g5.truncated
+            assert normalized_score(g5) >= normalized_score(g1) - 1e-12
+            wins += normalized_score(g5) > normalized_score(g1) + 1e-12
+        assert wins  # the beam found a finish that greedy missed
 
     def exhaustive_best(self, ctx, max_nodes):
         """Enumerate every finished sequence of at most max_nodes nodes."""
@@ -775,28 +744,26 @@ class TestBeamSearch:
         fix_cap(monkeypatch, 3)
         ctx, _ = make_ctx(["t"], extra_labels=("dog",), seed=11)
         score, labels = self.exhaustive_best(ctx, max_nodes=3)
-        gen = amr.beam_search(ctx, width=75)
+        fix_width(monkeypatch, 75)
+        gen = amr.beam_search(ctx)
         assert normalized_score(gen) == pytest.approx(score, abs=1e-10)
         assert gen.labels == labels
 
     def test_never_generates_the_empty_graph(self, monkeypatch):
         fix_cap(monkeypatch, 4)
+        fix_width(monkeypatch, 2)
         for seed in range(5):
             ctx, _ = make_ctx(["u", "v"], extra_labels=(), seed=seed + 30)
-            gen = amr.beam_search(ctx, width=2)
+            gen = amr.beam_search(ctx)
             assert len(gen.labels) >= 1
 
     def test_zero_cap_truncates(self, monkeypatch):
         fix_cap(monkeypatch, 0)
+        fix_width(monkeypatch, 2)
         ctx, _ = make_ctx(["w"], extra_labels=("dog",), seed=13)
-        gen = amr.beam_search(ctx, width=2)
+        gen = amr.beam_search(ctx)
         assert gen.truncated
         assert len(gen.labels) == 1
-
-    def test_bad_width_rejected(self):
-        ctx, _ = make_ctx(["w"], seed=14)
-        with pytest.raises(ValueError):
-            amr.beam_search(ctx, width=0)
 
     def test_early_stop_decodes_what_running_to_the_cap_decodes(self,
                                                                 monkeypatch):
@@ -807,14 +774,14 @@ class TestBeamSearch:
         for end_bias, seed in itertools.product((0.0, 3.0), range(20)):
             width, cap = 2 + seed % 5, 3 + seed % 4
             fix_cap(monkeypatch, cap)
+            fix_width(monkeypatch, width)
             ctx, _ = make_ctx(["a", "b", "c"][:1 + seed % 3],
                               extra_labels=("dog", "run"), seed=seed + 40)
             ctx.decoder.vocab_head.b.data[ctx.vocab.end_index] = end_bias
             steps.clear()
-            got = amr.beam_search(ctx, width=width)
+            got = amr.beam_search(ctx)
             early += len(steps) < cap + 1
-            assert_same_generation(reference_beam_search(ctx, width=width), got,
-                                   tol=BEAM_TOL)
+            assert_same_generation(reference_beam_search(ctx), got, tol=BEAM_TOL)
         assert early
 
     @pytest.mark.parametrize("second, labels, steps", [
@@ -852,7 +819,8 @@ class TestBeamSearch:
             return state, h, ad.Tensor(rows)
 
         monkeypatch.setattr(amr.AmrDecoder, "step", planned)
-        got = amr.beam_search(ctx, width=2)
+        fix_width(monkeypatch, 2)
+        got = amr.beam_search(ctx)
         assert (got.labels, len(calls), got.truncated) == (labels, steps, False)
 
     def test_a_cap_too_short_for_any_finish_truncates(self, monkeypatch):
@@ -861,10 +829,10 @@ class TestBeamSearch:
         ctx, _ = make_ctx(["w", "x"], extra_labels=("dog",), seed=15)
         # END never ranks among the width + 1 best entries of a row
         ctx.decoder.vocab_head.b.data[ctx.vocab.end_index] = -60.0
-        got = amr.beam_search(ctx, width=3)
+        fix_width(monkeypatch, 3)
+        got = amr.beam_search(ctx)
         assert got.truncated and len(got.labels) == 5 and len(steps) == 5
-        assert_same_generation(reference_beam_search(ctx, width=3), got,
-                               tol=BEAM_TOL)
+        assert_same_generation(reference_beam_search(ctx), got, tol=BEAM_TOL)
 
 
 class TestBeamRanking:
@@ -904,7 +872,8 @@ class TestBeamRanking:
         reused = 0
         for seed, width in itertools.product(range(4), (1, 3, 5)):
             ctx, _ = make_ctx(["a", "b", "a"], extra_labels=("dog", "run"), seed=seed + 60)
-            amr.beam_search(ctx, width=width)
+            fix_width(monkeypatch, width)
+            amr.beam_search(ctx)
             keys = [key for _, labels, poses in built for key in zip(labels, poses)]
             assert keys and len(keys) == len(set(keys))
             reused += sum(len(args[1]) for args in fed) - len(keys)
@@ -919,10 +888,11 @@ class TestBeamRanking:
         fix_cap(monkeypatch, 6)
         for seed, width in itertools.product(range(6), (1, 2, 5)):
             ctx, _ = make_ctx(["a", "b", "c"], extra_labels=("dog", "run"), seed=seed + 70)
-            got = amr.beam_search(ctx, width=width)
+            fix_width(monkeypatch, width)
+            got = amr.beam_search(ctx)
             with monkeypatch.context() as mp:
                 mp.setattr(amr, "_next_inputs", reference_next_inputs)
-                want = amr.beam_search(ctx, width=width)
+                want = amr.beam_search(ctx)
             assert (got.labels, got.copy_of, got.src_token, got.truncated) == \
                 (want.labels, want.copy_of, want.src_token, want.truncated)
             assert got.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0.0)

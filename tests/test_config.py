@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -128,6 +129,11 @@ class TestValidation:
         ("beta1", 1.0),     # diverges
         ("beta1", -0.1),
         ("beta2", 1.5),
+        ("scale", math.inf),  # overflows in scaled()
+        ("scale", 1e400),
+        ("lr", math.inf),     # diverges
+        ("lr", -math.inf),
+        *[(f.name, math.nan) for f in fields(C.TrainConfig) if isinstance(f.default, float)],
         *[(name, 0) for name in C.WIDTH_FIELDS + ("layers", "decoder_layers")]])
     def test_values_that_train_wrongly_or_crash(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} "):

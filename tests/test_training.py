@@ -30,7 +30,7 @@ from mrparse.config import fine_tune_config, multitask_config, single_config
 from mrparse.encoder import PARAM_PREFIX, BiLstm
 
 from conftest import (BEAM_TOL, assert_same_arrays, assert_same_generation,
-                      count_decoder_steps, per_framework_loss,
+                      count_decoder_steps, fix_width, per_framework_loss,
                       reference_beam_search, reference_build_ensemble,
                       reference_parse_ensemble, reference_read_checkpoint, spy)
 
@@ -622,7 +622,7 @@ class TestTrainLoop:
 # bundles
 
 class TestBundles:
-    def test_multi_round_trip(self, mtl, corpus, tmp_path):
+    def test_multi_round_trip(self, mtl, corpus, tmp_path, monkeypatch):
         path = str(tmp_path / "joint.bundle")
         model = mtl.model_at("total")
         model.save(path)
@@ -632,9 +632,10 @@ class TestBundles:
         assert_same_arrays(saved, back.params.state_dict())
         assert any(arr.ndim == 0 for arr in saved.values())  # the *.b_edge scalars
         sent = corpus.sentences[9]
+        fix_width(monkeypatch, 2)
         for fw in FWS:
-            a = G.graph_to_json(T.parse_ensemble([model], sent, fw, beam=2))
-            b = G.graph_to_json(T.parse_ensemble([back], sent, fw, beam=2))
+            a = G.graph_to_json(T.parse_ensemble([model], sent, fw))
+            b = G.graph_to_json(T.parse_ensemble([back], sent, fw))
             assert a == b, fw
 
     def test_pipeline_size_bundle_reads_as_np_load_does(self, tmp_path):
@@ -1015,7 +1016,7 @@ class TestEnsembles:
         """Make a member subset score ``table[member ids]``: each model is
         its own index, its prediction the same, and a decode the tuple
         of the predictions it combines."""
-        monkeypatch.setattr(T, "predict", lambda m, sents, fw, beam: [m] * len(sents))
+        monkeypatch.setattr(T, "predict", lambda m, sents, fw: [m] * len(sents))
         monkeypatch.setattr(T, "decode_predictions",
                             lambda models, s, fw, preds: tuple(preds))
         monkeypatch.setattr(T, "corpus_report", lambda golds, graphs, scored: SimpleNamespace(
@@ -1072,15 +1073,16 @@ class TestInferenceFastPath:
     def test_amr_decoder_matches_reference(self, model, corpus, width,
                                            monkeypatch):
         truncated = 0
+        fix_width(monkeypatch, width)
         for cap in (A.default_cap, lambda n_tokens: 2):
             monkeypatch.setattr(A, "default_cap", cap)
             for sent in corpus.sentences[HELD]:
                 ctx = model.amr_context(sent, *model.encode([sent]))
-                want = reference_beam_search(ctx, width=width)
-                taped = A.beam_search(ctx, width=width)
+                want = reference_beam_search(ctx)
+                taped = A.beam_search(ctx)
                 assert_same_generation(want, taped, tol=BEAM_TOL)
                 with ad.no_grad():
-                    got = A.beam_search(ctx, width=width)
+                    got = A.beam_search(ctx)
                 assert_same_generation(taped, got)
                 truncated += got.truncated
         assert truncated  # the small cap cuts some decodes short
@@ -1089,11 +1091,10 @@ class TestInferenceFastPath:
     def test_amr_graphs_match_reference(self, model, corpus, width,
                                         monkeypatch):
         sents = corpus.sentences[HELD]
-        got = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
-               for s in sents]
+        fix_width(monkeypatch, width)
+        got = [G.graph_to_json(T.parse_ensemble([model], s, "amr")) for s in sents]
         monkeypatch.setattr(A, "beam_search", reference_beam_search)
-        want = [G.graph_to_json(T.parse_ensemble([model], s, "amr", beam=width))
-                for s in sents]
+        want = [G.graph_to_json(T.parse_ensemble([model], s, "amr")) for s in sents]
         assert got == want
 
     @pytest.mark.parametrize("width", [2, 5])
@@ -1107,16 +1108,16 @@ class TestInferenceFastPath:
         raised = bias.data.copy()
         raised[model.amr_vocab.end_index] += 2.0
         early = 0
+        fix_width(monkeypatch, width)
         for data in (bias.data, raised):
             monkeypatch.setattr(bias, "data", data)
             for sent in corpus.sentences[HELD]:
                 ctx = model.amr_context(sent, *model.encode([sent]))
                 steps.clear()
                 with ad.no_grad():
-                    got = A.beam_search(ctx, width=width)
+                    got = A.beam_search(ctx)
                 early += len(steps) < A.default_cap(len(ctx.lemmas)) + 1
-                assert_same_generation(reference_beam_search(ctx, width=width),
-                                       got, tol=BEAM_TOL)
+                assert_same_generation(reference_beam_search(ctx), got, tol=BEAM_TOL)
         assert early
 
     @pytest.mark.parametrize("fw", FWS)
@@ -1201,7 +1202,7 @@ def test_parse_output_pinned(fixed_models, corpus, fw):
 # ``PARSE_DIGESTS["amr"]`` hashes graph text, which survives a change in
 # the last bit of a state; this pins the decoder's floats themselves.
 # Recorded before the decoder's layers ran as one stacked LSTM call.
-AMR_DECODE_DIGESTS = {"beam": "dd3c0db693988ab0", "greedy": "8bda7e5b691f7cda"}
+AMR_DECODE_DIGESTS = {"beam": "dd3c0db693988ab0"}
 
 
 @pytest.mark.parametrize("search", sorted(AMR_DECODE_DIGESTS))
@@ -1211,7 +1212,7 @@ def test_amr_decode_pinned(fixed_models, corpus, search):
     for sent in corpus.sentences[HELD]:
         ctx = model.amr_context(sent, *model.encode([sent]))
         with ad.no_grad():
-            gen = A.greedy_decode(ctx) if search == "greedy" else A.beam_search(ctx)
+            gen = A.beam_search(ctx)
         h.update(json.dumps([gen.labels, gen.copy_of, gen.src_token,
                              gen.truncated]).encode())
         h.update(np.float64(gen.log_prob).tobytes())
@@ -1305,11 +1306,12 @@ def assert_same_prediction(got, want):
 
 
 @pytest.mark.parametrize("fw", FWS)
-def test_batched_predictions_are_each_sentences_own(model, with_empty, fw):
+def test_batched_predictions_are_each_sentences_own(model, with_empty, fw, monkeypatch):
+    fix_width(monkeypatch, 2)
     with ad.no_grad():
-        batched = T.predict(model, with_empty, fw, beam=2)
+        batched = T.predict(model, with_empty, fw)
         for sent, pred in zip(with_empty, batched):
-            [alone] = T.predict(model, [sent], fw, beam=2)
+            [alone] = T.predict(model, [sent], fw)
             assert_same_prediction(pred, alone)
             graphs = [T.decode_predictions([model], sent, fw, [p]) for p in (pred, alone)]
             assert G.graph_to_json(graphs[0]) == G.graph_to_json(graphs[1])
@@ -1411,10 +1413,11 @@ def count_calls(monkeypatch, name):
 
 class TestCachedSelection:
     @pytest.mark.parametrize("fw", FWS)
-    def test_same_spec_and_f1_as_reparsing(self, members, corpus, fw):
+    def test_same_spec_and_f1_as_reparsing(self, members, corpus, fw, monkeypatch):
         sents = corpus.sentences[HELD]
-        got = T.build_ensemble(members, fw, sents, beam=2)
-        assert got == reference_build_ensemble(members, fw, sents, beam=2)
+        fix_width(monkeypatch, 2)
+        got = T.build_ensemble(members, fw, sents)
+        assert got == reference_build_ensemble(members, fw, sents)
 
     @pytest.mark.parametrize("fw", ("dm", "psd", "ucca"))
     def test_every_tried_subset_decodes_as_parse_ensemble(self, members, corpus,
@@ -1450,7 +1453,8 @@ class TestCachedSelection:
             return encode(self, sentences, **kwargs)
 
         monkeypatch.setattr(T.MultiModel, "encode", counted_encode)
-        T.build_ensemble(members, fw, sents, beam=2)
+        fix_width(monkeypatch, 2)
+        T.build_ensemble(members, fw, sents)
         assert [(args[0], list(args[1])) for args in calls] == [(m, sents) for m in members]
         assert {args[2] for args in calls} == {fw}
         # one encoder pass per member, over every sentence
@@ -1469,7 +1473,8 @@ class TestCachedSelection:
 
         monkeypatch.setattr(T, "decode_predictions", recorded)
         scored = spy(monkeypatch, T.scoring, "mrp_f1")
-        T.build_ensemble(members, fw, corpus.sentences[HELD], beam=2)
+        fix_width(monkeypatch, 2)
+        T.build_ensemble(members, fw, corpus.sentences[HELD])
         assert len(scored) == len(set(decoded))
         assert {(gold.id, graph) for gold, graph in scored} == set(decoded)
         if fw != "amr":  # members and subsets often decode the same graph
