@@ -19,7 +19,7 @@ Subpackage map:
 * ``ucca``      -- pointer-based constituent generation
 * ``amr``       -- node generation, spanning arborescence, pre/post
 * ``training``  -- splits, the one training loop, parsing, ensembling
-* ``scoring``   -- MRP component F1 and SDP labeled F1
+* ``scoring``   -- MRP component F1, per framework and macro-averaged
 * ``cli``       -- batch entry points
 """
 

@@ -14,6 +14,7 @@ replays the faulty originals.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace, asdict
 
 from .atomic import atomic_open
@@ -27,6 +28,12 @@ WIDTH_FIELDS = ("surface_dim", "lemma_dim", "pos_dim", "ne_dim", "static_mlp",
                 "contextual_mlp", "hidden", "edge_mlp", "label_mlp", "frame_mlp",
                 "decoder_hidden", "anchor_emb", "anchor_hidden")
 ARCH_FIELDS = WIDTH_FIELDS + ("layers", "decoder_layers", "frameworks")
+
+
+def check_seed(seed):
+    """Refuse a seed ``np.random.default_rng`` would: negative, or not an integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,7 @@ class TrainConfig:
             raise ValueError("batch size and epoch count must be at least 1")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
+        check_seed(self.seed)
         bad = [fw for fw in self.frameworks if fw not in FRAMEWORKS]
         if bad:
             raise ValueError(f"unknown frameworks: {bad}")

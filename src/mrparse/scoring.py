@@ -557,43 +557,13 @@ class ScoreReport:
     def format_table(self):
         cols = COMPONENTS + ("all",)
         header = f"{'framework':<10}" + "".join(f"{c:>12}" for c in cols)
-        lines = [header, "-" * len(header)]
-        for fw in G.FRAMEWORKS:
-            if fw not in self.by_framework:
-                continue
-            comps = self.by_framework[fw]
-            row = f"{fw:<10}" + "".join(f"{comps[c].f1:>12.4f}" for c in cols)
-            lines.append(row)
         present = [fw for fw in G.FRAMEWORKS if fw in self.by_framework]
+        lines = [header, "-" * len(header)]
+        for fw in present:
+            comps = self.by_framework[fw]
+            lines.append(f"{fw:<10}" + "".join(f"{comps[c].f1:>12.4f}" for c in cols))
         if present:
             mean = sum(self.framework_f1(fw) for fw in present) / len(present)
             lines.append(f"{'mean':<10}" + " " * 12 * (len(cols) - 1)
                          + f"{mean:>12.4f}")
         return "\n".join(lines)
-
-
-def sdp_labeled_f1(gold, pred):
-    """F1 over labeled directed dependencies with the top attachment
-    counted as a virtual root dependency.
-
-    Nodes are keyed by their first anchor when they have one, so the two
-    graphs may number their nodes differently.
-    """
-    def tuples(g):
-        key = {n.id: (n.anchors[0].start, n.anchors[0].end) if n.anchors else n.id
-               for n in g.nodes}
-        c = Counter()
-        for e in g.edges:
-            c[(key[e.source], key[e.target], e.label)] += 1
-        for t in g.tops:
-            c[("top", key[t])] += 1
-        return c
-
-    a, b = tuples(gold), tuples(pred)
-    if not a and not b:
-        return 1.0  # vacuously perfect
-    matched = sum(min(c, b[key]) for key, c in a.items())
-    total_a, total_b = sum(a.values()), sum(b.values())
-    p = matched / total_b if total_b else 0.0
-    r = matched / total_a if total_a else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0

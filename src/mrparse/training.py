@@ -46,7 +46,7 @@ from . import amr as A
 from . import eds as E
 from . import scoring
 from .atomic import atomic_open
-from .config import ARCH_FIELDS, SDP_PAIR, TrainConfig
+from .config import ARCH_FIELDS, SDP_PAIR, TrainConfig, check_seed
 from .encoder import PARAM_PREFIX, Encoder, BiLstm, Vocabulary
 
 # validation carve-out sizes at full corpus scale: (tuning, ensembling)
@@ -116,6 +116,7 @@ def split_dataset(sentences, seed=0, factor=1.0):
     are simply unused.  One seeded permutation per framework makes the
     carve-out deterministic.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     split = DataSplit(train={}, val_i={}, val_ii={})
     for fw in G.FRAMEWORKS:
@@ -344,9 +345,9 @@ class Task:
     outputs, the numpy probability arrays each graph is decoded from;
     ``decode`` a graph from one prediction per model, combining several
     by ``rule``; ``validator`` the metric a single-framework run
-    early-stops on, in ``mode``.  Fine-tuning restarts from the joint
-    run's best epoch of ``start_key`` and trains the frameworks of
-    ``group``.
+    early-stops on, in ``mode``: corpus MRP F1, maximized, unless a task
+    overrides both.  Fine-tuning restarts from the joint run's best epoch
+    of ``start_key`` and trains the frameworks of ``group``.
     """
     part = "decoder"  # what a model that cannot serve the framework lacks
     mode = "max"
@@ -355,6 +356,12 @@ class Task:
         self.name = name
         self.start_key = name
         self.group = (name,)
+
+    def validator(self, model, cfg, val):
+        """Corpus MRP F1."""
+        golds = [s.graphs[self.name] for s in val]
+        return lambda m: corpus_report(
+            golds, [parse_sentence(m, s, self.name) for s in val]).framework_f1(self.name)
 
 
 class SdpTask(Task):
@@ -452,13 +459,6 @@ class SdpTask(Task):
         return S.build_graph(self.name, sent.id, sent.tokens, text, edge, label,
                              labels, frame_of)
 
-    def validator(self, model, cfg, val):
-        """Mean labeled F1."""
-        return lambda m: float(np.mean([
-            scoring.sdp_labeled_f1(s.graphs[self.name],
-                                   parse_sentence(m, s, self.name))
-            for s in val]))
-
 
 class UccaTask(Task):
     """UCCA: the pointer decoder lays out the nodes, a slot-state biLSTM
@@ -540,12 +540,6 @@ class UccaTask(Task):
                                       "ucca labels")
         win = preds[0] if len(preds) == 1 else U.voting_ensemble(preds)
         return U.decode_graph(win, labels, sent.tokens, text, sent.id)
-
-    def validator(self, model, cfg, val):
-        """Labeled F1 over the corpus."""
-        golds = [s.graphs["ucca"] for s in val]
-        return lambda m: corpus_report(
-            golds, [parse_sentence(m, s, "ucca") for s in val]).framework_f1("ucca")
 
 
 class AmrTask(Task):
@@ -919,15 +913,12 @@ def _train_loop(model, cfg, preps, loss_fn, modes, validate, run_dir=None):
 
 def _train_frameworks(model, cfg, split, frameworks, run_dir):
     """Train ``frameworks`` jointly, each early-stopped on its task's
-    validation metric over its tuning carve-out: labeled F1 for DM, PSD
-    and UCCA, the objective for AMR."""
+    validation metric over its tuning carve-out: corpus MRP F1 for DM,
+    PSD and UCCA, the objective for AMR."""
     preps = _train_preps(model, split, frameworks)
-    modes, fns = {}, {}
-    for name in frameworks:
-        val = split.val_i.get(name, [])
-        if val and name in model.heads:
-            modes[name] = TASKS[name].mode
-            fns[name] = TASKS[name].validator(model, cfg, val)
+    fns = {name: TASKS[name].validator(model, cfg, split.val_i[name])
+           for name in frameworks if split.val_i.get(name) and name in model.heads}
+    modes = {name: TASKS[name].mode for name in fns}
     loss_fn = lambda m, p, rng: sentence_loss(m, cfg, p, frameworks, rng)
     return _train_loop(model, cfg, preps, loss_fn, modes,
                        lambda m: {name: fn(m) for name, fn in fns.items()},

@@ -705,6 +705,30 @@ def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["train", "config", "split"])
+def test_a_negative_seed_is_one_line_error(ws, tmp_path, capsys, where):
+    out = tmp_path / "out"
+    if where == "split":
+        argv = ["split", "--companion", ws["companion"], "--mrp", ws["dm"],
+                "--seed", "-1", "--out", str(out)]
+    else:
+        argv = ["train", "--companion", ws["companion"], *embed_args(ws),
+                "--regime", "single", "--framework", "dm", "--out", str(out),
+                "--mrp", ws["dm"]]
+        if where == "train":
+            argv += ["--seed", "-1"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(path)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        ("error: " if where != "config" else f"error: {path}: ")
+        + "seed must be a non-negative integer, got -1"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed input files: exit 1 with one line, before anything is written
 

@@ -134,7 +134,9 @@ class TestValidation:
         ("lr", math.inf),     # diverges
         ("lr", -math.inf),
         *[(f.name, math.nan) for f in fields(C.TrainConfig) if isinstance(f.default, float)],
-        *[(name, 0) for name in C.WIDTH_FIELDS + ("layers", "decoder_layers")]])
+        *[(name, 0) for name in C.WIDTH_FIELDS + ("layers", "decoder_layers")],
+        ("seed", -1),       # np.random.default_rng refuses both
+        ("seed", 1.5)])
     def test_values_that_train_wrongly_or_crash(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} "):
             C.TrainConfig(**{name: value})

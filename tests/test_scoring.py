@@ -1,5 +1,4 @@
-"""Correspondence search, per-component tuple F1, macro averaging and
-the labeled dependency metric."""
+"""Correspondence search, per-component tuple F1 and macro averaging."""
 
 import itertools
 
@@ -219,34 +218,6 @@ class TestReport:
         doc = self.make_report().to_json()
         assert doc["dm"]["all"]["f1"] == 1.0
         assert "macro_f1" in doc
-
-
-class TestSdpLabeledF1:
-    def flavor0(self, labels, tops=(2,)):
-        nodes = [G.MrpNode(k, label=f"w{k}") for k in range(3)]
-        edges = [G.MrpEdge(s, t, lab) for (s, t), lab in labels.items()]
-        return G.MrpGraph(id="s9", flavor=0, framework="dm", input="a b c",
-                          tops=tops, nodes=tuple(nodes), edges=tuple(edges))
-
-    def test_identity_is_one(self):
-        g = self.flavor0({(2, 1): "ARG1", (1, 0): "BV"})
-        assert S.sdp_labeled_f1(g, g) == 1.0
-
-    def test_one_wrong_label_of_four(self):
-        # three edges plus the virtual top dependency = 4 tuples
-        g = self.flavor0({(2, 1): "ARG1", (1, 0): "BV", (2, 0): "mwe"})
-        p = self.flavor0({(2, 1): "ARG1", (1, 0): "BV", (2, 0): "comp"})
-        assert S.sdp_labeled_f1(g, p) == pytest.approx(0.75)
-
-    def test_top_counts_as_dependency(self):
-        g = self.flavor0({(2, 1): "ARG1"}, tops=(2,))
-        p = self.flavor0({(2, 1): "ARG1"}, tops=(1,))
-        assert S.sdp_labeled_f1(g, p) == pytest.approx(0.5)
-
-    def test_empty_graphs_score_one(self):
-        g = G.MrpGraph(id="e", flavor=0, framework="dm", input="",
-                       tops=(), nodes=(), edges=())
-        assert S.sdp_labeled_f1(g, g) == 1.0
 
 
 # ---------------------------------------------------------------------------
