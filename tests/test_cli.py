@@ -708,6 +708,7 @@ def test_split_refuses_a_repeated_sentence_id(ws, tmp_path, capsys, where):
 @pytest.mark.parametrize("where", ["train", "config", "split"])
 def test_a_negative_seed_is_one_line_error(ws, tmp_path, capsys, where):
     out = tmp_path / "out"
+    want = "error: seed must be a non-negative integer, got -1"
     if where == "split":
         argv = ["split", "--companion", ws["companion"], "--mrp", ws["dm"],
                 "--seed", "-1", "--out", str(out)]
@@ -721,11 +722,10 @@ def test_a_negative_seed_is_one_line_error(ws, tmp_path, capsys, where):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"seed": -1}))
             argv += ["--config", str(path)]
+            want = want.replace("error: ", f"error: {path}: ")
     capsys.readouterr()
     assert run(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        ("error: " if where != "config" else f"error: {path}: ")
-        + "seed must be a non-negative integer, got -1"]
+    assert capsys.readouterr().err.splitlines() == [want]
     assert not out.exists()
 
 

@@ -130,7 +130,7 @@ class TestSplit:
             assert [s.id for s in a.val_i[fw]] == [s.id for s in b.val_i[fw]]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
-    def test_a_seed_default_rng_refuses_is_named(self, corpus, seed):
+    def test_a_bad_seed_is_named(self, corpus, seed):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
             T.split_dataset(corpus.sentences, seed=seed)
 
@@ -432,13 +432,17 @@ class TestEarlyStopper:
 # one early-stop metric: corpus MRP F1, the number ensemble selection and
 # ``evaluate`` read, for every task but AMR, which keeps its objective
 
+def corpus_f1(model, sentences, fw):
+    return T.corpus_report([s.graphs[fw] for s in sentences],
+                           [T.parse_sentence(model, s, fw) for s in sentences]
+                           ).framework_f1(fw)
+
+
 @pytest.mark.parametrize("fw", ("dm", "psd", "ucca"))
 def test_validator_is_corpus_mrp_f1(mtl, split, fw):
     model, val = mtl.model, split.val_i[fw]
-    want = T.corpus_report([s.graphs[fw] for s in val],
-                           [T.parse_sentence(model, s, fw) for s in val])
     assert T.TASKS[fw].validator(model, model.config, val)(model) \
-        == want.framework_f1(fw)
+        == corpus_f1(model, val, fw)
 
 
 def test_single_dm_run_keeps_its_best_corpus_mrp_f1(split, corpus):
@@ -447,11 +451,8 @@ def test_single_dm_run_keeps_its_best_corpus_mrp_f1(split, corpus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = T.train_single(split, cfg, corpus.static, corpus.contextual)
-    val = split.val_i["dm"]
-    best = result.model_at("dm")
-    got = T.corpus_report([s.graphs["dm"] for s in val],
-                          [T.parse_sentence(best, s, "dm") for s in val])
-    assert result.best_values["dm"] == got.framework_f1("dm") > 0.0
+    assert result.best_values["dm"] \
+        == corpus_f1(result.model_at("dm"), split.val_i["dm"], "dm") > 0.0
 
 
 def test_amr_early_stops_on_its_objective():
